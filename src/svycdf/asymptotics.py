@@ -16,7 +16,12 @@ from typing import Literal
 import numpy as np
 
 from . import estimation, population
-from .errors import DegenerateBandwidthError, ParameterError, ZeroDensityError
+from .errors import (
+    DegenerateBandwidthError,
+    EstimationError,
+    ParameterError,
+    ZeroDensityError,
+)
 
 CovarianceForm = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"]
 
@@ -145,28 +150,21 @@ def plugin_poverty_variance(draw, N: int, constants: DesignConstants,
     by the simulation protocol ("interpolated"); the bandwidth follows
     the same rule through the interquartile range.
     """
-    if mode == "HT":
-        fhat = estimation.ht_ecdf(draw, N)
-    elif mode == "HJ":
-        fhat = estimation.hajek_ecdf(draw, N)
-    else:
+    if mode not in ("HT", "HJ"):
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    if quantile_method == "interpolated":
-        n_s = draw.included.size
-        quantile = lambda level: estimation.interpolated_weighted_quantile(fhat, level, n_s)
-        iqr = quantile(0.75) - quantile(0.25)
-        if iqr <= 0.0:
-            raise DegenerateBandwidthError("weighted interquartile range is zero")
-        bandwidth = 0.79 * iqr * n_s ** (-0.2)
-    elif quantile_method == "step":
-        quantile = lambda level: estimation.weighted_quantile(fhat, level)
-        bandwidth = None
-    else:
-        raise ParameterError(f"unknown quantile method {quantile_method!r}")
-    qhat = quantile(alpha)
-    phihat = float(fhat.evaluate(beta * qhat))
-    f_q = estimation.kde_density(draw, N, qhat, mode=mode, bandwidth=bandwidth)
-    f_bq = estimation.kde_density(draw, N, beta * qhat, mode=mode, bandwidth=bandwidth)
+    phihat, densities = estimation.poverty_plugin(estimation.weighted_sample(draw, N), mode,
+                                                  alpha, beta, quantile_method)
+    if densities is None:
+        raise DegenerateBandwidthError("weighted interquartile range is zero")
+    return _plugin_variance(constants, alpha, beta, mode, phihat, densities)
+
+
+def _plugin_variance(constants: DesignConstants, alpha: float, beta: float,
+                     mode: Literal["HT", "HJ"], phihat: float,
+                     densities: tuple[float, float]) -> float:
+    """The closed-form variance at the plugged-in rate, density ratio and
+    quantile level."""
+    f_q, f_bq = densities
     if f_q <= 0.0:
         raise ZeroDensityError("estimated density vanishes at the quantile")
     br = beta * (f_bq / f_q)
@@ -178,6 +176,43 @@ def plugin_poverty_variance(draw, N: int, constants: DesignConstants,
     return (br * br * g1 * alpha * (1.0 - alpha)
             + g1 * phihat * (1.0 - phihat)
             - 2.0 * br * phihat * g1 * (1.0 - alpha))
+
+
+def poverty_rate_estimates(draw, N: int, constants: DesignConstants,
+                           alpha: float, beta: float) -> dict:
+    """Per-draw kernel of the simulation protocol, both modes at once.
+
+    For "HT" and "HJ": the poverty-rate estimate and its plug-in variance,
+    with the interpolating quantile rule for the estimate, the bandwidth
+    and the density points.  The draw is checked, sorted and weighted once
+    (:func:`estimation.weighted_sample`); each mode's CDF is built once and
+    the variance reuses it and its quantile.
+
+    Returns ``{mode: (phi_hat, av_hat)}``, where a mode that cannot be
+    evaluated maps to the :class:`EstimationError` it raised instead.  A
+    sample in which every response is identical yields a legitimate zero
+    variance (zero-width interval) rather than a bandwidth failure.  Other
+    errors propagate.
+    """
+    try:
+        sample = estimation.weighted_sample(draw, N)
+    except EstimationError as exc:
+        return {"HT": exc, "HJ": exc}
+    out = {}
+    for mode in ("HT", "HJ"):
+        try:
+            phi, densities = estimation.poverty_plugin(sample, mode, alpha, beta,
+                                                       "interpolated")
+            if densities is not None:
+                out[mode] = (phi, _plugin_variance(constants, alpha, beta, mode, phi,
+                                                   densities))
+            elif np.all(sample.y == sample.y[0]):
+                out[mode] = (phi, 0.0)
+            else:
+                raise DegenerateBandwidthError("weighted interquartile range is zero")
+        except EstimationError as exc:
+            out[mode] = exc
+    return out
 
 
 def wald_interval(estimate: float, variance_of_root_n: float, n: float) -> tuple[float, float]:

@@ -10,7 +10,8 @@ Subcommands
 ``calibrate``  fit rejective working probabilities to target inclusion
                probabilities read from a file.
 
-Exit codes: 0 success, 2 usage or input validation, 3 runtime failure.
+Exit codes: 0 success, 2 usage or input validation, 3 runtime failure
+(including a broken worker pool or running out of memory in ``simulate``).
 The result tables are byte-identical for a fixed config and seed; the
 manifest additionally records wall-clock timings and is not.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -35,8 +37,11 @@ from .errors import ParameterError, SvycdfError
 _FMT = "%.6g"
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
+def _fail(exc: BaseException) -> None:
+    message = str(exc)
+    if not isinstance(exc, SvycdfError):
+        message = ": ".join(filter(None, (type(exc).__name__, message)))
+    click.echo(f"error: {message}".splitlines()[0], err=True)
     sys.exit(2 if isinstance(exc, ParameterError) else 3)
 
 
@@ -92,7 +97,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
               help="Output directory for tables and manifest.")
 @click.option("--paper-scale", is_flag=True,
               help="Raise replication to 1000 populations x 1000 samples.")
-@click.option("--workers", default=1, show_default=True, help="Parallel workers.")
+@click.option("--workers", default=1, show_default=True,
+              help="Parallel workers, at least 1; capped at the available CPUs.")
 @click.option("--seed", default=None, type=int, help="Override the config seed.")
 def simulate(config_path, out_dir, paper_scale, workers, seed):
     """Run the configured scenario grid and write the result tables."""
@@ -118,6 +124,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
             raise ParameterError(f"bad config field: {exc}") from exc
         if not cells:
             raise ParameterError("config must list at least one (N, n) cell")
+        workers = mc.pool_size(workers)
 
         reports: dict[tuple[str, int], mc.MonteCarloReport] = {}
         for design in designs:
@@ -174,7 +181,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
         click.echo(f"wrote {len(written)} files to {out}")
-    except SvycdfError as exc:
+    except (SvycdfError, BrokenProcessPool, MemoryError) as exc:
         for path in written:
             Path(path).unlink(missing_ok=True)
         _fail(exc)

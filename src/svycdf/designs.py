@@ -450,13 +450,14 @@ def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
 
 
 def design_constants(design: Design) -> DesignConstants:
-    """Exact finite-N values of the covariance constants for this design.
+    """Covariance constants of this design at its finite N.
 
-    lam = n/N and mu1 = (n/N^2) sum(1/pi - 1) for every design; mu2 is
-    lam - 1 for srswor (an exact finite-N identity), zero for the
-    independent designs, and for rejective designs the leading term
-    -(n/N^2) sum_{i != j} (1-pi_i)(1-pi_j) / d of the pairwise ratio
-    expansion, with d = sum pi(1-pi).
+    lam = n/N, mu1 = (n/N^2) sum(1/pi - 1) and d = sum pi(1-pi) are exact
+    for every design.  mu2 is exact for srswor (lam - 1, a finite-N
+    identity) and for the independent designs (zero).  For rejective
+    designs it is not exact: it is the leading term
+    -(n/N^2) sum_{i != j} (1-pi_i)(1-pi_j) / d of Hajek's expansion of
+    the pairwise ratios (pi_ij - pi_i pi_j) / (pi_i pi_j).
     """
     pi = first_order_pi(design)
     N = design.N

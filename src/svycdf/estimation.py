@@ -6,10 +6,20 @@ by N and need not be one.  The self-normalized ("HJ") variant divides by
 that estimate instead of N and always has total mass one.  Both are
 right-continuous step functions; quantiles use the generalized inverse
 F^{-1}(a) = inf{t : F(t) >= a}.
+
+One sorted sample serves both modes.  :func:`weighted_sample` checks a
+draw once, sorts its responses once and computes 1/pi and the
+population-size estimate once; each mode's CDF is then one cumulative sum
+in sorted order (tied responses are merged by
+:meth:`WeightedStepFunction.from_weighted_points`).
+:func:`poverty_plugin` reads the poverty rate, the three interpolated
+quantile levels behind it and its bandwidth, and the two kernel density
+values from that one CDF per mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -60,10 +70,19 @@ class WeightedStepFunction:
             raise ParameterError("weights must be nonnegative")
         locs, inverse = np.unique(values, return_inverse=True)
         merged = np.bincount(inverse, weights=weights, minlength=locs.size)
-        cumulative = np.cumsum(merged)
+        return cls._accumulate(locs, merged, weights, total_mass)
+
+    @classmethod
+    def _accumulate(cls, locations, jumps, weights, total_mass):
+        """Running sum of ``jumps`` (one per location, in location order).
+
+        The last entry is pinned to ``total_mass``, or by default to
+        ``weights.sum()`` taken in the order the weights were given.
+        """
+        cumulative = jumps.cumsum()
         total = float(weights.sum()) if total_mass is None else float(total_mass)
         cumulative[-1] = total
-        return cls(locations=locs, cumulative=cumulative, total_mass=total)
+        return cls(locations=locations, cumulative=cumulative, total_mass=total)
 
     def evaluate(self, t):
         """Value at t (scalar or array): mass of all jumps <= t."""
@@ -82,8 +101,79 @@ def _require_values(draw):
                               "or SampleDraw.with_values")
     if draw.included.size == 0:
         raise EstimationError("empty sample")
-    if np.any(draw.pi_included <= 0.0):
+    if (draw.pi_included <= 0.0).any():
         raise EstimationError("nonpositive inclusion probability among sampled units")
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedSample:
+    """One draw, checked, sorted and inverse-weighted once for both modes.
+
+    ``y``, ``pi`` and ``inv = 1/pi`` keep the sample order and ``order``
+    sorts ``y``.  ``sorted_y`` is ``y[order]`` when the responses are
+    distinct and None when some tie; tied jumps are then merged by
+    :meth:`WeightedStepFunction.from_weighted_points`.  ``size`` is the
+    number of sampled units and ``n_hat`` the population-size estimate.
+    """
+
+    N: int
+    size: int
+    y: np.ndarray
+    pi: np.ndarray
+    inv: np.ndarray
+    n_hat: float
+    order: np.ndarray
+    sorted_y: np.ndarray | None
+
+    def ecdf(self, mode: Literal["HT", "HJ"]) -> WeightedStepFunction:
+        """The mode's weighted CDF: jumps 1/(N pi) ("HT", total mass their
+        sum) or (1/pi)/n_hat ("HJ", total mass exactly one)."""
+        if mode == "HT":
+            weights, total_mass = 1.0 / (self.N * self.pi), None
+        elif mode == "HJ":
+            weights, total_mass = self.inv / self.n_hat, 1.0
+        else:
+            raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
+        if self.sorted_y is None:
+            return WeightedStepFunction.from_weighted_points(self.y, weights, total_mass)
+        if (weights < 0.0).any():
+            raise ParameterError("weights must be nonnegative")
+        return WeightedStepFunction._accumulate(self.sorted_y, weights[self.order],
+                                                weights, total_mass)
+
+    def density(self, t: np.ndarray, mode: Literal["HT", "HJ"],
+                bandwidth: float) -> np.ndarray:
+        """Weighted Gaussian kernel density at the 1-d points ``t``; the
+        kernel sum runs over the responses in sample order."""
+        if bandwidth <= 0.0:
+            raise ParameterError("bandwidth must be positive")
+        denom = float(self.N) if mode == "HT" else self.n_hat
+        z = (t[:, None] - self.y[None, :]) / bandwidth
+        kernel = np.exp(-0.5 * z * z) / _SQRT_2PI
+        return kernel @ self.inv / (denom * bandwidth)
+
+
+def weighted_sample(draw, N: int) -> WeightedSample:
+    """Check a draw's values once, then sort and inverse-weight them once.
+
+    Raises :class:`EstimationError` for a draw without values, an empty
+    sample or a nonpositive inclusion probability.
+    """
+    _require_values(draw)
+    y = np.asarray(draw.y_included, dtype=float)
+    pi = draw.pi_included
+    if y.size == 0:
+        raise EstimationError("a step function needs at least one jump")
+    if y.shape != pi.shape:
+        raise ParameterError("values and weights must have equal length")
+    inv = 1.0 / pi
+    order = np.argsort(y)
+    sorted_y = y[order]
+    # np.unique merges equal values and NaNs (which sort last)
+    if np.isnan(sorted_y[-1]) or (sorted_y[1:] == sorted_y[:-1]).any():
+        sorted_y = None
+    return WeightedSample(N=N, size=draw.included.size, y=y, pi=pi, inv=inv,
+                          n_hat=float(inv.sum()), order=order, sorted_y=sorted_y)
 
 
 def ht_ecdf(draw, N: int) -> WeightedStepFunction:
@@ -92,17 +182,12 @@ def ht_ecdf(draw, N: int) -> WeightedStepFunction:
     Total mass equals the population-size estimate over N, typically
     close to but not exactly one.
     """
-    _require_values(draw)
-    weights = 1.0 / (N * draw.pi_included)
-    return WeightedStepFunction.from_weighted_points(draw.y_included, weights)
+    return weighted_sample(draw, N).ecdf("HT")
 
 
 def hajek_ecdf(draw, N: int) -> WeightedStepFunction:
     """Self-normalized weighted empirical CDF; total mass exactly one."""
-    _require_values(draw)
-    inv = 1.0 / draw.pi_included
-    return WeightedStepFunction.from_weighted_points(
-        draw.y_included, inv / inv.sum(), total_mass=1.0)
+    return weighted_sample(draw, N).ecdf("HJ")
 
 
 def weighted_quantile(f: WeightedStepFunction, alpha: float) -> float:
@@ -139,22 +224,32 @@ def interpolated_weighted_quantile(f: WeightedStepFunction, alpha: float,
     clamped extrapolation of the reference interpolation machinery)
     instead of raising.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
+    return _interpolated_quantiles(f, (alpha,), n_points)[0]
+
+
+def _interpolated_quantiles(f: WeightedStepFunction, levels: tuple,
+                            n_points: int) -> list[float]:
+    """:func:`interpolated_weighted_quantile` at several levels, sharing
+    one array of cumulative positions and one search for all brackets."""
+    for alpha in levels:
+        if not 0.0 < alpha <= 1.0:
+            raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
     if n_points < 1:
         raise ParameterError("n_points must be at least 1")
-    a_eff = min(alpha / f.total_mass, 1.0)
     pos = (f.cumulative / f.total_mass) * n_points
-    h = 1.0 + (n_points - 1.0) * a_eff
-    low = min(np.floor(h), float(n_points))
-    frac = h - low
-    last = f.locations.size - 1
-    idx_low = min(int(np.searchsorted(pos, low - _TIE_EPS * n_points, side="left")), last)
-    hi_target = min(low + 1.0, float(n_points))
-    idx_high = min(int(np.searchsorted(pos, hi_target - _TIE_EPS * n_points, side="left")), last)
-    if idx_high == idx_low:
-        return float(f.locations[idx_low])
-    return float((1.0 - frac) * f.locations[idx_low] + frac * f.locations[idx_high])
+    tie = _TIE_EPS * n_points
+    fracs, targets = [], []
+    for alpha in levels:
+        h = 1.0 + (n_points - 1.0) * min(alpha / f.total_mass, 1.0)
+        low = min(float(math.floor(h)), float(n_points))
+        fracs.append(h - low)
+        targets += [low - tie, min(low + 1.0, float(n_points)) - tie]
+    idx = np.minimum(pos.searchsorted(targets, side="left"), f.locations.size - 1)
+    q = f.locations[idx].tolist()
+    idx = idx.tolist()
+    return [q[2 * k] if idx[2 * k] == idx[2 * k + 1]
+            else (1.0 - frac) * q[2 * k] + frac * q[2 * k + 1]
+            for k, frac in enumerate(fracs)]
 
 
 def poverty_rate(f: WeightedStepFunction, alpha: float, beta: float) -> float:
@@ -180,6 +275,19 @@ def hadamard_direction_value(density_at_quantile: float, density_at_scaled: floa
             + h_at_scaled)
 
 
+def _bandwidth(iqr: float, n_s: int) -> float | None:
+    """Automatic bandwidth 0.79 R n_s^{-1/5}; None when R is zero."""
+    if iqr <= 0.0:
+        return None
+    return 0.79 * iqr * n_s ** (-0.2)
+
+
+def _step_bandwidth(sample: WeightedSample, f: WeightedStepFunction) -> float | None:
+    if sample.size < 2:
+        raise EstimationError("automatic bandwidth needs at least two sampled units")
+    return _bandwidth(weighted_quantile(f, 0.75) - weighted_quantile(f, 0.25), sample.size)
+
+
 def kde_density(draw, N: int, t, mode: Literal["HT", "HJ"] = "HJ",
                 bandwidth: float | None = None):
     """Weighted Gaussian kernel density estimate at t (scalar or array).
@@ -190,26 +298,49 @@ def kde_density(draw, N: int, t, mode: Literal["HT", "HJ"] = "HJ",
     matching empirical CDF; pass ``bandwidth`` to override (test hook and
     escape hatch for degenerate samples).
     """
-    _require_values(draw)
+    sample = weighted_sample(draw, N)
     if mode not in ("HT", "HJ"):
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    n_s = draw.included.size
     if bandwidth is None:
-        if n_s < 2:
-            raise EstimationError("automatic bandwidth needs at least two sampled units")
-        f = ht_ecdf(draw, N) if mode == "HT" else hajek_ecdf(draw, N)
-        iqr = weighted_quantile(f, 0.75) - weighted_quantile(f, 0.25)
-        if iqr <= 0.0:
+        bandwidth = _step_bandwidth(sample, sample.ecdf(mode))
+        if bandwidth is None:
             raise DegenerateBandwidthError("weighted interquartile range is zero")
-        bandwidth = 0.79 * iqr * n_s ** (-0.2)
-    elif bandwidth <= 0.0:
-        raise ParameterError("bandwidth must be positive")
-    denom = float(N) if mode == "HT" else draw.n_hat()
     t_arr = np.asarray(t, dtype=float)
-    z = (np.atleast_1d(t_arr)[:, None] - draw.y_included[None, :]) / bandwidth
-    kernel = np.exp(-0.5 * z * z) / _SQRT_2PI
-    dens = kernel @ (1.0 / draw.pi_included) / (denom * bandwidth)
+    dens = sample.density(np.atleast_1d(t_arr), mode, bandwidth)
     return float(dens[0]) if np.isscalar(t) or t_arr.ndim == 0 else dens
+
+
+def poverty_plugin(sample: WeightedSample, mode: Literal["HT", "HJ"], alpha: float,
+                   beta: float,
+                   quantile_method: Literal["step", "interpolated"] = "interpolated"
+                   ) -> tuple[float, tuple[float, float] | None]:
+    """Empirical ingredients of the plug-in poverty-rate variance, one mode.
+
+    Returns ``(phi, densities)``: the poverty-rate estimate F(beta q) at
+    the estimated alpha-quantile q, and the kernel density estimates at q
+    and beta q, or None when the weighted interquartile range behind the
+    automatic bandwidth is zero.  The mode's CDF is built once.
+    ``quantile_method`` selects the generalized-inverse quantile ("step")
+    or the interpolating rule of the simulation protocol ("interpolated",
+    all three levels alpha, 0.25 and 0.75 from one array of cumulative
+    positions); the bandwidth follows the same rule through the
+    interquartile range.
+    """
+    f = sample.ecdf(mode)
+    if quantile_method == "interpolated":
+        qhat, q25, q75 = _interpolated_quantiles(f, (alpha, 0.25, 0.75), sample.size)
+        bandwidth = _bandwidth(q75 - q25, sample.size)
+    elif quantile_method == "step":
+        qhat = weighted_quantile(f, alpha)
+        bandwidth = _step_bandwidth(sample, f)
+    else:
+        raise ParameterError(f"unknown quantile method {quantile_method!r}")
+    phi = float(f.evaluate(beta * qhat))
+    if bandwidth is None:
+        return phi, None
+    f_q = sample.density(np.array([qhat]), mode, bandwidth)
+    f_bq = sample.density(np.array([beta * qhat]), mode, bandwidth)
+    return phi, (float(f_q[0]), float(f_bq[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ reports are bitwise reproducible for any worker count.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from . import estimation as est
 from . import oracle as orc
 from . import population as pop
 from .errors import (
-    DegenerateBandwidthError,
     DiagnosticError,
     EstimationError,
     ParameterError,
@@ -149,30 +149,6 @@ def _calibrated_rejective_p(sc: Scenario) -> np.ndarray:
 # Per-cell estimation
 # ---------------------------------------------------------------------------
 
-def _phi_and_av(draw, N, constants, alpha, beta, mode):
-    """Poverty-rate estimate and plug-in variance for one mode.
-
-    Follows the simulation protocol: the quantile entering the estimate,
-    the bandwidth and the density evaluation points uses the
-    interpolating weighted rule.  Returns (phi_hat, av_hat) or raises an
-    EstimationError.  A sample in which every response is identical
-    yields a legitimate zero variance (zero-width interval) rather than
-    a bandwidth failure.
-    """
-    f = est.ht_ecdf(draw, N) if mode == "HT" else est.hajek_ecdf(draw, N)
-    qhat = est.interpolated_weighted_quantile(f, alpha, draw.included.size)
-    phi_hat = float(f.evaluate(beta * qhat))
-    try:
-        av_hat = asy.plugin_poverty_variance(draw, N, constants, alpha, beta,
-                                             mode=mode, quantile_method="interpolated")
-    except DegenerateBandwidthError:
-        if np.all(draw.y_included == draw.y_included[0]):
-            av_hat = 0.0
-        else:
-            raise
-    return phi_hat, av_hat
-
-
 def _relative_error(value: float, target: float):
     if target != 0.0:
         return (value - target) / target
@@ -214,12 +190,12 @@ def _run_population_block(sc: Scenario, indices, rej_p, phi_f: float,
             sample = dsg.draw(design, rng, y=population.y)
             acc["cells"] += 1
             results = {}
-            for mode in ESTIMATORS:
-                try:
-                    results[mode] = _phi_and_av(
-                        sample, sc.N, constants, sc.alpha, sc.beta, mode)
-                except EstimationError:
+            for mode, result in asy.poverty_rate_estimates(
+                    sample, sc.N, constants, sc.alpha, sc.beta).items():
+                if isinstance(result, EstimationError):
                     acc["failures"][mode] += 1
+                else:
+                    results[mode] = result
             if sc.design == "SI" and "HT" in results and "HJ" in results:
                 if results["HT"][0] != results["HJ"][0]:
                     raise ScenarioError(
@@ -249,12 +225,30 @@ def _run_population_block(sc: Scenario, indices, rej_p, phi_f: float,
     return out
 
 
+def pool_size(workers: int, available: int | None = None) -> int:
+    """Worker processes allowed for a requested count.
+
+    A count below 1 is a :class:`ParameterError`; a count above the
+    ``available`` CPUs (by default those this process may run on) is
+    capped at them with a warning.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if available is None:
+        available = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+    if workers > available:
+        logger.warning("capping %d workers at the %d available CPUs", workers, available)
+        return available
+    return workers
+
+
 def _map_population_blocks(sc: Scenario, per_block: Callable, workers: int) -> list:
     """Run ``per_block`` over population index blocks, in index order."""
     indices = list(range(sc.n_populations))
-    if workers <= 1 or sc.n_populations == 1:
+    workers = min(pool_size(workers), sc.n_populations)
+    if workers == 1:
         return per_block(indices)
-    workers = min(workers, sc.n_populations)
     blocks = [indices[k::workers] for k in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(per_block, blocks))

@@ -1,13 +1,17 @@
 """Command line surface: simulate, oracle/conditions, calibrate."""
 
 import csv
+import hashlib
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from svycdf import cli
 from svycdf import designs as dsg
+from svycdf import montecarlo as mc
 from svycdf.cli import main
 
 
@@ -118,6 +122,94 @@ class TestSimulate:
                                       "--out", str(out)])
         assert result.exit_code == 3
         assert not (out / "rb_estimators.csv").exists()
+
+
+#: sha256 of the three tables of the golden configs below, recorded with the
+#: earlier estimation path that rebuilt each CDF per use; a faster kernel must
+#: leave the tables byte-identical
+GOLDEN_DIGESTS = {
+    "exponential": {
+        "rb_estimators.csv": "c6c53c5f7d96ff9d02f6e6b84d5d8e0fd6a7c36c0be446ec967870aecf87df61",
+        "rb_variance.csv": "e420a61dea1cd5b83e5f12f966b4f3b7513e7621485dad39319cb3e928769469",
+        "coverage.csv": "07709002e3e979ce36b889a46fdcfa51fc0ddb50e7fb699b951445867331b0cf",
+    },
+    "discrete": {
+        "rb_estimators.csv": "ecdbd9285c2e7df87ad29d4f7ffcae6ecad3e86246e2906117f8060c1585b939",
+        "rb_variance.csv": "26959de07d5a18af6becc5a006ff65c51aff22ae53529308dba2ef39991667b7",
+        "coverage.csv": "6b03a3e094af0e6c2b96c593306a2be604ba8f3f1b8270c8797ec738ccd62d79",
+    },
+}
+
+GOLDEN_LAWS = {
+    "exponential": {"kind": "exponential", "rate": 1.0},
+    # twelve atoms: every sample has ties, so the CDFs take the merge path
+    "discrete": {"kind": "discrete", "points": [float(k) for k in range(1, 13)],
+                 "masses": [1 / 12] * 12},
+}
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("law", sorted(GOLDEN_LAWS))
+    def test_digests(self, runner, tmp_path, law):
+        cfg = minimal_config(law=GOLDEN_LAWS[law], designs=["SI", "BE", "PO", "REJ"],
+                             cells=[{"N": 200, "n": 40}, {"N": 120, "n": 30}],
+                             n_populations=3, n_samples=6, seed=7)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        found = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in GOLDEN_DIGESTS[law]}
+        assert found == GOLDEN_DIGESTS[law]
+
+
+class TestSimulateFailures:
+    def _invoke(self, runner, tmp_path, *extra):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out), *extra])
+        return result, out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, runner, tmp_path, workers):
+        result, out = self._invoke(runner, tmp_path, "--workers", workers)
+        assert result.exit_code == 2
+        assert result.stderr.strip() == f"error: workers must be at least 1, got {workers}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [
+        BrokenProcessPool("A process in the process pool was terminated abruptly"),
+        MemoryError(),
+    ])
+    def test_pool_and_memory_failures_exit_3(self, runner, tmp_path, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(mc, "run_scenario", fail)
+        result, out = self._invoke(runner, tmp_path)
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {type(exc).__name__}")
+        assert not (out / "rb_estimators.csv").exists()
+
+    def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
+        real_write = cli._write_csv
+        calls = []
+
+        def write_then_fail(path, header, rows):
+            calls.append(path)
+            if len(calls) == 2:
+                raise MemoryError()
+            real_write(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", write_then_fail)
+        result, out = self._invoke(runner, tmp_path)
+        assert result.exit_code == 3
+        assert calls[0].name == "rb_estimators.csv"
+        assert not any(out.glob("*.csv"))
 
 
 class TestOracleCommand:

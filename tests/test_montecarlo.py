@@ -98,6 +98,52 @@ class TestRunScenario:
         assert rep.coverage[("HT", "F")] == pytest.approx(93.5, abs=1.5)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return [fn(block) for block in blocks]
+
+
+class TestPoolSize:
+    def test_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ParameterError):
+                mc.pool_size(workers, available=4)
+
+    def test_within_available_unchanged(self):
+        assert mc.pool_size(1, available=4) == 1
+        assert mc.pool_size(4, available=4) == 4
+
+    def test_capped_at_available_with_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+            assert mc.pool_size(1000, available=2) == 2
+        assert "capping 1000 workers at the 2 available CPUs" in caplog.text
+
+    def test_scenario_pool_is_capped(self, monkeypatch):
+        # no process is started: the pool is replaced by an in-process stand-in
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        _SerialPool.sizes = []
+        sc = small_scenario(n_populations=5, n_samples=3)
+        capped = mc.run_scenario(sc, workers=64)
+        assert _SerialPool.sizes == [3]
+        serial = mc.run_scenario(sc, workers=1)
+        assert capped.rb_phi == serial.rb_phi
+        assert capped.coverage == serial.coverage
+
+
 class TestProcessCovariance:
     def test_small_run_shapes_and_error(self):
         sc = small_scenario(N=300, n=60, n_populations=8, n_samples=25, seed=21)
