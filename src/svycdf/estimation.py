@@ -64,10 +64,12 @@ class WeightedStepFunction:
         weights = np.asarray(weights, dtype=float)
         if values.size == 0:
             raise EstimationError("a step function needs at least one jump")
-        if values.shape != weights.shape:
-            raise ParameterError("values and weights must have equal length")
-        if np.any(weights < 0.0):
-            raise ParameterError("weights must be nonnegative")
+        _check_weights(values, weights)
+        return cls._merged(values, weights, total_mass)
+
+    @classmethod
+    def _merged(cls, values, weights, total_mass):
+        """Merge tied values with ``np.unique``, then accumulate."""
         locs, inverse = np.unique(values, return_inverse=True)
         merged = np.bincount(inverse, weights=weights, minlength=locs.size)
         return cls._accumulate(locs, merged, weights, total_mass)
@@ -95,6 +97,13 @@ class WeightedStepFunction:
     __call__ = evaluate
 
 
+def _check_weights(values: np.ndarray, weights: np.ndarray) -> None:
+    if values.shape != weights.shape:
+        raise ParameterError("values and weights must have equal length")
+    if np.any(weights < 0.0):
+        raise ParameterError("weights must be nonnegative")
+
+
 def _require_values(draw):
     if draw.y_included is None:
         raise EstimationError("draw carries no response values; use draw(..., y=...) "
@@ -109,21 +118,21 @@ def _require_values(draw):
 class WeightedSample:
     """One draw, checked, sorted and inverse-weighted once for both modes.
 
-    ``y``, ``pi`` and ``inv = 1/pi`` keep the sample order and ``order``
-    sorts ``y``.  ``sorted_y`` is ``y[order]`` when the responses are
-    distinct and None when some tie; tied jumps are then merged by
-    :meth:`WeightedStepFunction.from_weighted_points`.  ``size`` is the
-    number of sampled units and ``n_hat`` the population-size estimate.
+    ``y``, ``pi`` and ``inv = 1/pi`` keep the sample order, ``order``
+    sorts ``y`` and ``sorted_y`` is ``y[order]``.  ``has_ties`` is set when
+    some responses are equal (or NaN); their jumps are then merged as in
+    :meth:`WeightedStepFunction.from_weighted_points`.  ``n_hat`` is the
+    population-size estimate.
     """
 
     N: int
-    size: int
     y: np.ndarray
     pi: np.ndarray
     inv: np.ndarray
     n_hat: float
     order: np.ndarray
-    sorted_y: np.ndarray | None
+    sorted_y: np.ndarray
+    has_ties: bool
 
     def ecdf(self, mode: Literal["HT", "HJ"]) -> WeightedStepFunction:
         """The mode's weighted CDF: jumps 1/(N pi) ("HT", total mass their
@@ -134,10 +143,9 @@ class WeightedSample:
             weights, total_mass = self.inv / self.n_hat, 1.0
         else:
             raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-        if self.sorted_y is None:
-            return WeightedStepFunction.from_weighted_points(self.y, weights, total_mass)
-        if (weights < 0.0).any():
-            raise ParameterError("weights must be nonnegative")
+        _check_weights(self.y, weights)
+        if self.has_ties:
+            return WeightedStepFunction._merged(self.y, weights, total_mass)
         return WeightedStepFunction._accumulate(self.sorted_y, weights[self.order],
                                                 weights, total_mass)
 
@@ -162,18 +170,13 @@ def weighted_sample(draw, N: int) -> WeightedSample:
     _require_values(draw)
     y = np.asarray(draw.y_included, dtype=float)
     pi = draw.pi_included
-    if y.size == 0:
-        raise EstimationError("a step function needs at least one jump")
-    if y.shape != pi.shape:
-        raise ParameterError("values and weights must have equal length")
     inv = 1.0 / pi
     order = np.argsort(y)
     sorted_y = y[order]
     # np.unique merges equal values and NaNs (which sort last)
-    if np.isnan(sorted_y[-1]) or (sorted_y[1:] == sorted_y[:-1]).any():
-        sorted_y = None
-    return WeightedSample(N=N, size=draw.included.size, y=y, pi=pi, inv=inv,
-                          n_hat=float(inv.sum()), order=order, sorted_y=sorted_y)
+    has_ties = bool(np.isnan(sorted_y[-1]) or (sorted_y[1:] == sorted_y[:-1]).any())
+    return WeightedSample(N=N, y=y, pi=pi, inv=inv, n_hat=float(inv.sum()),
+                          order=order, sorted_y=sorted_y, has_ties=has_ties)
 
 
 def ht_ecdf(draw, N: int) -> WeightedStepFunction:
@@ -283,9 +286,10 @@ def _bandwidth(iqr: float, n_s: int) -> float | None:
 
 
 def _step_bandwidth(sample: WeightedSample, f: WeightedStepFunction) -> float | None:
-    if sample.size < 2:
+    n_s = sample.y.size
+    if n_s < 2:
         raise EstimationError("automatic bandwidth needs at least two sampled units")
-    return _bandwidth(weighted_quantile(f, 0.75) - weighted_quantile(f, 0.25), sample.size)
+    return _bandwidth(weighted_quantile(f, 0.75) - weighted_quantile(f, 0.25), n_s)
 
 
 def kde_density(draw, N: int, t, mode: Literal["HT", "HJ"] = "HJ",
@@ -328,8 +332,9 @@ def poverty_plugin(sample: WeightedSample, mode: Literal["HT", "HJ"], alpha: flo
     """
     f = sample.ecdf(mode)
     if quantile_method == "interpolated":
-        qhat, q25, q75 = _interpolated_quantiles(f, (alpha, 0.25, 0.75), sample.size)
-        bandwidth = _bandwidth(q75 - q25, sample.size)
+        n_s = sample.y.size
+        qhat, q25, q75 = _interpolated_quantiles(f, (alpha, 0.25, 0.75), n_s)
+        bandwidth = _bandwidth(q75 - q25, n_s)
     elif quantile_method == "step":
         qhat = weighted_quantile(f, alpha)
         bandwidth = _step_bandwidth(sample, f)

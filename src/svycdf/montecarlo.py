@@ -225,18 +225,23 @@ def _run_population_block(sc: Scenario, indices, rej_p, phi_f: float,
     return out
 
 
-def pool_size(workers: int, available: int | None = None) -> int:
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(workers: int) -> int:
     """Worker processes allowed for a requested count.
 
-    A count below 1 is a :class:`ParameterError`; a count above the
-    ``available`` CPUs (by default those this process may run on) is
-    capped at them with a warning.
+    The entry point owns the worker policy and calls this once: a count
+    below 1 is a :class:`ParameterError`, and a count above the available
+    CPUs is capped at them with a warning.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    if available is None:
-        available = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
+    available = _available_cpus()
     if workers > available:
         logger.warning("capping %d workers at the %d available CPUs", workers, available)
         return available
@@ -244,9 +249,15 @@ def pool_size(workers: int, available: int | None = None) -> int:
 
 
 def _map_population_blocks(sc: Scenario, per_block: Callable, workers: int) -> list:
-    """Run ``per_block`` over population index blocks, in index order."""
+    """Run ``per_block`` over population index blocks, in index order.
+
+    The pool is silently bounded by the available CPUs and the number of
+    populations; the warning for an oversized request is :func:`pool_size`'s.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     indices = list(range(sc.n_populations))
-    workers = min(pool_size(workers), sc.n_populations)
+    workers = min(workers, _available_cpus(), sc.n_populations)
     if workers == 1:
         return per_block(indices)
     blocks = [indices[k::workers] for k in range(workers)]

@@ -116,32 +116,46 @@ class _SerialPool:
         return [fn(block) for block in blocks]
 
 
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 class TestPoolSize:
-    def test_below_one_rejected(self):
+    def test_below_one_rejected(self, monkeypatch):
+        _cpus(monkeypatch, 4)
         for workers in (0, -1):
             with pytest.raises(ParameterError):
-                mc.pool_size(workers, available=4)
+                mc.pool_size(workers)
 
-    def test_within_available_unchanged(self):
-        assert mc.pool_size(1, available=4) == 1
-        assert mc.pool_size(4, available=4) == 4
+    def test_within_available_unchanged(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        assert mc.pool_size(1) == 1
+        assert mc.pool_size(4) == 4
 
-    def test_capped_at_available_with_warning(self, caplog):
+    def test_capped_at_available_with_warning(self, monkeypatch, caplog):
+        _cpus(monkeypatch, 2)
         with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
-            assert mc.pool_size(1000, available=2) == 2
+            assert mc.pool_size(1000) == 2
         assert "capping 1000 workers at the 2 available CPUs" in caplog.text
 
-    def test_scenario_pool_is_capped(self, monkeypatch):
+    def test_scenario_pool_is_capped_silently(self, monkeypatch, caplog):
         # no process is started: the pool is replaced by an in-process stand-in
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        _cpus(monkeypatch, 3)
         _SerialPool.sizes = []
         sc = small_scenario(n_populations=5, n_samples=3)
-        capped = mc.run_scenario(sc, workers=64)
+        with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+            capped = mc.run_scenario(sc, workers=64)
         assert _SerialPool.sizes == [3]
+        assert "capping" not in caplog.text
         serial = mc.run_scenario(sc, workers=1)
         assert capped.rb_phi == serial.rb_phi
         assert capped.coverage == serial.coverage
+
+    def test_scenario_rejects_below_one(self):
+        with pytest.raises(ParameterError):
+            mc.run_scenario(small_scenario(n_populations=2, n_samples=2), workers=0)
 
 
 class TestProcessCovariance:

@@ -261,15 +261,25 @@ class TestKernelOracle:
 class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
         draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
-        assert est.weighted_sample(draw, 10).sorted_y is None
+        assert est.weighted_sample(draw, 10).has_ties
         f = est.weighted_sample(draw, 10).ecdf("HJ")
         assert np.array_equal(f.locations, [1.0, 2.0])
 
     def test_distinct_values_sorted_once(self):
         draw = make_draw([3.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
         sample = est.weighted_sample(draw, 10)
+        assert not sample.has_ties
         assert np.array_equal(sample.sorted_y, [1.0, 2.0, 3.0])
         assert sample.n_hat == draw.n_hat()
+
+    @pytest.mark.parametrize("y", [[3.0, 1.0, 2.0], [2.0, 1.0, 2.0]])
+    def test_negative_weights_rejected_on_both_paths(self, y):
+        # a negative N makes the HT weights negative, tied values or not
+        sample = est.weighted_sample(make_draw(y, [0.5, 0.25, 0.5], N=10), -10)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            sample.ecdf("HT")
+        with pytest.raises(ParameterError, match="nonnegative"):
+            est.WeightedStepFunction.from_weighted_points(y, 1.0 / (-10 * sample.pi))
 
     def test_empty_sample_fails_both_modes(self):
         draw = make_draw([], [], N=5)
