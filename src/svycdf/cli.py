@@ -272,10 +272,10 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
             target = np.array([float(tok) for tok in text.replace(",", " ").split()])
         except ValueError as exc:
             raise ParameterError(f"could not parse probabilities: {exc}") from exc
-        p = dsg.calibrate_rejective_p(target, size, tol=tol, max_iter=max_iter)
-        achieved = dsg.first_order_pi(dsg.rejective(p, size))
-        residual = float(np.max(np.abs(achieved - target)))
-        payload = {"p": [float(x) for x in p], "n": size, "max_residual": residual}
+        design = dsg.calibrated_rejective(target, size, tol=tol, max_iter=max_iter)
+        residual = float(np.max(np.abs(dsg.first_order_pi(design) - target)))
+        payload = {"p": [float(x) for x in design.working_p], "n": size,
+                   "max_residual": residual}
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         click.echo(f"wrote {out_path} (max residual {residual:.3e})")
     except SvycdfError as exc:

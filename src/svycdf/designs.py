@@ -8,10 +8,16 @@ p_i / (1 - p_i) over sampled units.
 
 Rejective quantities are exact, not asymptotic: first and second order
 inclusion probabilities come from a Poisson-binomial dynamic program over
-prefix and suffix partial-sum distributions, and the sampler walks the
-units once, including each with the conditional probability of still
-reaching the target size.  A rejection sampler (redraw Poisson samples
-until the size hits n) is kept as an independent cross-check.
+prefix and suffix partial-sum distributions.  The suffix table is built
+once per design and serves both the first-order probabilities and the
+sampler.  The sampler walks the units left to right, including each with
+the conditional probability of still reaching the target size; it is
+vectorized across samples by jumping from one inclusion to the next, so a
+batch of samples (:func:`draw_batch`) costs n steps, each over a short
+window of units per sample.  Every sample consumes its own generator's N
+uniforms, so a sample drawn in a batch equals the same sample drawn alone.
+A rejection sampler (redraw Poisson samples until the size hits n) is kept
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -52,29 +58,6 @@ def _pb_forward(probs: np.ndarray, n_max: int) -> np.ndarray:
         nxt[1:] += row[:-1] * p
         table[i + 1] = nxt
     return table
-
-
-@dataclass(eq=False)
-class PoissonBinomialTable:
-    """Exact PMF table T[i][k] = P(sum of the first i trials = k), k <= n_max."""
-
-    probs: np.ndarray
-    n_max: int
-    table: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if np.any((probs < 0.0) | (probs > 1.0)):
-            raise ParameterError("trial probabilities must lie in [0, 1]")
-        if self.n_max < 0:
-            raise ParameterError("n_max must be nonnegative")
-        self.probs = probs
-        if self.table is None:
-            self.table = _pb_forward(probs, self.n_max)
-
-    def pmf(self, count: int) -> float:
-        """P(total sum over all trials = count)."""
-        return float(self.table[self.probs.size, count])
 
 
 def _rejective_first_order(p: np.ndarray, n: int,
@@ -279,7 +262,8 @@ def first_order_pi(design: Design) -> np.ndarray:
     elif design.kind == "poisson":
         pi = design.pi.copy()
     else:
-        pi = _rejective_first_order(design.working_p, design.size)
+        pi = _rejective_first_order(design.working_p, design.size,
+                                    bwd=design._suffix_table())
     pi.setflags(write=False)
     design._cache["pi"] = pi
     return pi
@@ -319,7 +303,9 @@ def draw(design: Design, rng, y=None) -> SampleDraw:
     The rejective sampler is sequential and exact: walking units left to
     right, unit i enters with probability p_i P(suffix fills m-1) /
     P(suffix fills m) where m is the number of slots still open, which
-    reproduces the conditional law with exactly n inclusions.
+    reproduces the conditional law with exactly n inclusions.  A single
+    draw runs the batched walk of :func:`draw_batch` on one row of N
+    uniforms.
     """
     rng = _as_generator(rng)
     N = design.N
@@ -332,30 +318,94 @@ def draw(design: Design, rng, y=None) -> SampleDraw:
     elif design.kind == "poisson":
         indicators = rng.random(N) < design.pi
     else:
-        indicators = _sequential_rejective(design, rng)
+        indicators = _rejective_walk(design, rng.random((1, N)))[0]
     return _finish_draw(design, indicators, y)
 
 
-def _sequential_rejective(design: Design, rng: np.random.Generator) -> np.ndarray:
-    p = design.working_p
-    N, n = design.N, design.size
-    suffix = design._suffix_table()
-    us = rng.random(N)
-    indicators = np.zeros(N, dtype=bool)
-    m = n
-    for i in range(N):
-        if m == 0:
-            break
-        remaining = N - i
-        if remaining == m:
-            indicators[i:] = True
-            m = 0
-            break
-        denom = suffix[remaining, m]
-        pr = p[i] * suffix[remaining - 1, m - 1] / denom
-        if us[i] < pr:
-            indicators[i] = True
-            m -= 1
+#: a rejective batch holds at most this many samples, and their uniforms
+#: (N float64 each) in at most this many bytes: past a few dozen samples
+#: the walk's per-step cost is already shared, while every held draw and
+#: generator still costs memory
+_BATCH_SAMPLES = 64
+_BATCH_BYTES = 4 * 2**20
+
+
+def batch_rows(design: Design) -> int:
+    """Most samples one :func:`draw_batch` call draws from the design.
+
+    A rejective batch shares one walk, so it takes 64 samples, or fewer
+    where their uniforms would pass 4 MiB; the other designs draw sample by
+    sample and gain nothing from holding more than one.
+    """
+    if design.kind != "rejective":
+        return 1
+    return max(1, min(_BATCH_SAMPLES, _BATCH_BYTES // (8 * design.N)))
+
+
+def draw_batch(design: Design, rngs, y=None) -> list[SampleDraw]:
+    """Draw one sample per generator in ``rngs`` (at most
+    :func:`batch_rows` of them), in order.
+
+    Each sample equals ``draw(design, rng, y)`` for its generator; for a
+    rejective design the samples share one vectorized walk.
+    """
+    rngs = list(rngs)
+    rows = batch_rows(design)
+    if len(rngs) > rows:
+        raise CapacityError(f"a {design.kind} batch holds at most {rows} samples "
+                            f"on N={design.N} units, got {len(rngs)}")
+    if design.kind != "rejective":
+        return [draw(design, rng, y) for rng in rngs]
+    indicators = _rejective_walk(design, _uniform_rows(rngs, design.N))
+    return [_finish_draw(design, row, y) for row in indicators]
+
+
+def _uniform_rows(rngs: list, N: int) -> np.ndarray:
+    """N uniforms from each generator, one row each."""
+    us = np.empty((len(rngs), N))
+    for row, rng in zip(us, rngs):
+        _as_generator(rng).random(out=row)
+    return us
+
+
+def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
+    """Inclusion indicators of the sequential rejective sampler, one row per
+    row of uniforms ``us`` (shape ``(S, N)``).
+
+    With m slots open the walk jumps, for every sample at once, to the
+    next unit r where ``u_r < p_r * suffix[N-r-1, m-1] / suffix[N-r, m]``
+    (the same floating-point expression as a unit-by-unit walk, so the
+    indicators are identical), or to unit N-m, from which every unit must
+    be included.  Each jump scans a window of about 4 N/n units per
+    sample and widens past it only for the samples with no hit.
+    """
+    p, n = design.working_p, design.size
+    S, N = us.shape
+    rev = design._suffix_table()[::-1]          # rev[r] = suffix[N - r]
+    width = min(N, max(2, 4 * N // n))
+    window = np.arange(width)
+    flat = us.ravel()
+    rows = np.arange(S)
+    offset = (rows * N)[:, None]
+    pos = np.zeros(S, dtype=np.intp)
+    indicators = np.zeros((S, N), dtype=bool)
+    for m in range(n, 0, -1):
+        stop = N - m
+        below, above = rev[1:, m - 1], rev[:, m]
+        todo, start = rows, pos      # start reads only rows not yet found
+        while True:
+            cols = np.minimum(start[:, None] + window, stop)
+            hit = flat[offset[todo] + cols] < p[cols] * below[cols] / above[cols]
+            hit |= cols == stop
+            first = hit.argmax(axis=1)
+            k = np.arange(todo.size)
+            found = hit[k, first]
+            pos[todo[found]] = cols[k, first][found]
+            if found.all():
+                break
+            todo, start = todo[~found], start[~found] + width
+        indicators[rows, pos] = True
+        pos += 1
     return indicators
 
 
@@ -419,7 +469,20 @@ def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
     Damped multiplicative fixed point: p <- p * target / pi(p) in odds
     space, renormalized each step so sum(p) = n; the step is halved (in
     log scale) whenever the max-norm residual grows.  Such a p always
-    exists and is unique up to a common odds factor.
+    exists and is unique up to a common odds factor.  Returns the working
+    probabilities of :func:`calibrated_rejective`.
+    """
+    return calibrated_rejective(target_pi, n, tol, max_iter).working_p
+
+
+def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
+                         max_iter: int = 1000) -> Design:
+    """The size-n rejective design calibrated to ``target_pi`` (see
+    :func:`calibrate_rejective_p`).
+
+    Its first-order inclusion probabilities are the ones computed at the
+    final, converged iteration, identical to what :func:`first_order_pi`
+    would compute afresh.
     """
     t = np.asarray(target_pi, dtype=float)
     N = t.size
@@ -437,7 +500,10 @@ def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
         pi = _rejective_first_order(p, n)
         resid = float(np.max(np.abs(pi - t)))
         if resid <= tol:
-            return p
+            design = rejective(p, n)
+            pi.setflags(write=False)
+            design._cache["pi"] = pi
+            return design
         update = t / pi
         if resid > prev_resid:
             update = np.sqrt(update)

@@ -22,7 +22,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal
+from functools import partial
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 from scipy import stats as sps
@@ -111,38 +112,40 @@ def _split_probabilities(N: int, n: int) -> np.ndarray:
     return pi
 
 
-def _base_design(sc: Scenario, rej_p: np.ndarray | None) -> dsg.Design:
+def _scenario_design(sc: Scenario) -> dsg.Design:
+    """The scenario's unpermuted design.  A REJ scenario is calibrated here,
+    and the calibrated design carries the inclusion probabilities of the
+    final calibration step."""
     if sc.design == "SI":
         return dsg.srswor(sc.N, sc.n)
     if sc.design == "BE":
         return dsg.bernoulli(sc.N, sc.n / sc.N)
+    target = _split_probabilities(sc.N, sc.n)
     if sc.design == "PO":
-        return dsg.poisson(_split_probabilities(sc.N, sc.n))
-    return dsg.rejective(rej_p, sc.n)
+        return dsg.poisson(target)
+    if np.any(target >= 1.0) or np.any(target <= 0.0):
+        raise ScenarioError("REJ target inclusion probabilities must lie strictly in (0, 1)")
+    return dsg.calibrated_rejective(target, sc.n)
 
 
 def _population_design(sc: Scenario, pop_index: int, rej_p: np.ndarray | None) -> dsg.Design:
-    """Design for one population; PO/REJ randomly reorder the units."""
+    """Design for one population; PO/REJ randomly reorder the units, REJ
+    with the scenario's calibrated working probabilities ``rej_p``."""
     if sc.design in ("SI", "BE"):
-        return _base_design(sc, rej_p)
+        return _scenario_design(sc)
     perm = substream(sc.seed, pop_index, 1).permutation(sc.N)
     if sc.design == "PO":
         return dsg.poisson(_split_probabilities(sc.N, sc.n)[perm])
     return dsg.rejective(rej_p[perm], sc.n)
 
 
-def scenario_design_constants(sc: Scenario, rej_p: np.ndarray | None = None) -> asy.DesignConstants:
-    """Covariance constants of the scenario design (permutation invariant)."""
-    if sc.design == "REJ" and rej_p is None:
-        rej_p = _calibrated_rejective_p(sc)
-    return dsg.design_constants(_base_design(sc, rej_p))
+def scenario_design_constants(sc: Scenario, design: dsg.Design | None = None) -> asy.DesignConstants:
+    """Covariance constants of the scenario design (permutation invariant).
 
-
-def _calibrated_rejective_p(sc: Scenario) -> np.ndarray:
-    target = _split_probabilities(sc.N, sc.n)
-    if np.any(target >= 1.0) or np.any(target <= 0.0):
-        raise ScenarioError("REJ target inclusion probabilities must lie strictly in (0, 1)")
-    return dsg.calibrate_rejective_p(target, sc.n)
+    ``design`` is the scenario's unpermuted design if the caller already
+    holds it; otherwise it is built, and a REJ scenario calibrated.
+    """
+    return dsg.design_constants(_scenario_design(sc) if design is None else design)
 
 
 # ---------------------------------------------------------------------------
@@ -172,57 +175,83 @@ def _new_accumulator() -> dict:
     return acc
 
 
-def _run_population_block(sc: Scenario, indices, rej_p, phi_f: float,
-                          av_ref: dict) -> list[dict]:
-    """Worker: all samples of the populations in ``indices``."""
-    out = []
-    for i in indices:
-        population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-        fn = est.WeightedStepFunction.from_weighted_points(
-            population.y, np.full(sc.N, 1.0 / sc.N), total_mass=1.0)
-        phi_fn = est.poverty_rate(fn, sc.alpha, sc.beta)
-        design = _population_design(sc, i, rej_p)
-        constants = dsg.design_constants(design)
-        targets = {"FN": phi_fn, "F": phi_f}
-        acc = _new_accumulator()
-        for j in range(sc.n_samples):
-            rng = substream(sc.seed, i, 2, j)
-            sample = dsg.draw(design, rng, y=population.y)
-            acc["cells"] += 1
-            results = {}
-            for mode, result in asy.poverty_rate_estimates(
-                    sample, sc.N, constants, sc.alpha, sc.beta).items():
-                if isinstance(result, EstimationError):
-                    acc["failures"][mode] += 1
+def _population_draws(sc: Scenario, pop_index: int, design: dsg.Design, y) -> Iterator:
+    """The ``n_samples`` draws of one population, in sample order.
+
+    Sample j uses the stream ``(seed, pop_index, 2, j)``; the draws come
+    one batch of :func:`designs.batch_rows` samples at a time, so no more
+    than one batch is held at once.
+    """
+    rows = dsg.batch_rows(design)
+    for start in range(0, sc.n_samples, rows):
+        rngs = [substream(sc.seed, pop_index, 2, j)
+                for j in range(start, min(start + rows, sc.n_samples))]
+        yield from dsg.draw_batch(design, rngs, y=y)
+
+
+class _PopulationTask:
+    """Picklable pool task: for each population index, build the population
+    and its design, and reduce its draws with
+    ``reduce(population, design, draws)``."""
+
+    def __init__(self, sc: Scenario, rej_p, reduce: Callable):
+        self.sc, self.rej_p, self.reduce = sc, rej_p, reduce
+
+    def __call__(self, indices) -> list:
+        sc = self.sc
+        out = []
+        for i in indices:
+            population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
+            design = _population_design(sc, i, self.rej_p)
+            out.append(self.reduce(population, design,
+                                   _population_draws(sc, i, design, population.y)))
+        return out
+
+
+def _accumulate_cells(sc: Scenario, phi_f: float, av_ref: dict, population, design,
+                      draws) -> dict:
+    """Estimator, variance and coverage sums over one population's cells."""
+    fn = est.WeightedStepFunction.from_weighted_points(
+        population.y, np.full(sc.N, 1.0 / sc.N), total_mass=1.0)
+    phi_fn = est.poverty_rate(fn, sc.alpha, sc.beta)
+    constants = dsg.design_constants(design)
+    targets = {"FN": phi_fn, "F": phi_f}
+    acc = _new_accumulator()
+    for sample in draws:
+        acc["cells"] += 1
+        results = {}
+        for mode, result in asy.poverty_rate_estimates(
+                sample, sc.N, constants, sc.alpha, sc.beta).items():
+            if isinstance(result, EstimationError):
+                acc["failures"][mode] += 1
+            else:
+                results[mode] = result
+        if sc.design == "SI" and "HT" in results and "HJ" in results:
+            if results["HT"][0] != results["HJ"][0]:
+                raise ScenarioError(
+                    "SI estimators must coincide exactly; internal inconsistency")
+        for mode, (phi_hat, av_hat) in results.items():
+            acc["phi_sum"][mode] += phi_hat
+            acc["phi_sq"][mode] += phi_hat * phi_hat
+            acc["phi_count"][mode] += 1
+            if np.isfinite(av_ref[mode]):
+                rel_av = _relative_error(av_hat, av_ref[mode])
+                if rel_av is None:
+                    acc["zero_target"] += 1
                 else:
-                    results[mode] = result
-            if sc.design == "SI" and "HT" in results and "HJ" in results:
-                if results["HT"][0] != results["HJ"][0]:
-                    raise ScenarioError(
-                        "SI estimators must coincide exactly; internal inconsistency")
-            for mode, (phi_hat, av_hat) in results.items():
-                acc["phi_sum"][mode] += phi_hat
-                acc["phi_sq"][mode] += phi_hat * phi_hat
-                acc["phi_count"][mode] += 1
-                if np.isfinite(av_ref[mode]):
-                    rel_av = _relative_error(av_hat, av_ref[mode])
-                    if rel_av is None:
-                        acc["zero_target"] += 1
-                    else:
-                        acc["av_rel"][mode] += rel_av
-                        acc["av_count"][mode] += 1
-                lo, hi = asy.wald_interval(phi_hat, max(av_hat, 0.0), sc.n)
-                for center in CENTERS:
-                    rel = _relative_error(phi_hat, targets[center])
-                    if rel is None:
-                        acc["zero_target"] += 1
-                        continue
-                    acc["rel"][(mode, center)] += rel
-                    acc["rel_count"][(mode, center)] += 1
-                    if lo <= targets[center] <= hi:
-                        acc["cover"][(mode, center)] += 1
-        out.append(acc)
-    return out
+                    acc["av_rel"][mode] += rel_av
+                    acc["av_count"][mode] += 1
+            lo, hi = asy.wald_interval(phi_hat, max(av_hat, 0.0), sc.n)
+            for center in CENTERS:
+                rel = _relative_error(phi_hat, targets[center])
+                if rel is None:
+                    acc["zero_target"] += 1
+                    continue
+                acc["rel"][(mode, center)] += rel
+                acc["rel_count"][(mode, center)] += 1
+                if lo <= targets[center] <= hi:
+                    acc["cover"][(mode, center)] += 1
+    return acc
 
 
 def _available_cpus() -> int:
@@ -248,14 +277,19 @@ def pool_size(workers: int) -> int:
     return workers
 
 
-def _map_population_blocks(sc: Scenario, per_block: Callable, workers: int) -> list:
-    """Run ``per_block`` over population index blocks, in index order.
+def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
+                     workers: int) -> list:
+    """``reduce(population, design, draws)`` for every population of the
+    scenario, in index order; ``design`` is the scenario's unpermuted design.
 
-    The pool is silently bounded by the available CPUs and the number of
-    populations; the warning for an oversized request is :func:`pool_size`'s.
+    Populations run in blocks, one per pool worker.  The pool is silently
+    bounded by the available CPUs and the number of populations; the
+    warning for an oversized request is :func:`pool_size`'s.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    rej_p = design.working_p if design.kind == "rejective" else None
+    per_block = _PopulationTask(sc, rej_p, reduce)
     indices = list(range(sc.n_populations))
     workers = min(workers, _available_cpus(), sc.n_populations)
     if workers == 1:
@@ -268,16 +302,6 @@ def _map_population_blocks(sc: Scenario, per_block: Callable, workers: int) -> l
         for idx, item in zip(block, res):
             by_index[idx] = item
     return [by_index[i] for i in indices]
-
-
-class _PopulationWorker:
-    """Picklable wrapper binding scenario-level arguments for pool workers."""
-
-    def __init__(self, sc, rej_p, phi_f, av_ref):
-        self.sc, self.rej_p, self.phi_f, self.av_ref = sc, rej_p, phi_f, av_ref
-
-    def __call__(self, indices):
-        return _run_population_block(self.sc, indices, self.rej_p, self.phi_f, self.av_ref)
 
 
 def run_scenario(sc: Scenario, workers: int = 1,
@@ -297,15 +321,15 @@ def run_scenario(sc: Scenario, workers: int = 1,
     """
     start = time.perf_counter()
     phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
-    rej_p = _calibrated_rejective_p(sc) if sc.design == "REJ" else None
-    constants = scenario_design_constants(sc, rej_p)
+    design = _scenario_design(sc)
+    constants = scenario_design_constants(sc, design)
     if sc.law.kind == "discrete":
         av_ref = {e: float("nan") for e in ESTIMATORS}   # no density: variance RB undefined
     else:
         av_ref = {"HT": asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta),
                   "HJ": asy.poverty_variance_hj(constants, sc.law, sc.alpha, sc.beta)}
-    worker = _PopulationWorker(sc, rej_p, phi_f, av_ref)
-    per_pop = _map_population_blocks(sc, worker, workers)
+    per_pop = _map_populations(sc, design, partial(_accumulate_cells, sc, phi_f, av_ref),
+                               workers)
 
     rb_phi, rb_phi_se, coverage = {}, {}, {}
     for key in ((e, c) for e in ESTIMATORS for c in CENTERS):
@@ -353,8 +377,8 @@ def run_scenario(sc: Scenario, workers: int = 1,
     process_cov_error = None
     if process_check is not None:
         grid, form = process_check
-        process_cov_error = process_covariance_check(sc, grid, form,
-                                                     workers=workers).max_abs_error
+        process_cov_error = _process_covariance(sc, design, grid, form,
+                                                workers).max_abs_error
     return MonteCarloReport(
         scenario=sc, rb_phi=rb_phi, rb_phi_se=rb_phi_se, rb_av=rb_av,
         rb_av_se=rb_av_se, coverage=coverage, mc_variance=mc_variance,
@@ -379,28 +403,17 @@ class ProcessCovarianceResult:
     max_abs_error: float
 
 
-class _ProcessWorker:
-    def __init__(self, sc, grid, form, rej_p):
-        self.sc, self.grid, self.form, self.rej_p = sc, grid, form, rej_p
-
-    def __call__(self, indices):
-        sc = self.sc
-        grid = self.grid
-        out = []
-        for i in indices:
-            population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-            design = _population_design(sc, i, self.rej_p)
-            k = grid.size
-            vec = np.zeros(k)
-            outer = np.zeros((k, k))
-            for j in range(sc.n_samples):
-                rng = substream(sc.seed, i, 2, j)
-                sample = dsg.draw(design, rng, y=population.y)
-                path = est.process_path(sample, population, grid, self.form, law=sc.law)
-                vec += path.values
-                outer += np.outer(path.values, path.values)
-            out.append((vec, outer, sc.n_samples))
-        return out
+def _process_sums(sc: Scenario, grid: np.ndarray, form: str, population, design,
+                  draws) -> tuple:
+    """Sum, sum of outer products and count of one population's process paths."""
+    k = grid.size
+    vec = np.zeros(k)
+    outer = np.zeros((k, k))
+    for sample in draws:
+        path = est.process_path(sample, population, grid, form, law=sc.law)
+        vec += path.values
+        outer += np.outer(path.values, path.values)
+    return vec, outer, sc.n_samples
 
 
 def process_covariance_check(sc: Scenario, grid, form: str,
@@ -408,9 +421,13 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     """Compare the replicated empirical covariance of a process on a grid
     with its closed-form limit; returns entrywise errors and their MC
     standard errors (per-population cluster estimate)."""
+    return _process_covariance(sc, _scenario_design(sc), grid, form, workers)
+
+
+def _process_covariance(sc: Scenario, design: dsg.Design, grid, form: str,
+                        workers: int) -> ProcessCovarianceResult:
     grid = np.asarray(grid, dtype=float)
-    rej_p = _calibrated_rejective_p(sc) if sc.design == "REJ" else None
-    per_pop = _map_population_blocks(sc, _ProcessWorker(sc, grid, form, rej_p), workers)
+    per_pop = _map_populations(sc, design, partial(_process_sums, sc, grid, form), workers)
     count = sum(c for _, _, c in per_pop)
     mean = sum(v for v, _, _ in per_pop) / count
     second = sum(o for _, o, _ in per_pop) / count
@@ -418,7 +435,7 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     pop_means = np.array([o / c for _, o, c in per_pop])
     entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(per_pop))
                 if len(per_pop) > 1 else np.full_like(empirical, np.nan))
-    constants = scenario_design_constants(sc, rej_p)
+    constants = scenario_design_constants(sc, design)
     limit = asy.limit_covariance_matrix(constants, sc.law, form, grid)
     return ProcessCovarianceResult(
         form=form, grid=grid, empirical=empirical, limit=limit, entry_se=entry_se,
@@ -429,35 +446,22 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 # Normality diagnostics
 # ---------------------------------------------------------------------------
 
-class _StatisticWorker:
-    def __init__(self, sc, statistic, rej_p):
-        self.sc, self.statistic, self.rej_p = sc, statistic, rej_p
-
-    def __call__(self, indices):
-        sc = self.sc
-        out = []
-        for i in indices:
-            population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-            design = _population_design(sc, i, self.rej_p)
-            vals = np.empty(sc.n_samples)
-            for j in range(sc.n_samples):
-                rng = substream(sc.seed, i, 2, j)
-                sample = dsg.draw(design, rng, y=population.y)
-                if self.statistic == "ht_mean":
-                    vals[j] = float(np.sum(sample.y_included / sample.pi_included)) / sc.N
-                else:
-                    mode = "HT" if self.statistic == "phi_ht" else "HJ"
-                    f = (est.ht_ecdf(sample, sc.N) if mode == "HT"
-                         else est.hajek_ecdf(sample, sc.N))
-                    vals[j] = est.poverty_rate(f, sc.alpha, sc.beta)
-            if self.statistic == "ht_mean":
-                center = float(np.mean(population.y))
-                scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
-            else:
-                center = None
-                scale = None
-            out.append((vals, center, scale))
-        return out
+def _statistic_values(sc: Scenario, statistic: str, population, design, draws) -> tuple:
+    """One population's replicated statistic, with the exact center and
+    scale of the HT mean (``None`` for the poverty rates)."""
+    vals = np.empty(sc.n_samples)
+    for j, sample in enumerate(draws):
+        if statistic == "ht_mean":
+            vals[j] = float(np.sum(sample.y_included / sample.pi_included)) / sc.N
+        else:
+            f = (est.ht_ecdf(sample, sc.N) if statistic == "phi_ht"
+                 else est.hajek_ecdf(sample, sc.N))
+            vals[j] = est.poverty_rate(f, sc.alpha, sc.beta)
+    if statistic != "ht_mean":
+        return vals, None, None
+    center = float(np.mean(population.y))
+    scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
+    return vals, center, scale
 
 
 def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "ht_mean"],
@@ -469,8 +473,8 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
         raise ParameterError(f"unknown statistic {statistic!r}")
     if sc.n_populations * sc.n_samples < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
-    rej_p = _calibrated_rejective_p(sc) if sc.design == "REJ" else None
-    per_pop = _map_population_blocks(sc, _StatisticWorker(sc, statistic, rej_p), workers)
+    design = _scenario_design(sc)
+    per_pop = _map_populations(sc, design, partial(_statistic_values, sc, statistic), workers)
     z_parts = []
     if statistic == "ht_mean":
         for vals, center, scale in per_pop:
@@ -478,7 +482,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
                 raise DiagnosticError("design variance of the weighted mean is zero")
             z_parts.append((vals - center) / scale)
     else:
-        constants = scenario_design_constants(sc, rej_p)
+        constants = scenario_design_constants(sc, design)
         try:
             sigma2 = (asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta)
                       if statistic == "phi_ht"

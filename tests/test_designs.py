@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svycdf import designs as dsg
-from svycdf.errors import CalibrationError, ParameterError
+from svycdf.errors import CalibrationError, CapacityError, ParameterError
 from svycdf.streams import substream
 
 
@@ -46,6 +49,138 @@ def brute_force_marginals(design):
     return pi / total, pi2 / total
 
 
+def sequential_rejective(design, us):
+    """The unit-by-unit rejective sampler on one row of uniforms.
+
+    Walking units left to right with m slots open, unit i enters when
+    u_i < p_i suffix[N-i-1, m-1] / suffix[N-i, m]; once the units left
+    equal m, all of them enter.  The batched walk must reproduce it exactly.
+    """
+    p = design.working_p
+    N, n = design.N, design.size
+    suffix = dsg._pb_forward(p[::-1], n)
+    indicators = np.zeros(N, dtype=bool)
+    m = n
+    for i in range(N):
+        if m == 0:
+            break
+        remaining = N - i
+        if remaining == m:
+            indicators[i:] = True
+            break
+        pr = p[i] * suffix[remaining - 1, m - 1] / suffix[remaining, m]
+        if us[i] < pr:
+            indicators[i] = True
+            m -= 1
+    return indicators
+
+
+NEAR_CLIP = (dsg._P_CLIP, 2 * dsg._P_CLIP, 1.0 - dsg._P_CLIP)
+
+
+@st.composite
+def walk_cases(draw):
+    """A rejective design (p near the clip bounds allowed) and S rows of uniforms."""
+    N = draw(st.integers(min_value=2, max_value=32))
+    n = draw(st.integers(min_value=1, max_value=N - 1))
+    p = draw(st.lists(st.one_of(st.floats(min_value=0.001, max_value=0.999),
+                                st.sampled_from(NEAR_CLIP)), min_size=N, max_size=N))
+    S = draw(st.integers(min_value=1, max_value=5))
+    us = draw(st.lists(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                                min_size=N, max_size=N), min_size=S, max_size=S))
+    return dsg.rejective(p, n), np.array(us)
+
+
+class TestRejectiveWalk:
+    @given(walk_cases())
+    @example((dsg.rejective([0.3, 0.6, 0.2, 0.7, 0.4], 1), np.full((1, 5), 0.5)))
+    @example((dsg.rejective([0.3, 0.6, 0.2, 0.7, 0.4], 4), np.full((2, 5), 0.5)))
+    @example((dsg.rejective([dsg._P_CLIP] * 6 + [0.5] * 3, 3), np.full((3, 9), 0.99)))
+    @example((dsg.rejective([0.5, 0.5], 1), np.full((1, 2), 0.5)))     # u equals the threshold
+    @example((dsg.rejective([dsg._P_CLIP] * 30, 29), np.zeros((2, 30))))  # thresholds underflow
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_sequential_oracle(self, case):
+        design, us = case
+        with np.errstate(invalid="ignore"):       # 0/0 thresholds where the table underflows
+            got = dsg._rejective_walk(design, us)
+            expected = [sequential_rejective(design, u) for u in us]
+        assert got.shape == us.shape
+        for row, oracle in zip(got, expected):
+            assert np.array_equal(row, oracle)
+            assert row.sum() == design.size
+
+    @given(N=st.integers(min_value=2, max_value=30), data=st.data(),
+           S=st.integers(min_value=1, max_value=9), rows=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_batches_match_single_draws_and_oracle(self, N, data, S, rows, seed):
+        # S samples drawn `rows` at a time; more than `rows` in one call is refused
+        n = data.draw(st.integers(min_value=1, max_value=N - 1))
+        p = np.array(data.draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                                        min_size=N, max_size=N)))
+        design = dsg.rejective(p, n)
+        y = np.arange(N, dtype=float)
+        rngs = [substream(seed, j) for j in range(S)]
+        with mock.patch.object(dsg, "_BATCH_BYTES", 8 * N * rows):
+            assert dsg.batch_rows(design) == rows
+            if S > rows:
+                with pytest.raises(CapacityError):
+                    dsg.draw_batch(design, rngs)
+            batch = [sample for start in range(0, S, rows)
+                     for sample in dsg.draw_batch(design, rngs[start:start + rows], y=y)]
+        assert len(batch) == S
+        for j, sample in enumerate(batch):
+            single = dsg.draw(design, substream(seed, j), y=y)
+            oracle = sequential_rejective(design, substream(seed, j).random(N))
+            assert np.array_equal(sample.indicators, oracle)
+            assert np.array_equal(single.indicators, oracle)
+            assert np.array_equal(sample.included, single.included)
+            assert np.array_equal(sample.pi_included, single.pi_included)
+            assert np.array_equal(sample.y_included, single.y_included)
+
+    def test_forced_tail_fill(self):
+        # the first units are all but impossible, so the last n are forced in
+        design = dsg.rejective([dsg._P_CLIP] * 6 + [0.5] * 3, 3)
+        us = np.full((2, 9), 0.99)
+        expected = [False] * 6 + [True] * 3
+        assert np.array_equal(sequential_rejective(design, us[0]), expected)
+        assert np.array_equal(dsg._rejective_walk(design, us), [expected, expected])
+        # the suffix table underflows to 0, so every threshold is 0/0 and only
+        # the rule "the units left equal m" includes anything
+        design = dsg.rejective([dsg._P_CLIP] * 30, 29)
+        with np.errstate(invalid="ignore"):
+            got = dsg._rejective_walk(design, np.zeros((1, 30)))
+        assert np.array_equal(got[0], [False] + [True] * 29)
+
+    def test_desk_scale_batch_matches_oracle(self):
+        # the harness's low/high split at N=2000, n=100: one batch of 12 samples
+        N, n = 2000, 100
+        target = np.full(N, 1.6 * n / N)
+        target[: N // 2] = 0.4 * n / N
+        design = dsg.rejective(target[substream(31).permutation(N)], n)
+        rngs = [substream(32, j) for j in range(12)]
+        for j, sample in enumerate(dsg.draw_batch(design, rngs)):
+            oracle = sequential_rejective(design, substream(32, j).random(N))
+            assert np.array_equal(sample.indicators, oracle)
+
+    def test_batch_rows_bound(self):
+        desk = dsg.rejective(np.full(10_000, 0.05), 500)
+        assert dsg.batch_rows(desk) * 8 * desk.N <= dsg._BATCH_BYTES
+        assert dsg.batch_rows(dsg.rejective(np.full(10, 0.5), 5)) == dsg._BATCH_SAMPLES
+        with mock.patch.object(dsg, "_BATCH_BYTES", 8):
+            assert dsg.batch_rows(desk) == 1
+
+    def test_non_rejective_batches_are_single_draws(self):
+        for design in (dsg.srswor(30, 7), dsg.bernoulli(30, 0.2),
+                       dsg.poisson(np.linspace(0.1, 0.9, 30))):
+            assert dsg.batch_rows(design) == 1
+            sample, = dsg.draw_batch(design, [substream(4, 0)])
+            assert np.array_equal(sample.indicators,
+                                  dsg.draw(design, substream(4, 0)).indicators)
+            with pytest.raises(CapacityError):
+                dsg.draw_batch(design, [substream(4, 0), substream(4, 1)])
+
+
 class TestFirstOrder:
     def test_srswor_equal_probability(self):
         assert np.allclose(dsg.first_order_pi(dsg.srswor(6, 3)), 0.5, atol=0)
@@ -66,6 +201,23 @@ class TestFirstOrder:
         design = dsg.rejective(p, 3)
         pi, _ = brute_force_marginals(design)
         assert np.allclose(dsg.first_order_pi(design), pi, atol=1e-13)
+
+    def test_rejective_cached_pi_is_the_dp(self):
+        # first_order_pi shares the design's suffix table with the sampler
+        p = substream(7).uniform(0.05, 0.95, size=40)
+        design = dsg.rejective(p, 12)
+        assert np.array_equal(dsg.first_order_pi(design), dsg._rejective_first_order(p, 12))
+        assert "suffix" in design._cache
+
+    def test_calibrated_pi_is_the_dp(self):
+        target = np.full(40, 0.3)
+        target[:20] = 0.1
+        design = dsg.calibrated_rejective(target, 8)
+        pi = dsg.first_order_pi(design)
+        assert np.array_equal(pi, dsg._rejective_first_order(design.working_p, 8))
+        assert np.array_equal(pi, dsg.first_order_pi(dsg.rejective(design.working_p, 8)))
+        assert np.max(np.abs(pi - target)) <= 1e-10
+        assert np.array_equal(dsg.calibrate_rejective_p(target, 8), design.working_p)
 
     def test_poisson_passthrough(self):
         pi = np.array([0.2, 0.4, 1.0])
@@ -247,10 +399,10 @@ class TestValidation:
         assert dsg.first_order_pi(design)[0] == 1.0
 
     def test_poisson_binomial_table_invariants(self):
-        table = dsg.PoissonBinomialTable(np.array([0.2, 0.5, 0.8]), n_max=2)
-        assert table.table[0, 0] == 1.0
-        assert np.all(table.table.sum(axis=1) <= 1.0 + 1e-12)
-        full = dsg.PoissonBinomialTable(np.array([0.2, 0.5, 0.8]), n_max=3)
-        assert full.table[3].sum() == pytest.approx(1.0, abs=1e-14)
-        assert full.pmf(2) == pytest.approx(
+        table = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 2)
+        assert table[0, 0] == 1.0
+        assert np.all(table.sum(axis=1) <= 1.0 + 1e-12)
+        full = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 3)
+        assert full[3].sum() == pytest.approx(1.0, abs=1e-14)
+        assert full[3, 2] == pytest.approx(
             0.2 * 0.5 * 0.2 + 0.2 * 0.5 * 0.8 + 0.8 * 0.5 * 0.8, abs=1e-15)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from svycdf import designs as dsg
 from svycdf import montecarlo as mc
 from svycdf import population as pop
 from svycdf.errors import DiagnosticError, ParameterError, ScenarioError
+from svycdf.streams import substream
 
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
 
@@ -96,6 +98,50 @@ class TestRunScenario:
         assert rep.n_failures == {"HT": 0, "HJ": 0}
         assert rep.coverage[("HJ", "F")] == pytest.approx(93.2, abs=1.5)
         assert rep.coverage[("HT", "F")] == pytest.approx(93.5, abs=1.5)
+
+
+class TestPopulationLoop:
+    @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
+    def test_draws_are_the_per_sample_streams(self, design, monkeypatch):
+        # at most two samples per batch, so seven samples span several batches
+        sc = small_scenario(design=design, N=120, n=20, n_samples=7, seed=41)
+        monkeypatch.setattr(dsg, "_BATCH_BYTES", 8 * sc.N * 2)
+        rej_p = dsg.calibrate_rejective_p(mc._split_probabilities(sc.N, sc.n), sc.n) \
+            if design == "REJ" else None
+        design_obj = mc._population_design(sc, 3, rej_p)
+        y = np.linspace(1.0, 2.0, sc.N)
+        draws = list(mc._population_draws(sc, 3, design_obj, y))
+        assert len(draws) == sc.n_samples
+        for j, sample in enumerate(draws):
+            single = dsg.draw(design_obj, substream(sc.seed, 3, 2, j), y=y)
+            assert np.array_equal(sample.indicators, single.indicators)
+            assert np.array_equal(sample.y_included, single.y_included)
+
+    def test_rejective_scenario_calibrates_once(self, monkeypatch):
+        calls = []
+        calibrate = dsg.calibrated_rejective
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(dsg, "calibrated_rejective", counted)
+        sc = small_scenario(design="REJ", N=200, n=20, n_populations=2, n_samples=3)
+        rep = mc.run_scenario(sc, process_check=([0.5, 1.0], "HJ_vs_FN"))
+        assert len(calls) == 1
+        assert rep.process_cov_error is not None
+        calls.clear()
+        direct = mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_FN")
+        assert len(calls) == 1
+        assert rep.process_cov_error == direct.max_abs_error
+
+    def test_calibrated_scenario_constants_are_the_dp(self):
+        # the calibrated design's cached pi gives the same constants as a fresh DP
+        sc = small_scenario(design="REJ", N=200, n=20)
+        design = mc._scenario_design(sc)
+        fresh = dsg.rejective(design.working_p, sc.n)
+        assert mc.scenario_design_constants(sc, design) == dsg.design_constants(fresh)
+        assert mc.scenario_design_constants(sc) == dsg.design_constants(fresh)
 
 
 class _SerialPool:
