@@ -9,13 +9,17 @@ p_i / (1 - p_i) over sampled units.
 Rejective quantities are exact, not asymptotic: first and second order
 inclusion probabilities come from a Poisson-binomial dynamic program over
 prefix and suffix partial-sum distributions.  The suffix table is built
-once per design and serves both the first-order probabilities and the
-sampler.  The sampler walks the units left to right, including each with
-the conditional probability of still reaching the target size; it is
-vectorized across samples by jumping from one inclusion to the next, so a
-batch of samples (:func:`draw_batch`) costs n steps, each over a short
-window of units per sample.  Every sample consumes its own generator's N
-uniforms, so a sample drawn in a batch equals the same sample drawn alone.
+once per design and serves the first-order probabilities, the pairwise
+probabilities and the sampler.  The pairwise probabilities take one sweep
+over the units that keeps every leave-one-out prefix distribution at once:
+N vectorized steps, O(N^2 n) flops, bitwise equal to rebuilding the
+program for each pair.  The sampler walks the units left to right,
+including each with the conditional probability of still reaching the
+target size; it is vectorized across samples by jumping from one inclusion
+to the next, so a batch of samples (:func:`draw_batch`) costs n steps, each
+over a short window of units per sample.  Every sample consumes its own
+generator's N uniforms, so a sample drawn in a batch equals the same sample
+drawn alone.
 A rejection sampler (redraw Poisson samples until the size hits n) is kept
 as an independent cross-check.
 """
@@ -60,6 +64,25 @@ def _pb_forward(probs: np.ndarray, n_max: int) -> np.ndarray:
     return table
 
 
+def _reversed_suffix_rows(suffix: np.ndarray, start: int, stop: int,
+                          width: int) -> np.ndarray:
+    """The suffix PMFs of units ``start..stop-1`` read from the top count down.
+
+    Row k is ``suffix[N-1-i, :width][::-1]`` for unit i = start + k: the
+    PMF of the units after i, reversed so that a dot product with a prefix
+    row of the same width sums P(prefix = c) P(suffix = width-1-c).  The
+    rows are a contiguous copy, so the dot product runs in BLAS exactly as
+    ``np.dot`` runs it on a single pair of rows.
+    """
+    N = suffix.shape[0] - 1
+    return np.ascontiguousarray(suffix[N - stop:N - start][::-1, width - 1::-1])
+
+
+#: the reversed suffix rows of one first-order block are copied in at most
+#: this many bytes
+_BLOCK_BYTES = 2**20
+
+
 def _rejective_first_order(p: np.ndarray, n: int,
                            fwd: np.ndarray | None = None,
                            bwd: np.ndarray | None = None) -> np.ndarray:
@@ -67,7 +90,8 @@ def _rejective_first_order(p: np.ndarray, n: int,
 
     pi_i = p_i P(S_{-i} = n-1) / P(S = n), with the leave-one-out sum
     assembled from prefix and suffix PMF tables (additions of nonnegative
-    terms only, so no catastrophic cancellation).
+    terms only, so no catastrophic cancellation), one dot product per unit
+    over blocks of units.
     """
     N = p.size
     if fwd is None:
@@ -77,48 +101,56 @@ def _rejective_first_order(p: np.ndarray, n: int,
     total = fwd[N, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
-    pi = np.empty(N)
-    for i in range(N):
-        pref = fwd[i, :n]
-        suff = bwd[N - 1 - i, :n][::-1]
-        pi[i] = p[i] * float(np.dot(pref, suff)) / total
-    return pi
+    dots = np.empty(N)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, N, block):
+        stop = min(N, start + block)
+        dots[start:stop] = np.vecdot(fwd[start:stop, :n],
+                                     _reversed_suffix_rows(bwd, start, stop, n))
+    return p * dots / total
 
 
+#: the pairwise inclusion probabilities of a design on N units form an
+#: N x N float64 matrix, 32 MB at this limit; the rejective sweep also keeps
+#: an N x (n-1) table of the same order
 MAX_PAIRWISE_UNITS = 2000
 
 
-def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray) -> np.ndarray:
+def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray,
+                            bwd: np.ndarray) -> np.ndarray:
     """Exact pairwise inclusion probabilities of the size-n conditional design.
 
-    For each unit i the dynamic program is rebuilt on the remaining units;
-    splitting that reduced sequence at unit j gives P(S_{-i,-j} = n-2) in
-    one dot product.  Cost O(N^2 n), guarded for moderate N.
+    pi_ij = p_i p_j P(S_{-i,-j} = n-2) / P(S = n), with ``bwd`` the suffix
+    PMF table of ``p`` (at least n-1 counts).  One sweep over j = 0..N-1
+    keeps, for every i < j, the PMF of the units before j with unit i left
+    out (row i of ``left``, counts 0..n-2).  The units after j are the same
+    for every such i, so step j gives all pi_ij, i < j, from one batch of
+    dot products with a single reversed suffix row; it then adds unit j to
+    every kept PMF and starts the row of i = j from the prefix table.
+    Every entry is the same floating-point expression, in the same order,
+    as in a dynamic program rebuilt on the N-1 units left by each i, so the
+    result is bitwise that of the pair-by-pair computation.  Cost: O(N^2 n)
+    flops in N vectorized steps; memory: the N x N output and the
+    N x (n-1) kept PMFs.
     """
     N = p.size
-    if N > MAX_PAIRWISE_UNITS:
-        raise CapacityError(
-            f"pairwise probabilities for the size-constrained design are "
-            f"O(N^2 n); limited to N <= {MAX_PAIRWISE_UNITS}, got {N}")
-    fwd_all = _pb_forward(p, n)
-    total = fwd_all[N, n]
+    fwd = _pb_forward(p, n)
+    total = fwd[N, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     pi2 = np.zeros((N, N))
     if n >= 2:
-        for i in range(N):
-            rest = np.delete(p, i)
-            fwd = _pb_forward(rest, n - 1)
-            bwd = _pb_forward(rest[::-1], n - 1)
-            m = N - 1
-            for r in range(m):
-                j = r if r < i else r + 1
-                if j <= i:
-                    continue
-                pref = fwd[r, : n - 1]
-                suff = bwd[m - 1 - r, : n - 1][::-1]
-                val = p[i] * p[j] * float(np.dot(pref, suff)) / total
-                pi2[i, j] = pi2[j, i] = val
+        left = np.empty((N, n - 1))
+        for j in range(N):
+            if j:
+                after = _reversed_suffix_rows(bwd, j, j + 1, n - 1)[0]
+                vals = p[:j] * p[j] * np.vecdot(left[:j], after) / total
+                pi2[j, :j] = vals
+                pi2[:j, j] = vals
+                carry = left[:j, :-1] * p[j]
+                left[:j] *= 1.0 - p[j]
+                left[:j, 1:] += carry
+            left[j] = fwd[j, : n - 1]
     np.fill_diagonal(pi2, pi)
     return pi2
 
@@ -270,8 +302,17 @@ def first_order_pi(design: Design) -> np.ndarray:
 
 
 def second_order_pi(design: Design) -> np.ndarray:
-    """Exact pairwise inclusion probabilities, diagonal pi_ii = pi_i."""
+    """Exact pairwise inclusion probabilities, diagonal pi_ii = pi_i.
+
+    The result is an N x N matrix, so N is limited to
+    :data:`MAX_PAIRWISE_UNITS` for every design.
+    """
     N = design.N
+    if N > MAX_PAIRWISE_UNITS:
+        raise CapacityError(
+            f"pairwise inclusion probabilities form an N x N float64 matrix "
+            f"({8 * N * N / 1e6:.0f} MB at N={N}); limited to "
+            f"N <= {MAX_PAIRWISE_UNITS} ({8 * MAX_PAIRWISE_UNITS**2 / 1e6:.0f} MB)")
     pi = first_order_pi(design)
     if design.kind == "srswor":
         n = design.size
@@ -280,7 +321,8 @@ def second_order_pi(design: Design) -> np.ndarray:
     elif design.kind in ("bernoulli", "poisson"):
         pi2 = np.outer(pi, pi)
     else:
-        return _rejective_second_order(design.working_p, design.size, pi)
+        return _rejective_second_order(design.working_p, design.size, pi,
+                                       design._suffix_table())
     np.fill_diagonal(pi2, pi)
     return pi2
 

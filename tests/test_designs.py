@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svycdf import designs as dsg
-from svycdf.errors import CalibrationError, CapacityError, ParameterError
+from svycdf import montecarlo as mc
+from svycdf.errors import (CalibrationError, CapacityError, DegenerateDesignError,
+                           ParameterError)
 from svycdf.streams import substream
 
 
@@ -73,6 +75,53 @@ def sequential_rejective(design, us):
             indicators[i] = True
             m -= 1
     return indicators
+
+
+def leave_one_out_first_order(p, n):
+    """pi_i = p_i P(S_{-i} = n-1) / P(S = n), one dot product per unit.
+
+    The per-unit loop the blocked first-order DP must reproduce exactly.
+    """
+    N = p.size
+    fwd = dsg._pb_forward(p, n)
+    bwd = dsg._pb_forward(p[::-1], n)
+    total = fwd[N, n]
+    if total <= 0.0:
+        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
+    pi = np.empty(N)
+    for i in range(N):
+        pref = fwd[i, :n]
+        suff = bwd[N - 1 - i, :n][::-1]
+        pi[i] = p[i] * float(np.dot(pref, suff)) / total
+    return pi
+
+
+def pairwise_second_order(p, n, pi):
+    """pi_ij from a dynamic program rebuilt on the N-1 units left by each i.
+
+    Splitting that reduced sequence at unit j gives P(S_{-i,-j} = n-2) in
+    one dot product; O(N^2 n) in Python loops.  The one-sweep DP must
+    reproduce it exactly.
+    """
+    N = p.size
+    total = dsg._pb_forward(p, n)[N, n]
+    if total <= 0.0:
+        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
+    pi2 = np.zeros((N, N))
+    if n >= 2:
+        for i in range(N):
+            rest = np.delete(p, i)
+            fwd = dsg._pb_forward(rest, n - 1)
+            bwd = dsg._pb_forward(rest[::-1], n - 1)
+            m = N - 1
+            for r in range(i, m):
+                j = r + 1
+                pref = fwd[r, : n - 1]
+                suff = bwd[m - 1 - r, : n - 1][::-1]
+                val = p[i] * p[j] * float(np.dot(pref, suff)) / total
+                pi2[i, j] = pi2[j, i] = val
+    np.fill_diagonal(pi2, pi)
+    return pi2
 
 
 NEAR_CLIP = (dsg._P_CLIP, 2 * dsg._P_CLIP, 1.0 - dsg._P_CLIP)
@@ -257,6 +306,100 @@ class TestSecondOrder:
             delta = pi2 - np.outer(pi, pi)
             np.fill_diagonal(delta, 0.0)
             assert np.allclose(delta.sum(axis=1), -pi * (1.0 - pi), atol=1e-10)
+
+
+@st.composite
+def dp_cases(draw):
+    """Working probabilities for the rejective DP: free, two-level (the PO/REJ
+    split, so many ties) or at the clip bounds, and a size 1 <= n <= N-1."""
+    N = draw(st.integers(min_value=2, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=N - 1))
+    free = st.floats(min_value=0.001, max_value=0.999)
+    kind = draw(st.sampled_from(["free", "two-level", "clip"]))
+    if kind == "free":
+        p = draw(st.lists(free, min_size=N, max_size=N))
+    elif kind == "two-level":
+        levels = draw(st.lists(free, min_size=2, max_size=2))
+        p = draw(st.lists(st.sampled_from(levels), min_size=N, max_size=N))
+    else:
+        p = draw(st.lists(st.one_of(free, st.sampled_from(NEAR_CLIP)), min_size=N, max_size=N))
+    return np.array(p), n
+
+
+def _dp_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateDesignError:
+        return DegenerateDesignError
+
+
+class TestRejectiveDPOracles:
+    """The vectorized first- and second-order DPs equal the loops above bit
+    for bit, on every input, underflow included."""
+
+    @given(dp_cases())
+    @example((np.array([0.3, 0.6, 0.2, 0.7, 0.4]), 1))
+    @example((np.array([0.3, 0.6, 0.2, 0.7, 0.4]), 4))
+    @example((np.array([0.02] * 20 + [0.08] * 20), 2))
+    @example((np.array([dsg._P_CLIP] * 6 + [1.0 - dsg._P_CLIP] * 3 + [0.5] * 3), 4))
+    @example((np.full(30, dsg._P_CLIP), 29))                  # total underflows to 0
+    @example((np.full(27, dsg._P_CLIP), 26))                  # total subnormal
+    @example((np.array([dsg._P_CLIP] * 26 + [0.5] * 2), 27))  # total near underflow
+    @settings(max_examples=300, deadline=None)
+    def test_dp_matches_loops(self, case):
+        p, n = case
+        design = dsg.rejective(p, n)
+        with np.errstate(all="ignore"):
+            pi = _dp_or_error(leave_one_out_first_order, p, n)
+            got = _dp_or_error(dsg.first_order_pi, design)
+            if pi is DegenerateDesignError:
+                assert got is DegenerateDesignError
+                with pytest.raises(DegenerateDesignError):
+                    dsg.second_order_pi(design)
+                return
+            assert np.array_equal(got, pi, equal_nan=True)
+            pi2 = dsg.second_order_pi(design)
+            assert np.array_equal(pi2, pairwise_second_order(p, n, pi), equal_nan=True)
+
+    def test_first_order_blocks(self):
+        # blocks of one and of two units give the per-unit loop as well
+        p = substream(12).uniform(0.05, 0.95, size=25)
+        for block_bytes in (8, 16 * 7, dsg._BLOCK_BYTES):
+            with mock.patch.object(dsg, "_BLOCK_BYTES", block_bytes):
+                assert np.array_equal(dsg._rejective_first_order(p, 7),
+                                      leave_one_out_first_order(p, 7))
+
+    def test_calibrated_harness_design(self):
+        # the calibrated low/high split of the normality diagnostic, N=300, n=30
+        N, n = 300, 30
+        target = mc._split_probabilities(N, n)[np.random.default_rng(20260808).permutation(N)]
+        design = dsg.calibrated_rejective(target, n)
+        p = design.working_p
+        pi = leave_one_out_first_order(p, n)
+        assert np.array_equal(dsg.first_order_pi(design), pi)
+        assert np.array_equal(dsg.second_order_pi(design), pairwise_second_order(p, n, pi))
+
+    @pytest.mark.parametrize("design", [
+        dsg.srswor(dsg.MAX_PAIRWISE_UNITS + 1, 10),
+        dsg.bernoulli(dsg.MAX_PAIRWISE_UNITS + 1, 0.5),
+        dsg.poisson(np.full(dsg.MAX_PAIRWISE_UNITS + 1, 0.5)),
+        dsg.rejective(np.full(dsg.MAX_PAIRWISE_UNITS + 1, 0.5), 10),
+    ], ids=lambda d: d.kind)
+    def test_pairwise_cap_before_any_work(self, design):
+        # refused before first-order pi, any DP table or the N x N matrix
+        with mock.patch.object(dsg, "first_order_pi", side_effect=AssertionError), \
+                mock.patch.object(dsg, "_pb_forward", side_effect=AssertionError):
+            with pytest.raises(CapacityError, match="N x N float64 matrix"):
+                dsg.second_order_pi(design)
+        assert "pi" not in design._cache and "suffix" not in design._cache
+
+    def test_pairwise_cap_poisson_million(self):
+        with pytest.raises(CapacityError, match="32 MB"):
+            dsg.second_order_pi(dsg.poisson(np.full(10**6, 0.5)))
+
+    def test_pairwise_at_cap_allowed(self):
+        design = dsg.poisson(np.full(dsg.MAX_PAIRWISE_UNITS, 0.5))
+        assert dsg.second_order_pi(design).shape == (dsg.MAX_PAIRWISE_UNITS,) * 2
 
 
 class TestDraw:
