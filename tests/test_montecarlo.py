@@ -69,6 +69,9 @@ class TestRunScenario:
         assert serial.rb_av == parallel.rb_av
         assert serial.coverage == parallel.coverage
         assert serial.n_failures == parallel.n_failures
+        assert serial.rb_phi_se == parallel.rb_phi_se
+        assert serial.rb_av_se == parallel.rb_av_se
+        assert serial.mc_variance == parallel.mc_variance
 
     def test_failure_budget_enforced(self):
         # expected size 2 out of 30: empty samples occur in ~13% of draws
