@@ -111,28 +111,33 @@ def _poverty_ingredients(law, alpha, beta):
     return ratio, phi
 
 
+def _poverty_variance(g1: float, g2: float, mode: Literal["HT", "HJ"], alpha: float,
+                      br: float, phi: float) -> float:
+    """The closed-form variance at rate ``phi``, with ``br`` beta times the
+    density ratio f(beta q) / f(q); linear in gamma1 for mode "HJ"."""
+    if mode == "HT":
+        return (br * br * (g1 * alpha + g2 * alpha * alpha)
+                + g1 * phi + g2 * phi * phi
+                - 2.0 * br * phi * (g1 + g2 * alpha))
+    return (br * br * g1 * alpha * (1.0 - alpha)
+            + g1 * phi * (1.0 - phi)
+            - 2.0 * br * phi * g1 * (1.0 - alpha))
+
+
 def poverty_variance_ht(constants: DesignConstants, law: population.SuperPopulationLaw,
                         alpha: float, beta: float) -> float:
     """Asymptotic variance of sqrt(n) times the inverse-probability-weighted
     poverty rate error, for deterministic inclusion probabilities."""
-    g1, g2 = constants.gamma1, constants.gamma2
     r, phi = _poverty_ingredients(law, alpha, beta)
-    br = beta * r
-    return (br * br * (g1 * alpha + g2 * alpha * alpha)
-            + g1 * phi + g2 * phi * phi
-            - 2.0 * br * phi * (g1 + g2 * alpha))
+    return _poverty_variance(constants.gamma1, constants.gamma2, "HT", alpha, beta * r, phi)
 
 
 def poverty_variance_hj(constants: DesignConstants, law: population.SuperPopulationLaw,
                         alpha: float, beta: float) -> float:
     """Asymptotic variance of sqrt(n) times the self-normalized
     poverty rate error; linear in gamma1."""
-    g1 = constants.gamma1
     r, phi = _poverty_ingredients(law, alpha, beta)
-    br = beta * r
-    return (br * br * g1 * alpha * (1.0 - alpha)
-            + g1 * phi * (1.0 - phi)
-            - 2.0 * br * phi * g1 * (1.0 - alpha))
+    return _poverty_variance(constants.gamma1, constants.gamma2, "HJ", alpha, beta * r, phi)
 
 
 def plugin_poverty_variance(draw, N: int, constants: DesignConstants,
@@ -167,15 +172,8 @@ def _plugin_variance(constants: DesignConstants, alpha: float, beta: float,
     f_q, f_bq = densities
     if f_q <= 0.0:
         raise ZeroDensityError("estimated density vanishes at the quantile")
-    br = beta * (f_bq / f_q)
-    g1, g2 = constants.gamma1, constants.gamma2
-    if mode == "HT":
-        return (br * br * (g1 * alpha + g2 * alpha * alpha)
-                + g1 * phihat + g2 * phihat * phihat
-                - 2.0 * br * phihat * (g1 + g2 * alpha))
-    return (br * br * g1 * alpha * (1.0 - alpha)
-            + g1 * phihat * (1.0 - phihat)
-            - 2.0 * br * phihat * g1 * (1.0 - alpha))
+    return _poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
+                             beta * (f_bq / f_q), phihat)
 
 
 def poverty_rate_estimates(draw, N: int, constants: DesignConstants,
@@ -215,10 +213,11 @@ def poverty_rate_estimates(draw, N: int, constants: DesignConstants,
     return out
 
 
-def wald_interval(estimate: float, variance_of_root_n: float, n: float) -> tuple[float, float]:
+def wald_interval(estimate, variance_of_root_n, n: float) -> tuple:
     """95% Wald interval for an estimate whose sqrt(n)-scaled error has the
-    given asymptotic variance."""
-    if variance_of_root_n < 0.0 or n <= 0.0:
+    given asymptotic variance; elementwise for arrays of estimates and
+    variances."""
+    if np.any(variance_of_root_n < 0.0) or n <= 0.0:
         raise ParameterError("need nonnegative variance and positive n")
     half = Z_95 * np.sqrt(variance_of_root_n / n)
     return (estimate - half, estimate + half)

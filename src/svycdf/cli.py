@@ -32,7 +32,7 @@ from . import designs as dsg
 from . import montecarlo as mc
 from . import oracle as orc
 from . import population as pop
-from .errors import ParameterError, SvycdfError
+from .errors import ParameterError, ScenarioError, SvycdfError
 
 _FMT = "%.6g"
 
@@ -125,15 +125,15 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         if not cells:
             raise ParameterError("config must list at least one (N, n) cell")
         workers = mc.pool_size(workers)
-
-        reports: dict[tuple[str, int], mc.MonteCarloReport] = {}
-        for design in designs:
-            for ci, cell in enumerate(cells):
-                sc = mc.Scenario(N=cell["N"], n=cell["n"], design=design,
-                                 law=law, alpha=alpha, beta=beta,
-                                 n_populations=n_pops, n_samples=n_samp,
-                                 seed=run_seed)
-                reports[(design, ci)] = mc.run_scenario(sc, workers=workers)
+        try:
+            scenarios = {
+                (design, ci): mc.Scenario(N=cell["N"], n=cell["n"], design=design, law=law,
+                                          alpha=alpha, beta=beta, n_populations=n_pops,
+                                          n_samples=n_samp, seed=run_seed)
+                for design in designs for ci, cell in enumerate(cells)}
+        except ScenarioError as exc:
+            raise ParameterError(f"invalid scenario: {exc}") from exc
+        reports = {key: mc.run_scenario(sc, workers=workers) for key, sc in scenarios.items()}
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -208,7 +208,14 @@ def _design_from_spec(raw: str) -> dsg.Design:
     raise ParameterError(f"unknown design kind {kind!r}")
 
 
-def _oracle_impl(design_spec, out_dir, rejective_reference):
+@main.command(name="oracle")
+@click.option("--design", "design_spec", required=True,
+              help='Design JSON, e.g. {"kind":"srswor","N":6,"n":3}.')
+@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--rejective-reference", default=None,
+              help='Optional rejective design JSON for a divergence row.')
+def oracle_cmd(design_spec, out_dir, rejective_reference):
+    """Enumerate a small design and write its condition report."""
     try:
         design = _design_from_spec(design_spec)
         enumerated = orc.enumerate_design(design)
@@ -231,24 +238,7 @@ def _oracle_impl(design_spec, out_dir, rejective_reference):
         _fail(exc)
 
 
-@main.command(name="oracle")
-@click.option("--design", "design_spec", required=True,
-              help='Design JSON, e.g. {"kind":"srswor","N":6,"n":3}.')
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--rejective-reference", default=None,
-              help='Optional rejective design JSON for a divergence row.')
-def oracle_cmd(design_spec, out_dir, rejective_reference):
-    """Enumerate a small design and write its condition report."""
-    _oracle_impl(design_spec, out_dir, rejective_reference)
-
-
-@main.command(name="conditions")
-@click.option("--design", "design_spec", required=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--rejective-reference", default=None)
-def conditions_cmd(design_spec, out_dir, rejective_reference):
-    """Alias of ``oracle``."""
-    _oracle_impl(design_spec, out_dir, rejective_reference)
+main.add_command(oracle_cmd, name="conditions")
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,11 @@ class Design:
         else:
             raise ParameterError(f"unknown design kind {self.kind!r}")
 
+    def __getstate__(self):
+        # a pickled design (a pool task) leaves its cached tables behind;
+        # they are rebuilt on demand
+        return {**self.__dict__, "_cache": {}}
+
     @property
     def expected_size(self) -> float:
         """Design expectation of the sample size."""
@@ -528,13 +533,17 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     """
     t = np.asarray(target_pi, dtype=float)
     N = t.size
-    if np.any((t <= 0.0) | (t >= 1.0)):
+    if not np.all((t > 0.0) & (t < 1.0)):
         raise ParameterError("target inclusion probabilities must lie strictly in (0, 1)")
     if not 1 <= n <= N - 1:
         raise ParameterError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     if abs(float(t.sum()) - n) > 1e-9:
         raise ParameterError(
             f"target inclusion probabilities must sum to n={n}, got {t.sum():.12g}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     p = t.copy()
     prev_resid = np.inf
     resid = np.inf

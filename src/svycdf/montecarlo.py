@@ -10,9 +10,16 @@ estimators against the population and model parameters, relative bias of
 their plug-in variance estimators against the closed-form asymptotic
 variance, and coverage of 95% Wald intervals.
 
+Each population reduces its cells to one (9, 2) array of sums, one column
+per estimator (HT, HJ): relative errors and covering intervals against
+each center, defined cells, variance-estimator relative errors and their
+count, and the sums of the estimates and of their squares.  The report is
+computed from the stack of these arrays.
+
 Every (population, sample) cell derives its random stream from the
-scenario seed and its own index, and reductions run in index order, so
-reports are bitwise reproducible for any worker count.
+scenario seed and its own index, and every sum adds in index order (cells
+in sample order, then populations), so reports are bitwise reproducible
+for any worker count.
 """
 
 from __future__ import annotations
@@ -75,9 +82,13 @@ class Scenario:
             raise ScenarioError("replication counts must be at least 1")
         if self.design not in ("SI", "BE", "PO", "REJ"):
             raise ScenarioError(f"unknown design label {self.design!r}")
-        if self.design in ("PO", "REJ") and PO_HIGH * self.n / self.N > 1.0:
-            raise ScenarioError(
-                f"{self.design} needs {PO_HIGH}*n/N <= 1, got {PO_HIGH * self.n / self.N:.3g}")
+        if self.design in ("PO", "REJ"):
+            # the split's high probability; a rejective design needs it below 1
+            high = PO_HIGH * (self.n / self.N)
+            if high > 1.0 or (self.design == "REJ" and high == 1.0):
+                bound = "<=" if self.design == "PO" else "<"
+                raise ScenarioError(
+                    f"{self.design} needs {PO_HIGH}*n/N {bound} 1, got {high:.3g}")
 
 
 @dataclass(eq=False)
@@ -123,56 +134,44 @@ def _scenario_design(sc: Scenario) -> dsg.Design:
     target = _split_probabilities(sc.N, sc.n)
     if sc.design == "PO":
         return dsg.poisson(target)
-    if np.any(target >= 1.0) or np.any(target <= 0.0):
-        raise ScenarioError("REJ target inclusion probabilities must lie strictly in (0, 1)")
     return dsg.calibrated_rejective(target, sc.n)
 
 
-def _population_design(sc: Scenario, pop_index: int, rej_p: np.ndarray | None) -> dsg.Design:
-    """Design for one population; PO/REJ randomly reorder the units, REJ
-    with the scenario's calibrated working probabilities ``rej_p``."""
+def _population_design(sc: Scenario, pop_index: int, design: dsg.Design) -> dsg.Design:
+    """Design for one population; PO/REJ randomly reorder the units of the
+    scenario's unpermuted ``design``."""
     if sc.design in ("SI", "BE"):
-        return _scenario_design(sc)
+        return design
     perm = substream(sc.seed, pop_index, 1).permutation(sc.N)
     if sc.design == "PO":
-        return dsg.poisson(_split_probabilities(sc.N, sc.n)[perm])
-    return dsg.rejective(rej_p[perm], sc.n)
-
-
-def scenario_design_constants(sc: Scenario, design: dsg.Design | None = None) -> asy.DesignConstants:
-    """Covariance constants of the scenario design (permutation invariant).
-
-    ``design`` is the scenario's unpermuted design if the caller already
-    holds it; otherwise it is built, and a REJ scenario calibrated.
-    """
-    return dsg.design_constants(_scenario_design(sc) if design is None else design)
+        return dsg.poisson(design.pi[perm])
+    return dsg.rejective(design.working_p[perm], sc.n)
 
 
 # ---------------------------------------------------------------------------
-# Per-cell estimation
+# Per-population sums
 # ---------------------------------------------------------------------------
 
-def _relative_error(value: float, target: float):
-    if target != 0.0:
-        return (value - target) / target
-    return 0.0 if value == 0.0 else None
+#: rows of a population's array of sums; its columns are the ESTIMATORS
+_REL = 0               # relative errors against each center: rows 0, 1
+_COVER = 2             # intervals covering each center: rows 2, 3
+_OK = 4                # cells where the estimator is defined
+_AV_REL, _AV_COUNT = 5, 6  # relative errors of the variance estimator, their count
+_PHI, _PHI_SQ = 7, 8   # the estimates and their squares
 
 
-def _new_accumulator() -> dict:
-    acc = {
-        "rel": {(e, c): 0.0 for e in ESTIMATORS for c in CENTERS},
-        "rel_count": {(e, c): 0 for e in ESTIMATORS for c in CENTERS},
-        "cover": {(e, c): 0 for e in ESTIMATORS for c in CENTERS},
-        "av_rel": {e: 0.0 for e in ESTIMATORS},
-        "av_count": {e: 0 for e in ESTIMATORS},
-        "phi_sum": {e: 0.0 for e in ESTIMATORS},
-        "phi_sq": {e: 0.0 for e in ESTIMATORS},
-        "phi_count": {e: 0 for e in ESTIMATORS},
-        "failures": {e: 0 for e in ESTIMATORS},
-        "zero_target": 0,
-        "cells": 0,
-    }
-    return acc
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, term by term in index order from 0.0 (an
+    ``np.sum`` of more than eight terms adds pairwise)."""
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + x.shape[1:]), x]))[-1]
+
+
+def _relative_errors(values: np.ndarray, target, mask: np.ndarray) -> np.ndarray:
+    """(value - target) / target where ``mask``, else 0; 0 where both are 0."""
+    if np.any(mask & (target == 0.0) & (values != 0.0)):
+        raise ScenarioError("relative bias undefined: zero target with nonzero estimates")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mask & (target != 0.0), (values - target) / target, 0.0)
 
 
 def _population_draws(sc: Scenario, pop_index: int, design: dsg.Design, y) -> Iterator:
@@ -191,67 +190,50 @@ def _population_draws(sc: Scenario, pop_index: int, design: dsg.Design, y) -> It
 
 class _PopulationTask:
     """Picklable pool task: for each population index, build the population
-    and its design, and reduce its draws with
+    and its design from the scenario design, and reduce its draws with
     ``reduce(population, design, draws)``."""
 
-    def __init__(self, sc: Scenario, rej_p, reduce: Callable):
-        self.sc, self.rej_p, self.reduce = sc, rej_p, reduce
+    def __init__(self, sc: Scenario, design: dsg.Design, reduce: Callable):
+        self.sc, self.design, self.reduce = sc, design, reduce
 
     def __call__(self, indices) -> list:
         sc = self.sc
         out = []
         for i in indices:
             population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-            design = _population_design(sc, i, self.rej_p)
+            design = _population_design(sc, i, self.design)
             out.append(self.reduce(population, design,
                                    _population_draws(sc, i, design, population.y)))
         return out
 
 
-def _accumulate_cells(sc: Scenario, phi_f: float, av_ref: dict, population, design,
-                      draws) -> dict:
-    """Estimator, variance and coverage sums over one population's cells."""
+def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population, design,
+                     draws) -> np.ndarray:
+    """One population's (9, 2) array of sums over its cells, added in
+    sample order; ``av_ref`` is the asymptotic variance of each estimator."""
     fn = est.WeightedStepFunction.from_weighted_points(
         population.y, np.full(sc.N, 1.0 / sc.N), total_mass=1.0)
-    phi_fn = est.poverty_rate(fn, sc.alpha, sc.beta)
+    centers = np.array([est.poverty_rate(fn, sc.alpha, sc.beta), phi_f])[:, None, None]
     constants = dsg.design_constants(design)
-    targets = {"FN": phi_fn, "F": phi_f}
-    acc = _new_accumulator()
-    for sample in draws:
-        acc["cells"] += 1
-        results = {}
-        for mode, result in asy.poverty_rate_estimates(
-                sample, sc.N, constants, sc.alpha, sc.beta).items():
-            if isinstance(result, EstimationError):
-                acc["failures"][mode] += 1
-            else:
-                results[mode] = result
-        if sc.design == "SI" and "HT" in results and "HJ" in results:
-            if results["HT"][0] != results["HJ"][0]:
-                raise ScenarioError(
-                    "SI estimators must coincide exactly; internal inconsistency")
-        for mode, (phi_hat, av_hat) in results.items():
-            acc["phi_sum"][mode] += phi_hat
-            acc["phi_sq"][mode] += phi_hat * phi_hat
-            acc["phi_count"][mode] += 1
-            if np.isfinite(av_ref[mode]):
-                rel_av = _relative_error(av_hat, av_ref[mode])
-                if rel_av is None:
-                    acc["zero_target"] += 1
-                else:
-                    acc["av_rel"][mode] += rel_av
-                    acc["av_count"][mode] += 1
-            lo, hi = asy.wald_interval(phi_hat, max(av_hat, 0.0), sc.n)
-            for center in CENTERS:
-                rel = _relative_error(phi_hat, targets[center])
-                if rel is None:
-                    acc["zero_target"] += 1
-                    continue
-                acc["rel"][(mode, center)] += rel
-                acc["rel_count"][(mode, center)] += 1
-                if lo <= targets[center] <= hi:
-                    acc["cover"][(mode, center)] += 1
-    return acc
+    phi = np.zeros((sc.n_samples, len(ESTIMATORS)))
+    av = np.zeros_like(phi)
+    ok = np.zeros(phi.shape, dtype=bool)
+    for j, sample in enumerate(draws):
+        results = asy.poverty_rate_estimates(sample, sc.N, constants, sc.alpha, sc.beta)
+        for k, mode in enumerate(ESTIMATORS):
+            if not isinstance(results[mode], EstimationError):
+                phi[j, k], av[j, k] = results[mode]
+                ok[j, k] = True
+    if sc.design == "SI" and np.any(ok.all(axis=1) & (phi[:, 0] != phi[:, 1])):
+        raise ScenarioError("SI estimators must coincide exactly; internal inconsistency")
+    rel = _relative_errors(phi, centers, ok)
+    av_ok = ok & np.isfinite(av_ref)
+    av_rel = _relative_errors(av, av_ref, av_ok)
+    lo, hi = asy.wald_interval(phi, np.maximum(av, 0.0), sc.n)
+    cover = ok & (lo <= centers) & (centers <= hi)
+    # failed cells hold phi = 0, so they add 0.0 to the sums of the estimates
+    terms = [rel[0], rel[1], cover[0], cover[1], ok, av_rel, av_ok, phi, phi * phi]
+    return _ordered_sum(np.stack(terms, axis=1))
 
 
 def _available_cpus() -> int:
@@ -288,8 +270,7 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    rej_p = design.working_p if design.kind == "rejective" else None
-    per_block = _PopulationTask(sc, rej_p, reduce)
+    per_block = _PopulationTask(sc, design, reduce)
     indices = list(range(sc.n_populations))
     workers = min(workers, _available_cpus(), sc.n_populations)
     if workers == 1:
@@ -302,6 +283,19 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
         for idx, item in zip(block, res):
             by_index[idx] = item
     return [by_index[i] for i in indices]
+
+
+def _percent(total: float, count: float) -> float:
+    return float(100.0 * total / count) if count else float("nan")
+
+
+def _cluster_se(sums: np.ndarray, counts: np.ndarray) -> float:
+    """Percent Monte Carlo standard error of a mean from the per-population
+    means ``sums / counts`` of the populations with a nonzero count."""
+    means = sums[counts > 0] / counts[counts > 0]
+    if means.size < 2:
+        return float("nan")
+    return float(100.0 * float(np.std(means, ddof=1)) / np.sqrt(means.size))
 
 
 def run_scenario(sc: Scenario, workers: int = 1,
@@ -322,49 +316,34 @@ def run_scenario(sc: Scenario, workers: int = 1,
     start = time.perf_counter()
     phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
     design = _scenario_design(sc)
-    constants = scenario_design_constants(sc, design)
+    constants = dsg.design_constants(design)
     if sc.law.kind == "discrete":
-        av_ref = {e: float("nan") for e in ESTIMATORS}   # no density: variance RB undefined
+        av_ref = np.full(len(ESTIMATORS), np.nan)   # no density: variance RB undefined
     else:
-        av_ref = {"HT": asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta),
-                  "HJ": asy.poverty_variance_hj(constants, sc.law, sc.alpha, sc.beta)}
-    per_pop = _map_populations(sc, design, partial(_accumulate_cells, sc, phi_f, av_ref),
-                               workers)
+        av_ref = np.array([asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta),
+                           asy.poverty_variance_hj(constants, sc.law, sc.alpha, sc.beta)])
+    per_pop = np.stack(_map_populations(
+        sc, design, partial(_population_sums, sc, phi_f, av_ref), workers))
+    total = _ordered_sum(per_pop)
 
+    n_cells = sc.n_populations * sc.n_samples
     rb_phi, rb_phi_se, coverage = {}, {}, {}
-    for key in ((e, c) for e in ESTIMATORS for c in CENTERS):
-        sums = sum(acc["rel"][key] for acc in per_pop)
-        counts = sum(acc["rel_count"][key] for acc in per_pop)
-        covers = sum(acc["cover"][key] for acc in per_pop)
-        rb_phi[key] = 100.0 * sums / counts if counts else float("nan")
-        coverage[key] = 100.0 * covers / counts if counts else float("nan")
-        pop_means = [acc["rel"][key] / acc["rel_count"][key]
-                     for acc in per_pop if acc["rel_count"][key]]
-        rb_phi_se[key] = (100.0 * float(np.std(pop_means, ddof=1)) / np.sqrt(len(pop_means))
-                          if len(pop_means) > 1 else float("nan"))
-
     rb_av, rb_av_se, mc_variance, n_failures = {}, {}, {}, {}
-    for e in ESTIMATORS:
-        sums = sum(acc["av_rel"][e] for acc in per_pop)
-        counts = sum(acc["av_count"][e] for acc in per_pop)
-        rb_av[e] = 100.0 * sums / counts if counts else float("nan")
-        pop_means = [acc["av_rel"][e] / acc["av_count"][e]
-                     for acc in per_pop if acc["av_count"][e]]
-        rb_av_se[e] = (100.0 * float(np.std(pop_means, ddof=1)) / np.sqrt(len(pop_means))
-                       if len(pop_means) > 1 else float("nan"))
-        c = sum(acc["phi_count"][e] for acc in per_pop)
-        if c:
-            mean = sum(acc["phi_sum"][e] for acc in per_pop) / c
-            second = sum(acc["phi_sq"][e] for acc in per_pop) / c
-            mc_variance[e] = sc.n * max(second - mean * mean, 0.0)
+    for k, e in enumerate(ESTIMATORS):
+        ok = total[_OK, k]
+        for i, c in enumerate(CENTERS):
+            rb_phi[e, c] = _percent(total[_REL + i, k], ok)
+            coverage[e, c] = _percent(total[_COVER + i, k], ok)
+            rb_phi_se[e, c] = _cluster_se(per_pop[:, _REL + i, k], per_pop[:, _OK, k])
+        rb_av[e] = _percent(total[_AV_REL, k], total[_AV_COUNT, k])
+        rb_av_se[e] = _cluster_se(per_pop[:, _AV_REL, k], per_pop[:, _AV_COUNT, k])
+        if ok:
+            mean = total[_PHI, k] / ok
+            second = total[_PHI_SQ, k] / ok
+            mc_variance[e] = float(sc.n * max(second - mean * mean, 0.0))
         else:
             mc_variance[e] = float("nan")
-        n_failures[e] = sum(acc["failures"][e] for acc in per_pop)
-
-    n_cells = sum(acc["cells"] for acc in per_pop)
-    if sum(acc["zero_target"] for acc in per_pop):
-        raise ScenarioError("relative bias undefined: zero target with nonzero estimates")
-    for e in ESTIMATORS:
+        n_failures[e] = n_cells - int(ok)
         if n_failures[e] > FAILURE_BUDGET * n_cells:
             raise ScenarioError(
                 f"{e} failed in {n_failures[e]} of {n_cells} cells "
@@ -435,7 +414,7 @@ def _process_covariance(sc: Scenario, design: dsg.Design, grid, form: str,
     pop_means = np.array([o / c for _, o, c in per_pop])
     entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(per_pop))
                 if len(per_pop) > 1 else np.full_like(empirical, np.nan))
-    constants = scenario_design_constants(sc, design)
+    constants = dsg.design_constants(design)
     limit = asy.limit_covariance_matrix(constants, sc.law, form, grid)
     return ProcessCovarianceResult(
         form=form, grid=grid, empirical=empirical, limit=limit, entry_se=entry_se,
@@ -482,7 +461,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
                 raise DiagnosticError("design variance of the weighted mean is zero")
             z_parts.append((vals - center) / scale)
     else:
-        constants = scenario_design_constants(sc, design)
+        constants = dsg.design_constants(design)
         try:
             sigma2 = (asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta)
                       if statistic == "phi_ht"

@@ -1,9 +1,9 @@
 """Super-population laws and finite population generation.
 
-A finite population holds the response values ``y`` and positive design
-variables ``z`` of ``N`` units.  Responses are drawn i.i.d. from a
-super-population law, for which the exact distribution function, density,
-generalized inverse and poverty rate are available in closed form.
+A finite population holds the response values ``y`` of ``N`` units, drawn
+i.i.d. from a super-population law, for which the exact distribution
+function, density, generalized inverse and poverty rate are available in
+closed form.
 """
 
 from __future__ import annotations
@@ -72,28 +72,24 @@ class Population:
     """Realized finite population of ``N`` units."""
 
     y: np.ndarray
-    z: np.ndarray
     N: int
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        z = np.asarray(self.z, dtype=float)
         if self.N < 1:
             raise ParameterError("population size must be at least 1")
-        if y.shape != (self.N,) or z.shape != (self.N,):
-            raise ParameterError("y and z must both have length N")
+        if y.shape != (self.N,):
+            raise ParameterError("y must have length N")
         y.setflags(write=False)
-        z.setflags(write=False)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
 
 
 def generate_population(law: SuperPopulationLaw, N: int, seed: int) -> Population:
     """Draw a population of ``N`` i.i.d. responses from ``law``.
 
-    Bitwise reproducible for fixed ``(law, N, seed)``.  Design variables
-    default to the all-ones vector; unequal-probability designs receive
-    their inclusion probabilities directly.
+    Bitwise reproducible for fixed ``(law, N, seed)``.  Unequal-probability
+    designs receive their inclusion probabilities directly, not from a
+    design variable of the population.
     """
     if N < 1:
         raise ParameterError("population size must be at least 1")
@@ -106,7 +102,7 @@ def generate_population(law: SuperPopulationLaw, N: int, seed: int) -> Populatio
         pts = np.asarray(law.points, dtype=float)
         idx = rng.choice(pts.size, size=N, p=np.asarray(law.masses, dtype=float))
         y = pts[idx]
-    return Population(y=y, z=np.ones(N), N=N)
+    return Population(y=y, N=N)
 
 
 def true_cdf(law: SuperPopulationLaw, t):

@@ -113,14 +113,40 @@ class TestSimulate:
                                             "coverage.csv")))
         assert blobs[0] == blobs[1]
 
-    def test_invalid_scenario_is_runtime_error(self, runner, tmp_path):
-        cfg = minimal_config(cells=[{"N": 100, "n": 80}], designs=["PO"])
+    @pytest.mark.parametrize("overrides", [
+        {"cells": [{"N": 100, "n": 20}, {"N": 100, "n": 120}]},
+        {"n_populations": 0},
+        {"designs": ["SI", "XX"]},
+        {"cells": [{"N": 100, "n": 80}], "designs": ["PO"]},
+        # 1.6 * 5/8 is exactly 1: Poisson can take it, rejective cannot
+        {"cells": [{"N": 8, "n": 5}], "designs": ["PO", "REJ"]},
+    ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split"])
+    def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
+        # every cell is checked before the first one runs
+        ran = []
+        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(**overrides)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid scenario: ")
+        assert ran == []
+        assert not out.exists()
+
+    def test_failure_budget_is_runtime_error(self, runner, tmp_path):
+        # expected size 2 out of 30: empty samples exceed the failure budget
+        cfg = minimal_config(designs=["BE"], cells=[{"N": 30, "n": 2}],
+                             n_populations=4, n_samples=12)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
                                       "--out", str(out)])
         assert result.exit_code == 3
+        assert "budget" in result.stderr
         assert not (out / "rb_estimators.csv").exists()
 
 
@@ -269,6 +295,27 @@ class TestCalibrateCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads(out_path.read_text())
         assert np.allclose(payload["p"], 0.5, atol=1e-8)
+
+    @pytest.mark.parametrize("option", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                        ("--tol", "-1"), ("--tol", "nan")])
+    def test_bad_stopping_rule_is_usage_error(self, runner, tmp_path, option):
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_text("0.5\n" * 6)
+        out_path = tmp_path / "p.json"
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+                                      "--out", str(out_path), *option])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out_path.exists()
+
+    def test_nan_target_is_usage_error(self, runner, tmp_path):
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_text("nan\n0.5\n0.5\n")
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
+                                      "--n", "1", "--out", str(tmp_path / "p.json")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().startswith("error: target inclusion probabilities")
 
     def test_sum_mismatch_is_usage_error(self, runner, tmp_path):
         pi_path = tmp_path / "pi.txt"

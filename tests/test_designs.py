@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -483,6 +484,21 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             dsg.calibrate_rejective_p([1.0, 0.5, 0.5], 2)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ParameterError):
+            dsg.calibrated_rejective([float("nan"), 0.5, 0.5], 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"max_iter": -3},
+        {"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    ])
+    def test_bad_stopping_rule_rejected_before_any_dp(self, kwargs, monkeypatch):
+        def no_dp(*args, **kw):
+            raise AssertionError("dynamic program run")
+        monkeypatch.setattr(dsg, "_rejective_first_order", no_dp)
+        with pytest.raises(ParameterError):
+            dsg.calibrated_rejective(np.full(6, 0.5), 3, **kwargs)
+
     def test_nonconvergence_reports_residual(self):
         target = dsg.first_order_pi(dsg.rejective([0.05, 0.35, 0.6, 0.85], 2))
         with pytest.raises(CalibrationError) as err:
@@ -536,6 +552,15 @@ class TestValidation:
             dsg.rejective([0.5, 1.0, 0.5], 2)
         with pytest.raises(ParameterError):
             dsg.rejective([0.5, 0.5, 0.5], 3)   # rejective needs n <= N-1
+
+    def test_pickle_leaves_the_cache_behind(self):
+        design = dsg.calibrated_rejective(np.linspace(0.1, 0.5, 8) * (3 / 2.4), 3)
+        dsg.draw(design, 1)
+        assert set(design._cache) == {"pi", "suffix"}
+        copy = pickle.loads(pickle.dumps(design))
+        assert copy._cache == {} and set(design._cache) == {"pi", "suffix"}
+        assert np.array_equal(copy.working_p, design.working_p)
+        assert np.array_equal(dsg.first_order_pi(copy), dsg.first_order_pi(design))
 
     def test_poisson_certain_units_allowed(self):
         design = dsg.poisson([1.0, 0.5])

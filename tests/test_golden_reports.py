@@ -69,3 +69,11 @@ def test_report_matches_golden(name):
     assert rep.process_cov_error is None
     assert report_hex(rep) == GOLDEN[name]
 
+
+
+def test_report_fields_are_plain_numbers():
+    rep = mc.run_scenario(SCENARIOS["BE-failures"])
+    assert type(rep.n_cells) is int
+    assert all(type(v) is int for v in rep.n_failures.values())
+    for field in ("rb_phi", "rb_phi_se", "coverage", "rb_av", "rb_av_se", "mc_variance"):
+        assert all(type(v) is float for v in getattr(rep, field).values())

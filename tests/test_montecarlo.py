@@ -109,9 +109,7 @@ class TestPopulationLoop:
         # at most two samples per batch, so seven samples span several batches
         sc = small_scenario(design=design, N=120, n=20, n_samples=7, seed=41)
         monkeypatch.setattr(dsg, "_BATCH_BYTES", 8 * sc.N * 2)
-        rej_p = dsg.calibrate_rejective_p(mc._split_probabilities(sc.N, sc.n), sc.n) \
-            if design == "REJ" else None
-        design_obj = mc._population_design(sc, 3, rej_p)
+        design_obj = mc._population_design(sc, 3, mc._scenario_design(sc))
         y = np.linspace(1.0, 2.0, sc.N)
         draws = list(mc._population_draws(sc, 3, design_obj, y))
         assert len(draws) == sc.n_samples
@@ -143,8 +141,7 @@ class TestPopulationLoop:
         sc = small_scenario(design="REJ", N=200, n=20)
         design = mc._scenario_design(sc)
         fresh = dsg.rejective(design.working_p, sc.n)
-        assert mc.scenario_design_constants(sc, design) == dsg.design_constants(fresh)
-        assert mc.scenario_design_constants(sc) == dsg.design_constants(fresh)
+        assert dsg.design_constants(design) == dsg.design_constants(fresh)
 
 
 class _SerialPool:
@@ -239,7 +236,7 @@ class TestProcessCovariance:
         # diagonal value 0.25 at the median
         from svycdf import asymptotics as asy
         sc = small_scenario(design="BE", N=1000, n=100)
-        constants = mc.scenario_design_constants(sc)
+        constants = dsg.design_constants(mc._scenario_design(sc))
         assert constants.gamma1 == pytest.approx(1.0, abs=1e-12)
         t = pop.true_quantile(EXP1, 0.5)
         assert asy.limit_covariance(constants, EXP1, "HJ_vs_F", t, t) == \
@@ -249,7 +246,7 @@ class TestProcessCovariance:
         # calibrated working probabilities hit the low/high split, so the
         # plug-in constant matches the unequal-probability value 1.5625
         sc = small_scenario(design="REJ", N=200, n=20)
-        constants = mc.scenario_design_constants(sc)
+        constants = dsg.design_constants(mc._scenario_design(sc))
         assert constants.gamma1 == pytest.approx(1.5625, abs=1e-6)
         assert constants.mu2 < 0.0
 

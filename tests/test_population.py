@@ -26,7 +26,6 @@ class TestGeneratePopulation:
     def test_point_mass(self):
         popu = generate_population(SuperPopulationLaw.discrete([5.0], [1.0]), 3, seed=123)
         assert np.array_equal(popu.y, [5.0, 5.0, 5.0])
-        assert np.array_equal(popu.z, np.ones(3))
 
     def test_exponential_mean_band(self):
         # CLT band: mean of 10^4 Exp(1) draws within 5 sigma of 1

@@ -249,7 +249,7 @@ class TestKernelOracle:
         sc = mc.Scenario(N=2000, n=100, design=design, law=pop.SuperPopulationLaw.exponential(),
                          alpha=0.5, beta=0.6, n_populations=1, n_samples=40, seed=17)
         population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, 0, 0))
-        design_obj = mc._population_design(sc, 0, None)
+        design_obj = mc._population_design(sc, 0, mc._scenario_design(sc))
         constants = dsg.design_constants(design_obj)
         for j in range(sc.n_samples):
             draw = dsg.draw(design_obj, substream(sc.seed, 0, 2, j), y=population.y)
