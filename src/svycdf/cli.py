@@ -79,6 +79,14 @@ def _load_config(path: str) -> dict:
             raise ParameterError(f"config is not valid JSON: {exc}") from exc
 
 
+def _integral(value, name: str) -> int:
+    """A count or seed from JSON: an int, or a float equal to one; never a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _cell_header(cell: dict) -> str:
     return f"N={cell['N']} n={cell['n']}"
 
@@ -108,12 +116,13 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         try:
             law = _law_from_config(cfg.get("law", {"kind": "exponential", "rate": 1.0}))
             designs = list(cfg.get("designs", ["SI", "BE", "PO"]))
-            cells = [{"N": int(c["N"]), "n": int(c["n"])} for c in cfg.get("cells", [])]
-            n_pops = int(cfg.get("n_populations", 200))
-            n_samp = int(cfg.get("n_samples", 200))
+            cells = [{key: _integral(c[key], f"cells[{i}].{key}") for key in ("N", "n")}
+                     for i, c in enumerate(cfg.get("cells", []))]
+            n_pops = _integral(cfg.get("n_populations", 200), "n_populations")
+            n_samp = _integral(cfg.get("n_samples", 200), "n_samples")
             if paper_scale:
                 n_pops = n_samp = 1000
-            run_seed = int(cfg["seed"] if seed is None else seed)
+            run_seed = _integral(cfg["seed"], "seed") if seed is None else seed
             alpha = float(cfg.get("alpha", 0.5))
             beta = float(cfg.get("beta", 0.6))
         except (KeyError, TypeError) as exc:
@@ -196,15 +205,22 @@ def _design_from_spec(raw: str) -> dsg.Design:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"design spec is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ParameterError("design spec must be a JSON object")
     kind = spec.get("kind")
-    if kind == "srswor":
-        return dsg.srswor(int(spec["N"]), int(spec["n"]))
-    if kind == "bernoulli":
-        return dsg.bernoulli(int(spec["N"]), float(spec["p"]))
-    if kind == "poisson":
-        return dsg.poisson(spec["pi"])
-    if kind == "rejective":
-        return dsg.rejective(spec["p"], int(spec["n"]))
+    try:
+        if kind == "srswor":
+            return dsg.srswor(_integral(spec["N"], "N"), _integral(spec["n"], "n"))
+        if kind == "bernoulli":
+            return dsg.bernoulli(_integral(spec["N"], "N"), float(spec["p"]))
+        if kind == "poisson":
+            return dsg.poisson(spec["pi"])
+        if kind == "rejective":
+            return dsg.rejective(spec["p"], _integral(spec["n"], "n"))
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"bad design field: {exc!r}") from exc
     raise ParameterError(f"unknown design kind {kind!r}")
 
 

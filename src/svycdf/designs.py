@@ -189,7 +189,7 @@ class Design:
             pi = np.asarray(self.pi, dtype=float)
             if pi.shape != (self.N,):
                 raise ParameterError("poisson needs one probability per unit")
-            if np.any((pi <= 0.0) | (pi > 1.0)):
+            if not np.all((pi > 0.0) & (pi <= 1.0)):      # NaN fails both tests
                 raise ParameterError("poisson probabilities must lie in (0, 1]")
             pi.setflags(write=False)
             self.pi = pi
@@ -197,7 +197,7 @@ class Design:
             p = np.asarray(self.working_p, dtype=float)
             if p.shape != (self.N,):
                 raise ParameterError("rejective needs one working probability per unit")
-            if np.any((p <= 0.0) | (p >= 1.0)):
+            if not np.all((p > 0.0) & (p < 1.0)):
                 raise ParameterError("rejective working probabilities must lie strictly in (0, 1)")
             if self.size is None or not 1 <= self.size <= self.N - 1:
                 raise ParameterError(f"rejective needs 1 <= n <= N-1, got n={self.size}, N={self.N}")

@@ -7,6 +7,14 @@ matrices on grids, and the Kullback-Leibler divergence between two
 designs.  These serve as independent oracles for the dynamic-program
 routes in :mod:`svycdf.designs` and as numeric reports for the
 correlation and entropy statistics that control the asymptotics.
+
+The condition report reads every third- and fourth-order statistic from
+products of unit pairs: over the N(N-1)/2 unordered pairs P = (i, j) it
+accumulates T3[P, k] = E a_P a_k and Q4[P, Q] = E a_P a_Q, one block of
+support points at a time.  A block of S_b points costs S_b N^2/2 pair
+products and about S_b (N^2/2)^2 multiply-adds; memory is one block's pair
+products (at most ``_PAIR_BLOCK_BYTES``) plus the (N^2/2)^2 accumulator,
+so no N^3 or N^4 tensor is formed.
 """
 
 from __future__ import annotations
@@ -24,9 +32,11 @@ from .errors import CapacityError, ParameterError
 
 MAX_FIXED_SIZE_SUPPORT = 2_000_000
 MAX_RANDOM_SIZE_UNITS = 20
-MAX_HIGH_ORDER_UNITS = 14   # third/fourth order tensor sweeps
+MAX_HIGH_ORDER_UNITS = 14   # third/fourth order condition sweeps
 
 _CHUNK = 1 << 14
+#: the pair products of one block of support points take at most this many bytes
+_PAIR_BLOCK_BYTES = 2**18
 
 
 @dataclass(eq=False)
@@ -52,12 +62,6 @@ class EnumeratedDesign:
     def second_order(self) -> np.ndarray:
         weighted = self.samples * self.probs[:, None]
         return weighted.T @ self.samples
-
-    def third_order(self) -> np.ndarray:
-        if self.N > MAX_HIGH_ORDER_UNITS:
-            raise CapacityError(f"third-order sweep limited to N <= {MAX_HIGH_ORDER_UNITS}")
-        s = self.samples.astype(float)
-        return np.einsum("s,si,sj,sk->ijk", self.probs, s, s, s, optimize=True)
 
 
 def _fixed_size_masks(N: int, n: int) -> np.ndarray:
@@ -163,6 +167,16 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
     inclusion-probability range, and the entropy-scale ratios.  For
     rejective designs the residual of the pairwise-ratio expansion is
     added.  Third and fourth order sweeps require N <= 14.
+
+    The orders 3 and 4 come from the pair moments T3 and Q4 of the
+    centered indicators (``_pair_moments``): a maximum runs over k outside
+    P, or over pairs P and Q with no unit in common, and a sum over ordered
+    distinct tuples is 2 (order three) or 4 (order four) times the sum over
+    those entries.  pi_ijk - pi_i pi_j pi_k is assembled from T3 and the
+    centered pair moments.  Cost: S (N^2/2)^2 multiply-adds over the S
+    support points, in blocks of at most ``_PAIR_BLOCK_BYTES`` of pair
+    products; memory beyond the (S, N) indicators is one block and the
+    (N^2/2)^2 accumulator (66 kB at N = 14).
     """
     N = enumerated.N
     if N > MAX_HIGH_ORDER_UNITS:
@@ -188,12 +202,13 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
     entries["max_pair_correlation"] = ConditionEntry(
         max_pair, "|E prod| < K n/N^2", max_pair * N**2 / n)
 
-    triple = np.einsum("s,si,sj,sk->ijk", probs, x, x, x, optimize=True)
-    quad = np.einsum("s,si,sj,sk,sl->ijkl", probs, x, x, x, x, optimize=True)
-    d3 = _distinct_mask(N, 3)
-    d4 = _distinct_mask(N, 4)
-    max_triple = float(np.abs(triple[d3]).max()) if d3.any() else 0.0
-    max_quad = float(np.abs(quad[d4]).max()) if d4.any() else 0.0
+    iu, ju = np.triu_indices(N, 1)
+    t3, q4 = _pair_moments(probs, x, iu, ju)
+    units = np.arange(N)
+    outside = (units != iu[:, None]) & (units != ju[:, None])   # k not in P = (i, j)
+    disjoint = outside[:, iu] & outside[:, ju]                  # Q shares no unit with P
+    max_triple = float(np.abs(t3[outside]).max()) if outside.any() else 0.0
+    max_quad = float(np.abs(q4[disjoint]).max()) if disjoint.any() else 0.0
     entries["max_triple_correlation"] = ConditionEntry(
         max_triple, "|E prod| < K n^2/N^3", max_triple * N**3 / n**2)
     entries["max_quad_correlation"] = ConditionEntry(
@@ -205,18 +220,19 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
     rowsum = float(np.abs(ratio).sum(axis=0).max()) * n / N if N > 1 else 0.0
     entries["pair_ratio_rowsum"] = ConditionEntry(rowsum, "(n/N) sum_i |ratio_ij| <= K", rowsum)
 
-    s_float = enumerated.samples.astype(float)
-    pi3 = np.einsum("s,si,sj,sk->ijk", probs, s_float, s_float, s_float, optimize=True)
-    outer3 = pi[:, None, None] * pi[None, :, None] * pi[None, None, :]
-    triple_ratio = np.abs((pi3 - outer3) / outer3)[d3].sum() * n / N**3
+    # pi_ijk - pi_i pi_j pi_k from the centered moments, as E xi_i = pi_i;
+    # each unordered triple is two (P, k) entries out of six ordered tuples
+    pi_pair = pi[iu] * pi[ju]
+    centered3 = (t3 + pair[iu, ju][:, None] * pi
+                 + pi[ju][:, None] * pair[iu] + pi[iu][:, None] * pair[ju])
+    triple_ratio = 2.0 * np.abs(centered3 / (pi_pair[:, None] * pi))[outside].sum() * n / N**3
     entries["triple_ratio_sum"] = ConditionEntry(
         float(triple_ratio), "(n/N^3) sum |ratio_ijk| <= K", float(triple_ratio))
 
-    outer1 = pi[:, None, None, None] * pi[None, :, None, None] \
-        * pi[None, None, :, None] * pi[None, None, None, :]
-    quad_terms = quad / outer1
-    signed = float(quad_terms[d4].sum()) * n**2 / N**4
-    absolute = float(np.abs(quad_terms[d4]).sum()) * n**2 / N**4
+    # each unordered quadruple is six disjoint (P, Q) entries out of 24 ordered tuples
+    quad_terms = (q4 / np.outer(pi_pair, pi_pair))[disjoint]
+    signed = 4.0 * float(quad_terms.sum()) * n**2 / N**4
+    absolute = 4.0 * float(np.abs(quad_terms).sum()) * n**2 / N**4
     entries["quad_centered_sum_signed"] = ConditionEntry(
         abs(signed), "(n^2/N^4) |sum E prod / pi^4| <= K", abs(signed))
     entries["quad_centered_sum_absolute"] = ConditionEntry(
@@ -241,14 +257,27 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
     return ConditionReport(entries=entries, N=N, n=float(n))
 
 
-def _distinct_mask(N: int, order: int) -> np.ndarray:
-    """Boolean tensor selecting index tuples with all entries distinct."""
-    idx = np.indices((N,) * order)
-    mask = np.ones((N,) * order, dtype=bool)
-    for a in range(order):
-        for b in range(a + 1, order):
-            mask &= idx[a] != idx[b]
-    return mask
+def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
+                  ju: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted moments of the pairwise column products of ``a``.
+
+    With P = (iu[m], ju[m]) the unordered pairs and a_sP = a_si a_sj,
+    returns T3[P, k] = sum_s p_s a_sP a_sk and Q4[P, Q] = sum_s p_s a_sP a_sQ.
+    The pair products are formed for one block of samples at a time, each
+    block's array at most ``_PAIR_BLOCK_BYTES``, and enter two matrix
+    products per block.
+    """
+    n_pairs = iu.size
+    t3 = np.zeros((n_pairs, a.shape[1]))
+    q4 = np.zeros((n_pairs, n_pairs))
+    rows = max(1, _PAIR_BLOCK_BYTES // (8 * max(n_pairs, 1)))
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        products = block[:, iu] * block[:, ju]
+        weighted = products * probs[start:start + rows, None]
+        t3 += weighted.T @ block
+        q4 += weighted.T @ products
+    return t3, q4
 
 
 def _pi_matrices(design_or_enum):

@@ -136,6 +136,41 @@ class TestSimulate:
         assert ran == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"cells": [{"N": 100.9, "n": 20}]}, "cells[0].N"),
+        ({"cells": [{"N": 100, "n": 20}, {"N": 100, "n": 20.5}]}, "cells[1].n"),
+        ({"cells": [{"N": True, "n": 1}]}, "cells[0].N"),
+        ({"cells": [{"N": "100", "n": 20}]}, "cells[0].N"),
+        ({"n_populations": 2.5}, "n_populations"),
+        ({"n_samples": 0.5}, "n_samples"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ], ids=["N-float", "n-float", "N-bool", "N-string", "populations-float",
+            "samples-fraction", "seed-float", "seed-bool"])
+    def test_non_integral_count_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                               overrides, key):
+        ran = []
+        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(**overrides)))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {key} must be an integer, got ")
+        assert ran == []
+
+    def test_integral_floats_accepted(self, runner, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        cfg = minimal_config(cells=[{"N": 100.0, "n": 20.0}], n_populations=10.0,
+                             seed=42.0)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")])
+        assert [(sc.N, sc.n, sc.n_populations, sc.seed) for sc in ran] == [(100, 20, 10, 42)]
+        assert all(type(v) is int for v in (ran[0].N, ran[0].n, ran[0].seed))
+
     def test_failure_budget_is_runtime_error(self, runner, tmp_path):
         # expected size 2 out of 30: empty samples exceed the failure budget
         cfg = minimal_config(designs=["BE"], cells=[{"N": 30, "n": 2}],
@@ -269,6 +304,33 @@ class TestOracleCommand:
         result = runner.invoke(main, [
             "oracle", "--design", "not json", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"poisson","pi":[NaN,0.5,0.5]}',
+        '{"kind":"rejective","p":[0.5,NaN,0.5],"n":1}',
+        '{"kind":"bernoulli","N":4,"p":NaN}',
+        '{"kind":"srswor","N":6.5,"n":3}',
+        '{"kind":"srswor","N":6,"n":true}',
+        '{"kind":"bernoulli","N":4.2,"p":0.5}',
+        '{"kind":"rejective","p":[0.5,0.5,0.5],"n":1.5}',
+        '{"kind":"srswor","N":6}',
+        '{"kind":"poisson","pi":["a",0.5]}',
+        '[1, 2]',
+    ], ids=["poisson-nan", "rejective-nan", "bernoulli-nan", "N-float", "n-bool",
+            "bernoulli-N-float", "rejective-n-float", "missing-n", "non-numeric",
+            "not-an-object"])
+    def test_invalid_design_is_usage_error(self, runner, tmp_path, spec):
+        result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert not (tmp_path / "conditions.csv").exists()
+
+    def test_integral_float_sizes_accepted(self, runner, tmp_path):
+        result = runner.invoke(main, ["oracle", "--design", '{"kind":"srswor","N":6.0,"n":3.0}',
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        table = {row[0]: row for row in read_rows(tmp_path / "conditions.csv")[1:]}
+        assert float(table["entropy_scale"][1]) == pytest.approx(1.5, abs=1e-9)
 
 
 class TestCalibrateCommand:

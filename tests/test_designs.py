@@ -553,6 +553,16 @@ class TestValidation:
         with pytest.raises(ParameterError):
             dsg.rejective([0.5, 0.5, 0.5], 3)   # rejective needs n <= N-1
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: dsg.poisson([bad, 0.5, 0.5]),
+        lambda bad: dsg.rejective([bad, 0.5, 0.5], 1),
+        lambda bad: dsg.bernoulli(3, bad),
+    ], ids=["poisson", "rejective", "bernoulli"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities(self, make, bad):
+        with pytest.raises(ParameterError):
+            make(bad)
+
     def test_pickle_leaves_the_cache_behind(self):
         design = dsg.calibrated_rejective(np.linspace(0.1, 0.5, 8) * (3 / 2.4), 3)
         dsg.draw(design, 1)

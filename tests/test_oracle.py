@@ -1,13 +1,71 @@
 """Enumeration oracle: supports, moments, condition reports, divergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svycdf import designs as dsg
 from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.errors import CapacityError, ParameterError
 from svycdf.streams import substream
+
+
+def third_order(en: orc.EnumeratedDesign) -> np.ndarray:
+    """Reference pi_ijk: the full N^3 tensor of joint inclusion probabilities."""
+    s = en.samples.astype(float)
+    return np.einsum("s,si,sj,sk->ijk", en.probs, s, s, s, optimize=True)
+
+
+def distinct_mask(N: int, order: int) -> np.ndarray:
+    """Boolean tensor selecting index tuples with all entries distinct."""
+    idx = np.indices((N,) * order)
+    mask = np.ones((N,) * order, dtype=bool)
+    for a in range(order):
+        for b in range(a + 1, order):
+            mask &= idx[a] != idx[b]
+    return mask
+
+
+def tensor_statistics(en: orc.EnumeratedDesign) -> dict:
+    """Reference third- and fourth-order condition statistics from the full
+    N^3 and N^4 tensors, each with the scale its rounding error is relative to.
+
+    The scale of a maximum or a centered sum is the same statistic of the
+    absolute products E|prod|; that of the triple ratio sum adds the two
+    terms the reference subtracts, pi_ijk and pi_i pi_j pi_k.
+    """
+    N, probs = en.N, en.probs
+    pi = en.first_order()
+    n = float(pi.sum())
+    x = en.samples.astype(float) - pi
+    ax = np.abs(x)
+    d3, d4 = distinct_mask(N, 3), distinct_mask(N, 4)
+    triple = np.einsum("s,si,sj,sk->ijk", probs, x, x, x, optimize=True)
+    quad = np.einsum("s,si,sj,sk,sl->ijkl", probs, x, x, x, x, optimize=True)
+    abs3 = np.einsum("s,si,sj,sk->ijk", probs, ax, ax, ax, optimize=True)
+    abs4 = np.einsum("s,si,sj,sk,sl->ijkl", probs, ax, ax, ax, ax, optimize=True)
+    outer3 = np.einsum("i,j,k->ijk", pi, pi, pi)
+    outer4 = np.einsum("i,j,k,l->ijkl", pi, pi, pi, pi)
+    pi3 = third_order(en)
+
+    def max_over(t, mask):
+        return float(np.abs(t[mask]).max()) if mask.any() else 0.0
+
+    quad_scale = float((abs4 / outer4)[d4].sum()) * n**2 / N**4
+    return {
+        "max_triple_correlation": (max_over(triple, d3), max_over(abs3, d3)),
+        "max_quad_correlation": (max_over(quad, d4), max_over(abs4, d4)),
+        "triple_ratio_sum": (float(np.abs((pi3 - outer3) / outer3)[d3].sum()) * n / N**3,
+                             float(((pi3 + outer3) / outer3)[d3].sum()) * n / N**3),
+        "quad_centered_sum_signed": (abs(float((quad / outer4)[d4].sum())) * n**2 / N**4,
+                                     quad_scale),
+        "quad_centered_sum_absolute": (float(np.abs(quad / outer4)[d4].sum()) * n**2 / N**4,
+                                       quad_scale),
+    }
 
 
 class TestEnumerate:
@@ -68,7 +126,7 @@ class TestExactMoment:
         en = orc.enumerate_design(design)
         pi = en.first_order()
         pi2 = en.second_order()
-        pi3 = en.third_order()
+        pi3 = third_order(en)
         i, j, k = 0, 2, 4
         expected = (pi3[i, j, k] - pi[i] * pi[j] * pi[k]
                     - (pi2[i, j] - pi[i] * pi[j]) * pi[k]
@@ -132,6 +190,73 @@ class TestConditions:
             samples=np.ones((1, 16), dtype=bool), probs=np.array([1.0]), N=16)
         with pytest.raises(CapacityError):
             orc.check_conditions(en)
+
+
+@st.composite
+def small_designs(draw):
+    """A design of any kind on 2 to 9 units."""
+    kind = draw(st.sampled_from(["srswor", "bernoulli", "poisson", "rejective"]))
+    N = draw(st.integers(min_value=2, max_value=9))
+    if kind == "srswor":
+        return dsg.srswor(N, draw(st.integers(min_value=1, max_value=N)))
+    if kind == "bernoulli":
+        return dsg.bernoulli(N, draw(st.floats(min_value=0.05, max_value=0.95)))
+    top = 1.0 if kind == "poisson" else 0.95
+    p = draw(st.lists(st.floats(min_value=0.05, max_value=top), min_size=N, max_size=N))
+    if kind == "poisson":
+        return dsg.poisson(p)
+    return dsg.rejective(p, draw(st.integers(min_value=1, max_value=N - 1)))
+
+
+def assert_matches_tensors(en: orc.EnumeratedDesign):
+    report = orc.check_conditions(en)
+    for key, (expected, scale) in tensor_statistics(en).items():
+        assert abs(report[key].statistic - expected) <= 1e-12 * scale, key
+
+
+class TestPairMomentsAgainstTensors:
+    """The pair-product statistics against the full-tensor reference."""
+
+    # with no distinct tuple the reference and its scale are 0.0, so the
+    # statistic must be exactly 0.0
+    @given(small_designs(), st.data())
+    @example(dsg.srswor(2, 1), None)                  # N < 3
+    @example(dsg.bernoulli(2, 0.4), None)             # N < 3
+    @example(dsg.rejective([0.3, 0.5, 0.7], 2), None)  # N < 4
+    @settings(max_examples=150, deadline=None)
+    def test_statistics_match(self, design, data):
+        en = orc.enumerate_design(design)
+        pairs = en.N * (en.N - 1) // 2
+        # blocks of 1 row up to more rows than the support has
+        rows = 1 if data is None else data.draw(
+            st.integers(min_value=1, max_value=en.support_size + 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_PAIR_BLOCK_BYTES", 8 * pairs * rows)
+            assert_matches_tensors(en)
+
+    @pytest.mark.parametrize("rows", [1, 7, 126, 500], ids=lambda r: f"rows{r}")
+    def test_block_sizes(self, monkeypatch, rows):
+        # 126 support points: blocks of one row, blocks that do not divide
+        # the support, one exact block, and one block larger than the support
+        en = orc.enumerate_design(dsg.rejective(np.linspace(0.2, 0.8, 9), 4))
+        monkeypatch.setattr(orc, "_PAIR_BLOCK_BYTES", 8 * 36 * rows)
+        assert_matches_tensors(en)
+
+    def test_memory_is_blocked(self):
+        # srswor(14, 7) has 3432 support points; one unblocked (S, N^2) float
+        # array of their pair products alone is 3432 * 196 * 8 bytes = 5.4 MB
+        en = orc.enumerate_design(dsg.srswor(14, 7))
+        unblocked = en.support_size * 14**2 * 8
+        tracemalloc.start()
+        try:
+            orc.check_conditions(en)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # measured: 1.78 MB, from the (S, N) float copies of the support
+        # (384 kB each) and one 256 kB block of pair products with its
+        # gathered factors and weighted copy
+        assert peak < 2_250_000 < unblocked
 
 
 class TestExactSn2:
