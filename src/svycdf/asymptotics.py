@@ -18,7 +18,6 @@ import numpy as np
 from . import estimation, population
 from .errors import (
     DegenerateBandwidthError,
-    EstimationError,
     ParameterError,
     ZeroDensityError,
 )
@@ -152,65 +151,64 @@ def plugin_poverty_variance(draw, N: int, constants: DesignConstants,
     self-normalized CDF.  The design constants are supplied by the caller
     (they are known, not estimated).  ``quantile_method`` selects the
     generalized-inverse quantile ("step") or the interpolating rule used
-    by the simulation protocol ("interpolated"); the bandwidth follows
+    by the simulation protocol ("interpolated", evaluated by
+    :func:`estimation.poverty_batch` on one draw); the bandwidth follows
     the same rule through the interquartile range.
     """
-    if mode not in ("HT", "HJ"):
+    if mode not in estimation.MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    phihat, densities = estimation.poverty_plugin(estimation.weighted_sample(draw, N), mode,
-                                                  alpha, beta, quantile_method)
-    if densities is None:
-        raise DegenerateBandwidthError("weighted interquartile range is zero")
-    return _plugin_variance(constants, alpha, beta, mode, phihat, densities)
-
-
-def _plugin_variance(constants: DesignConstants, alpha: float, beta: float,
-                     mode: Literal["HT", "HJ"], phihat: float,
-                     densities: tuple[float, float]) -> float:
-    """The closed-form variance at the plugged-in rate, density ratio and
-    quantile level."""
+    if quantile_method == "interpolated":
+        batch = estimation.poverty_batch([draw], N, alpha, beta)
+        k = estimation.MODES.index(mode)
+        if (0, k) in batch.errors:
+            raise batch.errors[0, k]
+        if batch.flat[0, k]:
+            raise DegenerateBandwidthError("weighted interquartile range is zero")
+        phihat, densities = batch.phi[0, k], (batch.f_q[0, k], batch.f_bq[0, k])
+    elif quantile_method == "step":
+        f = (estimation.ht_ecdf if mode == "HT" else estimation.hajek_ecdf)(draw, N)
+        qhat = estimation.weighted_quantile(f, alpha)
+        phihat = float(f.evaluate(beta * qhat))
+        densities = estimation.kde_density(draw, N, [qhat, beta * qhat], mode)
+    else:
+        raise ParameterError(f"unknown quantile method {quantile_method!r}")
     f_q, f_bq = densities
     if f_q <= 0.0:
         raise ZeroDensityError("estimated density vanishes at the quantile")
-    return _poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
-                             beta * (f_bq / f_q), phihat)
+    return float(_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
+                                   beta * (f_bq / f_q), phihat))
 
 
-def poverty_rate_estimates(draw, N: int, constants: DesignConstants,
-                           alpha: float, beta: float) -> dict:
-    """Per-draw kernel of the simulation protocol, both modes at once.
+def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
+                           alpha: float, beta: float) -> tuple:
+    """Kernel of the simulation protocol: a batch of draws, both modes.
 
     For "HT" and "HJ": the poverty-rate estimate and its plug-in variance,
     with the interpolating quantile rule for the estimate, the bandwidth
-    and the density points.  The draw is checked, sorted and weighted once
-    (:func:`estimation.weighted_sample`); each mode's CDF is built once and
-    the variance reuses it and its quantile.
+    and the density points (:func:`estimation.poverty_batch`).  A draw in
+    which every response is identical yields a legitimate zero variance
+    (zero-width interval) rather than a bandwidth failure.
 
-    Returns ``{mode: (phi_hat, av_hat)}``, where a mode that cannot be
-    evaluated maps to the :class:`EstimationError` it raised instead.  A
-    sample in which every response is identical yields a legitimate zero
-    variance (zero-width interval) rather than a bandwidth failure.  Other
-    errors propagate.
+    Returns ``(phi, av, errors)``: (S, 2) arrays with one row per draw and
+    the columns ``estimation.MODES``, and a dict mapping each cell
+    ``(j, k)`` that cannot be evaluated to the :class:`EstimationError` it
+    raised; such cells hold 0.0 in both arrays.  Other errors propagate.
     """
-    try:
-        sample = estimation.weighted_sample(draw, N)
-    except EstimationError as exc:
-        return {"HT": exc, "HJ": exc}
-    out = {}
-    for mode in ("HT", "HJ"):
-        try:
-            phi, densities = estimation.poverty_plugin(sample, mode, alpha, beta,
-                                                       "interpolated")
-            if densities is not None:
-                out[mode] = (phi, _plugin_variance(constants, alpha, beta, mode, phi,
-                                                   densities))
-            elif np.all(sample.y == sample.y[0]):
-                out[mode] = (phi, 0.0)
-            else:
-                raise DegenerateBandwidthError("weighted interquartile range is zero")
-        except EstimationError as exc:
-            out[mode] = exc
-    return out
+    batch = estimation.poverty_batch(draws, N, alpha, beta)
+    errors = dict(batch.errors)
+    for j, k in np.argwhere(batch.f_q <= 0.0).tolist():
+        errors[j, k] = ZeroDensityError("estimated density vanishes at the quantile")
+    with np.errstate(all="ignore"):
+        # cells without densities are evaluated too, and replaced below
+        br = beta * (batch.f_bq / batch.f_q)
+        av = np.stack([_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
+                                         br[:, k], batch.phi[:, k])
+                       for k, mode in enumerate(estimation.MODES)], axis=1)
+    av[batch.flat] = 0.0
+    phi = batch.phi.copy()
+    for cell in errors:
+        phi[cell] = av[cell] = 0.0
+    return phi, av, errors
 
 
 def wald_interval(estimate, variance_of_root_n, n: float) -> tuple:

@@ -20,8 +20,6 @@ to the next, so a batch of samples (:func:`draw_batch`) costs n steps, each
 over a short window of units per sample.  Every sample consumes its own
 generator's N uniforms, so a sample drawn in a batch equals the same sample
 drawn alone.
-A rejection sampler (redraw Poisson samples until the size hits n) is kept
-as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -369,23 +367,17 @@ def draw(design: Design, rng, y=None) -> SampleDraw:
     return _finish_draw(design, indicators, y)
 
 
-#: a rejective batch holds at most this many samples, and their uniforms
-#: (N float64 each) in at most this many bytes: past a few dozen samples
-#: the walk's per-step cost is already shared, while every held draw and
-#: generator still costs memory
+#: a batch holds at most this many samples, and N float64 per sample (the
+#: uniforms of a rejective walk) in at most this many bytes: past a few
+#: dozen samples the per-batch cost of the walk and of the poverty kernel is
+#: already shared, while every held draw still costs memory
 _BATCH_SAMPLES = 64
 _BATCH_BYTES = 4 * 2**20
 
 
 def batch_rows(design: Design) -> int:
-    """Most samples one :func:`draw_batch` call draws from the design.
-
-    A rejective batch shares one walk, so it takes 64 samples, or fewer
-    where their uniforms would pass 4 MiB; the other designs draw sample by
-    sample and gain nothing from holding more than one.
-    """
-    if design.kind != "rejective":
-        return 1
+    """Most samples one :func:`draw_batch` call draws from the design: 64,
+    or fewer where N float64 per sample would pass 4 MiB."""
     return max(1, min(_BATCH_SAMPLES, _BATCH_BYTES // (8 * design.N)))
 
 
@@ -456,35 +448,12 @@ def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
     return indicators
 
 
-def rejection_draw(design: Design, rng, y=None, max_attempts: int = 1_000_000) -> SampleDraw:
-    """Rejective draw by redrawing Poisson samples until the size is n.
-
-    Slow when P(size = n) is small; kept as an independent cross-check of
-    the sequential sampler.
-    """
-    if design.kind != "rejective":
-        raise ParameterError("rejection_draw applies to rejective designs only")
-    rng = _as_generator(rng)
-    p = design.working_p
-    for _ in range(max_attempts):
-        indicators = rng.random(design.N) < p
-        if int(indicators.sum()) == design.size:
-            return _finish_draw(design, indicators, y)
-    raise DegenerateDesignError(f"no size-{design.size} sample in {max_attempts} attempts")
-
-
 def _finish_draw(design: Design, indicators: np.ndarray, y) -> SampleDraw:
     included = np.flatnonzero(indicators)
-    pi = first_order_pi(design)
-    sample = SampleDraw(
-        indicators=indicators,
-        included=included,
-        pi_included=pi[included],
-        expected_n=design.expected_size,
-    )
-    if y is not None:
-        sample = sample.with_values(y)
-    return sample
+    return SampleDraw(indicators=indicators, included=included,
+                      pi_included=first_order_pi(design)[included],
+                      expected_n=design.expected_size,
+                      y_included=None if y is None else np.asarray(y, dtype=float)[included])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ estimators against the population and model parameters, relative bias of
 their plug-in variance estimators against the closed-form asymptotic
 variance, and coverage of 95% Wald intervals.
 
-Each population reduces its cells to one (9, 2) array of sums, one column
+A population's draws come in batches of :func:`designs.batch_rows`
+samples, and the poverty kernel evaluates each batch in one call.  Each
+population reduces its cells to one (9, 2) array of sums, one column
 per estimator (HT, HJ): relative errors and covering intervals against
 each center, defined cells, variance-estimator relative errors and their
 count, and the sums of the estimates and of their squares.  The report is
@@ -30,6 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, Literal
 
 import numpy as np
@@ -174,24 +177,24 @@ def _relative_errors(values: np.ndarray, target, mask: np.ndarray) -> np.ndarray
         return np.where(mask & (target != 0.0), (values - target) / target, 0.0)
 
 
-def _population_draws(sc: Scenario, pop_index: int, design: dsg.Design, y) -> Iterator:
-    """The ``n_samples`` draws of one population, in sample order.
+def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> Iterator:
+    """The ``n_samples`` draws of one population, in sample order, one
+    batch of :func:`designs.batch_rows` draws at a time.
 
-    Sample j uses the stream ``(seed, pop_index, 2, j)``; the draws come
-    one batch of :func:`designs.batch_rows` samples at a time, so no more
-    than one batch is held at once.
+    Sample j uses the stream ``(seed, pop_index, 2, j)``; no more than one
+    batch is held at once.
     """
     rows = dsg.batch_rows(design)
     for start in range(0, sc.n_samples, rows):
         rngs = [substream(sc.seed, pop_index, 2, j)
                 for j in range(start, min(start + rows, sc.n_samples))]
-        yield from dsg.draw_batch(design, rngs, y=y)
+        yield dsg.draw_batch(design, rngs, y=y)
 
 
 class _PopulationTask:
     """Picklable pool task: for each population index, build the population
-    and its design from the scenario design, and reduce its draws with
-    ``reduce(population, design, draws)``."""
+    and its design from the scenario design, and reduce its batches of
+    draws with ``reduce(population, design, batches)``."""
 
     def __init__(self, sc: Scenario, design: dsg.Design, reduce: Callable):
         self.sc, self.design, self.reduce = sc, design, reduce
@@ -203,12 +206,12 @@ class _PopulationTask:
             population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
             design = _population_design(sc, i, self.design)
             out.append(self.reduce(population, design,
-                                   _population_draws(sc, i, design, population.y)))
+                                   _population_batches(sc, i, design, population.y)))
         return out
 
 
 def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population, design,
-                     draws) -> np.ndarray:
+                     batches) -> np.ndarray:
     """One population's (9, 2) array of sums over its cells, added in
     sample order; ``av_ref`` is the asymptotic variance of each estimator."""
     fn = est.WeightedStepFunction.from_weighted_points(
@@ -217,13 +220,15 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
     constants = dsg.design_constants(design)
     phi = np.zeros((sc.n_samples, len(ESTIMATORS)))
     av = np.zeros_like(phi)
-    ok = np.zeros(phi.shape, dtype=bool)
-    for j, sample in enumerate(draws):
-        results = asy.poverty_rate_estimates(sample, sc.N, constants, sc.alpha, sc.beta)
-        for k, mode in enumerate(ESTIMATORS):
-            if not isinstance(results[mode], EstimationError):
-                phi[j, k], av[j, k] = results[mode]
-                ok[j, k] = True
+    ok = np.ones(phi.shape, dtype=bool)
+    start = 0
+    for batch in batches:
+        stop = start + len(batch)
+        phi[start:stop], av[start:stop], errors = asy.poverty_rate_estimates(
+            batch, sc.N, constants, sc.alpha, sc.beta)
+        for j, k in errors:
+            ok[start + j, k] = False
+        start = stop
     if sc.design == "SI" and np.any(ok.all(axis=1) & (phi[:, 0] != phi[:, 1])):
         raise ScenarioError("SI estimators must coincide exactly; internal inconsistency")
     rel = _relative_errors(phi, centers, ok)
@@ -261,7 +266,7 @@ def pool_size(workers: int) -> int:
 
 def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
                      workers: int) -> list:
-    """``reduce(population, design, draws)`` for every population of the
+    """``reduce(population, design, batches)`` for every population of the
     scenario, in index order; ``design`` is the scenario's unpermuted design.
 
     Populations run in blocks, one per pool worker.  The pool is silently
@@ -276,13 +281,11 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
     if workers == 1:
         return per_block(indices)
     blocks = [indices[k::workers] for k in range(workers)]
+    out = [None] * len(indices)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(per_block, blocks))
-    by_index: dict[int, object] = {}
-    for block, res in zip(blocks, results):
-        for idx, item in zip(block, res):
-            by_index[idx] = item
-    return [by_index[i] for i in indices]
+        for k, results in enumerate(pool.map(per_block, blocks)):
+            out[k::workers] = results
+    return out
 
 
 def _percent(total: float, count: float) -> float:
@@ -383,15 +386,15 @@ class ProcessCovarianceResult:
 
 
 def _process_sums(sc: Scenario, grid: np.ndarray, form: str, population, design,
-                  draws) -> tuple:
+                  batches) -> tuple:
     """Sum, sum of outer products and count of one population's process paths."""
     k = grid.size
     vec = np.zeros(k)
     outer = np.zeros((k, k))
-    for sample in draws:
-        path = est.process_path(sample, population, grid, form, law=sc.law)
-        vec += path.values
-        outer += np.outer(path.values, path.values)
+    for batch in batches:
+        for path in est.process_paths(batch, population, grid, form, law=sc.law):
+            vec += path
+            outer += np.outer(path, path)
     return vec, outer, sc.n_samples
 
 
@@ -425,11 +428,11 @@ def _process_covariance(sc: Scenario, design: dsg.Design, grid, form: str,
 # Normality diagnostics
 # ---------------------------------------------------------------------------
 
-def _statistic_values(sc: Scenario, statistic: str, population, design, draws) -> tuple:
+def _statistic_values(sc: Scenario, statistic: str, population, design, batches) -> tuple:
     """One population's replicated statistic, with the exact center and
     scale of the HT mean (``None`` for the poverty rates)."""
     vals = np.empty(sc.n_samples)
-    for j, sample in enumerate(draws):
+    for j, sample in enumerate(chain.from_iterable(batches)):
         if statistic == "ht_mean":
             vals[j] = float(np.sum(sample.y_included / sample.pi_included)) / sc.N
         else:

@@ -23,6 +23,7 @@ from svycdf import montecarlo as mc
 from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.streams import substream
+from test_designs import rejection_draw
 
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
 WORKERS = min(2, os.cpu_count() or 1)
@@ -139,7 +140,7 @@ def test_sequential_sampler_matches_rejection_sampler():
     for _ in range(reps):
         key = dsg.draw(design, rng_seq).included.tobytes()
         seq_counts[key] = seq_counts.get(key, 0) + 1
-        key = dsg.rejection_draw(design, rng_rej).included.tobytes()
+        key = rejection_draw(design, rng_rej).tobytes()
         rej_counts[key] = rej_counts.get(key, 0) + 1
     keys = sorted(set(seq_counts) | set(rej_counts))
     assert len(keys) == math.comb(6, 3)

@@ -52,6 +52,20 @@ def brute_force_marginals(design):
     return pi / total, pi2 / total
 
 
+def rejection_draw(design, rng, max_attempts=1_000_000):
+    """Rejective draw by redrawing Poisson samples until the size is n.
+
+    Slow when P(size = n) is small; an independent cross-check of the
+    sequential sampler.
+    """
+    p = design.working_p
+    for _ in range(max_attempts):
+        indicators = rng.random(design.N) < p
+        if int(indicators.sum()) == design.size:
+            return np.flatnonzero(indicators)
+    raise AssertionError(f"no size-{design.size} sample in {max_attempts} attempts")
+
+
 def sequential_rejective(design, us):
     """The unit-by-unit rejective sampler on one row of uniforms.
 
@@ -214,21 +228,29 @@ class TestRejectiveWalk:
             assert np.array_equal(sample.indicators, oracle)
 
     def test_batch_rows_bound(self):
-        desk = dsg.rejective(np.full(10_000, 0.05), 500)
-        assert dsg.batch_rows(desk) * 8 * desk.N <= dsg._BATCH_BYTES
+        # one bound for every design: 64 samples, or N float64 each within 4 MiB
+        for desk in (dsg.rejective(np.full(10_000, 0.05), 500), dsg.srswor(10_000, 500),
+                     dsg.bernoulli(10_000, 0.05), dsg.poisson(np.full(10_000, 0.05))):
+            assert dsg.batch_rows(desk) == 52
+            assert dsg.batch_rows(desk) * 8 * desk.N <= dsg._BATCH_BYTES
+            with mock.patch.object(dsg, "_BATCH_BYTES", 8):
+                assert dsg.batch_rows(desk) == 1
         assert dsg.batch_rows(dsg.rejective(np.full(10, 0.5), 5)) == dsg._BATCH_SAMPLES
-        with mock.patch.object(dsg, "_BATCH_BYTES", 8):
-            assert dsg.batch_rows(desk) == 1
+        assert dsg.batch_rows(dsg.srswor(1_000, 100)) == dsg._BATCH_SAMPLES
 
     def test_non_rejective_batches_are_single_draws(self):
+        y = np.arange(30.0)
         for design in (dsg.srswor(30, 7), dsg.bernoulli(30, 0.2),
                        dsg.poisson(np.linspace(0.1, 0.9, 30))):
-            assert dsg.batch_rows(design) == 1
-            sample, = dsg.draw_batch(design, [substream(4, 0)])
-            assert np.array_equal(sample.indicators,
-                                  dsg.draw(design, substream(4, 0)).indicators)
-            with pytest.raises(CapacityError):
-                dsg.draw_batch(design, [substream(4, 0), substream(4, 1)])
+            assert dsg.batch_rows(design) == dsg._BATCH_SAMPLES
+            rngs = [substream(4, j) for j in range(5)]
+            for j, sample in enumerate(dsg.draw_batch(design, rngs, y=y)):
+                single = dsg.draw(design, substream(4, j), y=y)
+                assert np.array_equal(sample.indicators, single.indicators)
+                assert np.array_equal(sample.y_included, single.y_included)
+            with mock.patch.object(dsg, "_BATCH_BYTES", 8 * 30 * 2):
+                with pytest.raises(CapacityError):
+                    dsg.draw_batch(design, rngs[:3])
 
 
 class TestFirstOrder:
@@ -455,7 +477,7 @@ class TestDraw:
         for _ in range(reps):
             key = dsg.draw(design, rng_a).included.tobytes()
             seq[key] = seq.get(key, 0) + 1
-            key = dsg.rejection_draw(design, rng_b).included.tobytes()
+            key = rejection_draw(design, rng_b).tobytes()
             rej[key] = rej.get(key, 0) + 1
         keys = sorted(set(seq) | set(rej))
         stat = sum((seq.get(k, 0) - rej.get(k, 0)) ** 2 /

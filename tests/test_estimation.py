@@ -319,6 +319,36 @@ class TestProcessPath:
                 total += (float(y <= t) - pop.true_cdf(law, t)) / pi
             assert path[k] == pytest.approx(root_n * total / popu.N, abs=1e-10)
 
+    @pytest.mark.parametrize("which", ["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F",
+                                       "G_pi", "Y_N"])
+    def test_batch_matches_per_draw_paths(self, which):
+        # a batch of draws of several sizes, responses rounded so that some tie
+        law = pop.SuperPopulationLaw.exponential(1.0)
+        popu = pop.generate_population(law, 120, seed=36)
+        design = dsg.poisson(substream(36, 1).uniform(0.1, 0.6, 120))
+        draws = [dsg.draw(design, substream(36, 2, j), y=np.round(popu.y, 1))
+                 for j in range(12)]
+        grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
+        got = est.process_paths(draws, popu, grid, which, law=law)
+        fn, f = est.empirical_cdf_values(popu.y, grid), pop.true_cdf(law, grid)
+        for draw, row in zip(draws, got):
+            inv = 1.0 / draw.pi_included
+            if which.startswith("HJ"):
+                ecdf = est.WeightedStepFunction.from_weighted_points(
+                    draw.y_included, inv / inv.sum(), total_mass=1.0)
+            else:
+                ecdf = est.WeightedStepFunction.from_weighted_points(
+                    draw.y_included, 1.0 / (popu.N * draw.pi_included))
+            root_n, ratio = np.sqrt(draw.expected_n), draw.n_hat() / popu.N
+            expected = {"HT_vs_FN": root_n * (ecdf(grid) - fn),
+                        "HT_vs_F": root_n * (ecdf(grid) - f),
+                        "HJ_vs_FN": root_n * (ecdf(grid) - fn),
+                        "HJ_vs_F": root_n * (ecdf(grid) - f),
+                        "G_pi": root_n * (ecdf(grid) - ratio * f),
+                        "Y_N": root_n * (ecdf(grid) - fn) - root_n * (ratio - 1.0) * f}[which]
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, est.process_path(draw, popu, grid, which, law).values)
+
     def test_requires_law_for_model_centering(self):
         _, popu, draw = self._population_and_draw(34)
         with pytest.raises(ParameterError):

@@ -111,8 +111,9 @@ class TestPopulationLoop:
         monkeypatch.setattr(dsg, "_BATCH_BYTES", 8 * sc.N * 2)
         design_obj = mc._population_design(sc, 3, mc._scenario_design(sc))
         y = np.linspace(1.0, 2.0, sc.N)
-        draws = list(mc._population_draws(sc, 3, design_obj, y))
-        assert len(draws) == sc.n_samples
+        batches = list(mc._population_batches(sc, 3, design_obj, y))
+        assert [len(batch) for batch in batches] == [2, 2, 2, 1]
+        draws = [sample for batch in batches for sample in batch]
         for j, sample in enumerate(draws):
             single = dsg.draw(design_obj, substream(sc.seed, 3, 2, j), y=y)
             assert np.array_equal(sample.indicators, single.indicators)

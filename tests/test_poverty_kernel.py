@@ -1,13 +1,19 @@
-"""The per-draw poverty kernel against the scalar composition it replaced.
+"""The batched poverty kernel against the compositions it replaced.
 
 ``reference_*`` below is the estimation path as it was before one sorted
 sample served both modes: each mode builds its CDF with
 ``WeightedStepFunction.from_weighted_points`` (the np.unique merge), the
 scalar interpolated quantile, a fresh kernel density per point and the
-plug-in variance rebuilding the CDF.  The kernel must reproduce it exactly.
+plug-in variance rebuilding the CDF.  ``WeightedSample`` and ``row_*``
+are the per-draw kernel as it was before draws were batched: one sorted
+sample per draw, each mode's CDF built once, all three quantile levels
+from one search and one kernel density call per point.  The batched kernel must reproduce both
+exactly, draw by draw.
 """
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -84,7 +90,8 @@ def reference_kde(draw, N, t, mode, bandwidth=None):
     denom = float(N) if mode == "HT" else draw.n_hat()
     z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
          - draw.y_included[None, :]) / bandwidth
-    kernel = np.exp(-0.5 * z * z) / SQRT_2PI
+    with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
+        kernel = np.exp(-0.5 * z * z) / SQRT_2PI
     return float((kernel @ (1.0 / draw.pi_included) / (denom * bandwidth))[0])
 
 
@@ -145,6 +152,132 @@ def reference_cell(draw, N, constants, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the per-draw kernel
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class WeightedSample:
+    """One draw, checked, sorted and inverse-weighted once for both modes."""
+
+    N: int
+    y: np.ndarray
+    pi: np.ndarray
+    inv: np.ndarray
+    n_hat: float
+    order: np.ndarray
+    sorted_y: np.ndarray
+    has_ties: bool
+
+    def ecdf(self, mode):
+        if mode == "HT":
+            weights, total_mass = 1.0 / (self.N * self.pi), None
+        else:
+            weights, total_mass = self.inv / self.n_hat, 1.0
+        if self.has_ties:
+            return est.WeightedStepFunction.from_weighted_points(self.y, weights, total_mass)
+        if np.any(weights < 0.0):
+            raise ParameterError("weights must be nonnegative")
+        cumulative = weights[self.order].cumsum()
+        total = float(weights.sum()) if total_mass is None else float(total_mass)
+        cumulative[-1] = total
+        return est.WeightedStepFunction(self.sorted_y, cumulative, total)
+
+
+def weighted_sample(draw, N):
+    est._require_values(draw)
+    y = np.asarray(draw.y_included, dtype=float)
+    pi = draw.pi_included
+    inv = 1.0 / pi
+    order = np.argsort(y)
+    sorted_y = y[order]
+    # np.unique merges equal values and NaNs (which sort last)
+    has_ties = bool(np.isnan(sorted_y[-1]) or (sorted_y[1:] == sorted_y[:-1]).any())
+    return WeightedSample(N=N, y=y, pi=pi, inv=inv, n_hat=float(inv.sum()),
+                          order=order, sorted_y=sorted_y, has_ties=has_ties)
+
+
+def row_quantiles(f, levels, n_points):
+    """Interpolated quantiles of one step function at several levels from
+    one array of cumulative positions and one search for all brackets."""
+    pos = (f.cumulative / f.total_mass) * n_points
+    tie = TIE_EPS * n_points
+    fracs, targets = [], []
+    for alpha in levels:
+        h = 1.0 + (n_points - 1.0) * min(alpha / f.total_mass, 1.0)
+        low = min(float(math.floor(h)), float(n_points))
+        fracs.append(h - low)
+        targets += [low - tie, min(low + 1.0, float(n_points)) - tie]
+    idx = np.minimum(pos.searchsorted(targets, side="left"), f.locations.size - 1)
+    q = f.locations[idx].tolist()
+    idx = idx.tolist()
+    return [q[2 * k] if idx[2 * k] == idx[2 * k + 1]
+            else (1.0 - frac) * q[2 * k] + frac * q[2 * k + 1]
+            for k, frac in enumerate(fracs)]
+
+
+def row_density(sample, t, mode, bandwidth):
+    """Kernel density of one sorted sample at the 1-d points ``t``."""
+    if bandwidth <= 0.0:
+        raise ParameterError("bandwidth must be positive")
+    denom = float(sample.N) if mode == "HT" else sample.n_hat
+    z = (t[:, None] - sample.y[None, :]) / bandwidth
+    with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
+        kernel = np.exp(-0.5 * z * z) / SQRT_2PI
+    return kernel @ sample.inv / (denom * bandwidth)
+
+
+def row_plugin(sample, mode, alpha, beta):
+    """(phi, (f(q), f(beta q)) or None) of one mode, interpolated rule."""
+    f = sample.ecdf(mode)
+    n_s = sample.y.size
+    qhat, q25, q75 = row_quantiles(f, (alpha, 0.25, 0.75), n_s)
+    iqr = q75 - q25
+    phi = float(f.evaluate(beta * qhat))
+    if iqr <= 0.0:
+        return phi, None
+    bandwidth = 0.79 * iqr * n_s ** (-0.2)
+    f_q = row_density(sample, np.array([qhat]), mode, bandwidth)
+    f_bq = row_density(sample, np.array([beta * qhat]), mode, bandwidth)
+    return phi, (float(f_q[0]), float(f_bq[0]))
+
+
+def row_cell(draw, N, constants, alpha, beta):
+    """One draw, both modes: {mode: (phi_hat, av_hat) or EstimationError}."""
+    try:
+        sample = weighted_sample(draw, N)
+    except EstimationError as exc:
+        return {"HT": exc, "HJ": exc}
+    out = {}
+    for mode in MODES:
+        try:
+            phi, densities = row_plugin(sample, mode, alpha, beta)
+            if densities is not None:
+                f_q, f_bq = densities
+                if f_q <= 0.0:
+                    raise ZeroDensityError("estimated density vanishes at the quantile")
+                out[mode] = (phi, asy._poverty_variance(
+                    constants.gamma1, constants.gamma2, mode, alpha, beta * (f_bq / f_q), phi))
+            elif np.all(sample.y == sample.y[0]):
+                out[mode] = (phi, 0.0)
+            else:
+                raise DegenerateBandwidthError("weighted interquartile range is zero")
+        except EstimationError as exc:
+            out[mode] = exc
+    return out
+
+
+def kernel_cells(draws, N, constants, alpha, beta):
+    """The batched kernel's result as one {mode: value or error} per draw."""
+    phi, av, errors = asy.poverty_rate_estimates(draws, N, constants, alpha, beta)
+    return [{mode: errors.get((j, k), (phi[j, k], av[j, k])) for k, mode in enumerate(MODES)}
+            for j in range(len(draws))]
+
+
+def kernel_cell(draw, N, constants, alpha, beta):
+    return kernel_cells([draw], N, constants, alpha, beta)[0]
+
+
+# ---------------------------------------------------------------------------
 # Generated draws
 # ---------------------------------------------------------------------------
 
@@ -201,6 +334,47 @@ def assert_cells_equal(got, expected):
 # Tests
 # ---------------------------------------------------------------------------
 
+@st.composite
+def batch_rows(draw, N):
+    """One draw of a batch: 0-20 units, with ties, up to three NaN or
+    infinite responses, all responses equal or a nonpositive probability
+    in some rows."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    values = draw(st.sampled_from([CONTINUOUS, DISCRETE]))
+    y = draw(st.lists(values, min_size=n, max_size=n))
+    pi = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n))
+    kind = draw(st.integers(min_value=0, max_value=5)) if n else -1
+    if kind == 0:
+        y = [y[0]] * n                                     # all responses equal
+    elif kind == 1:
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            y[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == 2:
+        pi[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.25]))
+    return make_draw(y, pi, N)
+
+
+@st.composite
+def batch_cases(draw):
+    N = draw(st.integers(min_value=20, max_value=10_000))
+    draws = draw(st.lists(batch_rows(N), min_size=1, max_size=8))
+    constants = asy.DesignConstants(lam=draw(st.floats(0.0, 1.0)),
+                                    mu1=draw(st.floats(0.0, 10.0)),
+                                    mu2=draw(st.floats(-2.0, 2.0)))
+    alpha = draw(st.floats(min_value=0.01, max_value=1.0))
+    beta = draw(st.floats(min_value=0.05, max_value=1.0))
+    return draws, N, constants, alpha, beta
+
+
+def desk_population(design, n_samples):
+    """A desk-like population at N=2000, n=100, its design and its batches."""
+    sc = mc.Scenario(N=2000, n=100, design=design, law=pop.SuperPopulationLaw.exponential(),
+                     alpha=0.5, beta=0.6, n_populations=1, n_samples=n_samples, seed=17)
+    population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, 0, 0))
+    design_obj = mc._population_design(sc, 0, mc._scenario_design(sc))
+    return sc, design_obj, list(mc._population_batches(sc, 0, design_obj, population.y))
+
+
 class TestKernelOracle:
     @given(cases())
     @settings(max_examples=400, deadline=None)
@@ -210,10 +384,28 @@ class TestKernelOracle:
             expected = reference_cell(draw, N, constants, alpha, beta)
         except Exception as exc:                      # noqa: BLE001 - class compared below
             with pytest.raises(type(exc)):
-                asy.poverty_rate_estimates(draw, N, constants, alpha, beta)
+                kernel_cell(draw, N, constants, alpha, beta)
             return
-        assert_cells_equal(asy.poverty_rate_estimates(draw, N, constants, alpha, beta),
-                           expected)
+        assert_cells_equal(kernel_cell(draw, N, constants, alpha, beta), expected)
+
+    # infinite responses give inf - inf, and both kernels carry its NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(batch_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_per_draw_kernel(self, case):
+        draws, N, constants, alpha, beta = case
+        expected = []
+        for draw in draws:
+            try:
+                expected.append(row_cell(draw, N, constants, alpha, beta))
+            except Exception as exc:                  # noqa: BLE001 - class compared below
+                with pytest.raises(type(exc)):
+                    kernel_cells(draws, N, constants, alpha, beta)
+                return
+        got = kernel_cells(draws, N, constants, alpha, beta)
+        assert len(got) == len(draws)
+        for got_cell, expected_cell in zip(got, expected):
+            assert_cells_equal(got_cell, expected_cell)
 
     @given(cases(), st.sampled_from(MODES), st.sampled_from(["step", "interpolated"]))
     @settings(max_examples=300, deadline=None)
@@ -244,46 +436,91 @@ class TestKernelOracle:
         assert np.array_equal(got.cumulative, expected.cumulative)
         assert got.total_mass == expected.total_mass
 
-    @pytest.mark.parametrize("design", ["SI", "BE", "PO"])
+    @given(batch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_ecdf_matches_unique_merge(self, case):
+        draws, N, _, _, _ = case
+        cdfs, errors = est._weighted_cdfs(draws, N)
+        for j, draw in enumerate(draws):
+            for k, mode in enumerate(MODES):
+                try:
+                    expected = reference_ecdf(draw, N, mode)
+                except EstimationError as exc:
+                    assert type(errors[j]) is type(exc)
+                    continue
+                got = cdfs.ecdf(j, k)
+                assert np.array_equal(got.locations, expected.locations, equal_nan=True)
+                assert np.array_equal(got.cumulative, expected.cumulative)
+                assert got.total_mass == expected.total_mass
+
+    @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
     def test_desk_draws_match(self, design):
-        sc = mc.Scenario(N=2000, n=100, design=design, law=pop.SuperPopulationLaw.exponential(),
-                         alpha=0.5, beta=0.6, n_populations=1, n_samples=40, seed=17)
-        population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, 0, 0))
-        design_obj = mc._population_design(sc, 0, mc._scenario_design(sc))
+        # 70 samples: a full batch of 64 and a short one
+        sc, design_obj, batches = desk_population(design, n_samples=70)
+        assert [len(batch) for batch in batches] == [64, 6]
         constants = dsg.design_constants(design_obj)
-        for j in range(sc.n_samples):
-            draw = dsg.draw(design_obj, substream(sc.seed, 0, 2, j), y=population.y)
-            assert_cells_equal(
-                asy.poverty_rate_estimates(draw, sc.N, constants, sc.alpha, sc.beta),
-                reference_cell(draw, sc.N, constants, sc.alpha, sc.beta))
+        for batch in batches:
+            got = kernel_cells(batch, sc.N, constants, sc.alpha, sc.beta)
+            for draw, cell in zip(batch, got):
+                assert_cells_equal(cell, row_cell(draw, sc.N, constants, sc.alpha, sc.beta))
+                assert_cells_equal(cell, reference_cell(draw, sc.N, constants, sc.alpha,
+                                                        sc.beta))
+
+    def test_srswor_modes_coincide(self):
+        # equal weights make the HT and HJ CDFs the same floats, so the
+        # Monte Carlo guard may demand exact equality
+        sc, design_obj, batches = desk_population("SI", n_samples=70)
+        constants = dsg.design_constants(design_obj)
+        for batch in batches:
+            phi, av, errors = asy.poverty_rate_estimates(batch, sc.N, constants, sc.alpha,
+                                                         sc.beta)
+            assert not errors
+            assert np.array_equal(phi[:, 0], phi[:, 1])
+
+    def test_wide_spread_sample_is_quiet(self):
+        # the far response is 1e160 bandwidths away: z * z overflows to inf
+        # and its kernel value exp(-inf) = 0 is the intended one
+        draw = make_draw([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5), N=40)
+        constants = asy.DesignConstants(0.15, 1.0, 0.0)
+        _, q25, q75 = row_quantiles(est.hajek_ecdf(draw, 40), (0.5, 0.25, 0.75), 6)
+        assert 1e160 / (0.79 * (q75 - q25)) > math.sqrt(np.finfo(float).max)
+        expected = row_cell(draw, 40, constants, 0.5, 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kernel_cell(draw, 40, constants, 0.5, 0.6)
+            dens = est.kde_density(draw, 40, [0.3, 0.5], mode="HJ")
+        assert_cells_equal(got, expected)
+        assert not isinstance(got["HJ"], Exception)
+        assert np.all(np.isfinite(dens))
 
 
 class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
         draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
-        assert est.weighted_sample(draw, 10).has_ties
-        f = est.weighted_sample(draw, 10).ecdf("HJ")
+        assert weighted_sample(draw, 10).has_ties
+        f = est.hajek_ecdf(draw, 10)
         assert np.array_equal(f.locations, [1.0, 2.0])
+        assert np.array_equal(f.cumulative, reference_ecdf(draw, 10, "HJ").cumulative)
 
     def test_distinct_values_sorted_once(self):
         draw = make_draw([3.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
-        sample = est.weighted_sample(draw, 10)
-        assert not sample.has_ties
-        assert np.array_equal(sample.sorted_y, [1.0, 2.0, 3.0])
-        assert sample.n_hat == draw.n_hat()
+        cdfs, errors = est._weighted_cdfs([draw], 10)
+        assert not errors and cdfs.count[0] == 3
+        assert np.array_equal(cdfs.loc[0], [1.0, 2.0, 3.0])
+        assert cdfs.n_hat[0] == draw.n_hat()
 
     @pytest.mark.parametrize("y", [[3.0, 1.0, 2.0], [2.0, 1.0, 2.0]])
     def test_negative_weights_rejected_on_both_paths(self, y):
-        # a negative N makes the HT weights negative, tied values or not
-        sample = est.weighted_sample(make_draw(y, [0.5, 0.25, 0.5], N=10), -10)
+        # a negative N would make the HT weights negative, tied values or not
+        draw = make_draw(y, [0.5, 0.25, 0.5], N=10)
+        with pytest.raises(ParameterError, match="population size"):
+            est.ht_ecdf(draw, -10)
         with pytest.raises(ParameterError, match="nonnegative"):
-            sample.ecdf("HT")
-        with pytest.raises(ParameterError, match="nonnegative"):
-            est.WeightedStepFunction.from_weighted_points(y, 1.0 / (-10 * sample.pi))
+            est.WeightedStepFunction.from_weighted_points(y, 1.0 / (-10 * draw.pi_included))
 
     def test_empty_sample_fails_both_modes(self):
         draw = make_draw([], [], N=5)
-        got = asy.poverty_rate_estimates(draw, 5, asy.DesignConstants(0.2, 1.0, 0.0), 0.5, 0.6)
+        got = kernel_cell(draw, 5, asy.DesignConstants(0.2, 1.0, 0.0), 0.5, 0.6)
         assert all(isinstance(got[m], EstimationError) for m in MODES)
 
     def test_zero_density_fails_one_mode(self):
@@ -291,17 +528,15 @@ class TestWeightedSample:
         draw = make_draw([0.0] * 9 + [21.0, 0.5],
                          [1.0] * 7 + [0.25, 0.03125, 0.1875, 0.03125], N=76)
         constants = asy.DesignConstants(0.0, 0.0, 0.0)
-        got = asy.poverty_rate_estimates(draw, 76, constants, 1.0, 1.0)
+        got = kernel_cell(draw, 76, constants, 1.0, 1.0)
         assert isinstance(got["HT"], ZeroDensityError)
         assert_cells_equal(got, reference_cell(draw, 76, constants, 1.0, 1.0))
 
     def test_all_equal_sample_gets_zero_variance(self):
         draw = make_draw([4.0, 4.0, 4.0], [0.2, 0.5, 0.8], N=12)
-        got = asy.poverty_rate_estimates(draw, 12, asy.DesignConstants(0.25, 1.0, 0.0),
-                                         0.5, 0.6)
+        got = kernel_cell(draw, 12, asy.DesignConstants(0.25, 1.0, 0.0), 0.5, 0.6)
         assert got["HT"][1] == got["HJ"][1] == 0.0
 
     def test_bad_mode_rejected(self):
-        sample = est.weighted_sample(make_draw([1.0, 2.0], [0.5, 0.5], N=4), 4)
         with pytest.raises(ParameterError):
-            sample.ecdf("XX")
+            est.kde_density(make_draw([1.0, 2.0], [0.5, 0.5], N=4), 4, 1.0, mode="XX")
