@@ -101,11 +101,13 @@ def _require_values(draw):
 
 def _row_groups(sizes: np.ndarray) -> list:
     """``(n, rows)`` for each distinct row length n, ``rows`` indexing the
-    rows of that length (a slice for a single row, which indexes a view)."""
+    rows of that length (a slice where they are consecutive, which indexes
+    a view)."""
     groups = []
     for n in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == n)
-        groups.append((n, slice(rows[0], rows[0] + 1) if rows.size == 1 else rows))
+        consecutive = rows[-1] - rows[0] == rows.size - 1
+        groups.append((n, slice(rows[0], rows[-1] + 1) if consecutive else rows))
     return groups
 
 
@@ -160,21 +162,23 @@ def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
     sizes = np.array([y.size for y in ys])
     R, L = sizes.size, sizes.max()
     pad = np.arange(L) >= sizes[:, None]
-    y, pi = np.full((R, L), np.inf), np.full((R, L), np.inf)
-    y[~pad], pi[~pad] = np.concatenate(ys), np.concatenate(pis)   # padding weighs 0
-    inv = 1.0 / pi
-    weights = np.stack([1.0 / (N * pi), inv])
+    y, inv = np.full((R, L), np.inf), np.full((R, L), np.inf)
+    y[~pad], inv[~pad] = np.concatenate(ys), np.concatenate(pis)   # padding weighs 0
+    weights = np.empty((2, R, L))
+    np.divide(1.0, np.multiply(N, inv, out=weights[0]), out=weights[0])   # 1/(N pi)
+    np.divide(1.0, inv, out=inv)
     groups = _row_groups(sizes)
     total, n_hat = np.ones((2, R)), np.empty(R)
     for n, rows in groups:
         # pairwise sums, each over the row's own n entries
         total[0, rows] = weights[0, rows, :n].sum(axis=1)
         n_hat[rows] = inv[rows, :n].sum(axis=1)
-    weights[1] /= n_hat[:, None]
+    np.divide(inv, n_hat[:, None], out=weights[1])
 
     order = np.argsort(y, axis=1)
     loc = np.take_along_axis(y, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(weights, order[None], axis=2), axis=2)
+    cum = np.take_along_axis(weights, order[None], axis=2)
+    np.cumsum(cum, axis=2, out=cum)
     count = sizes.copy()
     # tied responses (NaNs, which sort after the padding, too) merge into
     # one jump per row, as WeightedStepFunction.from_weighted_points merges them
@@ -319,18 +323,24 @@ def _step_bandwidth(n_s: int, f: WeightedStepFunction) -> float | None:
 def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
     """Gaussian kernel sums sum_i phi((t - y_i) / h) inv_i of padded rows.
 
-    ``y`` and ``inv`` are (R, L) as in :class:`_Cdfs`, ``t`` (..., R, P)
-    holds the points and ``bandwidth`` (..., R) the bandwidths.  Each sum
-    is one dot product over the row's own entries.
+    ``y`` and ``inv`` are (R, L) as in :class:`_Cdfs`, ``t`` (R, P) holds
+    each row's points and ``bandwidth`` (R,) its bandwidth.  Each sum is
+    one dot product over the row's own entries.
     """
-    z = (t[..., None] - y[:, None, :]) / bandwidth[..., None, None]
+    # exp(-0.5 z^2) / sqrt(2 pi), z = (t - y) / h, in one array; halving is
+    # exact, so -0.5 (z z) is the same float as (-0.5 z) z
+    kernel = t[:, :, None] - y[:, None, :]
+    kernel /= bandwidth[:, None, None]
     with np.errstate(over="ignore"):
         # a response many bandwidths away overflows z * z to inf; its kernel
         # value exp(-inf) = 0 is the intended one
-        kernel = np.exp(-0.5 * z * z) / _SQRT_2PI
+        np.multiply(kernel, kernel, out=kernel)
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    kernel /= _SQRT_2PI
     out = np.empty(t.shape)
     for n, rows in groups:
-        out[..., rows, :] = np.vecdot(kernel[..., rows, :, :n], inv[rows, None, :n])
+        out[rows] = np.vecdot(kernel[rows, :, :n], inv[rows, None, :n])
     return out
 
 
@@ -407,8 +417,9 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
         raise ParameterError("bandwidth must be positive")
     bandwidth[no_bw] = 1.0
     denom = np.stack([np.full(factor.size, float(N)), cdfs.n_hat]) * bandwidth
-    dens = (_kernel_sums(np.stack([q[..., 0], t], axis=-1), cdfs.y, cdfs.inv, bandwidth,
-                         cdfs.groups) / denom[..., None])
+    dens = np.stack([_kernel_sums(np.stack([q[k, :, 0], t[k]], axis=-1), cdfs.y, cdfs.inv,
+                                  bandwidth[k], cdfs.groups) for k in range(2)])
+    dens /= denom[..., None]
     dens[no_bw] = np.nan
     pad = np.arange(cdfs.y.shape[1]) >= cdfs.sizes[:, None]
     flat = no_bw & ((cdfs.y == cdfs.y[:, :1]) | pad).all(axis=1)

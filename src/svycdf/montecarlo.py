@@ -281,11 +281,13 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
     if workers == 1:
         return per_block(indices)
     blocks = [indices[k::workers] for k in range(workers)]
-    out = [None] * len(indices)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for k, results in enumerate(pool.map(per_block, blocks)):
-            out[k::workers] = results
-    return out
+        results = list(pool.map(per_block, blocks))
+    by_index: dict[int, object] = {}
+    for block, res in zip(blocks, results):
+        for idx, item in zip(block, res):
+            by_index[idx] = item
+    return [by_index[i] for i in indices]
 
 
 def _percent(total: float, count: float) -> float:
