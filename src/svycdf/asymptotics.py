@@ -3,9 +3,9 @@
 The standardized weighted empirical processes converge to mean-zero
 Gaussian processes whose covariance functions are determined by two
 design constants ``mu1`` and ``mu2`` together with the sampling fraction
-limit ``lam``.  This module evaluates those covariance forms, the
-closed-form asymptotic variances of the poverty-rate estimators, and
-their plug-in counterparts computed from a realized sample.
+limit ``lam``.  This module evaluates those covariance forms on grids,
+the closed-form asymptotic variances of the poverty-rate estimators, and
+their plug-in counterparts computed from a batch of realized samples.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import estimation, population
 from .errors import (
-    DegenerateBandwidthError,
     ParameterError,
     ZeroDensityError,
 )
@@ -68,7 +67,8 @@ class DesignConstants:
 
 def limit_covariance(constants: DesignConstants, law: population.SuperPopulationLaw,
                      form: CovarianceForm, s: float, t: float) -> float:
-    """Covariance of the limiting Gaussian process at (s, t).
+    """Covariance of the limiting Gaussian process at (s, t), elementwise
+    for arrays that broadcast.
 
     Forms: ``HT_vs_FN`` mu1 F(s^t) + mu2 F(s)F(t); ``HT_vs_F`` with
     (gamma1, gamma2) instead; ``HJ_vs_FN`` mu1 (F(s^t) - F(s)F(t));
@@ -76,7 +76,7 @@ def limit_covariance(constants: DesignConstants, law: population.SuperPopulation
     """
     fs = population.true_cdf(law, s)
     ft = population.true_cdf(law, t)
-    fmin = population.true_cdf(law, min(s, t))
+    fmin = population.true_cdf(law, np.minimum(s, t))
     if form == "HT_vs_FN":
         return constants.mu1 * fmin + constants.mu2 * fs * ft
     if form == "HT_vs_F":
@@ -92,12 +92,9 @@ def limit_covariance_matrix(constants: DesignConstants, law: population.SuperPop
                             form: CovarianceForm, grid) -> np.ndarray:
     """Limit covariance evaluated on a grid; symmetric k x k matrix."""
     grid = np.asarray(grid, dtype=float)
-    k = grid.size
-    out = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            out[a, b] = out[b, a] = limit_covariance(constants, law, form, grid[a], grid[b])
-    return out
+    # the upper triangle, (s, t) = (grid[a], grid[b]) with a <= b, mirrored
+    upper = np.triu(limit_covariance(constants, law, form, grid[:, None], grid[None, :]))
+    return upper + np.triu(upper, 1).T
 
 
 def _poverty_ingredients(law, alpha, beta):
@@ -123,60 +120,16 @@ def _poverty_variance(g1: float, g2: float, mode: Literal["HT", "HJ"], alpha: fl
             - 2.0 * br * phi * g1 * (1.0 - alpha))
 
 
-def poverty_variance_ht(constants: DesignConstants, law: population.SuperPopulationLaw,
-                        alpha: float, beta: float) -> float:
-    """Asymptotic variance of sqrt(n) times the inverse-probability-weighted
-    poverty rate error, for deterministic inclusion probabilities."""
-    r, phi = _poverty_ingredients(law, alpha, beta)
-    return _poverty_variance(constants.gamma1, constants.gamma2, "HT", alpha, beta * r, phi)
-
-
-def poverty_variance_hj(constants: DesignConstants, law: population.SuperPopulationLaw,
-                        alpha: float, beta: float) -> float:
-    """Asymptotic variance of sqrt(n) times the self-normalized
-    poverty rate error; linear in gamma1."""
-    r, phi = _poverty_ingredients(law, alpha, beta)
-    return _poverty_variance(constants.gamma1, constants.gamma2, "HJ", alpha, beta * r, phi)
-
-
-def plugin_poverty_variance(draw, N: int, constants: DesignConstants,
-                            alpha: float, beta: float,
-                            mode: Literal["HT", "HJ"] = "HJ",
-                            quantile_method: Literal["step", "interpolated"] = "step") -> float:
-    """Variance estimate obtained by plugging the weighted empirical CDF,
-    its quantile and a kernel density estimate into the closed form.
-
-    All empirical ingredients come from the same mode: the HT variant
-    uses the inverse-probability CDF normalized by N, the HJ variant the
-    self-normalized CDF.  The design constants are supplied by the caller
-    (they are known, not estimated).  ``quantile_method`` selects the
-    generalized-inverse quantile ("step") or the interpolating rule used
-    by the simulation protocol ("interpolated", evaluated by
-    :func:`estimation.poverty_batch` on one draw); the bandwidth follows
-    the same rule through the interquartile range.
-    """
+def poverty_variance(constants: DesignConstants, law: population.SuperPopulationLaw,
+                     alpha: float, beta: float, mode: Literal["HT", "HJ"]) -> float:
+    """Asymptotic variance of sqrt(n) times the poverty-rate error of the
+    inverse-probability-weighted ("HT") or self-normalized ("HJ")
+    estimator, for deterministic inclusion probabilities; linear in gamma1
+    for "HJ"."""
     if mode not in estimation.MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    if quantile_method == "interpolated":
-        batch = estimation.poverty_batch([draw], N, alpha, beta)
-        k = estimation.MODES.index(mode)
-        if (0, k) in batch.errors:
-            raise batch.errors[0, k]
-        if batch.flat[0, k]:
-            raise DegenerateBandwidthError("weighted interquartile range is zero")
-        phihat, densities = batch.phi[0, k], (batch.f_q[0, k], batch.f_bq[0, k])
-    elif quantile_method == "step":
-        f = (estimation.ht_ecdf if mode == "HT" else estimation.hajek_ecdf)(draw, N)
-        qhat = estimation.weighted_quantile(f, alpha)
-        phihat = float(f.evaluate(beta * qhat))
-        densities = estimation.kde_density(draw, N, [qhat, beta * qhat], mode)
-    else:
-        raise ParameterError(f"unknown quantile method {quantile_method!r}")
-    f_q, f_bq = densities
-    if f_q <= 0.0:
-        raise ZeroDensityError("estimated density vanishes at the quantile")
-    return float(_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
-                                   beta * (f_bq / f_q), phihat))
+    r, phi = _poverty_ingredients(law, alpha, beta)
+    return _poverty_variance(constants.gamma1, constants.gamma2, mode, alpha, beta * r, phi)
 
 
 def poverty_rate_estimates(draws, N: int, constants: DesignConstants,

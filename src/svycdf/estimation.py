@@ -12,11 +12,11 @@ pads its responses to one (R, n_max) block, sorts the block once and
 builds both modes' CDFs with one cumulative sum per mode, equal responses
 merged into one jump as :meth:`WeightedStepFunction.from_weighted_points`
 merges them.  The poverty kernel (:func:`poverty_batch`) and the process
-paths (:func:`process_paths`) read all rows at once: quantile brackets and
-CDF values are counts of comparisons, and the kernel densities take one
-``exp`` over the block.  Sums whose rounding depends on a row's length run
-on the row's own entries, so a draw gets the same bits in any batch; the
-one-draw functions run on a batch of one.
+paths (:func:`process_paths`) read all rows at once: quantiles (step or
+interpolated) and CDF values are counts of comparisons, and the kernel
+densities take one ``exp`` over the block.  Sums whose rounding depends on
+a row's length run on the row's own entries, so a draw gets the same bits
+in any batch; the one-draw functions run on a batch of one.
 """
 
 from __future__ import annotations
@@ -159,6 +159,8 @@ def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
             errors[j] = exc
             ys.append(np.zeros(1))
             pis.append(np.ones(1))
+    if not ys:
+        raise ParameterError("empty batch: at least one draw is needed")
     sizes = np.array([y.size for y in ys])
     R, L = sizes.size, sizes.max()
     pad = np.arange(L) >= sizes[:, None]
@@ -196,10 +198,11 @@ def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
                  total=total, count=count), errors
 
 
-def _one_draw(draw, N: int) -> _Cdfs:
-    cdfs, errors = _weighted_cdfs([draw], N)
+def _valid_cdfs(draws, N: int) -> _Cdfs:
+    """:func:`_weighted_cdfs` where the first draw that fails its checks raises."""
+    cdfs, errors = _weighted_cdfs(draws, N)
     if errors:
-        raise errors[0]
+        raise next(iter(errors.values()))
     return cdfs
 
 
@@ -211,66 +214,54 @@ def ht_ecdf(draw, N: int) -> WeightedStepFunction:
     draw without values, an empty sample or an inclusion probability
     outside (0, 1].
     """
-    return _one_draw(draw, N).ecdf(0, 0)
+    return _valid_cdfs([draw], N).ecdf(0, 0)
 
 
 def hajek_ecdf(draw, N: int) -> WeightedStepFunction:
     """Self-normalized weighted empirical CDF; total mass exactly one."""
-    return _one_draw(draw, N).ecdf(0, 1)
+    return _valid_cdfs([draw], N).ecdf(0, 1)
 
 
 def weighted_quantile(f: WeightedStepFunction, alpha: float) -> float:
-    """Smallest jump location t with f(t) >= alpha.
+    """Smallest jump location t with f(t) >= alpha; raises
+    :class:`QuantileUndefinedError` when alpha exceeds the total mass
+    (:func:`_step_quantiles` on one row)."""
+    return float(_step_quantiles(f.locations[None], f.cumulative[None], np.array([f.total_mass]),
+                                 np.array([f.locations.size]), alpha)[0])
 
-    Raises :class:`QuantileUndefinedError` when the requested level
-    exceeds the total mass (possible for the unnormalized CDF); ties at
-    floating resolution resolve downward.
-    """
+
+def _step_quantiles(loc, cum, total, count, alpha: float) -> np.ndarray:
+    """Generalized inverses of R padded step functions (as in :class:`_Cdfs`,
+    ``total`` their masses) at alpha, ties at floating resolution resolving
+    downward; :class:`QuantileUndefinedError` when alpha exceeds a mass
+    (possible for the unnormalized CDF)."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
-    if alpha > f.total_mass + _TIE_EPS:
-        raise QuantileUndefinedError(
-            f"level {alpha} exceeds total mass {f.total_mass:.12g}")
-    idx = int(np.searchsorted(f.cumulative, alpha - _TIE_EPS, side="left"))
-    idx = min(idx, f.locations.size - 1)
-    return float(f.locations[idx])
-
-
-def interpolated_weighted_quantile(f: WeightedStepFunction, alpha: float,
-                                   n_points: int) -> float:
-    """Weighted quantile with sample-scale linear interpolation.
-
-    Mimics the interpolating weighted-quantile rule of common statistical
-    packages: weights are normalized to sum to ``n_points`` (the number of
-    sampled units behind ``f``), the pseudo-order position
-    ``h = 1 + (n_points - 1) alpha`` is bracketed by the step inverse at
-    ``floor(h)`` and ``floor(h) + 1``, and the bracket is combined
-    linearly.  For equal weights this is the usual type-7 rule.  Mass
-    functions not summing to one are handled through the level: the
-    crossing of level ``alpha`` happens where the normalized function
-    crosses ``alpha / total_mass``.  Unlike :func:`weighted_quantile`,
-    a level beyond the total mass saturates at the largest jump (the
-    clamped extrapolation of the reference interpolation machinery)
-    instead of raising, and a function without mass has no quantile.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
-    if n_points < 1:
-        raise ParameterError("n_points must be at least 1")
-    if not f.total_mass > 0.0:
-        raise QuantileUndefinedError("a step function without mass has no quantile")
-    q = _interpolated_quantiles(f.locations[None], f.cumulative[None],
-                                np.array([f.total_mass]), np.array([f.locations.size]),
-                                np.array([float(n_points)]), (alpha,))
-    return float(q[0, 0])
+    short = alpha > total + _TIE_EPS
+    if short.any():
+        raise QuantileUndefinedError(f"level {alpha} exceeds total mass {total[short][0]:.12g}")
+    idx = np.minimum(np.count_nonzero(cum < alpha - _TIE_EPS, axis=-1), count - 1)
+    return np.take_along_axis(loc, idx[:, None], axis=-1)[:, 0]
 
 
 def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndarray:
-    """:func:`interpolated_weighted_quantile` of R padded step functions at
-    several levels, shape ``total.shape + (len(levels),)``.
+    """Weighted quantiles with sample-scale linear interpolation of R
+    padded step functions at several levels, shape
+    ``total.shape + (len(levels),)``.
 
     Row r has ``count[r]`` jumps at ``loc[..., r, :]`` with running sums
-    ``cum[..., r, :]`` (padded with +inf) and ``n_points[r]`` units.  A
+    ``cum[..., r, :]`` (padded with +inf) and ``n_points[r]`` units.  The
+    rule mimics the interpolating weighted quantile of common statistical
+    packages: weights are normalized to sum to ``n_points`` (the number of
+    sampled units behind the function), the pseudo-order position
+    ``h = 1 + (n_points - 1) alpha`` is bracketed by the step inverse at
+    ``floor(h)`` and ``floor(h) + 1``, and the bracket is combined
+    linearly.  For equal weights this is the usual type-7 rule.  Functions
+    whose mass is not one are handled through the level: the crossing of
+    level ``alpha`` happens where the normalized function crosses
+    ``alpha / total``.  Unlike :func:`weighted_quantile`, a level beyond
+    the total mass saturates at the largest jump (the clamped extrapolation
+    of the reference interpolation machinery) instead of raising.  A
     bracket index is the number of positions below its target, which on a
     sorted row is exactly a left-sided search.
     """
@@ -354,7 +345,7 @@ def kde_density(draw, N: int, t, mode: Literal["HT", "HJ"] = "HJ",
     matching empirical CDF; pass ``bandwidth`` to override (test hook and
     escape hatch for degenerate samples).
     """
-    cdfs = _one_draw(draw, N)
+    cdfs = _valid_cdfs([draw], N)
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
     if bandwidth is None:
@@ -391,8 +382,8 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
     both modes, each bitwise equal to its value in a batch of its own.
 
     Per draw and mode: the alpha-quantile q and the quartiles follow
-    :func:`interpolated_weighted_quantile` with the sample size as
-    ``n_points``, the rate is F(beta q), the bandwidth is 0.79 R n^{-1/5}
+    :func:`_interpolated_quantiles` with the sample size as ``n_points``,
+    the rate is F(beta q), the bandwidth is 0.79 R n^{-1/5}
     with R the interquartile range (none when R is zero), and the
     densities at q and beta q are :func:`kde_density`'s at that bandwidth.
     A draw without values, empty, or with an inclusion probability outside
@@ -440,23 +431,16 @@ def _step_values(loc, cum, count, t) -> np.ndarray:
     return np.where(below == 0, 0.0, out)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessPath:
-    """A standardized empirical process evaluated on a grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
 def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Unweighted empirical CDF of y on the grid."""
     y_sorted = np.sort(np.asarray(y, dtype=float))
     return np.searchsorted(y_sorted, grid, side="right") / y_sorted.size
 
 
-def process_path(draw, population: pop.Population, grid, which: ProcessKind,
-                 law: pop.SuperPopulationLaw | None = None) -> ProcessPath:
-    """Evaluate a sqrt(n)-standardized estimation process on a grid.
+def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
+                  law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
+    """Evaluate a sqrt(n)-standardized estimation process of several draws
+    from ``population`` on a grid, row j for draw j.
 
     ``which`` selects the estimator and centering: the inverse-probability
     or self-normalized CDF against the population empirical CDF
@@ -464,15 +448,8 @@ def process_path(draw, population: pop.Population, grid, which: ProcessKind,
     centered sum ``G_pi`` (sqrt(n)/N sum (xi_i/pi_i)(1{Y_i<=t} - F(t))), or
     the decomposition term ``Y_N`` (same with weights xi_i/pi_i - 1).  The
     standardization uses the design-expected size, not the realized one.
+    The first draw that cannot be evaluated raises.
     """
-    values = process_paths([draw], population, grid, which, law)
-    return ProcessPath(grid=np.asarray(grid, dtype=float), values=values[0])
-
-
-def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
-                  law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
-    """:func:`process_path` of several draws from ``population`` at once,
-    row j for draw j; the first draw that cannot be evaluated raises."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
         raise ParameterError("grid must be a sorted 1-d array")
@@ -481,9 +458,7 @@ def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
     if law is None and which not in ("HT_vs_FN", "HJ_vs_FN"):
         raise ParameterError(f"process {which!r} requires the super-population law")
     N = population.N
-    cdfs, errors = _weighted_cdfs(draws, N)
-    if errors:
-        raise next(iter(errors.values()))
+    cdfs = _valid_cdfs(draws, N)
     mode = 1 if which.startswith("HJ") else 0
     cdf_vals = _step_values(cdfs.loc, cdfs.cum[mode], cdfs.count,
                             np.broadcast_to(grid, (len(draws), grid.size)))

@@ -27,12 +27,12 @@ for any worker count.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, Iterator, Literal
 
 import numpy as np
@@ -108,7 +108,6 @@ class MonteCarloReport:
     n_cells: int
     n_failures: dict        # estimator -> failed cells
     timing_seconds: float
-    process_cov_error: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +191,18 @@ def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> 
 
 
 class _PopulationTask:
-    """Picklable pool task: for each population index, build the population
+    """Picklable pool task: for a population index, build the population
     and its design from the scenario design, and reduce its batches of
     draws with ``reduce(population, design, batches)``."""
 
     def __init__(self, sc: Scenario, design: dsg.Design, reduce: Callable):
         self.sc, self.design, self.reduce = sc, design, reduce
 
-    def __call__(self, indices) -> list:
+    def __call__(self, i: int):
         sc = self.sc
-        out = []
-        for i in indices:
-            population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-            design = _population_design(sc, i, self.design)
-            out.append(self.reduce(population, design,
-                                   _population_batches(sc, i, design, population.y)))
-        return out
+        population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
+        design = _population_design(sc, i, self.design)
+        return self.reduce(population, design, _population_batches(sc, i, design, population.y))
 
 
 def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population, design,
@@ -269,25 +264,19 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
     """``reduce(population, design, batches)`` for every population of the
     scenario, in index order; ``design`` is the scenario's unpermuted design.
 
-    Populations run in blocks, one per pool worker.  The pool is silently
-    bounded by the available CPUs and the number of populations; the
-    warning for an oversized request is :func:`pool_size`'s.
+    Each pool worker gets one chunk of consecutive populations.  The pool
+    is silently bounded by the available CPUs and the number of
+    populations; the warning for an oversized request is :func:`pool_size`'s.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    per_block = _PopulationTask(sc, design, reduce)
-    indices = list(range(sc.n_populations))
+    task = _PopulationTask(sc, design, reduce)
     workers = min(workers, _available_cpus(), sc.n_populations)
     if workers == 1:
-        return per_block(indices)
-    blocks = [indices[k::workers] for k in range(workers)]
+        return [task(i) for i in range(sc.n_populations)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(per_block, blocks))
-    by_index: dict[int, object] = {}
-    for block, res in zip(blocks, results):
-        for idx, item in zip(block, res):
-            by_index[idx] = item
-    return [by_index[i] for i in indices]
+        return list(pool.map(task, range(sc.n_populations),
+                             chunksize=math.ceil(sc.n_populations / workers)))
 
 
 def _percent(total: float, count: float) -> float:
@@ -303,8 +292,7 @@ def _cluster_se(sums: np.ndarray, counts: np.ndarray) -> float:
     return float(100.0 * float(np.std(means, ddof=1)) / np.sqrt(means.size))
 
 
-def run_scenario(sc: Scenario, workers: int = 1,
-                 process_check: tuple | None = None) -> MonteCarloReport:
+def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
     """Execute one scenario and aggregate its Monte Carlo report.
 
     Relative biases are percent averages of (estimate - target)/target
@@ -313,10 +301,6 @@ def run_scenario(sc: Scenario, workers: int = 1,
     asymptotic variance; coverage counts 95% Wald intervals containing
     the target.  Cells where an estimator is undefined are counted and
     excluded; past a 1% failure share the scenario errors out.
-
-    ``process_check = (grid, form)`` additionally replicates the chosen
-    standardized process and records the max-abs gap between its
-    empirical covariance on the grid and the closed-form limit.
     """
     start = time.perf_counter()
     phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
@@ -325,8 +309,8 @@ def run_scenario(sc: Scenario, workers: int = 1,
     if sc.law.kind == "discrete":
         av_ref = np.full(len(ESTIMATORS), np.nan)   # no density: variance RB undefined
     else:
-        av_ref = np.array([asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta),
-                           asy.poverty_variance_hj(constants, sc.law, sc.alpha, sc.beta)])
+        av_ref = np.array([asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta, e)
+                           for e in ESTIMATORS])
     per_pop = np.stack(_map_populations(
         sc, design, partial(_population_sums, sc, phi_f, av_ref), workers))
     total = _ordered_sum(per_pop)
@@ -358,17 +342,11 @@ def run_scenario(sc: Scenario, workers: int = 1,
         if positives:
             logger.warning("positive relative bias for %s (typically negative "
                            "for exponential populations)", positives)
-    process_cov_error = None
-    if process_check is not None:
-        grid, form = process_check
-        process_cov_error = _process_covariance(sc, design, grid, form,
-                                                workers).max_abs_error
     return MonteCarloReport(
         scenario=sc, rb_phi=rb_phi, rb_phi_se=rb_phi_se, rb_av=rb_av,
         rb_av_se=rb_av_se, coverage=coverage, mc_variance=mc_variance,
         n_cells=n_cells, n_failures=n_failures,
-        timing_seconds=time.perf_counter() - start,
-        process_cov_error=process_cov_error)
+        timing_seconds=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +368,9 @@ class ProcessCovarianceResult:
 def _process_sums(sc: Scenario, grid: np.ndarray, form: str, population, design,
                   batches) -> tuple:
     """Sum, sum of outer products and count of one population's process paths."""
-    k = grid.size
-    vec = np.zeros(k)
-    outer = np.zeros((k, k))
-    for batch in batches:
-        for path in est.process_paths(batch, population, grid, form, law=sc.law):
-            vec += path
-            outer += np.outer(path, path)
-    return vec, outer, sc.n_samples
+    paths = np.concatenate([est.process_paths(batch, population, grid, form, law=sc.law)
+                            for batch in batches])
+    return paths.sum(axis=0), paths.T @ paths, sc.n_samples
 
 
 def process_covariance_check(sc: Scenario, grid, form: str,
@@ -405,11 +378,7 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     """Compare the replicated empirical covariance of a process on a grid
     with its closed-form limit; returns entrywise errors and their MC
     standard errors (per-population cluster estimate)."""
-    return _process_covariance(sc, _scenario_design(sc), grid, form, workers)
-
-
-def _process_covariance(sc: Scenario, design: dsg.Design, grid, form: str,
-                        workers: int) -> ProcessCovarianceResult:
+    design = _scenario_design(sc)
     grid = np.asarray(grid, dtype=float)
     per_pop = _map_populations(sc, design, partial(_process_sums, sc, grid, form), workers)
     count = sum(c for _, _, c in per_pop)
@@ -432,15 +401,19 @@ def _process_covariance(sc: Scenario, design: dsg.Design, grid, form: str,
 
 def _statistic_values(sc: Scenario, statistic: str, population, design, batches) -> tuple:
     """One population's replicated statistic, with the exact center and
-    scale of the HT mean (``None`` for the poverty rates)."""
-    vals = np.empty(sc.n_samples)
-    for j, sample in enumerate(chain.from_iterable(batches)):
+    scale of the HT mean (``None`` for the poverty rates, which take the
+    step quantile rule on each batch's block of CDFs)."""
+    vals = []
+    for batch in batches:
         if statistic == "ht_mean":
-            vals[j] = float(np.sum(sample.y_included / sample.pi_included)) / sc.N
-        else:
-            f = (est.ht_ecdf(sample, sc.N) if statistic == "phi_ht"
-                 else est.hajek_ecdf(sample, sc.N))
-            vals[j] = est.poverty_rate(f, sc.alpha, sc.beta)
+            vals += [float(np.sum(s.y_included / s.pi_included)) / sc.N for s in batch]
+            continue
+        cdfs = est._valid_cdfs(batch, sc.N)
+        k = ESTIMATORS.index(statistic[-2:].upper())
+        q = est._step_quantiles(cdfs.loc, cdfs.cum[k], cdfs.total[k], cdfs.count, sc.alpha)
+        t = sc.beta * q[:, None]
+        vals += est._step_values(cdfs.loc, cdfs.cum[k], cdfs.count, t)[:, 0].tolist()
+    vals = np.array(vals)
     if statistic != "ht_mean":
         return vals, None, None
     center = float(np.mean(population.y))
@@ -468,14 +441,13 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     else:
         constants = dsg.design_constants(design)
         try:
-            sigma2 = (asy.poverty_variance_ht(constants, sc.law, sc.alpha, sc.beta)
-                      if statistic == "phi_ht"
-                      else asy.poverty_variance_hj(constants, sc.law, sc.alpha, sc.beta))
+            sigma2 = asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta,
+                                          statistic[-2:].upper())
         except (ParameterError, EstimationError) as exc:
             raise DiagnosticError(f"asymptotic variance unavailable: {exc}") from exc
+        phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)   # rejects a bad beta
         if sigma2 <= 0.0:
             raise DiagnosticError("asymptotic variance is zero")
-        phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
         scale = np.sqrt(sigma2 / sc.n)
         for vals, _, _ in per_pop:
             z_parts.append((vals - phi_f) / scale)

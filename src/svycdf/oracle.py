@@ -284,20 +284,22 @@ def _pi_matrices(design_or_enum):
     if isinstance(design_or_enum, EnumeratedDesign):
         return design_or_enum.first_order(), design_or_enum.second_order(), design_or_enum.N
     design = design_or_enum
-    return dsg.first_order_pi(design), None, design.N
+    pi2 = dsg.second_order_pi(design) if design.kind == "rejective" else None
+    return dsg.first_order_pi(design), pi2, design.N
 
 
 def exact_sn2(design_or_enum, v) -> float:
     """Exact design variance of the inverse-probability mean of v.
 
     (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, evaluated
-    with exact pairwise probabilities.  Product designs avoid the N x N
-    matrix; srswor uses its constant off-diagonal ratio.
+    with exact pairwise probabilities (enumerated, or the N x N matrix of a
+    rejective design).  Product designs avoid the N x N matrix; srswor uses
+    its constant off-diagonal ratio.
     """
     v = np.asarray(v, dtype=float)
-    pi, pi2, N = _pi_matrices(design_or_enum)
-    if v.shape != (N,):
+    if v.shape != (design_or_enum.N,):
         raise ParameterError("v must have one entry per unit")
+    pi, pi2, N = _pi_matrices(design_or_enum)
     if pi2 is not None:
         ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
         return float(v @ ratio @ v) / N**2
@@ -305,16 +307,12 @@ def exact_sn2(design_or_enum, v) -> float:
     diag = float(np.sum((1.0 - pi) / pi * v * v))
     if design.kind in ("bernoulli", "poisson"):
         return diag / N**2
-    if design.kind == "srswor":
-        n = design.size
-        if N == 1:
-            return 0.0
-        c = (n - N) / (n * (N - 1))
-        total = float(v.sum())
-        return (diag + c * (total * total - float(np.sum(v * v)))) / N**2
-    pi2 = dsg.second_order_pi(design)
-    ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
-    return float(v @ ratio @ v) / N**2
+    n = design.size   # srswor
+    if N == 1:
+        return 0.0
+    c = (n - N) / (n * (N - 1))
+    total = float(v.sum())
+    return (diag + c * (total * total - float(np.sum(v * v)))) / N**2
 
 
 def sigma_matrix(design: dsg.Design, population: pop.Population, grid,

@@ -194,10 +194,10 @@ def test_process_identities_pathwise():
             sample = dsg.draw(design, rng, y=popu.y)
             if sample.size == 0:
                 continue
-            hj_fn = est.process_path(sample, popu, grid, "HJ_vs_FN", law=EXP1).values
-            y_n = est.process_path(sample, popu, grid, "Y_N", law=EXP1).values
-            g_pi = est.process_path(sample, popu, grid, "G_pi", law=EXP1).values
-            hj_f = est.process_path(sample, popu, grid, "HJ_vs_F", law=EXP1).values
+            hj_fn = est.process_paths([sample], popu, grid, "HJ_vs_FN", law=EXP1)[0]
+            y_n = est.process_paths([sample], popu, grid, "Y_N", law=EXP1)[0]
+            g_pi = est.process_paths([sample], popu, grid, "G_pi", law=EXP1)[0]
+            hj_f = est.process_paths([sample], popu, grid, "HJ_vs_F", law=EXP1)[0]
             ratio = N / sample.n_hat()
             err1 = float(np.max(np.abs(hj_fn - (y_n + (ratio - 1.0) * g_pi))))
             err2 = float(np.max(np.abs(hj_f - ratio * g_pi)))
@@ -303,7 +303,7 @@ def test_variance_consistency_small_sampling_fraction():
     rep = mc.run_scenario(sc, workers=WORKERS)
     constants = dsg.design_constants(dsg.srswor(10_000, 100))
     assert constants.gamma1 == pytest.approx(1.0, abs=1e-12)
-    target = asy.poverty_variance_hj(constants, EXP1, 0.5, 0.6)
+    target = asy.poverty_variance(constants, EXP1, 0.5, 0.6, "HJ")
     got = rep.mc_variance["HJ"]
     rel = abs(got - target) / target
     assert rel <= 0.10, f"simulated {got:.5f} vs closed form {target:.5f} ({rel:.1%})"

@@ -45,6 +45,17 @@ class TestLimitCovariance:
         for form in ("HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"):
             assert asy.limit_covariance(c, EXP1, form, -1.0, 2.0) == pytest.approx(0.0)
 
+    def test_matrix_is_the_pointwise_covariance(self):
+        # (mu2 F(s)) F(t) and (mu2 F(t)) F(s) differ in the last bit for most grids
+        c = constants(0.2, 0.7, -0.3)
+        grid = np.sort(substream(42).uniform(0.05, 3.0, 6))
+        for form in ("HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"):
+            mat = asy.limit_covariance_matrix(c, EXP1, form, grid)
+            assert np.array_equal(mat, mat.T)
+            for a in range(grid.size):
+                for b in range(a, grid.size):
+                    assert mat[a, b] == asy.limit_covariance(c, EXP1, form, grid[a], grid[b])
+
     def test_matrix_symmetric_psd(self):
         rng = substream(41)
         grid = np.sort(rng.uniform(0.05, 3.0, 8))
@@ -60,12 +71,12 @@ class TestPovertyVariances:
     def test_ht_closed_form_value(self):
         # frozen from the exponential closed forms with gamma1=1, gamma2=0
         c = constants(0.0, 1.0, 0.0)
-        assert asy.poverty_variance_ht(c, EXP1, 0.5, 0.6) == pytest.approx(
+        assert asy.poverty_variance(c, EXP1, 0.5, 0.6, "HT") == pytest.approx(
             0.11489543042803352, abs=1e-12)
 
     def test_hj_closed_form_value(self):
         c = constants(0.0, 1.0, 0.0)
-        assert asy.poverty_variance_hj(c, EXP1, 0.5, 0.6) == pytest.approx(
+        assert asy.poverty_variance(c, EXP1, 0.5, 0.6, "HJ") == pytest.approx(
             0.11180336664562535, abs=1e-12)
 
     def test_si_coincidence(self):
@@ -74,33 +85,37 @@ class TestPovertyVariances:
             ht_c = constants(gamma / 2, gamma / 2, -gamma / 2)
             for alpha in np.linspace(0.1, 0.9, 9):
                 for beta in np.linspace(0.1, 0.9, 9):
-                    ht = asy.poverty_variance_ht(ht_c, EXP1, alpha, beta)
-                    hj = asy.poverty_variance_hj(ht_c, EXP1, alpha, beta)
+                    ht = asy.poverty_variance(ht_c, EXP1, alpha, beta, "HT")
+                    hj = asy.poverty_variance(ht_c, EXP1, alpha, beta, "HJ")
                     assert ht == pytest.approx(hj, abs=1e-12)
 
     def test_hj_linear_in_gamma1(self):
-        base = asy.poverty_variance_hj(constants(0.0, 1.0, 0.0), EXP1, 0.4, 0.7)
-        scaled = asy.poverty_variance_hj(constants(0.0, 3.0, 0.0), EXP1, 0.4, 0.7)
+        base = asy.poverty_variance(constants(0.0, 1.0, 0.0), EXP1, 0.4, 0.7, "HJ")
+        scaled = asy.poverty_variance(constants(0.0, 3.0, 0.0), EXP1, 0.4, 0.7, "HJ")
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_beta_one_cancels_exactly(self):
         c = constants(0.1, 0.9, -0.3)
-        assert asy.poverty_variance_hj(c, EXP1, 0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert asy.poverty_variance(c, EXP1, 0.5, 1.0, "HJ") == pytest.approx(0.0, abs=1e-12)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParameterError):
+            asy.poverty_variance(constants(0.0, 1.0, 0.0), EXP1, 0.5, 0.6, "XX")
 
     def test_scale_equivariance(self):
         # scaling the responses by c > 0 changes neither variance formula
-        a = asy.poverty_variance_hj(constants(0.05, 0.95, 0.0), EXP1, 0.5, 0.6)
-        b = asy.poverty_variance_hj(constants(0.05, 0.95, 0.0),
-                                    pop.SuperPopulationLaw.exponential(2.0), 0.5, 0.6)
+        a = asy.poverty_variance(constants(0.05, 0.95, 0.0), EXP1, 0.5, 0.6, "HJ")
+        b = asy.poverty_variance(constants(0.05, 0.95, 0.0),
+                                 pop.SuperPopulationLaw.exponential(2.0), 0.5, 0.6, "HJ")
         assert a == pytest.approx(b, rel=1e-12)
-        a = asy.poverty_variance_ht(constants(0.05, 0.95, -0.05), EXP1, 0.5, 0.6)
-        b = asy.poverty_variance_ht(constants(0.05, 0.95, -0.05),
-                                    pop.SuperPopulationLaw.exponential(0.25), 0.5, 0.6)
+        a = asy.poverty_variance(constants(0.05, 0.95, -0.05), EXP1, 0.5, 0.6, "HT")
+        b = asy.poverty_variance(constants(0.05, 0.95, -0.05),
+                                 pop.SuperPopulationLaw.exponential(0.25), 0.5, 0.6, "HT")
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_vanishes_for_small_alpha(self):
         c = constants(0.0, 1.0, 0.0)
-        values = [asy.poverty_variance_ht(c, EXP1, alpha, 0.6)
+        values = [asy.poverty_variance(c, EXP1, alpha, 0.6, "HT")
                   for alpha in (0.2, 0.1, 0.01, 1e-4, 1e-6)]
         assert all(v >= 0.0 for v in values)
         assert np.all(np.diff(values) < 0)
@@ -117,7 +132,7 @@ class TestPovertyVariances:
         cov = asy.limit_covariance_matrix(c, EXP1, "HJ_vs_F", grid)
         coeff = np.array([1.0, -beta * r])
         assert coeff @ cov @ coeff == pytest.approx(
-            asy.poverty_variance_hj(c, EXP1, alpha, beta), rel=1e-12)
+            asy.poverty_variance(c, EXP1, alpha, beta, "HJ"), rel=1e-12)
 
 
 class TestPluginVariance:
@@ -127,16 +142,13 @@ class TestPluginVariance:
         draw = dsg.draw(dsg.poisson(np.ones(60)), substream(52), y=popu.y)
         c = constants(1.0, 0.0, -1.0)   # gamma1 = 1, gamma2 = -2 not used by HJ
         alpha, beta = 0.5, 0.6
-        got = asy.plugin_poverty_variance(draw, 60, c, alpha, beta, mode="HJ")
-        f = est.hajek_ecdf(draw, 60)
-        qhat = est.weighted_quantile(f, alpha)
-        phihat = f.evaluate(beta * qhat)
-        fh_q = est.kde_density(draw, 60, qhat, mode="HJ")
-        fh_bq = est.kde_density(draw, 60, beta * qhat, mode="HJ")
-        br = beta * fh_bq / fh_q
+        _, av, errors = asy.poverty_rate_estimates([draw], 60, c, alpha, beta)
+        assert not errors
+        batch = est.poverty_batch([draw], 60, alpha, beta)
+        phihat, br = batch.phi[0, 1], beta * batch.f_bq[0, 1] / batch.f_q[0, 1]
         expected = (br * br * 1.0 * alpha * (1 - alpha)
                     + phihat * (1 - phihat) - 2 * br * phihat * (1 - alpha))
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert av[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_modes_use_matching_ecdf(self):
         law = EXP1
@@ -144,20 +156,22 @@ class TestPluginVariance:
         design = dsg.poisson(substream(54).uniform(0.2, 0.9, 400))
         draw = dsg.draw(design, substream(55), y=popu.y)
         c = dsg.design_constants(design)
-        ht = asy.plugin_poverty_variance(draw, 400, c, 0.5, 0.6, mode="HT")
-        hj = asy.plugin_poverty_variance(draw, 400, c, 0.5, 0.6, mode="HJ")
+        _, av, errors = asy.poverty_rate_estimates([draw], 400, c, 0.5, 0.6)
+        assert not errors
+        ht, hj = av[0]
         assert ht != hj
         assert ht > 0.0 and hj > 0.0
 
     def test_hj_plugin_nonnegative(self):
         # the HJ form is a bridge variance, so the plug-in stays nonnegative
         law = EXP1
-        for seed in range(30):
-            popu = pop.generate_population(law, 200, seed=seed)
-            draw = dsg.draw(dsg.srswor(200, 40), substream(seed, 7), y=popu.y)
-            c = dsg.design_constants(dsg.srswor(200, 40))
-            av = asy.plugin_poverty_variance(draw, 200, c, 0.5, 0.6, mode="HJ")
-            assert av >= -1e-12
+        c = dsg.design_constants(dsg.srswor(200, 40))
+        draws = [dsg.draw(dsg.srswor(200, 40), substream(seed, 7),
+                          y=pop.generate_population(law, 200, seed=seed).y)
+                 for seed in range(30)]
+        _, av, errors = asy.poverty_rate_estimates(draws, 200, c, 0.5, 0.6)
+        assert not errors
+        assert np.all(av[:, 1] >= -1e-12)
 
 
 class TestWaldInterval:

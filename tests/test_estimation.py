@@ -34,6 +34,19 @@ def make_draw(y_values, pi_values, N, expected_n=None):
     )
 
 
+def interpolated(f, alpha, n_points):
+    """The interpolating quantile rule on one step function."""
+    q = est._interpolated_quantiles(f.locations[None], f.cumulative[None],
+                                    np.array([f.total_mass]), np.array([f.locations.size]),
+                                    np.array([float(n_points)]), (alpha,))
+    return float(q[0, 0])
+
+
+def path(draw, popu, grid, which, law=None):
+    """One draw's process path."""
+    return est.process_paths([draw], popu, grid, which, law)[0]
+
+
 class TestWeightedStepFunction:
     def test_tie_merging(self):
         f = est.WeightedStepFunction.from_weighted_points([2.0, 1.0, 2.0], [0.2, 0.3, 0.5])
@@ -143,18 +156,25 @@ class TestWeightedQuantile:
         with pytest.raises(QuantileUndefinedError):
             est.weighted_quantile(f, 0.95)
 
+    def test_rounding_below_level_resolves_downward(self):
+        # running sums 0.7, 0.7999999999999999, 0.8999999999999999, 0.9999999999999999
+        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0, 3.0, 4.0],
+                                                          [0.7, 0.1, 0.1, 0.1])
+        assert est.weighted_quantile(f, 0.8) == 2.0
+        assert est.weighted_quantile(f, 1.0) == 4.0
+
     def test_interpolated_matches_type7_for_equal_weights(self):
         rng = substream(71)
         y = rng.normal(size=23)
         f = est.WeightedStepFunction.from_weighted_points(
             y, np.full(23, 1.0 / 23.0), total_mass=1.0)
         for alpha in (0.1, 0.25, 0.5, 0.9):
-            got = est.interpolated_weighted_quantile(f, alpha, 23)
+            got = interpolated(f, alpha, 23)
             assert got == pytest.approx(np.quantile(y, alpha), abs=1e-12)
 
     def test_interpolated_clamps_at_mass_deficit(self):
         f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0], [0.45, 0.45])
-        assert est.interpolated_weighted_quantile(f, 0.95, 2) == 2.0
+        assert interpolated(f, 0.95, 2) == 2.0
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
@@ -164,7 +184,7 @@ class TestWeightedQuantile:
         f = est.WeightedStepFunction.from_weighted_points(
             rng.normal(size=9), weights / weights.sum(), total_mass=1.0)
         levels = np.linspace(0.02, 1.0, 25)
-        qs = [est.interpolated_weighted_quantile(f, a, 9) for a in levels]
+        qs = [interpolated(f, a, 9) for a in levels]
         assert np.all(np.diff(qs) >= -1e-12)
         assert f.locations[0] <= min(qs) and max(qs) <= f.locations[-1]
 
@@ -287,16 +307,15 @@ class TestProcessPath:
         popu = pop.generate_population(law, 30, seed=2)
         draw = dsg.draw(dsg.poisson(np.ones(30)), substream(3), y=popu.y)
         grid = np.linspace(0.0, 1.0, 9)
-        path = est.process_path(draw, popu, grid, "HT_vs_FN")
-        assert np.allclose(path.values, 0.0, atol=1e-14)
+        assert np.allclose(path(draw, popu, grid, "HT_vs_FN"), 0.0, atol=1e-14)
 
     def test_decomposition_identity(self):
         # sqrt(n)(HJ - FN) = Y_N + (N/N_hat - 1) G_pi, pathwise
         law, popu, draw = self._population_and_draw(31)
         grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
-        hj = est.process_path(draw, popu, grid, "HJ_vs_FN", law=law).values
-        y_n = est.process_path(draw, popu, grid, "Y_N", law=law).values
-        g_pi = est.process_path(draw, popu, grid, "G_pi", law=law).values
+        hj = path(draw, popu, grid, "HJ_vs_FN", law=law)
+        y_n = path(draw, popu, grid, "Y_N", law=law)
+        g_pi = path(draw, popu, grid, "G_pi", law=law)
         ratio = popu.N / draw.n_hat() - 1.0
         assert np.max(np.abs(hj - (y_n + ratio * g_pi))) <= 1e-10
 
@@ -304,20 +323,20 @@ class TestProcessPath:
         # sqrt(n)(HJ - F) = (N/N_hat) G_pi, pathwise
         law, popu, draw = self._population_and_draw(32)
         grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
-        hj_f = est.process_path(draw, popu, grid, "HJ_vs_F", law=law).values
-        g_pi = est.process_path(draw, popu, grid, "G_pi", law=law).values
+        hj_f = path(draw, popu, grid, "HJ_vs_F", law=law)
+        g_pi = path(draw, popu, grid, "G_pi", law=law)
         assert np.max(np.abs(hj_f - (popu.N / draw.n_hat()) * g_pi)) <= 1e-10
 
     def test_g_pi_against_direct_sum(self):
         law, popu, draw = self._population_and_draw(33, N=40)
         grid = np.array([0.3, 1.0, 2.5])
-        path = est.process_path(draw, popu, grid, "G_pi", law=law).values
+        g_pi = path(draw, popu, grid, "G_pi", law=law)
         root_n = np.sqrt(draw.expected_n)
         for k, t in enumerate(grid):
             total = 0.0
             for idx, y, pi in zip(draw.included, draw.y_included, draw.pi_included):
                 total += (float(y <= t) - pop.true_cdf(law, t)) / pi
-            assert path[k] == pytest.approx(root_n * total / popu.N, abs=1e-10)
+            assert g_pi[k] == pytest.approx(root_n * total / popu.N, abs=1e-10)
 
     @pytest.mark.parametrize("which", ["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F",
                                        "G_pi", "Y_N"])
@@ -347,14 +366,24 @@ class TestProcessPath:
                         "G_pi": root_n * (ecdf(grid) - ratio * f),
                         "Y_N": root_n * (ecdf(grid) - fn) - root_n * (ratio - 1.0) * f}[which]
             assert np.array_equal(row, expected)
-            assert np.array_equal(row, est.process_path(draw, popu, grid, which, law).values)
+            assert np.array_equal(row, path(draw, popu, grid, which, law))
 
     def test_requires_law_for_model_centering(self):
         _, popu, draw = self._population_and_draw(34)
         with pytest.raises(ParameterError):
-            est.process_path(draw, popu, np.array([1.0]), "HT_vs_F")
+            path(draw, popu, np.array([1.0]), "HT_vs_F")
 
     def test_unsorted_grid_rejected(self):
         law, popu, draw = self._population_and_draw(35)
         with pytest.raises(ParameterError):
-            est.process_path(draw, popu, np.array([2.0, 1.0]), "HT_vs_FN")
+            path(draw, popu, np.array([2.0, 1.0]), "HT_vs_FN")
+
+    def test_empty_batch_rejected(self):
+        _, popu, _ = self._population_and_draw(37)
+        with pytest.raises(ParameterError, match="empty batch"):
+            est.process_paths([], popu, np.array([1.0]), "HT_vs_FN")
+
+
+def test_empty_poverty_batch_rejected():
+    with pytest.raises(ParameterError, match="empty batch"):
+        est.poverty_batch([], 10, 0.5, 0.6)

@@ -29,6 +29,7 @@ from svycdf.errors import (
     DegenerateBandwidthError,
     EstimationError,
     ParameterError,
+    QuantileUndefinedError,
     ZeroDensityError,
 )
 from svycdf.streams import child_seed
@@ -75,17 +76,8 @@ def reference_interpolated_quantile(f, alpha, n_points):
     return float((1.0 - frac) * f.locations[idx_low] + frac * f.locations[idx_high])
 
 
-def reference_kde(draw, N, t, mode, bandwidth=None):
-    n_s = draw.included.size
-    if bandwidth is None:
-        if n_s < 2:
-            raise EstimationError("automatic bandwidth needs two units")
-        f = reference_ecdf(draw, N, mode)
-        iqr = est.weighted_quantile(f, 0.75) - est.weighted_quantile(f, 0.25)
-        if iqr <= 0.0:
-            raise DegenerateBandwidthError("zero iqr")
-        bandwidth = 0.79 * iqr * n_s ** (-0.2)
-    elif bandwidth <= 0.0:
+def reference_kde(draw, N, t, mode, bandwidth):
+    if bandwidth <= 0.0:
         raise ParameterError("bandwidth must be positive")
     denom = float(N) if mode == "HT" else draw.n_hat()
     z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
@@ -95,18 +87,14 @@ def reference_kde(draw, N, t, mode, bandwidth=None):
     return float((kernel @ (1.0 / draw.pi_included) / (denom * bandwidth))[0])
 
 
-def reference_plugin_variance(draw, N, constants, alpha, beta, mode, quantile_method):
+def reference_plugin_variance(draw, N, constants, alpha, beta, mode):
     fhat = reference_ecdf(draw, N, mode)
-    if quantile_method == "interpolated":
-        n_s = draw.included.size
-        quantile = lambda level: reference_interpolated_quantile(fhat, level, n_s)
-        iqr = quantile(0.75) - quantile(0.25)
-        if iqr <= 0.0:
-            raise DegenerateBandwidthError("zero iqr")
-        bandwidth = 0.79 * iqr * n_s ** (-0.2)
-    else:
-        quantile = lambda level: est.weighted_quantile(fhat, level)
-        bandwidth = None
+    n_s = draw.included.size
+    quantile = lambda level: reference_interpolated_quantile(fhat, level, n_s)
+    iqr = quantile(0.75) - quantile(0.25)
+    if iqr <= 0.0:
+        raise DegenerateBandwidthError("zero iqr")
+    bandwidth = 0.79 * iqr * n_s ** (-0.2)
     qhat = quantile(alpha)
     phihat = float(fhat.evaluate(beta * qhat))
     f_q = reference_kde(draw, N, qhat, mode, bandwidth)
@@ -129,8 +117,7 @@ def reference_phi_and_av(draw, N, constants, alpha, beta, mode):
     qhat = reference_interpolated_quantile(f, alpha, draw.included.size)
     phi_hat = float(f.evaluate(beta * qhat))
     try:
-        av_hat = reference_plugin_variance(draw, N, constants, alpha, beta, mode,
-                                           "interpolated")
+        av_hat = reference_plugin_variance(draw, N, constants, alpha, beta, mode)
     except DegenerateBandwidthError:
         if np.all(draw.y_included == draw.y_included[0]):
             av_hat = 0.0
@@ -407,19 +394,6 @@ class TestKernelOracle:
         for got_cell, expected_cell in zip(got, expected):
             assert_cells_equal(got_cell, expected_cell)
 
-    @given(cases(), st.sampled_from(MODES), st.sampled_from(["step", "interpolated"]))
-    @settings(max_examples=300, deadline=None)
-    def test_plugin_variance_matches_scalar_composition(self, case, mode, method):
-        draw, N, constants, alpha, beta = case
-        try:
-            expected = reference_plugin_variance(draw, N, constants, alpha, beta, mode, method)
-        except Exception as exc:                      # noqa: BLE001 - class compared below
-            with pytest.raises(type(exc)):
-                asy.plugin_poverty_variance(draw, N, constants, alpha, beta, mode, method)
-            return
-        got = asy.plugin_poverty_variance(draw, N, constants, alpha, beta, mode, method)
-        assert same(got, expected)
-
     @given(cases(), st.sampled_from(MODES))
     @settings(max_examples=200, deadline=None)
     def test_ecdf_matches_unique_merge(self, case, mode):
@@ -485,6 +459,58 @@ class TestKernelOracle:
         assert_cells_equal(got, expected)
         assert not isinstance(got["HJ"], Exception)
         assert np.all(np.isfinite(dens))
+
+
+def statistic_values(draws, N, alpha, beta, statistic):
+    """The normality diagnostic's poverty rates of one batch of draws."""
+    sc = mc.Scenario(N=N, n=1, design="SI", law=pop.SuperPopulationLaw.exponential(),
+                     alpha=alpha, beta=beta, n_populations=1, n_samples=len(draws), seed=0)
+    return mc._statistic_values(sc, statistic, None, None, [draws])[0]
+
+
+def reference_rates(draws, N, alpha, beta, statistic):
+    """Each draw's ``poverty_rate`` of its own CDF, or the exception the
+    batch must raise: the first failed check of a draw, else the first
+    quantile beyond a total mass."""
+    build = est.ht_ecdf if statistic == "phi_ht" else est.hajek_ecdf
+    rates, failures = [], []
+    for draw in draws:
+        try:
+            rates.append(est.poverty_rate(build(draw, N), alpha, beta))
+        except EstimationError as exc:
+            failures.append(exc)
+    if failures:
+        return min(failures, key=lambda exc: isinstance(exc, QuantileUndefinedError))
+    return rates
+
+
+class TestStepRule:
+    """The batched step quantile rule against the one-draw poverty rate."""
+
+    def check(self, draws, N, alpha, beta, statistic):
+        expected = reference_rates(draws, N, alpha, beta, statistic)
+        if isinstance(expected, Exception):
+            with pytest.raises(EstimationError) as info:
+                statistic_values(draws, N, alpha, beta, statistic)
+            assert type(info.value) is type(expected)
+        else:
+            got = statistic_values(draws, N, alpha, beta, statistic).tolist()
+            assert len(got) == len(expected) and all(map(same, got, expected))
+
+    @given(batch_cases(), st.sampled_from(["phi_ht", "phi_hj"]))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_per_draw_rate(self, case, statistic):
+        draws, N, _, alpha, beta = case
+        self.check(draws, N, alpha, beta, statistic)
+
+    def test_ties_and_mass_deficit(self):
+        tied = make_draw([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5], N=10)
+        short = make_draw([1.0, 4.0], [1.0, 1.0], N=10)   # HT mass 0.2 < alpha
+        with pytest.raises(QuantileUndefinedError):
+            est.poverty_rate(est.ht_ecdf(short, 10), 0.5, 0.6)
+        for statistic in ("phi_ht", "phi_hj"):
+            for draws in ([tied], [short], [tied, short], [short, tied, tied]):
+                self.check(draws, 10, 0.5, 0.6, statistic)
 
 
 class TestWeightedSample:
