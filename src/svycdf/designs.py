@@ -24,7 +24,7 @@ drawn alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -82,7 +82,6 @@ _BLOCK_BYTES = 2**20
 
 
 def _rejective_first_order(p: np.ndarray, n: int,
-                           fwd: np.ndarray | None = None,
                            bwd: np.ndarray | None = None) -> np.ndarray:
     """Exact inclusion probabilities of the size-n conditional design.
 
@@ -92,8 +91,7 @@ def _rejective_first_order(p: np.ndarray, n: int,
     over blocks of units.
     """
     N = p.size
-    if fwd is None:
-        fwd = _pb_forward(p, n)
+    fwd = _pb_forward(p, n)
     if bwd is None:
         bwd = _pb_forward(p[::-1], n)
     total = fwd[N, n]
@@ -274,11 +272,6 @@ class SampleDraw:
     def n_hat(self) -> float:
         """Inverse-probability estimate of the population size."""
         return float(np.sum(1.0 / self.pi_included))
-
-    def with_values(self, y) -> "SampleDraw":
-        """Attach the response values of the included units."""
-        y = np.asarray(y, dtype=float)
-        return replace(self, y_included=y[self.included])
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ F^{-1}(a) = inf{t : F(t) >= a}.
 
 Draws are processed in batches.  :func:`_weighted_cdfs` checks a batch,
 pads its responses to one (R, n_max) block, sorts the block once and
-builds both modes' CDFs with one cumulative sum per mode, equal responses
-merged into one jump as :meth:`WeightedStepFunction.from_weighted_points`
-merges them.  The poverty kernel (:func:`poverty_batch`) and the process
-paths (:func:`process_paths`) read all rows at once: quantiles (step or
-interpolated) and CDF values are counts of comparisons, and the kernel
-densities take one ``exp`` over the block.  Sums whose rounding depends on
-a row's length run on the row's own entries, so a draw gets the same bits
-in any batch; the one-draw functions run on a batch of one.
+builds both modes' CDFs with one cumulative sum per mode; equal responses
+(NaNs too) merge into one jump, their weights added in sample order.  The
+poverty kernels (:func:`poverty_batch` with interpolated quantiles,
+:func:`step_poverty_rates` with the generalized inverse) and the process
+paths (:func:`process_paths`) read all rows at once: quantiles and CDF
+values are counts of comparisons, and the kernel densities take one
+``exp`` over the block.  Sums whose rounding depends on a row's length run
+on the row's own entries, so a draw gets the same bits in any batch,
+alone included.
 """
 
 from __future__ import annotations
@@ -42,57 +43,9 @@ MODES = ("HT", "HJ")
 ProcessKind = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F", "G_pi", "Y_N"]
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedStepFunction:
-    """Right-continuous nondecreasing step function.
-
-    ``locations`` are the distinct jump points in increasing order and
-    ``cumulative[k]`` is the total mass of all jumps at or before
-    ``locations[k]``; the last entry equals ``total_mass``.
-    """
-
-    locations: np.ndarray
-    cumulative: np.ndarray
-    total_mass: float
-
-    @classmethod
-    def from_weighted_points(cls, values, weights, total_mass: float | None = None):
-        """Build from (possibly tied) points; ties are merged into one jump
-        (``np.unique``, their weights added in the order given).
-
-        ``total_mass`` optionally pins the final cumulative value exactly,
-        shielding equality tests from cumulative-sum roundoff; by default
-        the last entry is ``weights.sum()`` in the order given.
-        """
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if values.size == 0:
-            raise EstimationError("a step function needs at least one jump")
-        if values.shape != weights.shape:
-            raise ParameterError("values and weights must have equal length")
-        if np.any(weights < 0.0):
-            raise ParameterError("weights must be nonnegative")
-        locs, inverse = np.unique(values, return_inverse=True)
-        cumulative = np.bincount(inverse, weights=weights, minlength=locs.size).cumsum()
-        total = float(weights.sum()) if total_mass is None else float(total_mass)
-        cumulative[-1] = total
-        return cls(locations=locs, cumulative=cumulative, total_mass=total)
-
-    def evaluate(self, t):
-        """Value at t (scalar or array): mass of all jumps <= t."""
-        t_arr = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.locations, t_arr, side="right")
-        padded = np.concatenate([[0.0], self.cumulative])
-        out = padded[idx]
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    __call__ = evaluate
-
-
 def _require_values(draw):
     if draw.y_included is None:
-        raise EstimationError("draw carries no response values; use draw(..., y=...) "
-                              "or SampleDraw.with_values")
+        raise EstimationError("draw carries no response values; use draw(..., y=...)")
     if draw.included.size == 0:
         raise EstimationError("empty sample")
     if not (draw.pi_included.min() > 0.0 and draw.pi_included.max() <= 1.0):   # NaN fails
@@ -133,11 +86,6 @@ class _Cdfs:
     cum: np.ndarray
     total: np.ndarray
     count: np.ndarray
-
-    def ecdf(self, r: int, k: int) -> WeightedStepFunction:
-        c = self.count[r]
-        return WeightedStepFunction(locations=self.loc[r, :c], cumulative=self.cum[k, r, :c],
-                                    total_mass=float(self.total[k, r]))
 
 
 def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
@@ -183,7 +131,7 @@ def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
     np.cumsum(cum, axis=2, out=cum)
     count = sizes.copy()
     # tied responses (NaNs, which sort after the padding, too) merge into
-    # one jump per row, as WeightedStepFunction.from_weighted_points merges them
+    # one jump per row, their weights added in sample order
     ties = ((loc[:, 1:] == loc[:, :-1]) & ~pad[:, 1:]).any(axis=1) | np.isnan(y).any(axis=1)
     for r in np.flatnonzero(ties).tolist():
         locs, inverse = np.unique(y[r, :sizes[r]], return_inverse=True)
@@ -206,37 +154,11 @@ def _valid_cdfs(draws, N: int) -> _Cdfs:
     return cdfs
 
 
-def ht_ecdf(draw, N: int) -> WeightedStepFunction:
-    """Inverse-probability weighted empirical CDF normalized by N.
-
-    Total mass equals the population-size estimate over N, typically
-    close to but not exactly one.  Raises :class:`EstimationError` for a
-    draw without values, an empty sample or an inclusion probability
-    outside (0, 1].
-    """
-    return _valid_cdfs([draw], N).ecdf(0, 0)
-
-
-def hajek_ecdf(draw, N: int) -> WeightedStepFunction:
-    """Self-normalized weighted empirical CDF; total mass exactly one."""
-    return _valid_cdfs([draw], N).ecdf(0, 1)
-
-
-def weighted_quantile(f: WeightedStepFunction, alpha: float) -> float:
-    """Smallest jump location t with f(t) >= alpha; raises
-    :class:`QuantileUndefinedError` when alpha exceeds the total mass
-    (:func:`_step_quantiles` on one row)."""
-    return float(_step_quantiles(f.locations[None], f.cumulative[None], np.array([f.total_mass]),
-                                 np.array([f.locations.size]), alpha)[0])
-
-
 def _step_quantiles(loc, cum, total, count, alpha: float) -> np.ndarray:
     """Generalized inverses of R padded step functions (as in :class:`_Cdfs`,
     ``total`` their masses) at alpha, ties at floating resolution resolving
     downward; :class:`QuantileUndefinedError` when alpha exceeds a mass
     (possible for the unnormalized CDF)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
     short = alpha > total + _TIE_EPS
     if short.any():
         raise QuantileUndefinedError(f"level {alpha} exceeds total mass {total[short][0]:.12g}")
@@ -259,7 +181,7 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
     linearly.  For equal weights this is the usual type-7 rule.  Functions
     whose mass is not one are handled through the level: the crossing of
     level ``alpha`` happens where the normalized function crosses
-    ``alpha / total``.  Unlike :func:`weighted_quantile`, a level beyond
+    ``alpha / total``.  Unlike :func:`_step_quantiles`, a level beyond
     the total mass saturates at the largest jump (the clamped extrapolation
     of the reference interpolation machinery) instead of raising.  A
     bracket index is the number of positions below its target, which on a
@@ -279,14 +201,6 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
                     (1.0 - frac) * q[..., 0] + frac * q[..., 1])
 
 
-def poverty_rate(f: WeightedStepFunction, alpha: float, beta: float) -> float:
-    """f evaluated at beta times its alpha-quantile."""
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
-    q = weighted_quantile(f, alpha)
-    return float(f.evaluate(beta * q))
-
-
 def hadamard_direction_value(density_at_quantile: float, density_at_scaled: float,
                              h_at_quantile: float, h_at_scaled: float,
                              beta: float) -> float:
@@ -300,15 +214,6 @@ def hadamard_direction_value(density_at_quantile: float, density_at_scaled: floa
         raise ZeroDensityError("density at the quantile must be positive")
     return (-beta * (density_at_scaled / density_at_quantile) * h_at_quantile
             + h_at_scaled)
-
-
-def _step_bandwidth(n_s: int, f: WeightedStepFunction) -> float | None:
-    """Automatic bandwidth 0.79 R n_s^{-1/5} with R the step interquartile
-    range; None when R is zero."""
-    if n_s < 2:
-        raise EstimationError("automatic bandwidth needs at least two sampled units")
-    iqr = weighted_quantile(f, 0.75) - weighted_quantile(f, 0.25)
-    return None if iqr <= 0.0 else 0.79 * iqr * n_s ** (-0.2)
 
 
 def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
@@ -335,31 +240,12 @@ def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
     return out
 
 
-def kde_density(draw, N: int, t, mode: Literal["HT", "HJ"] = "HJ",
-                bandwidth: float | None = None):
-    """Weighted Gaussian kernel density estimate at t (scalar or 1-d array).
-
-    Weight 1/pi_i per sampled unit, normalized by N ("HT") or by the
-    population-size estimate ("HJ").  The automatic bandwidth is
-    0.79 R n_s^{-1/5} with R the weighted interquartile range of the
-    matching empirical CDF; pass ``bandwidth`` to override (test hook and
-    escape hatch for degenerate samples).
-    """
-    cdfs = _valid_cdfs([draw], N)
-    if mode not in MODES:
-        raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    if bandwidth is None:
-        bandwidth = _step_bandwidth(int(cdfs.sizes[0]), cdfs.ecdf(0, MODES.index(mode)))
-        if bandwidth is None:
-            raise DegenerateBandwidthError("weighted interquartile range is zero")
-    if bandwidth <= 0.0:
-        raise ParameterError("bandwidth must be positive")
-    denom = float(N) if mode == "HT" else cdfs.n_hat[0]
-    t_arr = np.asarray(t, dtype=float)
-    sums = _kernel_sums(np.atleast_1d(t_arr)[None], cdfs.y, cdfs.inv, np.array([bandwidth]),
-                        cdfs.groups)
-    dens = sums[0] / (denom * bandwidth)
-    return float(dens[0]) if np.isscalar(t) or t_arr.ndim == 0 else dens
+def _check_levels(alpha: float, beta: float) -> None:
+    """Reject a quantile level or a scale outside (0, 1], NaN included."""
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
+    if not 0.0 < beta <= 1.0:
+        raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,13 +271,14 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
     the rate is F(beta q), the bandwidth is 0.79 R n^{-1/5}
     with R the interquartile range (none when R is zero), and the
-    densities at q and beta q are :func:`kde_density`'s at that bandwidth.
+    densities at q and beta q are weighted Gaussian kernel estimates at
+    that bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
+    or by the population-size estimate ("HJ").
     A draw without values, empty, or with an inclusion probability outside
     (0, 1] fails in both modes; a cell without a bandwidth fails with
     :class:`DegenerateBandwidthError` unless all responses are equal.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
+    _check_levels(alpha, beta)
     cdfs, failed = _weighted_cdfs(draws, N)
     errors = {(j, k): exc for j, exc in failed.items() for k in range(2)}
     factor = np.empty(cdfs.sizes.size)
@@ -418,6 +305,24 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
         errors[r, k] = DegenerateBandwidthError("weighted interquartile range is zero")
     return PovertyBatch(phi=phi.T, f_q=dens[..., 0].T, f_bq=dens[..., 1].T, flat=flat.T,
                         errors=errors)
+
+
+def step_poverty_rates(draws, N: int, alpha: float, beta: float,
+                       mode: Literal["HT", "HJ"]) -> np.ndarray:
+    """Poverty rate F(beta q) of each draw's ``mode`` CDF F, with q the
+    generalized inverse inf{t : F(t) >= alpha} (:func:`_step_quantiles`).
+
+    The first draw that fails its checks raises, and so does a level
+    beyond a total mass (:class:`QuantileUndefinedError`, possible in mode
+    "HT").  A census (all N units, pi = 1) gives the population's rate in
+    mode "HJ".
+    """
+    _check_levels(alpha, beta)
+    if mode not in MODES:
+        raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
+    cdfs, k = _valid_cdfs(draws, N), MODES.index(mode)
+    q = _step_quantiles(cdfs.loc, cdfs.cum[k], cdfs.total[k], cdfs.count, alpha)
+    return _step_values(cdfs.loc, cdfs.cum[k], cdfs.count, beta * q[:, None])[:, 0]
 
 
 def _step_values(loc, cum, count, t) -> np.ndarray:

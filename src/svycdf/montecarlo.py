@@ -209,9 +209,11 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
                      batches) -> np.ndarray:
     """One population's (9, 2) array of sums over its cells, added in
     sample order; ``av_ref`` is the asymptotic variance of each estimator."""
-    fn = est.WeightedStepFunction.from_weighted_points(
-        population.y, np.full(sc.N, 1.0 / sc.N), total_mass=1.0)
-    centers = np.array([est.poverty_rate(fn, sc.alpha, sc.beta), phi_f])[:, None, None]
+    census = dsg.SampleDraw(indicators=np.ones(sc.N, dtype=bool), included=np.arange(sc.N),
+                            pi_included=np.ones(sc.N), expected_n=float(sc.N),
+                            y_included=population.y)
+    phi_fn = est.step_poverty_rates([census], sc.N, sc.alpha, sc.beta, "HJ")[0]
+    centers = np.array([phi_fn, phi_f])[:, None, None]
     constants = dsg.design_constants(design)
     phi = np.zeros((sc.n_samples, len(ESTIMATORS)))
     av = np.zeros_like(phi)
@@ -402,17 +404,14 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 def _statistic_values(sc: Scenario, statistic: str, population, design, batches) -> tuple:
     """One population's replicated statistic, with the exact center and
     scale of the HT mean (``None`` for the poverty rates, which take the
-    step quantile rule on each batch's block of CDFs)."""
+    step quantile rule, one batch at a time)."""
     vals = []
     for batch in batches:
         if statistic == "ht_mean":
             vals += [float(np.sum(s.y_included / s.pi_included)) / sc.N for s in batch]
             continue
-        cdfs = est._valid_cdfs(batch, sc.N)
-        k = ESTIMATORS.index(statistic[-2:].upper())
-        q = est._step_quantiles(cdfs.loc, cdfs.cum[k], cdfs.total[k], cdfs.count, sc.alpha)
-        t = sc.beta * q[:, None]
-        vals += est._step_values(cdfs.loc, cdfs.cum[k], cdfs.count, t)[:, 0].tolist()
+        vals += est.step_poverty_rates(batch, sc.N, sc.alpha, sc.beta,
+                                       statistic[-2:].upper()).tolist()
     vals = np.array(vals)
     if statistic != "ht_mean":
         return vals, None, None

@@ -137,9 +137,14 @@ def test_sequential_sampler_matches_rejection_sampler():
     reps = 100_000
     seq_counts, rej_counts = {}, {}
     rng_seq, rng_rej = substream(201), substream(202)
+    rows = dsg.batch_rows(design)
+    for start in range(0, reps, rows):
+        # a repeated generator fills the rows in stream order: the samples
+        # of one draw(design, rng_seq) call after another
+        for sample in dsg.draw_batch(design, [rng_seq] * min(rows, reps - start)):
+            key = sample.included.tobytes()
+            seq_counts[key] = seq_counts.get(key, 0) + 1
     for _ in range(reps):
-        key = dsg.draw(design, rng_seq).included.tobytes()
-        seq_counts[key] = seq_counts.get(key, 0) + 1
         key = rejection_draw(design, rng_rej).tobytes()
         rej_counts[key] = rej_counts.get(key, 0) + 1
     keys = sorted(set(seq_counts) | set(rej_counts))

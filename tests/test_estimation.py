@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svycdf import asymptotics as asy
 from svycdf import designs as dsg
 from svycdf import estimation as est
 from svycdf import population as pop
@@ -16,6 +17,8 @@ from svycdf.errors import (
     ZeroDensityError,
 )
 from svycdf.streams import substream
+
+import step_reference as ref
 
 
 def make_draw(y_values, pi_values, N, expected_n=None):
@@ -42,89 +45,122 @@ def interpolated(f, alpha, n_points):
     return float(q[0, 0])
 
 
+def step_quantile(f, alpha):
+    """The batch step rule on one step function, equal to the reference."""
+    q = float(est._step_quantiles(f.locations[None], f.cumulative[None],
+                                  np.array([f.total_mass]), np.array([f.locations.size]),
+                                  alpha)[0])
+    assert q == ref.quantile(f, alpha)
+    return q
+
+
+def ecdf(draw, N, mode):
+    """One draw's ``mode`` CDF from its batch row, equal to the reference."""
+    f = ref.batch_row(est._valid_cdfs([draw], N), 0, est.MODES.index(mode))
+    expected = ref.reference_ecdf(draw, N, mode)
+    assert np.array_equal(f.locations, expected.locations)
+    assert np.array_equal(f.cumulative, expected.cumulative)
+    assert f.total_mass == expected.total_mass
+    return f
+
+
+def cdf_at(draw, N, mode, t):
+    """One draw's ``mode`` CDF at the points t (batch step values), equal to
+    the reference."""
+    cdfs, k = est._valid_cdfs([draw], N), est.MODES.index(mode)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = est._step_values(cdfs.loc, cdfs.cum[k], cdfs.count, t[None])[0]
+    assert np.array_equal(out, ref.reference_ecdf(draw, N, mode)(t))
+    return out
+
+
+def rate(draw, N, alpha, beta, mode="HJ"):
+    """One draw's step poverty rate, equal to the reference."""
+    got = float(est.step_poverty_rates([draw], N, alpha, beta, mode)[0])
+    assert got == ref.poverty_rate(ref.reference_ecdf(draw, N, mode), alpha, beta)
+    return got
+
+
 def path(draw, popu, grid, which, law=None):
     """One draw's process path."""
     return est.process_paths([draw], popu, grid, which, law)[0]
 
 
 class TestWeightedStepFunction:
+    """Batch rows and step values against the np.unique merge."""
+
     def test_tie_merging(self):
-        f = est.WeightedStepFunction.from_weighted_points([2.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        # HT weights 1/(10 pi) = 0.2, 0.3, 0.5
+        draw = make_draw([2.0, 1.0, 2.0], [0.5, 1.0 / 3.0, 0.2], N=10)
+        f = ecdf(draw, 10, "HT")
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.allclose(f.cumulative, [0.3, 1.0])
 
     def test_right_continuity(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0], [0.5, 0.5])
-        assert f.evaluate(1.0) == 0.5
-        assert f.evaluate(1.0 - 1e-12) == 0.0
-        assert f.evaluate(0.0) == 0.0
-        assert f.evaluate(3.0) == 1.0
+        draw = make_draw([1.0, 2.0], [1.0, 1.0], N=2)
+        vals = cdf_at(draw, 2, "HT", [1.0, 1.0 - 1e-12, 0.0, 3.0])
+        assert vals.tolist() == [0.5, 0.0, 0.0, 1.0]
 
     def test_vectorized_evaluation(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0, 3.0], [1, 1, 1])
-        vals = f.evaluate(np.array([0.5, 1.5, 3.5]))
-        assert np.allclose(vals, [0.0, 1.0, 3.0])
+        draw = make_draw([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], N=3)
+        for mode in est.MODES:
+            assert np.allclose(cdf_at(draw, 3, mode, [0.5, 1.5, 3.5]), [0.0, 1.0 / 3.0, 1.0])
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30),
            st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_property(self, values, seed):
-        weights = substream(seed).uniform(0.0, 2.0, size=len(values))
-        f = est.WeightedStepFunction.from_weighted_points(values, weights)
+        pi = substream(seed).uniform(0.05, 1.0, size=len(values))
+        draw = make_draw(values, pi, N=40)
         grid = np.linspace(min(values) - 1, max(values) + 1, 50)
-        out = f.evaluate(grid)
-        assert np.all(np.diff(out) >= -1e-12)
-        assert out[-1] == pytest.approx(f.total_mass, abs=1e-12)
+        for mode in est.MODES:
+            out = cdf_at(draw, 40, mode, grid)
+            assert np.all(np.diff(out) >= -1e-12)
+            assert out[-1] == ecdf(draw, 40, mode).total_mass
 
 
 class TestHtEcdf:
     def test_census_equals_unweighted(self):
         y = np.array([3.0, 1.0, 2.0, 5.0])
         draw = make_draw(y, np.ones(4), N=4)
-        f = est.ht_ecdf(draw, 4)
-        assert f.total_mass == pytest.approx(1.0, abs=1e-15)
-        assert f.evaluate(2.0) == pytest.approx(0.5)
+        assert ecdf(draw, 4, "HT").total_mass == pytest.approx(1.0, abs=1e-15)
+        assert cdf_at(draw, 4, "HT", 2.0)[0] == pytest.approx(0.5)
 
     def test_single_unit(self):
         draw = make_draw([3.0], [0.5], N=2)
-        f = est.ht_ecdf(draw, 2)
-        assert f.evaluate(3.0) == pytest.approx(1.0)   # 1/(2 * 0.5)
-        assert f.evaluate(2.9) == 0.0
+        assert cdf_at(draw, 2, "HT", 3.0)[0] == pytest.approx(1.0)   # 1/(2 * 0.5)
+        assert cdf_at(draw, 2, "HT", 2.9)[0] == 0.0
 
     def test_hand_evaluation(self):
         # two included units with pi = 0.5 out of N = 4: each jump 1/(4*0.5)
         draw = make_draw([1.0, 2.0], [0.5, 0.5], N=4, expected_n=2)
-        f = est.ht_ecdf(draw, 4)
-        assert f.evaluate(1.5) == pytest.approx(0.5)
-        assert f.evaluate(2.0) == pytest.approx(1.0)
+        assert cdf_at(draw, 4, "HT", [1.5, 2.0]).tolist() == pytest.approx([0.5, 1.0])
 
     def test_total_mass_is_nhat_over_n(self):
         draw = make_draw([1.0, 2.0, 3.0], [0.25, 0.5, 0.75], N=10)
-        f = est.ht_ecdf(draw, 10)
-        assert f.total_mass == pytest.approx(draw.n_hat() / 10.0, rel=1e-15)
+        assert ecdf(draw, 10, "HT").total_mass == pytest.approx(draw.n_hat() / 10.0, rel=1e-15)
 
     def test_requires_values(self):
         bare = dsg.draw(dsg.srswor(5, 2), substream(0))
         with pytest.raises(EstimationError):
-            est.ht_ecdf(bare, 5)
+            est._valid_cdfs([bare], 5)
+        with pytest.raises(EstimationError):
+            est.step_poverty_rates([bare], 5, 0.5, 0.6, "HT")
 
 
 class TestHajekEcdf:
     def test_total_mass_exactly_one(self):
         rng = substream(1)
         draw = make_draw(rng.normal(size=7), rng.uniform(0.1, 0.9, 7), N=20)
-        assert est.hajek_ecdf(draw, 20).total_mass == 1.0
+        assert ecdf(draw, 20, "HJ").total_mass == 1.0
 
     def test_equal_pi_equals_unweighted(self):
         draw = make_draw([4.0, 1.0, 3.0], np.full(3, 0.3), N=10)
-        f = est.hajek_ecdf(draw, 10)
-        assert f.evaluate(1.0) == pytest.approx(1.0 / 3.0)
-        assert f.evaluate(3.5) == pytest.approx(2.0 / 3.0)
+        assert cdf_at(draw, 10, "HJ", [1.0, 3.5]).tolist() == pytest.approx([1 / 3, 2 / 3])
 
     def test_unequal_weights(self):
         draw = make_draw([1.0, 2.0], [0.2, 0.8], N=5)
-        f = est.hajek_ecdf(draw, 5)
-        assert f.evaluate(1.0) == pytest.approx(0.8)   # 5 / (5 + 1.25)
+        assert cdf_at(draw, 5, "HJ", 1.0)[0] == pytest.approx(0.8)   # 5 / (5 + 1.25)
 
     def test_empty_sample_errors(self):
         empty = dsg.SampleDraw(indicators=np.zeros(4, dtype=bool),
@@ -132,48 +168,46 @@ class TestHajekEcdf:
                                pi_included=np.array([]), expected_n=1.0,
                                y_included=np.array([]))
         with pytest.raises(EstimationError):
-            est.hajek_ecdf(empty, 4)
+            est.step_poverty_rates([empty], 4, 0.5, 0.6, "HJ")
 
 
 class TestWeightedQuantile:
     def test_inf_definition(self):
-        f = est.WeightedStepFunction.from_weighted_points(
-            [1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
+        f = ref.StepFunction.from_points([1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
         # F(1) = 1/3 < 0.5 <= F(2)
-        assert est.weighted_quantile(f, 0.5) == 2.0
+        assert step_quantile(f, 0.5) == 2.0
 
     def test_level_one_hits_last_jump(self):
-        f = est.WeightedStepFunction.from_weighted_points(
-            [1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
-        assert est.weighted_quantile(f, 1.0) == 3.0
+        f = ref.StepFunction.from_points([1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
+        assert step_quantile(f, 1.0) == 3.0
 
     def test_atom_boundary(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0], [0.5, 0.5])
-        assert est.weighted_quantile(f, 0.5) == 1.0
+        f = ref.StepFunction.from_points([1.0, 2.0], [0.5, 0.5])
+        assert step_quantile(f, 0.5) == 1.0
 
     def test_mass_deficit_errors(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0], [0.45, 0.45])
+        # HT weights 1/(20 / 9) = 0.45: total mass 0.9 < 0.95
+        draw = make_draw([1.0, 2.0], np.full(2, 1.0 / 9.0), N=20)
+        assert ecdf(draw, 20, "HT").total_mass == pytest.approx(0.9)
         with pytest.raises(QuantileUndefinedError):
-            est.weighted_quantile(f, 0.95)
+            est.step_poverty_rates([draw], 20, 0.95, 0.6, "HT")
 
     def test_rounding_below_level_resolves_downward(self):
         # running sums 0.7, 0.7999999999999999, 0.8999999999999999, 0.9999999999999999
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0, 3.0, 4.0],
-                                                          [0.7, 0.1, 0.1, 0.1])
-        assert est.weighted_quantile(f, 0.8) == 2.0
-        assert est.weighted_quantile(f, 1.0) == 4.0
+        f = ref.StepFunction.from_points([1.0, 2.0, 3.0, 4.0], [0.7, 0.1, 0.1, 0.1])
+        assert step_quantile(f, 0.8) == 2.0
+        assert step_quantile(f, 1.0) == 4.0
 
     def test_interpolated_matches_type7_for_equal_weights(self):
         rng = substream(71)
         y = rng.normal(size=23)
-        f = est.WeightedStepFunction.from_weighted_points(
-            y, np.full(23, 1.0 / 23.0), total_mass=1.0)
+        f = ref.StepFunction.from_points(y, np.full(23, 1.0 / 23.0), total_mass=1.0)
         for alpha in (0.1, 0.25, 0.5, 0.9):
             got = interpolated(f, alpha, 23)
             assert got == pytest.approx(np.quantile(y, alpha), abs=1e-12)
 
     def test_interpolated_clamps_at_mass_deficit(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0, 2.0], [0.45, 0.45])
+        f = ref.StepFunction.from_points([1.0, 2.0], [0.45, 0.45])
         assert interpolated(f, 0.95, 2) == 2.0
 
     @given(st.integers(min_value=0, max_value=5_000))
@@ -181,51 +215,49 @@ class TestWeightedQuantile:
     def test_interpolated_monotone_and_bracketed(self, seed):
         rng = substream(seed)
         weights = rng.uniform(0.05, 1.0, 9)
-        f = est.WeightedStepFunction.from_weighted_points(
-            rng.normal(size=9), weights / weights.sum(), total_mass=1.0)
+        f = ref.StepFunction.from_points(rng.normal(size=9), weights / weights.sum(),
+                                         total_mass=1.0)
         levels = np.linspace(0.02, 1.0, 25)
         qs = [interpolated(f, a, 9) for a in levels]
         assert np.all(np.diff(qs) >= -1e-12)
         assert f.locations[0] <= min(qs) and max(qs) <= f.locations[-1]
 
     def test_bad_level(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0], [1.0])
-        with pytest.raises(ParameterError):
-            est.weighted_quantile(f, 0.0)
+        draw = make_draw([1.0], [1.0], N=1)
+        for alpha in (0.0, 1.5, np.nan):
+            with pytest.raises(ParameterError, match="quantile level"):
+                est.step_poverty_rates([draw], 1, alpha, 0.6, "HJ")
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_in_level(self, seed):
         rng = substream(seed)
-        weights = rng.uniform(0.05, 1.0, 8)
-        f = est.WeightedStepFunction.from_weighted_points(
-            rng.normal(size=8), weights / weights.sum(), total_mass=1.0)
+        draw = make_draw(rng.normal(size=8), rng.uniform(0.05, 1.0, 8), N=30)
+        f = ecdf(draw, 30, "HJ")
         levels = np.linspace(0.05, 1.0, 20)
-        qs = [est.weighted_quantile(f, a) for a in levels]
+        qs = [step_quantile(f, a) for a in levels]
         assert np.all(np.diff(qs) >= 0)
 
 
 class TestPovertyRate:
     def test_hand_evaluation(self):
-        f = est.WeightedStepFunction.from_weighted_points(
-            [1.0, 2.0, 3.0, 4.0], np.full(4, 0.25), total_mass=1.0)
+        draw = make_draw([1.0, 2.0, 3.0, 4.0], np.ones(4), N=4)
         # quantile(0.5) = 2, 0.6 * 2 = 1.2, F(1.2) = 0.25
-        assert est.poverty_rate(f, 0.5, 0.6) == pytest.approx(0.25)
+        for mode in est.MODES:
+            assert rate(draw, 4, 0.5, 0.6, mode) == pytest.approx(0.25)
 
     def test_zero_below_support(self):
-        f = est.WeightedStepFunction.from_weighted_points([10.0, 20.0], [0.5, 0.5])
-        assert est.poverty_rate(f, 0.5, 0.1) == 0.0
+        draw = make_draw([10.0, 20.0], [1.0, 1.0], N=2)
+        assert rate(draw, 2, 0.5, 0.1) == 0.0
 
     def test_point_mass(self):
-        f = est.WeightedStepFunction.from_weighted_points([1.0], [1.0])
-        assert est.poverty_rate(f, 0.5, 0.9) == 0.0
+        assert rate(make_draw([1.0], [1.0], N=1), 1, 0.5, 0.9) == 0.0
 
     def test_beta_one_on_atomless_levels(self):
         rng = substream(23)
-        f = est.WeightedStepFunction.from_weighted_points(
-            rng.normal(size=9), np.full(9, 1.0 / 9.0), total_mass=1.0)
+        draw = make_draw(rng.normal(size=9), np.ones(9), N=9)
         for alpha in (0.2, 0.5, 0.8):
-            assert est.poverty_rate(f, alpha, 1.0) >= alpha - 1e-9
+            assert rate(draw, 9, alpha, 1.0) >= alpha - 1e-9
 
 
 class TestHadamardDirection:
@@ -261,37 +293,56 @@ class TestHadamardDirection:
         assert abs(fd - deriv) <= 2.0 * eps
 
 
+def kernel_sums(draw, N, t, bandwidth):
+    """One draw's Gaussian kernel sums sum_i phi((t - y_i) / h) / pi_i at the
+    points t, and its population-size estimate."""
+    cdfs = est._valid_cdfs([draw], N)
+    t = np.atleast_1d(np.asarray(t, dtype=float))[None]
+    return est._kernel_sums(t, cdfs.y, cdfs.inv, np.array([bandwidth]), cdfs.groups)[0], \
+        float(cdfs.n_hat[0])
+
+
 class TestKdeDensity:
     def test_single_point_forced_bandwidth(self):
-        draw = make_draw([0.0], [1.0], N=1)
-        val = est.kde_density(draw, 1, 0.0, mode="HJ", bandwidth=1.0)
-        assert val == pytest.approx(0.3989422804014327, abs=1e-14)
+        sums, _ = kernel_sums(make_draw([0.0], [1.0], N=1), 1, 0.0, 1.0)
+        assert sums[0] == pytest.approx(0.3989422804014327, abs=1e-14)
 
     def test_symmetry(self):
         draw = make_draw([-2.0, -1.0, 1.0, 2.0], np.full(4, 0.5), N=8)
-        for t in (0.5, 1.3):
-            a = est.kde_density(draw, 8, t, mode="HJ")
-            b = est.kde_density(draw, 8, -t, mode="HJ")
-            assert a == pytest.approx(b, rel=1e-12)
+        sums, _ = kernel_sums(draw, 8, [0.5, -0.5, 1.3, -1.3], 0.9)
+        assert sums[0] == pytest.approx(sums[1], rel=1e-12)
+        assert sums[2] == pytest.approx(sums[3], rel=1e-12)
 
     def test_hj_integrates_to_one(self):
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 500, seed=11)
         draw = dsg.draw(dsg.srswor(500, 100), substream(12), y=popu.y)
+        f = ecdf(draw, 500, "HJ")
+        bandwidth = 0.79 * (step_quantile(f, 0.75) - step_quantile(f, 0.25)) * 100 ** (-0.2)
         grid = np.linspace(-10.0, 30.0, 4001)
-        dens = est.kde_density(draw, 500, grid, mode="HJ")
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+        sums, n_hat = kernel_sums(draw, 500, grid, bandwidth)
+        assert np.trapezoid(sums / (n_hat * bandwidth), grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_degenerate_iqr_errors(self):
-        draw = make_draw([1.0, 1.0, 1.0], np.full(3, 0.5), N=6)
-        with pytest.raises(DegenerateBandwidthError):
-            est.kde_density(draw, 6, 1.0, mode="HJ")
+        # interpolated quartiles 1 and 1, but not all responses equal
+        draw = make_draw([1.0] * 5 + [2.0], np.full(6, 0.5), N=12)
+        batch = est.poverty_batch([draw], 12, 0.5, 0.6)
+        for k in range(2):
+            assert isinstance(batch.errors[0, k], DegenerateBandwidthError)
+            assert not batch.flat[0, k] and np.isnan(batch.f_q[0, k])
 
     def test_ht_and_hj_normalizations_differ(self):
+        # poverty_batch divides one kernel sum by N ("HT") or by n_hat ("HJ")
         draw = make_draw([1.0, 2.0, 4.0], [0.2, 0.5, 0.8], N=10)
-        ht = est.kde_density(draw, 10, 2.0, mode="HT", bandwidth=0.7)
-        hj = est.kde_density(draw, 10, 2.0, mode="HJ", bandwidth=0.7)
-        assert ht * 10.0 == pytest.approx(hj * draw.n_hat(), rel=1e-12)
+        cdfs = est._valid_cdfs([draw], 10)
+        q = est._interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
+                                        cdfs.sizes.astype(float), (0.5, 0.25, 0.75))
+        batch = est.poverty_batch([draw], 10, 0.5, 0.6)
+        for k, denom in enumerate((10.0, float(cdfs.n_hat[0]))):
+            bandwidth = 0.79 * (q[k, 0, 2] - q[k, 0, 1]) * 3 ** (-0.2)
+            sums, _ = kernel_sums(draw, 10, q[k, 0, 0], bandwidth)
+            assert batch.f_q[0, k] == sums[0] / (denom * bandwidth)
+        assert denom != 10.0
 
 
 class TestProcessPath:
@@ -353,18 +404,18 @@ class TestProcessPath:
         for draw, row in zip(draws, got):
             inv = 1.0 / draw.pi_included
             if which.startswith("HJ"):
-                ecdf = est.WeightedStepFunction.from_weighted_points(
-                    draw.y_included, inv / inv.sum(), total_mass=1.0)
+                f_hat = ref.StepFunction.from_points(draw.y_included, inv / inv.sum(),
+                                                     total_mass=1.0)
             else:
-                ecdf = est.WeightedStepFunction.from_weighted_points(
-                    draw.y_included, 1.0 / (popu.N * draw.pi_included))
+                f_hat = ref.StepFunction.from_points(draw.y_included,
+                                                     1.0 / (popu.N * draw.pi_included))
             root_n, ratio = np.sqrt(draw.expected_n), draw.n_hat() / popu.N
-            expected = {"HT_vs_FN": root_n * (ecdf(grid) - fn),
-                        "HT_vs_F": root_n * (ecdf(grid) - f),
-                        "HJ_vs_FN": root_n * (ecdf(grid) - fn),
-                        "HJ_vs_F": root_n * (ecdf(grid) - f),
-                        "G_pi": root_n * (ecdf(grid) - ratio * f),
-                        "Y_N": root_n * (ecdf(grid) - fn) - root_n * (ratio - 1.0) * f}[which]
+            expected = {"HT_vs_FN": root_n * (f_hat(grid) - fn),
+                        "HT_vs_F": root_n * (f_hat(grid) - f),
+                        "HJ_vs_FN": root_n * (f_hat(grid) - fn),
+                        "HJ_vs_F": root_n * (f_hat(grid) - f),
+                        "G_pi": root_n * (f_hat(grid) - ratio * f),
+                        "Y_N": root_n * (f_hat(grid) - fn) - root_n * (ratio - 1.0) * f}[which]
             assert np.array_equal(row, expected)
             assert np.array_equal(row, path(draw, popu, grid, which, law))
 
@@ -387,3 +438,32 @@ class TestProcessPath:
 def test_empty_poverty_batch_rejected():
     with pytest.raises(ParameterError, match="empty batch"):
         est.poverty_batch([], 10, 0.5, 0.6)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, 2.0, np.nan])
+@pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates",
+                                   "poverty_rate_estimates"])
+def test_bad_beta_rejected(entry, beta):
+    draw = make_draw([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5), N=8)
+    call = {"poverty_batch": lambda: est.poverty_batch([draw], 8, 0.5, beta),
+            "step_poverty_rates": lambda: est.step_poverty_rates([draw], 8, 0.5, beta, "HJ"),
+            "poverty_rate_estimates": lambda: asy.poverty_rate_estimates(
+                [draw], 8, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, beta)}[entry]
+    with pytest.raises(ParameterError, match="scale beta"):
+        call()
+
+
+@pytest.mark.parametrize("law", [pop.SuperPopulationLaw.exponential(1.0),
+                                 pop.SuperPopulationLaw.discrete(
+                                     [float(k) for k in range(1, 13)], [1 / 12] * 12)],
+                         ids=["exponential", "discrete12"])
+@pytest.mark.parametrize("N", [7, 1000, 10_000])
+def test_census_rate_is_population_rate(law, N):
+    # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1
+    y = pop.generate_population(law, N, seed=N).y
+    census = dsg.SampleDraw(indicators=np.ones(N, dtype=bool), included=np.arange(N),
+                            pi_included=np.ones(N), expected_n=float(N), y_included=y)
+    f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
+    for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
+        got = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]
+        assert got == ref.poverty_rate(f_n, alpha, beta)

@@ -1,10 +1,10 @@
 """The batched poverty kernel against the compositions it replaced.
 
 ``reference_*`` below is the estimation path as it was before one sorted
-sample served both modes: each mode builds its CDF with
-``WeightedStepFunction.from_weighted_points`` (the np.unique merge), the
-scalar interpolated quantile, a fresh kernel density per point and the
-plug-in variance rebuilding the CDF.  ``WeightedSample`` and ``row_*``
+sample served both modes: each mode builds its CDF with the np.unique
+merge of ``step_reference.StepFunction``, the scalar interpolated
+quantile, a fresh kernel density per point and the plug-in variance
+rebuilding the CDF.  ``WeightedSample`` and ``row_*``
 are the per-draw kernel as it was before draws were batched: one sorted
 sample per draw, each mode's CDF built once, all three quantile levels
 from one search and one kernel density call per point.  The batched kernel must reproduce both
@@ -34,6 +34,9 @@ from svycdf.errors import (
 )
 from svycdf.streams import child_seed
 
+import step_reference as ref
+from step_reference import reference_ecdf
+
 MODES = ("HT", "HJ")
 TIE_EPS = 1e-12
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -42,21 +45,6 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # ---------------------------------------------------------------------------
 # Reference: the scalar composition
 # ---------------------------------------------------------------------------
-
-def reference_ecdf(draw, N, mode):
-    if draw.y_included is None:
-        raise EstimationError("no values")
-    if draw.included.size == 0:
-        raise EstimationError("empty sample")
-    if np.any(draw.pi_included <= 0.0):
-        raise EstimationError("nonpositive inclusion probability")
-    if mode == "HT":
-        return est.WeightedStepFunction.from_weighted_points(
-            draw.y_included, 1.0 / (N * draw.pi_included))
-    inv = 1.0 / draw.pi_included
-    return est.WeightedStepFunction.from_weighted_points(
-        draw.y_included, inv / inv.sum(), total_mass=1.0)
-
 
 def reference_interpolated_quantile(f, alpha, n_points):
     if not 0.0 < alpha <= 1.0:
@@ -161,13 +149,13 @@ class WeightedSample:
         else:
             weights, total_mass = self.inv / self.n_hat, 1.0
         if self.has_ties:
-            return est.WeightedStepFunction.from_weighted_points(self.y, weights, total_mass)
+            return ref.StepFunction.from_points(self.y, weights, total_mass)
         if np.any(weights < 0.0):
             raise ParameterError("weights must be nonnegative")
         cumulative = weights[self.order].cumsum()
         total = float(weights.sum()) if total_mass is None else float(total_mass)
         cumulative[-1] = total
-        return est.WeightedStepFunction(self.sorted_y, cumulative, total)
+        return ref.StepFunction(self.sorted_y, cumulative, total)
 
 
 def weighted_sample(draw, N):
@@ -398,14 +386,14 @@ class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
     def test_ecdf_matches_unique_merge(self, case, mode):
         draw, N, _, _, _ = case
-        build = est.ht_ecdf if mode == "HT" else est.hajek_ecdf
+        build = lambda: ref.batch_row(est._valid_cdfs([draw], N), 0, MODES.index(mode))
         try:
             expected = reference_ecdf(draw, N, mode)
         except Exception as exc:                      # noqa: BLE001 - class compared below
             with pytest.raises(type(exc)):
-                build(draw, N)
+                build()
             return
-        got = build(draw, N)
+        got = build()
         assert np.array_equal(got.locations, expected.locations)
         assert np.array_equal(got.cumulative, expected.cumulative)
         assert got.total_mass == expected.total_mass
@@ -422,7 +410,7 @@ class TestKernelOracle:
                 except EstimationError as exc:
                     assert type(errors[j]) is type(exc)
                     continue
-                got = cdfs.ecdf(j, k)
+                got = ref.batch_row(cdfs, j, k)
                 assert np.array_equal(got.locations, expected.locations, equal_nan=True)
                 assert np.array_equal(got.cumulative, expected.cumulative)
                 assert got.total_mass == expected.total_mass
@@ -449,13 +437,16 @@ class TestKernelOracle:
         # and its kernel value exp(-inf) = 0 is the intended one
         draw = make_draw([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5), N=40)
         constants = asy.DesignConstants(0.15, 1.0, 0.0)
-        _, q25, q75 = row_quantiles(est.hajek_ecdf(draw, 40), (0.5, 0.25, 0.75), 6)
-        assert 1e160 / (0.79 * (q75 - q25)) > math.sqrt(np.finfo(float).max)
+        cdfs = est._valid_cdfs([draw], 40)
+        _, q25, q75 = row_quantiles(ref.batch_row(cdfs, 0, 1), (0.5, 0.25, 0.75), 6)
+        bandwidth = 0.79 * (q75 - q25) * 6 ** (-0.2)
+        assert 1e160 / bandwidth > math.sqrt(np.finfo(float).max)
         expected = row_cell(draw, 40, constants, 0.5, 0.6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = kernel_cell(draw, 40, constants, 0.5, 0.6)
-            dens = est.kde_density(draw, 40, [0.3, 0.5], mode="HJ")
+            dens = est._kernel_sums(np.array([[0.3, 0.5]]), cdfs.y, cdfs.inv,
+                                    np.array([bandwidth]), cdfs.groups)
         assert_cells_equal(got, expected)
         assert not isinstance(got["HJ"], Exception)
         assert np.all(np.isfinite(dens))
@@ -469,14 +460,14 @@ def statistic_values(draws, N, alpha, beta, statistic):
 
 
 def reference_rates(draws, N, alpha, beta, statistic):
-    """Each draw's ``poverty_rate`` of its own CDF, or the exception the
-    batch must raise: the first failed check of a draw, else the first
+    """Each draw's reference poverty rate of its own CDF, or the exception
+    the batch must raise: the first failed check of a draw, else the first
     quantile beyond a total mass."""
-    build = est.ht_ecdf if statistic == "phi_ht" else est.hajek_ecdf
+    mode = statistic[-2:].upper()
     rates, failures = [], []
     for draw in draws:
         try:
-            rates.append(est.poverty_rate(build(draw, N), alpha, beta))
+            rates.append(ref.poverty_rate(reference_ecdf(draw, N, mode), alpha, beta))
         except EstimationError as exc:
             failures.append(exc)
     if failures:
@@ -489,13 +480,16 @@ class TestStepRule:
 
     def check(self, draws, N, alpha, beta, statistic):
         expected = reference_rates(draws, N, alpha, beta, statistic)
-        if isinstance(expected, Exception):
-            with pytest.raises(EstimationError) as info:
-                statistic_values(draws, N, alpha, beta, statistic)
-            assert type(info.value) is type(expected)
-        else:
-            got = statistic_values(draws, N, alpha, beta, statistic).tolist()
-            assert len(got) == len(expected) and all(map(same, got, expected))
+        mode = statistic[-2:].upper()
+        for rates in (lambda: statistic_values(draws, N, alpha, beta, statistic),
+                      lambda: est.step_poverty_rates(draws, N, alpha, beta, mode)):
+            if isinstance(expected, Exception):
+                with pytest.raises(EstimationError) as info:
+                    rates()
+                assert type(info.value) is type(expected)
+            else:
+                got = rates().tolist()
+                assert len(got) == len(expected) and all(map(same, got, expected))
 
     @given(batch_cases(), st.sampled_from(["phi_ht", "phi_hj"]))
     @settings(max_examples=300, deadline=None)
@@ -507,7 +501,7 @@ class TestStepRule:
         tied = make_draw([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5], N=10)
         short = make_draw([1.0, 4.0], [1.0, 1.0], N=10)   # HT mass 0.2 < alpha
         with pytest.raises(QuantileUndefinedError):
-            est.poverty_rate(est.ht_ecdf(short, 10), 0.5, 0.6)
+            est.step_poverty_rates([short], 10, 0.5, 0.6, "HT")
         for statistic in ("phi_ht", "phi_hj"):
             for draws in ([tied], [short], [tied, short], [short, tied, tied]):
                 self.check(draws, 10, 0.5, 0.6, statistic)
@@ -517,7 +511,7 @@ class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
         draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
         assert weighted_sample(draw, 10).has_ties
-        f = est.hajek_ecdf(draw, 10)
+        f = ref.batch_row(est._valid_cdfs([draw], 10), 0, 1)
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.array_equal(f.cumulative, reference_ecdf(draw, 10, "HJ").cumulative)
 
@@ -533,9 +527,9 @@ class TestWeightedSample:
         # a negative N would make the HT weights negative, tied values or not
         draw = make_draw(y, [0.5, 0.25, 0.5], N=10)
         with pytest.raises(ParameterError, match="population size"):
-            est.ht_ecdf(draw, -10)
-        with pytest.raises(ParameterError, match="nonnegative"):
-            est.WeightedStepFunction.from_weighted_points(y, 1.0 / (-10 * draw.pi_included))
+            est.step_poverty_rates([draw], -10, 0.5, 0.6, "HT")
+        with pytest.raises(ParameterError, match="population size"):
+            est.poverty_batch([draw], -10, 0.5, 0.6)
 
     def test_empty_sample_fails_both_modes(self):
         draw = make_draw([], [], N=5)
@@ -557,5 +551,5 @@ class TestWeightedSample:
         assert got["HT"][1] == got["HJ"][1] == 0.0
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            est.kde_density(make_draw([1.0, 2.0], [0.5, 0.5], N=4), 4, 1.0, mode="XX")
+        with pytest.raises(ParameterError, match="mode"):
+            est.step_poverty_rates([make_draw([1.0, 2.0], [0.5, 0.5], N=4)], 4, 0.5, 0.6, "XX")
