@@ -142,7 +142,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
                 for design in designs for ci, cell in enumerate(cells)}
         except ScenarioError as exc:
             raise ParameterError(f"invalid scenario: {exc}") from exc
-        reports = {key: mc.run_scenario(sc, workers=workers) for key, sc in scenarios.items()}
+        reports = dict(zip(scenarios, mc.run_scenarios(list(scenarios.values()), workers)))
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -178,6 +178,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
             "cells": cells,
             "n_populations": n_pops,
             "n_samples": n_samp,
+            "workers": workers,
             "versions": {"svycdf": __version__, "numpy": np.__version__,
                          "python": sys.version.split()[0]},
             "timings_seconds": {f"{d}|{_cell_header(cells[ci])}": round(r.timing_seconds, 3)

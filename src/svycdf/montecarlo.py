@@ -22,6 +22,11 @@ Every (population, sample) cell derives its random stream from the
 scenario seed and its own index, and every sum adds in index order (cells
 in sample order, then populations), so reports are bitwise reproducible
 for any worker count.
+
+A run opens at most one process pool: :func:`run_scenarios` shares it
+across a whole grid of scenarios, and each diagnostic opens its own.  Each
+scenario sends its populations to the pool in consecutive chunks, one per
+worker, and the pool is closed before the run returns, also on error.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -261,24 +267,40 @@ def pool_size(workers: int) -> int:
     return workers
 
 
-def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
-                     workers: int) -> list:
-    """``reduce(population, design, batches)`` for every population of the
-    scenario, in index order; ``design`` is the scenario's unpermuted design.
+@contextmanager
+def _process_pool(workers: int, tasks: int) -> Iterator[ProcessPoolExecutor | None]:
+    """A pool of min(``workers``, available CPUs, ``tasks``) processes for
+    the ``with`` block, or ``None`` when that is 1; the pool is shut down
+    when the block exits, also on error.
 
-    Each pool worker gets one chunk of consecutive populations.  The pool
-    is silently bounded by the available CPUs and the number of
-    populations; the warning for an oversized request is :func:`pool_size`'s.
+    The pool is silently bounded; the warning for an oversized request is
+    :func:`pool_size`'s.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    size = min(workers, _available_cpus(), tasks)
+    if size == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
+def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
+                     pool: ProcessPoolExecutor | None) -> list:
+    """``reduce(population, design, batches)`` for every population of the
+    scenario, in index order; ``design`` is the scenario's unpermuted design.
+
+    With a ``pool`` from :func:`_process_pool`, the populations go out in
+    consecutive chunks, one for each of min(pool size, populations)
+    workers; ``None`` runs them in this process.
+    """
     task = _PopulationTask(sc, design, reduce)
-    workers = min(workers, _available_cpus(), sc.n_populations)
-    if workers == 1:
+    if pool is None:
         return [task(i) for i in range(sc.n_populations)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(sc.n_populations),
-                             chunksize=math.ceil(sc.n_populations / workers)))
+    chunks = min(pool._max_workers, sc.n_populations)
+    return list(pool.map(task, range(sc.n_populations),
+                         chunksize=math.ceil(sc.n_populations / chunks)))
 
 
 def _percent(total: float, count: float) -> float:
@@ -294,6 +316,18 @@ def _cluster_se(sums: np.ndarray, counts: np.ndarray) -> float:
     return float(100.0 * float(np.std(means, ddof=1)) / np.sqrt(means.size))
 
 
+def run_scenarios(scenarios: Sequence[Scenario], workers: int = 1) -> list[MonteCarloReport]:
+    """Execute a grid of scenarios in order and return their reports.
+
+    The whole grid shares one pool of min(``workers``, available CPUs,
+    largest ``n_populations``) processes, which is closed before this
+    returns.  Each report is that of :func:`run_scenario`.
+    """
+    tasks = max((sc.n_populations for sc in scenarios), default=1)
+    with _process_pool(workers, tasks) as pool:
+        return [_scenario_report(sc, pool) for sc in scenarios]
+
+
 def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
     """Execute one scenario and aggregate its Monte Carlo report.
 
@@ -304,6 +338,11 @@ def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
     the target.  Cells where an estimator is undefined are counted and
     excluded; past a 1% failure share the scenario errors out.
     """
+    return run_scenarios([sc], workers)[0]
+
+
+def _scenario_report(sc: Scenario, pool: ProcessPoolExecutor | None) -> MonteCarloReport:
+    """:func:`run_scenario` on an open pool (or ``None``)."""
     start = time.perf_counter()
     phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
     design = _scenario_design(sc)
@@ -314,7 +353,7 @@ def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
         av_ref = np.array([asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta, e)
                            for e in ESTIMATORS])
     per_pop = np.stack(_map_populations(
-        sc, design, partial(_population_sums, sc, phi_f, av_ref), workers))
+        sc, design, partial(_population_sums, sc, phi_f, av_ref), pool))
     total = _ordered_sum(per_pop)
 
     n_cells = sc.n_populations * sc.n_samples
@@ -382,7 +421,8 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     standard errors (per-population cluster estimate)."""
     design = _scenario_design(sc)
     grid = np.asarray(grid, dtype=float)
-    per_pop = _map_populations(sc, design, partial(_process_sums, sc, grid, form), workers)
+    with _process_pool(workers, sc.n_populations) as pool:
+        per_pop = _map_populations(sc, design, partial(_process_sums, sc, grid, form), pool)
     count = sum(c for _, _, c in per_pop)
     mean = sum(v for v, _, _ in per_pop) / count
     second = sum(o for _, o, _ in per_pop) / count
@@ -430,7 +470,9 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     if sc.n_populations * sc.n_samples < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
     design = _scenario_design(sc)
-    per_pop = _map_populations(sc, design, partial(_statistic_values, sc, statistic), workers)
+    with _process_pool(workers, sc.n_populations) as pool:
+        per_pop = _map_populations(sc, design, partial(_statistic_values, sc, statistic),
+                                   pool)
     z_parts = []
     if statistic == "ht_mean":
         for vals, center, scale in per_pop:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -13,6 +14,7 @@ from svycdf import cli
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
 from svycdf.cli import main
+from test_montecarlo import _SerialPool, _cpus
 
 
 @pytest.fixture
@@ -54,6 +56,7 @@ class TestSimulate:
         rows = read_rows(out / "rb_estimators.csv")
         assert rows[0] == ["design", "estimator", "center", "N=100 n=20"]
         assert len(rows) == 1 + 1 * 2 * 2   # one design, two estimators, two centers
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
 
     def test_grid_row_counts(self, runner, tmp_path):
         # random-size designs need a moderate n to stay under the failure
@@ -92,6 +95,7 @@ class TestSimulate:
         assert len(rb_rows[0]) == 3 + 6          # key columns + six cells
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["timings_seconds"]) == 18   # scenario cells
+        assert manifest["workers"] == mc.pool_size(2)
 
     def test_missing_config_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--config",
@@ -124,7 +128,7 @@ class TestSimulate:
     def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
         # every cell is checked before the first one runs
         ran = []
-        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(minimal_config(**overrides)))
         out = tmp_path / "out"
@@ -150,7 +154,7 @@ class TestSimulate:
     def test_non_integral_count_is_usage_error(self, runner, tmp_path, monkeypatch,
                                                overrides, key):
         ran = []
-        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(minimal_config(**overrides)))
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
@@ -161,7 +165,7 @@ class TestSimulate:
 
     def test_integral_floats_accepted(self, runner, tmp_path, monkeypatch):
         ran = []
-        monkeypatch.setattr(mc, "run_scenario", lambda sc, workers: ran.append(sc))
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
         cfg = minimal_config(cells=[{"N": 100.0, "n": 20.0}], n_populations=10.0,
                              seed=42.0)
         cfg_path = tmp_path / "config.json"
@@ -249,7 +253,7 @@ class TestSimulateFailures:
     def test_pool_and_memory_failures_exit_3(self, runner, tmp_path, monkeypatch, exc):
         def fail(*args, **kwargs):
             raise exc
-        monkeypatch.setattr(mc, "run_scenario", fail)
+        monkeypatch.setattr(mc, "run_scenarios", fail)
         result, out = self._invoke(runner, tmp_path)
         assert result.exit_code == 3
         lines = result.stderr.strip().splitlines()
@@ -271,6 +275,83 @@ class TestSimulateFailures:
         assert result.exit_code == 3
         assert calls[0].name == "rb_estimators.csv"
         assert not any(out.glob("*.csv"))
+
+
+#: names of the three result tables
+TABLES = ("rb_estimators.csv", "rb_variance.csv", "coverage.csv")
+
+
+class TestSharedPool:
+    """``simulate`` opens one pool for the whole grid and leaves no worker behind."""
+
+    def _run(self, runner, tmp_path, name, cfg, workers):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out), "--workers", str(workers)])
+        return result, out
+
+    def test_one_pool_for_the_grid(self, runner, tmp_path, monkeypatch):
+        cfg = minimal_config(designs=["SI", "PO"], cells=[{"N": 200, "n": 40},
+                                                          {"N": 120, "n": 30}],
+                             n_populations=5, n_samples=4, seed=7)
+        serial, serial_out = self._run(runner, tmp_path, "serial", cfg, 1)
+        assert serial.exit_code == 0, serial.output
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        pooled, pooled_out = self._run(runner, tmp_path, "pooled", cfg, 2)
+        assert pooled.exit_code == 0, pooled.output
+        assert _SerialPool.sizes == [2]
+        assert _SerialPool.chunksizes == [3] * 4     # ceil(5 / 2) in each scenario
+        assert _SerialPool.exits == [None]
+        for name in TABLES:
+            assert (pooled_out / name).read_bytes() == (serial_out / name).read_bytes()
+
+    def test_real_pool_tables_byte_identical(self, runner, tmp_path):
+        cfg = minimal_config(designs=["SI", "REJ"], cells=[{"N": 120, "n": 30}],
+                             n_populations=3, n_samples=4, seed=7)
+        blobs = {}
+        for workers in (1, 2):
+            result, out = self._run(runner, tmp_path, f"w{workers}", cfg, workers)
+            assert result.exit_code == 0, result.output
+            assert multiprocessing.active_children() == []
+            blobs[workers] = [(out / name).read_bytes() for name in TABLES]
+        assert blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("overrides, code, message", [
+        # the second scenario exceeds the failure budget after the first used the pool
+        ({"designs": ["SI", "BE"], "cells": [{"N": 30, "n": 2}], "n_populations": 4,
+          "n_samples": 12}, 3, "budget"),
+        ({"beta": 1.5}, 2, "beta"),
+    ], ids=["budget", "bad-beta"])
+    def test_real_pool_closed_on_error(self, runner, tmp_path, overrides, code, message):
+        result, out = self._run(runner, tmp_path, "out", minimal_config(**overrides), 2)
+        assert result.exit_code == code
+        assert message in result.stderr
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_broken_pool_in_second_scenario(self, runner, tmp_path, monkeypatch):
+        class BreaksOnSecondMap(_SerialPool):
+            def map(self, fn, items, chunksize=1):
+                if len(self.chunksizes) == 1:
+                    raise BrokenProcessPool("A process in the process pool was "
+                                            "terminated abruptly")
+                return super().map(fn, items, chunksize)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", BreaksOnSecondMap)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        cfg = minimal_config(designs=["SI", "PO"], n_populations=4, n_samples=4)
+        result, out = self._run(runner, tmp_path, "out", cfg, 2)
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: BrokenProcessPool")
+        assert _SerialPool.sizes == [2]
+        assert _SerialPool.exits == [BrokenProcessPool]
+        assert not out.exists()
 
 
 class TestOracleCommand:

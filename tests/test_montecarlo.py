@@ -145,19 +145,26 @@ class TestPopulationLoop:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size and chunk sizes,
-    runs the chunks in order in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, chunk sizes and
+    exits, runs the chunks in order in-process."""
 
     sizes: list = []
     chunksizes: list = []
+    exits: list = []
 
     def __init__(self, max_workers):
+        self._max_workers = max_workers
         self.sizes.append(max_workers)
+
+    @classmethod
+    def reset(cls):
+        cls.sizes, cls.chunksizes, cls.exits = [], [], []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.exits.append(exc[0])
         return False
 
     def map(self, fn, items, chunksize=1):
@@ -194,7 +201,7 @@ class TestPoolSize:
         # no process is started: the pool is replaced by an in-process stand-in
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
         _cpus(monkeypatch, 3)
-        _SerialPool.sizes, _SerialPool.chunksizes = [], []
+        _SerialPool.reset()
         sc = small_scenario(n_populations=5, n_samples=3)
         with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
             capped = mc.run_scenario(sc, workers=64)
@@ -207,6 +214,58 @@ class TestPoolSize:
     def test_scenario_rejects_below_one(self):
         with pytest.raises(ParameterError):
             mc.run_scenario(small_scenario(n_populations=2, n_samples=2), workers=0)
+        with pytest.raises(ParameterError):
+            mc.run_scenarios([small_scenario(n_populations=2, n_samples=2)], workers=0)
+
+
+class TestSharedPool:
+    def test_grid_shares_one_pool(self, monkeypatch):
+        # sized by the largest scenario; each scenario keeps its own chunks
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 4)
+        _SerialPool.reset()
+        grid = [small_scenario(n_populations=5, n_samples=3),
+                small_scenario(design="PO", n_populations=2, n_samples=3),
+                small_scenario(design="BE", N=500, n=120, n_populations=3, n_samples=3)]
+        shared = mc.run_scenarios(grid, workers=4)
+        assert _SerialPool.sizes == [4]
+        assert _SerialPool.chunksizes == [2, 1, 1]   # ceil(P / min(4, P)) for P = 5, 2, 3
+        assert _SerialPool.exits == [None]
+        serial = mc.run_scenarios(grid, workers=1)
+        assert [report_hex(r) for r in shared] == [report_hex(r) for r in serial]
+        assert report_hex(serial[1]) == report_hex(mc.run_scenario(grid[1]))
+
+    def test_single_population_grid_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 4)
+        _SerialPool.reset()
+        mc.run_scenarios([small_scenario(n_populations=1, n_samples=3)] * 2, workers=4)
+        assert _SerialPool.sizes == []
+
+    def test_pool_closed_on_error(self, monkeypatch):
+        # the second scenario exceeds the failure budget; the pool still exits
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        grid = [small_scenario(n_populations=2, n_samples=3),
+                small_scenario(design="BE", N=30, n=2, n_populations=4, n_samples=12)]
+        with pytest.raises(ScenarioError):
+            mc.run_scenarios(grid, workers=2)
+        assert _SerialPool.sizes == [2]
+        assert _SerialPool.exits == [ScenarioError]
+
+    def test_diagnostics_open_their_own_pool(self, monkeypatch):
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        sc = small_scenario(N=300, n=60, n_populations=3, n_samples=4, seed=21)
+        mc.process_covariance_check(sc, [0.5, 1.0], "HT_vs_FN", workers=2)
+        assert _SerialPool.sizes == [2] and _SerialPool.exits == [None]
+        with pytest.raises(ParameterError, match="workers"):
+            mc.process_covariance_check(sc, [0.5, 1.0], "HT_vs_FN", workers=0)
+        with pytest.raises(ParameterError, match="workers"):
+            mc.normality_diagnostic(small_scenario(n_populations=40, n_samples=25),
+                                    "phi_hj", workers=0)
 
 
 class TestProcessCovariance:
