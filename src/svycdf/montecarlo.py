@@ -42,7 +42,6 @@ from functools import partial
 from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from . import asymptotics as asy
 from . import designs as dsg
@@ -460,11 +459,32 @@ def _statistic_values(sc: Scenario, statistic: str, population, design, batches)
     return vals, center, scale
 
 
+def _shape_statistics(z: np.ndarray) -> dict:
+    """Skewness m3/m2^1.5, excess kurtosis m4/m2^2 - 3 and the two-sided
+    Kolmogorov-Smirnov distance of ``z`` to the standard normal.
+
+    The moments are the biased central moments m_k = mean((z - mean(z))^k).
+    The distance is max_i max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n) over
+    the sorted z, with Phi(x) = erfc(-x/sqrt(2))/2.
+    """
+    d = z - z.mean()
+    d2 = d**2
+    m2, m3, m4 = float(np.mean(d2)), float(np.mean(d2 * d)), float(np.mean(d2**2))
+    if m2 == 0.0:
+        raise DiagnosticError("replicated statistic has zero variance")
+    n = z.size
+    phi = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in np.sort(z)])
+    ks = max(np.max(np.arange(1.0, n + 1) / n - phi), np.max(phi - np.arange(0.0, n) / n))
+    return {"skewness": m3 / m2**1.5, "excess_kurtosis": m4 / m2**2 - 3.0,
+            "ks_distance": float(ks), "replications": int(n)}
+
+
 def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "ht_mean"],
                          workers: int = 1) -> dict:
     """Standardize a replicated statistic by its asymptotic scale and report
     skewness, excess kurtosis and the Kolmogorov-Smirnov distance to the
-    standard normal."""
+    standard normal (see :func:`_shape_statistics`: biased central moments
+    and the two-sided sup distance)."""
     if statistic not in ("phi_ht", "phi_hj", "ht_mean"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if sc.n_populations * sc.n_samples < 1000:
@@ -492,12 +512,4 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
         scale = np.sqrt(sigma2 / sc.n)
         for vals, _, _ in per_pop:
             z_parts.append((vals - phi_f) / scale)
-    z = np.concatenate(z_parts)
-    if float(np.var(z)) == 0.0:
-        raise DiagnosticError("replicated statistic has zero variance")
-    return {
-        "skewness": float(sps.skew(z)),
-        "excess_kurtosis": float(sps.kurtosis(z, fisher=True)),
-        "ks_distance": float(sps.kstest(z, "norm").statistic),
-        "replications": int(z.size),
-    }
+    return _shape_statistics(np.concatenate(z_parts))

@@ -316,6 +316,22 @@ class TestProcessCovariance:
 
 
 class TestNormalityDiagnostic:
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("kind", ["skewed", "lattice"])
+    def test_shape_statistics_match_scipy(self, kind, n):
+        # scipy is the reference only: biased moments, two-sided KS distance
+        from scipy import stats as sps
+        rng = np.random.default_rng(n)
+        z = (rng.exponential(size=n) if kind == "skewed"
+             else rng.binomial(6, 0.3, size=n) - 1.8)   # ties on a lattice
+        out = mc._shape_statistics(z)
+        assert out["replications"] == n
+        assert out["skewness"] == pytest.approx(float(sps.skew(z)), rel=1e-12)
+        assert out["excess_kurtosis"] == pytest.approx(
+            float(sps.kurtosis(z, fisher=True)), rel=1e-12)
+        assert out["ks_distance"] == pytest.approx(
+            float(sps.kstest(z, "norm").statistic), rel=1e-12)
+
     def test_requires_replications(self):
         with pytest.raises(ParameterError):
             mc.normality_diagnostic(small_scenario(), "phi_hj")
