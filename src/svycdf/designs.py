@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .asymptotics import DesignConstants
 from .errors import (
@@ -454,7 +453,11 @@ def _finish_draw(design: Design, indicators: np.ndarray, y) -> SampleDraw:
 # ---------------------------------------------------------------------------
 
 def _renormalize_odds(odds: np.ndarray, n: int) -> np.ndarray:
-    """Scale the odds vector so the implied p sums to n (sum c*o/(1+c*o) = n)."""
+    """Scale the odds vector so the implied p sums to n (sum c*o/(1+c*o) = n).
+
+    The sum is increasing in log c: after widening a bracket around 0,
+    log c is found by bisection, run until the midpoint rounds to an end.
+    """
 
     def gap(log_c):
         co = np.exp(log_c) * odds
@@ -465,7 +468,11 @@ def _renormalize_odds(odds: np.ndarray, n: int) -> np.ndarray:
         lo -= 8.0
     while gap(hi) < 0.0:
         hi += 8.0
-    log_c = brentq(gap, lo, hi, xtol=1e-14)
+    while (log_c := 0.5 * (lo + hi)) not in (lo, hi):
+        if gap(log_c) < 0.0:
+            lo = log_c
+        else:
+            hi = log_c
     co = np.exp(log_c) * odds
     return np.clip(co / (1.0 + co), _P_CLIP, 1.0 - _P_CLIP)
 

@@ -521,6 +521,35 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             dsg.calibrated_rejective(np.full(6, 0.5), 3, **kwargs)
 
+    def test_renormalized_odds_match_brentq(self):
+        # the bisection root against the Brent root it replaced
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            N = int(rng.integers(5, 2000))
+            n = int(rng.integers(1, N))
+            odds = 10.0 ** rng.uniform(-8.0, 8.0, N)
+
+            def gap(log_c):
+                co = np.exp(log_c) * odds
+                return float(np.sum(co / (1.0 + co))) - n
+
+            lo, hi = -1.0, 1.0
+            while gap(lo) > 0.0:
+                lo -= 8.0
+            while gap(hi) < 0.0:
+                hi += 8.0
+            log_c = brentq(gap, lo, hi, xtol=1e-14)
+            p = dsg._renormalize_odds(odds, n)
+            assert abs(float(p.sum()) - n) <= 1e-9
+            # log c of the unit nearest 1/2, where the clip is inactive
+            k = int(np.argmin(np.abs(p - 0.5)))
+            found = math.log(p[k] / (1.0 - p[k])) - math.log(odds[k])
+            # the float sum resolves n only to spacing(n), so the root is
+            # defined only to spacing(n) / slope, slope = sum p (1 - p)
+            slope = float(np.sum(p * (1.0 - p)))
+            assert abs(found - log_c) <= max(1e-13, 2.0 * np.spacing(float(n)) / slope)
+
     def test_nonconvergence_reports_residual(self):
         target = dsg.first_order_pi(dsg.rejective([0.05, 0.35, 0.6, 0.85], 2))
         with pytest.raises(CalibrationError) as err:
