@@ -10,8 +10,10 @@ Subcommands
 ``calibrate``  fit rejective working probabilities to target inclusion
                probabilities read from a file.
 
-Exit codes: 0 success, 2 usage or input validation, 3 runtime failure
-(including a broken worker pool or running out of memory in ``simulate``).
+Exit codes: 0 success, 2 usage or input validation (an input file that is
+not UTF-8 included), 3 runtime failure (including an output path that
+cannot be written, and a broken worker pool or running out of memory in
+``simulate``).
 The result tables are byte-identical for a fixed config and seed; the
 manifest additionally records wall-clock timings and is not.
 """
@@ -75,8 +77,8 @@ def _load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:   # undecodable bytes or bad JSON
+            raise ParameterError(f"config is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _integral(value, name: str) -> int:
@@ -191,7 +193,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
         click.echo(f"wrote {len(written)} files to {out}")
-    except (SvycdfError, BrokenProcessPool, MemoryError) as exc:
+    except (SvycdfError, BrokenProcessPool, MemoryError, OSError) as exc:
         for path in written:
             Path(path).unlink(missing_ok=True)
         _fail(exc)
@@ -251,7 +253,7 @@ def oracle_cmd(design_spec, out_dir, rejective_reference):
         _write_csv(out / "conditions.csv",
                    ["condition", "statistic", "bound_form", "implied_constant"], rows)
         click.echo(f"wrote {out / 'conditions.csv'}")
-    except SvycdfError as exc:
+    except (SvycdfError, OSError) as exc:
         _fail(exc)
 
 
@@ -274,10 +276,10 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
     """Calibrate rejective working probabilities to target inclusion
     probabilities; writes JSON with the p vector and achieved residual."""
     try:
-        text = Path(pi_path).read_text(encoding="utf-8")
         try:
+            text = Path(pi_path).read_text(encoding="utf-8")
             target = np.array([float(tok) for tok in text.replace(",", " ").split()])
-        except ValueError as exc:
+        except ValueError as exc:   # undecodable bytes or a bad token
             raise ParameterError(f"could not parse probabilities: {exc}") from exc
         design = dsg.calibrated_rejective(target, size, tol=tol, max_iter=max_iter)
         residual = float(np.max(np.abs(dsg.first_order_pi(design) - target)))
@@ -285,5 +287,5 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
                    "max_residual": residual}
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         click.echo(f"wrote {out_path} (max residual {residual:.3e})")
-    except SvycdfError as exc:
+    except (SvycdfError, OSError) as exc:
         _fail(exc)

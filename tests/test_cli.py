@@ -260,6 +260,27 @@ class TestSimulateFailures:
         assert len(lines) == 1 and lines[0].startswith(f"error: {type(exc).__name__}")
         assert not (out / "rb_estimators.csv").exists()
 
+    def test_undecodable_config_is_usage_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'{"seed": 42, "designs": ["\xff"]}')
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config is not valid UTF-8")
+        assert not out.exists()
+
+    def test_output_below_a_file_is_runtime_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        (tmp_path / "file").write_text("x")
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "file" / "out")])
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
+
     def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
         real_write = cli._write_csv
         calls = []
@@ -381,6 +402,15 @@ class TestOracleCommand:
             "--out", str(tmp_path)])
         assert result.exit_code == 3
 
+    def test_output_below_a_file_is_runtime_error(self, runner, tmp_path):
+        (tmp_path / "file").write_text("x")
+        result = runner.invoke(main, [
+            "oracle", "--design", '{"kind":"srswor","N":6,"n":3}',
+            "--out", str(tmp_path / "file" / "out")])
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
+
     def test_bad_design_json_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "oracle", "--design", "not json", "--out", str(tmp_path)])
@@ -452,6 +482,26 @@ class TestCalibrateCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out_path.exists()
 
+    def test_undecodable_targets_is_usage_error(self, runner, tmp_path):
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_bytes(b"0.5\n0.5\xff\n")
+        out_path = tmp_path / "p.json"
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
+                                      "--n", "1", "--out", str(out_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: could not parse")
+        assert not out_path.exists()
+
+    def test_missing_output_directory_is_runtime_error(self, runner, tmp_path):
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_text("0.5\n" * 6)
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+                                      "--out", str(tmp_path / "missing" / "p.json")])
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError")
+
     def test_nan_target_is_usage_error(self, runner, tmp_path):
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("nan\n0.5\n0.5\n")
@@ -466,3 +516,4 @@ class TestCalibrateCommand:
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
                                       "--n", "2", "--out", str(tmp_path / "p.json")])
         assert result.exit_code == 2
+
