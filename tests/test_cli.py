@@ -4,12 +4,17 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import svycdf
 from svycdf import cli
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
@@ -517,3 +522,40 @@ class TestCalibrateCommand:
                                       "--n", "2", "--out", str(tmp_path / "p.json")])
         assert result.exit_code == 2
 
+
+#: run in a fresh interpreter: the command line, a rejective simulation, the
+#: normality diagnostic and calibration, then list the scipy modules loaded
+RUN_PATH = """
+import json, sys
+from pathlib import Path
+import svycdf.cli
+from svycdf import designs as dsg, montecarlo as mc, population as pop
+
+out = Path(sys.argv[1])
+cfg = {"designs": ["REJ"], "cells": [{"N": 40, "n": 8}], "n_populations": 2,
+       "n_samples": 4, "seed": 1}
+(out / "config.json").write_text(json.dumps(cfg))
+(out / "pi.txt").write_text("\\n".join(
+    repr(float(x)) for x in dsg.first_order_pi(dsg.rejective([0.2, 0.4, 0.6, 0.8], 2))))
+for args in (["simulate", "--config", str(out / "config.json"), "--out", str(out / "sim")],
+             ["calibrate", "--pi", str(out / "pi.txt"), "--n", "2",
+              "--out", str(out / "p.json")]):
+    svycdf.cli.main(args, standalone_mode=False)
+sc = mc.Scenario(N=40, n=8, design="REJ", law=pop.SuperPopulationLaw.exponential(1.0),
+                 alpha=0.5, beta=0.6, n_populations=40, n_samples=25, seed=3)
+mc.normality_diagnostic(sc, "ht_mean")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # scipy is a test-only reference: nothing on the run path may load it
+    src = Path(svycdf.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", RUN_PATH, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "sim" / "coverage.csv").is_file()
+    assert (tmp_path / "p.json").is_file()
