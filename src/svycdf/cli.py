@@ -20,6 +20,7 @@ manifest additionally records wall-clock timings and is not.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
@@ -113,6 +114,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def simulate(config_path, out_dir, paper_scale, workers, seed):
     """Run the configured scenario grid and write the result tables."""
     written: list[Path] = []
+    made: list[Path] = []
     try:
         cfg = _load_config(config_path)
         try:
@@ -144,10 +146,12 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
                 for design in designs for ci, cell in enumerate(cells)}
         except ScenarioError as exc:
             raise ParameterError(f"invalid scenario: {exc}") from exc
+        # an output path that cannot be made fails before the Monte Carlo work
+        out = Path(out_dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
         reports = dict(zip(scenarios, mc.run_scenarios(list(scenarios.values()), workers)))
 
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         cell_cols = [_cell_header(c) for c in cells]
 
         rb_rows, cov_rows, av_rows = [], [], []
@@ -196,6 +200,9 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
     except (SvycdfError, BrokenProcessPool, MemoryError, OSError) as exc:
         for path in written:
             Path(path).unlink(missing_ok=True)
+        for directory in made:          # the deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         _fail(exc)
 
 

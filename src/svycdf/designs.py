@@ -20,6 +20,10 @@ to the next, so a batch of samples (:func:`draw_batch`) costs n steps, each
 over a short window of units per sample.  Every sample consumes its own
 generator's N uniforms, so a sample drawn in a batch equals the same sample
 drawn alone.
+
+A drawn sample (:class:`SampleDraw`) is its included unit indices in
+increasing order, with their inclusion probabilities; no N-length
+indicator vector is formed.
 """
 
 from __future__ import annotations
@@ -251,26 +255,17 @@ def rejective(p, n: int) -> Design:
 class SampleDraw:
     """One realized sample.
 
-    ``indicators`` is the full-length inclusion vector, ``included`` the
-    sampled indices, ``pi_included`` their first-order inclusion
-    probabilities and ``expected_n`` the design-expected sample size.
-    ``y_included`` optionally carries the response values of the sampled
-    units so estimators can work from the draw alone.
+    ``included`` holds the sampled unit indices in increasing order,
+    ``pi_included`` their first-order inclusion probabilities and
+    ``expected_n`` the design-expected sample size.  ``y_included``
+    optionally carries the response values of the sampled units so
+    estimators can work from the draw alone.
     """
 
-    indicators: np.ndarray
     included: np.ndarray
     pi_included: np.ndarray
     expected_n: float
     y_included: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return int(self.included.size)
-
-    def n_hat(self) -> float:
-        """Inverse-probability estimate of the population size."""
-        return float(np.sum(1.0 / self.pi_included))
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +339,17 @@ def draw(design: Design, rng, y=None) -> SampleDraw:
     draw runs the batched walk of :func:`draw_batch` on one row of N
     uniforms.
     """
+    if design.kind == "rejective":
+        return draw_batch(design, [rng], y)[0]
     rng = _as_generator(rng)
-    N = design.N
     if design.kind == "srswor":
-        idx = rng.choice(N, size=design.size, replace=False)
-        indicators = np.zeros(N, dtype=bool)
-        indicators[idx] = True
-    elif design.kind == "bernoulli":
-        indicators = rng.random(N) < design.rate
-    elif design.kind == "poisson":
-        indicators = rng.random(N) < design.pi
+        included = np.sort(rng.choice(design.N, size=design.size, replace=False))
     else:
-        indicators = _rejective_walk(design, rng.random((1, N)))[0]
-    return _finish_draw(design, indicators, y)
+        rate = design.rate if design.kind == "bernoulli" else design.pi
+        included = np.flatnonzero(rng.random(design.N) < rate)
+    return SampleDraw(included=included, pi_included=first_order_pi(design)[included],
+                      expected_n=design.expected_size,
+                      y_included=None if y is None else np.asarray(y, dtype=float)[included])
 
 
 #: a batch holds at most this many samples, and N float64 per sample (the
@@ -387,8 +380,12 @@ def draw_batch(design: Design, rngs, y=None) -> list[SampleDraw]:
                             f"on N={design.N} units, got {len(rngs)}")
     if design.kind != "rejective":
         return [draw(design, rng, y) for rng in rngs]
-    indicators = _rejective_walk(design, _uniform_rows(rngs, design.N))
-    return [_finish_draw(design, row, y) for row in indicators]
+    pi = first_order_pi(design)
+    y = None if y is None else np.asarray(y, dtype=float)
+    return [SampleDraw(included=included, pi_included=pi[included],
+                       expected_n=design.expected_size,
+                       y_included=None if y is None else y[included])
+            for included in _rejective_walk(design, _uniform_rows(rngs, design.N))]
 
 
 def _uniform_rows(rngs: list, N: int) -> np.ndarray:
@@ -400,14 +397,15 @@ def _uniform_rows(rngs: list, N: int) -> np.ndarray:
 
 
 def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
-    """Inclusion indicators of the sequential rejective sampler, one row per
-    row of uniforms ``us`` (shape ``(S, N)``).
+    """Included positions of the sequential rejective sampler, shape
+    ``(S, n)`` in increasing order along a row, one row per row of
+    uniforms ``us`` (shape ``(S, N)``).
 
     With m slots open the walk jumps, for every sample at once, to the
     next unit r where ``u_r < p_r * suffix[N-r-1, m-1] / suffix[N-r, m]``
     (the same floating-point expression as a unit-by-unit walk, so the
-    indicators are identical), or to unit N-m, from which every unit must
-    be included.  Each jump scans a window of about 4 N/n units per
+    sample is identical), or to unit N-m, from which every unit must be
+    included.  Each jump scans a window of about 4 N/n units per
     sample and widens past it only for the samples with no hit.
     """
     p, n = design.working_p, design.size
@@ -419,7 +417,7 @@ def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
     rows = np.arange(S)
     offset = (rows * N)[:, None]
     pos = np.zeros(S, dtype=np.intp)
-    indicators = np.zeros((S, N), dtype=bool)
+    included = np.empty((S, n), dtype=np.intp)
     for m in range(n, 0, -1):
         stop = N - m
         below, above = rev[1:, m - 1], rev[:, m]
@@ -435,17 +433,9 @@ def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
             if found.all():
                 break
             todo, start = todo[~found], start[~found] + width
-        indicators[rows, pos] = True
+        included[:, n - m] = pos
         pos += 1
-    return indicators
-
-
-def _finish_draw(design: Design, indicators: np.ndarray, y) -> SampleDraw:
-    included = np.flatnonzero(indicators)
-    return SampleDraw(indicators=indicators, included=included,
-                      pi_included=first_order_pi(design)[included],
-                      expected_n=design.expected_size,
-                      y_included=None if y is None else np.asarray(y, dtype=float)[included])
+    return included
 
 
 # ---------------------------------------------------------------------------

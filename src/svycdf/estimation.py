@@ -33,7 +33,6 @@ from .errors import (
     EstimationError,
     ParameterError,
     QuantileUndefinedError,
-    ZeroDensityError,
 )
 
 _TIE_EPS = 1e-12
@@ -201,21 +200,6 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
                     (1.0 - frac) * q[..., 0] + frac * q[..., 1])
 
 
-def hadamard_direction_value(density_at_quantile: float, density_at_scaled: float,
-                             h_at_quantile: float, h_at_scaled: float,
-                             beta: float) -> float:
-    """Directional derivative of the poverty-rate functional.
-
-    For a perturbation direction h, the derivative at a distribution with
-    density f, quantile q and scaled point beta*q equals
-    ``-beta (f(beta q) / f(q)) h(q) + h(beta q)``.
-    """
-    if density_at_quantile <= 0.0:
-        raise ZeroDensityError("density at the quantile must be positive")
-    return (-beta * (density_at_scaled / density_at_quantile) * h_at_quantile
-            + h_at_scaled)
-
-
 def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
     """Gaussian kernel sums sum_i phi((t - y_i) / h) inv_i of padded rows.
 
@@ -226,10 +210,10 @@ def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
     # exp(-0.5 z^2) / sqrt(2 pi), z = (t - y) / h, in one array; halving is
     # exact, so -0.5 (z z) is the same float as (-0.5 z) z
     kernel = t[:, :, None] - y[:, None, :]
-    kernel /= bandwidth[:, None, None]
     with np.errstate(over="ignore"):
-        # a response many bandwidths away overflows z * z to inf; its kernel
-        # value exp(-inf) = 0 is the intended one
+        # a response many bandwidths away overflows z or z * z to inf; its
+        # kernel value exp(-inf) = 0 is the intended one
+        kernel /= bandwidth[:, None, None]
         np.multiply(kernel, kernel, out=kernel)
     kernel *= -0.5
     np.exp(kernel, out=kernel)

@@ -214,9 +214,8 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
                      batches) -> np.ndarray:
     """One population's (9, 2) array of sums over its cells, added in
     sample order; ``av_ref`` is the asymptotic variance of each estimator."""
-    census = dsg.SampleDraw(indicators=np.ones(sc.N, dtype=bool), included=np.arange(sc.N),
-                            pi_included=np.ones(sc.N), expected_n=float(sc.N),
-                            y_included=population.y)
+    census = dsg.SampleDraw(included=np.arange(sc.N), pi_included=np.ones(sc.N),
+                            expected_n=float(sc.N), y_included=population.y)
     phi_fn = est.step_poverty_rates([census], sc.N, sc.alpha, sc.beta, "HJ")[0]
     centers = np.array([phi_fn, phi_f])[:, None, None]
     constants = dsg.design_constants(design)
@@ -440,23 +439,26 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 # Normality diagnostics
 # ---------------------------------------------------------------------------
 
-def _statistic_values(sc: Scenario, statistic: str, population, design, batches) -> tuple:
-    """One population's replicated statistic, with the exact center and
-    scale of the HT mean (``None`` for the poverty rates, which take the
-    step quantile rule, one batch at a time)."""
-    vals = []
-    for batch in batches:
-        if statistic == "ht_mean":
-            vals += [float(np.sum(s.y_included / s.pi_included)) / sc.N for s in batch]
-            continue
-        vals += est.step_poverty_rates(batch, sc.N, sc.alpha, sc.beta,
-                                       statistic[-2:].upper()).tolist()
-    vals = np.array(vals)
-    if statistic != "ht_mean":
-        return vals, None, None
-    center = float(np.mean(population.y))
-    scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
-    return vals, center, scale
+def _statistic_values(sc: Scenario, statistic: str, center, scale, population, design,
+                      batches) -> np.ndarray:
+    """One population's replicated statistic, standardized.
+
+    The HT mean takes this population's exact center and design scale; a
+    poverty rate (the step quantile rule, one batch at a time) takes the
+    given model ``center`` and asymptotic ``scale``.
+    """
+    if statistic == "ht_mean":
+        vals = np.array([float(np.sum(s.y_included / s.pi_included)) / sc.N
+                         for batch in batches for s in batch])
+        center = float(np.mean(population.y))
+        scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
+        if scale <= 0.0:
+            raise DiagnosticError("design variance of the weighted mean is zero")
+    else:
+        vals = np.concatenate([est.step_poverty_rates(batch, sc.N, sc.alpha, sc.beta,
+                                                      statistic[-2:].upper())
+                               for batch in batches])
+    return (vals - center) / scale
 
 
 def _shape_statistics(z: np.ndarray) -> dict:
@@ -490,26 +492,19 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     if sc.n_populations * sc.n_samples < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
     design = _scenario_design(sc)
-    with _process_pool(workers, sc.n_populations) as pool:
-        per_pop = _map_populations(sc, design, partial(_statistic_values, sc, statistic),
-                                   pool)
-    z_parts = []
-    if statistic == "ht_mean":
-        for vals, center, scale in per_pop:
-            if scale is None or scale <= 0.0:
-                raise DiagnosticError("design variance of the weighted mean is zero")
-            z_parts.append((vals - center) / scale)
-    else:
+    center = scale = None
+    if statistic != "ht_mean":
         constants = dsg.design_constants(design)
         try:
             sigma2 = asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta,
                                           statistic[-2:].upper())
         except (ParameterError, EstimationError) as exc:
             raise DiagnosticError(f"asymptotic variance unavailable: {exc}") from exc
-        phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)   # rejects a bad beta
+        center = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)   # rejects a bad beta
         if sigma2 <= 0.0:
             raise DiagnosticError("asymptotic variance is zero")
         scale = np.sqrt(sigma2 / sc.n)
-        for vals, _, _ in per_pop:
-            z_parts.append((vals - phi_f) / scale)
+    with _process_pool(workers, sc.n_populations) as pool:
+        z_parts = _map_populations(
+            sc, design, partial(_statistic_values, sc, statistic, center, scale), pool)
     return _shape_statistics(np.concatenate(z_parts))

@@ -1,12 +1,14 @@
 """Exact design-measure computations by enumeration for small populations.
 
 Enumerating the full support of a design gives exact inclusion
-probabilities to any order, centered correlation moments, the exact
-design variance of the inverse-probability mean, finite-N covariance
-matrices on grids, and the Kullback-Leibler divergence between two
+probabilities to any order, the condition report on its centered
+correlation moments, and the Kullback-Leibler divergence between two
 designs.  These serve as independent oracles for the dynamic-program
 routes in :mod:`svycdf.designs` and as numeric reports for the
-correlation and entropy statistics that control the asymptotics.
+correlation and entropy statistics that control the asymptotics.  The
+exact design variance of the inverse-probability mean and the finite-N
+covariance matrices on grids share one quadratic form in the pairwise
+ratios (``_ratio_form``).
 
 The condition report reads every third- and fourth-order statistic from
 products of unit pairs: over the N(N-1)/2 unordered pairs P = (i, j) it
@@ -51,10 +53,6 @@ class EnumeratedDesign:
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-12 or np.any(self.probs < 0.0):
             raise ParameterError("support probabilities must be nonnegative and sum to one")
-
-    @property
-    def support_size(self) -> int:
-        return int(self.probs.size)
 
     def first_order(self) -> np.ndarray:
         return self.probs @ self.samples
@@ -115,20 +113,6 @@ def enumerate_design(design: dsg.Design) -> EnumeratedDesign:
         masks = _all_subsets_masks(N)
         probs = _independent_probs(masks, design.pi)
     return EnumeratedDesign(samples=masks, probs=probs, N=N)
-
-
-def exact_moment(enumerated: EnumeratedDesign, indices) -> float:
-    """E prod_{i in indices} (xi_i - pi_i), computed over the full support."""
-    idx = tuple(int(i) for i in indices)
-    if not 2 <= len(idx) <= 4:
-        raise ParameterError("moment order must be between 2 and 4")
-    if len(set(idx)) != len(idx):
-        raise ParameterError(f"indices must be distinct, got {idx}")
-    if min(idx) < 0 or max(idx) >= enumerated.N:
-        raise ParameterError(f"indices out of range for N={enumerated.N}")
-    pi = enumerated.first_order()
-    centered = enumerated.samples[:, idx].astype(float) - pi[list(idx)]
-    return float(np.dot(enumerated.probs, np.prod(centered, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -280,39 +264,43 @@ def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
     return t3, q4
 
 
-def _pi_matrices(design_or_enum):
+def _ratio_form(design_or_enum, a: np.ndarray) -> np.ndarray:
+    """a^T Delta a for ``a`` of shape (N, K), Delta_ij = (pi_ij - pi_i pi_j)/(pi_i pi_j).
+
+    Enumerated and rejective designs use their exact pairwise
+    probabilities (the N x N matrix).  Product designs have only the
+    diagonal (1 - pi_i)/pi_i, and srswor adds its constant off-diagonal
+    ratio (n - N)/(n (N - 1)), so neither forms an N x N matrix.
+    """
     if isinstance(design_or_enum, EnumeratedDesign):
-        return design_or_enum.first_order(), design_or_enum.second_order(), design_or_enum.N
-    design = design_or_enum
-    pi2 = dsg.second_order_pi(design) if design.kind == "rejective" else None
-    return dsg.first_order_pi(design), pi2, design.N
+        pi, pi2 = design_or_enum.first_order(), design_or_enum.second_order()
+    elif design_or_enum.kind == "rejective":
+        pi, pi2 = dsg.first_order_pi(design_or_enum), dsg.second_order_pi(design_or_enum)
+    else:
+        design = design_or_enum
+        pi = dsg.first_order_pi(design)
+        form = a.T @ (a * ((1.0 - pi) / pi)[:, None])
+        if design.kind in ("bernoulli", "poisson"):
+            return form
+        N, n = design.N, design.size
+        c = (n - N) / (n * (N - 1)) if N > 1 else 0.0
+        col_sums = a.sum(axis=0)
+        return form + c * (np.outer(col_sums, col_sums) - a.T @ a)
+    ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
+    return a.T @ ratio @ a
 
 
 def exact_sn2(design_or_enum, v) -> float:
     """Exact design variance of the inverse-probability mean of v.
 
-    (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, evaluated
-    with exact pairwise probabilities (enumerated, or the N x N matrix of a
-    rejective design).  Product designs avoid the N x N matrix; srswor uses
-    its constant off-diagonal ratio.
+    (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, the form of
+    :func:`_ratio_form` with one column.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (design_or_enum.N,):
+    N = design_or_enum.N
+    if v.shape != (N,):
         raise ParameterError("v must have one entry per unit")
-    pi, pi2, N = _pi_matrices(design_or_enum)
-    if pi2 is not None:
-        ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
-        return float(v @ ratio @ v) / N**2
-    design = design_or_enum
-    diag = float(np.sum((1.0 - pi) / pi * v * v))
-    if design.kind in ("bernoulli", "poisson"):
-        return diag / N**2
-    n = design.size   # srswor
-    if N == 1:
-        return 0.0
-    c = (n - N) / (n * (N - 1))
-    total = float(v.sum())
-    return (diag + c * (total * total - float(np.sum(v * v)))) / N**2
+    return float(_ratio_form(design_or_enum, v[:, None])[0, 0]) / N**2
 
 
 def sigma_matrix(design: dsg.Design, population: pop.Population, grid,
@@ -325,9 +313,6 @@ def sigma_matrix(design: dsg.Design, population: pop.Population, grid,
     indicators centered by the model CDF ("HJ2", requires ``law``).
     """
     grid = np.asarray(grid, dtype=float)
-    pi = dsg.first_order_pi(design)
-    N = design.N
-    n = design.expected_size
     a = (population.y[:, None] <= grid[None, :]).astype(float)
     if form == "HJ2":
         if law is None:
@@ -335,20 +320,7 @@ def sigma_matrix(design: dsg.Design, population: pop.Population, grid,
         a = a - pop.true_cdf(law, grid)[None, :]
     elif form != "HT2":
         raise ParameterError(f"form must be 'HT2' or 'HJ2', got {form!r}")
-
-    diag_ratio = (1.0 - pi) / pi
-    diag_part = a.T @ (a * diag_ratio[:, None])
-    if design.kind in ("bernoulli", "poisson"):
-        mat = diag_part
-    elif design.kind == "srswor":
-        c = (design.size - N) / (design.size * (N - 1)) if N > 1 else 0.0
-        col_sums = a.sum(axis=0)
-        mat = diag_part + c * (np.outer(col_sums, col_sums) - a.T @ a)
-    else:
-        pi2 = dsg.second_order_pi(design)
-        ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
-        mat = a.T @ ratio @ a
-    mat = mat * (n / N**2)
+    mat = _ratio_form(design, a) * (design.expected_size / design.N**2)
     return (mat + mat.T) / 2.0
 
 

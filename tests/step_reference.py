@@ -6,13 +6,23 @@ given; ``quantile`` is the scalar generalized inverse and
 ``poverty_rate`` the function at beta times that quantile.  The batch
 kernels of ``svycdf.estimation`` (``_weighted_cdfs``, ``_step_quantiles``,
 ``_step_values``, ``step_poverty_rates``) must give the same floats.
+
+Two more reference helpers of the tests live here: ``n_hat``, a draw's
+inverse-probability population-size estimate, and
+``hadamard_direction_value``, the directional derivative of the poverty
+rate functional, checked against finite differences.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from svycdf.errors import EstimationError, ParameterError, QuantileUndefinedError
+from svycdf.errors import (
+    EstimationError,
+    ParameterError,
+    QuantileUndefinedError,
+    ZeroDensityError,
+)
 
 TIE_EPS = 1e-12
 
@@ -86,3 +96,22 @@ def poverty_rate(f, alpha, beta):
     if not 0.0 < beta <= 1.0:
         raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
     return float(f.evaluate(beta * quantile(f, alpha)))
+
+
+def n_hat(draw):
+    """Inverse-probability estimate of the population size, sum 1/pi."""
+    return float(np.sum(1.0 / draw.pi_included))
+
+
+def hadamard_direction_value(density_at_quantile, density_at_scaled, h_at_quantile,
+                             h_at_scaled, beta):
+    """Directional derivative of the poverty-rate functional.
+
+    For a perturbation direction h, the derivative at a distribution with
+    density f, quantile q and scaled point beta*q equals
+    ``-beta (f(beta q) / f(q)) h(q) + h(beta q)``.
+    """
+    if density_at_quantile <= 0.0:
+        raise ZeroDensityError("density at the quantile must be positive")
+    return (-beta * (density_at_scaled / density_at_quantile) * h_at_quantile
+            + h_at_scaled)

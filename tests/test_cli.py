@@ -276,7 +276,10 @@ class TestSimulateFailures:
         assert len(lines) == 1 and lines[0].startswith("error: config is not valid UTF-8")
         assert not out.exists()
 
-    def test_output_below_a_file_is_runtime_error(self, runner, tmp_path):
+    def test_output_below_a_file_is_runtime_error(self, runner, tmp_path, monkeypatch):
+        # the output directory is made before the Monte Carlo work
+        calls = []
+        monkeypatch.setattr(mc, "run_scenarios", lambda *args, **kwargs: calls.append(args))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(minimal_config()))
         (tmp_path / "file").write_text("x")
@@ -285,6 +288,7 @@ class TestSimulateFailures:
         assert result.exit_code == 3
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
+        assert calls == []
 
     def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
         real_write = cli._write_csv

@@ -168,10 +168,9 @@ class TestRejectiveWalk:
         with np.errstate(invalid="ignore"):       # 0/0 thresholds where the table underflows
             got = dsg._rejective_walk(design, us)
             expected = [sequential_rejective(design, u) for u in us]
-        assert got.shape == us.shape
+        assert got.shape == (us.shape[0], design.size)
         for row, oracle in zip(got, expected):
-            assert np.array_equal(row, oracle)
-            assert row.sum() == design.size
+            assert np.array_equal(row, np.flatnonzero(oracle))
 
     @given(N=st.integers(min_value=2, max_value=30), data=st.data(),
            S=st.integers(min_value=1, max_value=9), rows=st.integers(min_value=1, max_value=4),
@@ -195,10 +194,9 @@ class TestRejectiveWalk:
         assert len(batch) == S
         for j, sample in enumerate(batch):
             single = dsg.draw(design, substream(seed, j), y=y)
-            oracle = sequential_rejective(design, substream(seed, j).random(N))
-            assert np.array_equal(sample.indicators, oracle)
-            assert np.array_equal(single.indicators, oracle)
-            assert np.array_equal(sample.included, single.included)
+            oracle = np.flatnonzero(sequential_rejective(design, substream(seed, j).random(N)))
+            assert np.array_equal(sample.included, oracle)
+            assert np.array_equal(single.included, oracle)
             assert np.array_equal(sample.pi_included, single.pi_included)
             assert np.array_equal(sample.y_included, single.y_included)
 
@@ -208,13 +206,14 @@ class TestRejectiveWalk:
         us = np.full((2, 9), 0.99)
         expected = [False] * 6 + [True] * 3
         assert np.array_equal(sequential_rejective(design, us[0]), expected)
-        assert np.array_equal(dsg._rejective_walk(design, us), [expected, expected])
+        positions = np.flatnonzero(expected)
+        assert np.array_equal(dsg._rejective_walk(design, us), [positions, positions])
         # the suffix table underflows to 0, so every threshold is 0/0 and only
         # the rule "the units left equal m" includes anything
         design = dsg.rejective([dsg._P_CLIP] * 30, 29)
         with np.errstate(invalid="ignore"):
             got = dsg._rejective_walk(design, np.zeros((1, 30)))
-        assert np.array_equal(got[0], [False] + [True] * 29)
+        assert np.array_equal(got[0], np.arange(1, 30))
 
     def test_desk_scale_batch_matches_oracle(self):
         # the harness's low/high split at N=2000, n=100: one batch of 12 samples
@@ -225,7 +224,7 @@ class TestRejectiveWalk:
         rngs = [substream(32, j) for j in range(12)]
         for j, sample in enumerate(dsg.draw_batch(design, rngs)):
             oracle = sequential_rejective(design, substream(32, j).random(N))
-            assert np.array_equal(sample.indicators, oracle)
+            assert np.array_equal(sample.included, np.flatnonzero(oracle))
 
     def test_batch_rows_bound(self):
         # one bound for every design: 64 samples, or N float64 each within 4 MiB
@@ -246,7 +245,7 @@ class TestRejectiveWalk:
             rngs = [substream(4, j) for j in range(5)]
             for j, sample in enumerate(dsg.draw_batch(design, rngs, y=y)):
                 single = dsg.draw(design, substream(4, j), y=y)
-                assert np.array_equal(sample.indicators, single.indicators)
+                assert np.array_equal(sample.included, single.included)
                 assert np.array_equal(sample.y_included, single.y_included)
             with mock.patch.object(dsg, "_BATCH_BYTES", 8 * 30 * 2):
                 with pytest.raises(CapacityError):
@@ -429,14 +428,23 @@ class TestDraw:
     def test_fixed_size_draws(self):
         for design in (dsg.srswor(20, 7), dsg.rejective(np.full(20, 0.35), 7)):
             for seed in range(20):
-                assert dsg.draw(design, substream(seed)).size == 7
+                assert dsg.draw(design, substream(seed)).included.size == 7
+
+    def test_included_indices_increase(self):
+        for design in (dsg.srswor(50, 20), dsg.bernoulli(50, 0.4),
+                       dsg.poisson(np.linspace(0.1, 0.9, 50)),
+                       dsg.rejective(np.linspace(0.1, 0.9, 50), 20)):
+            for seed in range(10):
+                included = dsg.draw(design, substream(seed)).included
+                assert included.dtype == np.intp
+                assert np.all(np.diff(included) > 0), design.kind
 
     def test_bernoulli_size_band(self):
         # 5 sigma binomial band on the realized size, 100 seeded draws
         design = dsg.bernoulli(10_000, 0.5)
         band = 5.0 * math.sqrt(10_000 * 0.25)
         for seed in range(100):
-            size = dsg.draw(design, substream(seed)).size
+            size = dsg.draw(design, substream(seed)).included.size
             assert abs(size - 5000) <= band
 
     def test_inclusion_frequencies_match_pi(self):
@@ -460,7 +468,7 @@ class TestDraw:
         design = dsg.rejective(np.linspace(0.2, 0.8, 10), 4)
         a = dsg.draw(design, substream(3, 1))
         b = dsg.draw(design, substream(3, 1))
-        assert np.array_equal(a.indicators, b.indicators)
+        assert np.array_equal(a.included, b.included)
 
     def test_draw_attaches_values(self):
         y = np.arange(10.0)

@@ -21,16 +21,12 @@ from svycdf.streams import substream
 import step_reference as ref
 
 
-def make_draw(y_values, pi_values, N, expected_n=None):
+def make_draw(y_values, pi_values, expected_n=None):
     """Hand-built draw: the first len(y_values) units are included."""
     y_values = np.asarray(y_values, dtype=float)
     pi_values = np.asarray(pi_values, dtype=float)
-    k = y_values.size
-    indicators = np.zeros(N, dtype=bool)
-    indicators[:k] = True
     return dsg.SampleDraw(
-        indicators=indicators,
-        included=np.arange(k),
+        included=np.arange(y_values.size),
         pi_included=pi_values,
         expected_n=float(expected_n if expected_n is not None else pi_values.sum()),
         y_included=y_values,
@@ -91,18 +87,18 @@ class TestWeightedStepFunction:
 
     def test_tie_merging(self):
         # HT weights 1/(10 pi) = 0.2, 0.3, 0.5
-        draw = make_draw([2.0, 1.0, 2.0], [0.5, 1.0 / 3.0, 0.2], N=10)
+        draw = make_draw([2.0, 1.0, 2.0], [0.5, 1.0 / 3.0, 0.2])
         f = ecdf(draw, 10, "HT")
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.allclose(f.cumulative, [0.3, 1.0])
 
     def test_right_continuity(self):
-        draw = make_draw([1.0, 2.0], [1.0, 1.0], N=2)
+        draw = make_draw([1.0, 2.0], [1.0, 1.0])
         vals = cdf_at(draw, 2, "HT", [1.0, 1.0 - 1e-12, 0.0, 3.0])
         assert vals.tolist() == [0.5, 0.0, 0.0, 1.0]
 
     def test_vectorized_evaluation(self):
-        draw = make_draw([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], N=3)
+        draw = make_draw([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         for mode in est.MODES:
             assert np.allclose(cdf_at(draw, 3, mode, [0.5, 1.5, 3.5]), [0.0, 1.0 / 3.0, 1.0])
 
@@ -111,7 +107,7 @@ class TestWeightedStepFunction:
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_property(self, values, seed):
         pi = substream(seed).uniform(0.05, 1.0, size=len(values))
-        draw = make_draw(values, pi, N=40)
+        draw = make_draw(values, pi)
         grid = np.linspace(min(values) - 1, max(values) + 1, 50)
         for mode in est.MODES:
             out = cdf_at(draw, 40, mode, grid)
@@ -122,23 +118,24 @@ class TestWeightedStepFunction:
 class TestHtEcdf:
     def test_census_equals_unweighted(self):
         y = np.array([3.0, 1.0, 2.0, 5.0])
-        draw = make_draw(y, np.ones(4), N=4)
+        draw = make_draw(y, np.ones(4))
         assert ecdf(draw, 4, "HT").total_mass == pytest.approx(1.0, abs=1e-15)
         assert cdf_at(draw, 4, "HT", 2.0)[0] == pytest.approx(0.5)
 
     def test_single_unit(self):
-        draw = make_draw([3.0], [0.5], N=2)
+        draw = make_draw([3.0], [0.5])
         assert cdf_at(draw, 2, "HT", 3.0)[0] == pytest.approx(1.0)   # 1/(2 * 0.5)
         assert cdf_at(draw, 2, "HT", 2.9)[0] == 0.0
 
     def test_hand_evaluation(self):
         # two included units with pi = 0.5 out of N = 4: each jump 1/(4*0.5)
-        draw = make_draw([1.0, 2.0], [0.5, 0.5], N=4, expected_n=2)
+        draw = make_draw([1.0, 2.0], [0.5, 0.5], expected_n=2)
         assert cdf_at(draw, 4, "HT", [1.5, 2.0]).tolist() == pytest.approx([0.5, 1.0])
 
     def test_total_mass_is_nhat_over_n(self):
-        draw = make_draw([1.0, 2.0, 3.0], [0.25, 0.5, 0.75], N=10)
-        assert ecdf(draw, 10, "HT").total_mass == pytest.approx(draw.n_hat() / 10.0, rel=1e-15)
+        draw = make_draw([1.0, 2.0, 3.0], [0.25, 0.5, 0.75])
+        assert ecdf(draw, 10, "HT").total_mass == pytest.approx(ref.n_hat(draw) / 10.0,
+                                                                rel=1e-15)
 
     def test_requires_values(self):
         bare = dsg.draw(dsg.srswor(5, 2), substream(0))
@@ -151,22 +148,20 @@ class TestHtEcdf:
 class TestHajekEcdf:
     def test_total_mass_exactly_one(self):
         rng = substream(1)
-        draw = make_draw(rng.normal(size=7), rng.uniform(0.1, 0.9, 7), N=20)
+        draw = make_draw(rng.normal(size=7), rng.uniform(0.1, 0.9, 7))
         assert ecdf(draw, 20, "HJ").total_mass == 1.0
 
     def test_equal_pi_equals_unweighted(self):
-        draw = make_draw([4.0, 1.0, 3.0], np.full(3, 0.3), N=10)
+        draw = make_draw([4.0, 1.0, 3.0], np.full(3, 0.3))
         assert cdf_at(draw, 10, "HJ", [1.0, 3.5]).tolist() == pytest.approx([1 / 3, 2 / 3])
 
     def test_unequal_weights(self):
-        draw = make_draw([1.0, 2.0], [0.2, 0.8], N=5)
+        draw = make_draw([1.0, 2.0], [0.2, 0.8])
         assert cdf_at(draw, 5, "HJ", 1.0)[0] == pytest.approx(0.8)   # 5 / (5 + 1.25)
 
     def test_empty_sample_errors(self):
-        empty = dsg.SampleDraw(indicators=np.zeros(4, dtype=bool),
-                               included=np.array([], dtype=int),
-                               pi_included=np.array([]), expected_n=1.0,
-                               y_included=np.array([]))
+        empty = dsg.SampleDraw(included=np.array([], dtype=int), pi_included=np.array([]),
+                               expected_n=1.0, y_included=np.array([]))
         with pytest.raises(EstimationError):
             est.step_poverty_rates([empty], 4, 0.5, 0.6, "HJ")
 
@@ -187,7 +182,7 @@ class TestWeightedQuantile:
 
     def test_mass_deficit_errors(self):
         # HT weights 1/(20 / 9) = 0.45: total mass 0.9 < 0.95
-        draw = make_draw([1.0, 2.0], np.full(2, 1.0 / 9.0), N=20)
+        draw = make_draw([1.0, 2.0], np.full(2, 1.0 / 9.0))
         assert ecdf(draw, 20, "HT").total_mass == pytest.approx(0.9)
         with pytest.raises(QuantileUndefinedError):
             est.step_poverty_rates([draw], 20, 0.95, 0.6, "HT")
@@ -223,7 +218,7 @@ class TestWeightedQuantile:
         assert f.locations[0] <= min(qs) and max(qs) <= f.locations[-1]
 
     def test_bad_level(self):
-        draw = make_draw([1.0], [1.0], N=1)
+        draw = make_draw([1.0], [1.0])
         for alpha in (0.0, 1.5, np.nan):
             with pytest.raises(ParameterError, match="quantile level"):
                 est.step_poverty_rates([draw], 1, alpha, 0.6, "HJ")
@@ -232,7 +227,7 @@ class TestWeightedQuantile:
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_in_level(self, seed):
         rng = substream(seed)
-        draw = make_draw(rng.normal(size=8), rng.uniform(0.05, 1.0, 8), N=30)
+        draw = make_draw(rng.normal(size=8), rng.uniform(0.05, 1.0, 8))
         f = ecdf(draw, 30, "HJ")
         levels = np.linspace(0.05, 1.0, 20)
         qs = [step_quantile(f, a) for a in levels]
@@ -241,39 +236,39 @@ class TestWeightedQuantile:
 
 class TestPovertyRate:
     def test_hand_evaluation(self):
-        draw = make_draw([1.0, 2.0, 3.0, 4.0], np.ones(4), N=4)
+        draw = make_draw([1.0, 2.0, 3.0, 4.0], np.ones(4))
         # quantile(0.5) = 2, 0.6 * 2 = 1.2, F(1.2) = 0.25
         for mode in est.MODES:
             assert rate(draw, 4, 0.5, 0.6, mode) == pytest.approx(0.25)
 
     def test_zero_below_support(self):
-        draw = make_draw([10.0, 20.0], [1.0, 1.0], N=2)
+        draw = make_draw([10.0, 20.0], [1.0, 1.0])
         assert rate(draw, 2, 0.5, 0.1) == 0.0
 
     def test_point_mass(self):
-        assert rate(make_draw([1.0], [1.0], N=1), 1, 0.5, 0.9) == 0.0
+        assert rate(make_draw([1.0], [1.0]), 1, 0.5, 0.9) == 0.0
 
     def test_beta_one_on_atomless_levels(self):
         rng = substream(23)
-        draw = make_draw(rng.normal(size=9), np.ones(9), N=9)
+        draw = make_draw(rng.normal(size=9), np.ones(9))
         for alpha in (0.2, 0.5, 0.8):
             assert rate(draw, 9, alpha, 1.0) >= alpha - 1e-9
 
 
 class TestHadamardDirection:
     def test_zero_direction(self):
-        assert est.hadamard_direction_value(0.5, 0.66, 0.0, 0.0, 0.6) == 0.0
+        assert ref.hadamard_direction_value(0.5, 0.66, 0.0, 0.0, 0.6) == 0.0
 
     def test_constant_direction_exponential(self):
         law = pop.SuperPopulationLaw.exponential(1.0)
         q = pop.true_quantile(law, 0.5)
-        val = est.hadamard_direction_value(
+        val = ref.hadamard_direction_value(
             pop.true_density(law, q), pop.true_density(law, 0.6 * q), 1.0, 1.0, 0.6)
         assert val == pytest.approx(0.20829525353626355, abs=1e-12)
 
     def test_zero_density_errors(self):
         with pytest.raises(ZeroDensityError):
-            est.hadamard_direction_value(0.0, 0.5, 1.0, 1.0, 0.6)
+            ref.hadamard_direction_value(0.0, 0.5, 1.0, 1.0, 0.6)
 
     def test_finite_difference_oracle(self):
         # numeric differentiation of the functional along a smooth bump
@@ -282,7 +277,7 @@ class TestHadamardDirection:
         alpha, beta = 0.5, 0.6
         q = pop.true_quantile(law, alpha)
         bump = lambda t: np.exp(-((t - 0.5) ** 2) / 0.5)
-        deriv = est.hadamard_direction_value(
+        deriv = ref.hadamard_direction_value(
             pop.true_density(law, q), pop.true_density(law, beta * q),
             bump(q), bump(beta * q), beta)
         phi0 = pop.true_poverty_rate(law, alpha, beta)
@@ -304,11 +299,11 @@ def kernel_sums(draw, N, t, bandwidth):
 
 class TestKdeDensity:
     def test_single_point_forced_bandwidth(self):
-        sums, _ = kernel_sums(make_draw([0.0], [1.0], N=1), 1, 0.0, 1.0)
+        sums, _ = kernel_sums(make_draw([0.0], [1.0]), 1, 0.0, 1.0)
         assert sums[0] == pytest.approx(0.3989422804014327, abs=1e-14)
 
     def test_symmetry(self):
-        draw = make_draw([-2.0, -1.0, 1.0, 2.0], np.full(4, 0.5), N=8)
+        draw = make_draw([-2.0, -1.0, 1.0, 2.0], np.full(4, 0.5))
         sums, _ = kernel_sums(draw, 8, [0.5, -0.5, 1.3, -1.3], 0.9)
         assert sums[0] == pytest.approx(sums[1], rel=1e-12)
         assert sums[2] == pytest.approx(sums[3], rel=1e-12)
@@ -325,7 +320,7 @@ class TestKdeDensity:
 
     def test_degenerate_iqr_errors(self):
         # interpolated quartiles 1 and 1, but not all responses equal
-        draw = make_draw([1.0] * 5 + [2.0], np.full(6, 0.5), N=12)
+        draw = make_draw([1.0] * 5 + [2.0], np.full(6, 0.5))
         batch = est.poverty_batch([draw], 12, 0.5, 0.6)
         for k in range(2):
             assert isinstance(batch.errors[0, k], DegenerateBandwidthError)
@@ -333,7 +328,7 @@ class TestKdeDensity:
 
     def test_ht_and_hj_normalizations_differ(self):
         # poverty_batch divides one kernel sum by N ("HT") or by n_hat ("HJ")
-        draw = make_draw([1.0, 2.0, 4.0], [0.2, 0.5, 0.8], N=10)
+        draw = make_draw([1.0, 2.0, 4.0], [0.2, 0.5, 0.8])
         cdfs = est._valid_cdfs([draw], 10)
         q = est._interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
                                         cdfs.sizes.astype(float), (0.5, 0.25, 0.75))
@@ -367,7 +362,7 @@ class TestProcessPath:
         hj = path(draw, popu, grid, "HJ_vs_FN", law=law)
         y_n = path(draw, popu, grid, "Y_N", law=law)
         g_pi = path(draw, popu, grid, "G_pi", law=law)
-        ratio = popu.N / draw.n_hat() - 1.0
+        ratio = popu.N / ref.n_hat(draw) - 1.0
         assert np.max(np.abs(hj - (y_n + ratio * g_pi))) <= 1e-10
 
     def test_ratio_identity(self):
@@ -376,7 +371,7 @@ class TestProcessPath:
         grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
         hj_f = path(draw, popu, grid, "HJ_vs_F", law=law)
         g_pi = path(draw, popu, grid, "G_pi", law=law)
-        assert np.max(np.abs(hj_f - (popu.N / draw.n_hat()) * g_pi)) <= 1e-10
+        assert np.max(np.abs(hj_f - (popu.N / ref.n_hat(draw)) * g_pi)) <= 1e-10
 
     def test_g_pi_against_direct_sum(self):
         law, popu, draw = self._population_and_draw(33, N=40)
@@ -409,7 +404,7 @@ class TestProcessPath:
             else:
                 f_hat = ref.StepFunction.from_points(draw.y_included,
                                                      1.0 / (popu.N * draw.pi_included))
-            root_n, ratio = np.sqrt(draw.expected_n), draw.n_hat() / popu.N
+            root_n, ratio = np.sqrt(draw.expected_n), ref.n_hat(draw) / popu.N
             expected = {"HT_vs_FN": root_n * (f_hat(grid) - fn),
                         "HT_vs_F": root_n * (f_hat(grid) - f),
                         "HJ_vs_FN": root_n * (f_hat(grid) - fn),
@@ -444,7 +439,7 @@ def test_empty_poverty_batch_rejected():
 @pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates",
                                    "poverty_rate_estimates"])
 def test_bad_beta_rejected(entry, beta):
-    draw = make_draw([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5), N=8)
+    draw = make_draw([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
     call = {"poverty_batch": lambda: est.poverty_batch([draw], 8, 0.5, beta),
             "step_poverty_rates": lambda: est.step_poverty_rates([draw], 8, 0.5, beta, "HJ"),
             "poverty_rate_estimates": lambda: asy.poverty_rate_estimates(
@@ -461,8 +456,8 @@ def test_bad_beta_rejected(entry, beta):
 def test_census_rate_is_population_rate(law, N):
     # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1
     y = pop.generate_population(law, N, seed=N).y
-    census = dsg.SampleDraw(indicators=np.ones(N, dtype=bool), included=np.arange(N),
-                            pi_included=np.ones(N), expected_n=float(N), y_included=y)
+    census = dsg.SampleDraw(included=np.arange(N), pi_included=np.ones(N),
+                            expected_n=float(N), y_included=y)
     f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
     for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
         got = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]

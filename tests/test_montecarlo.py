@@ -117,7 +117,7 @@ class TestPopulationLoop:
         draws = [sample for batch in batches for sample in batch]
         for j, sample in enumerate(draws):
             single = dsg.draw(design_obj, substream(sc.seed, 3, 2, j), y=y)
-            assert np.array_equal(sample.indicators, single.indicators)
+            assert np.array_equal(sample.included, single.included)
             assert np.array_equal(sample.y_included, single.y_included)
 
     def test_rejective_scenario_calibrates_once(self, monkeypatch):
@@ -336,12 +336,22 @@ class TestNormalityDiagnostic:
         with pytest.raises(ParameterError):
             mc.normality_diagnostic(small_scenario(), "phi_hj")
 
-    def test_point_mass_errors(self):
+    def test_point_mass_errors(self, monkeypatch):
+        # the missing asymptotic scale is found before any population runs
+        calls = []
+        generate = pop.generate_population
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pop, "generate_population", counted)
         law = pop.SuperPopulationLaw.discrete([5.0], [1.0])
         sc = small_scenario(N=60, n=12, law=law, alpha=0.5, beta=0.9,
                             n_populations=40, n_samples=30, seed=9)
         with pytest.raises(DiagnosticError):
             mc.normality_diagnostic(sc, "phi_hj")
+        assert len(calls) == 0
 
     def test_si_statistics_near_normal(self):
         sc = small_scenario(N=800, n=160, n_populations=40, n_samples=30, seed=13)

@@ -67,7 +67,7 @@ def reference_interpolated_quantile(f, alpha, n_points):
 def reference_kde(draw, N, t, mode, bandwidth):
     if bandwidth <= 0.0:
         raise ParameterError("bandwidth must be positive")
-    denom = float(N) if mode == "HT" else draw.n_hat()
+    denom = float(N) if mode == "HT" else ref.n_hat(draw)
     z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
          - draw.y_included[None, :]) / bandwidth
     with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
@@ -256,14 +256,11 @@ def kernel_cell(draw, N, constants, alpha, beta):
 # Generated draws
 # ---------------------------------------------------------------------------
 
-def make_draw(y, pi, N):
+def make_draw(y, pi):
     y = np.asarray(y, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    indicators = np.zeros(N, dtype=bool)
-    indicators[:y.size] = True
-    return dsg.SampleDraw(indicators=indicators, included=np.arange(y.size),
-                          pi_included=pi, expected_n=float(max(pi.sum(), 1.0)),
-                          y_included=y)
+    return dsg.SampleDraw(included=np.arange(y.size), pi_included=pi,
+                          expected_n=float(max(pi.sum(), 1.0)), y_included=y)
 
 
 CONTINUOUS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -288,7 +285,7 @@ def cases(draw):
                                     mu2=draw(st.floats(-2.0, 2.0)))
     alpha = draw(st.floats(min_value=0.01, max_value=1.0))
     beta = draw(st.floats(min_value=0.05, max_value=1.0))
-    return make_draw(y, pi, N), N, constants, alpha, beta
+    return make_draw(y, pi), N, constants, alpha, beta
 
 
 def same(a, b):
@@ -310,7 +307,7 @@ def assert_cells_equal(got, expected):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def batch_rows(draw, N):
+def batch_rows(draw):
     """One draw of a batch: 0-20 units, with ties, up to three NaN or
     infinite responses, all responses equal or a nonpositive probability
     in some rows."""
@@ -326,13 +323,13 @@ def batch_rows(draw, N):
             y[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif kind == 2:
         pi[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.25]))
-    return make_draw(y, pi, N)
+    return make_draw(y, pi)
 
 
 @st.composite
 def batch_cases(draw):
     N = draw(st.integers(min_value=20, max_value=10_000))
-    draws = draw(st.lists(batch_rows(N), min_size=1, max_size=8))
+    draws = draw(st.lists(batch_rows(), min_size=1, max_size=8))
     constants = asy.DesignConstants(lam=draw(st.floats(0.0, 1.0)),
                                     mu1=draw(st.floats(0.0, 10.0)),
                                     mu2=draw(st.floats(-2.0, 2.0)))
@@ -435,7 +432,7 @@ class TestKernelOracle:
     def test_wide_spread_sample_is_quiet(self):
         # the far response is 1e160 bandwidths away: z * z overflows to inf
         # and its kernel value exp(-inf) = 0 is the intended one
-        draw = make_draw([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5), N=40)
+        draw = make_draw([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5))
         constants = asy.DesignConstants(0.15, 1.0, 0.0)
         cdfs = est._valid_cdfs([draw], 40)
         _, q25, q75 = row_quantiles(ref.batch_row(cdfs, 0, 1), (0.5, 0.25, 0.75), 6)
@@ -451,12 +448,28 @@ class TestKernelOracle:
         assert not isinstance(got["HJ"], Exception)
         assert np.all(np.isfinite(dens))
 
+    def test_tiny_bandwidth_is_quiet(self):
+        # the far response is 1e309 bandwidths away: the divide by the
+        # bandwidth already overflows to inf, and the kernel value 0 holds
+        draw = make_draw([0.1, 0.5, 1e9], [0.5, 0.25, 0.5])
+        cdfs = est._valid_cdfs([draw], 40)
+        t = np.array([[0.5, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = est._kernel_sums(t, cdfs.y, cdfs.inv, np.array([1e-300]), cdfs.groups)
+        with np.errstate(over="ignore"):
+            z = (t[0][:, None] - draw.y_included[None, :]) / 1e-300
+            expected = np.exp(-0.5 * z * z) / SQRT_2PI @ (1.0 / draw.pi_included)
+        assert np.all(got[0] == expected)
+        assert expected[0] > 0.0 and expected[1] == 0.0
+
 
 def statistic_values(draws, N, alpha, beta, statistic):
-    """The normality diagnostic's poverty rates of one batch of draws."""
+    """The normality diagnostic's poverty rates of one batch of draws
+    (standardized by center 0 and scale 1, which leaves them unchanged)."""
     sc = mc.Scenario(N=N, n=1, design="SI", law=pop.SuperPopulationLaw.exponential(),
                      alpha=alpha, beta=beta, n_populations=1, n_samples=len(draws), seed=0)
-    return mc._statistic_values(sc, statistic, None, None, [draws])[0]
+    return mc._statistic_values(sc, statistic, 0.0, 1.0, None, None, [draws])
 
 
 def reference_rates(draws, N, alpha, beta, statistic):
@@ -498,8 +511,8 @@ class TestStepRule:
         self.check(draws, N, alpha, beta, statistic)
 
     def test_ties_and_mass_deficit(self):
-        tied = make_draw([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5], N=10)
-        short = make_draw([1.0, 4.0], [1.0, 1.0], N=10)   # HT mass 0.2 < alpha
+        tied = make_draw([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5])
+        short = make_draw([1.0, 4.0], [1.0, 1.0])   # HT mass 0.2 < alpha
         with pytest.raises(QuantileUndefinedError):
             est.step_poverty_rates([short], 10, 0.5, 0.6, "HT")
         for statistic in ("phi_ht", "phi_hj"):
@@ -509,47 +522,47 @@ class TestStepRule:
 
 class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
-        draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
+        draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5])
         assert weighted_sample(draw, 10).has_ties
         f = ref.batch_row(est._valid_cdfs([draw], 10), 0, 1)
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.array_equal(f.cumulative, reference_ecdf(draw, 10, "HJ").cumulative)
 
     def test_distinct_values_sorted_once(self):
-        draw = make_draw([3.0, 1.0, 2.0], [0.5, 0.25, 0.5], N=10)
+        draw = make_draw([3.0, 1.0, 2.0], [0.5, 0.25, 0.5])
         cdfs, errors = est._weighted_cdfs([draw], 10)
         assert not errors and cdfs.count[0] == 3
         assert np.array_equal(cdfs.loc[0], [1.0, 2.0, 3.0])
-        assert cdfs.n_hat[0] == draw.n_hat()
+        assert cdfs.n_hat[0] == ref.n_hat(draw)
 
     @pytest.mark.parametrize("y", [[3.0, 1.0, 2.0], [2.0, 1.0, 2.0]])
     def test_negative_weights_rejected_on_both_paths(self, y):
         # a negative N would make the HT weights negative, tied values or not
-        draw = make_draw(y, [0.5, 0.25, 0.5], N=10)
+        draw = make_draw(y, [0.5, 0.25, 0.5])
         with pytest.raises(ParameterError, match="population size"):
             est.step_poverty_rates([draw], -10, 0.5, 0.6, "HT")
         with pytest.raises(ParameterError, match="population size"):
             est.poverty_batch([draw], -10, 0.5, 0.6)
 
     def test_empty_sample_fails_both_modes(self):
-        draw = make_draw([], [], N=5)
+        draw = make_draw([], [])
         got = kernel_cell(draw, 5, asy.DesignConstants(0.2, 1.0, 0.0), 0.5, 0.6)
         assert all(isinstance(got[m], EstimationError) for m in MODES)
 
     def test_zero_density_fails_one_mode(self):
         # HT's bandwidth is far narrower than the gap its quantile falls in
         draw = make_draw([0.0] * 9 + [21.0, 0.5],
-                         [1.0] * 7 + [0.25, 0.03125, 0.1875, 0.03125], N=76)
+                         [1.0] * 7 + [0.25, 0.03125, 0.1875, 0.03125])
         constants = asy.DesignConstants(0.0, 0.0, 0.0)
         got = kernel_cell(draw, 76, constants, 1.0, 1.0)
         assert isinstance(got["HT"], ZeroDensityError)
         assert_cells_equal(got, reference_cell(draw, 76, constants, 1.0, 1.0))
 
     def test_all_equal_sample_gets_zero_variance(self):
-        draw = make_draw([4.0, 4.0, 4.0], [0.2, 0.5, 0.8], N=12)
+        draw = make_draw([4.0, 4.0, 4.0], [0.2, 0.5, 0.8])
         got = kernel_cell(draw, 12, asy.DesignConstants(0.25, 1.0, 0.0), 0.5, 0.6)
         assert got["HT"][1] == got["HJ"][1] == 0.0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ParameterError, match="mode"):
-            est.step_poverty_rates([make_draw([1.0, 2.0], [0.5, 0.5], N=4)], 4, 0.5, 0.6, "XX")
+            est.step_poverty_rates([make_draw([1.0, 2.0], [0.5, 0.5])], 4, 0.5, 0.6, "XX")

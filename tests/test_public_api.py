@@ -1,0 +1,83 @@
+"""Every public function and class of svycdf has a caller outside the tests.
+
+The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
+are read from their syntax trees, so strings and docstrings do not count.
+A module-level public function or class must be referenced somewhere other
+than inside its own ``def`` or ``class``; a reference helper that only the
+tests use belongs in the tests.  Click commands are neither functions nor
+classes once decorated, so the scan skips them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "svycdf"
+CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+#: public names kept without a caller, each with its reason
+ALLOWED = {
+    "montecarlo.run_scenario": "the documented one-scenario API",
+    "oracle.sigma_matrix": "the finite-N covariance whose rejective branch the "
+                           "pairwise-free moment recursion is to replace",
+}
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def public_definitions() -> dict:
+    """``module.name -> name`` of every module-level public def and class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and not _is_click_command(node)):
+                found[f"{path.stem}.{node.name}"] = node.name
+    return found
+
+
+def _names(tree) -> set:
+    """Names a tree loads as a variable or an attribute, or imports by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def referenced_names() -> dict:
+    """``name -> set of top-level definitions`` whose code references it
+    (``None`` for module-level code outside any definition)."""
+    where: dict = {}
+    for path in CALLERS:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (f"{path.stem}.{node.name}"
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None)
+            for name in _names(node):
+                where.setdefault(name, set()).add(owner)
+    return where
+
+
+def test_every_public_name_has_a_caller():
+    where = referenced_names()
+    unused = sorted(qualified for qualified, name in public_definitions().items()
+                    if not where.get(name, set()) - {qualified}
+                    and qualified not in ALLOWED)
+    assert unused == [], f"public names without a caller in src/ or bench/: {unused}"
+
+
+def test_allowlist_is_current():
+    # an allowed name that is gone, or has gained a caller, leaves the list
+    where = referenced_names()
+    definitions = public_definitions()
+    for qualified in ALLOWED:
+        assert qualified in definitions, qualified
+        assert not where.get(definitions[qualified], set()) - {qualified}, qualified
