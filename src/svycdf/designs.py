@@ -16,14 +16,15 @@ N vectorized steps, O(N^2 n) flops, bitwise equal to rebuilding the
 program for each pair.  The sampler walks the units left to right,
 including each with the conditional probability of still reaching the
 target size; it is vectorized across samples by jumping from one inclusion
-to the next, so a batch of samples (:func:`draw_batch`) costs n steps, each
-over a short window of units per sample.  Every sample consumes its own
-generator's N uniforms, so a sample drawn in a batch equals the same sample
-drawn alone.
+to the next, so a batch of samples costs n steps, each over a short window
+of units per sample.
 
-A drawn sample (:class:`SampleDraw`) is its included unit indices in
-increasing order, with their inclusion probabilities; no N-length
-indicator vector is formed.
+One sampler, :func:`draw`, serves every design: it takes a batch of
+generators and draws one sample from each.  Every sample consumes only its
+own generator, so a sample drawn in a batch equals the same generator drawn
+alone.  A drawn sample (:class:`SampleDraw`) is its included unit indices
+in increasing order, with their inclusion probabilities and responses; no
+N-length indicator vector is formed.
 """
 
 from __future__ import annotations
@@ -258,8 +259,9 @@ class SampleDraw:
     ``included`` holds the sampled unit indices in increasing order,
     ``pi_included`` their first-order inclusion probabilities and
     ``expected_n`` the design-expected sample size.  ``y_included``
-    optionally carries the response values of the sampled units so
-    estimators can work from the draw alone.
+    carries the response values of the sampled units, so estimators can
+    work from the draw alone; a draw built without them cannot be
+    estimated from.
     """
 
     included: np.ndarray
@@ -321,37 +323,6 @@ def second_order_pi(design: Design) -> np.ndarray:
 # Samplers
 # ---------------------------------------------------------------------------
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def draw(design: Design, rng, y=None) -> SampleDraw:
-    """Draw one sample from the design.
-
-    ``rng`` is a numpy Generator (or a seed for one); the caller owns the
-    stream, so replications can run concurrently without coordination.
-    The rejective sampler is sequential and exact: walking units left to
-    right, unit i enters with probability p_i P(suffix fills m-1) /
-    P(suffix fills m) where m is the number of slots still open, which
-    reproduces the conditional law with exactly n inclusions.  A single
-    draw runs the batched walk of :func:`draw_batch` on one row of N
-    uniforms.
-    """
-    if design.kind == "rejective":
-        return draw_batch(design, [rng], y)[0]
-    rng = _as_generator(rng)
-    if design.kind == "srswor":
-        included = np.sort(rng.choice(design.N, size=design.size, replace=False))
-    else:
-        rate = design.rate if design.kind == "bernoulli" else design.pi
-        included = np.flatnonzero(rng.random(design.N) < rate)
-    return SampleDraw(included=included, pi_included=first_order_pi(design)[included],
-                      expected_n=design.expected_size,
-                      y_included=None if y is None else np.asarray(y, dtype=float)[included])
-
-
 #: a batch holds at most this many samples, and N float64 per sample (the
 #: uniforms of a rejective walk) in at most this many bytes: past a few
 #: dozen samples the per-batch cost of the walk and of the poverty kernel is
@@ -361,39 +332,45 @@ _BATCH_BYTES = 4 * 2**20
 
 
 def batch_rows(design: Design) -> int:
-    """Most samples one :func:`draw_batch` call draws from the design: 64,
-    or fewer where N float64 per sample would pass 4 MiB."""
+    """Most samples one :func:`draw` call draws from the design: 64, or
+    fewer where N float64 per sample would pass 4 MiB."""
     return max(1, min(_BATCH_SAMPLES, _BATCH_BYTES // (8 * design.N)))
 
 
-def draw_batch(design: Design, rngs, y=None) -> list[SampleDraw]:
-    """Draw one sample per generator in ``rngs`` (at most
-    :func:`batch_rows` of them), in order.
+def draw(design: Design, rngs, y) -> list[SampleDraw]:
+    """Draw one sample per numpy Generator in ``rngs`` (at most
+    :func:`batch_rows` of them), in order, carrying the responses ``y`` of
+    its units.
 
-    Each sample equals ``draw(design, rng, y)`` for its generator; for a
-    rejective design the samples share one vectorized walk.
+    The caller owns the streams, so replications can run concurrently
+    without coordination, and a sample is the same in any batch.  The
+    rejective sampler is sequential and exact: walking units left to
+    right, unit i enters with probability p_i P(suffix fills m-1) /
+    P(suffix fills m) where m is the number of slots still open, which
+    reproduces the conditional law with exactly n inclusions; the samples
+    of a call share one vectorized walk over N uniforms per generator.
     """
     rngs = list(rngs)
     rows = batch_rows(design)
     if len(rngs) > rows:
         raise CapacityError(f"a {design.kind} batch holds at most {rows} samples "
                             f"on N={design.N} units, got {len(rngs)}")
-    if design.kind != "rejective":
-        return [draw(design, rng, y) for rng in rngs]
+    N = design.N
     pi = first_order_pi(design)
-    y = None if y is None else np.asarray(y, dtype=float)
-    return [SampleDraw(included=included, pi_included=pi[included],
-                       expected_n=design.expected_size,
-                       y_included=None if y is None else y[included])
-            for included in _rejective_walk(design, _uniform_rows(rngs, design.N))]
-
-
-def _uniform_rows(rngs: list, N: int) -> np.ndarray:
-    """N uniforms from each generator, one row each."""
-    us = np.empty((len(rngs), N))
-    for row, rng in zip(us, rngs):
-        _as_generator(rng).random(out=row)
-    return us
+    expected_n = design.expected_size
+    if design.kind == "rejective":
+        us = np.empty((len(rngs), N))
+        for row, rng in zip(us, rngs):
+            rng.random(out=row)
+        picks = _rejective_walk(design, us)
+    elif design.kind == "srswor":
+        picks = [np.sort(rng.choice(N, size=design.size, replace=False)) for rng in rngs]
+    else:
+        picks = [np.flatnonzero(rng.random(N) < pi) for rng in rngs]
+    y = np.asarray(y, dtype=float)
+    return [SampleDraw(included=included, pi_included=pi[included], expected_n=expected_n,
+                       y_included=y[included])
+            for included in picks]
 
 
 def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:

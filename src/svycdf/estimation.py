@@ -44,7 +44,7 @@ ProcessKind = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F", "G_pi", "Y_N
 
 def _require_values(draw):
     if draw.y_included is None:
-        raise EstimationError("draw carries no response values; use draw(..., y=...)")
+        raise EstimationError("draw carries no response values; pass them to designs.draw")
     if draw.included.size == 0:
         raise EstimationError("empty sample")
     if not (draw.pi_included.min() > 0.0 and draw.pi_included.max() <= 1.0):   # NaN fails

@@ -25,8 +25,8 @@ for any worker count.
 
 A run opens at most one process pool: :func:`run_scenarios` shares it
 across a whole grid of scenarios, and each diagnostic opens its own.  Each
-scenario sends its populations to the pool in consecutive chunks, one per
-worker, and the pool is closed before the run returns, also on error.
+scenario sends its populations to the pool one task per population, and the
+pool is closed before the run returns, also on error.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ class Scenario:
             raise ScenarioError("replication counts must be at least 1")
         if self.design not in ("SI", "BE", "PO", "REJ"):
             raise ScenarioError(f"unknown design label {self.design!r}")
+        if not 0.0 < self.alpha < 1.0:                      # NaN fails too
+            raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.beta <= 1.0:
+            raise ScenarioError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.design == "BE" and self.n == self.N:
+            raise ScenarioError(f"BE needs n < N for a rate n/N below 1, got n=N={self.N}")
         if self.design in ("PO", "REJ"):
             # the split's high probability; a rejective design needs it below 1
             high = PO_HIGH * (self.n / self.N)
@@ -183,7 +189,7 @@ def _relative_errors(values: np.ndarray, target, mask: np.ndarray) -> np.ndarray
 
 def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> Iterator:
     """The ``n_samples`` draws of one population, in sample order, one
-    batch of :func:`designs.batch_rows` draws at a time.
+    :func:`designs.draw` call of :func:`designs.batch_rows` samples at a time.
 
     Sample j uses the stream ``(seed, pop_index, 2, j)``; no more than one
     batch is held at once.
@@ -192,7 +198,7 @@ def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> 
     for start in range(0, sc.n_samples, rows):
         rngs = [substream(sc.seed, pop_index, 2, j)
                 for j in range(start, min(start + rows, sc.n_samples))]
-        yield dsg.draw_batch(design, rngs, y=y)
+        yield dsg.draw(design, rngs, y)
 
 
 class _PopulationTask:
@@ -289,16 +295,13 @@ def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
     """``reduce(population, design, batches)`` for every population of the
     scenario, in index order; ``design`` is the scenario's unpermuted design.
 
-    With a ``pool`` from :func:`_process_pool`, the populations go out in
-    consecutive chunks, one for each of min(pool size, populations)
-    workers; ``None`` runs them in this process.
+    With a ``pool`` from :func:`_process_pool`, each population is one
+    pool task; ``None`` runs them in this process.
     """
     task = _PopulationTask(sc, design, reduce)
     if pool is None:
         return [task(i) for i in range(sc.n_populations)]
-    chunks = min(pool._max_workers, sc.n_populations)
-    return list(pool.map(task, range(sc.n_populations),
-                         chunksize=math.ceil(sc.n_populations / chunks)))
+    return list(pool.map(task, range(sc.n_populations)))
 
 
 def _percent(total: float, count: float) -> float:
@@ -500,7 +503,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
                                           statistic[-2:].upper())
         except (ParameterError, EstimationError) as exc:
             raise DiagnosticError(f"asymptotic variance unavailable: {exc}") from exc
-        center = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)   # rejects a bad beta
+        center = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
         if sigma2 <= 0.0:
             raise DiagnosticError("asymptotic variance is zero")
         scale = np.sqrt(sigma2 / sc.n)

@@ -141,8 +141,8 @@ def test_sequential_sampler_matches_rejection_sampler():
     rows = dsg.batch_rows(design)
     for start in range(0, reps, rows):
         # a repeated generator fills the rows in stream order: the samples
-        # of one draw(design, rng_seq) call after another
-        for sample in dsg.draw_batch(design, [rng_seq] * min(rows, reps - start)):
+        # of one single-generator draw after another
+        for sample in dsg.draw(design, [rng_seq] * min(rows, reps - start), np.zeros(6)):
             key = sample.included.tobytes()
             seq_counts[key] = seq_counts.get(key, 0) + 1
     for _ in range(reps):
@@ -197,7 +197,7 @@ def test_process_identities_pathwise():
         grid = np.concatenate([[0.0], np.quantile(popu.y, np.linspace(0.1, 0.9, 9)),
                                [popu.y.max() + 1.0]])
         for _ in range(draws_per_design):
-            sample = dsg.draw(design, rng, y=popu.y)
+            sample = dsg.draw(design, [rng], popu.y)[0]
             if sample.included.size == 0:
                 continue
             hj_fn = est.process_paths([sample], popu, grid, "HJ_vs_FN", law=EXP1)[0]

@@ -18,6 +18,7 @@ import svycdf
 from svycdf import cli
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
+from svycdf import population as pop
 from svycdf.cli import main
 from test_montecarlo import _SerialPool, _cpus
 
@@ -290,6 +291,32 @@ class TestSimulateFailures:
         assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
         assert calls == []
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"designs": ["SI", "BE"], "cells": [{"N": 50, "n": 50}]}, "BE needs n < N"),
+        ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
+        ({"beta": 0}, "beta must lie in (0, 1]"),
+    ], ids=["BE-census", "alpha-one", "beta-zero"])
+    def test_invalid_scenario_fails_before_any_population(self, runner, tmp_path, monkeypatch,
+                                                          overrides, message):
+        # every scenario of the grid is checked before the first one runs
+        calls = []
+        generate = pop.generate_population
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pop, "generate_population", counted)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(**overrides)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert not out.exists()
+        assert calls == []
+
     def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
         real_write = cli._write_csv
         calls = []
@@ -334,7 +361,7 @@ class TestSharedPool:
         pooled, pooled_out = self._run(runner, tmp_path, "pooled", cfg, 2)
         assert pooled.exit_code == 0, pooled.output
         assert _SerialPool.sizes == [2]
-        assert _SerialPool.chunksizes == [3] * 4     # ceil(5 / 2) in each scenario
+        assert _SerialPool.chunksizes == [1] * 4     # one task per population
         assert _SerialPool.exits == [None]
         for name in TABLES:
             assert (pooled_out / name).read_bytes() == (serial_out / name).read_bytes()

@@ -188,12 +188,12 @@ class TestRejectiveWalk:
             assert dsg.batch_rows(design) == rows
             if S > rows:
                 with pytest.raises(CapacityError):
-                    dsg.draw_batch(design, rngs)
+                    dsg.draw(design, rngs, y)
             batch = [sample for start in range(0, S, rows)
-                     for sample in dsg.draw_batch(design, rngs[start:start + rows], y=y)]
+                     for sample in dsg.draw(design, rngs[start:start + rows], y)]
         assert len(batch) == S
         for j, sample in enumerate(batch):
-            single = dsg.draw(design, substream(seed, j), y=y)
+            single = dsg.draw(design, [substream(seed, j)], y)[0]
             oracle = np.flatnonzero(sequential_rejective(design, substream(seed, j).random(N)))
             assert np.array_equal(sample.included, oracle)
             assert np.array_equal(single.included, oracle)
@@ -222,7 +222,7 @@ class TestRejectiveWalk:
         target[: N // 2] = 0.4 * n / N
         design = dsg.rejective(target[substream(31).permutation(N)], n)
         rngs = [substream(32, j) for j in range(12)]
-        for j, sample in enumerate(dsg.draw_batch(design, rngs)):
+        for j, sample in enumerate(dsg.draw(design, rngs, np.zeros(N))):
             oracle = sequential_rejective(design, substream(32, j).random(N))
             assert np.array_equal(sample.included, np.flatnonzero(oracle))
 
@@ -237,19 +237,34 @@ class TestRejectiveWalk:
         assert dsg.batch_rows(dsg.rejective(np.full(10, 0.5), 5)) == dsg._BATCH_SAMPLES
         assert dsg.batch_rows(dsg.srswor(1_000, 100)) == dsg._BATCH_SAMPLES
 
-    def test_non_rejective_batches_are_single_draws(self):
-        y = np.arange(30.0)
-        for design in (dsg.srswor(30, 7), dsg.bernoulli(30, 0.2),
-                       dsg.poisson(np.linspace(0.1, 0.9, 30))):
-            assert dsg.batch_rows(design) == dsg._BATCH_SAMPLES
-            rngs = [substream(4, j) for j in range(5)]
-            for j, sample in enumerate(dsg.draw_batch(design, rngs, y=y)):
-                single = dsg.draw(design, substream(4, j), y=y)
-                assert np.array_equal(sample.included, single.included)
-                assert np.array_equal(sample.y_included, single.y_included)
-            with mock.patch.object(dsg, "_BATCH_BYTES", 8 * 30 * 2):
-                with pytest.raises(CapacityError):
-                    dsg.draw_batch(design, rngs[:3])
+    @pytest.mark.parametrize("design", [
+        dsg.srswor(30, 7), dsg.bernoulli(30, 0.2), dsg.poisson(np.linspace(0.1, 0.9, 30)),
+        dsg.rejective(np.linspace(0.1, 0.9, 30), 7)], ids=["SI", "BE", "PO", "REJ"])
+    def test_batch_matches_alone_and_stream_oracle(self, design):
+        # each sample of a batch is its generator drawn alone, and reads that
+        # generator's stream as the design's textbook sampler does
+        N = design.N
+        y = np.arange(N, dtype=float)
+        pi = dsg.first_order_pi(design)
+        assert dsg.batch_rows(design) == dsg._BATCH_SAMPLES
+        rngs = [substream(4, j) for j in range(5)]
+        for j, sample in enumerate(dsg.draw(design, rngs, y)):
+            alone = dsg.draw(design, [substream(4, j)], y)[0]
+            for field in ("included", "pi_included", "y_included"):
+                assert np.array_equal(getattr(sample, field), getattr(alone, field)), field
+            g = substream(4, j)
+            if design.kind == "srswor":
+                oracle = np.sort(g.choice(N, size=design.size, replace=False))
+            elif design.kind == "rejective":
+                oracle = np.flatnonzero(sequential_rejective(design, g.random(N)))
+            else:
+                oracle = np.flatnonzero(g.random(N) < pi)
+            assert np.array_equal(sample.included, oracle)
+            assert np.array_equal(sample.pi_included, pi[oracle])
+            assert np.array_equal(sample.y_included, y[oracle])
+        with mock.patch.object(dsg, "_BATCH_BYTES", 8 * N * 2):
+            with pytest.raises(CapacityError):
+                dsg.draw(design, rngs[:3], y)
 
 
 class TestFirstOrder:
@@ -428,14 +443,14 @@ class TestDraw:
     def test_fixed_size_draws(self):
         for design in (dsg.srswor(20, 7), dsg.rejective(np.full(20, 0.35), 7)):
             for seed in range(20):
-                assert dsg.draw(design, substream(seed)).included.size == 7
+                assert dsg.draw(design, [substream(seed)], np.zeros(20))[0].included.size == 7
 
     def test_included_indices_increase(self):
         for design in (dsg.srswor(50, 20), dsg.bernoulli(50, 0.4),
                        dsg.poisson(np.linspace(0.1, 0.9, 50)),
                        dsg.rejective(np.linspace(0.1, 0.9, 50), 20)):
             for seed in range(10):
-                included = dsg.draw(design, substream(seed)).included
+                included = dsg.draw(design, [substream(seed)], np.zeros(50))[0].included
                 assert included.dtype == np.intp
                 assert np.all(np.diff(included) > 0), design.kind
 
@@ -444,7 +459,7 @@ class TestDraw:
         design = dsg.bernoulli(10_000, 0.5)
         band = 5.0 * math.sqrt(10_000 * 0.25)
         for seed in range(100):
-            size = dsg.draw(design, substream(seed)).included.size
+            size = dsg.draw(design, [substream(seed)], np.zeros(10_000))[0].included.size
             assert abs(size - 5000) <= band
 
     def test_inclusion_frequencies_match_pi(self):
@@ -459,20 +474,20 @@ class TestDraw:
             rng = substream(1000 + k)
             counts = np.zeros(design.N)
             for _ in range(reps):
-                counts[dsg.draw(design, rng).included] += 1
+                counts[dsg.draw(design, [rng], np.zeros(8))[0].included] += 1
             freq = counts / reps
             tol = 5.0 * np.sqrt(pi * (1.0 - pi) / reps) + 1e-12
             assert np.all(np.abs(freq - pi) <= tol), design.kind
 
     def test_draw_reproducible(self):
         design = dsg.rejective(np.linspace(0.2, 0.8, 10), 4)
-        a = dsg.draw(design, substream(3, 1))
-        b = dsg.draw(design, substream(3, 1))
+        a = dsg.draw(design, [substream(3, 1)], np.zeros(10))[0]
+        b = dsg.draw(design, [substream(3, 1)], np.zeros(10))[0]
         assert np.array_equal(a.included, b.included)
 
     def test_draw_attaches_values(self):
         y = np.arange(10.0)
-        sample = dsg.draw(dsg.srswor(10, 4), substream(2), y=y)
+        sample = dsg.draw(dsg.srswor(10, 4), [substream(2)], y)[0]
         assert np.array_equal(sample.y_included, y[sample.included])
         assert sample.expected_n == 4.0
 
@@ -483,7 +498,7 @@ class TestDraw:
         seq, rej = {}, {}
         rng_a, rng_b = substream(21), substream(22)
         for _ in range(reps):
-            key = dsg.draw(design, rng_a).included.tobytes()
+            key = dsg.draw(design, [rng_a], np.zeros(5))[0].included.tobytes()
             seq[key] = seq.get(key, 0) + 1
             key = rejection_draw(design, rng_b).tobytes()
             rej[key] = rej.get(key, 0) + 1
@@ -624,7 +639,7 @@ class TestValidation:
 
     def test_pickle_leaves_the_cache_behind(self):
         design = dsg.calibrated_rejective(np.linspace(0.1, 0.5, 8) * (3 / 2.4), 3)
-        dsg.draw(design, 1)
+        dsg.draw(design, [substream(1)], np.zeros(8))
         assert set(design._cache) == {"pi", "suffix"}
         copy = pickle.loads(pickle.dumps(design))
         assert copy._cache == {} and set(design._cache) == {"pi", "suffix"}

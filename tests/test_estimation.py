@@ -138,7 +138,8 @@ class TestHtEcdf:
                                                                 rel=1e-15)
 
     def test_requires_values(self):
-        bare = dsg.draw(dsg.srswor(5, 2), substream(0))
+        bare = dsg.SampleDraw(included=np.array([1, 3]), pi_included=np.full(2, 0.4),
+                              expected_n=2.0, y_included=None)
         with pytest.raises(EstimationError):
             est._valid_cdfs([bare], 5)
         with pytest.raises(EstimationError):
@@ -311,7 +312,7 @@ class TestKdeDensity:
     def test_hj_integrates_to_one(self):
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 500, seed=11)
-        draw = dsg.draw(dsg.srswor(500, 100), substream(12), y=popu.y)
+        draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu.y)[0]
         f = ecdf(draw, 500, "HJ")
         bandwidth = 0.79 * (step_quantile(f, 0.75) - step_quantile(f, 0.25)) * 100 ** (-0.2)
         grid = np.linspace(-10.0, 30.0, 4001)
@@ -345,13 +346,13 @@ class TestProcessPath:
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, N, seed=seed)
         design = design or dsg.poisson(substream(seed, 1).uniform(0.15, 0.95, N))
-        draw = dsg.draw(design, substream(seed, 2), y=popu.y)
+        draw = dsg.draw(design, [substream(seed, 2)], popu.y)[0]
         return law, popu, draw
 
     def test_census_process_vanishes(self):
         law = pop.SuperPopulationLaw.uniform01()
         popu = pop.generate_population(law, 30, seed=2)
-        draw = dsg.draw(dsg.poisson(np.ones(30)), substream(3), y=popu.y)
+        draw = dsg.draw(dsg.poisson(np.ones(30)), [substream(3)], popu.y)[0]
         grid = np.linspace(0.0, 1.0, 9)
         assert np.allclose(path(draw, popu, grid, "HT_vs_FN"), 0.0, atol=1e-14)
 
@@ -391,8 +392,8 @@ class TestProcessPath:
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 120, seed=36)
         design = dsg.poisson(substream(36, 1).uniform(0.1, 0.6, 120))
-        draws = [dsg.draw(design, substream(36, 2, j), y=np.round(popu.y, 1))
-                 for j in range(12)]
+        draws = dsg.draw(design, [substream(36, 2, j) for j in range(12)],
+                         np.round(popu.y, 1))
         grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
         got = est.process_paths(draws, popu, grid, which, law=law)
         fn, f = est.empirical_cdf_values(popu.y, grid), pop.true_cdf(law, grid)

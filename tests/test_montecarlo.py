@@ -116,7 +116,7 @@ class TestPopulationLoop:
         assert [len(batch) for batch in batches] == [2, 2, 2, 1]
         draws = [sample for batch in batches for sample in batch]
         for j, sample in enumerate(draws):
-            single = dsg.draw(design_obj, substream(sc.seed, 3, 2, j), y=y)
+            single = dsg.draw(design_obj, [substream(sc.seed, 3, 2, j)], y)[0]
             assert np.array_equal(sample.included, single.included)
             assert np.array_equal(sample.y_included, single.y_included)
 
@@ -146,14 +146,13 @@ class TestPopulationLoop:
 
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size, chunk sizes and
-    exits, runs the chunks in order in-process."""
+    exits, runs the tasks in order in-process."""
 
     sizes: list = []
     chunksizes: list = []
     exits: list = []
 
     def __init__(self, max_workers):
-        self._max_workers = max_workers
         self.sizes.append(max_workers)
 
     @classmethod
@@ -169,9 +168,7 @@ class _SerialPool:
 
     def map(self, fn, items, chunksize=1):
         self.chunksizes.append(chunksize)
-        items = list(items)
-        chunks = [items[k:k + chunksize] for k in range(0, len(items), chunksize)]
-        return [fn(item) for chunk in chunks for item in chunk]
+        return [fn(item) for item in items]
 
 
 def _cpus(monkeypatch, count):
@@ -206,7 +203,7 @@ class TestPoolSize:
         with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
             capped = mc.run_scenario(sc, workers=64)
         assert _SerialPool.sizes == [3]
-        assert _SerialPool.chunksizes == [2]     # chunks of 2, 2 and 1 populations
+        assert _SerialPool.chunksizes == [1]     # one task per population
         assert "capping" not in caplog.text
         serial = mc.run_scenario(sc, workers=1)
         assert report_hex(capped) == report_hex(serial)
@@ -220,7 +217,7 @@ class TestPoolSize:
 
 class TestSharedPool:
     def test_grid_shares_one_pool(self, monkeypatch):
-        # sized by the largest scenario; each scenario keeps its own chunks
+        # sized by the largest scenario; each scenario maps its own populations
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
         _cpus(monkeypatch, 4)
         _SerialPool.reset()
@@ -229,7 +226,7 @@ class TestSharedPool:
                 small_scenario(design="BE", N=500, n=120, n_populations=3, n_samples=3)]
         shared = mc.run_scenarios(grid, workers=4)
         assert _SerialPool.sizes == [4]
-        assert _SerialPool.chunksizes == [2, 1, 1]   # ceil(P / min(4, P)) for P = 5, 2, 3
+        assert _SerialPool.chunksizes == [1, 1, 1]   # one task per population
         assert _SerialPool.exits == [None]
         serial = mc.run_scenarios(grid, workers=1)
         assert [report_hex(r) for r in shared] == [report_hex(r) for r in serial]

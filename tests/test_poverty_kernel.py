@@ -14,6 +14,7 @@ exactly, draw by draw.
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,9 +467,12 @@ class TestKernelOracle:
 
 def statistic_values(draws, N, alpha, beta, statistic):
     """The normality diagnostic's poverty rates of one batch of draws
-    (standardized by center 0 and scale 1, which leaves them unchanged)."""
-    sc = mc.Scenario(N=N, n=1, design="SI", law=pop.SuperPopulationLaw.exponential(),
-                     alpha=alpha, beta=beta, n_populations=1, n_samples=len(draws), seed=0)
+    (standardized by center 0 and scale 1, which leaves them unchanged).
+
+    The rule accepts alpha = 1, which a :class:`montecarlo.Scenario` rejects
+    (no model quantile exists there), so the levels come in a plain namespace.
+    """
+    sc = SimpleNamespace(N=N, alpha=alpha, beta=beta)
     return mc._statistic_values(sc, statistic, 0.0, 1.0, None, None, [draws])
 
 

@@ -1,4 +1,5 @@
-"""Every public function and class of svycdf has a caller outside the tests.
+"""Every public function and class of svycdf has a caller outside the tests,
+and every svycdf name the benchmark reads exists.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -9,6 +10,7 @@ classes once decorated, so the scan skips them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,3 +83,30 @@ def test_allowlist_is_current():
     for qualified in ALLOWED:
         assert qualified in definitions, qualified
         assert not where.get(definitions[qualified], set()) - {qualified}, qualified
+
+
+def benchmark_reads() -> set:
+    """``(file, module, name)`` for every ``alias.name`` that code in
+    ``bench/*.py`` reads from a svycdf module it imports as ``alias``
+    (``from svycdf import designs as dsg``)."""
+    reads = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name: f"svycdf.{alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "svycdf"
+                   for alias in node.names}
+        reads.update((path.name, aliases[node.value.id], node.attr)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in aliases)
+    return reads
+
+
+def test_benchmark_reads_exist():
+    # a change to src/ that drops or renames a name bench/ uses fails here
+    reads = benchmark_reads()
+    assert ("workloads.py", "svycdf.designs", "calibrate_rejective_p") in reads
+    missing = sorted(read for read in reads
+                     if not hasattr(importlib.import_module(read[1]), read[2]))
+    assert missing == [], f"names bench/ reads that svycdf lacks: {missing}"
