@@ -10,7 +10,11 @@ Rejective quantities are exact, not asymptotic: first and second order
 inclusion probabilities come from a Poisson-binomial dynamic program over
 prefix and suffix partial-sum distributions.  The suffix table is built
 once per design and serves the first-order probabilities, the pairwise
-probabilities and the sampler.  The pairwise probabilities take one sweep
+probabilities and the sampler; it is the only (N+1) x (n+1) array the
+program keeps, and it is refused above :data:`MAX_DP_TABLE_BYTES`.  The
+prefix distributions are only read in unit order, so they are streamed:
+one row, or one block of rows, at a time, updated in place.  The pairwise
+probabilities take one sweep
 over the units that keeps every leave-one-out prefix distribution at once:
 N vectorized steps, O(N^2 n) flops, bitwise equal to rebuilding the
 program for each pair.  The sampler walks the units left to right,
@@ -48,22 +52,49 @@ _P_CLIP = 1e-12
 # Poisson-binomial dynamic program
 # ---------------------------------------------------------------------------
 
+def _pb_step(row: np.ndarray, p: float, out: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """Add one Bernoulli(p) trial to the partial-sum PMF ``row``, into ``out``.
+
+    ``out[k] = row[k] (1-p) + row[k-1] p``, truncated to the width of
+    ``row``; ``scratch`` holds one element less.  Nothing is allocated, and
+    ``out`` must not overlap ``row``.
+    """
+    np.multiply(row, 1.0 - p, out=out)
+    np.multiply(row[:-1], p, out=scratch)
+    out[1:] += scratch
+
+
 def _pb_forward(probs: np.ndarray, n_max: int) -> np.ndarray:
     """Partial-sum PMF table of independent Bernoulli trials.
 
     Row i holds P(X_1 + ... + X_i = k) for k = 0..n_max; counts above
-    n_max are truncated away, so rows sum to at most one.
+    n_max are truncated away, so rows sum to at most one.  The rejective
+    design builds it only on its reversed working probabilities, as the
+    suffix table.
     """
     m = probs.size
     table = np.zeros((m + 1, n_max + 1))
     table[0, 0] = 1.0
+    scratch = np.empty(n_max)
     for i in range(m):
-        p = probs[i]
-        row = table[i]
-        nxt = row * (1.0 - p)
-        nxt[1:] += row[:-1] * p
-        table[i + 1] = nxt
+        _pb_step(table[i], probs[i], table[i + 1], scratch)
     return table
+
+
+#: the suffix table of a rejective design is an (N+1) x (n+1) float64 array;
+#: it is refused above this many bytes, 1074 MB (N=10000, n=500 needs 40 MB)
+MAX_DP_TABLE_BYTES = 2**30
+
+
+def _check_dp_table(N: int, n: int) -> None:
+    """Refuse a suffix table of more than :data:`MAX_DP_TABLE_BYTES`."""
+    nbytes = 8 * (N + 1) * (n + 1)
+    if nbytes > MAX_DP_TABLE_BYTES:
+        raise CapacityError(
+            f"the rejective dynamic program needs an (N+1) x (n+1) float64 table "
+            f"({nbytes / 1e6:.0f} MB at N={N}, n={n}); limited to "
+            f"{MAX_DP_TABLE_BYTES / 1e6:.0f} MB")
 
 
 def _reversed_suffix_rows(suffix: np.ndarray, start: int, stop: int,
@@ -80,8 +111,8 @@ def _reversed_suffix_rows(suffix: np.ndarray, start: int, stop: int,
     return np.ascontiguousarray(suffix[N - stop:N - start][::-1, width - 1::-1])
 
 
-#: the reversed suffix rows of one first-order block are copied in at most
-#: this many bytes
+#: the prefix rows and the reversed suffix rows of one first-order block
+#: together take at most this many bytes
 _BLOCK_BYTES = 2**20
 
 
@@ -90,23 +121,33 @@ def _rejective_first_order(p: np.ndarray, n: int,
     """Exact inclusion probabilities of the size-n conditional design.
 
     pi_i = p_i P(S_{-i} = n-1) / P(S = n), with the leave-one-out sum
-    assembled from prefix and suffix PMF tables (additions of nonnegative
-    terms only, so no catastrophic cancellation), one dot product per unit
-    over blocks of units.
+    assembled from prefix and suffix PMFs (additions of nonnegative terms
+    only, so no catastrophic cancellation), one dot product per unit over
+    blocks of units.  The suffix table ``bwd`` of ``p`` (built here when not
+    given) is the only N x (n+1) array: the prefix PMFs are streamed, one
+    block of rows at a time, and P(S = n) is read from the last of them.
     """
     N = p.size
-    fwd = _pb_forward(p, n)
     if bwd is None:
         bwd = _pb_forward(p[::-1], n)
-    total = fwd[N, n]
-    if total <= 0.0:
-        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
+    block = max(1, _BLOCK_BYTES // (8 * (2 * n + 1)))
+    rows = np.empty((min(block, N), n + 1))     # prefix PMFs of one block
+    last = np.zeros(n + 1)                      # prefix PMF of the next unit
+    last[0] = 1.0
+    scratch = np.empty(n)
     dots = np.empty(N)
-    block = max(1, _BLOCK_BYTES // (8 * n))
     for start in range(0, N, block):
         stop = min(N, start + block)
-        dots[start:stop] = np.vecdot(fwd[start:stop, :n],
+        size = stop - start
+        rows[0] = last
+        for k in range(1, size):
+            _pb_step(rows[k - 1], p[start + k - 1], rows[k], scratch)
+        _pb_step(rows[size - 1], p[stop - 1], last, scratch)
+        dots[start:stop] = np.vecdot(rows[:size, :n],
                                      _reversed_suffix_rows(bwd, start, stop, n))
+    total = last[n]
+    if total <= 0.0:
+        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     return p * dots / total
 
 
@@ -124,33 +165,40 @@ def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray,
     PMF table of ``p`` (at least n-1 counts).  One sweep over j = 0..N-1
     keeps, for every i < j, the PMF of the units before j with unit i left
     out (row i of ``left``, counts 0..n-2).  The units after j are the same
-    for every such i, so step j gives all pi_ij, i < j, from one batch of
-    dot products with a single reversed suffix row; it then adds unit j to
-    every kept PMF and starts the row of i = j from the prefix table.
-    Every entry is the same floating-point expression, in the same order,
-    as in a dynamic program rebuilt on the N-1 units left by each i, so the
-    result is bitwise that of the pair-by-pair computation.  Cost: O(N^2 n)
-    flops in N vectorized steps; memory: the N x N output and the
+    for every such i, so step j gives all p_i p_j P(S_{-i,-j} = n-2), i < j,
+    from one batch of dot products with a single reversed suffix row; it
+    then adds unit j to every kept PMF and starts the row of i = j from the
+    prefix PMF of the units before j, one row carried along the sweep.
+    P(S = n) is read from that row at the end, and every entry divided by
+    it.  Every entry is the same floating-point expression, in the same
+    order, as in a dynamic program rebuilt on the N-1 units left by each i,
+    so the result is bitwise that of the pair-by-pair computation.  Cost:
+    O(N^2 n) flops in N vectorized steps; memory: the N x N output and the
     N x (n-1) kept PMFs.
     """
     N = p.size
-    fwd = _pb_forward(p, n)
-    total = fwd[N, n]
-    if total <= 0.0:
-        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     pi2 = np.zeros((N, N))
-    if n >= 2:
-        left = np.empty((N, n - 1))
-        for j in range(N):
+    left = np.empty((N, n - 1))
+    prefix, nxt = np.zeros(n + 1), np.empty(n + 1)
+    prefix[0] = 1.0
+    scratch = np.empty(n)
+    for j in range(N):
+        if n >= 2:
             if j:
                 after = _reversed_suffix_rows(bwd, j, j + 1, n - 1)[0]
-                vals = p[:j] * p[j] * np.vecdot(left[:j], after) / total
+                vals = p[:j] * p[j] * np.vecdot(left[:j], after)
                 pi2[j, :j] = vals
                 pi2[:j, j] = vals
                 carry = left[:j, :-1] * p[j]
                 left[:j] *= 1.0 - p[j]
                 left[:j, 1:] += carry
-            left[j] = fwd[j, : n - 1]
+            left[j] = prefix[: n - 1]
+        _pb_step(prefix, p[j], nxt, scratch)
+        prefix, nxt = nxt, prefix
+    total = prefix[n]
+    if total <= 0.0:
+        raise DegenerateDesignError(f"P(sample size = {n}) is zero")
+    pi2 /= total
     np.fill_diagonal(pi2, pi)
     return pi2
 
@@ -224,6 +272,7 @@ class Design:
         """Suffix PMF rows for the sequential rejective sampler (cached)."""
         tab = self._cache.get("suffix")
         if tab is None:
+            _check_dp_table(self.N, self.size)
             tab = _pb_forward(self.working_p[::-1], self.size)
             self._cache["suffix"] = tab
         return tab
@@ -480,6 +529,7 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
         raise ParameterError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    _check_dp_table(N, n)
     p = t.copy()
     prev_resid = np.inf
     resid = np.inf

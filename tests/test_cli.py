@@ -538,6 +538,22 @@ class TestCalibrateCommand:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError")
 
+    def test_dp_table_over_cap_is_runtime_error(self, runner, tmp_path, monkeypatch):
+        # refused before any table is built, with the table's size named
+        monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 8 * 7 * 4 - 1)
+        monkeypatch.setattr(dsg, "_pb_step", None)
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_text("0.5\n" * 6)
+        out_path = tmp_path / "p.json"
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+                                      "--out", str(out_path)])
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: the rejective dynamic program needs an "
+                                   "(N+1) x (n+1) float64 table (0 MB at N=6, n=3)")
+        assert not out_path.exists()
+
     def test_nan_target_is_usage_error(self, runner, tmp_path):
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("nan\n0.5\n0.5\n")

@@ -3,6 +3,8 @@
 import itertools
 import math
 import pickle
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,6 +68,26 @@ def rejection_draw(design, rng, max_attempts=1_000_000):
     raise AssertionError(f"no size-{design.size} sample in {max_attempts} attempts")
 
 
+def pb_table(probs, n_max):
+    """Partial-sum PMF table of independent Bernoulli trials, one new row
+    allocated per trial.
+
+    Row i holds P(X_1 + ... + X_i = k) for k = 0..n_max, counts above n_max
+    truncated away.  The allocating form of the dynamic program; the
+    in-place kernel of the package must equal it bit for bit.
+    """
+    m = probs.size
+    table = np.zeros((m + 1, n_max + 1))
+    table[0, 0] = 1.0
+    for i in range(m):
+        p = probs[i]
+        row = table[i]
+        nxt = row * (1.0 - p)
+        nxt[1:] += row[:-1] * p
+        table[i + 1] = nxt
+    return table
+
+
 def sequential_rejective(design, us):
     """The unit-by-unit rejective sampler on one row of uniforms.
 
@@ -75,7 +97,7 @@ def sequential_rejective(design, us):
     """
     p = design.working_p
     N, n = design.N, design.size
-    suffix = dsg._pb_forward(p[::-1], n)
+    suffix = pb_table(p[::-1], n)
     indicators = np.zeros(N, dtype=bool)
     m = n
     for i in range(N):
@@ -98,8 +120,8 @@ def leave_one_out_first_order(p, n):
     The per-unit loop the blocked first-order DP must reproduce exactly.
     """
     N = p.size
-    fwd = dsg._pb_forward(p, n)
-    bwd = dsg._pb_forward(p[::-1], n)
+    fwd = pb_table(p, n)
+    bwd = pb_table(p[::-1], n)
     total = fwd[N, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
@@ -119,15 +141,15 @@ def pairwise_second_order(p, n, pi):
     reproduce it exactly.
     """
     N = p.size
-    total = dsg._pb_forward(p, n)[N, n]
+    total = pb_table(p, n)[N, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     pi2 = np.zeros((N, N))
     if n >= 2:
         for i in range(N):
             rest = np.delete(p, i)
-            fwd = dsg._pb_forward(rest, n - 1)
-            bwd = dsg._pb_forward(rest[::-1], n - 1)
+            fwd = pb_table(rest, n - 1)
+            bwd = pb_table(rest[::-1], n - 1)
             m = N - 1
             for r in range(i, m):
                 j = r + 1
@@ -363,6 +385,18 @@ def dp_cases(draw):
     return np.array(p), n
 
 
+@st.composite
+def pb_cases(draw):
+    """Bernoulli probabilities for the Poisson-binomial table, m = 1..30
+    trials, and a count cap n_max of 1, from 1 to m + 3, or at least m (no
+    truncation)."""
+    m = draw(st.integers(min_value=1, max_value=30))
+    n_max = draw(st.one_of(st.just(1), st.integers(1, m + 3), st.integers(m, m + 3)))
+    probs = draw(st.lists(st.one_of(st.floats(min_value=0.001, max_value=0.999),
+                                    st.sampled_from(NEAR_CLIP)), min_size=m, max_size=m))
+    return np.array(probs), n_max
+
+
 def _dp_or_error(fn, *args):
     try:
         return fn(*args)
@@ -399,12 +433,47 @@ class TestRejectiveDPOracles:
             assert np.array_equal(pi2, pairwise_second_order(p, n, pi), equal_nan=True)
 
     def test_first_order_blocks(self):
-        # blocks of one and of two units give the per-unit loop as well
+        # a block of n=7 holds _BLOCK_BYTES // (8 * 15) units: blocks of one
+        # and two units, of four (the last block holds a single unit), of
+        # five (the last block ends exactly at N=25), one block larger than
+        # N, and the default give the per-unit loop as well
         p = substream(12).uniform(0.05, 0.95, size=25)
-        for block_bytes in (8, 16 * 7, dsg._BLOCK_BYTES):
+        row_bytes = 8 * (2 * 7 + 1)
+        for block_bytes in (8, row_bytes, 2 * row_bytes, 4 * row_bytes, 5 * row_bytes,
+                            30 * row_bytes, dsg._BLOCK_BYTES):
             with mock.patch.object(dsg, "_BLOCK_BYTES", block_bytes):
                 assert np.array_equal(dsg._rejective_first_order(p, 7),
                                       leave_one_out_first_order(p, 7))
+
+    @given(pb_cases())
+    @example((np.array([0.4]), 1))                            # one trial, one count
+    @example((np.array([0.4]), 3))                            # one trial, n_max > m
+    @example((np.array([dsg._P_CLIP, 0.5, 1.0 - dsg._P_CLIP]), 1))
+    @example((np.linspace(0.1, 0.9, 5), 5))                   # n_max = m
+    @settings(max_examples=200, deadline=None)
+    def test_pb_kernel_matches_allocating_table(self, case):
+        # the in-place table equals the allocating one bit for bit
+        probs, n_max = case
+        table = dsg._pb_forward(probs, n_max)
+        assert table.shape == (probs.size + 1, n_max + 1)
+        assert np.array_equal(table, pb_table(probs, n_max))
+
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    def test_zero_total_raises_before_dividing(self, n):
+        # P(S = n) underflows to 0 (p^2 already does); it is read only at the
+        # end of the prefix sweep, and the error comes before the division,
+        # so no RuntimeWarning is issued
+        p = np.full(12, 1e-170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pb_table(p, n)[12, n] == 0.0
+            with pytest.raises(DegenerateDesignError, match="is zero"):
+                dsg._rejective_first_order(p, n)
+            design = dsg.rejective(p, n)
+            with pytest.raises(DegenerateDesignError, match="is zero"):
+                dsg.first_order_pi(design)
+            with pytest.raises(DegenerateDesignError, match="is zero"):
+                dsg._rejective_second_order(p, n, np.zeros(12), design._suffix_table())
 
     def test_calibrated_harness_design(self):
         # the calibrated low/high split of the normality diagnostic, N=300, n=30
@@ -425,7 +494,7 @@ class TestRejectiveDPOracles:
     def test_pairwise_cap_before_any_work(self, design):
         # refused before first-order pi, any DP table or the N x N matrix
         with mock.patch.object(dsg, "first_order_pi", side_effect=AssertionError), \
-                mock.patch.object(dsg, "_pb_forward", side_effect=AssertionError):
+                mock.patch.object(dsg, "_pb_step", side_effect=AssertionError):
             with pytest.raises(CapacityError, match="N x N float64 matrix"):
                 dsg.second_order_pi(design)
         assert "pi" not in design._cache and "suffix" not in design._cache
@@ -437,6 +506,70 @@ class TestRejectiveDPOracles:
     def test_pairwise_at_cap_allowed(self):
         design = dsg.poisson(np.full(dsg.MAX_PAIRWISE_UNITS, 0.5))
         assert dsg.second_order_pi(design).shape == (dsg.MAX_PAIRWISE_UNITS,) * 2
+
+
+class TestDPMemory:
+    """The rejective path holds one (N+1) x (n+1) table, the suffix table."""
+
+    N, n = 4000, 400
+
+    def _peak(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def _bound(self):
+        # one suffix table (12.8 MB) plus 2 MiB for the first-order block
+        # (at most _BLOCK_BYTES) and the N-vectors; a second table would
+        # double the peak
+        return 8 * (self.N + 1) * (self.n + 1) + 2 * 2**20
+
+    def test_first_order_peak(self):
+        p = mc._split_probabilities(self.N, self.n)
+        peak = self._peak(lambda: dsg.first_order_pi(dsg.rejective(p, self.n)))
+        assert peak <= self._bound()
+
+    def test_calibration_peak(self):
+        target = mc._split_probabilities(self.N, self.n)
+        peak = self._peak(dsg.calibrated_rejective, target, self.n)
+        assert peak <= self._bound()
+
+
+class TestTableCap:
+    def test_suffix_table_refused_before_any_work(self):
+        design = dsg.rejective(np.full(10**6, 0.5), 1000)
+        with mock.patch.object(dsg, "_pb_forward", side_effect=AssertionError):
+            with pytest.raises(CapacityError, match=r"\(8008 MB at N=1000000, n=1000\)"):
+                dsg.first_order_pi(design)
+            with pytest.raises(CapacityError, match="float64 table"):
+                dsg.draw(design, [substream(1)], np.zeros(design.N))
+        assert design._cache == {}
+
+    def test_cap_boundary(self, monkeypatch):
+        # a table of exactly the cap is built, one byte less is refused
+        N, n = 50, 10
+        p = np.linspace(0.1, 0.9, N)
+        monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 8 * (N + 1) * (n + 1))
+        assert np.array_equal(dsg.first_order_pi(dsg.rejective(p, n)),
+                              leave_one_out_first_order(p, n))
+        monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 8 * (N + 1) * (n + 1) - 1)
+        with pytest.raises(CapacityError, match="limited to 0 MB"):
+            dsg.first_order_pi(dsg.rejective(p, n))
+
+    def test_calibration_refused_before_any_dp(self, monkeypatch):
+        def no_dp(*args, **kw):
+            raise AssertionError("dynamic program run")
+        monkeypatch.setattr(dsg, "_rejective_first_order", no_dp)
+        monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 8 * 7 * 4 - 1)
+        with pytest.raises(CapacityError, match=r"\(0 MB at N=6, n=3\)"):
+            dsg.calibrated_rejective(np.full(6, 0.5), 3)
+
+    def test_desk_case_far_inside(self):
+        assert 25 * 8 * 10001 * 501 < dsg.MAX_DP_TABLE_BYTES
 
 
 class TestDraw:
