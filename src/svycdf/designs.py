@@ -8,20 +8,21 @@ p_i / (1 - p_i) over sampled units.
 
 Rejective quantities are exact, not asymptotic: first and second order
 inclusion probabilities come from a Poisson-binomial dynamic program over
-prefix and suffix partial-sum distributions.  The suffix table is built
-once per design and serves the first-order probabilities, the pairwise
-probabilities and the sampler; it is the only (N+1) x (n+1) array the
-program keeps, and it is refused above :data:`MAX_DP_TABLE_BYTES`.  The
-prefix distributions are only read in unit order, so they are streamed:
-one row, or one block of rows, at a time, updated in place.  The pairwise
-probabilities take one sweep
-over the units that keeps every leave-one-out prefix distribution at once:
-N vectorized steps, O(N^2 n) flops, bitwise equal to rebuilding the
-program for each pair.  The sampler walks the units left to right,
-including each with the conditional probability of still reaching the
-target size; it is vectorized across samples by jumping from one inclusion
-to the next, so a batch of samples costs n steps, each over a short window
-of units per sample.
+prefix and suffix partial-sum distributions, whose rows one kernel advances
+in place.  The suffix table is built once per design, top count first, so
+each suffix distribution a dot product reads from the top count down is a
+contiguous slice of a row.  It serves the first-order probabilities, the
+pairwise probabilities and the sampler; it is the only (N+1) x (n+1) array
+the program keeps (calibration refills one for every iteration), and it is
+refused above :data:`MAX_DP_TABLE_BYTES`.  The prefix distributions are
+only read in unit order, so they are streamed, one block of rows at a time.
+The pairwise probabilities take one sweep over the units that keeps every
+leave-one-out prefix distribution at once: N vectorized steps, O(N^2 n)
+flops, bitwise equal to rebuilding the program for each pair.  The sampler
+walks the units left to right, including each with the conditional
+probability of still reaching the target size; it is vectorized across
+samples by jumping from one inclusion to the next, so a batch of samples
+costs n steps, each over a short window of units per sample.
 
 One sampler, :func:`draw`, serves every design: it takes a batch of
 generators and draws one sample from each.  Every sample consumes only its
@@ -33,6 +34,7 @@ N-length indicator vector is formed.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,8 @@ from .errors import (
     ParameterError,
 )
 
+logger = logging.getLogger(__name__)
+
 _P_CLIP = 1e-12
 
 
@@ -52,34 +56,41 @@ _P_CLIP = 1e-12
 # Poisson-binomial dynamic program
 # ---------------------------------------------------------------------------
 
-def _pb_step(row: np.ndarray, p: float, out: np.ndarray,
-             scratch: np.ndarray) -> None:
-    """Add one Bernoulli(p) trial to the partial-sum PMF ``row``, into ``out``.
+def _pb_rows(table: np.ndarray, probs: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Fill rows 1.. of a partial-sum PMF table from its row 0, in place.
 
-    ``out[k] = row[k] (1-p) + row[k-1] p``, truncated to the width of
-    ``row``; ``scratch`` holds one element less.  Nothing is allocated, and
-    ``out`` must not overlap ``row``.
+    Row i+1 adds one Bernoulli(p = probs[i]) trial to row i: count k gets
+    row_i(k) (1-p) + row_i(k-1) p, truncated to the table width.  Columns
+    hold counts 0, 1, .. (ascending layout) or, when ``descending``, counts
+    w-1, w-2, .. 0 for a table w wide (top count first).  A step is three
+    ufunc calls on preallocated rows, the same expression in either layout.
     """
-    np.multiply(row, 1.0 - p, out=out)
-    np.multiply(row[:-1], p, out=scratch)
-    out[1:] += scratch
-
-
-def _pb_forward(probs: np.ndarray, n_max: int) -> np.ndarray:
-    """Partial-sum PMF table of independent Bernoulli trials.
-
-    Row i holds P(X_1 + ... + X_i = k) for k = 0..n_max; counts above
-    n_max are truncated away, so rows sum to at most one.  The rejective
-    design builds it only on its reversed working probabilities, as the
-    suffix table.
-    """
-    m = probs.size
-    table = np.zeros((m + 1, n_max + 1))
-    table[0, 0] = 1.0
-    scratch = np.empty(n_max)
-    for i in range(m):
-        _pb_step(table[i], probs[i], table[i + 1], scratch)
+    if descending:
+        heads, tails = table[:-1, 1:], table[1:, :-1]
+    else:
+        heads, tails = table[:-1, :-1], table[1:, 1:]
+    scratch = np.empty(table.shape[1] - 1)
+    for src, dst, head, tail, p, q in zip(table, table[1:], heads, tails,
+                                          probs.tolist(), (1.0 - probs).tolist()):
+        np.multiply(src, q, dst)        # positional ``out``: a shorter dispatch
+        np.multiply(head, p, scratch)
+        np.add(tail, scratch, tail)
     return table
+
+
+def _pb_forward(probs: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Partial-sum PMF table of independent Bernoulli trials, top count first,
+    written into ``out`` when given.
+
+    Row r, column c holds P(X_1 + ... + X_r = n_max - c); counts above
+    n_max are truncated away, so rows sum to at most one.  Built on the
+    reversed working probabilities of a rejective design, it is the suffix
+    table: row r, column c is P(the last r units sum to n - c).
+    """
+    table = np.empty((probs.size + 1, n_max + 1)) if out is None else out
+    table[0] = 0.0
+    table[0, n_max] = 1.0
+    return _pb_rows(table, probs, descending=True)
 
 
 #: the suffix table of a rejective design is an (N+1) x (n+1) float64 array;
@@ -97,22 +108,8 @@ def _check_dp_table(N: int, n: int) -> None:
             f"{MAX_DP_TABLE_BYTES / 1e6:.0f} MB")
 
 
-def _reversed_suffix_rows(suffix: np.ndarray, start: int, stop: int,
-                          width: int) -> np.ndarray:
-    """The suffix PMFs of units ``start..stop-1`` read from the top count down.
-
-    Row k is ``suffix[N-1-i, :width][::-1]`` for unit i = start + k: the
-    PMF of the units after i, reversed so that a dot product with a prefix
-    row of the same width sums P(prefix = c) P(suffix = width-1-c).  The
-    rows are a contiguous copy, so the dot product runs in BLAS exactly as
-    ``np.dot`` runs it on a single pair of rows.
-    """
-    N = suffix.shape[0] - 1
-    return np.ascontiguousarray(suffix[N - stop:N - start][::-1, width - 1::-1])
-
-
-#: the prefix rows and the reversed suffix rows of one first-order block
-#: together take at most this many bytes
+#: the prefix rows of one first-order block's units take at most this many
+#: bytes (the buffer holds one more row, carried into the next block)
 _BLOCK_BYTES = 2**20
 
 
@@ -123,29 +120,27 @@ def _rejective_first_order(p: np.ndarray, n: int,
     pi_i = p_i P(S_{-i} = n-1) / P(S = n), with the leave-one-out sum
     assembled from prefix and suffix PMFs (additions of nonnegative terms
     only, so no catastrophic cancellation), one dot product per unit over
-    blocks of units.  The suffix table ``bwd`` of ``p`` (built here when not
-    given) is the only N x (n+1) array: the prefix PMFs are streamed, one
-    block of rows at a time, and P(S = n) is read from the last of them.
+    blocks of units.  ``bwd`` is the top-count-first suffix table of ``p``
+    (see :func:`_pb_forward`; built here when not given) and the only
+    N x (n+1) array: row N-1-i, columns 1..n, is the PMF of the units after
+    i from count n-1 down, so a block reads its suffix rows as one view.
+    The prefix PMFs (ascending layout) are streamed, one block of rows at a
+    time, and P(S = n) is read from the last of them.
     """
     N = p.size
     if bwd is None:
         bwd = _pb_forward(p[::-1], n)
-    block = max(1, _BLOCK_BYTES // (8 * (2 * n + 1)))
-    rows = np.empty((min(block, N), n + 1))     # prefix PMFs of one block
-    last = np.zeros(n + 1)                      # prefix PMF of the next unit
-    last[0] = 1.0
-    scratch = np.empty(n)
+    block = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+    rows = np.zeros((min(block, N) + 1, n + 1))  # prefix PMFs of one block
+    rows[0, 0] = 1.0                             # and of the unit after it
     dots = np.empty(N)
     for start in range(0, N, block):
         stop = min(N, start + block)
         size = stop - start
-        rows[0] = last
-        for k in range(1, size):
-            _pb_step(rows[k - 1], p[start + k - 1], rows[k], scratch)
-        _pb_step(rows[size - 1], p[stop - 1], last, scratch)
-        dots[start:stop] = np.vecdot(rows[:size, :n],
-                                     _reversed_suffix_rows(bwd, start, stop, n))
-    total = last[n]
+        _pb_rows(rows[:size + 1], p[start:stop])
+        dots[start:stop] = np.vecdot(rows[:size, :n], bwd[N - stop:N - start][::-1, 1:])
+        rows[0] = rows[size]
+    total = rows[0, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     return p * dots / total
@@ -161,12 +156,13 @@ def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray,
                             bwd: np.ndarray) -> np.ndarray:
     """Exact pairwise inclusion probabilities of the size-n conditional design.
 
-    pi_ij = p_i p_j P(S_{-i,-j} = n-2) / P(S = n), with ``bwd`` the suffix
-    PMF table of ``p`` (at least n-1 counts).  One sweep over j = 0..N-1
-    keeps, for every i < j, the PMF of the units before j with unit i left
-    out (row i of ``left``, counts 0..n-2).  The units after j are the same
-    for every such i, so step j gives all p_i p_j P(S_{-i,-j} = n-2), i < j,
-    from one batch of dot products with a single reversed suffix row; it
+    pi_ij = p_i p_j P(S_{-i,-j} = n-2) / P(S = n), with ``bwd`` the
+    top-count-first suffix table of ``p`` (see :func:`_pb_forward`).  One
+    sweep over j = 0..N-1 keeps, for every i < j, the PMF of the units
+    before j with unit i left out (row i of ``left``, counts 0..n-2).  The
+    units after j are the same for every such i, so step j gives all
+    p_i p_j P(S_{-i,-j} = n-2), i < j, from one batch of dot products with
+    a single suffix row read from count n-2 down, ``bwd[N-1-j, 2:]``; it
     then adds unit j to every kept PMF and starts the row of i = j from the
     prefix PMF of the units before j, one row carried along the sweep.
     P(S = n) is read from that row at the end, and every entry divided by
@@ -179,23 +175,20 @@ def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray,
     N = p.size
     pi2 = np.zeros((N, N))
     left = np.empty((N, n - 1))
-    prefix, nxt = np.zeros(n + 1), np.empty(n + 1)
-    prefix[0] = 1.0
-    scratch = np.empty(n)
+    prefix = np.zeros((2, n + 1))       # row 0: the units before j
+    prefix[0, 0] = 1.0
     for j in range(N):
         if n >= 2:
             if j:
-                after = _reversed_suffix_rows(bwd, j, j + 1, n - 1)[0]
-                vals = p[:j] * p[j] * np.vecdot(left[:j], after)
+                vals = p[:j] * p[j] * np.vecdot(left[:j], bwd[N - 1 - j, 2:])
                 pi2[j, :j] = vals
                 pi2[:j, j] = vals
                 carry = left[:j, :-1] * p[j]
                 left[:j] *= 1.0 - p[j]
                 left[:j, 1:] += carry
-            left[j] = prefix[: n - 1]
-        _pb_step(prefix, p[j], nxt, scratch)
-        prefix, nxt = nxt, prefix
-    total = prefix[n]
+            left[j] = prefix[0, : n - 1]
+        prefix[0] = _pb_rows(prefix, p[j:j + 1])[1]
+    total = prefix[0, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
     pi2 /= total
@@ -269,7 +262,8 @@ class Design:
         return float(np.sum(self.pi))
 
     def _suffix_table(self) -> np.ndarray:
-        """Suffix PMF rows for the sequential rejective sampler (cached)."""
+        """The top-count-first suffix table of the working probabilities
+        (see :func:`_pb_forward`), shared by every rejective quantity (cached)."""
         tab = self._cache.get("suffix")
         if tab is None:
             _check_dp_table(self.N, self.size)
@@ -428,11 +422,13 @@ def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
     uniforms ``us`` (shape ``(S, N)``).
 
     With m slots open the walk jumps, for every sample at once, to the
-    next unit r where ``u_r < p_r * suffix[N-r-1, m-1] / suffix[N-r, m]``
-    (the same floating-point expression as a unit-by-unit walk, so the
-    sample is identical), or to unit N-m, from which every unit must be
-    included.  Each jump scans a window of about 4 N/n units per
-    sample and widens past it only for the samples with no hit.
+    next unit r where u_r < p_r P(the units after r sum to m-1) / P(the
+    units from r on sum to m) (the same floating-point expression as a
+    unit-by-unit walk, so the sample is identical), or to unit N-m, from
+    which every unit must be included.  The two suffix probabilities are
+    columns n-m+1 and n-m of the design's top-count-first suffix table (see
+    :func:`_pb_forward`).  Each jump scans a window of about 4 N/n units
+    per sample and widens past it only for the samples with no hit.
     """
     p, n = design.working_p, design.size
     S, N = us.shape
@@ -446,7 +442,7 @@ def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:
     included = np.empty((S, n), dtype=np.intp)
     for m in range(n, 0, -1):
         stop = N - m
-        below, above = rev[1:, m - 1], rev[:, m]
+        below, above = rev[1:, n - m + 1], rev[:, n - m]
         todo, start = rows, pos      # start reads only rows not yet found
         while True:
             cols = np.minimum(start[:, None] + window, stop)
@@ -530,13 +526,15 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     _check_dp_table(N, n)
+    bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled each step
     p = t.copy()
     prev_resid = np.inf
     resid = np.inf
-    for _ in range(max_iter):
-        pi = _rejective_first_order(p, n)
+    for it in range(1, max_iter + 1):
+        pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
         resid = float(np.max(np.abs(pi - t)))
         if resid <= tol:
+            logger.debug("rejective calibration: %d iterations, residual %.3e", it, resid)
             design = rejective(p, n)
             pi.setflags(write=False)
             design._cache["pi"] = pi

@@ -541,7 +541,7 @@ class TestCalibrateCommand:
     def test_dp_table_over_cap_is_runtime_error(self, runner, tmp_path, monkeypatch):
         # refused before any table is built, with the table's size named
         monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 8 * 7 * 4 - 1)
-        monkeypatch.setattr(dsg, "_pb_step", None)
+        monkeypatch.setattr(dsg, "_pb_rows", None)
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("0.5\n" * 6)
         out_path = tmp_path / "p.json"

@@ -433,12 +433,12 @@ class TestRejectiveDPOracles:
             assert np.array_equal(pi2, pairwise_second_order(p, n, pi), equal_nan=True)
 
     def test_first_order_blocks(self):
-        # a block of n=7 holds _BLOCK_BYTES // (8 * 15) units: blocks of one
+        # a block of n=7 holds _BLOCK_BYTES // (8 * 8) units: blocks of one
         # and two units, of four (the last block holds a single unit), of
         # five (the last block ends exactly at N=25), one block larger than
         # N, and the default give the per-unit loop as well
         p = substream(12).uniform(0.05, 0.95, size=25)
-        row_bytes = 8 * (2 * 7 + 1)
+        row_bytes = 8 * (7 + 1)
         for block_bytes in (8, row_bytes, 2 * row_bytes, 4 * row_bytes, 5 * row_bytes,
                             30 * row_bytes, dsg._BLOCK_BYTES):
             with mock.patch.object(dsg, "_BLOCK_BYTES", block_bytes):
@@ -450,13 +450,20 @@ class TestRejectiveDPOracles:
     @example((np.array([0.4]), 3))                            # one trial, n_max > m
     @example((np.array([dsg._P_CLIP, 0.5, 1.0 - dsg._P_CLIP]), 1))
     @example((np.linspace(0.1, 0.9, 5), 5))                   # n_max = m
+    @example((np.full(30, dsg._P_CLIP), 29))                  # top counts underflow
+    @example((np.full(12, 1e-170), 3))                        # p^2 underflows
     @settings(max_examples=200, deadline=None)
     def test_pb_kernel_matches_allocating_table(self, case):
-        # the in-place table equals the allocating one bit for bit
+        # the in-place tables equal the allocating one bit for bit: the
+        # suffix table read through its top-count-first layout, and the
+        # kernel's ascending (prefix) layout
         probs, n_max = case
         table = dsg._pb_forward(probs, n_max)
         assert table.shape == (probs.size + 1, n_max + 1)
-        assert np.array_equal(table, pb_table(probs, n_max))
+        assert np.array_equal(table[:, ::-1], pb_table(probs, n_max))
+        prefix = np.zeros((probs.size + 1, n_max + 1))
+        prefix[0, 0] = 1.0
+        assert np.array_equal(dsg._pb_rows(prefix, probs), pb_table(probs, n_max))
 
     @pytest.mark.parametrize("n", [2, 5, 11])
     def test_zero_total_raises_before_dividing(self, n):
@@ -494,7 +501,7 @@ class TestRejectiveDPOracles:
     def test_pairwise_cap_before_any_work(self, design):
         # refused before first-order pi, any DP table or the N x N matrix
         with mock.patch.object(dsg, "first_order_pi", side_effect=AssertionError), \
-                mock.patch.object(dsg, "_pb_step", side_effect=AssertionError):
+                mock.patch.object(dsg, "_pb_rows", side_effect=AssertionError):
             with pytest.raises(CapacityError, match="N x N float64 matrix"):
                 dsg.second_order_pi(design)
         assert "pi" not in design._cache and "suffix" not in design._cache
@@ -537,6 +544,19 @@ class TestDPMemory:
         target = mc._split_probabilities(self.N, self.n)
         peak = self._peak(dsg.calibrated_rejective, target, self.n)
         assert peak <= self._bound()
+
+    def test_calibration_refills_one_table(self):
+        # every iteration writes its suffix table into the one buffer the
+        # calibration allocated, instead of a fresh (N+1) x (n+1) table
+        N, n = 200, 20
+        with mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as spy:
+            design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+        outs = [call.kwargs.get("out") for call in spy.call_args_list]
+        assert len(outs) >= 2
+        assert isinstance(outs[0], np.ndarray) and outs[0].shape == (N + 1, n + 1)
+        assert all(out is outs[0] for out in outs)
+        assert np.array_equal(dsg.first_order_pi(design),
+                              leave_one_out_first_order(design.working_p, n))
 
 
 class TestTableCap:
@@ -706,6 +726,24 @@ class TestCalibration:
             slope = float(np.sum(p * (1.0 - p)))
             assert abs(found - log_c) <= max(1e-13, 2.0 * np.spacing(float(n)) / slope)
 
+    def test_calibration_logs_iterations_and_residual(self, caplog, capsys):
+        N, n = 200, 20
+        target = mc._split_probabilities(N, n)
+        dsg.calibrated_rejective(target, n)              # default level: silent
+        assert capsys.readouterr() == ("", "")
+        assert not caplog.records
+        with caplog.at_level("DEBUG", logger="svycdf.designs"), \
+                mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as spy:
+            design = dsg.calibrated_rejective(target, n)
+        [record] = caplog.records
+        assert record.levelname == "DEBUG" and record.name == "svycdf.designs"
+        iterations, residual = record.args
+        assert iterations == spy.call_count >= 2        # one suffix table per iteration
+        assert residual == float(np.max(np.abs(dsg.first_order_pi(design) - target)))
+        assert record.getMessage() == (f"rejective calibration: {iterations} iterations, "
+                                       f"residual {residual:.3e}")
+        assert capsys.readouterr() == ("", "")
+
     def test_nonconvergence_reports_residual(self):
         target = dsg.first_order_pi(dsg.rejective([0.05, 0.35, 0.6, 0.85], 2))
         with pytest.raises(CalibrationError) as err:
@@ -784,10 +822,10 @@ class TestValidation:
         assert dsg.first_order_pi(design)[0] == 1.0
 
     def test_poisson_binomial_table_invariants(self):
-        table = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 2)
+        table = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 2)[:, ::-1]
         assert table[0, 0] == 1.0
         assert np.all(table.sum(axis=1) <= 1.0 + 1e-12)
-        full = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 3)
+        full = dsg._pb_forward(np.array([0.2, 0.5, 0.8]), 3)[:, ::-1]
         assert full[3].sum() == pytest.approx(1.0, abs=1e-14)
         assert full[3, 2] == pytest.approx(
             0.2 * 0.5 * 0.2 + 0.2 * 0.5 * 0.8 + 0.8 * 0.5 * 0.8, abs=1e-15)
