@@ -70,8 +70,7 @@ def _pb_rows(table: np.ndarray, probs: np.ndarray, descending: bool = False) -> 
     else:
         heads, tails = table[:-1, :-1], table[1:, 1:]
     scratch = np.empty(table.shape[1] - 1)
-    for src, dst, head, tail, p, q in zip(table, table[1:], heads, tails,
-                                          probs.tolist(), (1.0 - probs).tolist()):
+    for src, dst, head, tail, p, q in zip(table, table[1:], heads, tails, probs, 1.0 - probs):
         np.multiply(src, q, dst)        # positional ``out``: a shorter dispatch
         np.multiply(head, p, scratch)
         np.add(tail, scratch, tail)

@@ -54,7 +54,7 @@ from .errors import (
     ParameterError,
     ScenarioError,
 )
-from .streams import child_seed, substream
+from .streams import child_seed, substream, substreams
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +88,10 @@ class Scenario:
             raise ScenarioError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.n_populations < 1 or self.n_samples < 1:
             raise ScenarioError("replication counts must be at least 1")
+        if self.n_samples > 2**32:      # a sample's stream index is one 32-bit word
+            raise ScenarioError(f"n_samples must be at most 2**32, got {self.n_samples}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         if self.design not in ("SI", "BE", "PO", "REJ"):
             raise ScenarioError(f"unknown design label {self.design!r}")
         if not 0.0 < self.alpha < 1.0:                      # NaN fails too
@@ -191,13 +195,14 @@ def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> 
     """The ``n_samples`` draws of one population, in sample order, one
     :func:`designs.draw` call of :func:`designs.batch_rows` samples at a time.
 
-    Sample j uses the stream ``(seed, pop_index, 2, j)``; no more than one
-    batch is held at once.
+    Sample j uses the stream ``(seed, pop_index, 2, j)``, seeded a batch at
+    a time by :func:`streams.substreams`; no more than one batch is held
+    at once.
     """
     rows = dsg.batch_rows(design)
     for start in range(0, sc.n_samples, rows):
-        rngs = [substream(sc.seed, pop_index, 2, j)
-                for j in range(start, min(start + rows, sc.n_samples))]
+        rngs = substreams(sc.seed, (pop_index, 2),
+                          np.arange(start, min(start + rows, sc.n_samples)))
         yield dsg.draw(design, rngs, y)
 
 

@@ -291,13 +291,17 @@ class TestSimulateFailures:
         assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
         assert calls == []
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"designs": ["SI", "BE"], "cells": [{"N": 50, "n": 50}]}, "BE needs n < N"),
-        ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
-        ({"beta": 0}, "beta must lie in (0, 1]"),
-    ], ids=["BE-census", "alpha-one", "beta-zero"])
+    @pytest.mark.parametrize("overrides, args, message", [
+        ({"designs": ["SI", "BE"], "cells": [{"N": 50, "n": 50}]}, [], "BE needs n < N"),
+        ({"alpha": 1.0}, [], "alpha must lie in (0, 1)"),
+        ({"beta": 0}, [], "beta must lie in (0, 1]"),
+        ({"seed": -4}, [], "seed must be non-negative"),
+        ({}, ["--seed", "-1"], "seed must be non-negative"),
+        ({"n_samples": 2**32 + 1}, [], "n_samples must be at most 2**32"),
+    ], ids=["BE-census", "alpha-one", "beta-zero", "negative-seed", "negative-seed-option",
+            "samples-over-one-word"])
     def test_invalid_scenario_fails_before_any_population(self, runner, tmp_path, monkeypatch,
-                                                          overrides, message):
+                                                          overrides, args, message):
         # every scenario of the grid is checked before the first one runs
         calls = []
         generate = pop.generate_population
@@ -311,7 +315,7 @@ class TestSimulateFailures:
         cfg_path.write_text(json.dumps(minimal_config(**overrides)))
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                      "--out", str(out)])
+                                      "--out", str(out), *args])
         assert result.exit_code == 2
         assert message in result.stderr
         assert not out.exists()
@@ -595,14 +599,27 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_run_path_imports_no_scipy(tmp_path):
-    # scipy is a test-only reference: nothing on the run path may load it
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this svycdf."""
     src = Path(svycdf.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", RUN_PATH, str(tmp_path)], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # scipy is a test-only reference: nothing on the run path may load it
+    done = _fresh_python("-c", RUN_PATH, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
     assert (tmp_path / "sim" / "coverage.csv").is_file()
     assert (tmp_path / "p.json").is_file()
+
+
+def test_cli_import_defers_numpy_random():
+    # numpy.random loads when the first stream is made, not at import: it
+    # would add about 20 ms to every command's start-up
+    done = _fresh_python("-c", "import sys, svycdf.cli; print('numpy.random' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -36,6 +36,14 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             small_scenario(design="XX")
 
+    def test_stream_address_bounds(self):
+        # a sample's stream index is one 32-bit word; seeds are non-negative
+        with pytest.raises(ScenarioError, match="seed"):
+            small_scenario(seed=-1)
+        with pytest.raises(ScenarioError, match="n_samples"):
+            small_scenario(n_samples=2**32 + 1)
+        small_scenario(seed=0, n_samples=2**32)
+
 
 class TestRunScenario:
     def test_point_mass_rb_zero_coverage_full(self):
@@ -119,6 +127,23 @@ class TestPopulationLoop:
             single = dsg.draw(design_obj, [substream(sc.seed, 3, 2, j)], y)[0]
             assert np.array_equal(sample.included, single.included)
             assert np.array_equal(sample.y_included, single.y_included)
+
+    @pytest.mark.parametrize("design", ["SI", "PO"])
+    def test_sample_streams_are_seeded_per_batch(self, design, monkeypatch):
+        # the scalar stream serves the per-population permutation only; the
+        # per-sample streams come from one substreams call per batch
+        calls = []
+        scalar = mc.substream
+
+        def counted(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(mc, "substream", counted)
+        sc = small_scenario(design=design, n_populations=3, n_samples=9)
+        mc.run_scenario(sc)
+        expected = [(sc.seed, i, 1) for i in range(3)] if design == "PO" else []
+        assert calls == expected
 
     def test_rejective_scenario_calibrates_once(self, monkeypatch):
         calls = []
