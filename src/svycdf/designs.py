@@ -24,6 +24,14 @@ probability of still reaching the target size; it is vectorized across
 samples by jumping from one inclusion to the next, so a batch of samples
 costs n steps, each over a short window of units per sample.
 
+A design whose units are those of another in a new order (:func:`relabel`)
+reuses that design's first-order probabilities, reordered, instead of
+rerunning the program.  They are exact up to rounding: they differ from
+the program's values on the reordered units only by the order in which its
+sums were added (at most 3.3e-15 relative, 19 units in the last place, on
+the calibrated N=10000, n=500 split).  Its suffix table is built afresh in
+the new order, so its samples are those of the rebuilt design.
+
 One sampler, :func:`draw`, serves every design: it takes a batch of
 generators and draws one sample from each.  Every sample consumes only its
 own generator, so a sample drawn in a batch equals the same generator drawn
@@ -247,9 +255,17 @@ class Design:
             raise ParameterError(f"unknown design kind {self.kind!r}")
 
     def __getstate__(self):
-        # a pickled design (a pool task) leaves its cached tables behind;
-        # they are rebuilt on demand
-        return {**self.__dict__, "_cache": {}}
+        # a pickled design (a pool task) carries its first-order
+        # probabilities (N floats) but leaves the suffix table behind; it is
+        # rebuilt on demand
+        cache = {k: v for k, v in self._cache.items() if k == "pi"}
+        return {**self.__dict__, "_cache": cache}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for arr in (self.pi, self.working_p, *self._cache.values()):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def expected_size(self) -> float:
@@ -294,6 +310,30 @@ def rejective(p, n: int) -> Design:
     return Design(kind="rejective", N=p.size, size=n, working_p=p)
 
 
+def relabel(design: Design, perm) -> Design:
+    """The design with its units reordered: unit i of the result is unit
+    ``perm[i]`` of ``design``.
+
+    srswor and Bernoulli designs treat every unit alike and are returned
+    as they are.  A Poisson design takes ``pi[perm]``.  A rejective design
+    takes ``working_p[perm]`` and, as its first-order probabilities, those
+    of ``design`` reordered by ``perm``: no dynamic program runs.  They
+    equal what the program would compute on the reordered units up to the
+    rounding of its sums (a few parts in 1e15).  The suffix table is not
+    carried over; the sampler builds it, in the new order, on first use,
+    so draws are those of ``rejective(working_p[perm], n)``.
+    """
+    if design.kind == "poisson":
+        return poisson(design.pi[perm])
+    if design.kind != "rejective":
+        return design
+    relabeled = rejective(design.working_p[perm], design.size)
+    pi = first_order_pi(design)[perm]
+    pi.setflags(write=False)
+    relabeled._cache["pi"] = pi
+    return relabeled
+
+
 @dataclass(eq=False)
 class SampleDraw:
     """One realized sample.
@@ -317,7 +357,14 @@ class SampleDraw:
 # ---------------------------------------------------------------------------
 
 def first_order_pi(design: Design) -> np.ndarray:
-    """Exact first-order inclusion probabilities (cached on the design)."""
+    """Exact first-order inclusion probabilities (cached on the design).
+
+    A rejective design runs the dynamic program once, on first use.  A
+    calibrated design (:func:`calibrated_rejective`) carries the
+    probabilities of its final calibration step, and a relabeled one
+    (:func:`relabel`) those of its source design reordered: both are the
+    program's values on their own units up to rounding.
+    """
     pi = design._cache.get("pi")
     if pi is not None:
         return pi
@@ -326,13 +373,23 @@ def first_order_pi(design: Design) -> np.ndarray:
     elif design.kind == "bernoulli":
         pi = np.full(design.N, design.rate)
     elif design.kind == "poisson":
-        pi = design.pi.copy()
+        pi = design.pi          # read-only, so shared rather than copied
     else:
         pi = _rejective_first_order(design.working_p, design.size,
                                     bwd=design._suffix_table())
     pi.setflags(write=False)
     design._cache["pi"] = pi
     return pi
+
+
+def check_pairwise_units(N: int) -> None:
+    """Refuse pairwise inclusion probabilities on more than
+    :data:`MAX_PAIRWISE_UNITS` units."""
+    if N > MAX_PAIRWISE_UNITS:
+        raise CapacityError(
+            f"pairwise inclusion probabilities form an N x N float64 matrix "
+            f"({8 * N * N / 1e6:.0f} MB at N={N}); limited to "
+            f"N <= {MAX_PAIRWISE_UNITS} ({8 * MAX_PAIRWISE_UNITS**2 / 1e6:.0f} MB)")
 
 
 def second_order_pi(design: Design) -> np.ndarray:
@@ -342,11 +399,7 @@ def second_order_pi(design: Design) -> np.ndarray:
     :data:`MAX_PAIRWISE_UNITS` for every design.
     """
     N = design.N
-    if N > MAX_PAIRWISE_UNITS:
-        raise CapacityError(
-            f"pairwise inclusion probabilities form an N x N float64 matrix "
-            f"({8 * N * N / 1e6:.0f} MB at N={N}); limited to "
-            f"N <= {MAX_PAIRWISE_UNITS} ({8 * MAX_PAIRWISE_UNITS**2 / 1e6:.0f} MB)")
+    check_pairwise_units(N)
     pi = first_order_pi(design)
     if design.kind == "srswor":
         n = design.size

@@ -156,13 +156,11 @@ def _scenario_design(sc: Scenario) -> dsg.Design:
 
 def _population_design(sc: Scenario, pop_index: int, design: dsg.Design) -> dsg.Design:
     """Design for one population; PO/REJ randomly reorder the units of the
-    scenario's unpermuted ``design``."""
+    scenario's unpermuted ``design`` (:func:`designs.relabel`), so a REJ
+    population reuses the scenario's inclusion probabilities."""
     if sc.design in ("SI", "BE"):
         return design
-    perm = substream(sc.seed, pop_index, 1).permutation(sc.N)
-    if sc.design == "PO":
-        return dsg.poisson(design.pi[perm])
-    return dsg.rejective(design.working_p[perm], sc.n)
+    return dsg.relabel(design, substream(sc.seed, pop_index, 1).permutation(sc.N))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +497,8 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
         raise ParameterError(f"unknown statistic {statistic!r}")
     if sc.n_populations * sc.n_samples < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
+    if statistic == "ht_mean" and sc.design == "REJ":
+        dsg.check_pairwise_units(sc.N)      # the exact scale needs pairwise pi
     design = _scenario_design(sc)
     center = scale = None
     if statistic != "ht_mean":

@@ -332,6 +332,82 @@ class TestFirstOrder:
         assert np.array_equal(dsg.first_order_pi(dsg.poisson(pi)), pi)
 
 
+def _assert_relabel_matches_rebuild(design, perm, seed):
+    """``relabel(design, perm)`` against ``rejective(p[perm], n)``, whose
+    first-order probabilities come from the DP: pi and the design constants
+    within rounding, the suffix table and the draws bit for bit."""
+    p, n = design.working_p, design.size
+    relabeled = dsg.relabel(design, perm)
+    rebuilt = dsg.rejective(p[perm], n)
+    assert np.array_equal(relabeled.working_p, rebuilt.working_p)
+    with mock.patch.object(dsg, "_rejective_first_order", side_effect=AssertionError):
+        pi = dsg.first_order_pi(relabeled)
+    assert "suffix" not in relabeled._cache and not pi.flags.writeable
+    reference = dsg._rejective_first_order(p[perm], n)
+    assert np.allclose(pi, reference, rtol=1e-13, atol=0.0)
+    got, want = dsg.design_constants(relabeled), dsg.design_constants(rebuilt)
+    for name in ("lam", "mu1", "mu2", "d"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+    assert np.array_equal(relabeled._suffix_table(), rebuilt._suffix_table())
+    y = np.arange(design.N, dtype=float)
+    samples = range(min(3, dsg.batch_rows(design)))
+    for a, b in zip(dsg.draw(relabeled, [substream(seed, j) for j in samples], y),
+                    dsg.draw(rebuilt, [substream(seed, j) for j in samples], y)):
+        assert np.array_equal(a.included, b.included)
+        assert np.array_equal(a.y_included, b.y_included)
+        assert np.array_equal(a.pi_included, pi[a.included])
+        assert np.allclose(a.pi_included, b.pi_included, rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def relabel_cases(draw):
+    """A rejective design with working probabilities in [0.01, 0.99] (free or
+    two-level), a permutation of its units and a stream seed."""
+    N = draw(st.integers(min_value=2, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=N - 1))
+    free = st.floats(min_value=0.01, max_value=0.99)
+    if draw(st.booleans()):
+        p = draw(st.lists(free, min_size=N, max_size=N))
+    else:
+        levels = draw(st.lists(free, min_size=2, max_size=2))
+        p = draw(st.lists(st.sampled_from(levels), min_size=N, max_size=N))
+    perm = draw(st.permutations(range(N)))
+    return dsg.rejective(p, n), np.array(perm), draw(st.integers(0, 2**32 - 1))
+
+
+class TestRelabel:
+    """A relabeled design reuses its source's first-order probabilities; the
+    DP on the reordered units stays the reference."""
+
+    @given(relabel_cases())
+    @example((dsg.rejective([0.3, 0.6, 0.2, 0.7, 0.4], 1), np.array([4, 2, 0, 1, 3]), 0))
+    @example((dsg.rejective([0.3, 0.6, 0.2, 0.7, 0.4], 4), np.arange(5)[::-1], 1))
+    @example((dsg.rejective([0.02] * 20 + [0.08] * 20, 2), np.roll(np.arange(40), 7), 2))
+    @settings(max_examples=150, deadline=None)
+    def test_rejective_matches_rebuilt_design(self, case):
+        design, perm, seed = case
+        _assert_relabel_matches_rebuild(design, perm, seed)
+
+    def test_desk_scale_calibrated_split(self):
+        # the harness's calibrated low/high split at N=10000, n=500
+        N, n = 10_000, 500
+        design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+        _assert_relabel_matches_rebuild(design, substream(3, 0, 1).permutation(N), 5)
+
+    def test_poisson_takes_reordered_pi(self):
+        design = dsg.poisson(substream(8).uniform(0.05, 1.0, size=30))
+        perm = substream(9).permutation(30)
+        relabeled = dsg.relabel(design, perm)
+        assert relabeled.kind == "poisson"
+        assert np.array_equal(relabeled.pi, design.pi[perm])
+        assert np.array_equal(dsg.first_order_pi(relabeled), design.pi[perm])
+
+    @pytest.mark.parametrize("design", [dsg.srswor(30, 7), dsg.bernoulli(30, 0.2)],
+                             ids=["SI", "BE"])
+    def test_exchangeable_designs_unchanged(self, design):
+        assert dsg.relabel(design, substream(9).permutation(30)) is design
+
+
 class TestSecondOrder:
     def test_srswor_pairs(self):
         pi2 = dsg.second_order_pi(dsg.srswor(6, 3))
@@ -812,10 +888,15 @@ class TestValidation:
         design = dsg.calibrated_rejective(np.linspace(0.1, 0.5, 8) * (3 / 2.4), 3)
         dsg.draw(design, [substream(1)], np.zeros(8))
         assert set(design._cache) == {"pi", "suffix"}
+        # pi (N floats) travels with a pickled design; the suffix table does not
         copy = pickle.loads(pickle.dumps(design))
-        assert copy._cache == {} and set(design._cache) == {"pi", "suffix"}
+        assert set(copy._cache) == {"pi"} and set(design._cache) == {"pi", "suffix"}
         assert np.array_equal(copy.working_p, design.working_p)
-        assert np.array_equal(dsg.first_order_pi(copy), dsg.first_order_pi(design))
+        assert np.array_equal(copy._cache["pi"], dsg.first_order_pi(design))
+        assert not copy._cache["pi"].flags.writeable and not copy.working_p.flags.writeable
+        with mock.patch.object(dsg, "_rejective_first_order", side_effect=AssertionError):
+            assert np.array_equal(dsg.first_order_pi(copy), dsg.first_order_pi(design))
+        assert np.array_equal(copy._suffix_table(), design._suffix_table())
 
     def test_poisson_certain_units_allowed(self):
         design = dsg.poisson([1.0, 0.5])

@@ -1,12 +1,15 @@
 """Monte Carlo harness: reproducibility, degenerate laws, diagnostics."""
 
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
 from svycdf import population as pop
-from svycdf.errors import DiagnosticError, ParameterError, ScenarioError
+from svycdf.errors import CapacityError, DiagnosticError, ParameterError, ScenarioError
 from svycdf.streams import substream
 from test_golden_reports import report_hex
 
@@ -160,6 +163,26 @@ class TestPopulationLoop:
         calls.clear()
         mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_FN")
         assert len(calls) == 1
+
+    def test_pickled_rejective_task_runs_no_first_order_dp(self, monkeypatch):
+        # a pool task travels pickled; its REJ populations reuse the
+        # scenario's pi, so each builds one table (its suffix table) and
+        # runs no first-order DP
+        sc = small_scenario(design="REJ", N=200, n=20, n_populations=3, n_samples=5)
+        design = mc._scenario_design(sc)
+        reduce = partial(mc._population_sums, sc, 0.3, np.full(2, np.nan))
+        task = pickle.loads(pickle.dumps(mc._PopulationTask(sc, design, reduce)))
+        calls = {"_rejective_first_order": 0, "_pb_forward": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(dsg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dsg, name, counted)
+        sums = [task(i) for i in range(sc.n_populations)]
+        assert calls == {"_rejective_first_order": 0, "_pb_forward": sc.n_populations}
+        monkeypatch.undo()
+        assert all(np.array_equal(a, mc._PopulationTask(sc, design, reduce)(i))
+                   for i, a in enumerate(sums))
 
     def test_calibrated_scenario_constants_are_the_dp(self):
         # the calibrated design's cached pi gives the same constants as a fresh DP
@@ -357,6 +380,18 @@ class TestNormalityDiagnostic:
     def test_requires_replications(self):
         with pytest.raises(ParameterError):
             mc.normality_diagnostic(small_scenario(), "phi_hj")
+
+    def test_rejective_ht_mean_cap_before_any_work(self, monkeypatch):
+        # the exact scale needs REJ pairwise pi: above the cap the diagnostic
+        # is refused before calibration or any draw
+        calls = []
+        for name in ("calibrated_rejective", "draw"):
+            monkeypatch.setattr(dsg, name, lambda *a, _name=name, **k: calls.append(_name))
+        monkeypatch.setattr(dsg, "MAX_PAIRWISE_UNITS", 50)
+        sc = small_scenario(design="REJ", N=60, n=10, n_populations=4, n_samples=250)
+        with pytest.raises(CapacityError, match="N x N float64 matrix .* at N=60"):
+            mc.normality_diagnostic(sc, "ht_mean")
+        assert calls == []
 
     def test_point_mass_errors(self, monkeypatch):
         # the missing asymptotic scale is found before any population runs
