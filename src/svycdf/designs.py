@@ -13,8 +13,7 @@ in place.  The suffix table is built once per design, top count first, so
 each suffix distribution a dot product reads from the top count down is a
 contiguous slice of a row.  It serves the first-order probabilities, the
 pairwise probabilities and the sampler; it is the only (N+1) x (n+1) array
-the program keeps (calibration refills one for every iteration), and it is
-refused above :data:`MAX_DP_TABLE_BYTES`.  The prefix distributions are
+the program keeps, and it is refused above :data:`MAX_DP_TABLE_BYTES`.  The prefix distributions are
 only read in unit order, so they are streamed, one block of rows at a time.
 The pairwise probabilities take one sweep over the units that keeps every
 leave-one-out prefix distribution at once: N vectorized steps, O(N^2 n)
@@ -38,6 +37,14 @@ own generator, so a sample drawn in a batch equals the same generator drawn
 alone.  A drawn sample (:class:`SampleDraw`) is its included unit indices
 in increasing order, with their inclusion probabilities and responses; no
 N-length indicator vector is formed.
+
+Calibration (:func:`calibrated_rejective`) fits working probabilities to
+target inclusion probabilities by a fixed point.  Where every target is at
+most 1/2, its iterates are evaluated by the O(n)-step recursion of Chen,
+Dempster & Liu, which needs no table and agrees with the program to
+rounding there; the program, run into one table the calibration allocates,
+confirms the final iterate and alone decides convergence.  Above 1/2 every
+iterate is an exact pass.
 """
 
 from __future__ import annotations
@@ -541,6 +548,37 @@ def _renormalize_odds(odds: np.ndarray, n: int) -> np.ndarray:
     return np.clip(co / (1.0 + co), _P_CLIP, 1.0 - _P_CLIP)
 
 
+def _recursive_first_order(p: np.ndarray, n: int) -> np.ndarray:
+    """First-order inclusion probabilities of the size-n conditional design
+    by the recursion of Chen, Dempster & Liu (1994) over the sample size:
+    pi(k) = k w (1 - pi(k-1)) / sum(w (1 - pi(k-1))), w = p / (1 - p),
+    pi(0) = 0.  It takes n vectorized steps over the N units and no table,
+    where the dynamic program takes N steps over rows of n + 1 counts and
+    an (N+1) x (n+1) table.
+
+    Not exact: an error in pi_i(k-1) reaches pi_i(k) multiplied by about
+    pi_i / (1 - pi_i), so it stays at rounding level only while every
+    pi_i <= 1/2 (see :data:`_RECURSION_MAX_TARGET`).
+    """
+    w = p / (1.0 - p)
+    pi = np.zeros_like(w)
+    term = np.empty_like(w)
+    for k in range(1, n + 1):
+        np.subtract(1.0, pi, term)
+        term *= w
+        np.multiply(term, k / term.sum(), pi)
+    return pi
+
+
+#: calibration iterates with :func:`_recursive_first_order` only when no
+#: target exceeds this.  Measured against the dynamic program on 3000 random
+#: designs (N < 800, p uniform on random subintervals of (0.001, 0.999)),
+#: the recursion's largest relative error was 2.7e-15 while max pi <= 0.5,
+#: 1.5e-14 for max pi in (0.5, 0.55], 1.6e-10 in (0.55, 0.6] and 4e-2 in
+#: (0.6, 0.65] with every pi still inside (0, 1); above that pi left (0, 1).
+_RECURSION_MAX_TARGET = 0.5
+
+
 def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
                           max_iter: int = 1000) -> np.ndarray:
     """Find working probabilities whose size-n conditional design has the
@@ -549,8 +587,11 @@ def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
     Damped multiplicative fixed point: p <- p * target / pi(p) in odds
     space, renormalized each step so sum(p) = n; the step is halved (in
     log scale) whenever the max-norm residual grows.  Such a p always
-    exists and is unique up to a common odds factor.  Returns the working
-    probabilities of :func:`calibrated_rejective`.
+    exists and is unique up to a common odds factor.  pi(p) comes from the
+    O(n)-step recursion while it is accurate and from the exact dynamic
+    program otherwise; the program alone decides convergence (see
+    :func:`calibrated_rejective`).  Returns the working probabilities of
+    :func:`calibrated_rejective`.
     """
     return calibrated_rejective(target_pi, n, tol, max_iter).working_p
 
@@ -560,9 +601,22 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     """The size-n rejective design calibrated to ``target_pi`` (see
     :func:`calibrate_rejective_p`).
 
-    Its first-order inclusion probabilities are the ones computed at the
-    final, converged iteration, identical to what :func:`first_order_pi`
-    would compute afresh.
+    When no target exceeds :data:`_RECURSION_MAX_TARGET`, each iteration
+    evaluates pi(p) with :func:`_recursive_first_order`; once its residual
+    is within ``tol``, the same iteration runs one exact pass (the suffix
+    table refilled into one buffer, then the prefix sweep) at that p, and
+    that pass's residual decides convergence.  The recursion is dropped for
+    the rest of the loop, and the iteration's pi taken from an exact pass
+    instead, at its first value outside (0, 1) or not finite, its first
+    residual above the one before it (its rounding noise has been reached),
+    or its first failed confirmation.  Above the bound every iteration is
+    an exact pass, as in the plain fixed point.  The last of the
+    ``max_iter`` iterations is always exact, so the residual logged at
+    DEBUG level with the counts of iterations and exact passes, or carried
+    by :class:`CalibrationError`, is the program's.
+
+    Its first-order inclusion probabilities are those of the final exact
+    pass, identical to what :func:`first_order_pi` would compute afresh.
     """
     t = np.asarray(target_pi, dtype=float)
     N = t.size
@@ -578,19 +632,32 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     _check_dp_table(N, n)
-    bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled each step
+    bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled by every exact pass
+    fast = float(t.max()) <= _RECURSION_MAX_TARGET
     p = t.copy()
     prev_resid = np.inf
-    resid = np.inf
+    passes = 0
     for it in range(1, max_iter + 1):
-        pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
-        resid = float(np.max(np.abs(pi - t)))
-        if resid <= tol:
-            logger.debug("rejective calibration: %d iterations, residual %.3e", it, resid)
-            design = rejective(p, n)
-            pi.setflags(write=False)
-            design._cache["pi"] = pi
-            return design
+        fast = fast and it < max_iter
+        if fast:
+            pi = _recursive_first_order(p, n)
+            resid = float(np.max(np.abs(pi - t)))
+            # NaN fails every test; a residual that grows is the recursion's noise
+            fast = bool(np.all((pi > 0.0) & (pi < 1.0))) and resid <= prev_resid
+        if not fast or resid <= tol:
+            if not passes:          # damping compares the program's residuals only
+                prev_resid = np.inf
+            pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
+            passes += 1
+            resid = float(np.max(np.abs(pi - t)))
+            if resid <= tol:
+                logger.debug("rejective calibration: %d iterations (%d exact), residual %.3e",
+                             it, passes, resid)
+                design = rejective(p, n)
+                pi.setflags(write=False)
+                design._cache["pi"] = pi
+                return design
+            fast = False
         update = t / pi
         if resid > prev_resid:
             update = np.sqrt(update)
@@ -598,7 +665,8 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
         odds = (p / (1.0 - p)) * update
         p = _renormalize_odds(odds, n)
     raise CalibrationError(
-        f"calibration stopped after {max_iter} iterations with residual {resid:.3e}",
+        f"calibration stopped after {max_iter} iterations ({passes} exact) "
+        f"with residual {resid:.3e}",
         residual=resid, iterations=max_iter)
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svycdf import designs as dsg
@@ -622,15 +622,26 @@ class TestDPMemory:
         assert peak <= self._bound()
 
     def test_calibration_refills_one_table(self):
-        # every iteration writes its suffix table into the one buffer the
-        # calibration allocated, instead of a fresh (N+1) x (n+1) table
-        N, n = 200, 20
+        # every exact pass writes its suffix table into the one buffer the
+        # calibration allocated, instead of a fresh (N+1) x (n+1) table;
+        # above the recursion's bound every iteration is an exact pass
+        N, n = 14, 6
+        target = mc._split_probabilities(N, n)
+        assert target.max() > dsg._RECURSION_MAX_TARGET
         with mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as spy:
-            design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+            design = dsg.calibrated_rejective(target, n)
         outs = [call.kwargs.get("out") for call in spy.call_args_list]
         assert len(outs) >= 2
         assert isinstance(outs[0], np.ndarray) and outs[0].shape == (N + 1, n + 1)
         assert all(out is outs[0] for out in outs)
+        assert np.array_equal(dsg.first_order_pi(design),
+                              leave_one_out_first_order(design.working_p, n))
+        # below it the recursion iterates and one exact pass confirms
+        N, n = 200, 20
+        with mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as spy:
+            design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+        assert spy.call_count == 1
+        assert spy.call_args.kwargs["out"].shape == (N + 1, n + 1)
         assert np.array_equal(dsg.first_order_pi(design),
                               leave_one_out_first_order(design.working_p, n))
 
@@ -802,29 +813,184 @@ class TestCalibration:
             slope = float(np.sum(p * (1.0 - p)))
             assert abs(found - log_c) <= max(1e-13, 2.0 * np.spacing(float(n)) / slope)
 
-    def test_calibration_logs_iterations_and_residual(self, caplog, capsys):
-        N, n = 200, 20
+    def _logged_calibration(self, caplog, capsys, N, n):
+        """Calibrate the N, n split twice, silent at the default level and
+        logging at DEBUG; return the record's arguments, the calls of the
+        suffix table build (one per exact pass) and of the recursion."""
         target = mc._split_probabilities(N, n)
         dsg.calibrated_rejective(target, n)              # default level: silent
         assert capsys.readouterr() == ("", "")
         assert not caplog.records
         with caplog.at_level("DEBUG", logger="svycdf.designs"), \
-                mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as spy:
+                mock.patch.object(dsg, "_pb_forward", wraps=dsg._pb_forward) as exact, \
+                mock.patch.object(dsg, "_recursive_first_order",
+                                  wraps=dsg._recursive_first_order) as fast:
             design = dsg.calibrated_rejective(target, n)
         [record] = caplog.records
         assert record.levelname == "DEBUG" and record.name == "svycdf.designs"
-        iterations, residual = record.args
-        assert iterations == spy.call_count >= 2        # one suffix table per iteration
+        iterations, passes, residual = record.args
+        assert passes == exact.call_count               # one suffix table per exact pass
+        # the residual logged is the exact program's
+        assert np.array_equal(dsg.first_order_pi(design),
+                              dsg._rejective_first_order(design.working_p, n))
         assert residual == float(np.max(np.abs(dsg.first_order_pi(design) - target)))
-        assert record.getMessage() == (f"rejective calibration: {iterations} iterations, "
-                                       f"residual {residual:.3e}")
+        assert record.getMessage() == (f"rejective calibration: {iterations} iterations "
+                                       f"({passes} exact), residual {residual:.3e}")
         assert capsys.readouterr() == ("", "")
+        return iterations, passes, fast.call_count
+
+    def test_calibration_logs_iterations_and_residual(self, caplog, capsys):
+        # below the bound the recursion runs at every iteration, and one
+        # exact pass confirms the last
+        iterations, passes, recursions = self._logged_calibration(caplog, capsys, 200, 20)
+        assert iterations == recursions >= 2 and passes == 1
+
+    def test_calibration_logs_exact_passes_above_bound(self, caplog, capsys):
+        assert mc._split_probabilities(14, 6).max() > dsg._RECURSION_MAX_TARGET
+        iterations, passes, recursions = self._logged_calibration(caplog, capsys, 14, 6)
+        assert iterations == passes >= 2 and recursions == 0
 
     def test_nonconvergence_reports_residual(self):
         target = dsg.first_order_pi(dsg.rejective([0.05, 0.35, 0.6, 0.85], 2))
         with pytest.raises(CalibrationError) as err:
             dsg.calibrate_rejective_p(target, 2, tol=1e-16, max_iter=2)
         assert err.value.residual is not None and err.value.residual > 0
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_nonconvergence_residual_is_exact(self, max_iter):
+        # the recursion runs at every iteration but the last, which is an
+        # exact pass, so the residual reported is the program's
+        N, n = 200, 20
+        target = mc._split_probabilities(N, n)
+        values = []
+        dp = dsg._rejective_first_order
+
+        def exact(*args):
+            values.append(dp(*args))
+            return values[-1]
+
+        with mock.patch.object(dsg, "_rejective_first_order", side_effect=exact), \
+                mock.patch.object(dsg, "_recursive_first_order",
+                                  wraps=dsg._recursive_first_order) as fast, \
+                pytest.raises(CalibrationError, match=rf"after {max_iter} iterations \(1 exact\)") \
+                as err:
+            dsg.calibrated_rejective(target, n, max_iter=max_iter)
+        assert fast.call_count == max_iter - 1 and len(values) == 1
+        assert err.value.residual == float(np.max(np.abs(values[0] - target))) > 1e-10
+        assert err.value.iterations == max_iter
+
+
+def plain_calibration(target, n, tol=1e-10, max_iter=1000):
+    """The damped fixed point with an exact pass at every iteration.
+
+    The calibration loop as it runs above the recursion's bound; the
+    package must reproduce its working probabilities bit for bit there.
+    """
+    t = np.asarray(target, dtype=float)
+    p = t.copy()
+    prev_resid = np.inf
+    for _ in range(max_iter):
+        pi = dsg._rejective_first_order(p, n)
+        resid = float(np.max(np.abs(pi - t)))
+        if resid <= tol:
+            return p
+        update = t / pi
+        if resid > prev_resid:
+            update = np.sqrt(update)
+        prev_resid = resid
+        p = dsg._renormalize_odds((p / (1.0 - p)) * update, n)
+    raise AssertionError("no convergence")
+
+
+@st.composite
+def recursion_cases(draw):
+    """A rejective design whose exact inclusion probabilities are positive
+    and at most the recursion's bound: p at most 1/2 or at the lower clip
+    bound, n the nearest size to sum(p) in 1..N-1."""
+    N = draw(st.integers(min_value=2, max_value=60))
+    p = np.array(draw(st.lists(st.one_of(st.floats(min_value=0.001, max_value=0.5),
+                                         st.sampled_from(NEAR_CLIP[:2])),
+                               min_size=N, max_size=N)))
+    n = min(N - 1, max(1, round(float(p.sum()))))
+    pi = _dp_or_error(dsg._rejective_first_order, p, n)
+    assume(pi is not DegenerateDesignError)
+    assume(np.all(pi > 0.0) and pi.max() <= dsg._RECURSION_MAX_TARGET)
+    return p, n, pi
+
+
+class TestRecursion:
+    """The O(n)-step recursion against the exact program, and the
+    calibration that uses it only where it agrees."""
+
+    @given(recursion_cases())
+    @example((np.array([0.02] * 20 + [0.08] * 20), 2,
+              dsg._rejective_first_order(np.array([0.02] * 20 + [0.08] * 20), 2)))
+    @example((np.array([dsg._P_CLIP] * 6 + [0.5] * 4), 1,
+              dsg._rejective_first_order(np.array([dsg._P_CLIP] * 6 + [0.5] * 4), 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dp_below_bound(self, case):
+        p, n, pi = case
+        got = dsg._recursive_first_order(p, n)
+        assert np.all(np.abs(got - pi) <= 1e-13 * pi)
+
+    @pytest.mark.parametrize("p, n", [
+        ([dsg._P_CLIP] * 30, 29),                              # the program underflows
+        ([dsg._P_CLIP] * 30, 1),
+        ([dsg._P_CLIP] * 6 + [0.5] * 3, 3),
+        ([dsg._P_CLIP] * 6 + [1.0 - dsg._P_CLIP] * 3 + [0.5] * 3, 4),
+        ([dsg._P_CLIP, 2 * dsg._P_CLIP, 1.0 - dsg._P_CLIP], 1),
+        ([dsg._P_CLIP, 2 * dsg._P_CLIP, 1.0 - dsg._P_CLIP], 2),  # leaves [0, 1]
+        ([1.0 - dsg._P_CLIP] * 5 + [dsg._P_CLIP], 5),
+    ])
+    def test_clip_bounds_stay_finite(self, p, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dsg._recursive_first_order(np.array(p), n)
+        assert np.all(np.isfinite(got))
+        assert got.sum() == pytest.approx(n, rel=1e-12)
+
+    def test_desk_split_matches_dp(self):
+        N, n = 10000, 500
+        p = mc._split_probabilities(N, n)
+        pi = dsg._rejective_first_order(p, n)
+        assert np.all(np.abs(dsg._recursive_first_order(p, n) - pi) <= 1e-13 * pi)
+
+    def test_wrong_in_range_recursion_is_caught(self, monkeypatch):
+        # with the bound lifted, the recursion's values at this design (max
+        # pi 0.81) stay inside (0, 1) but are off by 3e-8, so its iterates
+        # stall above tol; the program takes over, decides convergence, and
+        # the cached pi is its value
+        N, n = 100, 50
+        p = np.random.default_rng(20260808).uniform(0.01, 0.7, N)
+        target = dsg._rejective_first_order(p, n)
+        wrong = dsg._recursive_first_order(p, n)
+        assert np.all((wrong > 0.0) & (wrong < 1.0))
+        assert np.max(np.abs(wrong - target)) > 1e-8
+        monkeypatch.setattr(dsg, "_RECURSION_MAX_TARGET", 1.0)
+        with mock.patch.object(dsg, "_recursive_first_order",
+                               wraps=dsg._recursive_first_order) as fast:
+            design = dsg.calibrated_rejective(target, n)
+        assert fast.call_count >= 2
+        pi = dsg.first_order_pi(design)
+        assert np.array_equal(pi, dsg._rejective_first_order(design.working_p, n))
+        assert np.max(np.abs(pi - target)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [20260808, 7])
+    def test_above_bound_is_the_plain_fixed_point(self, seed):
+        # the N=14, n=6 oracle split has targets up to 0.686: no recursion
+        # runs, and p is bit for bit that of an exact pass per iteration
+        target = mc._split_probabilities(14, 6)[np.random.default_rng(seed).permutation(14)]
+        assert target.max() > dsg._RECURSION_MAX_TARGET
+        with mock.patch.object(dsg, "_recursive_first_order", side_effect=AssertionError):
+            p = dsg.calibrate_rejective_p(target, 6)
+        assert np.array_equal(p, plain_calibration(target, 6))
+
+    def test_below_bound_close_to_the_plain_fixed_point(self):
+        # the desk split: the recursion moves p only by rounding
+        N, n = 10000, 500
+        target = mc._split_probabilities(N, n)
+        p = dsg.calibrate_rejective_p(target, n)
+        assert np.max(np.abs(p - plain_calibration(target, n)) / p) <= 1e-14
 
 
 class TestDesignConstants:
