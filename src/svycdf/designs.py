@@ -126,6 +126,14 @@ def _check_dp_table(N: int, n: int) -> None:
 #: bytes (the buffer holds one more row, carried into the next block)
 _BLOCK_BYTES = 2**20
 
+#: the relative gap |sum(pi) - n| / n past which the first-order program is
+#: refused.  Measured gaps: 2.3e-16 on the desk split (N=10000, n=500);
+#: within 1e-12 on 294 of 300 random designs; 3.3e-6 on a design whose
+#: sum(p) lies 50 standard deviations from n; and a sum of 0.0 (every pi
+#: zero) for p ~ U(0.01, 0.5), N=10000, n=500, where the leave-one-out dot
+#: products underflow while P(S = n) stays positive
+_PI_SUM_RTOL = 1e-9
+
 
 def _rejective_first_order(p: np.ndarray, n: int,
                            bwd: np.ndarray | None = None) -> np.ndarray:
@@ -139,7 +147,9 @@ def _rejective_first_order(p: np.ndarray, n: int,
     N x (n+1) array: row N-1-i, columns 1..n, is the PMF of the units after
     i from count n-1 down, so a block reads its suffix rows as one view.
     The prefix PMFs (ascending layout) are streamed, one block of rows at a
-    time, and P(S = n) is read from the last of them.
+    time, and P(S = n) is read from the last of them.  A result that does
+    not sum to n within :data:`_PI_SUM_RTOL` relative is refused with
+    :class:`DegenerateDesignError`.
     """
     N = p.size
     if bwd is None:
@@ -157,7 +167,13 @@ def _rejective_first_order(p: np.ndarray, n: int,
     total = rows[0, n]
     if total <= 0.0:
         raise DegenerateDesignError(f"P(sample size = {n}) is zero")
-    return p * dots / total
+    pi = p * dots / total
+    pi_sum = float(pi.sum())
+    if not abs(pi_sum - n) <= _PI_SUM_RTOL * n:     # NaN fails
+        raise DegenerateDesignError(
+            f"the inclusion probabilities sum to {pi_sum:.12g}, not n={n}: the "
+            f"dynamic program lost them to underflow")
+    return pi
 
 
 #: the pairwise inclusion probabilities of a design on N units form an

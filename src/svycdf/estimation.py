@@ -7,17 +7,24 @@ that estimate instead of N and always has total mass one.  Both are
 right-continuous step functions; quantiles use the generalized inverse
 F^{-1}(a) = inf{t : F(t) >= a}.
 
-Draws are processed in batches.  :func:`_weighted_cdfs` checks a batch,
-pads its responses to one (R, n_max) block, sorts the block once and
-builds both modes' CDFs with one cumulative sum per mode; equal responses
-(NaNs too) merge into one jump, their weights added in sample order.  The
-poverty kernels (:func:`poverty_batch` with interpolated quantiles,
-:func:`step_poverty_rates` with the generalized inverse) and the process
-paths (:func:`process_paths`) read all rows at once: quantiles and CDF
-values are counts of comparisons, and the kernel densities take one
-``exp`` over the block.  Sums whose rounding depends on a row's length run
-on the row's own entries, so a draw gets the same bits in any batch,
-alone included.
+Draws are processed in batches.  :func:`_weighted_cdfs` checks a batch
+(the inclusion probabilities once over the whole batch), pads its
+responses to one (R, n_max) block, sorts the block once and builds the
+CDFs of the modes its caller reads, each with one gather and one
+cumulative sum over the block; equal responses (NaNs too) merge into one
+jump, their weights added in sample order, in one ``bincount`` per mode
+over all rows with ties.  A batch costs a fixed number of array
+operations, plus one per distinct row length for the sums whose rounding
+depends on the length.  The poverty kernels (:func:`poverty_batch`, both
+modes, with interpolated quantiles; :func:`step_poverty_rates`, one mode,
+with the generalized inverse) and the process paths
+(:func:`process_paths`, one mode) read all rows at once: quantiles and
+CDF values are counts of comparisons, and the kernel densities of both
+modes take one ``exp`` over the block.  Sums whose rounding depends on a
+row's length run on the row's own entries, so a draw gets the same bits
+in any batch, alone included.  :func:`census_poverty_rate` gives a whole
+population's rate from one sort, bitwise the census value of
+:func:`step_poverty_rates`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ _TIE_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 MODES = ("HT", "HJ")
 
-ProcessKind = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F", "G_pi", "Y_N"]
+ProcessKind = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"]
 
 
 def _require_values(draw):
@@ -52,28 +59,32 @@ def _require_values(draw):
 
 
 def _row_groups(sizes: np.ndarray) -> list:
-    """``(n, rows)`` for each distinct row length n, ``rows`` indexing the
-    rows of that length (a slice where they are consecutive, which indexes
-    a view)."""
+    """``(n, rows)`` for each distinct row length n, in increasing order,
+    ``rows`` indexing the rows of that length (a slice where they are
+    consecutive, which indexes a view); from one stable sort of the sizes."""
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), sizes.size]
+    rows_in_order, ordered = order.tolist(), ordered.tolist()
     groups = []
-    for n in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == n)
-        consecutive = rows[-1] - rows[0] == rows.size - 1
-        groups.append((n, slice(rows[0], rows[-1] + 1) if consecutive else rows))
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        low, high = rows_in_order[start], rows_in_order[stop - 1]
+        groups.append((ordered[start], slice(low, high + 1) if high - low == stop - start - 1
+                       else order[start:stop]))
     return groups
 
 
 @dataclass(frozen=True, eq=False)
 class _Cdfs:
-    """Both modes' weighted CDFs of R draws padded to (R, L).
+    """Weighted CDFs of R draws padded to (R, L), in the modes asked for.
 
     ``y`` (+inf padding) and ``inv = 1/pi`` (zero padding) keep the sample
     order; ``sizes`` are the row lengths, ``groups`` their
     :func:`_row_groups` and ``n_hat`` the population-size estimates.  Row
-    r of mode k (``MODES[k]``) jumps at the ``count[r]`` sorted distinct
-    responses ``loc[r]`` (+inf or NaN padding) with running sums ``cum[k, r]``
-    (+inf padding) ending at ``total[k, r]``: 1/(N pi) and their sum for
-    "HT", (1/pi)/n_hat and exactly one for "HJ".
+    r of the k-th mode built jumps at the ``count[r]`` sorted distinct
+    responses ``loc[r]`` (+inf or NaN padding) with running sums
+    ``cum[k, r]`` (+inf padding) ending at ``total[k, r]``: 1/(N pi) and
+    their sum for "HT", (1/pi)/n_hat and exactly one for "HJ".
     """
 
     y: np.ndarray
@@ -87,67 +98,142 @@ class _Cdfs:
     count: np.ndarray
 
 
-def _weighted_cdfs(draws, N: int) -> tuple[_Cdfs, dict]:
-    """Check a batch of draws and build both modes' CDFs of every draw.
+def _concatenated(draws, failed) -> tuple:
+    """Responses and inclusion probabilities of a batch concatenated in draw
+    order, the draws in ``failed`` replaced by y = [0], pi = [1], and the
+    row lengths."""
+    rows = [(np.zeros(1), np.ones(1)) if j in failed else (draw.y_included, draw.pi_included)
+            for j, draw in enumerate(draws)]
+    return (np.concatenate([y for y, _ in rows]).astype(float, copy=False),
+            np.concatenate([pi for _, pi in rows]).astype(float, copy=False),
+            np.array([np.size(y) for y, _ in rows]))
+
+
+def _batch_values(draws) -> tuple:
+    """:func:`_concatenated` of a batch with its failed draws replaced, and
+    their errors (:func:`_require_values`) in row order.
+
+    A draw fails without values, empty, or with an inclusion probability
+    outside (0, 1].  The probabilities are checked once over the
+    concatenation, so only the draws found failing are checked one by one.
+    """
+    draws = list(draws)
+    if not draws:
+        raise ParameterError("empty batch: at least one draw is needed")
+    failed = {j for j, draw in enumerate(draws)
+              if draw.y_included is None or draw.included.size == 0}
+    values, pi, sizes = _concatenated(draws, failed)
+    in_range = (pi > 0.0) & (pi <= 1.0)     # NaN fails
+    if not in_range.all():
+        starts = np.cumsum(sizes) - sizes
+        failed.update(np.flatnonzero(~np.logical_and.reduceat(in_range, starts)).tolist())
+        values, pi, sizes = _concatenated(draws, failed)
+    errors = {}
+    for j in sorted(failed):
+        try:
+            _require_values(draws[j])
+        except EstimationError as exc:
+            errors[j] = exc
+    return values, pi, sizes, errors
+
+
+def _weighted_cdfs(draws, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
+    """Check a batch of draws and build the CDFs of every draw in ``modes``
+    (a subsequence of :data:`MODES`), ``cum[k]`` and ``total[k]`` for
+    ``modes[k]``.
 
     A draw without values, empty, or with an inclusion probability outside
-    (0, 1] gets a placeholder row and an entry ``row: EstimationError`` in
-    the returned dict.
+    (0, 1] gets a placeholder row (y = [0], pi = [1]) and an entry
+    ``row: EstimationError`` in the returned dict, in row order.
     """
     if N < 1:
         raise ParameterError(f"population size must be at least 1, got {N}")
-    errors, ys, pis = {}, [], []
-    for j, draw in enumerate(draws):
-        try:
-            _require_values(draw)
-            ys.append(np.asarray(draw.y_included, dtype=float))
-            pis.append(draw.pi_included)
-        except EstimationError as exc:
-            errors[j] = exc
-            ys.append(np.zeros(1))
-            pis.append(np.ones(1))
-    if not ys:
-        raise ParameterError("empty batch: at least one draw is needed")
-    sizes = np.array([y.size for y in ys])
-    R, L = sizes.size, sizes.max()
-    pad = np.arange(L) >= sizes[:, None]
-    y, inv = np.full((R, L), np.inf), np.full((R, L), np.inf)
-    y[~pad], inv[~pad] = np.concatenate(ys), np.concatenate(pis)   # padding weighs 0
-    weights = np.empty((2, R, L))
-    np.divide(1.0, np.multiply(N, inv, out=weights[0]), out=weights[0])   # 1/(N pi)
-    np.divide(1.0, inv, out=inv)
+    values, pi, sizes, errors = _batch_values(draws)
+    R, L = sizes.size, int(sizes.max())
+    fill = np.arange(L) < sizes[:, None]
+    y = np.full((R, L), np.inf)
+    y[fill] = values
+    # sample order, zero padding: 1/(N pi) when "HT" is built, then 1/pi;
+    # the batch's own concatenation of pi is overwritten on the way
+    ht = "HT" in modes
+    block = np.zeros((1 + ht, R, L))
+    inv = block[-1]
+    if ht:
+        block[0][fill] = np.divide(1.0, N * pi)
+    inv[fill] = np.divide(1.0, pi, out=pi)
     groups = _row_groups(sizes)
-    total, n_hat = np.ones((2, R)), np.empty(R)
+    sums = np.empty((1 + ht, R))
     for n, rows in groups:
-        # pairwise sums, each over the row's own n entries
-        total[0, rows] = weights[0, rows, :n].sum(axis=1)
-        n_hat[rows] = inv[rows, :n].sum(axis=1)
-    np.divide(inv, n_hat[:, None], out=weights[1])
+        sums[:, rows] = block[:, rows, :n].sum(axis=-1)    # pairwise, over the row's n entries
+    n_hat = sums[-1]
 
     order = np.argsort(y, axis=1)
-    loc = np.take_along_axis(y, order, axis=1)
-    cum = np.take_along_axis(weights, order[None], axis=2)
-    np.cumsum(cum, axis=2, out=cum)
+    order += np.arange(0, R * L, L)[:, None]          # positions in the raveled rows
+    flat = order.ravel()
+    loc = np.take(y, flat).reshape(R, L)
+    total, cum = np.ones((len(modes), R)), np.empty((len(modes), R, L))
+    for k, mode in enumerate(modes):
+        np.take(block[0 if mode == "HT" else -1], flat, out=cum[k].ravel(), mode="clip")
+        if mode == "HT":
+            total[k] = sums[0]
+        else:
+            cum[k] /= n_hat[:, None]        # (1/pi)/n_hat, as in sample order
+    np.cumsum(cum, axis=-1, out=cum)
     count = sizes.copy()
-    # tied responses (NaNs, which sort after the padding, too) merge into
-    # one jump per row, their weights added in sample order
-    ties = ((loc[:, 1:] == loc[:, :-1]) & ~pad[:, 1:]).any(axis=1) | np.isnan(y).any(axis=1)
-    for r in np.flatnonzero(ties).tolist():
-        locs, inverse = np.unique(y[r, :sizes[r]], return_inverse=True)
-        count[r] = locs.size
-        loc[r, :locs.size], loc[r, locs.size:] = locs, np.nan
-        for k in range(2):
-            cum[k, r, :locs.size] = np.bincount(inverse, weights=weights[k, r, :sizes[r]],
-                                                minlength=locs.size).cumsum()
-    cum[:, np.arange(L) >= count[:, None]] = np.inf
+    # tied responses (NaNs, which sort last, too) merge into one jump per
+    # row, their weights added in sample order
+    ties = np.flatnonzero(((loc[:, 1:] == loc[:, :-1]) & fill[:, 1:]).any(axis=1)
+                          | np.isnan(loc[:, -1]))
+    if ties.size:
+        weights = np.stack([block[0, ties] if mode == "HT" else inv[ties] / n_hat[ties, None]
+                            for mode in modes])
+        count[ties] = _merge_ties(ties, order, loc, weights, cum, sizes)
+    np.copyto(cum, np.inf, where=np.arange(L) >= count[:, None])
     cum[:, np.arange(R), count - 1] = total
     return _Cdfs(y=y, inv=inv, sizes=sizes, groups=groups, n_hat=n_hat, loc=loc, cum=cum,
                  total=total, count=count), errors
 
 
-def _valid_cdfs(draws, N: int) -> _Cdfs:
+def _merge_ties(rows, order, loc, weights, cum, sizes) -> np.ndarray:
+    """Merge equal responses of the given rows into one jump each, in place,
+    and return the rows' jump counts.
+
+    As ``np.unique`` with ``np.bincount`` row by row: the sorted distinct
+    responses (one NaN for all NaNs) fill ``loc`` with NaN padding, and each
+    jump's weight is the sum of its units' ``weights`` (modes x rows x L,
+    sample order) added in sample order, one ``bincount`` per mode over all
+    rows, then accumulated into ``cum``.  ``order`` is every row's argsort as
+    positions in the raveled rows.
+    """
+    L = loc.shape[1]
+    n = sizes[rows]
+    src = order[rows] - (rows * L)[:, None]   # sample positions in sorted order
+    real = src < n[:, None]                    # the padding sorts among the responses
+    v = loc[rows][real]
+    row_of = np.repeat(np.arange(rows.size), n)
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = (row_of[1:] != row_of[:-1]) | ((v[1:] != v[:-1])
+                                            & ~(np.isnan(v[1:]) & np.isnan(v[:-1])))
+    jump = np.cumsum(new) - 1                  # each sorted unit's jump, all rows numbered on
+    unit_jump = np.empty_like(jump)            # the same in sample order
+    unit_jump[np.repeat(np.cumsum(n) - n, n) + src[real]] = jump
+    jump_row = row_of[new]
+    count = np.bincount(jump_row, minlength=rows.size)
+    col = np.arange(jump[-1] + 1) - np.repeat(np.cumsum(count) - count, count)
+    loc[rows] = np.nan
+    loc[rows[jump_row], col] = v[new]
+    merged = np.zeros((weights.shape[0], rows.size, L))
+    unit_weights = weights[:, np.arange(L) < n[:, None]]
+    for k in range(weights.shape[0]):
+        merged[k, jump_row, col] = np.bincount(unit_jump, weights=unit_weights[k],
+                                                  minlength=jump[-1] + 1)
+    cum[:, rows] = np.cumsum(merged, axis=-1)
+    return count
+
+
+def _valid_cdfs(draws, N: int, modes=MODES) -> _Cdfs:
     """:func:`_weighted_cdfs` where the first draw that fails its checks raises."""
-    cdfs, errors = _weighted_cdfs(draws, N)
+    cdfs, errors = _weighted_cdfs(draws, N, modes)
     if errors:
         raise next(iter(errors.values()))
     return cdfs
@@ -162,7 +248,7 @@ def _step_quantiles(loc, cum, total, count, alpha: float) -> np.ndarray:
     if short.any():
         raise QuantileUndefinedError(f"level {alpha} exceeds total mass {total[short][0]:.12g}")
     idx = np.minimum(np.count_nonzero(cum < alpha - _TIE_EPS, axis=-1), count - 1)
-    return np.take_along_axis(loc, idx[:, None], axis=-1)[:, 0]
+    return loc.ravel()[idx + np.arange(idx.size) * loc.shape[1]]
 
 
 def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndarray:
@@ -194,8 +280,7 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
     targets = np.stack([low - tie, np.minimum(low + 1.0, n_points) - tie], axis=-1)
     idx = np.count_nonzero(pos[..., None, None, :] < targets[..., None], axis=-1)
     idx = np.minimum(idx, count[:, None, None] - 1)
-    q = np.take_along_axis(np.broadcast_to(loc, cum.shape),
-                           idx.reshape(idx.shape[:-2] + (-1,)), axis=-1).reshape(idx.shape)
+    q = loc.ravel()[idx + (np.arange(loc.shape[0]) * loc.shape[1])[:, None, None]]
     return np.where(idx[..., 0] == idx[..., 1], q[..., 0],
                     (1.0 - frac) * q[..., 0] + frac * q[..., 1])
 
@@ -203,24 +288,25 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
 def _kernel_sums(t, y, inv, bandwidth, groups) -> np.ndarray:
     """Gaussian kernel sums sum_i phi((t - y_i) / h) inv_i of padded rows.
 
-    ``y`` and ``inv`` are (R, L) as in :class:`_Cdfs`, ``t`` (R, P) holds
-    each row's points and ``bandwidth`` (R,) its bandwidth.  Each sum is
-    one dot product over the row's own entries.
+    ``y`` and ``inv`` are (R, L) as in :class:`_Cdfs`, ``t`` (..., R, P)
+    holds each row's points and ``bandwidth`` (..., R) its bandwidth.  Each
+    sum is one dot product over the row's own entries, one ``vecdot`` per
+    row length.
     """
     # exp(-0.5 z^2) / sqrt(2 pi), z = (t - y) / h, in one array; halving is
     # exact, so -0.5 (z z) is the same float as (-0.5 z) z
-    kernel = t[:, :, None] - y[:, None, :]
+    kernel = t[..., None] - y[:, None, :]
     with np.errstate(over="ignore"):
         # a response many bandwidths away overflows z or z * z to inf; its
         # kernel value exp(-inf) = 0 is the intended one
-        kernel /= bandwidth[:, None, None]
+        kernel /= bandwidth[..., None, None]
         np.multiply(kernel, kernel, out=kernel)
     kernel *= -0.5
     np.exp(kernel, out=kernel)
     kernel /= _SQRT_2PI
     out = np.empty(t.shape)
     for n, rows in groups:
-        out[rows] = np.vecdot(kernel[rows, :, :n], inv[rows, None, :n])
+        out[..., rows, :] = np.vecdot(kernel[..., rows, :, :n], inv[rows, None, :n])
     return out
 
 
@@ -279,8 +365,8 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
         raise ParameterError("bandwidth must be positive")
     bandwidth[no_bw] = 1.0
     denom = np.stack([np.full(factor.size, float(N)), cdfs.n_hat]) * bandwidth
-    dens = np.stack([_kernel_sums(np.stack([q[k, :, 0], t[k]], axis=-1), cdfs.y, cdfs.inv,
-                                  bandwidth[k], cdfs.groups) for k in range(2)])
+    dens = _kernel_sums(np.stack([q[..., 0], t], axis=-1), cdfs.y, cdfs.inv, bandwidth,
+                        cdfs.groups)
     dens /= denom[..., None]
     dens[no_bw] = np.nan
     pad = np.arange(cdfs.y.shape[1]) >= cdfs.sizes[:, None]
@@ -304,9 +390,32 @@ def step_poverty_rates(draws, N: int, alpha: float, beta: float,
     _check_levels(alpha, beta)
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    cdfs, k = _valid_cdfs(draws, N), MODES.index(mode)
-    q = _step_quantiles(cdfs.loc, cdfs.cum[k], cdfs.total[k], cdfs.count, alpha)
-    return _step_values(cdfs.loc, cdfs.cum[k], cdfs.count, beta * q[:, None])[:, 0]
+    cdfs = _valid_cdfs(draws, N, (mode,))
+    q = _step_quantiles(cdfs.loc, cdfs.cum[0], cdfs.total[0], cdfs.count, alpha)
+    return _step_values(cdfs.loc, cdfs.cum[0], cdfs.count, beta * q[:, None])[:, 0]
+
+
+def census_poverty_rate(y, alpha: float, beta: float) -> float:
+    """Poverty rate of a population from all N of its responses ``y``,
+    bitwise the "HJ" :func:`step_poverty_rates` of its census (every unit,
+    pi = 1), from one sort.
+
+    Every census weight is 1/N, so a tie group of k units weighs the k-th
+    running sum of N weights 1/N (what ``np.bincount`` adds), the running
+    sums are those group weights accumulated, the last pinned to one, and
+    the quantile and the rate are two searches.
+    """
+    _check_levels(alpha, beta)
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ParameterError("population size must be at least 1, got 0")
+    loc, counts = np.unique(y, return_counts=True)
+    cum = np.cumsum(np.cumsum(np.full(y.size, 1.0 / y.size))[counts - 1])
+    cum[-1] = 1.0
+    # the pinned last sum reaches every level, and the ones before it are sorted
+    q = loc[min(int(np.searchsorted(cum[:-1], alpha - _TIE_EPS)), loc.size - 1)]
+    below = int(np.searchsorted(loc, beta * q, side="right"))    # NaN sorts last
+    return float(cum[below - 1]) if below else 0.0
 
 
 def _step_values(loc, cum, count, t) -> np.ndarray:
@@ -316,7 +425,9 @@ def _step_values(loc, cum, count, t) -> np.ndarray:
     below = np.minimum(np.count_nonzero(loc[:, None, :] <= t[..., None], axis=-1),
                        count[:, None])
     below = np.where(np.isnan(t), count[:, None], below)
-    out = np.take_along_axis(cum, np.maximum(below - 1, 0), axis=-1)
+    L = cum.shape[-1]
+    starts = np.arange(0, cum.size, L).reshape(cum.shape[:-1] + (1,))
+    out = cum.ravel()[np.maximum(below - 1, 0) + starts]
     return np.where(below == 0, 0.0, out)
 
 
@@ -332,10 +443,8 @@ def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
     from ``population`` on a grid, row j for draw j.
 
     ``which`` selects the estimator and centering: the inverse-probability
-    or self-normalized CDF against the population empirical CDF
-    (``*_vs_FN``) or against the model CDF (``*_vs_F``), the raw weighted
-    centered sum ``G_pi`` (sqrt(n)/N sum (xi_i/pi_i)(1{Y_i<=t} - F(t))), or
-    the decomposition term ``Y_N`` (same with weights xi_i/pi_i - 1).  The
+    ("HT_*") or self-normalized ("HJ_*") CDF against the population
+    empirical CDF (``*_vs_FN``) or against the model CDF (``*_vs_F``).  The
     standardization uses the design-expected size, not the realized one.
     The first draw that cannot be evaluated raises.
     """
@@ -344,21 +453,12 @@ def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
         raise ParameterError("grid must be a sorted 1-d array")
     if which not in get_args(ProcessKind):
         raise ParameterError(f"unknown process kind {which!r}")
-    if law is None and which not in ("HT_vs_FN", "HJ_vs_FN"):
+    if law is None and which.endswith("_vs_F"):
         raise ParameterError(f"process {which!r} requires the super-population law")
-    N = population.N
-    cdfs = _valid_cdfs(draws, N)
-    mode = 1 if which.startswith("HJ") else 0
-    cdf_vals = _step_values(cdfs.loc, cdfs.cum[mode], cdfs.count,
+    cdfs = _valid_cdfs(draws, population.N, (which[:2],))
+    cdf_vals = _step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                             np.broadcast_to(grid, (len(draws), grid.size)))
     root_n = np.sqrt([draw.expected_n for draw in draws])[:, None]
     if which.endswith("_vs_FN"):
         return root_n * (cdf_vals - empirical_cdf_values(population.y, grid))
-    f_vals = pop.true_cdf(law, grid)
-    if which.endswith("_vs_F"):
-        return root_n * (cdf_vals - f_vals)
-    nhat_over_n = (cdfs.n_hat / N)[:, None]
-    if which == "G_pi":
-        return root_n * (cdf_vals - nhat_over_n * f_vals)
-    return (root_n * (cdf_vals - empirical_cdf_values(population.y, grid))
-            - root_n * (nhat_over_n - 1.0) * f_vals)
+    return root_n * (cdf_vals - pop.true_cdf(law, grid))

@@ -223,9 +223,7 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
                      batches) -> np.ndarray:
     """One population's (9, 2) array of sums over its cells, added in
     sample order; ``av_ref`` is the asymptotic variance of each estimator."""
-    census = dsg.SampleDraw(included=np.arange(sc.N), pi_included=np.ones(sc.N),
-                            expected_n=float(sc.N), y_included=population.y)
-    phi_fn = est.step_poverty_rates([census], sc.N, sc.alpha, sc.beta, "HJ")[0]
+    phi_fn = est.census_poverty_rate(population.y, sc.alpha, sc.beta)
     centers = np.array([phi_fn, phi_f])[:, None, None]
     constants = dsg.design_constants(design)
     phi = np.zeros((sc.n_samples, len(ESTIMATORS)))

@@ -7,16 +7,19 @@ given; ``quantile`` is the scalar generalized inverse and
 kernels of ``svycdf.estimation`` (``_weighted_cdfs``, ``_step_quantiles``,
 ``_step_values``, ``step_poverty_rates``) must give the same floats.
 
-Two more reference helpers of the tests live here: ``n_hat``, a draw's
-inverse-probability population-size estimate, and
-``hadamard_direction_value``, the directional derivative of the poverty
-rate functional, checked against finite differences.
+More reference helpers of the tests live here: ``n_hat``, a draw's
+inverse-probability population-size estimate, ``decomposition_paths``,
+the terms G_pi and Y_N of the proof's decomposition of the self-normalized
+process, and ``hadamard_direction_value``, the directional derivative of
+the poverty rate functional, checked against finite differences.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from svycdf import estimation as est
+from svycdf import population as pop
 from svycdf.errors import (
     EstimationError,
     ParameterError,
@@ -101,6 +104,22 @@ def poverty_rate(f, alpha, beta):
 def n_hat(draw):
     """Inverse-probability estimate of the population size, sum 1/pi."""
     return float(np.sum(1.0 / draw.pi_included))
+
+
+def decomposition_paths(ht_values, draw, population, grid, law):
+    """The proof's decomposition terms of a draw on a grid, given its "HT"
+    CDF values there: the raw weighted centered sum
+    G_pi = sqrt(n)/N sum (xi_i/pi_i)(1{Y_i<=t} - F(t)) and
+    Y_N = sqrt(n)(F_HT - F_N) - sqrt(n)(N_hat/N - 1) F, so that
+    sqrt(n)(HJ - F_N) = Y_N + (N/N_hat - 1) G_pi and
+    sqrt(n)(HJ - F) = (N/N_hat) G_pi.  The standardization uses the
+    design-expected size."""
+    root_n, ratio = np.sqrt(draw.expected_n), n_hat(draw) / population.N
+    f = pop.true_cdf(law, grid)
+    f_n = est.empirical_cdf_values(population.y, grid)
+    g_pi = root_n * (ht_values - ratio * f)
+    y_n = root_n * (ht_values - f_n) - root_n * (ratio - 1.0) * f
+    return g_pi, y_n
 
 
 def hadamard_direction_value(density_at_quantile, density_at_scaled, h_at_quantile,

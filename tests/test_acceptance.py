@@ -201,8 +201,8 @@ def test_process_identities_pathwise():
             if sample.included.size == 0:
                 continue
             hj_fn = est.process_paths([sample], popu, grid, "HJ_vs_FN", law=EXP1)[0]
-            y_n = est.process_paths([sample], popu, grid, "Y_N", law=EXP1)[0]
-            g_pi = est.process_paths([sample], popu, grid, "G_pi", law=EXP1)[0]
+            g_pi, y_n = ref.decomposition_paths(ref.reference_ecdf(sample, N, "HT")(grid),
+                                                sample, popu, grid, EXP1)
             hj_f = est.process_paths([sample], popu, grid, "HJ_vs_F", law=EXP1)[0]
             ratio = N / ref.n_hat(sample)
             err1 = float(np.max(np.abs(hj_fn - (y_n + (ratio - 1.0) * g_pi))))

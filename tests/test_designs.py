@@ -558,6 +558,17 @@ class TestRejectiveDPOracles:
             with pytest.raises(DegenerateDesignError, match="is zero"):
                 dsg._rejective_second_order(p, n, np.zeros(12), design._suffix_table())
 
+    def test_underflowed_dot_products_refused(self):
+        # P(S = n) stays positive, but every leave-one-out dot product
+        # underflows, so the program's pi would all be 0 (E[S] = 2559 >> n)
+        p = np.random.default_rng(4).uniform(0.01, 0.5, 10000)
+        design = dsg.rejective(p, 500)
+        with pytest.raises(DegenerateDesignError, match="sum to 0, not n=500"):
+            dsg.first_order_pi(design)
+        with pytest.raises(DegenerateDesignError, match="sum to 0, not n=500"):
+            dsg.draw(design, [substream(5)], np.zeros(10000))
+        assert "pi" not in design._cache
+
     def test_calibrated_harness_design(self):
         # the calibrated low/high split of the normality diagnostic, N=300, n=30
         N, n = 300, 30

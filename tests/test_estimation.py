@@ -82,6 +82,11 @@ def path(draw, popu, grid, which, law=None):
     return est.process_paths([draw], popu, grid, which, law)[0]
 
 
+def decomposition(draw, popu, grid, law):
+    """One draw's reference (G_pi, Y_N) from its "HT" CDF on the grid."""
+    return ref.decomposition_paths(cdf_at(draw, popu.N, "HT", grid), draw, popu, grid, law)
+
+
 class TestWeightedStepFunction:
     """Batch rows and step values against the np.unique merge."""
 
@@ -361,8 +366,7 @@ class TestProcessPath:
         law, popu, draw = self._population_and_draw(31)
         grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
         hj = path(draw, popu, grid, "HJ_vs_FN", law=law)
-        y_n = path(draw, popu, grid, "Y_N", law=law)
-        g_pi = path(draw, popu, grid, "G_pi", law=law)
+        g_pi, y_n = decomposition(draw, popu, grid, law)
         ratio = popu.N / ref.n_hat(draw) - 1.0
         assert np.max(np.abs(hj - (y_n + ratio * g_pi))) <= 1e-10
 
@@ -371,13 +375,13 @@ class TestProcessPath:
         law, popu, draw = self._population_and_draw(32)
         grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
         hj_f = path(draw, popu, grid, "HJ_vs_F", law=law)
-        g_pi = path(draw, popu, grid, "G_pi", law=law)
+        g_pi, _ = decomposition(draw, popu, grid, law)
         assert np.max(np.abs(hj_f - (popu.N / ref.n_hat(draw)) * g_pi)) <= 1e-10
 
     def test_g_pi_against_direct_sum(self):
         law, popu, draw = self._population_and_draw(33, N=40)
         grid = np.array([0.3, 1.0, 2.5])
-        g_pi = path(draw, popu, grid, "G_pi", law=law)
+        g_pi, _ = decomposition(draw, popu, grid, law)
         root_n = np.sqrt(draw.expected_n)
         for k, t in enumerate(grid):
             total = 0.0
@@ -395,7 +399,15 @@ class TestProcessPath:
         draws = dsg.draw(design, [substream(36, 2, j) for j in range(12)],
                          np.round(popu.y, 1))
         grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
-        got = est.process_paths(draws, popu, grid, which, law=law)
+        if which in ("G_pi", "Y_N"):
+            # the reference decomposition term on the batch's "HT" CDF values
+            cdfs = est._valid_cdfs(draws, popu.N, ("HT",))
+            ht = est._step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
+                                  np.broadcast_to(grid, (len(draws), grid.size)))
+            got = np.array([ref.decomposition_paths(ht[j], draw, popu, grid, law)
+                            [which == "Y_N"] for j, draw in enumerate(draws)])
+        else:
+            got = est.process_paths(draws, popu, grid, which, law=law)
         fn, f = est.empirical_cdf_values(popu.y, grid), pop.true_cdf(law, grid)
         for draw, row in zip(draws, got):
             inv = 1.0 / draw.pi_included
@@ -413,7 +425,11 @@ class TestProcessPath:
                         "G_pi": root_n * (f_hat(grid) - ratio * f),
                         "Y_N": root_n * (f_hat(grid) - fn) - root_n * (ratio - 1.0) * f}[which]
             assert np.array_equal(row, expected)
-            assert np.array_equal(row, path(draw, popu, grid, which, law))
+            if which in ("G_pi", "Y_N"):
+                assert np.array_equal(row, decomposition(draw, popu, grid, law)
+                                      [which == "Y_N"])
+            else:
+                assert np.array_equal(row, path(draw, popu, grid, which, law))
 
     def test_requires_law_for_model_centering(self):
         _, popu, draw = self._population_and_draw(34)
@@ -453,9 +469,10 @@ def test_bad_beta_rejected(entry, beta):
                                  pop.SuperPopulationLaw.discrete(
                                      [float(k) for k in range(1, 13)], [1 / 12] * 12)],
                          ids=["exponential", "discrete12"])
-@pytest.mark.parametrize("N", [7, 1000, 10_000])
+@pytest.mark.parametrize("N", [1, 2, 7, 1000, 10_000])
 def test_census_rate_is_population_rate(law, N):
-    # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1
+    # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1,
+    # and census_poverty_rate, which must give the same bits
     y = pop.generate_population(law, N, seed=N).y
     census = dsg.SampleDraw(included=np.arange(N), pi_included=np.ones(N),
                             expected_n=float(N), y_included=y)
@@ -463,3 +480,27 @@ def test_census_rate_is_population_rate(law, N):
     for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
         got = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]
         assert got == ref.poverty_rate(f_n, alpha, beta)
+        assert est.census_poverty_rate(y, alpha, beta) == got
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 1000])
+def test_census_rate_with_nan_responses(N):
+    # NaNs merge into one jump after every number, which the quantile may
+    # land on; rounding makes ties
+    rng = substream(N, 5)
+    for trial in range(20):
+        y = np.round(rng.exponential(1.0, N), rng.integers(0, 3))
+        y[rng.random(N) < rng.uniform(0.0, 1.0)] = np.nan
+        census = dsg.SampleDraw(included=np.arange(N), pi_included=np.ones(N),
+                                expected_n=float(N), y_included=y)
+        for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
+            expected = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]
+            got = est.census_poverty_rate(y, alpha, beta)
+            assert got == expected, (trial, alpha)
+
+
+def test_census_rate_rejects_bad_input():
+    with pytest.raises(ParameterError, match="at least 1"):
+        est.census_poverty_rate(np.array([]), 0.5, 0.6)
+    with pytest.raises(ParameterError, match="scale beta"):
+        est.census_poverty_rate(np.ones(3), 0.5, 0.0)

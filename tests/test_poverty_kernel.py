@@ -328,6 +328,22 @@ def batch_rows(draw):
 
 
 @st.composite
+def failing_rows(draw):
+    """A draw that fails its checks: without values, empty, or with an
+    inclusion probability of 0, below 0, NaN or above 1."""
+    kind = draw(st.integers(min_value=0, max_value=2))
+    if kind == 0:
+        return dsg.SampleDraw(included=np.arange(2), pi_included=np.full(2, 0.5),
+                              expected_n=1.0)
+    if kind == 1:
+        return make_draw([], [])
+    row = draw(batch_rows().filter(lambda d: d.included.size > 0))
+    pi = row.pi_included.copy()
+    pi[draw(st.integers(0, pi.size - 1))] = draw(st.sampled_from([0.0, -0.25, math.nan, 1.5]))
+    return make_draw(row.y_included, pi)
+
+
+@st.composite
 def batch_cases(draw):
     N = draw(st.integers(min_value=20, max_value=10_000))
     draws = draw(st.lists(batch_rows(), min_size=1, max_size=8))
@@ -412,6 +428,30 @@ class TestKernelOracle:
                 assert np.array_equal(got.locations, expected.locations, equal_nan=True)
                 assert np.array_equal(got.cumulative, expected.cumulative)
                 assert got.total_mass == expected.total_mass
+
+    @given(st.lists(st.one_of(batch_rows(), failing_rows()), min_size=1, max_size=8),
+           st.integers(min_value=20, max_value=10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_one_mode_build_matches_two_mode_build(self, draws, N):
+        # the failing draws are the ones the per-draw check refuses, in row
+        # order, with its error classes and messages
+        expected = {}
+        for j, draw in enumerate(draws):
+            try:
+                est._require_values(draw)
+            except EstimationError as exc:
+                expected[j] = exc
+        both, errors = est._weighted_cdfs(draws, N)
+        for k, mode in enumerate(MODES):
+            one, one_errors = est._weighted_cdfs(draws, N, (mode,))
+            for found in (errors, one_errors):
+                assert list(found) == list(expected)
+                assert [(type(e), str(e)) for e in found.values()] == \
+                    [(type(e), str(e)) for e in expected.values()]
+            for name in ("y", "inv", "sizes", "n_hat", "loc", "count"):
+                assert np.array_equal(getattr(one, name), getattr(both, name), equal_nan=True)
+            assert np.array_equal(one.cum[0], both.cum[k])
+            assert np.array_equal(one.total[0], both.total[k])
 
     @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
     def test_desk_draws_match(self, design):
