@@ -128,10 +128,15 @@ _BLOCK_BYTES = 2**20
 
 #: the relative gap |sum(pi) - n| / n past which the first-order program is
 #: refused.  Measured gaps: 2.3e-16 on the desk split (N=10000, n=500);
-#: within 1e-12 on 294 of 300 random designs; 3.3e-6 on a design whose
-#: sum(p) lies 50 standard deviations from n; and a sum of 0.0 (every pi
-#: zero) for p ~ U(0.01, 0.5), N=10000, n=500, where the leave-one-out dot
-#: products underflow while P(S = n) stays positive
+#: 3.3e-6 on a design whose sum(p) lies 50 standard deviations of the
+#: sample size from n; a sum of 0.0 (every pi zero) for p ~ U(0.01, 0.5),
+#: N=10000, n=500, where the leave-one-out dot products underflow while
+#: P(S = n) stays positive.  On 600 random designs (N 100-3000, n 5 to N/4,
+#: sum(p) up to 60 standard deviations from n): 409 within 4.2e-15, or
+#: 3.9e-13 where every p sits at a floor of 1e-6; 184, all beyond 26
+#: deviations, refused before this check with P(S = n) = 0; and 7 between
+#: 1.7e-9 and 1.0: 1.6e-7 at 23 deviations, 0.04 and 1.0 past 31, and
+#: 1.7e-9 to 4e-3 where every p sits at the floor
 _PI_SUM_RTOL = 1e-9
 
 

@@ -11,11 +11,11 @@ Draws are processed in batches.  :func:`_weighted_cdfs` checks a batch
 (the inclusion probabilities once over the whole batch), pads its
 responses to one (R, n_max) block, sorts the block once and builds the
 CDFs of the modes its caller reads, each with one gather and one
-cumulative sum over the block; equal responses (NaNs too) merge into one
-jump, their weights added in sample order, in one ``bincount`` per mode
-over all rows with ties.  A batch costs a fixed number of array
+cumulative sum over the block.  A batch costs a fixed number of array
 operations, plus one per distinct row length for the sums whose rounding
-depends on the length.  The poverty kernels (:func:`poverty_batch`, both
+depends on the length; a row with equal responses (NaNs too) then merges
+them into one jump with ``np.unique``, their weights added in sample
+order.  The poverty kernels (:func:`poverty_batch`, both
 modes, with interpolated quantiles; :func:`step_poverty_rates`, one mode,
 with the generalized inverse) and the process paths
 (:func:`process_paths`, one mode) read all rows at once: quantiles and
@@ -182,53 +182,19 @@ def _weighted_cdfs(draws, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
     count = sizes.copy()
     # tied responses (NaNs, which sort last, too) merge into one jump per
     # row, their weights added in sample order
-    ties = np.flatnonzero(((loc[:, 1:] == loc[:, :-1]) & fill[:, 1:]).any(axis=1)
-                          | np.isnan(loc[:, -1]))
-    if ties.size:
-        weights = np.stack([block[0, ties] if mode == "HT" else inv[ties] / n_hat[ties, None]
-                            for mode in modes])
-        count[ties] = _merge_ties(ties, order, loc, weights, cum, sizes)
+    ties = ((loc[:, 1:] == loc[:, :-1]) & fill[:, 1:]).any(axis=1) | np.isnan(loc[:, -1])
+    for r in np.flatnonzero(ties).tolist():
+        locs, inverse = np.unique(y[r, :sizes[r]], return_inverse=True)
+        count[r] = locs.size
+        loc[r, :locs.size], loc[r, locs.size:] = locs, np.nan
+        for k, mode in enumerate(modes):
+            weights = block[0, r, :sizes[r]] if mode == "HT" else inv[r, :sizes[r]] / n_hat[r]
+            cum[k, r, :locs.size] = np.bincount(inverse, weights=weights,
+                                                minlength=locs.size).cumsum()
     np.copyto(cum, np.inf, where=np.arange(L) >= count[:, None])
     cum[:, np.arange(R), count - 1] = total
     return _Cdfs(y=y, inv=inv, sizes=sizes, groups=groups, n_hat=n_hat, loc=loc, cum=cum,
                  total=total, count=count), errors
-
-
-def _merge_ties(rows, order, loc, weights, cum, sizes) -> np.ndarray:
-    """Merge equal responses of the given rows into one jump each, in place,
-    and return the rows' jump counts.
-
-    As ``np.unique`` with ``np.bincount`` row by row: the sorted distinct
-    responses (one NaN for all NaNs) fill ``loc`` with NaN padding, and each
-    jump's weight is the sum of its units' ``weights`` (modes x rows x L,
-    sample order) added in sample order, one ``bincount`` per mode over all
-    rows, then accumulated into ``cum``.  ``order`` is every row's argsort as
-    positions in the raveled rows.
-    """
-    L = loc.shape[1]
-    n = sizes[rows]
-    src = order[rows] - (rows * L)[:, None]   # sample positions in sorted order
-    real = src < n[:, None]                    # the padding sorts among the responses
-    v = loc[rows][real]
-    row_of = np.repeat(np.arange(rows.size), n)
-    new = np.ones(v.size, dtype=bool)
-    new[1:] = (row_of[1:] != row_of[:-1]) | ((v[1:] != v[:-1])
-                                            & ~(np.isnan(v[1:]) & np.isnan(v[:-1])))
-    jump = np.cumsum(new) - 1                  # each sorted unit's jump, all rows numbered on
-    unit_jump = np.empty_like(jump)            # the same in sample order
-    unit_jump[np.repeat(np.cumsum(n) - n, n) + src[real]] = jump
-    jump_row = row_of[new]
-    count = np.bincount(jump_row, minlength=rows.size)
-    col = np.arange(jump[-1] + 1) - np.repeat(np.cumsum(count) - count, count)
-    loc[rows] = np.nan
-    loc[rows[jump_row], col] = v[new]
-    merged = np.zeros((weights.shape[0], rows.size, L))
-    unit_weights = weights[:, np.arange(L) < n[:, None]]
-    for k in range(weights.shape[0]):
-        merged[k, jump_row, col] = np.bincount(unit_jump, weights=unit_weights[k],
-                                                  minlength=jump[-1] + 1)
-    cum[:, rows] = np.cumsum(merged, axis=-1)
-    return count
 
 
 def _valid_cdfs(draws, N: int, modes=MODES) -> _Cdfs:
