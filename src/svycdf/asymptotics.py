@@ -3,9 +3,13 @@
 The standardized weighted empirical processes converge to mean-zero
 Gaussian processes whose covariance functions are determined by two
 design constants ``mu1`` and ``mu2`` together with the sampling fraction
-limit ``lam``.  This module evaluates those covariance forms on grids,
-the closed-form asymptotic variances of the poverty-rate estimators, and
-their plug-in counterparts computed from a batch of realized samples.
+limit ``lam``.  This module evaluates those covariance forms on grids
+and the closed-form asymptotic variances of the poverty-rate estimators.
+It names the two estimators (:data:`MODES`) and the four covariance forms
+(:data:`CovarianceForm`) for the modules above it, and holds the variance
+formula that :func:`estimation.poverty_rate_estimates` applies to a batch
+of realized samples; it imports no svycdf module but ``population`` and
+``errors``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from typing import Literal
 
 import numpy as np
 
-from . import estimation, population
-from .errors import (
-    ParameterError,
-    ZeroDensityError,
-)
+from . import population
+from .errors import ParameterError, ZeroDensityError
 
+#: the inverse-probability ("HT") and self-normalized ("HJ") estimators
+MODES = ("HT", "HJ")
+
+#: an estimator of MODES and its centering: the population empirical CDF
+#: (``*_vs_FN``) or the model CDF (``*_vs_F``)
 CovarianceForm = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"]
 
 #: two-sided 95% normal quantile used for Wald intervals
@@ -126,42 +132,10 @@ def poverty_variance(constants: DesignConstants, law: population.SuperPopulation
     inverse-probability-weighted ("HT") or self-normalized ("HJ")
     estimator, for deterministic inclusion probabilities; linear in gamma1
     for "HJ"."""
-    if mode not in estimation.MODES:
+    if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
     r, phi = _poverty_ingredients(law, alpha, beta)
     return _poverty_variance(constants.gamma1, constants.gamma2, mode, alpha, beta * r, phi)
-
-
-def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
-                           alpha: float, beta: float) -> tuple:
-    """Kernel of the simulation protocol: a batch of draws, both modes.
-
-    For "HT" and "HJ": the poverty-rate estimate and its plug-in variance,
-    with the interpolating quantile rule for the estimate, the bandwidth
-    and the density points (:func:`estimation.poverty_batch`).  A draw in
-    which every response is identical yields a legitimate zero variance
-    (zero-width interval) rather than a bandwidth failure.
-
-    Returns ``(phi, av, errors)``: (S, 2) arrays with one row per draw and
-    the columns ``estimation.MODES``, and a dict mapping each cell
-    ``(j, k)`` that cannot be evaluated to the :class:`EstimationError` it
-    raised; such cells hold 0.0 in both arrays.  Other errors propagate.
-    """
-    batch = estimation.poverty_batch(draws, N, alpha, beta)
-    errors = dict(batch.errors)
-    for j, k in np.argwhere(batch.f_q <= 0.0).tolist():
-        errors[j, k] = ZeroDensityError("estimated density vanishes at the quantile")
-    with np.errstate(all="ignore"):
-        # cells without densities are evaluated too, and replaced below
-        br = beta * (batch.f_bq / batch.f_q)
-        av = np.stack([_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
-                                         br[:, k], batch.phi[:, k])
-                       for k, mode in enumerate(estimation.MODES)], axis=1)
-    av[batch.flat] = 0.0
-    phi = batch.phi.copy()
-    for cell in errors:
-        phi[cell] = av[cell] = 0.0
-    return phi, av, errors
 
 
 def wald_interval(estimate, variance_of_root_n, n: float) -> tuple:

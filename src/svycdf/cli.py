@@ -66,7 +66,7 @@ def main():
 def _law_from_config(raw: dict) -> pop.SuperPopulationLaw:
     kind = raw.get("kind")
     if kind == "exponential":
-        return pop.SuperPopulationLaw.exponential(rate=float(raw.get("rate", 1.0)))
+        return pop.SuperPopulationLaw.exponential(rate=_real(raw.get("rate", 1.0), "law.rate"))
     if kind == "uniform01":
         return pop.SuperPopulationLaw.uniform01()
     if kind == "discrete":
@@ -88,6 +88,14 @@ def _integral(value, name: str) -> int:
             or not float(value).is_integer()):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A real parameter from JSON: an int or a float; never a bool or a string."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):    # an int beyond the float range
+            return float(value)
+    raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 def _cell_header(cell: dict) -> str:
@@ -127,8 +135,8 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
             if paper_scale:
                 n_pops = n_samp = 1000
             run_seed = _integral(cfg["seed"], "seed") if seed is None else seed
-            alpha = float(cfg.get("alpha", 0.5))
-            beta = float(cfg.get("beta", 0.6))
+            alpha = _real(cfg.get("alpha", 0.5), "alpha")
+            beta = _real(cfg.get("beta", 0.6), "beta")
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"bad config field: {exc!r}") from exc
         except ValueError as exc:
@@ -222,7 +230,7 @@ def _design_from_spec(raw: str) -> dsg.Design:
         if kind == "srswor":
             return dsg.srswor(_integral(spec["N"], "N"), _integral(spec["n"], "n"))
         if kind == "bernoulli":
-            return dsg.bernoulli(_integral(spec["N"], "N"), float(spec["p"]))
+            return dsg.bernoulli(_integral(spec["N"], "N"), _real(spec["p"], "p"))
         if kind == "poisson":
             return dsg.poisson(spec["pi"])
         if kind == "rejective":

@@ -602,42 +602,36 @@ _RECURSION_MAX_TARGET = 0.5
 
 def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
                           max_iter: int = 1000) -> np.ndarray:
-    """Find working probabilities whose size-n conditional design has the
-    given first-order inclusion probabilities.
-
-    Damped multiplicative fixed point: p <- p * target / pi(p) in odds
-    space, renormalized each step so sum(p) = n; the step is halved (in
-    log scale) whenever the max-norm residual grows.  Such a p always
-    exists and is unique up to a common odds factor.  pi(p) comes from the
-    O(n)-step recursion while it is accurate and from the exact dynamic
-    program otherwise; the program alone decides convergence (see
-    :func:`calibrated_rejective`).  Returns the working probabilities of
-    :func:`calibrated_rejective`.
-    """
+    """The working probabilities of :func:`calibrated_rejective`."""
     return calibrated_rejective(target_pi, n, tol, max_iter).working_p
 
 
 def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
                          max_iter: int = 1000) -> Design:
-    """The size-n rejective design calibrated to ``target_pi`` (see
-    :func:`calibrate_rejective_p`).
+    """The size-n rejective design whose first-order inclusion
+    probabilities are ``target_pi``.
 
-    When no target exceeds :data:`_RECURSION_MAX_TARGET`, each iteration
-    evaluates pi(p) with :func:`_recursive_first_order`; once its residual
-    is within ``tol``, the same iteration runs one exact pass (the suffix
-    table refilled into one buffer, then the prefix sweep) at that p, and
-    that pass's residual decides convergence.  The recursion is dropped for
-    the rest of the loop, and the iteration's pi taken from an exact pass
-    instead, at its first value outside (0, 1) or not finite, its first
-    residual above the one before it (its rounding noise has been reached),
-    or its first failed confirmation.  Above the bound every iteration is
-    an exact pass, as in the plain fixed point.  The last of the
-    ``max_iter`` iterations is always exact, so the residual logged at
+    Its working probabilities p solve a multiplicative fixed point,
+    p <- p * target / pi(p) in odds space, renormalized each step so
+    sum(p) = n.  Such a p always exists and is unique up to a common odds
+    factor.  The iterations run in two phases:
+
+    1. Only when no target exceeds :data:`_RECURSION_MAX_TARGET`: undamped
+       steps with pi(p) from :func:`_recursive_first_order`, while the
+       iteration is not the last, every pi lies in (0, 1) and the residual
+       is above ``tol`` and no larger than the one before it (a growing
+       residual is the recursion's rounding noise).
+    2. From the iteration where phase 1 stopped, at its p: every pi(p) is
+       an exact pass of the dynamic program (the suffix table refilled into
+       one buffer, then the prefix sweep), and the step is halved (in log
+       scale) whenever the max-norm residual grows.
+
+    Only an exact pass decides convergence, so the residual logged at
     DEBUG level with the counts of iterations and exact passes, or carried
-    by :class:`CalibrationError`, is the program's.
-
-    Its first-order inclusion probabilities are those of the final exact
-    pass, identical to what :func:`first_order_pi` would compute afresh.
+    by :class:`CalibrationError` after ``max_iter`` iterations, is the
+    program's.  The design's first-order inclusion probabilities are those
+    of the final pass, identical to what :func:`first_order_pi` would
+    compute afresh.
     """
     t = np.asarray(target_pi, dtype=float)
     N = t.size
@@ -653,38 +647,32 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     _check_dp_table(N, n)
-    bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled by every exact pass
-    fast = float(t.max()) <= _RECURSION_MAX_TARGET
-    p = t.copy()
-    prev_resid = np.inf
-    passes = 0
-    for it in range(1, max_iter + 1):
-        fast = fast and it < max_iter
-        if fast:
+    p, it, prev = t.copy(), 1, np.inf
+    if float(t.max()) <= _RECURSION_MAX_TARGET:
+        while it < max_iter:
             pi = _recursive_first_order(p, n)
             resid = float(np.max(np.abs(pi - t)))
-            # NaN fails every test; a residual that grows is the recursion's noise
-            fast = bool(np.all((pi > 0.0) & (pi < 1.0))) and resid <= prev_resid
-        if not fast or resid <= tol:
-            if not passes:          # damping compares the program's residuals only
-                prev_resid = np.inf
-            pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
-            passes += 1
-            resid = float(np.max(np.abs(pi - t)))
-            if resid <= tol:
-                logger.debug("rejective calibration: %d iterations (%d exact), residual %.3e",
-                             it, passes, resid)
-                design = rejective(p, n)
-                pi.setflags(write=False)
-                design._cache["pi"] = pi
-                return design
-            fast = False
+            if not (np.all((pi > 0.0) & (pi < 1.0)) and tol < resid <= prev):   # NaN fails
+                break
+            p = _renormalize_odds((p / (1.0 - p)) * (t / pi), n)
+            it, prev = it + 1, resid
+    bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled by every exact pass
+    prev = np.inf
+    for passes, it in enumerate(range(it, max_iter + 1), start=1):
+        pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
+        resid = float(np.max(np.abs(pi - t)))
+        if resid <= tol:
+            logger.debug("rejective calibration: %d iterations (%d exact), residual %.3e",
+                         it, passes, resid)
+            design = rejective(p, n)
+            pi.setflags(write=False)
+            design._cache["pi"] = pi
+            return design
         update = t / pi
-        if resid > prev_resid:
+        if resid > prev:
             update = np.sqrt(update)
-        prev_resid = resid
-        odds = (p / (1.0 - p)) * update
-        p = _renormalize_odds(odds, n)
+        prev = resid
+        p = _renormalize_odds((p / (1.0 - p)) * update, n)
     raise CalibrationError(
         f"calibration stopped after {max_iter} iterations ({passes} exact) "
         f"with residual {resid:.3e}",

@@ -1,4 +1,5 @@
-"""Weighted empirical CDFs, quantiles, the poverty rate and process paths.
+"""Weighted empirical CDFs, quantiles, the poverty rate, its plug-in
+variance and process paths.
 
 The inverse-probability ("HT") empirical CDF puts mass 1/(N pi_i) on each
 sampled response; its total mass is the population-size estimate divided
@@ -15,9 +16,11 @@ cumulative sum over the block.  A batch costs a fixed number of array
 operations, plus one per distinct row length for the sums whose rounding
 depends on the length; a row with equal responses (NaNs too) then merges
 them into one jump with ``np.unique``, their weights added in sample
-order.  The poverty kernels (:func:`poverty_batch`, both
-modes, with interpolated quantiles; :func:`step_poverty_rates`, one mode,
-with the generalized inverse) and the process paths
+order.  The poverty kernels (:func:`poverty_rate_estimates`, both
+modes, with interpolated quantiles, kernel densities and the plug-in
+variance of :mod:`asymptotics`, deciding every failed cell;
+:func:`step_poverty_rates`, one mode, with the generalized inverse) and
+the process paths
 (:func:`process_paths`, one mode) read all rows at once: quantiles and
 CDF values are counts of comparisons, and the kernel densities of both
 modes take one ``exp`` over the block.  Sums whose rounding depends on a
@@ -35,18 +38,17 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import population as pop
+from .asymptotics import MODES, CovarianceForm, DesignConstants, _poverty_variance
 from .errors import (
     DegenerateBandwidthError,
     EstimationError,
     ParameterError,
     QuantileUndefinedError,
+    ZeroDensityError,
 )
 
 _TIE_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-MODES = ("HT", "HJ")
-
-ProcessKind = Literal["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"]
 
 
 def _require_values(draw):
@@ -284,24 +286,11 @@ def _check_levels(alpha: float, beta: float) -> None:
         raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
 
 
-@dataclass(frozen=True, eq=False)
-class PovertyBatch:
-    """:func:`poverty_batch` results, row j for draw j and column k for mode
-    ``MODES[k]``: the rate ``phi``, the densities ``f_q`` and ``f_bq`` (NaN
-    without a bandwidth), ``flat`` where the bandwidth is missing because
-    all responses are equal, and ``errors`` mapping each failed cell
-    ``(j, k)`` to its :class:`EstimationError`."""
-
-    phi: np.ndarray
-    f_q: np.ndarray
-    f_bq: np.ndarray
-    flat: np.ndarray
-    errors: dict
-
-
-def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
-    """Poverty rates and kernel densities of draws from one population, in
-    both modes, each bitwise equal to its value in a batch of its own.
+def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
+                           alpha: float, beta: float) -> tuple:
+    """Kernel of the simulation protocol: poverty-rate estimates and their
+    plug-in variances for a batch of draws from one population, in both
+    modes, each bitwise equal to its value in a batch of its own.
 
     Per draw and mode: the alpha-quantile q and the quartiles follow
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
@@ -309,10 +298,19 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
     with R the interquartile range (none when R is zero), and the
     densities at q and beta q are weighted Gaussian kernel estimates at
     that bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
-    or by the population-size estimate ("HJ").
-    A draw without values, empty, or with an inclusion probability outside
-    (0, 1] fails in both modes; a cell without a bandwidth fails with
-    :class:`DegenerateBandwidthError` unless all responses are equal.
+    or by the population-size estimate ("HJ").  The variance is the closed
+    form of :func:`asymptotics.poverty_variance` at the estimated rate and
+    density ratio.
+
+    Returns ``(phi, av, errors)``: (S, 2) arrays with one row per draw and
+    the columns :data:`MODES`, and a dict mapping each cell ``(j, k)`` that
+    cannot be evaluated to the :class:`EstimationError` it raised; such
+    cells hold 0.0 in both arrays.  A draw without values, empty, or with
+    an inclusion probability outside (0, 1] fails in both modes; a cell
+    without a bandwidth fails with :class:`DegenerateBandwidthError`, unless
+    all responses are equal, which is a legitimate zero variance (a
+    zero-width interval); a cell whose density at q is not positive fails
+    with :class:`ZeroDensityError`.  Other errors propagate.
     """
     _check_levels(alpha, beta)
     cdfs, failed = _weighted_cdfs(draws, N)
@@ -323,7 +321,7 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
     q = _interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
                                 cdfs.sizes.astype(float), (alpha, 0.25, 0.75))
     t = beta * q[..., 0]
-    phi = _step_values(cdfs.loc, cdfs.cum, cdfs.count, t[..., None])[..., 0]
+    phi = _step_values(cdfs.loc, cdfs.cum, cdfs.count, t[..., None])[..., 0].T
     iqr = q[..., 2] - q[..., 1]
     no_bw = iqr <= 0.0
     bandwidth = 0.79 * iqr * factor
@@ -335,12 +333,23 @@ def poverty_batch(draws, N: int, alpha: float, beta: float) -> PovertyBatch:
                         cdfs.groups)
     dens /= denom[..., None]
     dens[no_bw] = np.nan
-    pad = np.arange(cdfs.y.shape[1]) >= cdfs.sizes[:, None]
-    flat = no_bw & ((cdfs.y == cdfs.y[:, :1]) | pad).all(axis=1)
+    # one distinct response; a row of NaNs has a NaN range, so no_bw is False
+    flat = no_bw & (cdfs.count == 1)
     for k, r in np.argwhere(no_bw & ~flat).tolist():
         errors[r, k] = DegenerateBandwidthError("weighted interquartile range is zero")
-    return PovertyBatch(phi=phi.T, f_q=dens[..., 0].T, f_bq=dens[..., 1].T, flat=flat.T,
-                        errors=errors)
+    f_q, f_bq = dens[..., 0].T, dens[..., 1].T
+    for j, k in np.argwhere(f_q <= 0.0).tolist():
+        errors[j, k] = ZeroDensityError("estimated density vanishes at the quantile")
+    with np.errstate(all="ignore"):
+        # cells without densities are evaluated too, and replaced below
+        br = beta * (f_bq / f_q)
+        av = np.stack([_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
+                                         br[:, k], phi[:, k])
+                       for k, mode in enumerate(MODES)], axis=1)
+    av[flat.T] = 0.0
+    for cell in errors:
+        phi[cell] = av[cell] = 0.0
+    return phi, av, errors
 
 
 def step_poverty_rates(draws, N: int, alpha: float, beta: float,
@@ -403,7 +412,7 @@ def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(y_sorted, grid, side="right") / y_sorted.size
 
 
-def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
+def process_paths(draws, population: pop.Population, grid, which: CovarianceForm,
                   law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
     """Evaluate a sqrt(n)-standardized estimation process of several draws
     from ``population`` on a grid, row j for draw j.
@@ -417,7 +426,7 @@ def process_paths(draws, population: pop.Population, grid, which: ProcessKind,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
         raise ParameterError("grid must be a sorted 1-d array")
-    if which not in get_args(ProcessKind):
+    if which not in get_args(CovarianceForm):
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):
         raise ParameterError(f"process {which!r} requires the super-population law")

@@ -59,7 +59,7 @@ from .streams import child_seed, substream, substreams
 logger = logging.getLogger(__name__)
 
 DesignLabel = Literal["SI", "BE", "PO", "REJ"]
-ESTIMATORS = ("HT", "HJ")
+ESTIMATORS = asy.MODES
 CENTERS = ("FN", "F")   # population parameter vs model parameter
 
 #: fraction of failed cells (per estimator) tolerated before the scenario errors
@@ -232,7 +232,7 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
     start = 0
     for batch in batches:
         stop = start + len(batch)
-        phi[start:stop], av[start:stop], errors = asy.poverty_rate_estimates(
+        phi[start:stop], av[start:stop], errors = est.poverty_rate_estimates(
             batch, sc.N, constants, sc.alpha, sc.beta)
         for j, k in errors:
             ok[start + j, k] = False

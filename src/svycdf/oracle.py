@@ -142,15 +142,17 @@ class ConditionReport:
         return self.entries[key]
 
 
-def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> ConditionReport:
-    """Exact finite-N statistics behind the correlation and entropy bounds.
+def check_conditions(enumerated: EnumeratedDesign) -> ConditionReport:
+    """Exact finite-N statistics behind the correlation and entropy bounds,
+    scaled by the expected size n = sum(pi).
 
     Reports max centered correlations of orders 2-4 with their implied
     constants, the averaged ratio sums (row-sum pair form, triple form,
     and the signed and absolute fourth-order centered sums), the scaled
-    inclusion-probability range, and the entropy-scale ratios.  For
-    rejective designs the residual of the pairwise-ratio expansion is
-    added.  Third and fourth order sweeps require N <= 14.
+    inclusion-probability range, and the entropy scale d = sum pi(1 - pi).
+    When d > 0, whatever the design, the ratios of n and N to d and the
+    residual of the pairwise-ratio expansion are added.  Third and fourth
+    order sweeps require N <= 14.
 
     The orders 3 and 4 come from the pair moments T3 and Q4 of the
     centered indicators (``_pair_moments``): a maximum runs over k outside
@@ -166,8 +168,7 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
     if N > MAX_HIGH_ORDER_UNITS:
         raise CapacityError(f"condition sweep limited to N <= {MAX_HIGH_ORDER_UNITS}")
     pi = enumerated.first_order()
-    if n is None:
-        n = float(pi.sum())
+    n = float(pi.sum())
     if n <= 0:
         raise ParameterError("expected size must be positive")
     entries: dict[str, ConditionEntry] = {}
@@ -238,7 +239,7 @@ def check_conditions(enumerated: EnumeratedDesign, n: float | None = None) -> Co
         max_resid = float(resid.max()) if N > 1 else 0.0
         entries["pair_expansion_residual"] = ConditionEntry(
             max_resid, "|ratio + (1-pi_i)(1-pi_j)/d| <= C/d^2", max_resid * d**2)
-    return ConditionReport(entries=entries, N=N, n=float(n))
+    return ConditionReport(entries=entries, N=N, n=n)
 
 
 def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,

@@ -142,10 +142,16 @@ class TestPluginVariance:
         draw = dsg.draw(dsg.poisson(np.ones(60)), [substream(52)], popu.y)[0]
         c = constants(1.0, 0.0, -1.0)   # gamma1 = 1, gamma2 = -2 not used by HJ
         alpha, beta = 0.5, 0.6
-        _, av, errors = asy.poverty_rate_estimates([draw], 60, c, alpha, beta)
+        phi, av, errors = est.poverty_rate_estimates([draw], 60, c, alpha, beta)
         assert not errors
-        batch = est.poverty_batch([draw], 60, alpha, beta)
-        phihat, br = batch.phi[0, 1], beta * batch.f_bq[0, 1] / batch.f_q[0, 1]
+        # a census has equal weights: type-7 quantiles, a plain kernel density
+        y = draw.y_included
+        q, q25, q75 = np.quantile(y, [alpha, 0.25, 0.75])
+        h = 0.79 * (q75 - q25) * 60 ** (-0.2)
+        z = (np.array([[q], [beta * q]]) - y) / h
+        f_q, f_bq = np.exp(-0.5 * z * z).sum(axis=1) / (np.sqrt(2 * np.pi) * 60 * h)
+        phihat, br = np.mean(y <= beta * q), beta * f_bq / f_q
+        assert phi[0, 1] == pytest.approx(phihat, rel=1e-12)
         expected = (br * br * 1.0 * alpha * (1 - alpha)
                     + phihat * (1 - phihat) - 2 * br * phihat * (1 - alpha))
         assert av[0, 1] == pytest.approx(expected, rel=1e-12)
@@ -156,7 +162,7 @@ class TestPluginVariance:
         design = dsg.poisson(substream(54).uniform(0.2, 0.9, 400))
         draw = dsg.draw(design, [substream(55)], popu.y)[0]
         c = dsg.design_constants(design)
-        _, av, errors = asy.poverty_rate_estimates([draw], 400, c, 0.5, 0.6)
+        _, av, errors = est.poverty_rate_estimates([draw], 400, c, 0.5, 0.6)
         assert not errors
         ht, hj = av[0]
         assert ht != hj
@@ -169,7 +175,7 @@ class TestPluginVariance:
         draws = [dsg.draw(dsg.srswor(200, 40), [substream(seed, 7)],
                           pop.generate_population(law, 200, seed=seed).y)[0]
                  for seed in range(30)]
-        _, av, errors = asy.poverty_rate_estimates(draws, 200, c, 0.5, 0.6)
+        _, av, errors = est.poverty_rate_estimates(draws, 200, c, 0.5, 0.6)
         assert not errors
         assert np.all(av[:, 1] >= -1e-12)
 

@@ -169,6 +169,28 @@ class TestSimulate:
         assert result.stderr.startswith(f"error: {key} must be an integer, got ")
         assert ran == []
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"beta": True}, "beta"),
+        ({"beta": "0.6"}, "beta"),
+        ({"alpha": False}, "alpha"),
+        ({"alpha": None}, "alpha"),
+        ({"law": {"kind": "exponential", "rate": True}}, "law.rate"),
+        ({"law": {"kind": "exponential", "rate": "2"}}, "law.rate"),
+        ({"beta": 10 ** 400}, "beta"),
+    ], ids=["beta-bool", "beta-string", "alpha-bool", "alpha-null", "rate-bool",
+            "rate-string", "beta-beyond-float"])
+    def test_non_real_parameter_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                               overrides, key):
+        ran = []
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(**overrides)))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {key} must be a real number, got ")
+        assert ran == []
+
     def test_integral_floats_accepted(self, runner, tmp_path, monkeypatch):
         ran = []
         monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
@@ -467,9 +489,10 @@ class TestOracleCommand:
         '{"kind":"srswor","N":6}',
         '{"kind":"poisson","pi":["a",0.5]}',
         '[1, 2]',
+        '{"kind":"bernoulli","N":4,"p":"0.5"}',
     ], ids=["poisson-nan", "rejective-nan", "bernoulli-nan", "N-float", "n-bool",
             "bernoulli-N-float", "rejective-n-float", "missing-n", "non-numeric",
-            "not-an-object"])
+            "not-an-object", "bernoulli-p-string"])
     def test_invalid_design_is_usage_error(self, runner, tmp_path, spec):
         result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output

@@ -327,22 +327,28 @@ class TestKdeDensity:
     def test_degenerate_iqr_errors(self):
         # interpolated quartiles 1 and 1, but not all responses equal
         draw = make_draw([1.0] * 5 + [2.0], np.full(6, 0.5))
-        batch = est.poverty_batch([draw], 12, 0.5, 0.6)
+        phi, av, errors = est.poverty_rate_estimates(
+            [draw], 12, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
         for k in range(2):
-            assert isinstance(batch.errors[0, k], DegenerateBandwidthError)
-            assert not batch.flat[0, k] and np.isnan(batch.f_q[0, k])
+            assert isinstance(errors[0, k], DegenerateBandwidthError)
+            assert phi[0, k] == av[0, k] == 0.0
 
     def test_ht_and_hj_normalizations_differ(self):
-        # poverty_batch divides one kernel sum by N ("HT") or by n_hat ("HJ")
+        # one kernel sum per point, divided by N ("HT") or by n_hat ("HJ");
+        # each mode's variance takes the ratio of its own two densities
         draw = make_draw([1.0, 2.0, 4.0], [0.2, 0.5, 0.8])
+        c = asy.DesignConstants(0.3, 1.0, -0.5)
         cdfs = est._valid_cdfs([draw], 10)
         q = est._interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
                                         cdfs.sizes.astype(float), (0.5, 0.25, 0.75))
-        batch = est.poverty_batch([draw], 10, 0.5, 0.6)
+        phi, av, errors = est.poverty_rate_estimates([draw], 10, c, 0.5, 0.6)
+        assert not errors
         for k, denom in enumerate((10.0, float(cdfs.n_hat[0]))):
             bandwidth = 0.79 * (q[k, 0, 2] - q[k, 0, 1]) * 3 ** (-0.2)
-            sums, _ = kernel_sums(draw, 10, q[k, 0, 0], bandwidth)
-            assert batch.f_q[0, k] == sums[0] / (denom * bandwidth)
+            sums, _ = kernel_sums(draw, 10, [q[k, 0, 0], 0.6 * q[k, 0, 0]], bandwidth)
+            f_q, f_bq = sums / (denom * bandwidth)
+            assert av[0, k] == asy._poverty_variance(c.gamma1, c.gamma2, est.MODES[k], 0.5,
+                                                     0.6 * (f_bq / f_q), phi[0, k])
         assert denom != 10.0
 
 
@@ -449,7 +455,7 @@ class TestProcessPath:
 
 def test_empty_poverty_batch_rejected():
     with pytest.raises(ParameterError, match="empty batch"):
-        est.poverty_batch([], 10, 0.5, 0.6)
+        est.poverty_rate_estimates([], 10, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, 2.0, np.nan])
@@ -457,10 +463,11 @@ def test_empty_poverty_batch_rejected():
                                    "poverty_rate_estimates"])
 def test_bad_beta_rejected(entry, beta):
     draw = make_draw([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
-    call = {"poverty_batch": lambda: est.poverty_batch([draw], 8, 0.5, beta),
+    c = asy.DesignConstants(0.5, 1.0, 0.0)
+    call = {"poverty_batch": lambda: est.poverty_rate_estimates([draw] * 3, 8, c, 0.5, beta),
             "step_poverty_rates": lambda: est.step_poverty_rates([draw], 8, 0.5, beta, "HJ"),
-            "poverty_rate_estimates": lambda: asy.poverty_rate_estimates(
-                [draw], 8, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, beta)}[entry]
+            "poverty_rate_estimates": lambda: est.poverty_rate_estimates(
+                [draw], 8, c, 0.5, beta)}[entry]
     with pytest.raises(ParameterError, match="scale beta"):
         call()
 

@@ -244,7 +244,7 @@ def row_cell(draw, N, constants, alpha, beta):
 
 def kernel_cells(draws, N, constants, alpha, beta):
     """The batched kernel's result as one {mode: value or error} per draw."""
-    phi, av, errors = asy.poverty_rate_estimates(draws, N, constants, alpha, beta)
+    phi, av, errors = est.poverty_rate_estimates(draws, N, constants, alpha, beta)
     return [{mode: errors.get((j, k), (phi[j, k], av[j, k])) for k, mode in enumerate(MODES)}
             for j in range(len(draws))]
 
@@ -586,7 +586,8 @@ class TestWeightedSample:
         with pytest.raises(ParameterError, match="population size"):
             est.step_poverty_rates([draw], -10, 0.5, 0.6, "HT")
         with pytest.raises(ParameterError, match="population size"):
-            est.poverty_batch([draw], -10, 0.5, 0.6)
+            est.poverty_rate_estimates([draw], -10, asy.DesignConstants(0.5, 1.0, 0.0),
+                                       0.5, 0.6)
 
     def test_empty_sample_fails_both_modes(self):
         draw = make_draw([], [])

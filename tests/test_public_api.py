@@ -1,5 +1,6 @@
 """Every public function and class of svycdf has a caller outside the tests,
-and every svycdf name the benchmark reads exists.
+every svycdf name the benchmark reads exists, and every module imports only
+modules of lower layers.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -110,3 +111,38 @@ def test_benchmark_reads_exist():
     missing = sorted(read for read in reads
                      if not hasattr(importlib.import_module(read[1]), read[2]))
     assert missing == [], f"names bench/ reads that svycdf lacks: {missing}"
+
+
+#: the modules of svycdf from the bottom layer up; a module may import the
+#: modules of lower layers only
+LAYERS = (("errors",), ("streams",), ("population",), ("asymptotics",),
+          ("designs", "estimation"), ("oracle",), ("montecarlo",), ("cli",))
+
+#: (module, name) imports from within the package that are not modules
+ALLOWED_IMPORTS = {("cli", "__version__")}
+
+
+def package_imports(path: Path) -> set:
+    """What a module imports from within svycdf, read from its syntax tree:
+    a module name, or a name imported from the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "svycdf"
+                                                 or node.module.startswith("svycdf.")):
+            module = (node.module or "").removeprefix("svycdf").lstrip(".")
+            found.update([module.split(".")[0]] if module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("svycdf."))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    layer = {module: rank for rank, modules in enumerate(LAYERS) for module in modules}
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    assert sorted(path.stem for path in paths) == sorted(layer)
+    upward = sorted((path.stem, name) for path in paths for name in package_imports(path)
+                    if (path.stem, name) not in ALLOWED_IMPORTS
+                    and not layer.get(name, len(LAYERS)) < layer[path.stem])
+    assert upward == [], f"imports against the layer order: {upward}"
