@@ -83,9 +83,9 @@ def _load_config(path: str) -> dict:
 
 
 def _integral(value, name: str) -> int:
-    """A count or seed from JSON: an int, or a float equal to one; never a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    """A count or seed from JSON: an int (never a bool), or a float equal to one."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -304,3 +304,7 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
         click.echo(f"wrote {out_path} (max residual {residual:.3e})")
     except (SvycdfError, OSError) as exc:
         _fail(exc)
+
+
+if __name__ == "__main__":
+    main()

@@ -34,9 +34,11 @@ the new order, so its samples are those of the rebuilt design.
 One sampler, :func:`draw`, serves every design: it takes a batch of
 generators and draws one sample from each.  Every sample consumes only its
 own generator, so a sample drawn in a batch equals the same generator drawn
-alone.  A drawn sample (:class:`SampleDraw`) is its included unit indices
-in increasing order, with their inclusion probabilities and responses; no
-N-length indicator vector is formed.
+alone.  The samples of a call come back as one batch
+(:class:`SampleBatch`): the included unit indices of every sample, sample
+after sample and increasing within a sample, with their inclusion
+probabilities and responses gathered once each, and one length per
+sample; no N-length indicator vector is formed.
 
 Calibration (:func:`calibrated_rejective`) fits working probabilities to
 target inclusion probabilities by a fixed point.  Where every target is at
@@ -362,22 +364,22 @@ def relabel(design: Design, perm) -> Design:
     return relabeled
 
 
-@dataclass(eq=False)
-class SampleDraw:
-    """One realized sample.
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """The samples of one :func:`draw` call, row r the r-th sample.
 
-    ``included`` holds the sampled unit indices in increasing order,
-    ``pi_included`` their first-order inclusion probabilities and
-    ``expected_n`` the design-expected sample size.  ``y_included``
-    carries the response values of the sampled units, so estimators can
-    work from the draw alone; a draw built without them cannot be
-    estimated from.
+    ``included`` holds the sampled unit indices of every row, row after row
+    and increasing within a row, ``pi`` and ``y`` their first-order
+    inclusion probabilities and responses in the same order, and ``sizes``
+    the row lengths; ``expected_n`` is the design-expected sample size.  A
+    drawn batch's arrays are read-only.
     """
 
     included: np.ndarray
-    pi_included: np.ndarray
+    pi: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
     expected_n: float
-    y_included: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +462,10 @@ def batch_rows(design: Design) -> int:
     return max(1, min(_BATCH_SAMPLES, _BATCH_BYTES // (8 * design.N)))
 
 
-def draw(design: Design, rngs, y) -> list[SampleDraw]:
-    """Draw one sample per numpy Generator in ``rngs`` (at most
-    :func:`batch_rows` of them), in order, carrying the responses ``y`` of
-    its units.
+def draw(design: Design, rngs, y) -> SampleBatch:
+    """Draw one sample per numpy Generator in ``rngs`` (at least one, at
+    most :func:`batch_rows`), in order, carrying the responses ``y``
+    (one per unit) of its units.
 
     The caller owns the streams, so replications can run concurrently
     without coordination, and a sample is the same in any batch.  The
@@ -473,14 +475,18 @@ def draw(design: Design, rngs, y) -> list[SampleDraw]:
     reproduces the conditional law with exactly n inclusions; the samples
     of a call share one vectorized walk over N uniforms per generator.
     """
+    N = design.N
+    y = np.asarray(y, dtype=float)
+    if y.shape != (N,):
+        raise ParameterError(f"draw needs one response per unit, shape ({N},), got {y.shape}")
     rngs = list(rngs)
     rows = batch_rows(design)
+    if not rngs:
+        raise ParameterError("draw needs at least one generator")
     if len(rngs) > rows:
         raise CapacityError(f"a {design.kind} batch holds at most {rows} samples "
-                            f"on N={design.N} units, got {len(rngs)}")
-    N = design.N
+                            f"on N={N} units, got {len(rngs)}")
     pi = first_order_pi(design)
-    expected_n = design.expected_size
     if design.kind == "rejective":
         us = np.empty((len(rngs), N))
         for row, rng in zip(us, rngs):
@@ -490,10 +496,11 @@ def draw(design: Design, rngs, y) -> list[SampleDraw]:
         picks = [np.sort(rng.choice(N, size=design.size, replace=False)) for rng in rngs]
     else:
         picks = [np.flatnonzero(rng.random(N) < pi) for rng in rngs]
-    y = np.asarray(y, dtype=float)
-    return [SampleDraw(included=included, pi_included=pi[included], expected_n=expected_n,
-                       y_included=y[included])
-            for included in picks]
+    included = np.concatenate(picks)        # the walk's (S, n) rows too
+    fields = included, pi[included], y[included], np.array([pick.size for pick in picks])
+    for values in fields:
+        values.setflags(write=False)
+    return SampleBatch(*fields, expected_n=design.expected_size)
 
 
 def _rejective_walk(design: Design, us: np.ndarray) -> np.ndarray:

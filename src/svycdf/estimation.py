@@ -8,9 +8,12 @@ that estimate instead of N and always has total mass one.  Both are
 right-continuous step functions; quantiles use the generalized inverse
 F^{-1}(a) = inf{t : F(t) >= a}.
 
-Draws are processed in batches.  :func:`_weighted_cdfs` checks a batch
-(the inclusion probabilities once over the whole batch), pads its
-responses to one (R, n_max) block, sorts the block once and builds the
+Draws come in the batches of :func:`designs.draw`: responses and
+inclusion probabilities concatenated row after row, with one length per
+row (one draw is a batch of one row), which the kernels read and never
+write.  :func:`_weighted_cdfs` checks a batch (the inclusion
+probabilities once over the whole batch), pads its responses to one
+(R, n_max) block, sorts the block once and builds the
 CDFs of the modes its caller reads, each with one gather and one
 cumulative sum over the block.  A batch costs a fixed number of array
 operations, plus one per distinct row length for the sums whose rounding
@@ -49,15 +52,6 @@ from .errors import (
 
 _TIE_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-
-
-def _require_values(draw):
-    if draw.y_included is None:
-        raise EstimationError("draw carries no response values; pass them to designs.draw")
-    if draw.included.size == 0:
-        raise EstimationError("empty sample")
-    if not (draw.pi_included.min() > 0.0 and draw.pi_included.max() <= 1.0):   # NaN fails
-        raise EstimationError("inclusion probability outside (0, 1] among sampled units")
 
 
 def _row_groups(sizes: np.ndarray) -> list:
@@ -100,69 +94,55 @@ class _Cdfs:
     count: np.ndarray
 
 
-def _concatenated(draws, failed) -> tuple:
-    """Responses and inclusion probabilities of a batch concatenated in draw
-    order, the draws in ``failed`` replaced by y = [0], pi = [1], and the
-    row lengths."""
-    rows = [(np.zeros(1), np.ones(1)) if j in failed else (draw.y_included, draw.pi_included)
-            for j, draw in enumerate(draws)]
-    return (np.concatenate([y for y, _ in rows]).astype(float, copy=False),
-            np.concatenate([pi for _, pi in rows]).astype(float, copy=False),
-            np.array([np.size(y) for y, _ in rows]))
-
-
-def _batch_values(draws) -> tuple:
-    """:func:`_concatenated` of a batch with its failed draws replaced, and
-    their errors (:func:`_require_values`) in row order.
-
-    A draw fails without values, empty, or with an inclusion probability
-    outside (0, 1].  The probabilities are checked once over the
-    concatenation, so only the draws found failing are checked one by one.
-    """
-    draws = list(draws)
-    if not draws:
+def _batch_values(batch) -> tuple:
+    """Responses, inclusion probabilities and row lengths of a batch, each
+    row that is empty or has a pi outside (0, 1] replaced by y = [0],
+    pi = [1], and those rows' errors in row order."""
+    sizes = batch.sizes
+    if sizes.size == 0:
         raise ParameterError("empty batch: at least one draw is needed")
-    failed = {j for j, draw in enumerate(draws)
-              if draw.y_included is None or draw.included.size == 0}
-    values, pi, sizes = _concatenated(draws, failed)
-    in_range = (pi > 0.0) & (pi <= 1.0)     # NaN fails
+    failed = sizes == 0
+    in_range = (batch.pi > 0.0) & (batch.pi <= 1.0)      # NaN fails
     if not in_range.all():
-        starts = np.cumsum(sizes) - sizes
-        failed.update(np.flatnonzero(~np.logical_and.reduceat(in_range, starts)).tolist())
-        values, pi, sizes = _concatenated(draws, failed)
-    errors = {}
-    for j in sorted(failed):
-        try:
-            _require_values(draws[j])
-        except EstimationError as exc:
-            errors[j] = exc
+        # reduceat misreads empty segments, so only the nonempty rows start one
+        rows = np.flatnonzero(sizes)
+        failed[rows] = ~np.logical_and.reduceat(in_range, (np.cumsum(sizes) - sizes)[rows])
+    errors = {j: EstimationError("empty sample" if sizes[j] == 0 else
+                                 "inclusion probability outside (0, 1] among sampled units")
+              for j in np.flatnonzero(failed).tolist()}
+    if not errors:
+        return batch.y, batch.pi, sizes, errors
+    kept = np.repeat(~failed, sizes)
+    sizes = np.where(failed, 1, sizes)
+    slots = ~np.repeat(failed, sizes)
+    values, pi = np.zeros(slots.size), np.ones(slots.size)
+    values[slots], pi[slots] = batch.y[kept], batch.pi[kept]
     return values, pi, sizes, errors
 
 
-def _weighted_cdfs(draws, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
-    """Check a batch of draws and build the CDFs of every draw in ``modes``
-    (a subsequence of :data:`MODES`), ``cum[k]`` and ``total[k]`` for
+def _weighted_cdfs(batch, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
+    """Check a batch and build the CDFs of every row in ``modes`` (a
+    subsequence of :data:`MODES`), ``cum[k]`` and ``total[k]`` for
     ``modes[k]``.
 
-    A draw without values, empty, or with an inclusion probability outside
-    (0, 1] gets a placeholder row (y = [0], pi = [1]) and an entry
+    An empty row, or one with an inclusion probability outside (0, 1],
+    gets a placeholder row (y = [0], pi = [1]) and an entry
     ``row: EstimationError`` in the returned dict, in row order.
     """
     if N < 1:
         raise ParameterError(f"population size must be at least 1, got {N}")
-    values, pi, sizes, errors = _batch_values(draws)
+    values, pi, sizes, errors = _batch_values(batch)
     R, L = sizes.size, int(sizes.max())
     fill = np.arange(L) < sizes[:, None]
     y = np.full((R, L), np.inf)
     y[fill] = values
-    # sample order, zero padding: 1/(N pi) when "HT" is built, then 1/pi;
-    # the batch's own concatenation of pi is overwritten on the way
+    # sample order, zero padding: 1/(N pi) when "HT" is built, then 1/pi
     ht = "HT" in modes
     block = np.zeros((1 + ht, R, L))
     inv = block[-1]
     if ht:
         block[0][fill] = np.divide(1.0, N * pi)
-    inv[fill] = np.divide(1.0, pi, out=pi)
+    inv[fill] = np.divide(1.0, pi)
     groups = _row_groups(sizes)
     sums = np.empty((1 + ht, R))
     for n, rows in groups:
@@ -199,9 +179,9 @@ def _weighted_cdfs(draws, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
                  total=total, count=count), errors
 
 
-def _valid_cdfs(draws, N: int, modes=MODES) -> _Cdfs:
-    """:func:`_weighted_cdfs` where the first draw that fails its checks raises."""
-    cdfs, errors = _weighted_cdfs(draws, N, modes)
+def _valid_cdfs(batch, N: int, modes=MODES) -> _Cdfs:
+    """:func:`_weighted_cdfs` where the first row that fails its checks raises."""
+    cdfs, errors = _weighted_cdfs(batch, N, modes)
     if errors:
         raise next(iter(errors.values()))
     return cdfs
@@ -286,13 +266,13 @@ def _check_levels(alpha: float, beta: float) -> None:
         raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
 
 
-def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
+def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
                            alpha: float, beta: float) -> tuple:
     """Kernel of the simulation protocol: poverty-rate estimates and their
     plug-in variances for a batch of draws from one population, in both
     modes, each bitwise equal to its value in a batch of its own.
 
-    Per draw and mode: the alpha-quantile q and the quartiles follow
+    Per row and mode: the alpha-quantile q and the quartiles follow
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
     the rate is F(beta q), the bandwidth is 0.79 R n^{-1/5}
     with R the interquartile range (none when R is zero), and the
@@ -302,18 +282,18 @@ def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
     form of :func:`asymptotics.poverty_variance` at the estimated rate and
     density ratio.
 
-    Returns ``(phi, av, errors)``: (S, 2) arrays with one row per draw and
-    the columns :data:`MODES`, and a dict mapping each cell ``(j, k)`` that
-    cannot be evaluated to the :class:`EstimationError` it raised; such
-    cells hold 0.0 in both arrays.  A draw without values, empty, or with
-    an inclusion probability outside (0, 1] fails in both modes; a cell
+    Returns ``(phi, av, errors)``: (S, 2) arrays with one row per batch row
+    and the columns :data:`MODES`, and a dict mapping each cell ``(j, k)``
+    that cannot be evaluated to the :class:`EstimationError` it raised; such
+    cells hold 0.0 in both arrays.  An empty row, or one with an inclusion
+    probability outside (0, 1], fails in both modes; a cell
     without a bandwidth fails with :class:`DegenerateBandwidthError`, unless
     all responses are equal, which is a legitimate zero variance (a
     zero-width interval); a cell whose density at q is not positive fails
     with :class:`ZeroDensityError`.  Other errors propagate.
     """
     _check_levels(alpha, beta)
-    cdfs, failed = _weighted_cdfs(draws, N)
+    cdfs, failed = _weighted_cdfs(batch, N)
     errors = {(j, k): exc for j, exc in failed.items() for k in range(2)}
     factor = np.empty(cdfs.sizes.size)
     for n, rows in cdfs.groups:
@@ -352,12 +332,12 @@ def poverty_rate_estimates(draws, N: int, constants: DesignConstants,
     return phi, av, errors
 
 
-def step_poverty_rates(draws, N: int, alpha: float, beta: float,
+def step_poverty_rates(batch, N: int, alpha: float, beta: float,
                        mode: Literal["HT", "HJ"]) -> np.ndarray:
-    """Poverty rate F(beta q) of each draw's ``mode`` CDF F, with q the
+    """Poverty rate F(beta q) of each batch row's ``mode`` CDF F, with q the
     generalized inverse inf{t : F(t) >= alpha} (:func:`_step_quantiles`).
 
-    The first draw that fails its checks raises, and so does a level
+    The first row that fails its checks raises, and so does a level
     beyond a total mass (:class:`QuantileUndefinedError`, possible in mode
     "HT").  A census (all N units, pi = 1) gives the population's rate in
     mode "HJ".
@@ -365,7 +345,7 @@ def step_poverty_rates(draws, N: int, alpha: float, beta: float,
     _check_levels(alpha, beta)
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    cdfs = _valid_cdfs(draws, N, (mode,))
+    cdfs = _valid_cdfs(batch, N, (mode,))
     q = _step_quantiles(cdfs.loc, cdfs.cum[0], cdfs.total[0], cdfs.count, alpha)
     return _step_values(cdfs.loc, cdfs.cum[0], cdfs.count, beta * q[:, None])[:, 0]
 
@@ -412,16 +392,16 @@ def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(y_sorted, grid, side="right") / y_sorted.size
 
 
-def process_paths(draws, population: pop.Population, grid, which: CovarianceForm,
+def process_paths(batch, population: pop.Population, grid, which: CovarianceForm,
                   law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
-    """Evaluate a sqrt(n)-standardized estimation process of several draws
-    from ``population`` on a grid, row j for draw j.
+    """Evaluate a sqrt(n)-standardized estimation process of a batch of
+    draws from ``population`` on a grid, row j for batch row j.
 
     ``which`` selects the estimator and centering: the inverse-probability
     ("HT_*") or self-normalized ("HJ_*") CDF against the population
     empirical CDF (``*_vs_FN``) or against the model CDF (``*_vs_F``).  The
     standardization uses the design-expected size, not the realized one.
-    The first draw that cannot be evaluated raises.
+    The first row that cannot be evaluated raises.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
@@ -430,10 +410,10 @@ def process_paths(draws, population: pop.Population, grid, which: CovarianceForm
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):
         raise ParameterError(f"process {which!r} requires the super-population law")
-    cdfs = _valid_cdfs(draws, population.N, (which[:2],))
+    cdfs = _valid_cdfs(batch, population.N, (which[:2],))
     cdf_vals = _step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
-                            np.broadcast_to(grid, (len(draws), grid.size)))
-    root_n = np.sqrt([draw.expected_n for draw in draws])[:, None]
+                            np.broadcast_to(grid, (cdfs.sizes.size, grid.size)))
+    root_n = np.sqrt(batch.expected_n)
     if which.endswith("_vs_FN"):
         return root_n * (cdf_vals - empirical_cdf_values(population.y, grid))
     return root_n * (cdf_vals - pop.true_cdf(law, grid))

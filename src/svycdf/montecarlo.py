@@ -86,6 +86,9 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.n <= self.N:
             raise ScenarioError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
+        # a population is N float64; numpy cannot address an array past intp
+        if 8 * self.N > np.iinfo(np.intp).max:
+            raise ScenarioError(f"N={self.N} float64 values exceed the largest numpy array")
         if self.n_populations < 1 or self.n_samples < 1:
             raise ScenarioError("replication counts must be at least 1")
         if self.n_samples > 2**32:      # a sample's stream index is one 32-bit word
@@ -231,7 +234,7 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population,
     ok = np.ones(phi.shape, dtype=bool)
     start = 0
     for batch in batches:
-        stop = start + len(batch)
+        stop = start + batch.sizes.size
         phi[start:stop], av[start:stop], errors = est.poverty_rate_estimates(
             batch, sc.N, constants, sc.alpha, sc.beta)
         for j, k in errors:
@@ -452,8 +455,9 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, population, d
     given model ``center`` and asymptotic ``scale``.
     """
     if statistic == "ht_mean":
-        vals = np.array([float(np.sum(s.y_included / s.pi_included)) / sc.N
-                         for batch in batches for s in batch])
+        # each row summed over its own entries, as the sample drawn alone
+        vals = np.array([float(np.sum(row)) / sc.N for batch in batches
+                         for row in np.split(batch.y / batch.pi, np.cumsum(batch.sizes)[:-1])])
         center = float(np.mean(population.y))
         scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
         if scale <= 0.0:

@@ -7,7 +7,12 @@ given; ``quantile`` is the scalar generalized inverse and
 kernels of ``svycdf.estimation`` (``_weighted_cdfs``, ``_step_quantiles``,
 ``_step_values``, ``step_poverty_rates``) must give the same floats.
 
-More reference helpers of the tests live here: ``n_hat``, a draw's
+The tests build their batches here: ``make_batch`` makes a read-only
+``designs.SampleBatch`` of hand-built rows, ``rows`` splits a batch into
+batches of one row each and ``stack`` joins batches row after row.
+``row_error`` is the check a row of a batch fails, or None.
+
+More reference helpers of the tests live here: ``n_hat``, a row's
 inverse-probability population-size estimate, ``decomposition_paths``,
 the terms G_pi and Y_N of the proof's decomposition of the self-normalized
 process, and ``hadamard_direction_value``, the directional derivative of
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from svycdf import designs as dsg
 from svycdf import estimation as est
 from svycdf import population as pop
 from svycdf.errors import (
@@ -28,6 +34,54 @@ from svycdf.errors import (
 )
 
 TIE_EPS = 1e-12
+
+
+def _batch(included, pi, y, sizes, expected_n):
+    batch = dsg.SampleBatch(included=included, pi=pi, y=y, sizes=sizes, expected_n=expected_n)
+    for values in (included, pi, y, sizes):
+        values.setflags(write=False)
+    return batch
+
+
+def stack(batches):
+    """One batch of the rows of ``batches``, in order, with the first
+    batch's design-expected size."""
+    return _batch(*(np.concatenate([getattr(b, name) for b in batches])
+                    for name in ("included", "pi", "y", "sizes")),
+                  expected_n=batches[0].expected_n)
+
+
+def make_batch(rows):
+    """A read-only batch of hand-built rows, each a pair ``(y, pi)`` whose
+    units are the first len(y) of the population; one expected unit."""
+    ys = [np.asarray(y, dtype=float) for y, _ in rows]
+    return _batch(np.concatenate([np.empty(0, np.intp), *map(np.arange, map(len, ys))]),
+                  np.concatenate([np.empty(0), *(np.asarray(pi, dtype=float) for _, pi in rows)]),
+                  np.concatenate([np.empty(0), *ys]),
+                  np.array([y.size for y in ys], dtype=np.intp), 1.0)
+
+
+def make_row(y, pi):
+    """A batch of one hand-built row."""
+    return make_batch([(y, pi)])
+
+
+def rows(batch):
+    """The rows of a batch, each a batch of one row."""
+    cuts = np.cumsum(batch.sizes)[:-1]
+    fields = (np.split(getattr(batch, name), cuts) for name in ("included", "pi", "y"))
+    return [_batch(included, pi, y, np.array([y.size]), batch.expected_n)
+            for included, pi, y in zip(*fields)]
+
+
+def row_error(row):
+    """The error a one-row batch fails its checks with, or None: an empty
+    row, or an inclusion probability outside (0, 1] (NaN included)."""
+    if row.y.size == 0:
+        return EstimationError("empty sample")
+    if not (row.pi.min() > 0.0 and row.pi.max() <= 1.0):
+        return EstimationError("inclusion probability outside (0, 1] among sampled units")
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,19 +116,16 @@ class StepFunction:
     __call__ = evaluate
 
 
-def reference_ecdf(draw, N, mode):
-    """One draw's CDF in ``mode``: 1/(N pi) per unit for "HT", (1/pi)/n_hat
+def reference_ecdf(row, N, mode):
+    """One row's CDF in ``mode``: 1/(N pi) per unit for "HT", (1/pi)/n_hat
     with total mass exactly one for "HJ"."""
-    if draw.y_included is None:
-        raise EstimationError("no values")
-    if draw.included.size == 0:
-        raise EstimationError("empty sample")
-    if np.any(draw.pi_included <= 0.0):
-        raise EstimationError("nonpositive inclusion probability")
+    error = row_error(row)
+    if error is not None:
+        raise error
     if mode == "HT":
-        return StepFunction.from_points(draw.y_included, 1.0 / (N * draw.pi_included))
-    inv = 1.0 / draw.pi_included
-    return StepFunction.from_points(draw.y_included, inv / inv.sum(), total_mass=1.0)
+        return StepFunction.from_points(row.y, 1.0 / (N * row.pi))
+    inv = 1.0 / row.pi
+    return StepFunction.from_points(row.y, inv / inv.sum(), total_mass=1.0)
 
 
 def batch_row(cdfs, r, k):
@@ -101,20 +152,20 @@ def poverty_rate(f, alpha, beta):
     return float(f.evaluate(beta * quantile(f, alpha)))
 
 
-def n_hat(draw):
+def n_hat(row):
     """Inverse-probability estimate of the population size, sum 1/pi."""
-    return float(np.sum(1.0 / draw.pi_included))
+    return float(np.sum(1.0 / row.pi))
 
 
-def decomposition_paths(ht_values, draw, population, grid, law):
-    """The proof's decomposition terms of a draw on a grid, given its "HT"
+def decomposition_paths(ht_values, row, population, grid, law):
+    """The proof's decomposition terms of a row on a grid, given its "HT"
     CDF values there: the raw weighted centered sum
     G_pi = sqrt(n)/N sum (xi_i/pi_i)(1{Y_i<=t} - F(t)) and
     Y_N = sqrt(n)(F_HT - F_N) - sqrt(n)(N_hat/N - 1) F, so that
     sqrt(n)(HJ - F_N) = Y_N + (N/N_hat - 1) G_pi and
     sqrt(n)(HJ - F) = (N/N_hat) G_pi.  The standardization uses the
     design-expected size."""
-    root_n, ratio = np.sqrt(draw.expected_n), n_hat(draw) / population.N
+    root_n, ratio = np.sqrt(row.expected_n), n_hat(row) / population.N
     f = pop.true_cdf(law, grid)
     f_n = est.empirical_cdf_values(population.y, grid)
     g_pi = root_n * (ht_values - ratio * f)

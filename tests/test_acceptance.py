@@ -142,7 +142,8 @@ def test_sequential_sampler_matches_rejection_sampler():
     for start in range(0, reps, rows):
         # a repeated generator fills the rows in stream order: the samples
         # of one single-generator draw after another
-        for sample in dsg.draw(design, [rng_seq] * min(rows, reps - start), np.zeros(6)):
+        for sample in ref.rows(dsg.draw(design, [rng_seq] * min(rows, reps - start),
+                                        np.zeros(6))):
             key = sample.included.tobytes()
             seq_counts[key] = seq_counts.get(key, 0) + 1
     for _ in range(reps):
@@ -197,13 +198,13 @@ def test_process_identities_pathwise():
         grid = np.concatenate([[0.0], np.quantile(popu.y, np.linspace(0.1, 0.9, 9)),
                                [popu.y.max() + 1.0]])
         for _ in range(draws_per_design):
-            sample = dsg.draw(design, [rng], popu.y)[0]
+            sample = dsg.draw(design, [rng], popu.y)
             if sample.included.size == 0:
                 continue
-            hj_fn = est.process_paths([sample], popu, grid, "HJ_vs_FN", law=EXP1)[0]
+            hj_fn = est.process_paths(sample, popu, grid, "HJ_vs_FN", law=EXP1)[0]
             g_pi, y_n = ref.decomposition_paths(ref.reference_ecdf(sample, N, "HT")(grid),
                                                 sample, popu, grid, EXP1)
-            hj_f = est.process_paths([sample], popu, grid, "HJ_vs_F", law=EXP1)[0]
+            hj_f = est.process_paths(sample, popu, grid, "HJ_vs_F", law=EXP1)[0]
             ratio = N / ref.n_hat(sample)
             err1 = float(np.max(np.abs(hj_fn - (y_n + (ratio - 1.0) * g_pi))))
             err2 = float(np.max(np.abs(hj_f - ratio * g_pi)))

@@ -10,6 +10,8 @@ from svycdf import population as pop
 from svycdf.errors import ParameterError
 from svycdf.streams import substream
 
+import step_reference as ref
+
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
 
 
@@ -139,13 +141,13 @@ class TestPluginVariance:
     def test_census_matches_direct_formula(self):
         law = EXP1
         popu = pop.generate_population(law, 60, seed=51)
-        draw = dsg.draw(dsg.poisson(np.ones(60)), [substream(52)], popu.y)[0]
+        draw = dsg.draw(dsg.poisson(np.ones(60)), [substream(52)], popu.y)
         c = constants(1.0, 0.0, -1.0)   # gamma1 = 1, gamma2 = -2 not used by HJ
         alpha, beta = 0.5, 0.6
-        phi, av, errors = est.poverty_rate_estimates([draw], 60, c, alpha, beta)
+        phi, av, errors = est.poverty_rate_estimates(draw, 60, c, alpha, beta)
         assert not errors
         # a census has equal weights: type-7 quantiles, a plain kernel density
-        y = draw.y_included
+        y = draw.y
         q, q25, q75 = np.quantile(y, [alpha, 0.25, 0.75])
         h = 0.79 * (q75 - q25) * 60 ** (-0.2)
         z = (np.array([[q], [beta * q]]) - y) / h
@@ -160,9 +162,9 @@ class TestPluginVariance:
         law = EXP1
         popu = pop.generate_population(law, 400, seed=53)
         design = dsg.poisson(substream(54).uniform(0.2, 0.9, 400))
-        draw = dsg.draw(design, [substream(55)], popu.y)[0]
+        draw = dsg.draw(design, [substream(55)], popu.y)
         c = dsg.design_constants(design)
-        _, av, errors = est.poverty_rate_estimates([draw], 400, c, 0.5, 0.6)
+        _, av, errors = est.poverty_rate_estimates(draw, 400, c, 0.5, 0.6)
         assert not errors
         ht, hj = av[0]
         assert ht != hj
@@ -172,9 +174,9 @@ class TestPluginVariance:
         # the HJ form is a bridge variance, so the plug-in stays nonnegative
         law = EXP1
         c = dsg.design_constants(dsg.srswor(200, 40))
-        draws = [dsg.draw(dsg.srswor(200, 40), [substream(seed, 7)],
-                          pop.generate_population(law, 200, seed=seed).y)[0]
-                 for seed in range(30)]
+        draws = ref.stack([dsg.draw(dsg.srswor(200, 40), [substream(seed, 7)],
+                                    pop.generate_population(law, 200, seed=seed).y)
+                           for seed in range(30)])
         _, av, errors = est.poverty_rate_estimates(draws, 200, c, 0.5, 0.6)
         assert not errors
         assert np.all(av[:, 1] >= -1e-12)

@@ -130,7 +130,11 @@ class TestSimulate:
         {"cells": [{"N": 100, "n": 80}], "designs": ["PO"]},
         # 1.6 * 5/8 is exactly 1: Poisson can take it, rejective cannot
         {"cells": [{"N": 8, "n": 5}], "designs": ["PO", "REJ"]},
-    ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split"])
+        # sizes numpy could not allocate, refused before anything is made
+        {"cells": [{"N": 10 ** 400, "n": 20}]},
+        {"cells": [{"N": 2 ** 62, "n": 20}]},
+    ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split",
+            "N-beyond-float", "N-beyond-numpy"])
     def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
         # every cell is checked before the first one runs
         ran = []
@@ -202,6 +206,17 @@ class TestSimulate:
                              "--out", str(tmp_path / "out")])
         assert [(sc.N, sc.n, sc.n_populations, sc.seed) for sc in ran] == [(100, 20, 10, 42)]
         assert all(type(v) is int for v in (ran[0].N, ran[0].n, ran[0].seed))
+
+    def test_seed_beyond_float_range_runs(self, runner, tmp_path):
+        # a JSON integer is taken as it is, never through a float
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(seed=10 ** 400, n_populations=2,
+                                                      n_samples=3)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 10 ** 400
 
     def test_failure_budget_is_runtime_error(self, runner, tmp_path):
         # expected size 2 out of 30: empty samples exceed the failure budget
@@ -499,6 +514,15 @@ class TestOracleCommand:
         assert result.stderr.startswith("error: ")
         assert not (tmp_path / "conditions.csv").exists()
 
+    def test_size_beyond_float_range_is_runtime_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["oracle", "--design",
+                                      '{"kind":"srswor","N":%d,"n":3}' % 10 ** 400,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_sizes_accepted(self, runner, tmp_path):
         result = runner.invoke(main, ["oracle", "--design", '{"kind":"srswor","N":6.0,"n":3.0}',
                                       "--out", str(tmp_path)])
@@ -638,6 +662,20 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
     assert (tmp_path / "sim" / "coverage.csv").is_file()
     assert (tmp_path / "p.json").is_file()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m svycdf.cli runs the command line; an N past numpy's largest
+    # array is refused as a usage error before the output directory is made
+    (tmp_path / "config.json").write_text(json.dumps(minimal_config(
+        cells=[{"N": 2 ** 62, "n": 20}])))
+    out = tmp_path / "out"
+    done = _fresh_python("-m", "svycdf.cli", "simulate", "--config",
+                         str(tmp_path / "config.json"), "--out", str(out))
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid scenario: N=")
+    assert not out.exists()
 
 
 def test_cli_import_defers_numpy_random():

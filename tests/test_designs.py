@@ -18,6 +18,8 @@ from svycdf.errors import (CalibrationError, CapacityError, DegenerateDesignErro
                            ParameterError)
 from svycdf.streams import substream
 
+import step_reference as ref
+
 
 def brute_force_marginals(design):
     """Independent enumeration of pi_i and pi_ij for tiny designs.
@@ -212,15 +214,15 @@ class TestRejectiveWalk:
                 with pytest.raises(CapacityError):
                     dsg.draw(design, rngs, y)
             batch = [sample for start in range(0, S, rows)
-                     for sample in dsg.draw(design, rngs[start:start + rows], y)]
+                     for sample in ref.rows(dsg.draw(design, rngs[start:start + rows], y))]
         assert len(batch) == S
         for j, sample in enumerate(batch):
-            single = dsg.draw(design, [substream(seed, j)], y)[0]
+            single = dsg.draw(design, [substream(seed, j)], y)
             oracle = np.flatnonzero(sequential_rejective(design, substream(seed, j).random(N)))
             assert np.array_equal(sample.included, oracle)
             assert np.array_equal(single.included, oracle)
-            assert np.array_equal(sample.pi_included, single.pi_included)
-            assert np.array_equal(sample.y_included, single.y_included)
+            assert np.array_equal(sample.pi, single.pi)
+            assert np.array_equal(sample.y, single.y)
 
     def test_forced_tail_fill(self):
         # the first units are all but impossible, so the last n are forced in
@@ -244,7 +246,7 @@ class TestRejectiveWalk:
         target[: N // 2] = 0.4 * n / N
         design = dsg.rejective(target[substream(31).permutation(N)], n)
         rngs = [substream(32, j) for j in range(12)]
-        for j, sample in enumerate(dsg.draw(design, rngs, np.zeros(N))):
+        for j, sample in enumerate(ref.rows(dsg.draw(design, rngs, np.zeros(N)))):
             oracle = sequential_rejective(design, substream(32, j).random(N))
             assert np.array_equal(sample.included, np.flatnonzero(oracle))
 
@@ -270,9 +272,9 @@ class TestRejectiveWalk:
         pi = dsg.first_order_pi(design)
         assert dsg.batch_rows(design) == dsg._BATCH_SAMPLES
         rngs = [substream(4, j) for j in range(5)]
-        for j, sample in enumerate(dsg.draw(design, rngs, y)):
-            alone = dsg.draw(design, [substream(4, j)], y)[0]
-            for field in ("included", "pi_included", "y_included"):
+        for j, sample in enumerate(ref.rows(dsg.draw(design, rngs, y))):
+            alone = dsg.draw(design, [substream(4, j)], y)
+            for field in ("included", "pi", "y", "sizes"):
                 assert np.array_equal(getattr(sample, field), getattr(alone, field)), field
             g = substream(4, j)
             if design.kind == "srswor":
@@ -282,8 +284,8 @@ class TestRejectiveWalk:
             else:
                 oracle = np.flatnonzero(g.random(N) < pi)
             assert np.array_equal(sample.included, oracle)
-            assert np.array_equal(sample.pi_included, pi[oracle])
-            assert np.array_equal(sample.y_included, y[oracle])
+            assert np.array_equal(sample.pi, pi[oracle])
+            assert np.array_equal(sample.y, y[oracle])
         with mock.patch.object(dsg, "_BATCH_BYTES", 8 * N * 2):
             with pytest.raises(CapacityError):
                 dsg.draw(design, rngs[:3], y)
@@ -351,12 +353,13 @@ def _assert_relabel_matches_rebuild(design, perm, seed):
     assert np.array_equal(relabeled._suffix_table(), rebuilt._suffix_table())
     y = np.arange(design.N, dtype=float)
     samples = range(min(3, dsg.batch_rows(design)))
-    for a, b in zip(dsg.draw(relabeled, [substream(seed, j) for j in samples], y),
-                    dsg.draw(rebuilt, [substream(seed, j) for j in samples], y)):
-        assert np.array_equal(a.included, b.included)
-        assert np.array_equal(a.y_included, b.y_included)
-        assert np.array_equal(a.pi_included, pi[a.included])
-        assert np.allclose(a.pi_included, b.pi_included, rtol=1e-13, atol=0.0)
+    a = dsg.draw(relabeled, [substream(seed, j) for j in samples], y)
+    b = dsg.draw(rebuilt, [substream(seed, j) for j in samples], y)
+    assert np.array_equal(a.sizes, b.sizes)
+    assert np.array_equal(a.included, b.included)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.pi, pi[a.included])
+    assert np.allclose(a.pi, b.pi, rtol=1e-13, atol=0.0)
 
 
 @st.composite
@@ -694,14 +697,14 @@ class TestDraw:
     def test_fixed_size_draws(self):
         for design in (dsg.srswor(20, 7), dsg.rejective(np.full(20, 0.35), 7)):
             for seed in range(20):
-                assert dsg.draw(design, [substream(seed)], np.zeros(20))[0].included.size == 7
+                assert dsg.draw(design, [substream(seed)], np.zeros(20)).included.size == 7
 
     def test_included_indices_increase(self):
         for design in (dsg.srswor(50, 20), dsg.bernoulli(50, 0.4),
                        dsg.poisson(np.linspace(0.1, 0.9, 50)),
                        dsg.rejective(np.linspace(0.1, 0.9, 50), 20)):
             for seed in range(10):
-                included = dsg.draw(design, [substream(seed)], np.zeros(50))[0].included
+                included = dsg.draw(design, [substream(seed)], np.zeros(50)).included
                 assert included.dtype == np.intp
                 assert np.all(np.diff(included) > 0), design.kind
 
@@ -710,7 +713,7 @@ class TestDraw:
         design = dsg.bernoulli(10_000, 0.5)
         band = 5.0 * math.sqrt(10_000 * 0.25)
         for seed in range(100):
-            size = dsg.draw(design, [substream(seed)], np.zeros(10_000))[0].included.size
+            size = dsg.draw(design, [substream(seed)], np.zeros(10_000)).included.size
             assert abs(size - 5000) <= band
 
     def test_inclusion_frequencies_match_pi(self):
@@ -725,22 +728,50 @@ class TestDraw:
             rng = substream(1000 + k)
             counts = np.zeros(design.N)
             for _ in range(reps):
-                counts[dsg.draw(design, [rng], np.zeros(8))[0].included] += 1
+                counts[dsg.draw(design, [rng], np.zeros(8)).included] += 1
             freq = counts / reps
             tol = 5.0 * np.sqrt(pi * (1.0 - pi) / reps) + 1e-12
             assert np.all(np.abs(freq - pi) <= tol), design.kind
 
     def test_draw_reproducible(self):
         design = dsg.rejective(np.linspace(0.2, 0.8, 10), 4)
-        a = dsg.draw(design, [substream(3, 1)], np.zeros(10))[0]
-        b = dsg.draw(design, [substream(3, 1)], np.zeros(10))[0]
+        a = dsg.draw(design, [substream(3, 1)], np.zeros(10))
+        b = dsg.draw(design, [substream(3, 1)], np.zeros(10))
         assert np.array_equal(a.included, b.included)
 
     def test_draw_attaches_values(self):
         y = np.arange(10.0)
-        sample = dsg.draw(dsg.srswor(10, 4), [substream(2)], y)[0]
-        assert np.array_equal(sample.y_included, y[sample.included])
+        sample = dsg.draw(dsg.srswor(10, 4), [substream(2)], y)
+        assert np.array_equal(sample.y, y[sample.included])
         assert sample.expected_n == 4.0
+
+    def test_batch_is_flat_and_read_only(self):
+        # rows of several lengths, an empty one among them, concatenated in order
+        design = dsg.poisson(np.full(6, 0.3))
+        rngs = [substream(7, j) for j in range(20)]
+        batch = dsg.draw(design, rngs, np.arange(6.0))
+        alone = [dsg.draw(design, [substream(7, j)], np.arange(6.0)) for j in range(20)]
+        assert np.array_equal(batch.sizes, [row.included.size for row in alone])
+        assert 0 in batch.sizes and len(set(batch.sizes.tolist())) > 2
+        assert np.array_equal(batch.included, np.concatenate([row.included for row in alone]))
+        for values in (batch.included, batch.pi, batch.y, batch.sizes):
+            assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.pi[...] = 1.0
+
+    @pytest.mark.parametrize("y", [np.arange(5.0), np.arange(21.0), np.zeros((20, 1)),
+                                   np.float64(1.0)], ids=["short", "long", "2-d", "scalar"])
+    def test_draw_refuses_misshapen_responses(self, y):
+        # one response per unit: a short y would index past its end and a
+        # long one would silently lose its tail
+        for design in (dsg.poisson(np.full(20, 0.3)), dsg.srswor(20, 7),
+                       dsg.rejective(np.full(20, 0.35), 7)):
+            with pytest.raises(ParameterError, match=r"one response per unit, shape \(20,\)"):
+                dsg.draw(design, [substream(1)], y)
+
+    def test_draw_needs_a_generator(self):
+        with pytest.raises(ParameterError, match="at least one generator"):
+            dsg.draw(dsg.srswor(20, 7), [], np.zeros(20))
 
     def test_sequential_matches_rejection_sampler(self):
         # same conditional law: chi-square over the support, 2*10^4 draws each
@@ -749,7 +780,7 @@ class TestDraw:
         seq, rej = {}, {}
         rng_a, rng_b = substream(21), substream(22)
         for _ in range(reps):
-            key = dsg.draw(design, [rng_a], np.zeros(5))[0].included.tobytes()
+            key = dsg.draw(design, [rng_a], np.zeros(5)).included.tobytes()
             seq[key] = seq.get(key, 0) + 1
             key = rejection_draw(design, rng_b).tobytes()
             rej[key] = rej.get(key, 0) + 1

@@ -21,18 +21,6 @@ from svycdf.streams import substream
 import step_reference as ref
 
 
-def make_draw(y_values, pi_values, expected_n=None):
-    """Hand-built draw: the first len(y_values) units are included."""
-    y_values = np.asarray(y_values, dtype=float)
-    pi_values = np.asarray(pi_values, dtype=float)
-    return dsg.SampleDraw(
-        included=np.arange(y_values.size),
-        pi_included=pi_values,
-        expected_n=float(expected_n if expected_n is not None else pi_values.sum()),
-        y_included=y_values,
-    )
-
-
 def interpolated(f, alpha, n_points):
     """The interpolating quantile rule on one step function."""
     q = est._interpolated_quantiles(f.locations[None], f.cumulative[None],
@@ -52,7 +40,7 @@ def step_quantile(f, alpha):
 
 def ecdf(draw, N, mode):
     """One draw's ``mode`` CDF from its batch row, equal to the reference."""
-    f = ref.batch_row(est._valid_cdfs([draw], N), 0, est.MODES.index(mode))
+    f = ref.batch_row(est._valid_cdfs(draw, N), 0, est.MODES.index(mode))
     expected = ref.reference_ecdf(draw, N, mode)
     assert np.array_equal(f.locations, expected.locations)
     assert np.array_equal(f.cumulative, expected.cumulative)
@@ -63,7 +51,7 @@ def ecdf(draw, N, mode):
 def cdf_at(draw, N, mode, t):
     """One draw's ``mode`` CDF at the points t (batch step values), equal to
     the reference."""
-    cdfs, k = est._valid_cdfs([draw], N), est.MODES.index(mode)
+    cdfs, k = est._valid_cdfs(draw, N), est.MODES.index(mode)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = est._step_values(cdfs.loc, cdfs.cum[k], cdfs.count, t[None])[0]
     assert np.array_equal(out, ref.reference_ecdf(draw, N, mode)(t))
@@ -72,14 +60,14 @@ def cdf_at(draw, N, mode, t):
 
 def rate(draw, N, alpha, beta, mode="HJ"):
     """One draw's step poverty rate, equal to the reference."""
-    got = float(est.step_poverty_rates([draw], N, alpha, beta, mode)[0])
+    got = float(est.step_poverty_rates(draw, N, alpha, beta, mode)[0])
     assert got == ref.poverty_rate(ref.reference_ecdf(draw, N, mode), alpha, beta)
     return got
 
 
 def path(draw, popu, grid, which, law=None):
     """One draw's process path."""
-    return est.process_paths([draw], popu, grid, which, law)[0]
+    return est.process_paths(draw, popu, grid, which, law)[0]
 
 
 def decomposition(draw, popu, grid, law):
@@ -92,18 +80,18 @@ class TestWeightedStepFunction:
 
     def test_tie_merging(self):
         # HT weights 1/(10 pi) = 0.2, 0.3, 0.5
-        draw = make_draw([2.0, 1.0, 2.0], [0.5, 1.0 / 3.0, 0.2])
+        draw = ref.make_row([2.0, 1.0, 2.0], [0.5, 1.0 / 3.0, 0.2])
         f = ecdf(draw, 10, "HT")
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.allclose(f.cumulative, [0.3, 1.0])
 
     def test_right_continuity(self):
-        draw = make_draw([1.0, 2.0], [1.0, 1.0])
+        draw = ref.make_row([1.0, 2.0], [1.0, 1.0])
         vals = cdf_at(draw, 2, "HT", [1.0, 1.0 - 1e-12, 0.0, 3.0])
         assert vals.tolist() == [0.5, 0.0, 0.0, 1.0]
 
     def test_vectorized_evaluation(self):
-        draw = make_draw([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        draw = ref.make_row([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         for mode in est.MODES:
             assert np.allclose(cdf_at(draw, 3, mode, [0.5, 1.5, 3.5]), [0.0, 1.0 / 3.0, 1.0])
 
@@ -112,7 +100,7 @@ class TestWeightedStepFunction:
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_property(self, values, seed):
         pi = substream(seed).uniform(0.05, 1.0, size=len(values))
-        draw = make_draw(values, pi)
+        draw = ref.make_row(values, pi)
         grid = np.linspace(min(values) - 1, max(values) + 1, 50)
         for mode in est.MODES:
             out = cdf_at(draw, 40, mode, grid)
@@ -123,53 +111,44 @@ class TestWeightedStepFunction:
 class TestHtEcdf:
     def test_census_equals_unweighted(self):
         y = np.array([3.0, 1.0, 2.0, 5.0])
-        draw = make_draw(y, np.ones(4))
+        draw = ref.make_row(y, np.ones(4))
         assert ecdf(draw, 4, "HT").total_mass == pytest.approx(1.0, abs=1e-15)
         assert cdf_at(draw, 4, "HT", 2.0)[0] == pytest.approx(0.5)
 
     def test_single_unit(self):
-        draw = make_draw([3.0], [0.5])
+        draw = ref.make_row([3.0], [0.5])
         assert cdf_at(draw, 2, "HT", 3.0)[0] == pytest.approx(1.0)   # 1/(2 * 0.5)
         assert cdf_at(draw, 2, "HT", 2.9)[0] == 0.0
 
     def test_hand_evaluation(self):
         # two included units with pi = 0.5 out of N = 4: each jump 1/(4*0.5)
-        draw = make_draw([1.0, 2.0], [0.5, 0.5], expected_n=2)
+        draw = ref.make_row([1.0, 2.0], [0.5, 0.5])
         assert cdf_at(draw, 4, "HT", [1.5, 2.0]).tolist() == pytest.approx([0.5, 1.0])
 
     def test_total_mass_is_nhat_over_n(self):
-        draw = make_draw([1.0, 2.0, 3.0], [0.25, 0.5, 0.75])
+        draw = ref.make_row([1.0, 2.0, 3.0], [0.25, 0.5, 0.75])
         assert ecdf(draw, 10, "HT").total_mass == pytest.approx(ref.n_hat(draw) / 10.0,
                                                                 rel=1e-15)
-
-    def test_requires_values(self):
-        bare = dsg.SampleDraw(included=np.array([1, 3]), pi_included=np.full(2, 0.4),
-                              expected_n=2.0, y_included=None)
-        with pytest.raises(EstimationError):
-            est._valid_cdfs([bare], 5)
-        with pytest.raises(EstimationError):
-            est.step_poverty_rates([bare], 5, 0.5, 0.6, "HT")
 
 
 class TestHajekEcdf:
     def test_total_mass_exactly_one(self):
         rng = substream(1)
-        draw = make_draw(rng.normal(size=7), rng.uniform(0.1, 0.9, 7))
+        draw = ref.make_row(rng.normal(size=7), rng.uniform(0.1, 0.9, 7))
         assert ecdf(draw, 20, "HJ").total_mass == 1.0
 
     def test_equal_pi_equals_unweighted(self):
-        draw = make_draw([4.0, 1.0, 3.0], np.full(3, 0.3))
+        draw = ref.make_row([4.0, 1.0, 3.0], np.full(3, 0.3))
         assert cdf_at(draw, 10, "HJ", [1.0, 3.5]).tolist() == pytest.approx([1 / 3, 2 / 3])
 
     def test_unequal_weights(self):
-        draw = make_draw([1.0, 2.0], [0.2, 0.8])
+        draw = ref.make_row([1.0, 2.0], [0.2, 0.8])
         assert cdf_at(draw, 5, "HJ", 1.0)[0] == pytest.approx(0.8)   # 5 / (5 + 1.25)
 
     def test_empty_sample_errors(self):
-        empty = dsg.SampleDraw(included=np.array([], dtype=int), pi_included=np.array([]),
-                               expected_n=1.0, y_included=np.array([]))
+        empty = ref.make_row([], [])
         with pytest.raises(EstimationError):
-            est.step_poverty_rates([empty], 4, 0.5, 0.6, "HJ")
+            est.step_poverty_rates(empty, 4, 0.5, 0.6, "HJ")
 
 
 class TestWeightedQuantile:
@@ -188,10 +167,10 @@ class TestWeightedQuantile:
 
     def test_mass_deficit_errors(self):
         # HT weights 1/(20 / 9) = 0.45: total mass 0.9 < 0.95
-        draw = make_draw([1.0, 2.0], np.full(2, 1.0 / 9.0))
+        draw = ref.make_row([1.0, 2.0], np.full(2, 1.0 / 9.0))
         assert ecdf(draw, 20, "HT").total_mass == pytest.approx(0.9)
         with pytest.raises(QuantileUndefinedError):
-            est.step_poverty_rates([draw], 20, 0.95, 0.6, "HT")
+            est.step_poverty_rates(draw, 20, 0.95, 0.6, "HT")
 
     def test_rounding_below_level_resolves_downward(self):
         # running sums 0.7, 0.7999999999999999, 0.8999999999999999, 0.9999999999999999
@@ -224,16 +203,16 @@ class TestWeightedQuantile:
         assert f.locations[0] <= min(qs) and max(qs) <= f.locations[-1]
 
     def test_bad_level(self):
-        draw = make_draw([1.0], [1.0])
+        draw = ref.make_row([1.0], [1.0])
         for alpha in (0.0, 1.5, np.nan):
             with pytest.raises(ParameterError, match="quantile level"):
-                est.step_poverty_rates([draw], 1, alpha, 0.6, "HJ")
+                est.step_poverty_rates(draw, 1, alpha, 0.6, "HJ")
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_in_level(self, seed):
         rng = substream(seed)
-        draw = make_draw(rng.normal(size=8), rng.uniform(0.05, 1.0, 8))
+        draw = ref.make_row(rng.normal(size=8), rng.uniform(0.05, 1.0, 8))
         f = ecdf(draw, 30, "HJ")
         levels = np.linspace(0.05, 1.0, 20)
         qs = [step_quantile(f, a) for a in levels]
@@ -242,21 +221,21 @@ class TestWeightedQuantile:
 
 class TestPovertyRate:
     def test_hand_evaluation(self):
-        draw = make_draw([1.0, 2.0, 3.0, 4.0], np.ones(4))
+        draw = ref.make_row([1.0, 2.0, 3.0, 4.0], np.ones(4))
         # quantile(0.5) = 2, 0.6 * 2 = 1.2, F(1.2) = 0.25
         for mode in est.MODES:
             assert rate(draw, 4, 0.5, 0.6, mode) == pytest.approx(0.25)
 
     def test_zero_below_support(self):
-        draw = make_draw([10.0, 20.0], [1.0, 1.0])
+        draw = ref.make_row([10.0, 20.0], [1.0, 1.0])
         assert rate(draw, 2, 0.5, 0.1) == 0.0
 
     def test_point_mass(self):
-        assert rate(make_draw([1.0], [1.0]), 1, 0.5, 0.9) == 0.0
+        assert rate(ref.make_row([1.0], [1.0]), 1, 0.5, 0.9) == 0.0
 
     def test_beta_one_on_atomless_levels(self):
         rng = substream(23)
-        draw = make_draw(rng.normal(size=9), np.ones(9))
+        draw = ref.make_row(rng.normal(size=9), np.ones(9))
         for alpha in (0.2, 0.5, 0.8):
             assert rate(draw, 9, alpha, 1.0) >= alpha - 1e-9
 
@@ -297,7 +276,7 @@ class TestHadamardDirection:
 def kernel_sums(draw, N, t, bandwidth):
     """One draw's Gaussian kernel sums sum_i phi((t - y_i) / h) / pi_i at the
     points t, and its population-size estimate."""
-    cdfs = est._valid_cdfs([draw], N)
+    cdfs = est._valid_cdfs(draw, N)
     t = np.atleast_1d(np.asarray(t, dtype=float))[None]
     return est._kernel_sums(t, cdfs.y, cdfs.inv, np.array([bandwidth]), cdfs.groups)[0], \
         float(cdfs.n_hat[0])
@@ -305,11 +284,11 @@ def kernel_sums(draw, N, t, bandwidth):
 
 class TestKdeDensity:
     def test_single_point_forced_bandwidth(self):
-        sums, _ = kernel_sums(make_draw([0.0], [1.0]), 1, 0.0, 1.0)
+        sums, _ = kernel_sums(ref.make_row([0.0], [1.0]), 1, 0.0, 1.0)
         assert sums[0] == pytest.approx(0.3989422804014327, abs=1e-14)
 
     def test_symmetry(self):
-        draw = make_draw([-2.0, -1.0, 1.0, 2.0], np.full(4, 0.5))
+        draw = ref.make_row([-2.0, -1.0, 1.0, 2.0], np.full(4, 0.5))
         sums, _ = kernel_sums(draw, 8, [0.5, -0.5, 1.3, -1.3], 0.9)
         assert sums[0] == pytest.approx(sums[1], rel=1e-12)
         assert sums[2] == pytest.approx(sums[3], rel=1e-12)
@@ -317,7 +296,7 @@ class TestKdeDensity:
     def test_hj_integrates_to_one(self):
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 500, seed=11)
-        draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu.y)[0]
+        draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu.y)
         f = ecdf(draw, 500, "HJ")
         bandwidth = 0.79 * (step_quantile(f, 0.75) - step_quantile(f, 0.25)) * 100 ** (-0.2)
         grid = np.linspace(-10.0, 30.0, 4001)
@@ -326,9 +305,9 @@ class TestKdeDensity:
 
     def test_degenerate_iqr_errors(self):
         # interpolated quartiles 1 and 1, but not all responses equal
-        draw = make_draw([1.0] * 5 + [2.0], np.full(6, 0.5))
+        draw = ref.make_row([1.0] * 5 + [2.0], np.full(6, 0.5))
         phi, av, errors = est.poverty_rate_estimates(
-            [draw], 12, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
+            draw, 12, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
         for k in range(2):
             assert isinstance(errors[0, k], DegenerateBandwidthError)
             assert phi[0, k] == av[0, k] == 0.0
@@ -336,12 +315,12 @@ class TestKdeDensity:
     def test_ht_and_hj_normalizations_differ(self):
         # one kernel sum per point, divided by N ("HT") or by n_hat ("HJ");
         # each mode's variance takes the ratio of its own two densities
-        draw = make_draw([1.0, 2.0, 4.0], [0.2, 0.5, 0.8])
+        draw = ref.make_row([1.0, 2.0, 4.0], [0.2, 0.5, 0.8])
         c = asy.DesignConstants(0.3, 1.0, -0.5)
-        cdfs = est._valid_cdfs([draw], 10)
+        cdfs = est._valid_cdfs(draw, 10)
         q = est._interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
                                         cdfs.sizes.astype(float), (0.5, 0.25, 0.75))
-        phi, av, errors = est.poverty_rate_estimates([draw], 10, c, 0.5, 0.6)
+        phi, av, errors = est.poverty_rate_estimates(draw, 10, c, 0.5, 0.6)
         assert not errors
         for k, denom in enumerate((10.0, float(cdfs.n_hat[0]))):
             bandwidth = 0.79 * (q[k, 0, 2] - q[k, 0, 1]) * 3 ** (-0.2)
@@ -357,13 +336,13 @@ class TestProcessPath:
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, N, seed=seed)
         design = design or dsg.poisson(substream(seed, 1).uniform(0.15, 0.95, N))
-        draw = dsg.draw(design, [substream(seed, 2)], popu.y)[0]
+        draw = dsg.draw(design, [substream(seed, 2)], popu.y)
         return law, popu, draw
 
     def test_census_process_vanishes(self):
         law = pop.SuperPopulationLaw.uniform01()
         popu = pop.generate_population(law, 30, seed=2)
-        draw = dsg.draw(dsg.poisson(np.ones(30)), [substream(3)], popu.y)[0]
+        draw = dsg.draw(dsg.poisson(np.ones(30)), [substream(3)], popu.y)
         grid = np.linspace(0.0, 1.0, 9)
         assert np.allclose(path(draw, popu, grid, "HT_vs_FN"), 0.0, atol=1e-14)
 
@@ -391,7 +370,7 @@ class TestProcessPath:
         root_n = np.sqrt(draw.expected_n)
         for k, t in enumerate(grid):
             total = 0.0
-            for idx, y, pi in zip(draw.included, draw.y_included, draw.pi_included):
+            for y, pi in zip(draw.y, draw.pi):
                 total += (float(y <= t) - pop.true_cdf(law, t)) / pi
             assert g_pi[k] == pytest.approx(root_n * total / popu.N, abs=1e-10)
 
@@ -402,27 +381,27 @@ class TestProcessPath:
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 120, seed=36)
         design = dsg.poisson(substream(36, 1).uniform(0.1, 0.6, 120))
-        draws = dsg.draw(design, [substream(36, 2, j) for j in range(12)],
+        batch = dsg.draw(design, [substream(36, 2, j) for j in range(12)],
                          np.round(popu.y, 1))
+        draws = ref.rows(batch)
         grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
         if which in ("G_pi", "Y_N"):
             # the reference decomposition term on the batch's "HT" CDF values
-            cdfs = est._valid_cdfs(draws, popu.N, ("HT",))
+            cdfs = est._valid_cdfs(batch, popu.N, ("HT",))
             ht = est._step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                                   np.broadcast_to(grid, (len(draws), grid.size)))
             got = np.array([ref.decomposition_paths(ht[j], draw, popu, grid, law)
                             [which == "Y_N"] for j, draw in enumerate(draws)])
         else:
-            got = est.process_paths(draws, popu, grid, which, law=law)
+            got = est.process_paths(batch, popu, grid, which, law=law)
         fn, f = est.empirical_cdf_values(popu.y, grid), pop.true_cdf(law, grid)
         for draw, row in zip(draws, got):
-            inv = 1.0 / draw.pi_included
+            inv = 1.0 / draw.pi
             if which.startswith("HJ"):
-                f_hat = ref.StepFunction.from_points(draw.y_included, inv / inv.sum(),
+                f_hat = ref.StepFunction.from_points(draw.y, inv / inv.sum(),
                                                      total_mass=1.0)
             else:
-                f_hat = ref.StepFunction.from_points(draw.y_included,
-                                                     1.0 / (popu.N * draw.pi_included))
+                f_hat = ref.StepFunction.from_points(draw.y, 1.0 / (popu.N * draw.pi))
             root_n, ratio = np.sqrt(draw.expected_n), ref.n_hat(draw) / popu.N
             expected = {"HT_vs_FN": root_n * (f_hat(grid) - fn),
                         "HT_vs_F": root_n * (f_hat(grid) - f),
@@ -450,24 +429,25 @@ class TestProcessPath:
     def test_empty_batch_rejected(self):
         _, popu, _ = self._population_and_draw(37)
         with pytest.raises(ParameterError, match="empty batch"):
-            est.process_paths([], popu, np.array([1.0]), "HT_vs_FN")
+            est.process_paths(ref.make_batch([]), popu, np.array([1.0]), "HT_vs_FN")
 
 
 def test_empty_poverty_batch_rejected():
     with pytest.raises(ParameterError, match="empty batch"):
-        est.poverty_rate_estimates([], 10, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
+        est.poverty_rate_estimates(ref.make_batch([]), 10, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, 2.0, np.nan])
 @pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates",
                                    "poverty_rate_estimates"])
 def test_bad_beta_rejected(entry, beta):
-    draw = make_draw([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
+    draw = ref.make_row([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
     c = asy.DesignConstants(0.5, 1.0, 0.0)
-    call = {"poverty_batch": lambda: est.poverty_rate_estimates([draw] * 3, 8, c, 0.5, beta),
-            "step_poverty_rates": lambda: est.step_poverty_rates([draw], 8, 0.5, beta, "HJ"),
+    call = {"poverty_batch": lambda: est.poverty_rate_estimates(ref.stack([draw] * 3), 8, c,
+                                                                0.5, beta),
+            "step_poverty_rates": lambda: est.step_poverty_rates(draw, 8, 0.5, beta, "HJ"),
             "poverty_rate_estimates": lambda: est.poverty_rate_estimates(
-                [draw], 8, c, 0.5, beta)}[entry]
+                draw, 8, c, 0.5, beta)}[entry]
     with pytest.raises(ParameterError, match="scale beta"):
         call()
 
@@ -481,11 +461,10 @@ def test_census_rate_is_population_rate(law, N):
     # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1,
     # and census_poverty_rate, which must give the same bits
     y = pop.generate_population(law, N, seed=N).y
-    census = dsg.SampleDraw(included=np.arange(N), pi_included=np.ones(N),
-                            expected_n=float(N), y_included=y)
+    census = ref.make_row(y, np.ones(N))
     f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
     for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
-        got = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]
+        got = est.step_poverty_rates(census, N, alpha, beta, "HJ")[0]
         assert got == ref.poverty_rate(f_n, alpha, beta)
         assert est.census_poverty_rate(y, alpha, beta) == got
 
@@ -498,10 +477,9 @@ def test_census_rate_with_nan_responses(N):
     for trial in range(20):
         y = np.round(rng.exponential(1.0, N), rng.integers(0, 3))
         y[rng.random(N) < rng.uniform(0.0, 1.0)] = np.nan
-        census = dsg.SampleDraw(included=np.arange(N), pi_included=np.ones(N),
-                                expected_n=float(N), y_included=y)
+        census = ref.make_row(y, np.ones(N))
         for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
-            expected = est.step_poverty_rates([census], N, alpha, beta, "HJ")[0]
+            expected = est.step_poverty_rates(census, N, alpha, beta, "HJ")[0]
             got = est.census_poverty_rate(y, alpha, beta)
             assert got == expected, (trial, alpha)
 

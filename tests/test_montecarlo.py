@@ -2,6 +2,7 @@
 
 import pickle
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from svycdf import population as pop
 from svycdf.errors import CapacityError, DiagnosticError, ParameterError, ScenarioError
 from svycdf.streams import substream
 from test_golden_reports import report_hex
+
+import step_reference as ref
 
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
 
@@ -124,12 +127,12 @@ class TestPopulationLoop:
         design_obj = mc._population_design(sc, 3, mc._scenario_design(sc))
         y = np.linspace(1.0, 2.0, sc.N)
         batches = list(mc._population_batches(sc, 3, design_obj, y))
-        assert [len(batch) for batch in batches] == [2, 2, 2, 1]
-        draws = [sample for batch in batches for sample in batch]
+        assert [batch.sizes.size for batch in batches] == [2, 2, 2, 1]
+        draws = [sample for batch in batches for sample in ref.rows(batch)]
         for j, sample in enumerate(draws):
-            single = dsg.draw(design_obj, [substream(sc.seed, 3, 2, j)], y)[0]
+            single = dsg.draw(design_obj, [substream(sc.seed, 3, 2, j)], y)
             assert np.array_equal(sample.included, single.included)
-            assert np.array_equal(sample.y_included, single.y_included)
+            assert np.array_equal(sample.y, single.y)
 
     @pytest.mark.parametrize("design", ["SI", "PO"])
     def test_sample_streams_are_seeded_per_batch(self, design, monkeypatch):
@@ -425,6 +428,27 @@ class TestNormalityDiagnostic:
         out = mc.normality_diagnostic(sc, "ht_mean")
         assert abs(out["skewness"]) < 1.0
         assert out["ks_distance"] < 0.1
+
+    def test_ht_mean_values_are_per_row_sums(self, monkeypatch):
+        # each value is np.sum(y / pi) / N over its own sample, bit for bit:
+        # rows of many lengths (empty, short, past numpy's pairwise block of
+        # 128), an infinite and a NaN response; a zero center and a unit
+        # scale leave the values as they are
+        N = 4000
+        design = dsg.poisson(substream(61).uniform(0.0005, 0.2, N))
+        y = substream(62).lognormal(0.0, 2.0, N)
+        y[7], y[11] = np.inf, np.nan
+        batches = [dsg.draw(design, [substream(63, b, j) for j in range(9)], y)
+                   for b in range(3)]
+        batches.append(ref.make_batch([([], []), ([2.5], [0.25]), ([1e300, 3.0], [1e-3, 1.0])]))
+        monkeypatch.setattr(mc.orc, "exact_sn2", lambda design, y: 1.0)
+        sc = small_scenario(N=N, n=60)
+        got = mc._statistic_values(sc, "ht_mean", None, None, SimpleNamespace(y=np.zeros(3)),
+                                   design, batches)
+        expected = [float(np.sum(np.array(row.y) / np.array(row.pi))) / N
+                    for batch in batches for row in ref.rows(batch)]
+        assert len({row.y.size for batch in batches for row in ref.rows(batch)}) > 10
+        assert np.array_equal(got, expected, equal_nan=True)
 
     def test_ht_mean_bands_at_scale(self):
         # continuous statistic: tight normal-sampling bands hold at 1e4 reps

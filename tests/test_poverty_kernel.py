@@ -11,6 +11,7 @@ from one search and one kernel density call per point.  The batched kernel must 
 exactly, draw by draw.
 """
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from svycdf.errors import (
 from svycdf.streams import child_seed
 
 import step_reference as ref
-from step_reference import reference_ecdf
+from step_reference import make_row, reference_ecdf
 
 MODES = ("HT", "HJ")
 TIE_EPS = 1e-12
@@ -70,15 +71,15 @@ def reference_kde(draw, N, t, mode, bandwidth):
         raise ParameterError("bandwidth must be positive")
     denom = float(N) if mode == "HT" else ref.n_hat(draw)
     z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-         - draw.y_included[None, :]) / bandwidth
+         - draw.y[None, :]) / bandwidth
     with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
         kernel = np.exp(-0.5 * z * z) / SQRT_2PI
-    return float((kernel @ (1.0 / draw.pi_included) / (denom * bandwidth))[0])
+    return float((kernel @ (1.0 / draw.pi) / (denom * bandwidth))[0])
 
 
 def reference_plugin_variance(draw, N, constants, alpha, beta, mode):
     fhat = reference_ecdf(draw, N, mode)
-    n_s = draw.included.size
+    n_s = draw.y.size
     quantile = lambda level: reference_interpolated_quantile(fhat, level, n_s)
     iqr = quantile(0.75) - quantile(0.25)
     if iqr <= 0.0:
@@ -103,12 +104,12 @@ def reference_plugin_variance(draw, N, constants, alpha, beta, mode):
 
 def reference_phi_and_av(draw, N, constants, alpha, beta, mode):
     f = reference_ecdf(draw, N, mode)
-    qhat = reference_interpolated_quantile(f, alpha, draw.included.size)
+    qhat = reference_interpolated_quantile(f, alpha, draw.y.size)
     phi_hat = float(f.evaluate(beta * qhat))
     try:
         av_hat = reference_plugin_variance(draw, N, constants, alpha, beta, mode)
     except DegenerateBandwidthError:
-        if np.all(draw.y_included == draw.y_included[0]):
+        if np.all(draw.y == draw.y[0]):
             av_hat = 0.0
         else:
             raise
@@ -160,9 +161,10 @@ class WeightedSample:
 
 
 def weighted_sample(draw, N):
-    est._require_values(draw)
-    y = np.asarray(draw.y_included, dtype=float)
-    pi = draw.pi_included
+    error = ref.row_error(draw)
+    if error is not None:
+        raise error
+    y, pi = draw.y, draw.pi
     inv = 1.0 / pi
     order = np.argsort(y)
     sorted_y = y[order]
@@ -242,27 +244,20 @@ def row_cell(draw, N, constants, alpha, beta):
     return out
 
 
-def kernel_cells(draws, N, constants, alpha, beta):
-    """The batched kernel's result as one {mode: value or error} per draw."""
-    phi, av, errors = est.poverty_rate_estimates(draws, N, constants, alpha, beta)
+def kernel_cells(batch, N, constants, alpha, beta):
+    """The batched kernel's result as one {mode: value or error} per row."""
+    phi, av, errors = est.poverty_rate_estimates(batch, N, constants, alpha, beta)
     return [{mode: errors.get((j, k), (phi[j, k], av[j, k])) for k, mode in enumerate(MODES)}
-            for j in range(len(draws))]
+            for j in range(batch.sizes.size)]
 
 
 def kernel_cell(draw, N, constants, alpha, beta):
-    return kernel_cells([draw], N, constants, alpha, beta)[0]
+    return kernel_cells(draw, N, constants, alpha, beta)[0]
 
 
 # ---------------------------------------------------------------------------
 # Generated draws
 # ---------------------------------------------------------------------------
-
-def make_draw(y, pi):
-    y = np.asarray(y, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    return dsg.SampleDraw(included=np.arange(y.size), pi_included=pi,
-                          expected_n=float(max(pi.sum(), 1.0)), y_included=y)
-
 
 CONTINUOUS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 DISCRETE = st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0])
@@ -286,7 +281,7 @@ def cases(draw):
                                     mu2=draw(st.floats(-2.0, 2.0)))
     alpha = draw(st.floats(min_value=0.01, max_value=1.0))
     beta = draw(st.floats(min_value=0.05, max_value=1.0))
-    return make_draw(y, pi), N, constants, alpha, beta
+    return make_row(y, pi), N, constants, alpha, beta
 
 
 def same(a, b):
@@ -324,23 +319,19 @@ def batch_rows(draw):
             y[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif kind == 2:
         pi[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.25]))
-    return make_draw(y, pi)
+    return make_row(y, pi)
 
 
 @st.composite
 def failing_rows(draw):
-    """A draw that fails its checks: without values, empty, or with an
-    inclusion probability of 0, below 0, NaN or above 1."""
-    kind = draw(st.integers(min_value=0, max_value=2))
-    if kind == 0:
-        return dsg.SampleDraw(included=np.arange(2), pi_included=np.full(2, 0.5),
-                              expected_n=1.0)
-    if kind == 1:
-        return make_draw([], [])
-    row = draw(batch_rows().filter(lambda d: d.included.size > 0))
-    pi = row.pi_included.copy()
+    """A row that fails its checks: empty, or with an inclusion probability
+    of 0, below 0, NaN or above 1."""
+    if draw(st.booleans()):
+        return make_row([], [])
+    row = draw(batch_rows().filter(lambda d: d.y.size > 0))
+    pi = row.pi.copy()
     pi[draw(st.integers(0, pi.size - 1))] = draw(st.sampled_from([0.0, -0.25, math.nan, 1.5]))
-    return make_draw(row.y_included, pi)
+    return make_row(row.y, pi)
 
 
 @st.composite
@@ -389,9 +380,9 @@ class TestKernelOracle:
                 expected.append(row_cell(draw, N, constants, alpha, beta))
             except Exception as exc:                  # noqa: BLE001 - class compared below
                 with pytest.raises(type(exc)):
-                    kernel_cells(draws, N, constants, alpha, beta)
+                    kernel_cells(ref.stack(draws), N, constants, alpha, beta)
                 return
-        got = kernel_cells(draws, N, constants, alpha, beta)
+        got = kernel_cells(ref.stack(draws), N, constants, alpha, beta)
         assert len(got) == len(draws)
         for got_cell, expected_cell in zip(got, expected):
             assert_cells_equal(got_cell, expected_cell)
@@ -400,7 +391,7 @@ class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
     def test_ecdf_matches_unique_merge(self, case, mode):
         draw, N, _, _, _ = case
-        build = lambda: ref.batch_row(est._valid_cdfs([draw], N), 0, MODES.index(mode))
+        build = lambda: ref.batch_row(est._valid_cdfs(draw, N), 0, MODES.index(mode))
         try:
             expected = reference_ecdf(draw, N, mode)
         except Exception as exc:                      # noqa: BLE001 - class compared below
@@ -416,7 +407,7 @@ class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
     def test_batch_ecdf_matches_unique_merge(self, case):
         draws, N, _, _, _ = case
-        cdfs, errors = est._weighted_cdfs(draws, N)
+        cdfs, errors = est._weighted_cdfs(ref.stack(draws), N)
         for j, draw in enumerate(draws):
             for k, mode in enumerate(MODES):
                 try:
@@ -435,15 +426,12 @@ class TestKernelOracle:
     def test_one_mode_build_matches_two_mode_build(self, draws, N):
         # the failing draws are the ones the per-draw check refuses, in row
         # order, with its error classes and messages
-        expected = {}
-        for j, draw in enumerate(draws):
-            try:
-                est._require_values(draw)
-            except EstimationError as exc:
-                expected[j] = exc
-        both, errors = est._weighted_cdfs(draws, N)
+        expected = {j: ref.row_error(draw) for j, draw in enumerate(draws)
+                    if ref.row_error(draw) is not None}
+        batch = ref.stack(draws)
+        both, errors = est._weighted_cdfs(batch, N)
         for k, mode in enumerate(MODES):
-            one, one_errors = est._weighted_cdfs(draws, N, (mode,))
+            one, one_errors = est._weighted_cdfs(batch, N, (mode,))
             for found in (errors, one_errors):
                 assert list(found) == list(expected)
                 assert [(type(e), str(e)) for e in found.values()] == \
@@ -457,11 +445,11 @@ class TestKernelOracle:
     def test_desk_draws_match(self, design):
         # 70 samples: a full batch of 64 and a short one
         sc, design_obj, batches = desk_population(design, n_samples=70)
-        assert [len(batch) for batch in batches] == [64, 6]
+        assert [batch.sizes.size for batch in batches] == [64, 6]
         constants = dsg.design_constants(design_obj)
         for batch in batches:
             got = kernel_cells(batch, sc.N, constants, sc.alpha, sc.beta)
-            for draw, cell in zip(batch, got):
+            for draw, cell in zip(ref.rows(batch), got):
                 assert_cells_equal(cell, row_cell(draw, sc.N, constants, sc.alpha, sc.beta))
                 assert_cells_equal(cell, reference_cell(draw, sc.N, constants, sc.alpha,
                                                         sc.beta))
@@ -473,9 +461,9 @@ class TestKernelOracle:
     def test_wide_spread_sample_is_quiet(self):
         # the far response is 1e160 bandwidths away: z * z overflows to inf
         # and its kernel value exp(-inf) = 0 is the intended one
-        draw = make_draw([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5))
+        draw = make_row([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5))
         constants = asy.DesignConstants(0.15, 1.0, 0.0)
-        cdfs = est._valid_cdfs([draw], 40)
+        cdfs = est._valid_cdfs(draw, 40)
         _, q25, q75 = row_quantiles(ref.batch_row(cdfs, 0, 1), (0.5, 0.25, 0.75), 6)
         bandwidth = 0.79 * (q75 - q25) * 6 ** (-0.2)
         assert 1e160 / bandwidth > math.sqrt(np.finfo(float).max)
@@ -492,15 +480,15 @@ class TestKernelOracle:
     def test_tiny_bandwidth_is_quiet(self):
         # the far response is 1e309 bandwidths away: the divide by the
         # bandwidth already overflows to inf, and the kernel value 0 holds
-        draw = make_draw([0.1, 0.5, 1e9], [0.5, 0.25, 0.5])
-        cdfs = est._valid_cdfs([draw], 40)
+        draw = make_row([0.1, 0.5, 1e9], [0.5, 0.25, 0.5])
+        cdfs = est._valid_cdfs(draw, 40)
         t = np.array([[0.5, 0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = est._kernel_sums(t, cdfs.y, cdfs.inv, np.array([1e-300]), cdfs.groups)
         with np.errstate(over="ignore"):
-            z = (t[0][:, None] - draw.y_included[None, :]) / 1e-300
-            expected = np.exp(-0.5 * z * z) / SQRT_2PI @ (1.0 / draw.pi_included)
+            z = (t[0][:, None] - draw.y[None, :]) / 1e-300
+            expected = np.exp(-0.5 * z * z) / SQRT_2PI @ (1.0 / draw.pi)
         assert np.all(got[0] == expected)
         assert expected[0] > 0.0 and expected[1] == 0.0
 
@@ -513,7 +501,7 @@ def statistic_values(draws, N, alpha, beta, statistic):
     (no model quantile exists there), so the levels come in a plain namespace.
     """
     sc = SimpleNamespace(N=N, alpha=alpha, beta=beta)
-    return mc._statistic_values(sc, statistic, 0.0, 1.0, None, None, [draws])
+    return mc._statistic_values(sc, statistic, 0.0, 1.0, None, None, [ref.stack(draws)])
 
 
 def reference_rates(draws, N, alpha, beta, statistic):
@@ -539,7 +527,7 @@ class TestStepRule:
         expected = reference_rates(draws, N, alpha, beta, statistic)
         mode = statistic[-2:].upper()
         for rates in (lambda: statistic_values(draws, N, alpha, beta, statistic),
-                      lambda: est.step_poverty_rates(draws, N, alpha, beta, mode)):
+                      lambda: est.step_poverty_rates(ref.stack(draws), N, alpha, beta, mode)):
             if isinstance(expected, Exception):
                 with pytest.raises(EstimationError) as info:
                     rates()
@@ -555,26 +543,55 @@ class TestStepRule:
         self.check(draws, N, alpha, beta, statistic)
 
     def test_ties_and_mass_deficit(self):
-        tied = make_draw([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5])
-        short = make_draw([1.0, 4.0], [1.0, 1.0])   # HT mass 0.2 < alpha
+        tied = make_row([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5])
+        short = make_row([1.0, 4.0], [1.0, 1.0])   # HT mass 0.2 < alpha
         with pytest.raises(QuantileUndefinedError):
-            est.step_poverty_rates([short], 10, 0.5, 0.6, "HT")
+            est.step_poverty_rates(short, 10, 0.5, 0.6, "HT")
         for statistic in ("phi_ht", "phi_hj"):
             for draws in ([tied], [short], [tied, short], [short, tied, tied]):
                 self.check(draws, 10, 0.5, 0.6, statistic)
 
 
+FIELDS = ("included", "pi", "y", "sizes")
+
+
+@given(st.lists(st.one_of(batch_rows(), failing_rows()), min_size=1, max_size=8),
+       st.integers(min_value=20, max_value=2_000))
+@settings(max_examples=100, deadline=None)
+def test_kernels_leave_the_batch_unchanged(draws, N):
+    # a writable batch, so a kernel that wrote into it would go unnoticed
+    # but for the comparison with the copies
+    stacked = ref.stack(draws)
+    batch = dataclasses.replace(stacked, **{name: getattr(stacked, name).copy()
+                                            for name in FIELDS})
+    population = pop.generate_population(pop.SuperPopulationLaw.exponential(), N, seed=N)
+    constants = asy.DesignConstants(0.5, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in some rows
+        est.poverty_rate_estimates(batch, N, constants, 0.5, 0.6)
+        for run in (lambda: est.step_poverty_rates(batch, N, 0.5, 0.6, "HT"),
+                    lambda: est.step_poverty_rates(batch, N, 0.5, 0.6, "HJ"),
+                    lambda: est.process_paths(batch, population, [0.0, 1.0], "HJ_vs_FN")):
+            try:
+                run()
+            except EstimationError:
+                pass
+    for name in FIELDS:
+        assert getattr(batch, name).flags.writeable
+        assert np.array_equal(getattr(batch, name), getattr(stacked, name), equal_nan=True)
+
+
 class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
-        draw = make_draw([2.0, 1.0, 2.0], [0.5, 0.25, 0.5])
+        draw = make_row([2.0, 1.0, 2.0], [0.5, 0.25, 0.5])
         assert weighted_sample(draw, 10).has_ties
-        f = ref.batch_row(est._valid_cdfs([draw], 10), 0, 1)
+        f = ref.batch_row(est._valid_cdfs(draw, 10), 0, 1)
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.array_equal(f.cumulative, reference_ecdf(draw, 10, "HJ").cumulative)
 
     def test_distinct_values_sorted_once(self):
-        draw = make_draw([3.0, 1.0, 2.0], [0.5, 0.25, 0.5])
-        cdfs, errors = est._weighted_cdfs([draw], 10)
+        draw = make_row([3.0, 1.0, 2.0], [0.5, 0.25, 0.5])
+        cdfs, errors = est._weighted_cdfs(draw, 10)
         assert not errors and cdfs.count[0] == 3
         assert np.array_equal(cdfs.loc[0], [1.0, 2.0, 3.0])
         assert cdfs.n_hat[0] == ref.n_hat(draw)
@@ -582,21 +599,21 @@ class TestWeightedSample:
     @pytest.mark.parametrize("y", [[3.0, 1.0, 2.0], [2.0, 1.0, 2.0]])
     def test_negative_weights_rejected_on_both_paths(self, y):
         # a negative N would make the HT weights negative, tied values or not
-        draw = make_draw(y, [0.5, 0.25, 0.5])
+        draw = make_row(y, [0.5, 0.25, 0.5])
         with pytest.raises(ParameterError, match="population size"):
-            est.step_poverty_rates([draw], -10, 0.5, 0.6, "HT")
+            est.step_poverty_rates(draw, -10, 0.5, 0.6, "HT")
         with pytest.raises(ParameterError, match="population size"):
-            est.poverty_rate_estimates([draw], -10, asy.DesignConstants(0.5, 1.0, 0.0),
+            est.poverty_rate_estimates(draw, -10, asy.DesignConstants(0.5, 1.0, 0.0),
                                        0.5, 0.6)
 
     def test_empty_sample_fails_both_modes(self):
-        draw = make_draw([], [])
+        draw = make_row([], [])
         got = kernel_cell(draw, 5, asy.DesignConstants(0.2, 1.0, 0.0), 0.5, 0.6)
         assert all(isinstance(got[m], EstimationError) for m in MODES)
 
     def test_zero_density_fails_one_mode(self):
         # HT's bandwidth is far narrower than the gap its quantile falls in
-        draw = make_draw([0.0] * 9 + [21.0, 0.5],
+        draw = make_row([0.0] * 9 + [21.0, 0.5],
                          [1.0] * 7 + [0.25, 0.03125, 0.1875, 0.03125])
         constants = asy.DesignConstants(0.0, 0.0, 0.0)
         got = kernel_cell(draw, 76, constants, 1.0, 1.0)
@@ -604,10 +621,10 @@ class TestWeightedSample:
         assert_cells_equal(got, reference_cell(draw, 76, constants, 1.0, 1.0))
 
     def test_all_equal_sample_gets_zero_variance(self):
-        draw = make_draw([4.0, 4.0, 4.0], [0.2, 0.5, 0.8])
+        draw = make_row([4.0, 4.0, 4.0], [0.2, 0.5, 0.8])
         got = kernel_cell(draw, 12, asy.DesignConstants(0.25, 1.0, 0.0), 0.5, 0.6)
         assert got["HT"][1] == got["HJ"][1] == 0.0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ParameterError, match="mode"):
-            est.step_poverty_rates([make_draw([1.0, 2.0], [0.5, 0.5])], 4, 0.5, 0.6, "XX")
+            est.step_poverty_rates(make_row([1.0, 2.0], [0.5, 0.5]), 4, 0.5, 0.6, "XX")
