@@ -64,22 +64,28 @@ def main():
 # ---------------------------------------------------------------------------
 
 def _law_from_config(raw: dict) -> pop.SuperPopulationLaw:
+    if not isinstance(raw, dict):
+        raise ParameterError(f"law must be a JSON object, got {raw!r}")
     kind = raw.get("kind")
     if kind == "exponential":
         return pop.SuperPopulationLaw.exponential(rate=_real(raw.get("rate", 1.0), "law.rate"))
     if kind == "uniform01":
         return pop.SuperPopulationLaw.uniform01()
     if kind == "discrete":
-        return pop.SuperPopulationLaw.discrete(raw["points"], raw["masses"])
+        return pop.SuperPopulationLaw.discrete(_reals(raw["points"], "law.points"),
+                                               _reals(raw["masses"], "law.masses"))
     raise ParameterError(f"unknown law kind {kind!r} in config")
 
 
 def _load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except ValueError as exc:   # undecodable bytes or bad JSON
             raise ParameterError(f"config is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ParameterError("config must be a JSON object")
+    return cfg
 
 
 def _integral(value, name: str) -> int:
@@ -96,6 +102,11 @@ def _real(value, name: str) -> float:
         with contextlib.suppress(OverflowError):    # an int beyond the float range
             return float(value)
     raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def _reals(values, name: str) -> list[float]:
+    """A vector of real parameters from JSON, each element as :func:`_real`."""
+    return [_real(v, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
 def _cell_header(cell: dict) -> str:
@@ -127,7 +138,11 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         cfg = _load_config(config_path)
         try:
             law = _law_from_config(cfg.get("law", {"kind": "exponential", "rate": 1.0}))
-            designs = list(cfg.get("designs", ["SI", "BE", "PO"]))
+            designs = cfg.get("designs", ["SI", "BE", "PO"])
+            if not (isinstance(designs, list) and designs
+                    and len(set(designs)) == len(designs)):
+                raise ParameterError(
+                    f"designs must be a non-empty list of distinct labels, got {designs!r}")
             cells = [{key: _integral(c[key], f"cells[{i}].{key}") for key in ("N", "n")}
                      for i, c in enumerate(cfg.get("cells", []))]
             n_pops = _integral(cfg.get("n_populations", 200), "n_populations")
@@ -232,9 +247,9 @@ def _design_from_spec(raw: str) -> dsg.Design:
         if kind == "bernoulli":
             return dsg.bernoulli(_integral(spec["N"], "N"), _real(spec["p"], "p"))
         if kind == "poisson":
-            return dsg.poisson(spec["pi"])
+            return dsg.poisson(_reals(spec["pi"], "pi"))
         if kind == "rejective":
-            return dsg.rejective(spec["p"], _integral(spec["n"], "n"))
+            return dsg.rejective(_reals(spec["p"], "p"), _integral(spec["n"], "n"))
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -255,7 +270,7 @@ def oracle_cmd(design_spec, out_dir, rejective_reference):
         enumerated = orc.enumerate_design(design)
         report = orc.check_conditions(enumerated)
         rows = [[name, _fmt(e.statistic), e.bound_form, _fmt(e.implied_constant)]
-                for name, e in report.entries.items()]
+                for name, e in report.items()]
         if rejective_reference is not None:
             ref = _design_from_spec(rejective_reference)
             if ref.kind != "rejective":

@@ -142,25 +142,22 @@ _BLOCK_BYTES = 2**20
 _PI_SUM_RTOL = 1e-9
 
 
-def _rejective_first_order(p: np.ndarray, n: int,
-                           bwd: np.ndarray | None = None) -> np.ndarray:
+def _rejective_first_order(p: np.ndarray, n: int, bwd: np.ndarray) -> np.ndarray:
     """Exact inclusion probabilities of the size-n conditional design.
 
     pi_i = p_i P(S_{-i} = n-1) / P(S = n), with the leave-one-out sum
     assembled from prefix and suffix PMFs (additions of nonnegative terms
     only, so no catastrophic cancellation), one dot product per unit over
     blocks of units.  ``bwd`` is the top-count-first suffix table of ``p``
-    (see :func:`_pb_forward`; built here when not given) and the only
-    N x (n+1) array: row N-1-i, columns 1..n, is the PMF of the units after
-    i from count n-1 down, so a block reads its suffix rows as one view.
+    (see :func:`_pb_forward`) and the only N x (n+1) array: row N-1-i,
+    columns 1..n, is the PMF of the units after i from count n-1 down, so a
+    block reads its suffix rows as one view.
     The prefix PMFs (ascending layout) are streamed, one block of rows at a
     time, and P(S = n) is read from the last of them.  A result that does
     not sum to n within :data:`_PI_SUM_RTOL` relative is refused with
     :class:`DegenerateDesignError`.
     """
     N = p.size
-    if bwd is None:
-        bwd = _pb_forward(p[::-1], n)
     block = max(1, _BLOCK_BYTES // (8 * (n + 1)))
     rows = np.zeros((min(block, N) + 1, n + 1))  # prefix PMFs of one block
     rows[0, 0] = 1.0                             # and of the unit after it
@@ -405,8 +402,7 @@ def first_order_pi(design: Design) -> np.ndarray:
     elif design.kind == "poisson":
         pi = design.pi          # read-only, so shared rather than copied
     else:
-        pi = _rejective_first_order(design.working_p, design.size,
-                                    bwd=design._suffix_table())
+        pi = _rejective_first_order(design.working_p, design.size, design._suffix_table())
     pi.setflags(write=False)
     design._cache["pi"] = pi
     return pi

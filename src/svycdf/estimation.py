@@ -392,10 +392,11 @@ def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(y_sorted, grid, side="right") / y_sorted.size
 
 
-def process_paths(batch, population: pop.Population, grid, which: CovarianceForm,
+def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
                   law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
     """Evaluate a sqrt(n)-standardized estimation process of a batch of
-    draws from ``population`` on a grid, row j for batch row j.
+    draws from the population of responses ``y`` on a grid, row j for
+    batch row j.
 
     ``which`` selects the estimator and centering: the inverse-probability
     ("HT_*") or self-normalized ("HJ_*") CDF against the population
@@ -410,10 +411,10 @@ def process_paths(batch, population: pop.Population, grid, which: CovarianceForm
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):
         raise ParameterError(f"process {which!r} requires the super-population law")
-    cdfs = _valid_cdfs(batch, population.N, (which[:2],))
+    cdfs = _valid_cdfs(batch, y.size, (which[:2],))
     cdf_vals = _step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                             np.broadcast_to(grid, (cdfs.sizes.size, grid.size)))
     root_n = np.sqrt(batch.expected_n)
     if which.endswith("_vs_FN"):
-        return root_n * (cdf_vals - empirical_cdf_values(population.y, grid))
+        return root_n * (cdf_vals - empirical_cdf_values(y, grid))
     return root_n * (cdf_vals - pop.true_cdf(law, grid))

@@ -26,7 +26,11 @@ for any worker count.
 A run opens at most one process pool: :func:`run_scenarios` shares it
 across a whole grid of scenarios, and each diagnostic opens its own.  Each
 scenario sends its populations to the pool one task per population, and the
-pool is closed before the run returns, also on error.
+pool is closed before the run returns, also on error.  A task draws the
+population's responses ``y`` and its design, and hands them with the
+population's batches of draws to the job's reducer, ``reduce(y, design,
+batches)``: the array of sums above, the process path sums, or the
+standardized statistic of a normality diagnostic.
 """
 
 from __future__ import annotations
@@ -207,26 +211,20 @@ def _population_batches(sc: Scenario, pop_index: int, design: dsg.Design, y) -> 
         yield dsg.draw(design, rngs, y)
 
 
-class _PopulationTask:
-    """Picklable pool task: for a population index, build the population
-    and its design from the scenario design, and reduce its batches of
-    draws with ``reduce(population, design, batches)``."""
-
-    def __init__(self, sc: Scenario, design: dsg.Design, reduce: Callable):
-        self.sc, self.design, self.reduce = sc, design, reduce
-
-    def __call__(self, i: int):
-        sc = self.sc
-        population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
-        design = _population_design(sc, i, self.design)
-        return self.reduce(population, design, _population_batches(sc, i, design, population.y))
+def _population_task(sc: Scenario, design: dsg.Design, reduce: Callable, i: int):
+    """Pool task for population ``i``: draw its responses y and its design
+    from the scenario ``design``, and reduce its batches of draws with
+    ``reduce(y, design, batches)``."""
+    y = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, i, 0))
+    design = _population_design(sc, i, design)
+    return reduce(y, design, _population_batches(sc, i, design, y))
 
 
-def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, population, design,
+def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, y, design,
                      batches) -> np.ndarray:
     """One population's (9, 2) array of sums over its cells, added in
     sample order; ``av_ref`` is the asymptotic variance of each estimator."""
-    phi_fn = est.census_poverty_rate(population.y, sc.alpha, sc.beta)
+    phi_fn = est.census_poverty_rate(y, sc.alpha, sc.beta)
     centers = np.array([phi_fn, phi_f])[:, None, None]
     constants = dsg.design_constants(design)
     phi = np.zeros((sc.n_samples, len(ESTIMATORS)))
@@ -296,13 +294,13 @@ def _process_pool(workers: int, tasks: int) -> Iterator[ProcessPoolExecutor | No
 
 def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
                      pool: ProcessPoolExecutor | None) -> list:
-    """``reduce(population, design, batches)`` for every population of the
-    scenario, in index order; ``design`` is the scenario's unpermuted design.
+    """``reduce(y, design, batches)`` for every population of the scenario,
+    in index order; ``design`` is the scenario's unpermuted design.
 
     With a ``pool`` from :func:`_process_pool`, each population is one
     pool task; ``None`` runs them in this process.
     """
-    task = _PopulationTask(sc, design, reduce)
+    task = partial(_population_task, sc, design, reduce)
     if pool is None:
         return [task(i) for i in range(sc.n_populations)]
     return list(pool.map(task, range(sc.n_populations)))
@@ -403,18 +401,15 @@ def _scenario_report(sc: Scenario, pool: ProcessPoolExecutor | None) -> MonteCar
 class ProcessCovarianceResult:
     """Empirical versus limit covariance of a standardized process on a grid."""
 
-    form: str
-    grid: np.ndarray
     empirical: np.ndarray
     limit: np.ndarray
     entry_se: np.ndarray
     max_abs_error: float
 
 
-def _process_sums(sc: Scenario, grid: np.ndarray, form: str, population, design,
-                  batches) -> tuple:
+def _process_sums(sc: Scenario, grid: np.ndarray, form: str, y, design, batches) -> tuple:
     """Sum, sum of outer products and count of one population's process paths."""
-    paths = np.concatenate([est.process_paths(batch, population, grid, form, law=sc.law)
+    paths = np.concatenate([est.process_paths(batch, y, grid, form, law=sc.law)
                             for batch in batches])
     return paths.sum(axis=0), paths.T @ paths, sc.n_samples
 
@@ -438,7 +433,7 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     constants = dsg.design_constants(design)
     limit = asy.limit_covariance_matrix(constants, sc.law, form, grid)
     return ProcessCovarianceResult(
-        form=form, grid=grid, empirical=empirical, limit=limit, entry_se=entry_se,
+        empirical=empirical, limit=limit, entry_se=entry_se,
         max_abs_error=float(np.max(np.abs(empirical - limit))))
 
 
@@ -446,7 +441,7 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 # Normality diagnostics
 # ---------------------------------------------------------------------------
 
-def _statistic_values(sc: Scenario, statistic: str, center, scale, population, design,
+def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
                       batches) -> np.ndarray:
     """One population's replicated statistic, standardized.
 
@@ -458,8 +453,8 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, population, d
         # each row summed over its own entries, as the sample drawn alone
         vals = np.array([float(np.sum(row)) / sc.N for batch in batches
                          for row in np.split(batch.y / batch.pi, np.cumsum(batch.sizes)[:-1])])
-        center = float(np.mean(population.y))
-        scale = np.sqrt(max(orc.exact_sn2(design, population.y), 0.0))
+        center = float(np.mean(y))
+        scale = np.sqrt(max(orc.exact_sn2(design, y), 0.0))
         if scale <= 0.0:
             raise DiagnosticError("design variance of the weighted mean is zero")
     else:

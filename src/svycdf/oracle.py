@@ -125,26 +125,13 @@ class ConditionEntry:
     implied_constant: float
 
 
-@dataclass(eq=False)
-class ConditionReport:
-    """Numeric report on the correlation and entropy statistics of a design.
+def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
+    """Exact finite-N statistics behind the correlation and entropy bounds,
+    scaled by the expected size n = sum(pi), by name.
 
     The underlying requirements are asymptotic, so a single finite N can
     only exhibit numbers, never a verdict; each entry reports the exact
     statistic and the constant it implies.
-    """
-
-    entries: dict[str, ConditionEntry]
-    N: int
-    n: float
-
-    def __getitem__(self, key: str) -> ConditionEntry:
-        return self.entries[key]
-
-
-def check_conditions(enumerated: EnumeratedDesign) -> ConditionReport:
-    """Exact finite-N statistics behind the correlation and entropy bounds,
-    scaled by the expected size n = sum(pi).
 
     Reports max centered correlations of orders 2-4 with their implied
     constants, the averaged ratio sums (row-sum pair form, triple form,
@@ -239,7 +226,7 @@ def check_conditions(enumerated: EnumeratedDesign) -> ConditionReport:
         max_resid = float(resid.max()) if N > 1 else 0.0
         entries["pair_expansion_residual"] = ConditionEntry(
             max_resid, "|ratio + (1-pi_i)(1-pi_j)/d| <= C/d^2", max_resid * d**2)
-    return ConditionReport(entries=entries, N=N, n=n)
+    return entries
 
 
 def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
@@ -265,56 +252,52 @@ def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
     return t3, q4
 
 
-def _ratio_form(design_or_enum, a: np.ndarray) -> np.ndarray:
+def _ratio_form(design: dsg.Design, a: np.ndarray) -> np.ndarray:
     """a^T Delta a for ``a`` of shape (N, K), Delta_ij = (pi_ij - pi_i pi_j)/(pi_i pi_j).
 
-    Enumerated and rejective designs use their exact pairwise
-    probabilities (the N x N matrix).  Product designs have only the
-    diagonal (1 - pi_i)/pi_i, and srswor adds its constant off-diagonal
-    ratio (n - N)/(n (N - 1)), so neither forms an N x N matrix.
+    Rejective designs use their exact pairwise probabilities (the N x N
+    matrix).  Product designs have only the diagonal (1 - pi_i)/pi_i, and
+    srswor adds its constant off-diagonal ratio (n - N)/(n (N - 1)), so
+    neither forms an N x N matrix.
     """
-    if isinstance(design_or_enum, EnumeratedDesign):
-        pi, pi2 = design_or_enum.first_order(), design_or_enum.second_order()
-    elif design_or_enum.kind == "rejective":
-        pi, pi2 = dsg.first_order_pi(design_or_enum), dsg.second_order_pi(design_or_enum)
-    else:
-        design = design_or_enum
-        pi = dsg.first_order_pi(design)
-        form = a.T @ (a * ((1.0 - pi) / pi)[:, None])
-        if design.kind in ("bernoulli", "poisson"):
-            return form
-        N, n = design.N, design.size
-        c = (n - N) / (n * (N - 1)) if N > 1 else 0.0
-        col_sums = a.sum(axis=0)
-        return form + c * (np.outer(col_sums, col_sums) - a.T @ a)
-    ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
-    return a.T @ ratio @ a
+    pi = dsg.first_order_pi(design)
+    if design.kind == "rejective":
+        pi2 = dsg.second_order_pi(design)
+        ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
+        return a.T @ ratio @ a
+    form = a.T @ (a * ((1.0 - pi) / pi)[:, None])
+    if design.kind in ("bernoulli", "poisson"):
+        return form
+    N, n = design.N, design.size
+    c = (n - N) / (n * (N - 1)) if N > 1 else 0.0
+    col_sums = a.sum(axis=0)
+    return form + c * (np.outer(col_sums, col_sums) - a.T @ a)
 
 
-def exact_sn2(design_or_enum, v) -> float:
+def exact_sn2(design: dsg.Design, v) -> float:
     """Exact design variance of the inverse-probability mean of v.
 
     (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, the form of
     :func:`_ratio_form` with one column.
     """
     v = np.asarray(v, dtype=float)
-    N = design_or_enum.N
-    if v.shape != (N,):
+    if v.shape != (design.N,):
         raise ParameterError("v must have one entry per unit")
-    return float(_ratio_form(design_or_enum, v[:, None])[0, 0]) / N**2
+    return float(_ratio_form(design, v[:, None])[0, 0]) / design.N**2
 
 
-def sigma_matrix(design: dsg.Design, population: pop.Population, grid,
+def sigma_matrix(design: dsg.Design, y: np.ndarray, grid,
                  form: Literal["HT2", "HJ2"] = "HT2",
                  law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
     """Finite-N covariance matrix of the standardized weighted CDF on a grid.
 
     (n/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) a_i a_j^T with
-    a_i the vector of response indicators 1{y_i <= t_k} ("HT2") or the
-    indicators centered by the model CDF ("HJ2", requires ``law``).
+    a_i the vector of indicators 1{y_i <= t_k} of the population's responses
+    ``y`` ("HT2") or the indicators centered by the model CDF ("HJ2",
+    requires ``law``).
     """
     grid = np.asarray(grid, dtype=float)
-    a = (population.y[:, None] <= grid[None, :]).astype(float)
+    a = (y[:, None] <= grid[None, :]).astype(float)
     if form == "HJ2":
         if law is None:
             raise ParameterError("centered form requires the super-population law")

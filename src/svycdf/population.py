@@ -1,9 +1,9 @@
 """Super-population laws and finite population generation.
 
-A finite population holds the response values ``y`` of ``N`` units, drawn
-i.i.d. from a super-population law, for which the exact distribution
-function, density, generalized inverse and poverty rate are available in
-closed form.
+A finite population is its read-only array ``y`` of the responses of its
+``N = y.size`` units, drawn i.i.d. from a super-population law, for which
+the exact distribution function, density, generalized inverse and poverty
+rate are available in closed form.
 """
 
 from __future__ import annotations
@@ -67,25 +67,9 @@ class SuperPopulationLaw:
                    masses=tuple(float(m) for m in masses))
 
 
-@dataclass(frozen=True, eq=False)
-class Population:
-    """Realized finite population of ``N`` units."""
-
-    y: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if self.N < 1:
-            raise ParameterError("population size must be at least 1")
-        if y.shape != (self.N,):
-            raise ParameterError("y must have length N")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-
-
-def generate_population(law: SuperPopulationLaw, N: int, seed: int) -> Population:
-    """Draw a population of ``N`` i.i.d. responses from ``law``.
+def generate_population(law: SuperPopulationLaw, N: int, seed: int) -> np.ndarray:
+    """Draw a population of ``N`` i.i.d. responses from ``law``: a read-only
+    array of shape ``(N,)``, as draws gather from it and nothing may write it.
 
     Bitwise reproducible for fixed ``(law, N, seed)``.  Unequal-probability
     designs receive their inclusion probabilities directly, not from a
@@ -102,7 +86,8 @@ def generate_population(law: SuperPopulationLaw, N: int, seed: int) -> Populatio
         pts = np.asarray(law.points, dtype=float)
         idx = rng.choice(pts.size, size=N, p=np.asarray(law.masses, dtype=float))
         y = pts[idx]
-    return Population(y=y, N=N)
+    y.setflags(write=False)
+    return y
 
 
 def true_cdf(law: SuperPopulationLaw, t):

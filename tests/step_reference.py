@@ -12,8 +12,10 @@ The tests build their batches here: ``make_batch`` makes a read-only
 batches of one row each and ``stack`` joins batches row after row.
 ``row_error`` is the check a row of a batch fails, or None.
 
-More reference helpers of the tests live here: ``n_hat``, a row's
-inverse-probability population-size estimate, ``decomposition_paths``,
+More reference helpers of the tests live here: ``rejective_first_order``,
+the exact program's first-order probabilities of a rejective design with
+its suffix table built, ``n_hat``, a row's inverse-probability
+population-size estimate, ``decomposition_paths``,
 the terms G_pi and Y_N of the proof's decomposition of the self-normalized
 process, and ``hadamard_direction_value``, the directional derivative of
 the poverty rate functional, checked against finite differences.
@@ -152,22 +154,29 @@ def poverty_rate(f, alpha, beta):
     return float(f.evaluate(beta * quantile(f, alpha)))
 
 
+def rejective_first_order(p, n):
+    """A rejective design's first-order probabilities by the exact program
+    (``designs._rejective_first_order``), given the suffix table it reads."""
+    p = np.asarray(p, dtype=float)
+    return dsg._rejective_first_order(p, n, dsg._pb_forward(p[::-1], n))
+
+
 def n_hat(row):
     """Inverse-probability estimate of the population size, sum 1/pi."""
     return float(np.sum(1.0 / row.pi))
 
 
-def decomposition_paths(ht_values, row, population, grid, law):
-    """The proof's decomposition terms of a row on a grid, given its "HT"
-    CDF values there: the raw weighted centered sum
+def decomposition_paths(ht_values, row, y, grid, law):
+    """The proof's decomposition terms of a row of draws from the population
+    of responses ``y`` on a grid, given its "HT" CDF values there: the raw weighted centered sum
     G_pi = sqrt(n)/N sum (xi_i/pi_i)(1{Y_i<=t} - F(t)) and
     Y_N = sqrt(n)(F_HT - F_N) - sqrt(n)(N_hat/N - 1) F, so that
     sqrt(n)(HJ - F_N) = Y_N + (N/N_hat - 1) G_pi and
     sqrt(n)(HJ - F) = (N/N_hat) G_pi.  The standardization uses the
     design-expected size."""
-    root_n, ratio = np.sqrt(row.expected_n), n_hat(row) / population.N
+    root_n, ratio = np.sqrt(row.expected_n), n_hat(row) / y.size
     f = pop.true_cdf(law, grid)
-    f_n = est.empirical_cdf_values(population.y, grid)
+    f_n = est.empirical_cdf_values(y, grid)
     g_pi = root_n * (ht_values - ratio * f)
     y_n = root_n * (ht_values - f_n) - root_n * (ratio - 1.0) * f
     return g_pi, y_n

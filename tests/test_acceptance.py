@@ -195,10 +195,10 @@ def test_process_identities_pathwise():
         rng = substream(400 + k)
         popu = pop.generate_population(EXP1, N, seed=500 + k)
         design = factory(rng, N)
-        grid = np.concatenate([[0.0], np.quantile(popu.y, np.linspace(0.1, 0.9, 9)),
-                               [popu.y.max() + 1.0]])
+        grid = np.concatenate([[0.0], np.quantile(popu, np.linspace(0.1, 0.9, 9)),
+                               [popu.max() + 1.0]])
         for _ in range(draws_per_design):
-            sample = dsg.draw(design, [rng], popu.y)
+            sample = dsg.draw(design, [rng], popu)
             if sample.included.size == 0:
                 continue
             hj_fn = est.process_paths(sample, popu, grid, "HJ_vs_FN", law=EXP1)[0]

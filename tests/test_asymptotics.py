@@ -141,7 +141,7 @@ class TestPluginVariance:
     def test_census_matches_direct_formula(self):
         law = EXP1
         popu = pop.generate_population(law, 60, seed=51)
-        draw = dsg.draw(dsg.poisson(np.ones(60)), [substream(52)], popu.y)
+        draw = dsg.draw(dsg.poisson(np.ones(60)), [substream(52)], popu)
         c = constants(1.0, 0.0, -1.0)   # gamma1 = 1, gamma2 = -2 not used by HJ
         alpha, beta = 0.5, 0.6
         phi, av, errors = est.poverty_rate_estimates(draw, 60, c, alpha, beta)
@@ -162,7 +162,7 @@ class TestPluginVariance:
         law = EXP1
         popu = pop.generate_population(law, 400, seed=53)
         design = dsg.poisson(substream(54).uniform(0.2, 0.9, 400))
-        draw = dsg.draw(design, [substream(55)], popu.y)
+        draw = dsg.draw(design, [substream(55)], popu)
         c = dsg.design_constants(design)
         _, av, errors = est.poverty_rate_estimates(draw, 400, c, 0.5, 0.6)
         assert not errors
@@ -175,7 +175,7 @@ class TestPluginVariance:
         law = EXP1
         c = dsg.design_constants(dsg.srswor(200, 40))
         draws = ref.stack([dsg.draw(dsg.srswor(200, 40), [substream(seed, 7)],
-                                    pop.generate_population(law, 200, seed=seed).y)
+                                    pop.generate_population(law, 200, seed=seed))
                            for seed in range(30)])
         _, av, errors = est.poverty_rate_estimates(draws, 200, c, 0.5, 0.6)
         assert not errors

@@ -181,8 +181,15 @@ class TestSimulate:
         ({"law": {"kind": "exponential", "rate": True}}, "law.rate"),
         ({"law": {"kind": "exponential", "rate": "2"}}, "law.rate"),
         ({"beta": 10 ** 400}, "beta"),
+        ({"law": {"kind": "discrete", "points": ["1", 2, 3], "masses": [0.5, 0.25, 0.25]}},
+         "law.points[0]"),
+        ({"law": {"kind": "discrete", "points": [1, True, 3], "masses": [0.5, 0.25, 0.25]}},
+         "law.points[1]"),
+        ({"law": {"kind": "discrete", "points": [1, 2, 3], "masses": [0.5, 0.25, "0.25"]}},
+         "law.masses[2]"),
     ], ids=["beta-bool", "beta-string", "alpha-bool", "alpha-null", "rate-bool",
-            "rate-string", "beta-beyond-float"])
+            "rate-string", "beta-beyond-float", "points-string", "points-bool",
+            "masses-string"])
     def test_non_real_parameter_is_usage_error(self, runner, tmp_path, monkeypatch,
                                                overrides, key):
         ran = []
@@ -312,6 +319,30 @@ class TestSimulateFailures:
         assert result.exit_code == 2
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config is not valid UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config must be a JSON object"),
+        (json.dumps(minimal_config(law="exponential")), "law must be a JSON object"),
+        (json.dumps(minimal_config(law=None)), "law must be a JSON object"),
+        (json.dumps(minimal_config(designs=[])), "designs must be a non-empty list"),
+        (json.dumps(minimal_config(designs=["SI", "SI"])), "designs must be a non-empty list"),
+        (json.dumps(minimal_config(designs="SI")), "designs must be a non-empty list"),
+    ], ids=["top-level-array", "law-string", "law-null", "designs-empty",
+            "designs-repeated", "designs-string"])
+    def test_misshapen_config_is_usage_error(self, runner, tmp_path, monkeypatch, text,
+                                             message):
+        ran = []
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+        assert ran == []
         assert not out.exists()
 
     def test_output_below_a_file_is_runtime_error(self, runner, tmp_path, monkeypatch):
@@ -505,9 +536,13 @@ class TestOracleCommand:
         '{"kind":"poisson","pi":["a",0.5]}',
         '[1, 2]',
         '{"kind":"bernoulli","N":4,"p":"0.5"}',
+        '{"kind":"poisson","pi":["0.5",0.5,0.25]}',
+        '{"kind":"poisson","pi":[0.5,true,0.25]}',
+        '{"kind":"rejective","p":["0.2","0.5","0.4"],"n":1}',
     ], ids=["poisson-nan", "rejective-nan", "bernoulli-nan", "N-float", "n-bool",
             "bernoulli-N-float", "rejective-n-float", "missing-n", "non-numeric",
-            "not-an-object", "bernoulli-p-string"])
+            "not-an-object", "bernoulli-p-string", "poisson-pi-string", "poisson-pi-bool",
+            "rejective-p-string"])
     def test_invalid_design_is_usage_error(self, runner, tmp_path, spec):
         result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output

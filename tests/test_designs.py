@@ -316,7 +316,7 @@ class TestFirstOrder:
         # first_order_pi shares the design's suffix table with the sampler
         p = substream(7).uniform(0.05, 0.95, size=40)
         design = dsg.rejective(p, 12)
-        assert np.array_equal(dsg.first_order_pi(design), dsg._rejective_first_order(p, 12))
+        assert np.array_equal(dsg.first_order_pi(design), ref.rejective_first_order(p, 12))
         assert "suffix" in design._cache
 
     def test_calibrated_pi_is_the_dp(self):
@@ -324,7 +324,7 @@ class TestFirstOrder:
         target[:20] = 0.1
         design = dsg.calibrated_rejective(target, 8)
         pi = dsg.first_order_pi(design)
-        assert np.array_equal(pi, dsg._rejective_first_order(design.working_p, 8))
+        assert np.array_equal(pi, ref.rejective_first_order(design.working_p, 8))
         assert np.array_equal(pi, dsg.first_order_pi(dsg.rejective(design.working_p, 8)))
         assert np.max(np.abs(pi - target)) <= 1e-10
         assert np.array_equal(dsg.calibrate_rejective_p(target, 8), design.working_p)
@@ -345,7 +345,7 @@ def _assert_relabel_matches_rebuild(design, perm, seed):
     with mock.patch.object(dsg, "_rejective_first_order", side_effect=AssertionError):
         pi = dsg.first_order_pi(relabeled)
     assert "suffix" not in relabeled._cache and not pi.flags.writeable
-    reference = dsg._rejective_first_order(p[perm], n)
+    reference = ref.rejective_first_order(p[perm], n)
     assert np.allclose(pi, reference, rtol=1e-13, atol=0.0)
     got, want = dsg.design_constants(relabeled), dsg.design_constants(rebuilt)
     for name in ("lam", "mu1", "mu2", "d"):
@@ -521,7 +521,7 @@ class TestRejectiveDPOracles:
         for block_bytes in (8, row_bytes, 2 * row_bytes, 4 * row_bytes, 5 * row_bytes,
                             30 * row_bytes, dsg._BLOCK_BYTES):
             with mock.patch.object(dsg, "_BLOCK_BYTES", block_bytes):
-                assert np.array_equal(dsg._rejective_first_order(p, 7),
+                assert np.array_equal(ref.rejective_first_order(p, 7),
                                       leave_one_out_first_order(p, 7))
 
     @given(pb_cases())
@@ -554,7 +554,7 @@ class TestRejectiveDPOracles:
             warnings.simplefilter("error")
             assert pb_table(p, n)[12, n] == 0.0
             with pytest.raises(DegenerateDesignError, match="is zero"):
-                dsg._rejective_first_order(p, n)
+                ref.rejective_first_order(p, n)
             design = dsg.rejective(p, n)
             with pytest.raises(DegenerateDesignError, match="is zero"):
                 dsg.first_order_pi(design)
@@ -874,7 +874,7 @@ class TestCalibration:
         assert passes == exact.call_count               # one suffix table per exact pass
         # the residual logged is the exact program's
         assert np.array_equal(dsg.first_order_pi(design),
-                              dsg._rejective_first_order(design.working_p, n))
+                              ref.rejective_first_order(design.working_p, n))
         assert residual == float(np.max(np.abs(dsg.first_order_pi(design) - target)))
         assert record.getMessage() == (f"rejective calibration: {iterations} iterations "
                                        f"({passes} exact), residual {residual:.3e}")
@@ -932,7 +932,7 @@ def plain_calibration(target, n, tol=1e-10, max_iter=1000):
     p = t.copy()
     prev_resid = np.inf
     for _ in range(max_iter):
-        pi = dsg._rejective_first_order(p, n)
+        pi = ref.rejective_first_order(p, n)
         resid = float(np.max(np.abs(pi - t)))
         if resid <= tol:
             return p
@@ -954,7 +954,7 @@ def recursion_cases(draw):
                                          st.sampled_from(NEAR_CLIP[:2])),
                                min_size=N, max_size=N)))
     n = min(N - 1, max(1, round(float(p.sum()))))
-    pi = _dp_or_error(dsg._rejective_first_order, p, n)
+    pi = _dp_or_error(ref.rejective_first_order, p, n)
     assume(pi is not DegenerateDesignError)
     assume(np.all(pi > 0.0) and pi.max() <= dsg._RECURSION_MAX_TARGET)
     return p, n, pi
@@ -966,9 +966,9 @@ class TestRecursion:
 
     @given(recursion_cases())
     @example((np.array([0.02] * 20 + [0.08] * 20), 2,
-              dsg._rejective_first_order(np.array([0.02] * 20 + [0.08] * 20), 2)))
+              ref.rejective_first_order(np.array([0.02] * 20 + [0.08] * 20), 2)))
     @example((np.array([dsg._P_CLIP] * 6 + [0.5] * 4), 1,
-              dsg._rejective_first_order(np.array([dsg._P_CLIP] * 6 + [0.5] * 4), 1)))
+              ref.rejective_first_order(np.array([dsg._P_CLIP] * 6 + [0.5] * 4), 1)))
     @settings(max_examples=200, deadline=None)
     def test_matches_dp_below_bound(self, case):
         p, n, pi = case
@@ -994,7 +994,7 @@ class TestRecursion:
     def test_desk_split_matches_dp(self):
         N, n = 10000, 500
         p = mc._split_probabilities(N, n)
-        pi = dsg._rejective_first_order(p, n)
+        pi = ref.rejective_first_order(p, n)
         assert np.all(np.abs(dsg._recursive_first_order(p, n) - pi) <= 1e-13 * pi)
 
     def test_wrong_in_range_recursion_is_caught(self, monkeypatch):
@@ -1004,7 +1004,7 @@ class TestRecursion:
         # the cached pi is its value
         N, n = 100, 50
         p = np.random.default_rng(20260808).uniform(0.01, 0.7, N)
-        target = dsg._rejective_first_order(p, n)
+        target = ref.rejective_first_order(p, n)
         wrong = dsg._recursive_first_order(p, n)
         assert np.all((wrong > 0.0) & (wrong < 1.0))
         assert np.max(np.abs(wrong - target)) > 1e-8
@@ -1014,7 +1014,7 @@ class TestRecursion:
             design = dsg.calibrated_rejective(target, n)
         assert fast.call_count >= 2
         pi = dsg.first_order_pi(design)
-        assert np.array_equal(pi, dsg._rejective_first_order(design.working_p, n))
+        assert np.array_equal(pi, ref.rejective_first_order(design.working_p, n))
         assert np.max(np.abs(pi - target)) <= 1e-10
 
     @pytest.mark.parametrize("seed", [20260808, 7])

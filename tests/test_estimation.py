@@ -72,7 +72,7 @@ def path(draw, popu, grid, which, law=None):
 
 def decomposition(draw, popu, grid, law):
     """One draw's reference (G_pi, Y_N) from its "HT" CDF on the grid."""
-    return ref.decomposition_paths(cdf_at(draw, popu.N, "HT", grid), draw, popu, grid, law)
+    return ref.decomposition_paths(cdf_at(draw, popu.size, "HT", grid), draw, popu, grid, law)
 
 
 class TestWeightedStepFunction:
@@ -296,7 +296,7 @@ class TestKdeDensity:
     def test_hj_integrates_to_one(self):
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, 500, seed=11)
-        draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu.y)
+        draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu)
         f = ecdf(draw, 500, "HJ")
         bandwidth = 0.79 * (step_quantile(f, 0.75) - step_quantile(f, 0.25)) * 100 ** (-0.2)
         grid = np.linspace(-10.0, 30.0, 4001)
@@ -336,32 +336,32 @@ class TestProcessPath:
         law = pop.SuperPopulationLaw.exponential(1.0)
         popu = pop.generate_population(law, N, seed=seed)
         design = design or dsg.poisson(substream(seed, 1).uniform(0.15, 0.95, N))
-        draw = dsg.draw(design, [substream(seed, 2)], popu.y)
+        draw = dsg.draw(design, [substream(seed, 2)], popu)
         return law, popu, draw
 
     def test_census_process_vanishes(self):
         law = pop.SuperPopulationLaw.uniform01()
         popu = pop.generate_population(law, 30, seed=2)
-        draw = dsg.draw(dsg.poisson(np.ones(30)), [substream(3)], popu.y)
+        draw = dsg.draw(dsg.poisson(np.ones(30)), [substream(3)], popu)
         grid = np.linspace(0.0, 1.0, 9)
         assert np.allclose(path(draw, popu, grid, "HT_vs_FN"), 0.0, atol=1e-14)
 
     def test_decomposition_identity(self):
         # sqrt(n)(HJ - FN) = Y_N + (N/N_hat - 1) G_pi, pathwise
         law, popu, draw = self._population_and_draw(31)
-        grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
+        grid = np.quantile(popu, np.linspace(0.05, 0.95, 15))
         hj = path(draw, popu, grid, "HJ_vs_FN", law=law)
         g_pi, y_n = decomposition(draw, popu, grid, law)
-        ratio = popu.N / ref.n_hat(draw) - 1.0
+        ratio = popu.size / ref.n_hat(draw) - 1.0
         assert np.max(np.abs(hj - (y_n + ratio * g_pi))) <= 1e-10
 
     def test_ratio_identity(self):
         # sqrt(n)(HJ - F) = (N/N_hat) G_pi, pathwise
         law, popu, draw = self._population_and_draw(32)
-        grid = np.quantile(popu.y, np.linspace(0.05, 0.95, 15))
+        grid = np.quantile(popu, np.linspace(0.05, 0.95, 15))
         hj_f = path(draw, popu, grid, "HJ_vs_F", law=law)
         g_pi, _ = decomposition(draw, popu, grid, law)
-        assert np.max(np.abs(hj_f - (popu.N / ref.n_hat(draw)) * g_pi)) <= 1e-10
+        assert np.max(np.abs(hj_f - (popu.size / ref.n_hat(draw)) * g_pi)) <= 1e-10
 
     def test_g_pi_against_direct_sum(self):
         law, popu, draw = self._population_and_draw(33, N=40)
@@ -372,7 +372,7 @@ class TestProcessPath:
             total = 0.0
             for y, pi in zip(draw.y, draw.pi):
                 total += (float(y <= t) - pop.true_cdf(law, t)) / pi
-            assert g_pi[k] == pytest.approx(root_n * total / popu.N, abs=1e-10)
+            assert g_pi[k] == pytest.approx(root_n * total / popu.size, abs=1e-10)
 
     @pytest.mark.parametrize("which", ["HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F",
                                        "G_pi", "Y_N"])
@@ -382,27 +382,27 @@ class TestProcessPath:
         popu = pop.generate_population(law, 120, seed=36)
         design = dsg.poisson(substream(36, 1).uniform(0.1, 0.6, 120))
         batch = dsg.draw(design, [substream(36, 2, j) for j in range(12)],
-                         np.round(popu.y, 1))
+                         np.round(popu, 1))
         draws = ref.rows(batch)
         grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
         if which in ("G_pi", "Y_N"):
             # the reference decomposition term on the batch's "HT" CDF values
-            cdfs = est._valid_cdfs(batch, popu.N, ("HT",))
+            cdfs = est._valid_cdfs(batch, popu.size, ("HT",))
             ht = est._step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                                   np.broadcast_to(grid, (len(draws), grid.size)))
             got = np.array([ref.decomposition_paths(ht[j], draw, popu, grid, law)
                             [which == "Y_N"] for j, draw in enumerate(draws)])
         else:
             got = est.process_paths(batch, popu, grid, which, law=law)
-        fn, f = est.empirical_cdf_values(popu.y, grid), pop.true_cdf(law, grid)
+        fn, f = est.empirical_cdf_values(popu, grid), pop.true_cdf(law, grid)
         for draw, row in zip(draws, got):
             inv = 1.0 / draw.pi
             if which.startswith("HJ"):
                 f_hat = ref.StepFunction.from_points(draw.y, inv / inv.sum(),
                                                      total_mass=1.0)
             else:
-                f_hat = ref.StepFunction.from_points(draw.y, 1.0 / (popu.N * draw.pi))
-            root_n, ratio = np.sqrt(draw.expected_n), ref.n_hat(draw) / popu.N
+                f_hat = ref.StepFunction.from_points(draw.y, 1.0 / (popu.size * draw.pi))
+            root_n, ratio = np.sqrt(draw.expected_n), ref.n_hat(draw) / popu.size
             expected = {"HT_vs_FN": root_n * (f_hat(grid) - fn),
                         "HT_vs_F": root_n * (f_hat(grid) - f),
                         "HJ_vs_FN": root_n * (f_hat(grid) - fn),
@@ -460,7 +460,7 @@ def test_bad_beta_rejected(entry, beta):
 def test_census_rate_is_population_rate(law, N):
     # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1,
     # and census_poverty_rate, which must give the same bits
-    y = pop.generate_population(law, N, seed=N).y
+    y = pop.generate_population(law, N, seed=N)
     census = ref.make_row(y, np.ones(N))
     f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
     for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):

@@ -2,7 +2,6 @@
 
 import pickle
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ class TestPopulationLoop:
         sc = small_scenario(design="REJ", N=200, n=20, n_populations=3, n_samples=5)
         design = mc._scenario_design(sc)
         reduce = partial(mc._population_sums, sc, 0.3, np.full(2, np.nan))
-        task = pickle.loads(pickle.dumps(mc._PopulationTask(sc, design, reduce)))
+        task = pickle.loads(pickle.dumps(partial(mc._population_task, sc, design, reduce)))
         calls = {"_rejective_first_order": 0, "_pb_forward": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(dsg, name), **kwargs):
@@ -184,7 +183,7 @@ class TestPopulationLoop:
         sums = [task(i) for i in range(sc.n_populations)]
         assert calls == {"_rejective_first_order": 0, "_pb_forward": sc.n_populations}
         monkeypatch.undo()
-        assert all(np.array_equal(a, mc._PopulationTask(sc, design, reduce)(i))
+        assert all(np.array_equal(a, mc._population_task(sc, design, reduce, i))
                    for i, a in enumerate(sums))
 
     def test_calibrated_scenario_constants_are_the_dp(self):
@@ -443,8 +442,7 @@ class TestNormalityDiagnostic:
         batches.append(ref.make_batch([([], []), ([2.5], [0.25]), ([1e300, 3.0], [1e-3, 1.0])]))
         monkeypatch.setattr(mc.orc, "exact_sn2", lambda design, y: 1.0)
         sc = small_scenario(N=N, n=60)
-        got = mc._statistic_values(sc, "ht_mean", None, None, SimpleNamespace(y=np.zeros(3)),
-                                   design, batches)
+        got = mc._statistic_values(sc, "ht_mean", None, None, np.zeros(3), design, batches)
         expected = [float(np.sum(np.array(row.y) / np.array(row.pi))) / N
                     for batch in batches for row in ref.rows(batch)]
         assert len({row.y.size for batch in batches for row in ref.rows(batch)}) > 10

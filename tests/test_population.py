@@ -25,27 +25,37 @@ COIN = SuperPopulationLaw.discrete([1.0, 2.0], [0.5, 0.5])
 class TestGeneratePopulation:
     def test_point_mass(self):
         popu = generate_population(SuperPopulationLaw.discrete([5.0], [1.0]), 3, seed=123)
-        assert np.array_equal(popu.y, [5.0, 5.0, 5.0])
+        assert np.array_equal(popu, [5.0, 5.0, 5.0])
 
     def test_exponential_mean_band(self):
         # CLT band: mean of 10^4 Exp(1) draws within 5 sigma of 1
         popu = generate_population(EXP1, 10_000, seed=1)
-        assert 0.95 <= popu.y.mean() <= 1.05
+        assert 0.95 <= popu.mean() <= 1.05
 
     def test_uniform_support(self):
         popu = generate_population(UNIF, 4, seed=7)
-        assert np.all((popu.y >= 0.0) & (popu.y < 1.0))
+        assert np.all((popu >= 0.0) & (popu < 1.0))
 
     def test_bitwise_reproducible(self):
         a = generate_population(EXP1, 50, seed=99)
         b = generate_population(EXP1, 50, seed=99)
         c = generate_population(EXP1, 50, seed=100)
-        assert np.array_equal(a.y, b.y)
-        assert not np.array_equal(a.y, c.y)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_invalid_size(self):
         with pytest.raises(ParameterError):
             generate_population(EXP1, 0, seed=1)
+
+    @pytest.mark.parametrize("law", [EXP1, UNIF, COIN], ids=["exponential", "uniform01",
+                                                           "discrete"])
+    def test_responses_are_read_only(self, law):
+        # draws gather from the responses, and no kernel may write them
+        y = generate_population(law, 7, seed=3)
+        assert y.shape == (7,) and y.dtype == np.float64
+        assert not y.flags.writeable
+        with pytest.raises(ValueError):
+            y[0] = 1.0
 
 
 class TestLawValidation:

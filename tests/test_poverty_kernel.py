@@ -352,7 +352,7 @@ def desk_population(design, n_samples):
                      alpha=0.5, beta=0.6, n_populations=1, n_samples=n_samples, seed=17)
     population = pop.generate_population(sc.law, sc.N, child_seed(sc.seed, 0, 0))
     design_obj = mc._population_design(sc, 0, mc._scenario_design(sc))
-    return sc, design_obj, list(mc._population_batches(sc, 0, design_obj, population.y))
+    return sc, design_obj, list(mc._population_batches(sc, 0, design_obj, population))
 
 
 class TestKernelOracle:
