@@ -15,7 +15,11 @@ not UTF-8 included), 3 runtime failure (including an output path that
 cannot be written, and a broken worker pool or running out of memory in
 ``simulate``).
 The result tables are byte-identical for a fixed config and seed; the
-manifest additionally records wall-clock timings and is not.
+manifest additionally records wall-clock timings and is not.  A scenario's
+``timings_seconds`` entry is its own time in this process: building its
+design, plus waiting for and reducing its populations' results.  Scenarios
+overlap in the worker pool, so an entry never counts another scenario's
+populations, and the entries add up to at most the run's wall time.
 """
 
 from __future__ import annotations

@@ -24,13 +24,17 @@ in sample order, then populations), so reports are bitwise reproducible
 for any worker count.
 
 A run opens at most one process pool: :func:`run_scenarios` shares it
-across a whole grid of scenarios, and each diagnostic opens its own.  Each
-scenario sends its populations to the pool one task per population, and the
-pool is closed before the run returns, also on error.  A task draws the
-population's responses ``y`` and its design, and hands them with the
-population's batches of draws to the job's reducer, ``reduce(y, design,
-batches)``: the array of sums above, the process path sums, or the
-standardized statistic of a normality diagnostic.
+across a whole grid of scenarios, and each diagnostic opens its own.  The
+grid is pipelined: as soon as a scenario's design is ready, its populations
+go to the pool in contiguous chunks of ceil(P / (2 * pool size)) of its P
+populations, without waiting for earlier scenarios to finish; only then are
+the scenarios' results reduced, each in population order.  A run on one
+worker takes the same lazy map in this process.  The pool is closed before
+the run returns; on error, chunks still queued are cancelled first.  A
+population draws its responses ``y`` and its design, and hands them with
+its batches of draws to the job's reducer, ``reduce(y, design, batches)``:
+the array of sums above, the process path sums, or the standardized
+statistic of a normality diagnostic.
 """
 
 from __future__ import annotations
@@ -274,36 +278,40 @@ def pool_size(workers: int) -> int:
 
 
 @contextmanager
-def _process_pool(workers: int, tasks: int) -> Iterator[ProcessPoolExecutor | None]:
-    """A pool of min(``workers``, available CPUs, ``tasks``) processes for
-    the ``with`` block, or ``None`` when that is 1; the pool is shut down
-    when the block exits, also on error.
+def _process_pool(workers: int, tasks: int) -> Iterator[Callable]:
+    """A lazy ``pmap(task, count)`` over ``task(0), ..., task(count - 1)``,
+    in index order, on a pool of min(``workers``, available CPUs, ``tasks``)
+    processes for the ``with`` block, or in this process when that is 1.
 
-    The pool is silently bounded; the warning for an oversized request is
-    :func:`pool_size`'s.
+    Each call queues its tasks at once, in contiguous chunks of
+    ceil(count / (2 * pool size)) so every worker gets about two hand-offs,
+    and returns without waiting.  The pool is shut down when the block
+    exits; on error (also ``KeyboardInterrupt``) its queued chunks are
+    cancelled first.  The pool is silently bounded; the warning for an
+    oversized request is :func:`pool_size`'s.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     size = min(workers, _available_cpus(), tasks)
     if size == 1:
-        yield None
+        yield lambda task, count: map(task, range(count))
         return
     with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
+        try:
+            yield lambda task, count: pool.map(
+                task, range(count), chunksize=math.ceil(count / (2 * size)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
-                     pool: ProcessPoolExecutor | None) -> list:
+                     pmap: Callable) -> Iterator:
     """``reduce(y, design, batches)`` for every population of the scenario,
-    in index order; ``design`` is the scenario's unpermuted design.
-
-    With a ``pool`` from :func:`_process_pool`, each population is one
-    pool task; ``None`` runs them in this process.
-    """
-    task = partial(_population_task, sc, design, reduce)
-    if pool is None:
-        return [task(i) for i in range(sc.n_populations)]
-    return list(pool.map(task, range(sc.n_populations)))
+    lazily in index order; ``design`` is the scenario's unpermuted design
+    and ``pmap`` the map of :func:`_process_pool`, which queues the
+    populations in chunks before this returns."""
+    return pmap(partial(_population_task, sc, design, reduce), sc.n_populations)
 
 
 def _percent(total: float, count: float) -> float:
@@ -324,11 +332,16 @@ def run_scenarios(scenarios: Sequence[Scenario], workers: int = 1) -> list[Monte
 
     The whole grid shares one pool of min(``workers``, available CPUs,
     largest ``n_populations``) processes, which is closed before this
-    returns.  Each report is that of :func:`run_scenario`.
+    returns.  Each scenario's populations are queued as soon as its design
+    is built, before any result is reduced, so a setup error (a failed REJ
+    calibration) of a later scenario surfaces before a failure-budget error
+    of an earlier one, with any worker count.  Each report is that of
+    :func:`run_scenario`.
     """
     tasks = max((sc.n_populations for sc in scenarios), default=1)
-    with _process_pool(workers, tasks) as pool:
-        return [_scenario_report(sc, pool) for sc in scenarios]
+    with _process_pool(workers, tasks) as pmap:
+        queued = [_queue_scenario(sc, pmap) for sc in scenarios]
+        return [_scenario_report(*q) for q in queued]
 
 
 def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
@@ -340,12 +353,16 @@ def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
     asymptotic variance; coverage counts 95% Wald intervals containing
     the target.  Cells where an estimator is undefined are counted and
     excluded; past a 1% failure share the scenario errors out.
+    ``timing_seconds`` is the scenario's own time: its setup plus the wait
+    for and reduction of its populations' results.
     """
     return run_scenarios([sc], workers)[0]
 
 
-def _scenario_report(sc: Scenario, pool: ProcessPoolExecutor | None) -> MonteCarloReport:
-    """:func:`run_scenario` on an open pool (or ``None``)."""
+def _queue_scenario(sc: Scenario, pmap: Callable) -> tuple:
+    """Build the scenario's design and reference variances and queue its
+    populations on ``pmap``; returns the scenario, its lazy per-population
+    sums and the seconds this took."""
     start = time.perf_counter()
     phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
     design = _scenario_design(sc)
@@ -355,8 +372,15 @@ def _scenario_report(sc: Scenario, pool: ProcessPoolExecutor | None) -> MonteCar
     else:
         av_ref = np.array([asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta, e)
                            for e in ESTIMATORS])
-    per_pop = np.stack(_map_populations(
-        sc, design, partial(_population_sums, sc, phi_f, av_ref), pool))
+    sums = _map_populations(sc, design, partial(_population_sums, sc, phi_f, av_ref), pmap)
+    return sc, sums, time.perf_counter() - start
+
+
+def _scenario_report(sc: Scenario, sums: Iterator, setup_seconds: float) -> MonteCarloReport:
+    """The report of :func:`run_scenario` from the scenario's queued
+    per-population ``sums``."""
+    start = time.perf_counter()
+    per_pop = np.stack(list(sums))
     total = _ordered_sum(per_pop)
 
     n_cells = sc.n_populations * sc.n_samples
@@ -390,7 +414,7 @@ def _scenario_report(sc: Scenario, pool: ProcessPoolExecutor | None) -> MonteCar
         scenario=sc, rb_phi=rb_phi, rb_phi_se=rb_phi_se, rb_av=rb_av,
         rb_av_se=rb_av_se, coverage=coverage, mc_variance=mc_variance,
         n_cells=n_cells, n_failures=n_failures,
-        timing_seconds=time.perf_counter() - start)
+        timing_seconds=setup_seconds + time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +445,9 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     standard errors (per-population cluster estimate)."""
     design = _scenario_design(sc)
     grid = np.asarray(grid, dtype=float)
-    with _process_pool(workers, sc.n_populations) as pool:
-        per_pop = _map_populations(sc, design, partial(_process_sums, sc, grid, form), pool)
+    with _process_pool(workers, sc.n_populations) as pmap:
+        per_pop = list(_map_populations(sc, design, partial(_process_sums, sc, grid, form),
+                                        pmap))
     count = sum(c for _, _, c in per_pop)
     mean = sum(v for v, _, _ in per_pop) / count
     second = sum(o for _, o, _ in per_pop) / count
@@ -509,7 +534,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
         if sigma2 <= 0.0:
             raise DiagnosticError("asymptotic variance is zero")
         scale = np.sqrt(sigma2 / sc.n)
-    with _process_pool(workers, sc.n_populations) as pool:
-        z_parts = _map_populations(
-            sc, design, partial(_statistic_values, sc, statistic, center, scale), pool)
+    with _process_pool(workers, sc.n_populations) as pmap:
+        z_parts = list(_map_populations(
+            sc, design, partial(_statistic_values, sc, statistic, center, scale), pmap))
     return _shape_statistics(np.concatenate(z_parts))

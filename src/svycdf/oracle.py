@@ -139,7 +139,9 @@ def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
     inclusion-probability range, and the entropy scale d = sum pi(1 - pi).
     When d > 0, whatever the design, the ratios of n and N to d and the
     residual of the pairwise-ratio expansion are added.  Third and fourth
-    order sweeps require N <= 14.
+    order sweeps require N <= 14.  The entries divide by n^2, d^2 and
+    products of up to four inclusion probabilities, so a design where one
+    of these underflows to 0 is a :class:`ParameterError`.
 
     The orders 3 and 4 come from the pair moments T3 and Q4 of the
     centered indicators (``_pair_moments``): a maximum runs over k outside
@@ -158,6 +160,14 @@ def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
     n = float(pi.sum())
     if n <= 0:
         raise ParameterError("expected size must be positive")
+    # every product of up to four inclusion probabilities is at least the
+    # smallest pi to the fourth power
+    d = float(np.sum(pi * (1.0 - pi)))
+    smallest = float(pi.min())
+    for name, value in (("n**2", n * n), ("d**2", d * d if d > 0.0 else 1.0),
+                        ("pi_i * pi_j * pi_k * pi_l", (smallest * smallest)**2)):
+        if value == 0.0:
+            raise ParameterError(f"{name} underflows to 0; the condition report is undefined")
     entries: dict[str, ConditionEntry] = {}
 
     ratio_scaled = N * pi / n
@@ -210,7 +220,6 @@ def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
     entries["quad_centered_sum_absolute"] = ConditionEntry(
         absolute, "(n^2/N^4) sum |E prod| / pi^4 <= K", absolute)
 
-    d = float(np.sum(pi * (1.0 - pi)))
     entries["entropy_scale"] = ConditionEntry(d, "d -> infinity", d)
     if d > 0.0:
         entries["size_over_entropy"] = ConditionEntry(n / d, "n/d = O(1)", n / d)

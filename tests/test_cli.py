@@ -433,7 +433,7 @@ class TestSharedPool:
         pooled, pooled_out = self._run(runner, tmp_path, "pooled", cfg, 2)
         assert pooled.exit_code == 0, pooled.output
         assert _SerialPool.sizes == [2]
-        assert _SerialPool.chunksizes == [1] * 4     # one task per population
+        assert _SerialPool.chunksizes == [2] * 4     # ceil(5 / (2 * 2))
         assert _SerialPool.exits == [None]
         for name in TABLES:
             assert (pooled_out / name).read_bytes() == (serial_out / name).read_bytes()
@@ -547,6 +547,19 @@ class TestOracleCommand:
         result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ")
+        assert not (tmp_path / "conditions.csv").exists()
+
+    @pytest.mark.parametrize("spec, quantity", [
+        ('{"kind":"bernoulli","N":3,"p":1e-320}', "n**2"),
+        ('{"kind":"rejective","p":[1e-300,0.5,0.5],"n":2}', "d**2"),
+        ('{"kind":"poisson","pi":[1e-320,0.5]}', "pi_i * pi_j"),
+    ], ids=["bernoulli-size-squared", "rejective-entropy-squared", "poisson-pair-product"])
+    def test_underflowing_divisor_is_usage_error(self, runner, tmp_path, spec, quantity):
+        # the report divides by each quantity; once it is 0 no row is defined
+        result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {quantity}")
         assert not (tmp_path / "conditions.csv").exists()
 
     def test_size_beyond_float_range_is_runtime_error(self, runner, tmp_path):

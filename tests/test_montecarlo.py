@@ -1,6 +1,8 @@
 """Monte Carlo harness: reproducibility, degenerate laws, diagnostics."""
 
+import multiprocessing
 import pickle
+import time
 from functools import partial
 
 import numpy as np
@@ -195,30 +197,74 @@ class TestPopulationLoop:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, chunk sizes and
-    exits, runs the tasks in order in-process."""
+    """Stands in for ProcessPoolExecutor without starting a process.
+
+    Like the real pool, ``map`` queues its chunks at once and returns a lazy
+    iterator in index order.  A chunk runs in this process when the iterator
+    first reaches it, or when the pool shuts down with ``wait``, unless a
+    shutdown with ``cancel_futures`` dropped it first.  Records the pool
+    sizes, the chunk sizes of the ``map`` calls, the chunks that ran and were
+    cancelled, each as (``map`` call, first index), and the exits.
+    """
 
     sizes: list = []
     chunksizes: list = []
+    ran: list = []
+    cancelled: list = []
     exits: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.queued = {}        # chunk -> (fn, items), in queue order
+        self.done = {}          # chunk -> results
 
     @classmethod
     def reset(cls):
-        cls.sizes, cls.chunksizes, cls.exits = [], [], []
+        cls.sizes, cls.chunksizes, cls.ran, cls.cancelled, cls.exits = [], [], [], [], []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.shutdown(wait=True)
         self.exits.append(exc[0])
         return False
 
+    def _run(self, chunk):
+        fn, items = self.queued.pop(chunk)
+        self.ran.append(chunk)
+        self.done[chunk] = [fn(item) for item in items]
+
     def map(self, fn, items, chunksize=1):
+        call = len(self.chunksizes)
         self.chunksizes.append(chunksize)
-        return [fn(item) for item in items]
+        items = list(items)
+        chunks = [(call, i) for i in range(0, len(items), chunksize)]
+        for chunk in chunks:
+            self.queued[chunk] = (fn, items[chunk[1]:chunk[1] + chunksize])
+
+        def results():
+            for chunk in chunks:
+                if chunk in self.queued:
+                    self._run(chunk)
+                yield from self.done.pop(chunk)
+        return results()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            self.cancelled.extend(self.queued)
+            self.queued.clear()
+        while wait and self.queued:
+            self._run(next(iter(self.queued)))
+
+
+class _FixedChunkPool(_SerialPool):
+    """A :class:`_SerialPool` that cuts every ``map`` into chunks of ``chunk``."""
+
+    chunk = 1
+
+    def map(self, fn, items, chunksize=1):
+        return super().map(fn, items, self.chunk)
 
 
 def _cpus(monkeypatch, count):
@@ -253,7 +299,7 @@ class TestPoolSize:
         with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
             capped = mc.run_scenario(sc, workers=64)
         assert _SerialPool.sizes == [3]
-        assert _SerialPool.chunksizes == [1]     # one task per population
+        assert _SerialPool.chunksizes == [1]     # ceil(5 / (2 * 3))
         assert "capping" not in caplog.text
         serial = mc.run_scenario(sc, workers=1)
         assert report_hex(capped) == report_hex(serial)
@@ -268,15 +314,18 @@ class TestPoolSize:
 class TestSharedPool:
     def test_grid_shares_one_pool(self, monkeypatch):
         # sized by the largest scenario; each scenario maps its own populations
+        # in contiguous chunks of ceil(P / (2 * 4))
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
         _cpus(monkeypatch, 4)
         _SerialPool.reset()
-        grid = [small_scenario(n_populations=5, n_samples=3),
+        grid = [small_scenario(n_populations=9, n_samples=3),
                 small_scenario(design="PO", n_populations=2, n_samples=3),
                 small_scenario(design="BE", N=500, n=120, n_populations=3, n_samples=3)]
         shared = mc.run_scenarios(grid, workers=4)
         assert _SerialPool.sizes == [4]
-        assert _SerialPool.chunksizes == [1, 1, 1]   # one task per population
+        assert _SerialPool.chunksizes == [2, 1, 1]
+        assert _SerialPool.ran == [(0, i) for i in range(0, 9, 2)] + [(1, 0), (1, 1)] + [
+            (2, 0), (2, 1), (2, 2)]
         assert _SerialPool.exits == [None]
         serial = mc.run_scenarios(grid, workers=1)
         assert [report_hex(r) for r in shared] == [report_hex(r) for r in serial]
@@ -300,6 +349,73 @@ class TestSharedPool:
             mc.run_scenarios(grid, workers=2)
         assert _SerialPool.sizes == [2]
         assert _SerialPool.exits == [ScenarioError]
+
+    def test_queued_chunks_cancelled_on_error(self, monkeypatch):
+        # the first scenario exceeds the failure budget while the chunks of the
+        # two after it are queued: they are cancelled, never run
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        grid = [small_scenario(design="BE", N=30, n=2, n_populations=4, n_samples=12),
+                small_scenario(n_populations=4, n_samples=3),
+                small_scenario(design="PO", n_populations=2, n_samples=3)]
+        with pytest.raises(ScenarioError, match="budget"):
+            mc.run_scenarios(grid, workers=2)
+        assert _SerialPool.chunksizes == [1, 1, 1]
+        assert _SerialPool.ran == [(0, i) for i in range(4)]
+        assert _SerialPool.cancelled == [(1, i) for i in range(4)] + [(2, 0), (2, 1)]
+        assert _SerialPool.exits == [ScenarioError]
+
+    def test_queued_chunks_cancelled_on_interrupt(self, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(mc, "_population_sums", interrupt)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        grid = [small_scenario(n_populations=4, n_samples=3),
+                small_scenario(design="PO", n_populations=2, n_samples=3)]
+        with pytest.raises(KeyboardInterrupt):
+            mc.run_scenarios(grid, workers=2)
+        assert _SerialPool.ran == [(0, 0)]
+        assert _SerialPool.cancelled == [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
+        assert _SerialPool.exits == [KeyboardInterrupt]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 6])
+    def test_reports_invariant_to_chunk_size(self, monkeypatch, chunk):
+        grid = [small_scenario(n_populations=6, n_samples=3),
+                small_scenario(design="PO", n_populations=6, n_samples=3),
+                small_scenario(design="REJ", N=120, n=20, n_populations=6, n_samples=3)]
+        serial = mc.run_scenarios(grid, workers=1)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _FixedChunkPool)
+        monkeypatch.setattr(_FixedChunkPool, "chunk", chunk)
+        _cpus(monkeypatch, 2)
+        _SerialPool.reset()
+        chunked = mc.run_scenarios(grid, workers=2)
+        assert _SerialPool.ran == [(call, i) for call in range(3) for i in range(0, 6, chunk)]
+        assert [report_hex(r) for r in chunked] == [report_hex(r) for r in serial]
+
+    def test_real_pool_reports_match_serial(self):
+        # two real workers, chunks of ceil(5 / 4) = 2 populations
+        grid = [small_scenario(n_populations=5, n_samples=3),
+                small_scenario(design="PO", n_populations=5, n_samples=3),
+                small_scenario(design="REJ", N=120, n=20, n_populations=5, n_samples=3)]
+        serial = mc.run_scenarios(grid, workers=1)
+        pooled = mc.run_scenarios(grid, workers=2)
+        assert multiprocessing.active_children() == []
+        assert [report_hex(r) for r in pooled] == [report_hex(r) for r in serial]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timings_add_up_to_at_most_the_wall_time(self, workers):
+        # a scenario's time is its own setup and reduce, never another's work
+        grid = [small_scenario(n_populations=4, n_samples=3),
+                small_scenario(design="REJ", N=120, n=20, n_populations=4, n_samples=3),
+                small_scenario(design="BE", n_populations=4, n_samples=3)]
+        start = time.perf_counter()
+        reports = mc.run_scenarios(grid, workers=workers)
+        wall = time.perf_counter() - start
+        assert all(r.timing_seconds > 0.0 for r in reports)
+        assert sum(r.timing_seconds for r in reports) <= wall
 
     def test_diagnostics_open_their_own_pool(self, monkeypatch):
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
