@@ -156,12 +156,10 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
             run_seed = _integral(cfg["seed"], "seed") if seed is None else seed
             alpha = _real(cfg.get("alpha", 0.5), "alpha")
             beta = _real(cfg.get("beta", 0.6), "beta")
-        except (KeyError, TypeError) as exc:
+        except ParameterError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad config field: {exc!r}") from exc
-        except ValueError as exc:
-            if isinstance(exc, ParameterError):
-                raise
-            raise ParameterError(f"bad config field: {exc}") from exc
         if not cells:
             raise ParameterError("config must list at least one (N, n) cell")
         workers = mc.pool_size(workers)
@@ -179,29 +177,18 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         out.mkdir(parents=True, exist_ok=True)
         reports = dict(zip(scenarios, mc.run_scenarios(list(scenarios.values()), workers)))
 
-        cell_cols = [_cell_header(c) for c in cells]
-
-        rb_rows, cov_rows, av_rows = [], [], []
-        for design in designs:
-            for estimator in mc.ESTIMATORS:
-                for center in mc.CENTERS:
-                    key = (estimator, center)
-                    rb_rows.append([design, estimator, center] + [
-                        _fmt(reports[(design, ci)].rb_phi[key]) for ci in range(len(cells))])
-                    cov_rows.append([design, estimator, center] + [
-                        _fmt(reports[(design, ci)].coverage[key]) for ci in range(len(cells))])
-                av_rows.append([design, estimator] + [
-                    _fmt(reports[(design, ci)].rb_av[estimator]) for ci in range(len(cells))])
-
-        paths = {
-            "rb_estimators": out / "rb_estimators.csv",
-            "rb_variance": out / "rb_variance.csv",
-            "coverage": out / "coverage.csv",
-        }
-        written.extend(paths.values())
-        _write_csv(paths["rb_estimators"], ["design", "estimator", "center"] + cell_cols, rb_rows)
-        _write_csv(paths["rb_variance"], ["design", "estimator"] + cell_cols, av_rows)
-        _write_csv(paths["coverage"], ["design", "estimator", "center"] + cell_cols, cov_rows)
+        by_center = [(e, c) for e in mc.ESTIMATORS for c in mc.CENTERS]
+        # (file name, report field, key columns, row keys); a row per design and key
+        tables = [("rb_estimators.csv", "rb_phi", ["estimator", "center"], by_center),
+                  ("rb_variance.csv", "rb_av", ["estimator"], mc.ESTIMATORS),
+                  ("coverage.csv", "coverage", ["estimator", "center"], by_center)]
+        written.extend(out / name for name, *_ in tables)
+        for name, field, key_cols, keys in tables:
+            rows = [[design, *(key if isinstance(key, tuple) else [key])]
+                    + [_fmt(getattr(reports[design, ci], field)[key])
+                       for ci in range(len(cells))]
+                    for design in designs for key in keys]
+            _write_csv(out / name, ["design", *key_cols, *map(_cell_header, cells)], rows)
 
         manifest = {
             "seed": run_seed,

@@ -24,11 +24,12 @@ in sample order, then populations), so reports are bitwise reproducible
 for any worker count.
 
 A run opens at most one process pool: :func:`run_scenarios` shares it
-across a whole grid of scenarios, and each diagnostic opens its own.  The
-grid is pipelined: as soon as a scenario's design is ready, its populations
-go to the pool in contiguous chunks of ceil(P / (2 * pool size)) of its P
-populations, without waiting for earlier scenarios to finish; only then are
-the scenarios' results reduced, each in population order.  A run on one
+across a whole grid of scenarios, and each diagnostic opens its own in
+:func:`_population_results`.  The grid is pipelined: as soon as a
+scenario's design is ready, its populations go to the pool in contiguous
+chunks of ceil(P / (2 * pool size)) of its P populations, without waiting
+for earlier scenarios to finish; only then are the scenarios' results
+reduced, each in population order.  A run on one
 worker takes the same lazy map in this process.  The pool is closed before
 the run returns; on error, chunks still queued are cancelled first.  A
 population draws its responses ``y`` and its design, and hands them with
@@ -76,6 +77,11 @@ FAILURE_BUDGET = 0.01
 #: inclusion probabilities of the unequal-probability split, as multiples of n/N
 PO_LOW, PO_HIGH = 0.4, 1.6
 
+#: largest population size N.  A worker holds the population, its PO/REJ
+#: design and a permutation: about four N-length 8-byte arrays, 512 MiB at
+#: the bound
+MAX_POPULATION_UNITS = 2**24
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -94,9 +100,8 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.n <= self.N:
             raise ScenarioError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
-        # a population is N float64; numpy cannot address an array past intp
-        if 8 * self.N > np.iinfo(np.intp).max:
-            raise ScenarioError(f"N={self.N} float64 values exceed the largest numpy array")
+        if self.N > MAX_POPULATION_UNITS:
+            raise ScenarioError(f"N={self.N} exceeds the bound {MAX_POPULATION_UNITS}")
         if self.n_populations < 1 or self.n_samples < 1:
             raise ScenarioError("replication counts must be at least 1")
         if self.n_samples > 2**32:      # a sample's stream index is one 32-bit word
@@ -305,13 +310,11 @@ def _process_pool(workers: int, tasks: int) -> Iterator[Callable]:
             raise
 
 
-def _map_populations(sc: Scenario, design: dsg.Design, reduce: Callable,
-                     pmap: Callable) -> Iterator:
-    """``reduce(y, design, batches)`` for every population of the scenario,
-    lazily in index order; ``design`` is the scenario's unpermuted design
-    and ``pmap`` the map of :func:`_process_pool`, which queues the
-    populations in chunks before this returns."""
-    return pmap(partial(_population_task, sc, design, reduce), sc.n_populations)
+def _population_results(sc: Scenario, design: dsg.Design, reduce: Callable, workers: int):
+    """``reduce(y, design, batches)`` for every population of a diagnostic's
+    scenario, in index order, on its own pool of :func:`_process_pool`."""
+    with _process_pool(workers, sc.n_populations) as pmap:
+        return list(pmap(partial(_population_task, sc, design, reduce), sc.n_populations))
 
 
 def _percent(total: float, count: float) -> float:
@@ -359,20 +362,26 @@ def run_scenario(sc: Scenario, workers: int = 1) -> MonteCarloReport:
     return run_scenarios([sc], workers)[0]
 
 
+def _model_targets(sc: Scenario, design: dsg.Design) -> tuple[float, np.ndarray]:
+    """The model rate F(beta F^-1(alpha)) and the asymptotic variance of each
+    estimator under the scenario's ``design``; NaN variances for a discrete
+    law, which has no density."""
+    phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
+    if sc.law.kind == "discrete":
+        return phi_f, np.full(len(ESTIMATORS), np.nan)
+    constants = dsg.design_constants(design)
+    return phi_f, np.array([asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta, e)
+                            for e in ESTIMATORS])
+
+
 def _queue_scenario(sc: Scenario, pmap: Callable) -> tuple:
     """Build the scenario's design and reference variances and queue its
-    populations on ``pmap``; returns the scenario, its lazy per-population
-    sums and the seconds this took."""
+    populations on ``pmap``, the map of :func:`_process_pool`; returns the
+    scenario, its lazy per-population sums and the seconds this took."""
     start = time.perf_counter()
-    phi_f = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
     design = _scenario_design(sc)
-    constants = dsg.design_constants(design)
-    if sc.law.kind == "discrete":
-        av_ref = np.full(len(ESTIMATORS), np.nan)   # no density: variance RB undefined
-    else:
-        av_ref = np.array([asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta, e)
-                           for e in ESTIMATORS])
-    sums = _map_populations(sc, design, partial(_population_sums, sc, phi_f, av_ref), pmap)
+    reduce = partial(_population_sums, sc, *_model_targets(sc, design))
+    sums = pmap(partial(_population_task, sc, design, reduce), sc.n_populations)
     return sc, sums, time.perf_counter() - start
 
 
@@ -406,10 +415,11 @@ def _scenario_report(sc: Scenario, sums: Iterator, setup_seconds: float) -> Mont
                 f"{e} failed in {n_failures[e]} of {n_cells} cells "
                 f"(> {FAILURE_BUDGET:.0%} budget)")
     if sc.law.kind == "exponential":
-        positives = [k for k, v in rb_phi.items() if np.isfinite(v) and v > 0.0]
+        # NaN compares false: a single-population scenario has no SE
+        positives = [k for k, v in rb_phi.items() if v > 3.0 * rb_phi_se[k]]
         if positives:
-            logger.warning("positive relative bias for %s (typically negative "
-                           "for exponential populations)", positives)
+            logger.warning("relative bias more than 3 Monte Carlo SE above zero for %s "
+                           "(typically negative for exponential populations)", positives)
     return MonteCarloReport(
         scenario=sc, rb_phi=rb_phi, rb_phi_se=rb_phi_se, rb_av=rb_av,
         rb_av_se=rb_av_se, coverage=coverage, mc_variance=mc_variance,
@@ -432,10 +442,11 @@ class ProcessCovarianceResult:
 
 
 def _process_sums(sc: Scenario, grid: np.ndarray, form: str, y, design, batches) -> tuple:
-    """Sum, sum of outer products and count of one population's process paths."""
+    """Sum and sum of outer products of one population's ``n_samples``
+    process paths."""
     paths = np.concatenate([est.process_paths(batch, y, grid, form, law=sc.law)
                             for batch in batches])
-    return paths.sum(axis=0), paths.T @ paths, sc.n_samples
+    return paths.sum(axis=0), paths.T @ paths
 
 
 def process_covariance_check(sc: Scenario, grid, form: str,
@@ -445,14 +456,12 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     standard errors (per-population cluster estimate)."""
     design = _scenario_design(sc)
     grid = np.asarray(grid, dtype=float)
-    with _process_pool(workers, sc.n_populations) as pmap:
-        per_pop = list(_map_populations(sc, design, partial(_process_sums, sc, grid, form),
-                                        pmap))
-    count = sum(c for _, _, c in per_pop)
-    mean = sum(v for v, _, _ in per_pop) / count
-    second = sum(o for _, o, _ in per_pop) / count
+    per_pop = _population_results(sc, design, partial(_process_sums, sc, grid, form), workers)
+    count = sc.n_populations * sc.n_samples
+    mean = sum(v for v, _ in per_pop) / count
+    second = sum(o for _, o in per_pop) / count
     empirical = second - np.outer(mean, mean)
-    pop_means = np.array([o / c for _, o, c in per_pop])
+    pop_means = np.array([o / sc.n_samples for _, o in per_pop])
     entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(per_pop))
                 if len(per_pop) > 1 else np.full_like(empirical, np.nan))
     constants = dsg.design_constants(design)
@@ -524,17 +533,14 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     design = _scenario_design(sc)
     center = scale = None
     if statistic != "ht_mean":
-        constants = dsg.design_constants(design)
-        try:
-            sigma2 = asy.poverty_variance(constants, sc.law, sc.alpha, sc.beta,
-                                          statistic[-2:].upper())
-        except (ParameterError, EstimationError) as exc:
+        try:        # a density that underflows at the quantile (a subnormal rate)
+            center, av_ref = _model_targets(sc, design)
+        except EstimationError as exc:
             raise DiagnosticError(f"asymptotic variance unavailable: {exc}") from exc
-        center = pop.true_poverty_rate(sc.law, sc.alpha, sc.beta)
-        if sigma2 <= 0.0:
-            raise DiagnosticError("asymptotic variance is zero")
+        sigma2 = av_ref[ESTIMATORS.index(statistic[-2:].upper())]
+        if not sigma2 > 0.0:                        # NaN for a discrete law
+            raise DiagnosticError(f"asymptotic variance is {sigma2}, not positive")
         scale = np.sqrt(sigma2 / sc.n)
-    with _process_pool(workers, sc.n_populations) as pmap:
-        z_parts = list(_map_populations(
-            sc, design, partial(_statistic_values, sc, statistic, center, scale), pmap))
+    z_parts = _population_results(
+        sc, design, partial(_statistic_values, sc, statistic, center, scale), workers)
     return _shape_statistics(np.concatenate(z_parts))

@@ -133,8 +133,10 @@ class TestSimulate:
         # sizes numpy could not allocate, refused before anything is made
         {"cells": [{"N": 10 ** 400, "n": 20}]},
         {"cells": [{"N": 2 ** 62, "n": 20}]},
+        # a population a worker could not hold in memory
+        {"cells": [{"N": 2 ** 24 + 1, "n": 20}]},
     ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split",
-            "N-beyond-float", "N-beyond-numpy"])
+            "N-beyond-float", "N-beyond-numpy", "N-beyond-bound"])
     def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
         # every cell is checked before the first one runs
         ran = []

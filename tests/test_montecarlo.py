@@ -51,6 +51,12 @@ class TestScenarioValidation:
             small_scenario(n_samples=2**32 + 1)
         small_scenario(seed=0, n_samples=2**32)
 
+    def test_population_size_bound(self):
+        # a worker holds about four N-length 8-byte arrays, so N is bounded
+        small_scenario(N=mc.MAX_POPULATION_UNITS, n=10)
+        with pytest.raises(ScenarioError, match=f"N={2**24 + 1} exceeds the bound 16777216"):
+            small_scenario(N=2**24 + 1, n=10)
+
 
 class TestRunScenario:
     def test_point_mass_rb_zero_coverage_full(self):
@@ -117,6 +123,29 @@ class TestRunScenario:
         assert rep.n_failures == {"HT": 0, "HJ": 0}
         assert rep.coverage[("HJ", "F")] == pytest.approx(93.2, abs=1.5)
         assert rep.coverage[("HT", "F")] == pytest.approx(93.5, abs=1.5)
+
+
+class TestBiasWarning:
+    """The exponential-law warning fires only where a relative bias lies more
+    than 3 Monte Carlo SE above zero."""
+
+    def test_positive_bias_within_three_se_is_silent(self, caplog):
+        # SI, seed 5: RB vs F is +2.15% with an SE of 2.24%; with one
+        # population the SE is NaN and nothing is ever flagged
+        for sc in (small_scenario(seed=5), small_scenario(n_populations=1, seed=1)):
+            with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+                rep = mc.run_scenario(sc)
+            assert max(rep.rb_phi.values()) > 0.0
+        assert caplog.records == []
+
+    def test_positive_bias_beyond_three_se_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(mc, "_cluster_se", lambda sums, counts: 0.01)
+        with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+            rep = mc.run_scenario(small_scenario(seed=5))
+        [record] = caplog.records
+        assert "3 Monte Carlo SE above zero" in record.getMessage()
+        flagged = [k for k, v in rep.rb_phi.items() if v > 0.03]
+        assert flagged and str(flagged) in record.getMessage()
 
 
 class TestPopulationLoop:
@@ -429,6 +458,21 @@ class TestSharedPool:
         with pytest.raises(ParameterError, match="workers"):
             mc.normality_diagnostic(small_scenario(n_populations=40, n_samples=25),
                                     "phi_hj", workers=0)
+        # the normality diagnostic shares the helper: one pool of
+        # min(workers, CPUs, P) = P processes, exited once
+        _cpus(monkeypatch, 4)
+        _SerialPool.reset()
+        mc.normality_diagnostic(small_scenario(N=300, n=60, n_populations=3, n_samples=334),
+                                "phi_hj", workers=8)
+        assert _SerialPool.sizes == [3] and _SerialPool.exits == [None]
+        assert len(_SerialPool.ran) == 3
+        # a discrete law has no asymptotic scale: refused before any pool or population
+        _SerialPool.reset()
+        law = pop.SuperPopulationLaw.discrete([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DiagnosticError, match="not positive"):
+            mc.normality_diagnostic(small_scenario(law=law, n_populations=3, n_samples=334),
+                                    "phi_hj", workers=8)
+        assert _SerialPool.sizes == [] and _SerialPool.ran == []
 
 
 class TestProcessCovariance:
@@ -509,6 +553,19 @@ class TestNormalityDiagnostic:
         sc = small_scenario(design="REJ", N=60, n=10, n_populations=4, n_samples=250)
         with pytest.raises(CapacityError, match="N x N float64 matrix .* at N=60"):
             mc.normality_diagnostic(sc, "ht_mean")
+        assert calls == []
+
+    def test_vanishing_density_is_diagnostic_error(self, monkeypatch):
+        # a valid scenario whose model density underflows at the quantile
+        # (a subnormal rate) has no asymptotic scale either: the diagnostic
+        # refuses it as such, before any population runs
+        calls = []
+        monkeypatch.setattr(pop, "generate_population", lambda *a, **k: calls.append(a))
+        sc = small_scenario(law=pop.SuperPopulationLaw.exponential(1e-310),
+                            n_populations=40, n_samples=25)
+        with pytest.raises(DiagnosticError, match="density vanishes"), \
+                np.errstate(over="ignore"):     # the quantile overflows to inf
+            mc.normality_diagnostic(sc, "phi_ht")
         assert calls == []
 
     def test_point_mass_errors(self, monkeypatch):

@@ -1,11 +1,11 @@
-"""Every public function and class of svycdf has a caller outside the tests,
-every svycdf name the benchmark reads exists, and every module imports only
-modules of lower layers.
+"""Every function and class of svycdf, private ones included, has a caller
+outside the tests, every svycdf name the benchmark reads exists, and every
+module imports only modules of lower layers.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
-A module-level public function or class must be referenced somewhere other
-than inside its own ``def`` or ``class``; a reference helper that only the
+A module-level function or class must be referenced somewhere other than
+inside its own ``def`` or ``class``; a reference helper that only the
 tests use belongs in the tests.  Click commands are neither functions nor
 classes once decorated, so the scan skips them.
 """
@@ -32,13 +32,15 @@ def _is_click_command(node) -> bool:
                for d in node.decorator_list)
 
 
-def public_definitions() -> dict:
-    """``module.name -> name`` of every module-level public def and class."""
+def definitions(private: bool = False) -> dict:
+    """``module.name -> name`` of every module-level public def and class,
+    or with ``private`` of every private one (a name that starts with ``_``)."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and not _is_click_command(node)):
+                    and node.name.startswith("_") == private
+                    and not _is_click_command(node)):
                 found[f"{path.stem}.{node.name}"] = node.name
     return found
 
@@ -71,19 +73,29 @@ def referenced_names() -> dict:
 
 def test_every_public_name_has_a_caller():
     where = referenced_names()
-    unused = sorted(qualified for qualified, name in public_definitions().items()
+    unused = sorted(qualified for qualified, name in definitions().items()
                     if not where.get(name, set()) - {qualified}
                     and qualified not in ALLOWED)
     assert unused == [], f"public names without a caller in src/ or bench/: {unused}"
 
 
+def test_every_private_name_has_a_caller():
+    # no allowlist: a private path that only the tests call leaves src/
+    where = referenced_names()
+    private = definitions(private=True)
+    assert "montecarlo._population_task" in private
+    unused = sorted(qualified for qualified, name in private.items()
+                    if not where.get(name, set()) - {qualified})
+    assert unused == [], f"private names without a caller in src/ or bench/: {unused}"
+
+
 def test_allowlist_is_current():
     # an allowed name that is gone, or has gained a caller, leaves the list
     where = referenced_names()
-    definitions = public_definitions()
+    public = definitions()
     for qualified in ALLOWED:
-        assert qualified in definitions, qualified
-        assert not where.get(definitions[qualified], set()) - {qualified}, qualified
+        assert qualified in public, qualified
+        assert not where.get(public[qualified], set()) - {qualified}, qualified
 
 
 def benchmark_reads() -> set:
