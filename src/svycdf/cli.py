@@ -258,14 +258,17 @@ def oracle_cmd(design_spec, out_dir, rejective_reference):
     """Enumerate a small design and write its condition report."""
     try:
         design = _design_from_spec(design_spec)
+        ref = None
+        if rejective_reference is not None:
+            ref = _design_from_spec(rejective_reference)
+            if ref.kind != "rejective" or ref.N != design.N:
+                raise ParameterError("the reference design must be rejective, on the same N")
+        orc.check_condition_units(design.N)     # before any support is enumerated
         enumerated = orc.enumerate_design(design)
         report = orc.check_conditions(enumerated)
         rows = [[name, _fmt(e.statistic), e.bound_form, _fmt(e.implied_constant)]
                 for name, e in report.items()]
-        if rejective_reference is not None:
-            ref = _design_from_spec(rejective_reference)
-            if ref.kind != "rejective":
-                raise ParameterError("the reference design must be rejective")
+        if ref is not None:
             div = orc.divergence_from_rejective(enumerated, orc.enumerate_design(ref))
             rows.append(["divergence_from_reference", _fmt(div),
                          "sum P log(P/R)", _fmt(div)])

@@ -81,13 +81,18 @@ def _pb_rows(table: np.ndarray, probs: np.ndarray, descending: bool = False) -> 
     hold counts 0, 1, .. (ascending layout) or, when ``descending``, counts
     w-1, w-2, .. 0 for a table w wide (top count first).  A step is three
     ufunc calls on preallocated rows, the same expression in either layout.
+    p and q enter as stride-0 rows: an array operand dispatches faster than
+    a scalar, and the products are the same.
     """
     if descending:
         heads, tails = table[:-1, 1:], table[1:, :-1]
     else:
         heads, tails = table[:-1, :-1], table[1:, 1:]
-    scratch = np.empty(table.shape[1] - 1)
-    for src, dst, head, tail, p, q in zip(table, table[1:], heads, tails, probs, 1.0 - probs):
+    width = table.shape[1]
+    scratch = np.empty(width - 1)
+    ps = np.broadcast_to(probs[:, None], (probs.size, width - 1))
+    qs = np.broadcast_to((1.0 - probs)[:, None], (probs.size, width))
+    for src, dst, head, tail, p, q in zip(table, table[1:], heads, tails, ps, qs):
         np.multiply(src, q, dst)        # positional ``out``: a shorter dispatch
         np.multiply(head, p, scratch)
         np.add(tail, scratch, tail)
@@ -408,24 +413,20 @@ def first_order_pi(design: Design) -> np.ndarray:
     return pi
 
 
-def check_pairwise_units(N: int) -> None:
-    """Refuse pairwise inclusion probabilities on more than
-    :data:`MAX_PAIRWISE_UNITS` units."""
+def second_order_pi(design: Design) -> np.ndarray:
+    """Exact pairwise inclusion probabilities, diagonal pi_ii = pi_i.
+
+    The result is an N x N matrix, so N is limited to
+    :data:`MAX_PAIRWISE_UNITS` for every design.  The design variances of
+    :mod:`svycdf.oracle` do not call it: they take the rejective moments
+    from an O(N n) program.
+    """
+    N = design.N
     if N > MAX_PAIRWISE_UNITS:
         raise CapacityError(
             f"pairwise inclusion probabilities form an N x N float64 matrix "
             f"({8 * N * N / 1e6:.0f} MB at N={N}); limited to "
             f"N <= {MAX_PAIRWISE_UNITS} ({8 * MAX_PAIRWISE_UNITS**2 / 1e6:.0f} MB)")
-
-
-def second_order_pi(design: Design) -> np.ndarray:
-    """Exact pairwise inclusion probabilities, diagonal pi_ii = pi_i.
-
-    The result is an N x N matrix, so N is limited to
-    :data:`MAX_PAIRWISE_UNITS` for every design.
-    """
-    N = design.N
-    check_pairwise_units(N)
     pi = first_order_pi(design)
     if design.kind == "srswor":
         n = design.size

@@ -59,7 +59,6 @@ from . import oracle as orc
 from . import population as pop
 from .errors import (
     DiagnosticError,
-    EstimationError,
     ParameterError,
     ScenarioError,
 )
@@ -523,20 +522,22 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     """Standardize a replicated statistic by its asymptotic scale and report
     skewness, excess kurtosis and the Kolmogorov-Smirnov distance to the
     standard normal (see :func:`_shape_statistics`: biased central moments
-    and the two-sided sup distance)."""
+    and the two-sided sup distance).
+
+    "ht_mean" is centered at each population's mean and scaled by its exact
+    design standard deviation (:func:`oracle.exact_sn2`; on REJ the O(N n)
+    moment program, with no N x N matrix, so any N the sampler takes).  A
+    poverty rate is centered at the model rate F(beta F^-1(alpha)) and
+    scaled by its asymptotic variance; a discrete law, which has none, is a
+    :class:`DiagnosticError`."""
     if statistic not in ("phi_ht", "phi_hj", "ht_mean"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if sc.n_populations * sc.n_samples < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
-    if statistic == "ht_mean" and sc.design == "REJ":
-        dsg.check_pairwise_units(sc.N)      # the exact scale needs pairwise pi
     design = _scenario_design(sc)
     center = scale = None
     if statistic != "ht_mean":
-        try:        # a density that underflows at the quantile (a subnormal rate)
-            center, av_ref = _model_targets(sc, design)
-        except EstimationError as exc:
-            raise DiagnosticError(f"asymptotic variance unavailable: {exc}") from exc
+        center, av_ref = _model_targets(sc, design)
         sigma2 = av_ref[ESTIMATORS.index(statistic[-2:].upper())]
         if not sigma2 > 0.0:                        # NaN for a discrete law
             raise DiagnosticError(f"asymptotic variance is {sigma2}, not positive")

@@ -5,10 +5,20 @@ probabilities to any order, the condition report on its centered
 correlation moments, and the Kullback-Leibler divergence between two
 designs.  These serve as independent oracles for the dynamic-program
 routes in :mod:`svycdf.designs` and as numeric reports for the
-correlation and entropy statistics that control the asymptotics.  The
-exact design variance of the inverse-probability mean and the finite-N
+correlation and entropy statistics that control the asymptotics.  A
+support is refused before it is built when its boolean rows would pass
+:data:`MAX_SUPPORT_BYTES`; the size-n subsets are read from
+``itertools.combinations`` in blocks of compact index rows, and all
+subsets are the bits of their row numbers.  The divergence reads the
+reference mass by index when both supports list the same rows, and by one
+sorted lookup of packed rows otherwise.
+
+The exact design variance of the inverse-probability mean and the finite-N
 covariance matrices on grids share one quadratic form in the pairwise
-ratios (``_ratio_form``).
+ratios (``_ratio_form``).  No design forms an N x N matrix for it: product
+designs and srswor have closed forms, and a rejective design runs one
+Poisson-binomial moment program over its units (``_rejective_moment``),
+O(N n K^2) flops for K columns, exact up to rounding.
 
 The condition report reads every third- and fourth-order statistic from
 products of unit pairs: over the N(N-1)/2 unordered pairs P = (i, j) it
@@ -30,11 +40,14 @@ import numpy as np
 
 from . import designs as dsg
 from . import population as pop
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, DegenerateDesignError, ParameterError
 
 MAX_FIXED_SIZE_SUPPORT = 2_000_000
 MAX_RANDOM_SIZE_UNITS = 20
 MAX_HIGH_ORDER_UNITS = 14   # third/fourth order condition sweeps
+#: an enumerated support's (S, N) boolean rows take at most this many bytes
+#: (64 MiB; the float copies that moments and condition reports make are 8x)
+MAX_SUPPORT_BYTES = 2**26
 
 _CHUNK = 1 << 14
 #: the pair products of one block of support points take at most this many bytes
@@ -62,23 +75,42 @@ class EnumeratedDesign:
         return weighted.T @ self.samples
 
 
+def _check_support_bytes(count: int, N: int) -> None:
+    """Refuse a support of ``count`` points on N units above
+    :data:`MAX_SUPPORT_BYTES` of boolean rows, before anything is allocated."""
+    if count * N > MAX_SUPPORT_BYTES:
+        raise CapacityError(
+            f"{count} support points on N={N} units take {count * N / 1e6:.0f} MB "
+            f"as boolean rows; limited to {MAX_SUPPORT_BYTES / 1e6:.0f} MB")
+
+
 def _fixed_size_masks(N: int, n: int) -> np.ndarray:
+    """The C(N, n) size-n subsets as boolean rows, in ``itertools.combinations``
+    order.  The combinations are read in blocks of index rows of the
+    smallest unsigned dtype that holds N - 1, each scattered at once."""
     count = math.comb(N, n)
     if count > MAX_FIXED_SIZE_SUPPORT:
         raise CapacityError(
             f"C({N},{n}) = {count} samples exceeds the guard {MAX_FIXED_SIZE_SUPPORT}")
+    _check_support_bytes(count, N)
     masks = np.zeros((count, N), dtype=bool)
-    for row, combo in enumerate(itertools.combinations(range(N), n)):
-        masks[row, combo] = True
+    combos = itertools.combinations(range(N), n)
+    row_type = np.dtype((np.min_scalar_type(N - 1), n))
+    rows = max(1, _CHUNK // n)
+    for start in range(0, count, rows):
+        block = np.fromiter(combos, dtype=row_type, count=min(rows, count - start))
+        masks[np.arange(start, start + block.shape[0])[:, None], block] = True
     return masks
 
 
 def _all_subsets_masks(N: int) -> np.ndarray:
+    """All 2^N subsets as boolean rows, row r holding the bits of r."""
     if N > MAX_RANDOM_SIZE_UNITS:
         raise CapacityError(
             f"random-size enumeration limited to N <= {MAX_RANDOM_SIZE_UNITS}, got {N}")
-    counts = np.arange(2 ** N, dtype=np.int64)
-    return ((counts[:, None] >> np.arange(N)) & 1).astype(bool)
+    _check_support_bytes(2**N, N)
+    counts = np.arange(2**N, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(counts, axis=1, count=N, bitorder="little").view(bool)
 
 
 def _independent_probs(masks: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -93,7 +125,8 @@ def enumerate_design(design: dsg.Design) -> EnumeratedDesign:
     """Exact support and probabilities of a design.
 
     Fixed-size designs are guarded by the number of size-n subsets,
-    random-size designs by the number of units.
+    random-size designs by the number of units, and both by the bytes of
+    their boolean rows (:data:`MAX_SUPPORT_BYTES`), before any is built.
     """
     N = design.N
     if design.kind == "srswor":
@@ -125,6 +158,12 @@ class ConditionEntry:
     implied_constant: float
 
 
+def check_condition_units(N: int) -> None:
+    """Refuse a condition sweep on more than :data:`MAX_HIGH_ORDER_UNITS` units."""
+    if N > MAX_HIGH_ORDER_UNITS:
+        raise CapacityError(f"condition sweep limited to N <= {MAX_HIGH_ORDER_UNITS}, got {N}")
+
+
 def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
     """Exact finite-N statistics behind the correlation and entropy bounds,
     scaled by the expected size n = sum(pi), by name.
@@ -154,8 +193,7 @@ def check_conditions(enumerated: EnumeratedDesign) -> dict[str, ConditionEntry]:
     (N^2/2)^2 accumulator (66 kB at N = 14).
     """
     N = enumerated.N
-    if N > MAX_HIGH_ORDER_UNITS:
-        raise CapacityError(f"condition sweep limited to N <= {MAX_HIGH_ORDER_UNITS}")
+    check_condition_units(N)
     pi = enumerated.first_order()
     n = float(pi.sum())
     if n <= 0:
@@ -264,16 +302,20 @@ def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
 def _ratio_form(design: dsg.Design, a: np.ndarray) -> np.ndarray:
     """a^T Delta a for ``a`` of shape (N, K), Delta_ij = (pi_ij - pi_i pi_j)/(pi_i pi_j).
 
-    Rejective designs use their exact pairwise probabilities (the N x N
-    matrix).  Product designs have only the diagonal (1 - pi_i)/pi_i, and
-    srswor adds its constant off-diagonal ratio (n - N)/(n (N - 1)), so
-    neither forms an N x N matrix.
+    Rejective designs take the design covariance of the inverse-probability
+    sums from one moment program (:func:`_rejective_moment`), in
+    O(N n K^2) flops and O(n K^2) memory, without pairwise probabilities;
+    the result is exact up to rounding (it is not bitwise the pi_ij form).
+    Product designs have only the diagonal (1 - pi_i)/pi_i, and srswor adds
+    its constant off-diagonal ratio (n - N)/(n (N - 1)), so neither forms
+    an N x N matrix.
     """
     pi = dsg.first_order_pi(design)
     if design.kind == "rejective":
-        pi2 = dsg.second_order_pi(design)
-        ratio = (pi2 - np.outer(pi, pi)) / np.outer(pi, pi)
-        return a.T @ ratio @ a
+        # T = sum_s b_i is the centered inverse-probability sum at the fixed
+        # size n, so E[T T^T] is its covariance, a^T Delta a
+        n = design.size
+        return _rejective_moment(design.working_p, n, a / pi[:, None] - a.sum(axis=0) / n)
     form = a.T @ (a * ((1.0 - pi) / pi)[:, None])
     if design.kind in ("bernoulli", "poisson"):
         return form
@@ -283,11 +325,69 @@ def _ratio_form(design: dsg.Design, a: np.ndarray) -> np.ndarray:
     return form + c * (np.outer(col_sums, col_sums) - a.T @ a)
 
 
+def _rejective_moment(p: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
+    """E[T T^T] of T = sum_{i in s} b_i (``b`` of shape (N, K)) under the
+    size-n conditional Poisson design with working probabilities ``p``.
+
+    One Poisson-binomial program over the units carries, for each count
+    k = 0..n, the (K+1) x (K+1) moment M(k) = E[c c^T 1{S = k}] of
+    c = (1, T): its corner is P(S = k), its first row and column
+    E[T 1{S = k}] (K tracks) and the rest E[T T^T 1{S = k}] (K x K
+    tracks).  Unit i (p, q = 1 - p) moves count k-1 to k and adds
+    d = (0, b_i) to c, so with U(k) = M(k) e_0 + (d/2) P(S = k),
+
+        M'(k) = q M(k) + p (M(k-1) + U(k-1) d^T + d U(k-1)^T),
+
+    which keeps M exactly symmetric.  The result is the K x K block of
+    M(n) / P(S = n).  A unit is eight elementwise ufunc calls on
+    preallocated rows, with p and q as stride-0 operands, as in
+    :func:`designs._pb_rows`; no BLAS runs, so the bits do not depend on
+    the BLAS core.  Cost O(N n K^2) flops, memory O(n K^2), refused with
+    :class:`CapacityError` above :data:`designs.MAX_DP_TABLE_BYTES`.  A
+    P(S = n) that is zero or not finite is a :class:`DegenerateDesignError`.
+    """
+    N, K = b.shape
+    shape = (n + 1, K + 1, K + 1)
+    nbytes = 4 * 8 * (n + 1) * (K + 1) ** 2     # the moments and three scratch arrays
+    if nbytes > dsg.MAX_DP_TABLE_BYTES:
+        raise CapacityError(
+            f"the rejective moment program needs {nbytes / 1e6:.0f} MB at n={n}, "
+            f"K={K}; limited to {dsg.MAX_DP_TABLE_BYTES / 1e6:.0f} MB")
+    moments = np.zeros(shape)
+    moments[0, 0, 0] = 1.0
+    head, tail = moments[:-1], moments[1:]
+    pmf, first = head[:, :1, 0], head[:, :, 0]      # P(S = k) and M(k) e_0, k < n
+    half, u = np.empty((n, K + 1)), np.empty((n, K + 1))
+    outer, step = np.empty((n, K + 1, K + 1)), np.empty((n, K + 1, K + 1))
+    outer_t, u_col = outer.transpose(0, 2, 1), u[:, :, None]
+    d = np.zeros((N, K + 1))
+    d[:, 1:] = b
+    halves = d * 0.5
+    ps = np.broadcast_to(p[:, None, None, None], (N,) + step.shape)
+    qs = np.broadcast_to((1.0 - p)[:, None, None, None], (N,) + shape)
+    for d_i, h_i, p_i, q_i in zip(d, halves, ps, qs):
+        np.multiply(pmf, h_i, half)
+        np.add(first, half, u)
+        np.multiply(u_col, d_i, outer)
+        np.add(outer, outer_t, step)
+        np.add(step, head, step)
+        np.multiply(step, p_i, step)
+        np.multiply(moments, q_i, moments)
+        np.add(tail, step, tail)
+    total = moments[n, 0, 0]
+    if not (np.isfinite(total) and total > 0.0):
+        raise DegenerateDesignError(f"P(sample size = {n}) is {total}, not positive and finite")
+    return moments[n, 1:, 1:] / total
+
+
 def exact_sn2(design: dsg.Design, v) -> float:
     """Exact design variance of the inverse-probability mean of v.
 
     (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, the form of
-    :func:`_ratio_form` with one column.
+    :func:`_ratio_form` with one column: O(N) for srswor and product
+    designs, and O(N n) for a rejective design, exact up to rounding (it
+    needs no pairwise probabilities, so no cap on N beyond the first-order
+    program's).
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (design.N,):
@@ -303,7 +403,9 @@ def sigma_matrix(design: dsg.Design, y: np.ndarray, grid,
     (n/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) a_i a_j^T with
     a_i the vector of indicators 1{y_i <= t_k} of the population's responses
     ``y`` ("HT2") or the indicators centered by the model CDF ("HJ2",
-    requires ``law``).
+    requires ``law``).  The K grid points cost O(N K^2) for srswor and
+    product designs and O(N n K^2) for a rejective design, exact up to
+    rounding (see :func:`_ratio_form`).
     """
     grid = np.asarray(grid, dtype=float)
     a = (y[:, None] <= grid[None, :]).astype(float)
@@ -321,19 +423,38 @@ def divergence_from_rejective(enumerated: EnumeratedDesign,
                               rejective_reference: EnumeratedDesign) -> float:
     """Kullback-Leibler divergence sum P(s) log(P(s)/R(s)).
 
-    Returns ``inf`` when the first design puts mass outside the support
-    of the reference.
+    The reference mass R(s) of each support point is read by index when the
+    two supports list the same samples in the same order, and otherwise
+    looked up by the packed bits of its row.  The sum runs over the support
+    of the first design in order, in Python floats.  Returns ``inf`` when
+    the first design puts mass outside the support of the reference.
     """
     if enumerated.N != rejective_reference.N:
         raise ParameterError("designs must share the population size")
-    ref = {np.packbits(row).tobytes(): p
-           for row, p in zip(rejective_reference.samples, rejective_reference.probs)}
+    if np.array_equal(enumerated.samples, rejective_reference.samples):
+        ref = rejective_reference.probs
+    else:
+        ref = _reference_probs(enumerated.samples, rejective_reference)
     div = 0.0
-    for row, p in zip(enumerated.samples, enumerated.probs):
+    for p, r in zip(enumerated.probs.tolist(), ref.tolist()):
         if p <= 0.0:
             continue
-        r = ref.get(np.packbits(row).tobytes(), 0.0)
         if r <= 0.0:
             return float("inf")
         div += p * math.log(p / r)
     return max(div, 0.0)
+
+
+def _reference_probs(samples: np.ndarray, reference: EnumeratedDesign) -> np.ndarray:
+    """The reference mass of each row of ``samples`` (0 off its support),
+    by one sorted lookup of the rows' packed bits."""
+    def keys(rows):
+        packed = np.packbits(rows, axis=1)
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+    ref_keys = keys(reference.samples)
+    order = np.argsort(ref_keys)
+    ref_keys = ref_keys[order]
+    found = keys(samples)
+    pos = np.minimum(np.searchsorted(ref_keys, found), ref_keys.size - 1)
+    return np.where(ref_keys[pos] == found, reference.probs[order[pos]], 0.0)

@@ -8,6 +8,7 @@ rate are available in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import ParameterError
 from .streams import substream
 
 _QUANTILE_EPS = 1e-12
+#: the largest quantile level below one, 1 - 2**-53
+_LAST_LEVEL = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,14 @@ class SuperPopulationLaw:
 
     def __post_init__(self):
         if self.kind == "exponential":
-            if not (np.isfinite(self.rate) and self.rate > 0):
-                raise ParameterError(f"exponential rate must be positive, got {self.rate}")
+            # every quantile -log1p(-a)/rate, a < 1, must be finite, and the
+            # density rate (1 - a) there positive, up to the last a below one
+            top = -math.log1p(-_LAST_LEVEL)
+            if not (np.isfinite(self.rate) and self.rate > 0
+                    and math.isfinite(top / self.rate) and self.rate * (1.0 - _LAST_LEVEL) > 0.0):
+                raise ParameterError(
+                    f"exponential rate must be positive, with every quantile finite "
+                    f"and every density there positive, got {self.rate}")
         elif self.kind == "uniform01":
             pass
         elif self.kind == "discrete":

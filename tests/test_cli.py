@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import svycdf
 from svycdf import cli
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
+from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.cli import main
 from test_montecarlo import _SerialPool, _cpus
@@ -226,6 +228,31 @@ class TestSimulate:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["seed"] == 10 ** 400
+
+    def test_subnormal_rate_is_usage_error(self, runner, tmp_path, monkeypatch):
+        # F^-1(alpha) = -log1p(-alpha)/rate overflows: refused with the law,
+        # before any scenario runs and without a numpy warning
+        ran = []
+        monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(law={"kind": "exponential",
+                                                           "rate": 1e-310})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: exponential rate must be")
+        assert ran == []
+
+    def test_largest_rate_runs(self, runner, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(law={"kind": "exponential", "rate": 1e308},
+                                                      n_populations=2, n_samples=3)))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
 
     def test_failure_budget_is_runtime_error(self, runner, tmp_path):
         # expected size 2 out of 30: empty samples exceed the failure budget
@@ -511,6 +538,28 @@ class TestOracleCommand:
             "oracle", "--design", '{"kind":"bernoulli","N":24,"p":0.5}',
             "--out", str(tmp_path)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"srswor","N":2000,"n":2}',
+        '{"kind":"srswor","N":2000000,"n":1}',
+    ], ids=["pairs-of-2000", "singletons-of-2000000"])
+    def test_units_checked_before_enumeration(self, runner, tmp_path, monkeypatch, spec):
+        # the condition sweep's N bound comes first: no support is enumerated
+        monkeypatch.setattr(orc, "enumerate_design", None)
+        result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: condition sweep limited to N")
+
+    def test_reference_on_other_units_is_usage_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(orc, "enumerate_design", None)
+        result = runner.invoke(main, [
+            "oracle", "--design", '{"kind":"srswor","N":6,"n":3}',
+            "--rejective-reference", json.dumps({"kind": "rejective", "p": [0.5] * 2000,
+                                                 "n": 2}),
+            "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: the reference design must be rejective")
 
     def test_output_below_a_file_is_runtime_error(self, runner, tmp_path):
         (tmp_path / "file").write_text("x")

@@ -11,7 +11,7 @@ import pytest
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
 from svycdf import population as pop
-from svycdf.errors import CapacityError, DiagnosticError, ParameterError, ScenarioError
+from svycdf.errors import DiagnosticError, ParameterError, ScenarioError
 from svycdf.streams import substream
 from test_golden_reports import report_hex
 
@@ -543,30 +543,33 @@ class TestNormalityDiagnostic:
         with pytest.raises(ParameterError):
             mc.normality_diagnostic(small_scenario(), "phi_hj")
 
-    def test_rejective_ht_mean_cap_before_any_work(self, monkeypatch):
-        # the exact scale needs REJ pairwise pi: above the cap the diagnostic
-        # is refused before calibration or any draw
-        calls = []
-        for name in ("calibrated_rejective", "draw"):
-            monkeypatch.setattr(dsg, name, lambda *a, _name=name, **k: calls.append(_name))
-        monkeypatch.setattr(dsg, "MAX_PAIRWISE_UNITS", 50)
-        sc = small_scenario(design="REJ", N=60, n=10, n_populations=4, n_samples=250)
-        with pytest.raises(CapacityError, match="N x N float64 matrix .* at N=60"):
-            mc.normality_diagnostic(sc, "ht_mean")
-        assert calls == []
+    def test_rejective_ht_mean_past_pairwise_cap(self, monkeypatch):
+        # the exact scale of the HT mean on REJ comes from the O(N n) moment
+        # program: it runs past the N x N cap and never forms pairwise pi
+        monkeypatch.setattr(dsg, "second_order_pi", None)
+        seen = []
+        shape = mc._shape_statistics
+        monkeypatch.setattr(mc, "_shape_statistics", lambda z: seen.append(z) or shape(z))
+        sc = small_scenario(design="REJ", N=dsg.MAX_PAIRWISE_UNITS + 100, n=20,
+                            n_populations=1, n_samples=1000)
+        out = mc.normality_diagnostic(sc, "ht_mean")
+        assert out["replications"] == 1000
+        assert all(np.isfinite(out[k]) for k in ("skewness", "excess_kurtosis", "ks_distance"))
+        # standardized by the exact design scale: mean 0 and variance 1 within
+        # about 4 Monte Carlo SE (the variance SE is sqrt((kurtosis + 2) / 1000))
+        z = seen[0]
+        assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
+        assert abs(z.var() - 1.0) < 4.0 * np.sqrt((out["excess_kurtosis"] + 2.0) / z.size)
 
-    def test_vanishing_density_is_diagnostic_error(self, monkeypatch):
-        # a valid scenario whose model density underflows at the quantile
-        # (a subnormal rate) has no asymptotic scale either: the diagnostic
-        # refuses it as such, before any population runs
-        calls = []
-        monkeypatch.setattr(pop, "generate_population", lambda *a, **k: calls.append(a))
-        sc = small_scenario(law=pop.SuperPopulationLaw.exponential(1e-310),
-                            n_populations=40, n_samples=25)
-        with pytest.raises(DiagnosticError, match="density vanishes"), \
-                np.errstate(over="ignore"):     # the quantile overflows to inf
-            mc.normality_diagnostic(sc, "phi_ht")
-        assert calls == []
+    @pytest.mark.parametrize("rate", [2.1e-307, 1.0, 1e308])
+    def test_every_accepted_rate_has_a_scale(self, rate):
+        # a law refuses a rate whose quantiles or densities are not finite and
+        # positive, so the model targets of a valid scenario cannot fail on a
+        # vanishing density (the one way poverty_variance raises)
+        sc = small_scenario(law=pop.SuperPopulationLaw.exponential(rate))
+        phi_f, av_ref = mc._model_targets(sc, mc._scenario_design(sc))
+        assert 0.0 < phi_f < 1.0
+        assert np.all(np.isfinite(av_ref)) and np.all(av_ref > 0.0)
 
     def test_point_mass_errors(self, monkeypatch):
         # the missing asymptotic scale is found before any population runs

@@ -1,5 +1,7 @@
 """Enumeration oracle: supports, moments, condition reports, divergence."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svycdf import designs as dsg
+from svycdf import montecarlo as mc
 from svycdf import oracle as orc
 from svycdf import population as pop
-from svycdf.errors import CapacityError, ParameterError
+from svycdf.errors import CapacityError, DegenerateDesignError, ParameterError
 from svycdf.streams import substream
 
 
@@ -119,6 +122,41 @@ class TestEnumerate:
         assert en.probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert en.first_order()[0] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("N, n", [(N, n) for N in range(1, 11) for n in range(1, N + 1)]
+                             + [(14, 6), (20, 1), (20, 19), (300, 1), (300, 299), (300, 2)])
+    def test_fixed_size_masks_match_loop(self, N, n):
+        # same rows in the same order as one scatter per combination; N = 300
+        # takes two-byte indices
+        assert np.array_equal(orc._fixed_size_masks(N, n), loop_fixed_size_masks(N, n))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 20])
+    def test_fixed_size_masks_blocks(self, monkeypatch, chunk):
+        # blocks of one row, of a few rows, and a last block that is short
+        monkeypatch.setattr(orc, "_CHUNK", chunk)
+        for N, n in ((7, 3), (9, 2), (6, 6)):
+            assert np.array_equal(orc._fixed_size_masks(N, n), loop_fixed_size_masks(N, n))
+
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_all_subsets_masks_match_shifts(self, N):
+        counts = np.arange(2**N, dtype=np.int64)
+        expected = ((counts[:, None] >> np.arange(N)) & 1).astype(bool)
+        got = orc._all_subsets_masks(N)
+        assert got.dtype == bool and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("design", [
+        dsg.srswor(2000, 2), dsg.srswor(2_000_000, 1), dsg.rejective(np.full(10000, 0.5), 9999),
+    ], ids=["pairs-of-2000", "singletons-of-2000000", "all-but-one-of-10000"])
+    def test_support_bytes_refused_before_allocating(self, design):
+        # C(N, n) is within the row guard, but C(N, n) x N bytes is not
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="boolean rows"):
+                orc.enumerate_design(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestExactMoment:
     def test_bernoulli_pairs_vanish(self):
@@ -205,6 +243,14 @@ class TestConditions:
             samples=np.ones((1, 16), dtype=bool), probs=np.array([1.0]), N=16)
         with pytest.raises(CapacityError):
             orc.check_conditions(en)
+
+
+def loop_fixed_size_masks(N: int, n: int) -> np.ndarray:
+    """Reference size-n supports: one row per ``itertools.combinations`` tuple."""
+    masks = np.zeros((math.comb(N, n), N), dtype=bool)
+    for row, combo in enumerate(itertools.combinations(range(N), n)):
+        masks[row, combo] = True
+    return masks
 
 
 @st.composite
@@ -306,6 +352,108 @@ class TestExactSn2:
             assert orc.exact_sn2(design, v) == pytest.approx(var, abs=1e-12)
 
 
+NEAR_CLIP = (dsg._P_CLIP, 3 * dsg._P_CLIP, 1.0 - dsg._P_CLIP, 1.0 - 3 * dsg._P_CLIP)
+
+
+def pairwise_ratio_form(design: dsg.Design, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference a^T Delta a from the N x N pairwise inclusion probabilities,
+    and the sum of its absolute terms |a|^T |Delta| |a|, the scale of its
+    rounding error."""
+    pi = dsg.first_order_pi(design)
+    ratio = (dsg.second_order_pi(design) - np.outer(pi, pi)) / np.outer(pi, pi)
+    return a.T @ ratio @ a, np.abs(a).T @ np.abs(ratio) @ np.abs(a)
+
+
+def enumerated_covariance(design: dsg.Design, a: np.ndarray) -> np.ndarray:
+    """Reference covariance of the inverse-probability sums of the columns of
+    ``a`` over the enumerated support, with no pairwise probability."""
+    en = orc.enumerate_design(design)
+    sums = (en.samples / en.first_order()) @ a
+    centered = sums - en.probs @ sums
+    return (centered.T * en.probs) @ centered
+
+
+@st.composite
+def rejective_forms(draw, max_units=40):
+    """A rejective design on 2 to ``max_units`` units (n from 1 to N-1, some
+    working probabilities at the clip) with K = 1 or 3 columns of ``a``."""
+    N = draw(st.integers(min_value=2, max_value=max_units))
+    n = draw(st.one_of(st.just(1), st.just(N - 1), st.integers(min_value=1, max_value=N - 1)))
+    p = draw(st.lists(st.one_of(st.floats(min_value=0.001, max_value=0.999),
+                                st.sampled_from(NEAR_CLIP)), min_size=N, max_size=N))
+    K = draw(st.sampled_from([1, 3]))
+    a = substream(draw(st.integers(min_value=0, max_value=2**32 - 1))).normal(size=(N, K))
+    return dsg.rejective(p, n), a
+
+
+def _valid(design: dsg.Design) -> bool:
+    """Whether the first-order program serves the design: it refuses some
+    designs whose sum(p) lies far from n, where its sums underflow."""
+    try:
+        dsg.first_order_pi(design)
+    except DegenerateDesignError:
+        return False
+    return True
+
+
+class TestRejectiveMoment:
+    """The O(N n K^2) moment program against the pairwise and enumeration
+    routes: within 1e-12 of the sum of absolute terms (measured at most
+    2e-13 on 3000 random designs, N 2..40, p near the clip included)."""
+
+    @given(rejective_forms())
+    @example((dsg.rejective([0.3, 0.6], 1), np.array([[1.0], [-2.0]])))
+    @example((dsg.rejective(np.linspace(0.1, 0.9, 40), 39), np.linspace(-1, 2, 120).reshape(40, 3)))
+    @example((dsg.rejective([dsg._P_CLIP] * 4 + [0.5] * 4 + [1 - dsg._P_CLIP] * 4, 6),
+              np.arange(12.0)[:, None]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_form(self, case):
+        design, a = case
+        if not _valid(design):
+            return
+        got = orc._ratio_form(design, a)
+        expected, scale = pairwise_ratio_form(design, a)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    @given(rejective_forms(max_units=14))
+    @example((dsg.rejective(np.linspace(0.05, 0.95, 14), 7), np.linspace(0, 1, 14)[:, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration(self, case):
+        design, a = case
+        if not _valid(design):
+            return
+        _, scale = pairwise_ratio_form(design, a)
+        got = orc._ratio_form(design, a)
+        assert np.all(np.abs(got - enumerated_covariance(design, a)) <= 1e-12 * scale)
+
+    def test_desk_split_without_pairwise_pi(self, monkeypatch):
+        # the calibrated split at N=10000, n=500, past the pairwise cap: finite,
+        # positive, and within 2% of Hajek's approximation (its error is O(1/d))
+        monkeypatch.setattr(dsg, "second_order_pi", None)
+        N, n = 10000, 500
+        design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+        v = substream(23).exponential(size=N)
+        var = orc.exact_sn2(design, v)
+        pi = dsg.first_order_pi(design)
+        weight = pi * (1.0 - pi)
+        center = np.sum(weight * v / pi) / weight.sum()
+        hajek = np.sum(weight * (v / pi - center) ** 2) / N**2
+        assert np.isfinite(var) and var > 0.0
+        assert var == pytest.approx(hajek, rel=0.02)
+
+    def test_zero_size_probability_is_degenerate(self):
+        # P(S = 29) = 1e-348 underflows to 0
+        with pytest.raises(DegenerateDesignError, match="P\\(sample size = 29\\)"):
+            orc._rejective_moment(np.full(30, dsg._P_CLIP), 29, np.ones((30, 1)))
+
+    def test_tracks_over_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 4 * 8 * 4 * 36 - 1)
+        with pytest.raises(CapacityError, match="moment program"):
+            orc._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 5)))
+        assert orc._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 4))).shape == (4, 4)
+
+
 class TestSigmaMatrix:
     def test_independent_design_diagonal_form(self):
         law = pop.SuperPopulationLaw.uniform01()
@@ -366,7 +514,61 @@ class TestSigmaMatrix:
         assert np.allclose(mat, design.expected_size * cov, atol=1e-13)
 
 
+def dict_divergence(enumerated: orc.EnumeratedDesign, reference: orc.EnumeratedDesign) -> float:
+    """Reference divergence: the reference mass of each support point from a
+    dict keyed by its packed row, summed over the support in order."""
+    ref = {np.packbits(row).tobytes(): p for row, p in zip(reference.samples, reference.probs)}
+    div = 0.0
+    for row, p in zip(enumerated.samples, enumerated.probs):
+        if p <= 0.0:
+            continue
+        r = ref.get(np.packbits(row).tobytes(), 0.0)
+        if r <= 0.0:
+            return float("inf")
+        div += p * math.log(p / r)
+    return max(div, 0.0)
+
+
+def _reordered(en: orc.EnumeratedDesign, seed: int) -> orc.EnumeratedDesign:
+    order = substream(seed).permutation(en.probs.size)
+    return orc.EnumeratedDesign(samples=en.samples[order], probs=en.probs[order], N=en.N)
+
+
+def _on_all_subsets(en: orc.EnumeratedDesign) -> orc.EnumeratedDesign:
+    """The same design listed on all 2^N subsets, with zero mass off its support."""
+    rows = orc._all_subsets_masks(en.N)
+    probs = np.zeros(rows.shape[0])
+    index = {np.packbits(row).tobytes(): i for i, row in enumerate(rows)}
+    for row, p in zip(en.samples, en.probs):
+        probs[index[np.packbits(row).tobytes()]] = p
+    return orc.EnumeratedDesign(samples=rows, probs=probs, N=en.N)
+
+
 class TestDivergence:
+    @pytest.mark.parametrize("pair", [
+        "rejective-rejective", "srswor-rejective", "reordered-reference",
+        "reordered-design", "all-subsets-listing", "poisson-rejective", "bernoulli-rejective",
+    ])
+    def test_bitwise_equal_to_dict_lookup(self, pair):
+        rng = substream(31)
+        ref = orc.enumerate_design(dsg.rejective(rng.uniform(0.1, 0.9, 12), 5))
+        other = orc.enumerate_design(dsg.rejective(rng.uniform(0.1, 0.9, 12), 5))
+        en, reference = {
+            "rejective-rejective": (other, ref),
+            "srswor-rejective": (orc.enumerate_design(dsg.srswor(12, 5)), ref),
+            "reordered-reference": (other, _reordered(ref, 1)),
+            "reordered-design": (_reordered(other, 2), ref),
+            "all-subsets-listing": (_on_all_subsets(other), ref),
+            "poisson-rejective": (orc.enumerate_design(dsg.poisson(rng.uniform(0.1, 0.9, 12))),
+                                  ref),
+            "bernoulli-rejective": (orc.enumerate_design(dsg.bernoulli(12, 0.4)),
+                                    _on_all_subsets(ref)),
+        }[pair]
+        got = orc.divergence_from_rejective(en, reference)
+        expected = dict_divergence(en, reference)
+        assert got == expected
+        assert np.isfinite(got) == (pair not in ("poisson-rejective", "bernoulli-rejective"))
+
     def test_identical_designs(self):
         en = orc.enumerate_design(dsg.rejective([0.3, 0.5, 0.7], 2))
         assert orc.divergence_from_rejective(en, en) == 0.0

@@ -21,8 +21,8 @@ CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 #: public names kept without a caller, each with its reason
 ALLOWED = {
     "montecarlo.run_scenario": "the documented one-scenario API",
-    "oracle.sigma_matrix": "the finite-N covariance whose rejective branch the "
-                           "pairwise-free moment recursion is to replace",
+    "oracle.sigma_matrix": "the finite-N covariance on a grid, kept for a "
+                           "finite-N process covariance report",
 }
 
 
