@@ -53,9 +53,7 @@ def _fail(exc: BaseException) -> None:
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "nan"
-    return _FMT % x
+    return "nan" if x is None else _FMT % x
 
 
 @click.group()

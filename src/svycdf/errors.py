@@ -30,10 +30,6 @@ class EstimationError(SvycdfError):
     """An estimator cannot be evaluated on the given draw."""
 
 
-class QuantileUndefinedError(EstimationError):
-    """Requested level exceeds the total mass of the step function."""
-
-
 class DegenerateBandwidthError(EstimationError):
     """Weighted interquartile range is zero; no automatic bandwidth."""
 

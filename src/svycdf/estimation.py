@@ -5,7 +5,10 @@ The inverse-probability ("HT") empirical CDF puts mass 1/(N pi_i) on each
 sampled response; its total mass is the population-size estimate divided
 by N and need not be one.  The self-normalized ("HJ") variant divides by
 that estimate instead of N and always has total mass one.  Both are
-right-continuous step functions; quantiles use the generalized inverse
+right-continuous step functions.  Every sample quantile follows one
+interpolating rule (:func:`_interpolated_quantiles`), which saturates at
+the largest response when a level exceeds the total mass; only the census
+center :func:`census_poverty_rate` takes the generalized inverse
 F^{-1}(a) = inf{t : F(t) >= a}.
 
 Draws come in the batches of :func:`designs.draw`: responses and
@@ -20,17 +23,15 @@ operations, plus one per distinct row length for the sums whose rounding
 depends on the length; a row with equal responses (NaNs too) then merges
 them into one jump with ``np.unique``, their weights added in sample
 order.  The poverty kernels (:func:`poverty_rate_estimates`, both
-modes, with interpolated quantiles, kernel densities and the plug-in
-variance of :mod:`asymptotics`, deciding every failed cell;
-:func:`step_poverty_rates`, one mode, with the generalized inverse) and
-the process paths
-(:func:`process_paths`, one mode) read all rows at once: quantiles and
-CDF values are counts of comparisons, and the kernel densities of both
-modes take one ``exp`` over the block.  Sums whose rounding depends on a
-row's length run on the row's own entries, so a draw gets the same bits
-in any batch, alone included.  :func:`census_poverty_rate` gives a whole
-population's rate from one sort, bitwise the census value of
-:func:`step_poverty_rates`.
+modes, with kernel densities and the plug-in variance of
+:mod:`asymptotics`, deciding every failed cell; :func:`poverty_rates`,
+one mode, the rate alone) share one rate computation
+(:func:`_quantiles_and_rates`), so a rate has the same bits in both.  They
+and the process paths (:func:`process_paths`, one mode) read all rows at
+once: quantiles and CDF values are counts of comparisons, and the kernel
+densities of both modes take one ``exp`` over the block.  Sums whose
+rounding depends on a row's length run on the row's own entries, so a draw
+gets the same bits in any batch, alone included.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import (
     DegenerateBandwidthError,
     EstimationError,
     ParameterError,
-    QuantileUndefinedError,
     ZeroDensityError,
 )
 
@@ -187,18 +187,6 @@ def _valid_cdfs(batch, N: int, modes=MODES) -> _Cdfs:
     return cdfs
 
 
-def _step_quantiles(loc, cum, total, count, alpha: float) -> np.ndarray:
-    """Generalized inverses of R padded step functions (as in :class:`_Cdfs`,
-    ``total`` their masses) at alpha, ties at floating resolution resolving
-    downward; :class:`QuantileUndefinedError` when alpha exceeds a mass
-    (possible for the unnormalized CDF)."""
-    short = alpha > total + _TIE_EPS
-    if short.any():
-        raise QuantileUndefinedError(f"level {alpha} exceeds total mass {total[short][0]:.12g}")
-    idx = np.minimum(np.count_nonzero(cum < alpha - _TIE_EPS, axis=-1), count - 1)
-    return loc.ravel()[idx + np.arange(idx.size) * loc.shape[1]]
-
-
 def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndarray:
     """Weighted quantiles with sample-scale linear interpolation of R
     padded step functions at several levels, shape
@@ -214,11 +202,10 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
     linearly.  For equal weights this is the usual type-7 rule.  Functions
     whose mass is not one are handled through the level: the crossing of
     level ``alpha`` happens where the normalized function crosses
-    ``alpha / total``.  Unlike :func:`_step_quantiles`, a level beyond
-    the total mass saturates at the largest jump (the clamped extrapolation
-    of the reference interpolation machinery) instead of raising.  A
-    bracket index is the number of positions below its target, which on a
-    sorted row is exactly a left-sided search.
+    ``alpha / total``, and a level beyond the total mass saturates at the
+    largest jump (the clamped extrapolation of the reference interpolation
+    machinery).  A bracket index is the number of positions below its
+    target, which on a sorted row is exactly a left-sided search.
     """
     pos = (cum / total[..., None]) * n_points[:, None]
     n_points, tie = n_points[:, None], (_TIE_EPS * n_points)[:, None]
@@ -226,7 +213,10 @@ def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndar
     low = np.minimum(np.floor(h), n_points)
     frac = h - low
     targets = np.stack([low - tie, np.minimum(low + 1.0, n_points) - tie], axis=-1)
-    idx = np.count_nonzero(pos[..., None, None, :] < targets[..., None], axis=-1)
+    # each row compares Trues, then Falses: the running sums ascend, and at
+    # the last jump the position is n (NaN if the mass overflowed), which
+    # no target reaches; so the first False counts the positions below
+    idx = np.argmin(pos[..., None, None, :] < targets[..., None], axis=-1)
     idx = np.minimum(idx, count[:, None, None] - 1)
     q = loc.ravel()[idx + (np.arange(loc.shape[0]) * loc.shape[1])[:, None, None]]
     return np.where(idx[..., 0] == idx[..., 1], q[..., 0],
@@ -266,6 +256,16 @@ def _check_levels(alpha: float, beta: float) -> None:
         raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
 
 
+def _quantiles_and_rates(cdfs: _Cdfs, alpha: float, beta: float, levels=()) -> tuple:
+    """Interpolated quantiles (:func:`_interpolated_quantiles`, the sample
+    size as ``n_points``) of every row of each mode built, at alpha and then
+    ``levels``, shape (modes, R, 1 + len(levels)), and the poverty rates
+    F(beta q) at the alpha-quantile q, shape (modes, R)."""
+    q = _interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
+                                cdfs.sizes.astype(float), (alpha, *levels))
+    return q, _step_values(cdfs.loc, cdfs.cum, cdfs.count, beta * q[..., :1])[..., 0]
+
+
 def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
                            alpha: float, beta: float) -> tuple:
     """Kernel of the simulation protocol: poverty-rate estimates and their
@@ -274,8 +274,8 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
 
     Per row and mode: the alpha-quantile q and the quartiles follow
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
-    the rate is F(beta q), the bandwidth is 0.79 R n^{-1/5}
-    with R the interquartile range (none when R is zero), and the
+    the rate is F(beta q) (:func:`_quantiles_and_rates`), the bandwidth is
+    0.79 R n^{-1/5} with R the interquartile range (none when R is zero), and the
     densities at q and beta q are weighted Gaussian kernel estimates at
     that bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
     or by the population-size estimate ("HJ").  The variance is the closed
@@ -298,10 +298,8 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     factor = np.empty(cdfs.sizes.size)
     for n, rows in cdfs.groups:
         factor[rows] = n ** (-0.2)       # the scalar power, as for one draw
-    q = _interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
-                                cdfs.sizes.astype(float), (alpha, 0.25, 0.75))
-    t = beta * q[..., 0]
-    phi = _step_values(cdfs.loc, cdfs.cum, cdfs.count, t[..., None])[..., 0].T
+    q, phi = _quantiles_and_rates(cdfs, alpha, beta, (0.25, 0.75))
+    phi, t = phi.T, beta * q[..., 0]
     iqr = q[..., 2] - q[..., 1]
     no_bw = iqr <= 0.0
     bandwidth = 0.79 * iqr * factor
@@ -332,28 +330,28 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     return phi, av, errors
 
 
-def step_poverty_rates(batch, N: int, alpha: float, beta: float,
-                       mode: Literal["HT", "HJ"]) -> np.ndarray:
-    """Poverty rate F(beta q) of each batch row's ``mode`` CDF F, with q the
-    generalized inverse inf{t : F(t) >= alpha} (:func:`_step_quantiles`).
+def poverty_rates(batch, N: int, alpha: float, beta: float,
+                  mode: Literal["HT", "HJ"]) -> np.ndarray:
+    """Poverty rate F(beta q) of each batch row's ``mode`` CDF F, q its
+    interpolated alpha-quantile: bitwise the ``mode`` column of
+    :func:`poverty_rate_estimates` on every cell that does not fail there,
+    from one mode's CDFs and no densities.
 
-    The first row that fails its checks raises, and so does a level
-    beyond a total mass (:class:`QuantileUndefinedError`, possible in mode
-    "HT").  A census (all N units, pi = 1) gives the population's rate in
-    mode "HJ".
+    The first row that fails its checks raises.  A level beyond a total
+    mass (possible in mode "HT") saturates at the row's largest response.
     """
     _check_levels(alpha, beta)
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    cdfs = _valid_cdfs(batch, N, (mode,))
-    q = _step_quantiles(cdfs.loc, cdfs.cum[0], cdfs.total[0], cdfs.count, alpha)
-    return _step_values(cdfs.loc, cdfs.cum[0], cdfs.count, beta * q[:, None])[:, 0]
+    return _quantiles_and_rates(_valid_cdfs(batch, N, (mode,)), alpha, beta)[1][0]
 
 
 def census_poverty_rate(y, alpha: float, beta: float) -> float:
-    """Poverty rate of a population from all N of its responses ``y``,
-    bitwise the "HJ" :func:`step_poverty_rates` of its census (every unit,
-    pi = 1), from one sort.
+    """Poverty rate phi(F_N) = F_N(beta F_N^{-1}(alpha)) of a population
+    from all N of its responses ``y``, from one sort: the Monte Carlo
+    center, and the one place the generalized inverse
+    F_N^{-1}(a) = inf{t : F_N(t) >= a} is taken, ties at floating
+    resolution resolving downward.
 
     Every census weight is 1/N, so a tie group of k units weighs the k-th
     running sum of N weights 1/N (what ``np.bincount`` adds), the running
@@ -377,7 +375,10 @@ def _step_values(loc, cum, count, t) -> np.ndarray:
     """Padded step functions (``loc``, ``cum``, ``count`` as in
     :class:`_Cdfs`) at the points ``t`` (..., R, P): the running sum at the
     last jump <= t, found by counting comparisons."""
-    below = np.minimum(np.count_nonzero(loc[:, None, :] <= t[..., None], axis=-1),
+    # a row of loc ascends (NaNs and padding last), so its comparisons are
+    # Trues, then Falses: the first False counts them, unless there is none
+    le = loc[:, None, :] <= t[..., None]
+    below = np.minimum(np.where(le[..., -1], le.shape[-1], np.argmin(le, axis=-1)),
                        count[:, None])
     below = np.where(np.isnan(t), count[:, None], below)
     L = cum.shape[-1]

@@ -479,8 +479,8 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
     """One population's replicated statistic, standardized.
 
     The HT mean takes this population's exact center and design scale; a
-    poverty rate (the step quantile rule, one batch at a time) takes the
-    given model ``center`` and asymptotic ``scale``.
+    poverty rate (:func:`estimation.poverty_rates`, the tables' estimate)
+    takes the given model ``center`` and asymptotic ``scale``.
     """
     if statistic == "ht_mean":
         # each row summed over its own entries, as the sample drawn alone
@@ -491,8 +491,8 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
         if scale <= 0.0:
             raise DiagnosticError("design variance of the weighted mean is zero")
     else:
-        vals = np.concatenate([est.step_poverty_rates(batch, sc.N, sc.alpha, sc.beta,
-                                                      statistic[-2:].upper())
+        vals = np.concatenate([est.poverty_rates(batch, sc.N, sc.alpha, sc.beta,
+                                                 statistic[-2:].upper())
                                for batch in batches])
     return (vals - center) / scale
 
@@ -527,9 +527,10 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     "ht_mean" is centered at each population's mean and scaled by its exact
     design standard deviation (:func:`oracle.exact_sn2`; on REJ the O(N n)
     moment program, with no N x N matrix, so any N the sampler takes).  A
-    poverty rate is centered at the model rate F(beta F^-1(alpha)) and
-    scaled by its asymptotic variance; a discrete law, which has none, is a
-    :class:`DiagnosticError`."""
+    poverty rate, the tables' interpolated-rule estimate
+    (:func:`estimation.poverty_rates`), is centered at the model rate
+    F(beta F^-1(alpha)) and scaled by its asymptotic variance; a discrete
+    law, which has none, is a :class:`DiagnosticError`."""
     if statistic not in ("phi_ht", "phi_hj", "ht_mean"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if sc.n_populations * sc.n_samples < 1000:

@@ -10,8 +10,7 @@ support is refused before it is built when its boolean rows would pass
 :data:`MAX_SUPPORT_BYTES`; the size-n subsets are read from
 ``itertools.combinations`` in blocks of compact index rows, and all
 subsets are the bits of their row numbers.  The divergence reads the
-reference mass by index when both supports list the same rows, and by one
-sorted lookup of packed rows otherwise.
+reference mass by one sorted lookup of packed rows.
 
 The exact design variance of the inverse-probability mean and the finite-N
 covariance matrices on grids share one quadratic form in the pairwise
@@ -423,18 +422,14 @@ def divergence_from_rejective(enumerated: EnumeratedDesign,
                               rejective_reference: EnumeratedDesign) -> float:
     """Kullback-Leibler divergence sum P(s) log(P(s)/R(s)).
 
-    The reference mass R(s) of each support point is read by index when the
-    two supports list the same samples in the same order, and otherwise
-    looked up by the packed bits of its row.  The sum runs over the support
-    of the first design in order, in Python floats.  Returns ``inf`` when
-    the first design puts mass outside the support of the reference.
+    The reference mass R(s) of each support point is looked up by the
+    packed bits of its row.  The sum runs over the support of the first
+    design in order, in Python floats.  Returns ``inf`` when the first
+    design puts mass outside the support of the reference.
     """
     if enumerated.N != rejective_reference.N:
         raise ParameterError("designs must share the population size")
-    if np.array_equal(enumerated.samples, rejective_reference.samples):
-        ref = rejective_reference.probs
-    else:
-        ref = _reference_probs(enumerated.samples, rejective_reference)
+    ref = _reference_probs(enumerated.samples, rejective_reference)
     div = 0.0
     for p, r in zip(enumerated.probs.tolist(), ref.tolist()):
         if p <= 0.0:

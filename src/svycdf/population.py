@@ -29,8 +29,8 @@ class SuperPopulationLaw:
 
     * ``exponential`` with rate parameter ``rate > 0``,
     * ``uniform01``, the uniform distribution on [0, 1),
-    * ``discrete`` with atoms at strictly increasing ``points`` carrying
-      nonnegative ``masses`` that sum to one (within 1e-12).
+    * ``discrete`` with atoms at finite, strictly increasing ``points``
+      carrying finite nonnegative ``masses`` that sum to one (within 1e-12).
     """
 
     kind: str
@@ -55,6 +55,8 @@ class SuperPopulationLaw:
             mas = np.asarray(self.masses, dtype=float)
             if pts.size == 0 or pts.size != mas.size:
                 raise ParameterError("discrete law needs equally many points and masses")
+            if not (np.isfinite(pts).all() and np.isfinite(mas).all()):
+                raise ParameterError("discrete points and masses must be finite")
             if np.any(np.diff(pts) <= 0):
                 raise ParameterError("discrete points must be strictly increasing")
             if np.any(mas < 0) or abs(mas.sum() - 1.0) > 1e-12:

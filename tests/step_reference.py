@@ -2,10 +2,12 @@
 
 ``StepFunction.from_points`` merges tied points into one jump with
 ``np.unique`` and adds their weights with ``np.bincount`` in the order
-given; ``quantile`` is the scalar generalized inverse and
-``poverty_rate`` the function at beta times that quantile.  The batch
-kernels of ``svycdf.estimation`` (``_weighted_cdfs``, ``_step_quantiles``,
-``_step_values``, ``step_poverty_rates``) must give the same floats.
+given; the batch CDFs of ``svycdf.estimation`` (``_weighted_cdfs``,
+``_step_values``) must give the same floats.  ``quantile`` is the scalar
+generalized inverse, which raises ``MassDeficitError`` at a level beyond
+the total mass, and ``poverty_rate`` the function at beta times that
+quantile: on a census, the rate ``estimation.census_poverty_rate`` must
+give bit for bit.
 
 The tests build their batches here: ``make_batch`` makes a read-only
 ``designs.SampleBatch`` of hand-built rows, ``rows`` splits a batch into
@@ -28,14 +30,13 @@ import numpy as np
 from svycdf import designs as dsg
 from svycdf import estimation as est
 from svycdf import population as pop
-from svycdf.errors import (
-    EstimationError,
-    ParameterError,
-    QuantileUndefinedError,
-    ZeroDensityError,
-)
+from svycdf.errors import EstimationError, ParameterError, ZeroDensityError
 
 TIE_EPS = 1e-12
+
+
+class MassDeficitError(EstimationError):
+    """A quantile level exceeds the total mass of the step function."""
 
 
 def _batch(included, pi, y, sizes, expected_n):
@@ -142,7 +143,7 @@ def quantile(f, alpha):
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"quantile level must lie in (0, 1], got {alpha}")
     if alpha > f.total_mass + TIE_EPS:
-        raise QuantileUndefinedError(f"level {alpha} exceeds total mass {f.total_mass}")
+        raise MassDeficitError(f"level {alpha} exceeds total mass {f.total_mass}")
     return float(next(location for location, running in zip(f.locations, f.cumulative)
                       if running >= alpha - TIE_EPS))
 

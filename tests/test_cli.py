@@ -246,6 +246,31 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error: exponential rate must be")
         assert ran == []
 
+    @pytest.mark.parametrize("field, values", [
+        ("points", [1.0, float("nan"), 3.0]),
+        ("points", [1.0, 2.0, float("inf")]),
+        ("points", [float("-inf"), 1.0, 2.0]),
+        ("masses", [float("nan"), 0.5, 0.5]),
+        ("masses", [float("inf"), 0.5, 0.5]),
+        ("masses", [float("-inf"), 0.5, 0.5]),
+    ], ids=["points-NaN", "points-Infinity", "points--Infinity", "masses-NaN",
+            "masses-Infinity", "masses--Infinity"])
+    def test_non_finite_atom_is_usage_error(self, runner, tmp_path, field, values):
+        # json reads the literals NaN, Infinity and -Infinity; the law refuses
+        # them before --out is made and without a numpy warning
+        law = {"kind": "discrete", "points": [1.0, 2.0, 3.0], "masses": [0.5, 0.25, 0.25],
+               field: values}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(law=law, cells=[{"N": 100, "n": 10}])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.strip().splitlines() == [
+            "error: discrete points and masses must be finite"]
+        assert not (tmp_path / "out").exists()
+
     def test_largest_rate_runs(self, runner, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(minimal_config(law={"kind": "exponential", "rate": 1e308},
@@ -532,6 +557,21 @@ class TestOracleCommand:
         assert result.exit_code == 0, result.output
         table = {row[0]: row for row in read_rows(tmp_path / "conditions.csv")[1:]}
         assert float(table["divergence_from_reference"][1]) <= 1e-12
+
+    def test_divergence_off_the_reference_support_prints_inf(self, runner, tmp_path):
+        # a Bernoulli design puts mass on samples of every size and the
+        # rejective reference only on size 2, so the divergence is infinite
+        result = runner.invoke(main, [
+            "oracle", "--design", '{"kind":"bernoulli","N":4,"p":0.5}',
+            "--rejective-reference", '{"kind":"rejective","p":[0.2,0.3,0.4,0.5],"n":2}',
+            "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        table = {row[0]: row for row in read_rows(tmp_path / "conditions.csv")[1:]}
+        assert table["divergence_from_reference"][1:] == ["inf", "sum P log(P/R)", "inf"]
+
+    def test_non_finite_values_print_as_themselves(self):
+        assert [cli._fmt(x) for x in (None, np.nan, np.inf, -np.inf, 0.25)] == \
+            ["nan", "nan", "inf", "-inf", "0.25"]
 
     def test_capacity_guard_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, [

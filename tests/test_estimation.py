@@ -13,7 +13,6 @@ from svycdf.errors import (
     DegenerateBandwidthError,
     EstimationError,
     ParameterError,
-    QuantileUndefinedError,
     ZeroDensityError,
 )
 from svycdf.streams import substream
@@ -27,15 +26,6 @@ def interpolated(f, alpha, n_points):
                                     np.array([f.total_mass]), np.array([f.locations.size]),
                                     np.array([float(n_points)]), (alpha,))
     return float(q[0, 0])
-
-
-def step_quantile(f, alpha):
-    """The batch step rule on one step function, equal to the reference."""
-    q = float(est._step_quantiles(f.locations[None], f.cumulative[None],
-                                  np.array([f.total_mass]), np.array([f.locations.size]),
-                                  alpha)[0])
-    assert q == ref.quantile(f, alpha)
-    return q
 
 
 def ecdf(draw, N, mode):
@@ -59,9 +49,11 @@ def cdf_at(draw, N, mode, t):
 
 
 def rate(draw, N, alpha, beta, mode="HJ"):
-    """One draw's step poverty rate, equal to the reference."""
-    got = float(est.step_poverty_rates(draw, N, alpha, beta, mode)[0])
-    assert got == ref.poverty_rate(ref.reference_ecdf(draw, N, mode), alpha, beta)
+    """One draw's poverty rate, equal to its CDF at beta times its
+    interpolated quantile."""
+    got = float(est.poverty_rates(draw, N, alpha, beta, mode)[0])
+    f = ecdf(draw, N, mode)
+    assert got == f(beta * interpolated(f, alpha, draw.y.size))
     return got
 
 
@@ -148,35 +140,39 @@ class TestHajekEcdf:
     def test_empty_sample_errors(self):
         empty = ref.make_row([], [])
         with pytest.raises(EstimationError):
-            est.step_poverty_rates(empty, 4, 0.5, 0.6, "HJ")
+            est.poverty_rates(empty, 4, 0.5, 0.6, "HJ")
 
 
 class TestWeightedQuantile:
     def test_inf_definition(self):
         f = ref.StepFunction.from_points([1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
         # F(1) = 1/3 < 0.5 <= F(2)
-        assert step_quantile(f, 0.5) == 2.0
+        assert ref.quantile(f, 0.5) == 2.0
 
     def test_level_one_hits_last_jump(self):
         f = ref.StepFunction.from_points([1.0, 2.0, 3.0], np.full(3, 1.0 / 3.0), total_mass=1.0)
-        assert step_quantile(f, 1.0) == 3.0
+        assert ref.quantile(f, 1.0) == 3.0
 
     def test_atom_boundary(self):
         f = ref.StepFunction.from_points([1.0, 2.0], [0.5, 0.5])
-        assert step_quantile(f, 0.5) == 1.0
+        assert ref.quantile(f, 0.5) == 1.0
 
     def test_mass_deficit_errors(self):
-        # HT weights 1/(20 / 9) = 0.45: total mass 0.9 < 0.95
+        # HT weights 1/(20 / 9) = 0.45: total mass 0.9 < 0.95, where the
+        # generalized inverse is undefined and the sample rate saturates at
+        # the largest response, 0.6 * 2 lying between the two jumps
         draw = ref.make_row([1.0, 2.0], np.full(2, 1.0 / 9.0))
-        assert ecdf(draw, 20, "HT").total_mass == pytest.approx(0.9)
-        with pytest.raises(QuantileUndefinedError):
-            est.step_poverty_rates(draw, 20, 0.95, 0.6, "HT")
+        f = ecdf(draw, 20, "HT")
+        assert f.total_mass == pytest.approx(0.9)
+        with pytest.raises(ref.MassDeficitError):
+            ref.quantile(f, 0.95)
+        assert rate(draw, 20, 0.95, 0.6, "HT") == f.cumulative[0]
 
     def test_rounding_below_level_resolves_downward(self):
         # running sums 0.7, 0.7999999999999999, 0.8999999999999999, 0.9999999999999999
         f = ref.StepFunction.from_points([1.0, 2.0, 3.0, 4.0], [0.7, 0.1, 0.1, 0.1])
-        assert step_quantile(f, 0.8) == 2.0
-        assert step_quantile(f, 1.0) == 4.0
+        assert ref.quantile(f, 0.8) == 2.0
+        assert ref.quantile(f, 1.0) == 4.0
 
     def test_interpolated_matches_type7_for_equal_weights(self):
         rng = substream(71)
@@ -206,7 +202,7 @@ class TestWeightedQuantile:
         draw = ref.make_row([1.0], [1.0])
         for alpha in (0.0, 1.5, np.nan):
             with pytest.raises(ParameterError, match="quantile level"):
-                est.step_poverty_rates(draw, 1, alpha, 0.6, "HJ")
+                est.poverty_rates(draw, 1, alpha, 0.6, "HJ")
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
@@ -215,7 +211,7 @@ class TestWeightedQuantile:
         draw = ref.make_row(rng.normal(size=8), rng.uniform(0.05, 1.0, 8))
         f = ecdf(draw, 30, "HJ")
         levels = np.linspace(0.05, 1.0, 20)
-        qs = [step_quantile(f, a) for a in levels]
+        qs = [ref.quantile(f, a) for a in levels]
         assert np.all(np.diff(qs) >= 0)
 
 
@@ -234,10 +230,13 @@ class TestPovertyRate:
         assert rate(ref.make_row([1.0], [1.0]), 1, 0.5, 0.9) == 0.0
 
     def test_beta_one_on_atomless_levels(self):
+        # equal weights: q lies in [y_(k), y_(k+1)) for k = floor(1 + 8 alpha),
+        # so F(q) = k / 9
         rng = substream(23)
         draw = ref.make_row(rng.normal(size=9), np.ones(9))
         for alpha in (0.2, 0.5, 0.8):
-            assert rate(draw, 9, alpha, 1.0) >= alpha - 1e-9
+            assert rate(draw, 9, alpha, 1.0) == pytest.approx(np.floor(1 + 8 * alpha) / 9,
+                                                              abs=1e-15)
 
 
 class TestHadamardDirection:
@@ -298,7 +297,7 @@ class TestKdeDensity:
         popu = pop.generate_population(law, 500, seed=11)
         draw = dsg.draw(dsg.srswor(500, 100), [substream(12)], popu)
         f = ecdf(draw, 500, "HJ")
-        bandwidth = 0.79 * (step_quantile(f, 0.75) - step_quantile(f, 0.25)) * 100 ** (-0.2)
+        bandwidth = 0.79 * (ref.quantile(f, 0.75) - ref.quantile(f, 0.25)) * 100 ** (-0.2)
         grid = np.linspace(-10.0, 30.0, 4001)
         sums, n_hat = kernel_sums(draw, 500, grid, bandwidth)
         assert np.trapezoid(sums / (n_hat * bandwidth), grid) == pytest.approx(1.0, abs=1e-3)
@@ -438,14 +437,16 @@ def test_empty_poverty_batch_rejected():
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, 2.0, np.nan])
-@pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates",
+@pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates", "poverty_rates",
                                    "poverty_rate_estimates"])
 def test_bad_beta_rejected(entry, beta):
     draw = ref.make_row([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
     c = asy.DesignConstants(0.5, 1.0, 0.0)
     call = {"poverty_batch": lambda: est.poverty_rate_estimates(ref.stack([draw] * 3), 8, c,
                                                                 0.5, beta),
-            "step_poverty_rates": lambda: est.step_poverty_rates(draw, 8, 0.5, beta, "HJ"),
+            # the step-rule (generalized-inverse) rate of a population
+            "step_poverty_rates": lambda: est.census_poverty_rate(draw.y, 0.5, beta),
+            "poverty_rates": lambda: est.poverty_rates(draw, 8, 0.5, beta, "HJ"),
             "poverty_rate_estimates": lambda: est.poverty_rate_estimates(
                 draw, 8, c, 0.5, beta)}[entry]
     with pytest.raises(ParameterError, match="scale beta"):
@@ -458,15 +459,12 @@ def test_bad_beta_rejected(entry, beta):
                          ids=["exponential", "discrete12"])
 @pytest.mark.parametrize("N", [1, 2, 7, 1000, 10_000])
 def test_census_rate_is_population_rate(law, N):
-    # the Monte Carlo F_N center: the "HJ" rate of all N units with pi = 1,
-    # and census_poverty_rate, which must give the same bits
+    # the Monte Carlo F_N center: the reference rate of the census CDF,
+    # weight 1/N per unit, which census_poverty_rate must give bit for bit
     y = pop.generate_population(law, N, seed=N)
-    census = ref.make_row(y, np.ones(N))
     f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
     for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
-        got = est.step_poverty_rates(census, N, alpha, beta, "HJ")[0]
-        assert got == ref.poverty_rate(f_n, alpha, beta)
-        assert est.census_poverty_rate(y, alpha, beta) == got
+        assert est.census_poverty_rate(y, alpha, beta) == ref.poverty_rate(f_n, alpha, beta)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 1000])
@@ -477,9 +475,9 @@ def test_census_rate_with_nan_responses(N):
     for trial in range(20):
         y = np.round(rng.exponential(1.0, N), rng.integers(0, 3))
         y[rng.random(N) < rng.uniform(0.0, 1.0)] = np.nan
-        census = ref.make_row(y, np.ones(N))
+        f_n = ref.StepFunction.from_points(y, np.full(N, 1.0 / N), total_mass=1.0)
         for alpha, beta in ((0.5, 0.6), (0.25, 1.0), (1.0, 0.5), (0.1, 0.05)):
-            expected = est.step_poverty_rates(census, N, alpha, beta, "HJ")[0]
+            expected = ref.poverty_rate(f_n, alpha, beta)
             got = est.census_poverty_rate(y, alpha, beta)
             assert got == expected, (trial, alpha)
 

@@ -588,6 +588,15 @@ class TestNormalityDiagnostic:
             mc.normality_diagnostic(sc, "phi_hj")
         assert len(calls) == 0
 
+    def test_phi_ht_through_ht_mass_deficit(self):
+        # PO at N=200, n=20: some samples' HT mass falls below alpha = 0.5,
+        # where a generalized-inverse quantile is undefined; the tables'
+        # estimate saturates there, and so the diagnostic returns
+        sc = small_scenario(design="PO", N=200, n=20, n_populations=20, n_samples=100, seed=3)
+        out = mc.normality_diagnostic(sc, "phi_ht")
+        assert out["replications"] == 2000
+        assert all(np.isfinite(out[k]) for k in ("skewness", "excess_kurtosis", "ks_distance"))
+
     def test_si_statistics_near_normal(self):
         sc = small_scenario(N=800, n=160, n_populations=40, n_samples=30, seed=13)
         out = mc.normality_diagnostic(sc, "phi_hj")
