@@ -11,27 +11,22 @@ the largest response when a level exceeds the total mass; only the census
 center :func:`census_poverty_rate` takes the generalized inverse
 F^{-1}(a) = inf{t : F(t) >= a}.
 
-Draws come in the batches of :func:`designs.draw`: responses and
-inclusion probabilities concatenated row after row, with one length per
-row (one draw is a batch of one row), which the kernels read and never
-write.  :func:`_weighted_cdfs` checks a batch (the inclusion
-probabilities once over the whole batch), pads its responses to one
-(R, n_max) block, sorts the block once and builds the
-CDFs of the modes its caller reads, each with one gather and one
-cumulative sum over the block.  A batch costs a fixed number of array
-operations, plus one per distinct row length for the sums whose rounding
-depends on the length; a row with equal responses (NaNs too) then merges
-them into one jump with ``np.unique``, their weights added in sample
-order.  The poverty kernels (:func:`poverty_rate_estimates`, both
-modes, with kernel densities and the plug-in variance of
-:mod:`asymptotics`, deciding every failed cell; :func:`poverty_rates`,
-one mode, the rate alone) share one rate computation
-(:func:`_quantiles_and_rates`), so a rate has the same bits in both.  They
-and the process paths (:func:`process_paths`, one mode) read all rows at
-once: quantiles and CDF values are counts of comparisons, and the kernel
-densities of both modes take one ``exp`` over the block.  Sums whose
-rounding depends on a row's length run on the row's own entries, so a draw
-gets the same bits in any batch, alone included.
+Draws come in the batches of :func:`designs.draw` (one draw is a batch of
+one row), which the kernels read and never write.  :func:`_weighted_cdfs`
+checks a batch, pads its responses to one block, sorts the block once and
+builds the CDFs of the modes its caller reads, in a fixed number of array
+operations plus one per distinct row length; a row with equal responses
+(NaNs too) merges them into one jump with ``np.unique``.  The kernels,
+:func:`poverty_rate_estimates` (both modes, with kernel densities and the
+plug-in variance), :func:`poverty_rates` (one mode, the same rate bits)
+and :func:`process_paths` (one mode), read all rows at once, but sum each
+row over its own entries, so a draw gets the same bits in any batch.
+
+No kernel raises on a failing row: a row that is empty or has a pi outside
+(0, 1] holds 0.0, and the errors dict the kernel returns maps it to its
+:class:`EstimationError` (each of its (row, mode) cells in
+:func:`poverty_rate_estimates`, which also fails cells without a bandwidth
+or a density).
 """
 
 from __future__ import annotations
@@ -179,14 +174,6 @@ def _weighted_cdfs(batch, N: int, modes=MODES) -> tuple[_Cdfs, dict]:
                  total=total, count=count), errors
 
 
-def _valid_cdfs(batch, N: int, modes=MODES) -> _Cdfs:
-    """:func:`_weighted_cdfs` where the first row that fails its checks raises."""
-    cdfs, errors = _weighted_cdfs(batch, N, modes)
-    if errors:
-        raise next(iter(errors.values()))
-    return cdfs
-
-
 def _interpolated_quantiles(loc, cum, total, count, n_points, levels) -> np.ndarray:
     """Weighted quantiles with sample-scale linear interpolation of R
     padded step functions at several levels, shape
@@ -284,7 +271,7 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
 
     Returns ``(phi, av, errors)``: (S, 2) arrays with one row per batch row
     and the columns :data:`MODES`, and a dict mapping each cell ``(j, k)``
-    that cannot be evaluated to the :class:`EstimationError` it raised; such
+    that cannot be evaluated to its :class:`EstimationError`, never raised; such
     cells hold 0.0 in both arrays.  An empty row, or one with an inclusion
     probability outside (0, 1], fails in both modes; a cell
     without a bandwidth fails with :class:`DegenerateBandwidthError`, unless
@@ -331,19 +318,24 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
 
 
 def poverty_rates(batch, N: int, alpha: float, beta: float,
-                  mode: Literal["HT", "HJ"]) -> np.ndarray:
+                  mode: Literal["HT", "HJ"]) -> tuple:
     """Poverty rate F(beta q) of each batch row's ``mode`` CDF F, q its
     interpolated alpha-quantile: bitwise the ``mode`` column of
     :func:`poverty_rate_estimates` on every cell that does not fail there,
     from one mode's CDFs and no densities.
 
-    The first row that fails its checks raises.  A level beyond a total
-    mass (possible in mode "HT") saturates at the row's largest response.
+    Returns ``(rates, errors)``: one rate per row (0.0 in a failing row),
+    and each failing row's :class:`EstimationError` by row.  A level beyond
+    a total mass (possible in mode "HT") saturates at the row's largest
+    response.
     """
     _check_levels(alpha, beta)
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    return _quantiles_and_rates(_valid_cdfs(batch, N, (mode,)), alpha, beta)[1][0]
+    cdfs, errors = _weighted_cdfs(batch, N, (mode,))
+    rates = _quantiles_and_rates(cdfs, alpha, beta)[1][0]
+    rates[list(errors)] = 0.0
+    return rates, errors
 
 
 def census_poverty_rate(y, alpha: float, beta: float) -> float:
@@ -394,7 +386,7 @@ def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
-                  law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
+                  law: pop.SuperPopulationLaw | None = None) -> tuple:
     """Evaluate a sqrt(n)-standardized estimation process of a batch of
     draws from the population of responses ``y`` on a grid, row j for
     batch row j.
@@ -403,7 +395,8 @@ def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
     ("HT_*") or self-normalized ("HJ_*") CDF against the population
     empirical CDF (``*_vs_FN``) or against the model CDF (``*_vs_F``).  The
     standardization uses the design-expected size, not the realized one.
-    The first row that cannot be evaluated raises.
+    Returns ``(paths, errors)`` as :func:`poverty_rates` returns rates, a
+    failing row's path 0.0 on the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
@@ -412,10 +405,10 @@ def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):
         raise ParameterError(f"process {which!r} requires the super-population law")
-    cdfs = _valid_cdfs(batch, y.size, (which[:2],))
+    cdfs, errors = _weighted_cdfs(batch, y.size, (which[:2],))
     cdf_vals = _step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                             np.broadcast_to(grid, (cdfs.sizes.size, grid.size)))
-    root_n = np.sqrt(batch.expected_n)
-    if which.endswith("_vs_FN"):
-        return root_n * (cdf_vals - empirical_cdf_values(y, grid))
-    return root_n * (cdf_vals - pop.true_cdf(law, grid))
+    center = empirical_cdf_values(y, grid) if which.endswith("_vs_FN") else pop.true_cdf(law, grid)
+    paths = np.sqrt(batch.expected_n) * (cdf_vals - center)
+    paths[list(errors)] = 0.0
+    return paths, errors

@@ -23,19 +23,17 @@ scenario seed and its own index, and every sum adds in index order (cells
 in sample order, then populations), so reports are bitwise reproducible
 for any worker count.
 
-A run opens at most one process pool: :func:`run_scenarios` shares it
-across a whole grid of scenarios, and each diagnostic opens its own in
-:func:`_population_results`.  The grid is pipelined: as soon as a
-scenario's design is ready, its populations go to the pool in contiguous
-chunks of ceil(P / (2 * pool size)) of its P populations, without waiting
-for earlier scenarios to finish; only then are the scenarios' results
-reduced, each in population order.  A run on one
-worker takes the same lazy map in this process.  The pool is closed before
-the run returns; on error, chunks still queued are cancelled first.  A
-population draws its responses ``y`` and its design, and hands them with
-its batches of draws to the job's reducer, ``reduce(y, design, batches)``:
-the array of sums above, the process path sums, or the standardized
-statistic of a normality diagnostic.
+A run opens at most one process pool (:func:`_process_pool`):
+:func:`run_scenarios` shares it across a grid, queueing each scenario's
+populations in contiguous chunks as soon as its design is ready and
+reducing the results afterwards, each scenario in population order; each
+diagnostic opens its own in :func:`_population_results`.  A population
+draws its responses ``y`` and its design, and hands them with its batches
+of draws to the job's reducer, ``reduce(y, design, batches)``: the array
+of sums above, the process path sums, or the standardized statistic of a
+normality diagnostic.  The tables and both diagnostics count and exclude
+the draws the kernels report as failed, and refuse a job past
+:data:`FAILURE_BUDGET` of its cells in :func:`_check_budget`.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ DesignLabel = Literal["SI", "BE", "PO", "REJ"]
 ESTIMATORS = asy.MODES
 CENTERS = ("FN", "F")   # population parameter vs model parameter
 
-#: fraction of failed cells (per estimator) tolerated before the scenario errors
+#: fraction of failed cells (per estimator or statistic) a job tolerates
 FAILURE_BUDGET = 0.01
 
 #: inclusion probabilities of the unequal-probability split, as multiples of n/N
@@ -150,7 +148,7 @@ def _split_probabilities(N: int, n: int) -> np.ndarray:
     pi = np.full(N, PO_HIGH * base)
     pi[: N // 2] = PO_LOW * base
     if N % 2:
-        # odd N: adjust one unit so the expected size stays exactly n
+        # odd N: the middle unit takes the rest of n, n/N (and a sum n) up to rounding
         pi[N // 2] = n - PO_LOW * base * (N // 2) - PO_HIGH * base * (N - N // 2 - 1)
     return pi
 
@@ -316,6 +314,18 @@ def _population_results(sc: Scenario, design: dsg.Design, reduce: Callable, work
         return list(pmap(partial(_population_task, sc, design, reduce), sc.n_populations))
 
 
+def _check_budget(label: str, failed: int, cells: int) -> None:
+    """Refuse a job whose ``label`` failed in over FAILURE_BUDGET of its cells."""
+    if failed > FAILURE_BUDGET * cells:
+        raise ScenarioError(
+            f"{label} failed in {failed} of {cells} cells (> {FAILURE_BUDGET:.0%} budget)")
+
+
+def _kept_rows(results) -> np.ndarray:
+    """The rows of ``(values, errors)`` kernel results, failed rows dropped."""
+    return np.concatenate([np.delete(values, list(errors), axis=0) for values, errors in results])
+
+
 def _percent(total: float, count: float) -> float:
     return float(100.0 * total / count) if count else float("nan")
 
@@ -395,24 +405,18 @@ def _scenario_report(sc: Scenario, sums: Iterator, setup_seconds: float) -> Mont
     rb_phi, rb_phi_se, coverage = {}, {}, {}
     rb_av, rb_av_se, mc_variance, n_failures = {}, {}, {}, {}
     for k, e in enumerate(ESTIMATORS):
-        ok = total[_OK, k]
+        ok = total[_OK, k]       # positive within the budget
+        n_failures[e] = n_cells - int(ok)
+        _check_budget(e, n_failures[e], n_cells)
         for i, c in enumerate(CENTERS):
             rb_phi[e, c] = _percent(total[_REL + i, k], ok)
             coverage[e, c] = _percent(total[_COVER + i, k], ok)
             rb_phi_se[e, c] = _cluster_se(per_pop[:, _REL + i, k], per_pop[:, _OK, k])
         rb_av[e] = _percent(total[_AV_REL, k], total[_AV_COUNT, k])
         rb_av_se[e] = _cluster_se(per_pop[:, _AV_REL, k], per_pop[:, _AV_COUNT, k])
-        if ok:
-            mean = total[_PHI, k] / ok
-            second = total[_PHI_SQ, k] / ok
-            mc_variance[e] = float(sc.n * max(second - mean * mean, 0.0))
-        else:
-            mc_variance[e] = float("nan")
-        n_failures[e] = n_cells - int(ok)
-        if n_failures[e] > FAILURE_BUDGET * n_cells:
-            raise ScenarioError(
-                f"{e} failed in {n_failures[e]} of {n_cells} cells "
-                f"(> {FAILURE_BUDGET:.0%} budget)")
+        mean = total[_PHI, k] / ok
+        second = total[_PHI_SQ, k] / ok
+        mc_variance[e] = float(sc.n * max(second - mean * mean, 0.0))
     if sc.law.kind == "exponential":
         # NaN compares false: a single-population scenario has no SE
         positives = [k for k, v in rb_phi.items() if v > 3.0 * rb_phi_se[k]]
@@ -438,36 +442,37 @@ class ProcessCovarianceResult:
     limit: np.ndarray
     entry_se: np.ndarray
     max_abs_error: float
+    n_failures: int         # failed paths, counted and excluded
 
 
-def _process_sums(sc: Scenario, grid: np.ndarray, form: str, y, design, batches) -> tuple:
-    """Sum and sum of outer products of one population's ``n_samples``
-    process paths."""
-    paths = np.concatenate([est.process_paths(batch, y, grid, form, law=sc.law)
-                            for batch in batches])
-    return paths.sum(axis=0), paths.T @ paths
+def _process_sums(sc: Scenario, grid, form: str, y, design, batches) -> tuple:
+    """Sum and sum of outer products of one population's process paths,
+    failed paths excluded, and the number of paths kept."""
+    paths = _kept_rows(est.process_paths(batch, y, grid, form, law=sc.law)
+                       for batch in batches)
+    return paths.sum(axis=0), paths.T @ paths, len(paths)
 
 
 def process_covariance_check(sc: Scenario, grid, form: str,
                              workers: int = 1) -> ProcessCovarianceResult:
-    """Compare the replicated empirical covariance of a process on a grid
-    with its closed-form limit; returns entrywise errors and their MC
-    standard errors (per-population cluster estimate)."""
+    """Compare the replicated empirical covariance of a process on a grid with
+    its closed-form limit; returns entrywise errors, their per-population
+    cluster MC standard errors over the kept paths, and ``n_failures``."""
     design = _scenario_design(sc)
-    grid = np.asarray(grid, dtype=float)
     per_pop = _population_results(sc, design, partial(_process_sums, sc, grid, form), workers)
-    count = sc.n_populations * sc.n_samples
-    mean = sum(v for v, _ in per_pop) / count
-    second = sum(o for _, o in per_pop) / count
+    sums, outers, kept = map(sum, zip(*per_pop))     # added in population order
+    cells = sc.n_populations * sc.n_samples
+    _check_budget(form, cells - kept, cells)
+    mean, second = sums / kept, outers / kept
     empirical = second - np.outer(mean, mean)
-    pop_means = np.array([o / sc.n_samples for _, o in per_pop])
-    entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(per_pop))
-                if len(per_pop) > 1 else np.full_like(empirical, np.nan))
+    pop_means = np.array([o / k for _, o, k in per_pop if k])
+    entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(pop_means))
+                if len(pop_means) > 1 else np.full_like(empirical, np.nan))
     constants = dsg.design_constants(design)
     limit = asy.limit_covariance_matrix(constants, sc.law, form, grid)
     return ProcessCovarianceResult(
         empirical=empirical, limit=limit, entry_se=entry_se,
-        max_abs_error=float(np.max(np.abs(empirical - limit))))
+        max_abs_error=float(np.max(np.abs(empirical - limit))), n_failures=cells - kept)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +481,11 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 
 def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
                       batches) -> np.ndarray:
-    """One population's replicated statistic, standardized.
+    """One population's replicated statistic, standardized, failed draws dropped.
 
-    The HT mean takes this population's exact center and design scale; a
-    poverty rate (:func:`estimation.poverty_rates`, the tables' estimate)
-    takes the given model ``center`` and asymptotic ``scale``.
+    The HT mean (0 for an empty sample, so no draw fails) takes this
+    population's exact center and design scale; a poverty rate, the tables'
+    estimate, takes the given model ``center`` and asymptotic ``scale``.
     """
     if statistic == "ht_mean":
         # each row summed over its own entries, as the sample drawn alone
@@ -491,9 +496,9 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
         if scale <= 0.0:
             raise DiagnosticError("design variance of the weighted mean is zero")
     else:
-        vals = np.concatenate([est.poverty_rates(batch, sc.N, sc.alpha, sc.beta,
-                                                 statistic[-2:].upper())
-                               for batch in batches])
+        vals = _kept_rows(est.poverty_rates(batch, sc.N, sc.alpha, sc.beta,
+                                            statistic[-2:].upper())
+                          for batch in batches)
     return (vals - center) / scale
 
 
@@ -530,10 +535,12 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     poverty rate, the tables' interpolated-rule estimate
     (:func:`estimation.poverty_rates`), is centered at the model rate
     F(beta F^-1(alpha)) and scaled by its asymptotic variance; a discrete
-    law, which has none, is a :class:`DiagnosticError`."""
+    law, which has none, is a :class:`DiagnosticError`.  ``replications``
+    counts the kept draws, ``failures`` the failed ones."""
     if statistic not in ("phi_ht", "phi_hj", "ht_mean"):
         raise ParameterError(f"unknown statistic {statistic!r}")
-    if sc.n_populations * sc.n_samples < 1000:
+    cells = sc.n_populations * sc.n_samples
+    if cells < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
     design = _scenario_design(sc)
     center = scale = None
@@ -543,6 +550,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
         if not sigma2 > 0.0:                        # NaN for a discrete law
             raise DiagnosticError(f"asymptotic variance is {sigma2}, not positive")
         scale = np.sqrt(sigma2 / sc.n)
-    z_parts = _population_results(
-        sc, design, partial(_statistic_values, sc, statistic, center, scale), workers)
-    return _shape_statistics(np.concatenate(z_parts))
+    z = np.concatenate(_population_results(
+        sc, design, partial(_statistic_values, sc, statistic, center, scale), workers))
+    _check_budget(statistic, cells - z.size, cells)
+    return {**_shape_statistics(z), "failures": cells - z.size}

@@ -48,8 +48,6 @@ class SuperPopulationLaw:
                 raise ParameterError(
                     f"exponential rate must be positive, with every quantile finite "
                     f"and every density there positive, got {self.rate}")
-        elif self.kind == "uniform01":
-            pass
         elif self.kind == "discrete":
             pts = np.asarray(self.points, dtype=float)
             mas = np.asarray(self.masses, dtype=float)
@@ -61,7 +59,7 @@ class SuperPopulationLaw:
                 raise ParameterError("discrete points must be strictly increasing")
             if np.any(mas < 0) or abs(mas.sum() - 1.0) > 1e-12:
                 raise ParameterError("discrete masses must be nonnegative and sum to one")
-        else:
+        elif self.kind != "uniform01":
             raise ParameterError(f"unknown law kind {self.kind!r}")
 
     @classmethod

@@ -12,7 +12,9 @@ give bit for bit.
 The tests build their batches here: ``make_batch`` makes a read-only
 ``designs.SampleBatch`` of hand-built rows, ``rows`` splits a batch into
 batches of one row each and ``stack`` joins batches row after row.
-``row_error`` is the check a row of a batch fails, or None.
+``row_error`` is the check a row of a batch fails, or None, and
+``valid_cdfs`` the batch CDFs (``estimation._weighted_cdfs``) of a batch
+whose rows all pass it.
 
 More reference helpers of the tests live here: ``rejective_first_order``,
 the exact program's first-order probabilities of a rejective design with
@@ -85,6 +87,13 @@ def row_error(row):
     if not (row.pi.min() > 0.0 and row.pi.max() <= 1.0):
         return EstimationError("inclusion probability outside (0, 1] among sampled units")
     return None
+
+
+def valid_cdfs(batch, N, modes=est.MODES):
+    """``estimation._weighted_cdfs`` of a batch, asserting that no row failed."""
+    cdfs, errors = est._weighted_cdfs(batch, N, modes)
+    assert not errors, errors
+    return cdfs
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,10 +201,11 @@ def test_process_identities_pathwise():
             sample = dsg.draw(design, [rng], popu)
             if sample.included.size == 0:
                 continue
-            hj_fn = est.process_paths(sample, popu, grid, "HJ_vs_FN", law=EXP1)[0]
+            # nonempty, so the row of the paths of (paths, errors) is defined
+            hj_fn = est.process_paths(sample, popu, grid, "HJ_vs_FN", law=EXP1)[0][0]
             g_pi, y_n = ref.decomposition_paths(ref.reference_ecdf(sample, N, "HT")(grid),
                                                 sample, popu, grid, EXP1)
-            hj_f = est.process_paths(sample, popu, grid, "HJ_vs_F", law=EXP1)[0]
+            hj_f = est.process_paths(sample, popu, grid, "HJ_vs_F", law=EXP1)[0][0]
             ratio = N / ref.n_hat(sample)
             err1 = float(np.max(np.abs(hj_fn - (y_n + (ratio - 1.0) * g_pi))))
             err2 = float(np.max(np.abs(hj_f - ratio * g_pi)))

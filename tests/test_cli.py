@@ -1,6 +1,7 @@
 """Command line surface: simulate, oracle/conditions, calibrate."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -279,6 +280,35 @@ class TestSimulate:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
 
+    def test_uniform_law_runs(self, runner, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(law={"kind": "uniform01"},
+                                                      n_populations=2, n_samples=3)))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+
+    def test_paper_scale_sets_1000_by_1000(self, runner, tmp_path, monkeypatch):
+        # the scenarios are captured, and run at 1 x 2 in their stead
+        seen = []
+        run = mc.run_scenarios
+
+        def shrunk(scenarios, workers):
+            seen.extend(scenarios)
+            return run([dataclasses.replace(sc, n_populations=1, n_samples=2)
+                        for sc in scenarios], workers)
+
+        monkeypatch.setattr(mc, "run_scenarios", shrunk)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out), "--paper-scale"])
+        assert result.exit_code == 0, result.output
+        assert [(sc.n_populations, sc.n_samples) for sc in seen] == [(1000, 1000)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_populations"], manifest["n_samples"]) == (1000, 1000)
+
     def test_failure_budget_is_runtime_error(self, runner, tmp_path):
         # expected size 2 out of 30: empty samples exceed the failure budget
         cfg = minimal_config(designs=["BE"], cells=[{"N": 30, "n": 2}],
@@ -382,8 +412,10 @@ class TestSimulateFailures:
         (json.dumps(minimal_config(designs=[])), "designs must be a non-empty list"),
         (json.dumps(minimal_config(designs=["SI", "SI"])), "designs must be a non-empty list"),
         (json.dumps(minimal_config(designs="SI")), "designs must be a non-empty list"),
+        (json.dumps(minimal_config(cells=[{"N": 100}])), "bad config field: KeyError('n')"),
+        (json.dumps(minimal_config(cells=[])), "config must list at least one (N, n) cell"),
     ], ids=["top-level-array", "law-string", "law-null", "designs-empty",
-            "designs-repeated", "designs-string"])
+            "designs-repeated", "designs-string", "cell-without-n", "no-cells"])
     def test_misshapen_config_is_usage_error(self, runner, tmp_path, monkeypatch, text,
                                              message):
         ran = []

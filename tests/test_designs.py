@@ -898,6 +898,34 @@ class TestCalibration:
             dsg.calibrate_rejective_p(target, 2, tol=1e-16, max_iter=2)
         assert err.value.residual is not None and err.value.residual > 0
 
+    def test_step_halved_when_residual_grows(self):
+        # a feasible target the fixed point does not reach (not even at the
+        # default max_iter): the exact residual grows once, from pass 15 to
+        # pass 16, and the step after pass 16 is halved, sqrt(t / pi) in
+        # odds space
+        rng = np.random.default_rng(1148)
+        N = int(rng.integers(10, 300))
+        n = int(rng.integers(2, N - 1))
+        assert (N, n) == (16, 14)
+        t = np.clip(1.0 / (1.0 + np.exp(-rng.uniform(-8.0, 8.0, N))), 1e-6, 1.0 - 1e-6)
+        t = dsg._renormalize_odds(t / (1.0 - t), n)
+        passes = []
+        dp = dsg._rejective_first_order
+
+        def exact(p, n, table):
+            passes.append((p.copy(), dp(p, n, table)))
+            return passes[-1][1]
+
+        with mock.patch.object(dsg, "_rejective_first_order", side_effect=exact), \
+                pytest.raises(CalibrationError) as err:
+            dsg.calibrated_rejective(t, n, max_iter=300)
+        residuals = [float(np.max(np.abs(pi - t))) for _, pi in passes]
+        assert [k + 1 for k in range(1, len(passes)) if residuals[k] > residuals[k - 1]] == [16]
+        (p, pi), (halved, _) = passes[15], passes[16]
+        assert np.array_equal(halved, dsg._renormalize_odds((p / (1.0 - p)) * np.sqrt(t / pi), n))
+        assert err.value.iterations == len(passes) == 300
+        assert err.value.residual == residuals[-1] == pytest.approx(9.41e-05, rel=1e-3)
+
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_nonconvergence_residual_is_exact(self, max_iter):
         # the recursion runs at every iteration but the last, which is an

@@ -30,7 +30,7 @@ def interpolated(f, alpha, n_points):
 
 def ecdf(draw, N, mode):
     """One draw's ``mode`` CDF from its batch row, equal to the reference."""
-    f = ref.batch_row(est._valid_cdfs(draw, N), 0, est.MODES.index(mode))
+    f = ref.batch_row(ref.valid_cdfs(draw, N), 0, est.MODES.index(mode))
     expected = ref.reference_ecdf(draw, N, mode)
     assert np.array_equal(f.locations, expected.locations)
     assert np.array_equal(f.cumulative, expected.cumulative)
@@ -41,7 +41,7 @@ def ecdf(draw, N, mode):
 def cdf_at(draw, N, mode, t):
     """One draw's ``mode`` CDF at the points t (batch step values), equal to
     the reference."""
-    cdfs, k = est._valid_cdfs(draw, N), est.MODES.index(mode)
+    cdfs, k = ref.valid_cdfs(draw, N), est.MODES.index(mode)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = est._step_values(cdfs.loc, cdfs.cum[k], cdfs.count, t[None])[0]
     assert np.array_equal(out, ref.reference_ecdf(draw, N, mode)(t))
@@ -51,7 +51,9 @@ def cdf_at(draw, N, mode, t):
 def rate(draw, N, alpha, beta, mode="HJ"):
     """One draw's poverty rate, equal to its CDF at beta times its
     interpolated quantile."""
-    got = float(est.poverty_rates(draw, N, alpha, beta, mode)[0])
+    rates, errors = est.poverty_rates(draw, N, alpha, beta, mode)
+    assert not errors
+    got = float(rates[0])
     f = ecdf(draw, N, mode)
     assert got == f(beta * interpolated(f, alpha, draw.y.size))
     return got
@@ -59,7 +61,9 @@ def rate(draw, N, alpha, beta, mode="HJ"):
 
 def path(draw, popu, grid, which, law=None):
     """One draw's process path."""
-    return est.process_paths(draw, popu, grid, which, law)[0]
+    paths, errors = est.process_paths(draw, popu, grid, which, law)
+    assert not errors
+    return paths[0]
 
 
 def decomposition(draw, popu, grid, law):
@@ -138,9 +142,11 @@ class TestHajekEcdf:
         assert cdf_at(draw, 5, "HJ", 1.0)[0] == pytest.approx(0.8)   # 5 / (5 + 1.25)
 
     def test_empty_sample_errors(self):
-        empty = ref.make_row([], [])
-        with pytest.raises(EstimationError):
-            est.poverty_rates(empty, 4, 0.5, 0.6, "HJ")
+        # reported, not raised: the row holds 0.0 and its error is listed
+        rates, errors = est.poverty_rates(ref.make_row([], []), 4, 0.5, 0.6, "HJ")
+        assert rates.tolist() == [0.0]
+        assert [(j, type(e), str(e)) for j, e in errors.items()] == \
+            [(0, EstimationError, "empty sample")]
 
 
 class TestWeightedQuantile:
@@ -275,7 +281,7 @@ class TestHadamardDirection:
 def kernel_sums(draw, N, t, bandwidth):
     """One draw's Gaussian kernel sums sum_i phi((t - y_i) / h) / pi_i at the
     points t, and its population-size estimate."""
-    cdfs = est._valid_cdfs(draw, N)
+    cdfs = ref.valid_cdfs(draw, N)
     t = np.atleast_1d(np.asarray(t, dtype=float))[None]
     return est._kernel_sums(t, cdfs.y, cdfs.inv, np.array([bandwidth]), cdfs.groups)[0], \
         float(cdfs.n_hat[0])
@@ -316,7 +322,7 @@ class TestKdeDensity:
         # each mode's variance takes the ratio of its own two densities
         draw = ref.make_row([1.0, 2.0, 4.0], [0.2, 0.5, 0.8])
         c = asy.DesignConstants(0.3, 1.0, -0.5)
-        cdfs = est._valid_cdfs(draw, 10)
+        cdfs = ref.valid_cdfs(draw, 10)
         q = est._interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
                                         cdfs.sizes.astype(float), (0.5, 0.25, 0.75))
         phi, av, errors = est.poverty_rate_estimates(draw, 10, c, 0.5, 0.6)
@@ -386,13 +392,14 @@ class TestProcessPath:
         grid = np.array([0.0, 0.2, 0.5, 1.0, 1.7, 4.0])
         if which in ("G_pi", "Y_N"):
             # the reference decomposition term on the batch's "HT" CDF values
-            cdfs = est._valid_cdfs(batch, popu.size, ("HT",))
+            cdfs = ref.valid_cdfs(batch, popu.size, ("HT",))
             ht = est._step_values(cdfs.loc, cdfs.cum[0], cdfs.count,
                                   np.broadcast_to(grid, (len(draws), grid.size)))
             got = np.array([ref.decomposition_paths(ht[j], draw, popu, grid, law)
                             [which == "Y_N"] for j, draw in enumerate(draws)])
         else:
-            got = est.process_paths(batch, popu, grid, which, law=law)
+            got, errors = est.process_paths(batch, popu, grid, which, law=law)
+            assert not errors
         fn, f = est.empirical_cdf_values(popu, grid), pop.true_cdf(law, grid)
         for draw, row in zip(draws, got):
             inv = 1.0 / draw.pi
@@ -487,3 +494,37 @@ def test_census_rate_rejects_bad_input():
         est.census_poverty_rate(np.array([]), 0.5, 0.6)
     with pytest.raises(ParameterError, match="scale beta"):
         est.census_poverty_rate(np.ones(3), 0.5, 0.0)
+
+
+@pytest.mark.parametrize("kernel", ["poverty_rate_estimates", "poverty_rates", "process_paths"])
+def test_failing_rows_are_reported_not_raised(kernel):
+    # one failure contract for every per-draw kernel: an empty row and a row
+    # with pi = 1.5 are listed with their errors and hold 0.0; every other
+    # row has the bits it has in a batch without them
+    good = [(np.linspace(0.1, 2.9, 8) ** 1.3, np.linspace(0.2, 0.9, 8)),
+            ([1.0, 4.0, 2.0, 0.5, 3.1, 1.7], [0.4, 0.4, 0.9, 0.3, 0.6, 0.5]),
+            ([0.1, 0.9, 0.5, 0.5, 3.0, 1.1, 0.2], np.full(7, 0.3))]
+    rows = [good[0], ([], []), good[1], ([1.0, 2.0], [0.5, 1.5]), good[2]]
+    popu = pop.generate_population(pop.SuperPopulationLaw.exponential(1.0), 40, seed=7)
+
+    def run(batch):
+        """The kernel's output (rows first) and its errors, keyed by row."""
+        if kernel == "poverty_rates":
+            return est.poverty_rates(batch, 40, 0.5, 0.6, "HJ")
+        if kernel == "process_paths":
+            return est.process_paths(batch, popu, [0.2, 0.7, 1.5], "HT_vs_FN")
+        phi, av, errors = est.poverty_rate_estimates(
+            batch, 40, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
+        by_row = {j: errors[j, 0] for j, k in errors if k == 0}
+        assert list(errors) == [(j, k) for j in by_row for k in range(2)]
+        assert all(errors[j, 1] is e for j, e in by_row.items())
+        return np.stack([phi, av], axis=-1), by_row
+
+    values, errors = run(ref.make_batch(rows))
+    assert [(j, type(e), str(e)) for j, e in errors.items()] == [
+        (1, EstimationError, "empty sample"),
+        (3, EstimationError, "inclusion probability outside (0, 1] among sampled units")]
+    assert np.all(values[[1, 3]] == 0.0)
+    alone, none = run(ref.make_batch(good))
+    assert not none
+    assert values[[0, 2, 4]].tobytes() == alone.tobytes()

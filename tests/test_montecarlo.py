@@ -2,8 +2,10 @@
 
 import multiprocessing
 import pickle
+import re
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,6 +103,19 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             mc.run_scenario(sc)
 
+    def test_odd_population_split(self):
+        # the middle unit takes what is left of n: n/N, and a sum of n, up to rounding
+        N, n = 1001, 100
+        p = mc._split_probabilities(N, n)
+        assert p.sum() == pytest.approx(n, rel=1e-12, abs=0.0)
+        assert p[N // 2] == pytest.approx(n / N, rel=1e-12, abs=0.0)
+        assert np.all(p[:N // 2] == mc.PO_LOW * (n / N))
+        assert np.all(p[N // 2 + 1:] == mc.PO_HIGH * (n / N))
+        for design in ("PO", "REJ"):
+            rep = mc.run_scenario(small_scenario(design=design, N=N, n=n, n_populations=4,
+                                                 n_samples=50))
+            assert rep.n_failures == {"HT": 0, "HJ": 0}
+
     def test_rejective_scenario_runs(self):
         rep = mc.run_scenario(small_scenario(design="REJ", N=200, n=60,
                                              n_populations=3, n_samples=6))
@@ -123,6 +138,55 @@ class TestRunScenario:
         assert rep.n_failures == {"HT": 0, "HJ": 0}
         assert rep.coverage[("HJ", "F")] == pytest.approx(93.2, abs=1.5)
         assert rep.coverage[("HT", "F")] == pytest.approx(93.5, abs=1.5)
+
+
+class TestFailedDraws:
+    """The tables and both diagnostics count and exclude failed draws alike,
+    and refuse a job past the 1% budget with one error."""
+
+    @staticmethod
+    def bernoulli(n):
+        return small_scenario(design="BE", N=100, n=n, n_populations=20, n_samples=100, seed=3)
+
+    def test_failed_draws_counted_and_excluded(self):
+        # expected size 6 of 100: 6 of the 2000 samples are empty
+        sc = self.bernoulli(6)
+        assert mc.run_scenario(sc).n_failures == {"HT": 6, "HJ": 6}
+        for statistic in ("phi_hj", "phi_ht"):
+            out = mc.normality_diagnostic(sc, statistic)
+            assert (out["replications"], out["failures"]) == (1994, 6)
+        res = mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_F")
+        assert res.n_failures == 6
+        assert np.all(np.isfinite(res.empirical)) and np.all(np.isfinite(res.entry_se))
+
+    def test_population_without_a_kept_path_has_no_mean(self):
+        # one sample per population: the population whose sample is empty
+        # drops out of the per-population SE instead of dividing by zero
+        sc = small_scenario(design="BE", N=100, n=6, n_populations=1000, n_samples=1, seed=3)
+        res = mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_F")
+        assert res.n_failures == 1
+        assert np.all(np.isfinite(res.entry_se))
+
+    def test_process_sums_skip_failed_paths(self):
+        popu = pop.generate_population(EXP1, 40, seed=8)
+        good = [([0.2, 1.4, 0.6], [0.5, 0.5, 0.25]), ([0.9, 2.2], [0.8, 0.4])]
+        sums = [mc._process_sums(SimpleNamespace(law=EXP1), np.array([0.5, 1.0]), "HJ_vs_F",
+                                 popu, None, [ref.make_batch(rows)])
+                for rows in ([good[0], ([], []), good[1]], good)]
+        assert sums[0][2] == sums[1][2] == 2
+        for got, expected in zip(*sums):
+            assert np.array_equal(got, expected)
+
+    def test_budget_refuses_tables_and_diagnostics_alike(self):
+        # expected size 3 of 100: 86 of the 2000 samples are empty
+        sc = self.bernoulli(3)
+        for run in (lambda: mc.run_scenario(sc),
+                    lambda: mc.normality_diagnostic(sc, "phi_hj"),
+                    lambda: mc.normality_diagnostic(sc, "phi_ht"),
+                    lambda: mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_F")):
+            with pytest.raises(ScenarioError,
+                               match=re.escape("failed in 86 of 2000 cells (> 1% budget)")):
+                run()
 
 
 class TestBiasWarning:

@@ -390,14 +390,16 @@ class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
     def test_ecdf_matches_unique_merge(self, case, mode):
         draw, N, _, _, _ = case
-        build = lambda: ref.batch_row(est._valid_cdfs(draw, N), 0, MODES.index(mode))
+        cdfs, errors = est._weighted_cdfs(draw, N)
         try:
             expected = reference_ecdf(draw, N, mode)
-        except Exception as exc:                      # noqa: BLE001 - class compared below
-            with pytest.raises(type(exc)):
-                build()
+        except EstimationError as exc:
+            # the failing row is reported with the reference's class and message
+            assert [(j, type(e), str(e)) for j, e in errors.items()] == \
+                [(0, type(exc), str(exc))]
             return
-        got = build()
+        assert not errors
+        got = ref.batch_row(cdfs, 0, MODES.index(mode))
         assert np.array_equal(got.locations, expected.locations)
         assert np.array_equal(got.cumulative, expected.cumulative)
         assert got.total_mass == expected.total_mass
@@ -462,7 +464,7 @@ class TestKernelOracle:
         # and its kernel value exp(-inf) = 0 is the intended one
         draw = make_row([0.1, 0.4, 0.2, 0.7, 0.5, 1e160], np.full(6, 0.5))
         constants = asy.DesignConstants(0.15, 1.0, 0.0)
-        cdfs = est._valid_cdfs(draw, 40)
+        cdfs = ref.valid_cdfs(draw, 40)
         _, q25, q75 = row_quantiles(ref.batch_row(cdfs, 0, 1), (0.5, 0.25, 0.75), 6)
         bandwidth = 0.79 * (q75 - q25) * 6 ** (-0.2)
         assert 1e160 / bandwidth > math.sqrt(np.finfo(float).max)
@@ -480,7 +482,7 @@ class TestKernelOracle:
         # the far response is 1e309 bandwidths away: the divide by the
         # bandwidth already overflows to inf, and the kernel value 0 holds
         draw = make_row([0.1, 0.5, 1e9], [0.5, 0.25, 0.5])
-        cdfs = est._valid_cdfs(draw, 40)
+        cdfs = ref.valid_cdfs(draw, 40)
         t = np.array([[0.5, 0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -520,26 +522,27 @@ class TestDiagnosticRates:
         batch = ref.stack(draws)
         phi, _, errors = est.poverty_rate_estimates(batch, N, asy.DesignConstants(0.5, 1.0, 0.0),
                                                     alpha, beta)
-        row_errors = [ref.row_error(draw) for draw in draws]
-        failed = [error for error in row_errors if error is not None]
-        ok = [j for j, error in enumerate(row_errors) if error is None]
+        expected = [(j, type(error), str(error)) for j, error in
+                    enumerate(map(ref.row_error, draws)) if error is not None]
+        ok = [j for j in range(len(draws)) if j not in {e[0] for e in expected}]
         for k, mode in enumerate(MODES):
-            statistic = "phi_" + mode.lower()
-            for rates in (lambda rows: statistic_values(rows, N, alpha, beta, statistic),
-                          lambda rows: est.poverty_rates(ref.stack(rows), N, alpha, beta, mode)):
-                if failed:
-                    # the first row that fails its checks raises
-                    with pytest.raises(EstimationError) as info:
-                        rates(draws)
-                    assert str(info.value) == str(failed[0])
-                if not ok:
-                    continue
-                # the rows that pass, in a batch of their own: the same bits
-                got = rates([draws[j] for j in ok]).tolist()
-                assert len(got) == len(ok)
-                for j, value in zip(ok, got):
-                    if (j, k) not in errors:
-                        assert same(value, phi[j, k]), (j, mode)
+            rates, failed = est.poverty_rates(batch, N, alpha, beta, mode)
+            # the rows that fail their checks are reported, in row order, with
+            # the per-draw check's classes and messages, and hold 0.0
+            assert [(j, type(e), str(e)) for j, e in failed.items()] == expected
+            assert all(rates[j] == 0.0 for j in failed)
+            for j in ok:
+                if (j, k) not in errors:
+                    assert same(rates[j], phi[j, k]), (j, mode)
+            # the diagnostic keeps the rows that pass, and so does a batch of
+            # those rows alone: the same bits
+            kept = statistic_values(draws, N, alpha, beta, "phi_" + mode.lower())
+            assert np.array_equal(kept, rates[ok], equal_nan=True)
+            if ok:
+                alone, none = est.poverty_rates(ref.stack([draws[j] for j in ok]), N, alpha,
+                                                beta, mode)
+                assert not none
+                assert np.array_equal(alone, rates[ok], equal_nan=True)
 
     # infinite responses give inf - inf and 0 * inf, and both rates carry the NaN
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -557,7 +560,7 @@ class TestDiagnosticRates:
         nan = make_row([1.0, math.nan, 3.0, 1.0], [0.5, 0.5, 1.0, 0.25])
         # the HT quantile saturates at the largest response, 4, and 0.6 * 4
         # lies past the first of the two jumps of 0.1
-        assert est.poverty_rates(short, 10, 0.5, 0.6, "HT").tolist() == [0.1]
+        assert est.poverty_rates(short, 10, 0.5, 0.6, "HT")[0].tolist() == [0.1]
         for draws in ([tied], [short], [nan], [tied, short], [short, tied, nan, tied]):
             self.check(draws, 10, 0.5, 0.6)
 
@@ -579,13 +582,9 @@ def test_kernels_leave_the_batch_unchanged(draws, N):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in some rows
         est.poverty_rate_estimates(batch, N, constants, 0.5, 0.6)
-        for run in (lambda: est.poverty_rates(batch, N, 0.5, 0.6, "HT"),
-                    lambda: est.poverty_rates(batch, N, 0.5, 0.6, "HJ"),
-                    lambda: est.process_paths(batch, population, [0.0, 1.0], "HJ_vs_FN")):
-            try:
-                run()
-            except EstimationError:
-                pass
+        est.poverty_rates(batch, N, 0.5, 0.6, "HT")
+        est.poverty_rates(batch, N, 0.5, 0.6, "HJ")
+        est.process_paths(batch, population, [0.0, 1.0], "HJ_vs_FN")
     for name in FIELDS:
         assert getattr(batch, name).flags.writeable
         assert np.array_equal(getattr(batch, name), getattr(stacked, name), equal_nan=True)
@@ -595,7 +594,7 @@ class TestWeightedSample:
     def test_ties_take_the_merge_path(self):
         draw = make_row([2.0, 1.0, 2.0], [0.5, 0.25, 0.5])
         assert weighted_sample(draw, 10).has_ties
-        f = ref.batch_row(est._valid_cdfs(draw, 10), 0, 1)
+        f = ref.batch_row(ref.valid_cdfs(draw, 10), 0, 1)
         assert np.array_equal(f.locations, [1.0, 2.0])
         assert np.array_equal(f.cumulative, reference_ecdf(draw, 10, "HJ").cumulative)
 
