@@ -113,8 +113,8 @@ def _poverty_ingredients(law, alpha, beta):
     return ratio, phi
 
 
-def _poverty_variance(g1: float, g2: float, mode: Literal["HT", "HJ"], alpha: float,
-                      br: float, phi: float) -> float:
+def poverty_variance_form(g1: float, g2: float, mode: Literal["HT", "HJ"], alpha: float,
+                          br: float, phi: float) -> float:
     """The closed-form variance at rate ``phi``, with ``br`` beta times the
     density ratio f(beta q) / f(q); linear in gamma1 for mode "HJ"."""
     if mode == "HT":
@@ -135,7 +135,7 @@ def poverty_variance(constants: DesignConstants, law: population.SuperPopulation
     if mode not in MODES:
         raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
     r, phi = _poverty_ingredients(law, alpha, beta)
-    return _poverty_variance(constants.gamma1, constants.gamma2, mode, alpha, beta * r, phi)
+    return poverty_variance_form(constants.gamma1, constants.gamma2, mode, alpha, beta * r, phi)
 
 
 def wald_interval(estimate, variance_of_root_n, n: float) -> tuple:

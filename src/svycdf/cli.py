@@ -10,10 +10,10 @@ Subcommands
 ``calibrate``  fit rejective working probabilities to target inclusion
                probabilities read from a file.
 
-Exit codes: 0 success, 2 usage or input validation (an input file that is
-not UTF-8 included), 3 runtime failure (including an output path that
-cannot be written, and a broken worker pool or running out of memory in
-``simulate``).
+Exit codes, the same for every command: 0 success, 2 usage or input
+validation (an input file that is not UTF-8 included), 3 runtime failure
+(including an output path that cannot be written, a broken worker pool,
+running out of memory and a size beyond the float range).
 The result tables are byte-identical for a fixed config and seed; the
 manifest additionally records wall-clock timings and is not.  A scenario's
 ``timings_seconds`` entry is its own time in this process: building its
@@ -42,6 +42,9 @@ from . import population as pop
 from .errors import ParameterError, ScenarioError, SvycdfError
 
 _FMT = "%.6g"
+
+#: what every command reports as one ``error:`` line, exit code 2 or 3
+_FAILURES = (SvycdfError, BrokenProcessPool, MemoryError, OSError, OverflowError)
 
 
 def _fail(exc: BaseException) -> None:
@@ -209,7 +212,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
         click.echo(f"wrote {len(written)} files to {out}")
-    except (SvycdfError, BrokenProcessPool, MemoryError, OSError) as exc:
+    except _FAILURES as exc:
         for path in written:
             Path(path).unlink(missing_ok=True)
         for directory in made:          # the deepest first
@@ -275,7 +278,7 @@ def oracle_cmd(design_spec, out_dir, rejective_reference):
         _write_csv(out / "conditions.csv",
                    ["condition", "statistic", "bound_form", "implied_constant"], rows)
         click.echo(f"wrote {out / 'conditions.csv'}")
-    except (SvycdfError, OSError) as exc:
+    except _FAILURES as exc:
         _fail(exc)
 
 
@@ -309,7 +312,7 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
                    "max_residual": residual}
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         click.echo(f"wrote {out_path} (max residual {residual:.3e})")
-    except (SvycdfError, OSError) as exc:
+    except _FAILURES as exc:
         _fail(exc)
 
 

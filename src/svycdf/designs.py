@@ -6,6 +6,11 @@ Poisson sampling of fixed size n (``rejective``), the maximum-entropy
 fixed-size design whose mass is proportional to the product of the odds
 p_i / (1 - p_i) over sampled units.
 
+A design owns its first-order inclusion probabilities ``pi``.  Each
+factory checks its own arguments, keeps read-only copies of the arrays it
+is given, sets the expected sample size and, where it knows them, ``pi``;
+:func:`first_order_pi` fills ``pi`` otherwise, on first use.
+
 Rejective quantities are exact, not asymptotic: first and second order
 inclusion probabilities come from a Poisson-binomial dynamic program over
 prefix and suffix partial-sum distributions, whose rows one kernel advances
@@ -13,23 +18,22 @@ in place.  The suffix table is built once per design, top count first, so
 each suffix distribution a dot product reads from the top count down is a
 contiguous slice of a row.  It serves the first-order probabilities, the
 pairwise probabilities and the sampler; it is the only (N+1) x (n+1) array
-the program keeps, and it is refused above :data:`MAX_DP_TABLE_BYTES`.  The prefix distributions are
-only read in unit order, so they are streamed, one block of rows at a time.
-The pairwise probabilities take one sweep over the units that keeps every
-leave-one-out prefix distribution at once: N vectorized steps, O(N^2 n)
-flops, bitwise equal to rebuilding the program for each pair.  The sampler
-walks the units left to right, including each with the conditional
-probability of still reaching the target size; it is vectorized across
-samples by jumping from one inclusion to the next, so a batch of samples
-costs n steps, each over a short window of units per sample.
+the program keeps, and it is refused above :data:`MAX_DP_TABLE_BYTES`.
+The prefix distributions are only read in unit order, so they are
+streamed, one block of rows at a time.  The pairwise probabilities take
+one sweep over the units that keeps every leave-one-out prefix
+distribution at once: N vectorized steps, O(N^2 n) flops, bitwise equal to
+rebuilding the program for each pair.  The sampler walks the units left to
+right, including each with the conditional probability of still reaching
+the target size; it is vectorized across samples by jumping from one
+inclusion to the next, so a batch of samples costs n steps, each over a
+short window of units per sample.
 
-A design whose units are those of another in a new order (:func:`relabel`)
-reuses that design's first-order probabilities, reordered, instead of
-rerunning the program.  They are exact up to rounding: they differ from
-the program's values on the reordered units only by the order in which its
-sums were added (at most 3.3e-15 relative, 19 units in the last place, on
-the calibrated N=10000, n=500 split).  Its suffix table is built afresh in
-the new order, so its samples are those of the rebuilt design.
+A relabeled design (:func:`relabel`) takes its source's ``pi``, reordered,
+instead of rerunning the program: exact up to the order of the program's
+sums (at most 3.3e-15 relative, 19 units in the last place, on the
+calibrated N=10000, n=500 split).  Its suffix table is built afresh in the
+new order, so its samples are those of the rebuilt design.
 
 One sampler, :func:`draw`, serves every design: it takes a batch of
 generators and draws one sample from each.  Every sample consumes only its
@@ -243,103 +247,100 @@ def _rejective_second_order(p: np.ndarray, n: int, pi: np.ndarray,
 class Design:
     """A single-stage sampling design on a population of ``N`` units.
 
-    Use the factory functions :func:`srswor`, :func:`bernoulli`,
-    :func:`poisson` and :func:`rejective`; instances are treated as
-    immutable after construction.
+    Build one with a factory (:func:`srswor`, :func:`bernoulli`,
+    :func:`poisson`, :func:`rejective`, :func:`calibrated_rejective`,
+    :func:`relabel`), which sets ``expected_size`` and, for Poisson and a
+    calibrated or relabeled rejective design, ``pi``; :func:`first_order_pi`
+    fills ``pi`` for the others.  Its arrays are read-only and its own.
     """
 
     kind: str
     N: int
+    expected_size: float
     size: int | None = None           # fixed sample size (srswor, rejective)
-    rate: float | None = None         # common inclusion probability (bernoulli)
-    pi: np.ndarray | None = None      # per-unit inclusion probabilities (poisson)
+    rate: float | None = None         # common inclusion probability (srswor, bernoulli)
+    pi: np.ndarray | None = None      # first-order inclusion probabilities
     working_p: np.ndarray | None = None  # working probabilities (rejective)
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ParameterError("population size must be at least 1")
-        if self.kind == "srswor":
-            if self.size is None or not 1 <= self.size <= self.N:
-                raise ParameterError(f"srswor needs 1 <= n <= N, got n={self.size}, N={self.N}")
-        elif self.kind == "bernoulli":
-            if self.rate is None or not 0.0 < self.rate < 1.0:
-                raise ParameterError(f"bernoulli rate must lie in (0, 1), got {self.rate}")
-        elif self.kind == "poisson":
-            pi = np.asarray(self.pi, dtype=float)
-            if pi.shape != (self.N,):
-                raise ParameterError("poisson needs one probability per unit")
-            if not np.all((pi > 0.0) & (pi <= 1.0)):      # NaN fails both tests
-                raise ParameterError("poisson probabilities must lie in (0, 1]")
-            pi.setflags(write=False)
-            self.pi = pi
-        elif self.kind == "rejective":
-            p = np.asarray(self.working_p, dtype=float)
-            if p.shape != (self.N,):
-                raise ParameterError("rejective needs one working probability per unit")
-            if not np.all((p > 0.0) & (p < 1.0)):
-                raise ParameterError("rejective working probabilities must lie strictly in (0, 1)")
-            if self.size is None or not 1 <= self.size <= self.N - 1:
-                raise ParameterError(f"rejective needs 1 <= n <= N-1, got n={self.size}, N={self.N}")
-            p.setflags(write=False)
-            self.working_p = p
-        else:
-            raise ParameterError(f"unknown design kind {self.kind!r}")
+    _suffix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __getstate__(self):
-        # a pickled design (a pool task) carries its first-order
-        # probabilities (N floats) but leaves the suffix table behind; it is
-        # rebuilt on demand
-        cache = {k: v for k, v in self._cache.items() if k == "pi"}
-        return {**self.__dict__, "_cache": cache}
+        # a pickled design (a pool task) carries pi (N floats) but leaves
+        # the suffix table behind; it is rebuilt on demand
+        return {**self.__dict__, "_suffix": None}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        for arr in (self.pi, self.working_p, *self._cache.values()):
+        for arr in (self.pi, self.working_p):
             if arr is not None:
                 arr.setflags(write=False)
-
-    @property
-    def expected_size(self) -> float:
-        """Design expectation of the sample size."""
-        if self.kind in ("srswor", "rejective"):
-            return float(self.size)
-        if self.kind == "bernoulli":
-            return self.N * self.rate
-        return float(np.sum(self.pi))
 
     def _suffix_table(self) -> np.ndarray:
         """The top-count-first suffix table of the working probabilities
         (see :func:`_pb_forward`), shared by every rejective quantity (cached)."""
-        tab = self._cache.get("suffix")
-        if tab is None:
+        if self._suffix is None:
             _check_dp_table(self.N, self.size)
-            tab = _pb_forward(self.working_p[::-1], self.size)
-            self._cache["suffix"] = tab
-        return tab
+            self._suffix = _pb_forward(self.working_p[::-1], self.size)
+        return self._suffix
+
+
+def _owned(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_units(N: int) -> None:
+    if N < 1:
+        raise ParameterError("population size must be at least 1")
 
 
 def srswor(N: int, n: int) -> Design:
     """Simple random sampling without replacement of fixed size n."""
-    return Design(kind="srswor", N=N, size=n)
+    _check_units(N)
+    if not 1 <= n <= N:
+        raise ParameterError(f"srswor needs 1 <= n <= N, got n={n}, N={N}")
+    return Design(kind="srswor", N=N, expected_size=float(n), size=n, rate=n / N)
 
 
 def bernoulli(N: int, p: float) -> Design:
     """Independent inclusion of every unit with common probability p."""
-    return Design(kind="bernoulli", N=N, rate=p)
+    _check_units(N)
+    if not 0.0 < p < 1.0:
+        raise ParameterError(f"bernoulli rate must lie in (0, 1), got {p}")
+    return Design(kind="bernoulli", N=N, expected_size=N * p, rate=p)
 
 
 def poisson(pi) -> Design:
     """Independent inclusion of unit i with probability pi[i]."""
-    pi = np.asarray(pi, dtype=float)
-    return Design(kind="poisson", N=pi.size, pi=pi)
+    pi = _owned(pi)
+    _check_units(pi.size)
+    if pi.ndim != 1:
+        raise ParameterError("poisson needs one probability per unit")
+    if not np.all((pi > 0.0) & (pi <= 1.0)):      # NaN fails both tests
+        raise ParameterError("poisson probabilities must lie in (0, 1]")
+    return Design(kind="poisson", N=pi.size, expected_size=float(np.sum(pi)), pi=pi)
 
 
 def rejective(p, n: int) -> Design:
     """Conditional Poisson sampling: Poisson with working probabilities p,
     conditioned on the realized size equaling n."""
-    p = np.asarray(p, dtype=float)
-    return Design(kind="rejective", N=p.size, size=n, working_p=p)
+    return _rejective(p, n)
+
+
+def _rejective(p, n: int, pi=None) -> Design:
+    """:func:`rejective`, with the first-order inclusion probabilities
+    ``pi`` when the caller already has them."""
+    p = _owned(p)
+    _check_units(p.size)
+    if p.ndim != 1:
+        raise ParameterError("rejective needs one working probability per unit")
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ParameterError("rejective working probabilities must lie strictly in (0, 1)")
+    if not 1 <= n <= p.size - 1:
+        raise ParameterError(f"rejective needs 1 <= n <= N-1, got n={n}, N={p.size}")
+    return Design(kind="rejective", N=p.size, expected_size=float(n), size=n,
+                  pi=None if pi is None else _owned(pi), working_p=p)
 
 
 def relabel(design: Design, perm) -> Design:
@@ -348,22 +349,18 @@ def relabel(design: Design, perm) -> Design:
 
     srswor and Bernoulli designs treat every unit alike and are returned
     as they are.  A Poisson design takes ``pi[perm]``.  A rejective design
-    takes ``working_p[perm]`` and, as its first-order probabilities, those
-    of ``design`` reordered by ``perm``: no dynamic program runs.  They
-    equal what the program would compute on the reordered units up to the
-    rounding of its sums (a few parts in 1e15).  The suffix table is not
-    carried over; the sampler builds it, in the new order, on first use,
-    so draws are those of ``rejective(working_p[perm], n)``.
+    takes ``working_p[perm]`` and, as its ``pi``, the first-order
+    probabilities of ``design`` reordered by ``perm``: no dynamic program
+    runs.  They equal what the program would compute on the reordered
+    units up to the rounding of its sums (a few parts in 1e15).  The suffix
+    table is not carried over; the sampler builds it, in the new order, on
+    first use, so draws are those of ``rejective(working_p[perm], n)``.
     """
     if design.kind == "poisson":
         return poisson(design.pi[perm])
     if design.kind != "rejective":
         return design
-    relabeled = rejective(design.working_p[perm], design.size)
-    pi = first_order_pi(design)[perm]
-    pi.setflags(write=False)
-    relabeled._cache["pi"] = pi
-    return relabeled
+    return _rejective(design.working_p[perm], design.size, first_order_pi(design)[perm])
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,28 +386,22 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 def first_order_pi(design: Design) -> np.ndarray:
-    """Exact first-order inclusion probabilities (cached on the design).
+    """The design's exact first-order inclusion probabilities, ``design.pi``.
 
-    A rejective design runs the dynamic program once, on first use.  A
-    calibrated design (:func:`calibrated_rejective`) carries the
-    probabilities of its final calibration step, and a relabeled one
-    (:func:`relabel`) those of its source design reordered: both are the
-    program's values on their own units up to rounding.
+    A design whose factory did not set them fills them here, on first use:
+    the common ``rate`` of srswor and Bernoulli, or, for a rejective
+    design, one run of the dynamic program.  A calibrated design
+    (:func:`calibrated_rejective`) carries the probabilities of its final
+    calibration step, and a relabeled one (:func:`relabel`) those of its
+    source design reordered: both are the program's values on their own
+    units up to rounding.
     """
-    pi = design._cache.get("pi")
-    if pi is not None:
-        return pi
-    if design.kind == "srswor":
-        pi = np.full(design.N, design.size / design.N)
-    elif design.kind == "bernoulli":
-        pi = np.full(design.N, design.rate)
-    elif design.kind == "poisson":
-        pi = design.pi          # read-only, so shared rather than copied
-    else:
-        pi = _rejective_first_order(design.working_p, design.size, design._suffix_table())
-    pi.setflags(write=False)
-    design._cache["pi"] = pi
-    return pi
+    if design.pi is None:
+        pi = (np.full(design.N, design.rate) if design.working_p is None
+              else _rejective_first_order(design.working_p, design.size, design._suffix_table()))
+        pi.setflags(write=False)
+        design.pi = pi
+    return design.pi
 
 
 def second_order_pi(design: Design) -> np.ndarray:
@@ -668,10 +659,7 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
         if resid <= tol:
             logger.debug("rejective calibration: %d iterations (%d exact), residual %.3e",
                          it, passes, resid)
-            design = rejective(p, n)
-            pi.setflags(write=False)
-            design._cache["pi"] = pi
-            return design
+            return _rejective(p, n, pi)
         update = t / pi
         if resid > prev:
             update = np.sqrt(update)

@@ -37,7 +37,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import population as pop
-from .asymptotics import MODES, CovarianceForm, DesignConstants, _poverty_variance
+from .asymptotics import MODES, CovarianceForm, DesignConstants, poverty_variance_form
 from .errors import (
     DegenerateBandwidthError,
     EstimationError,
@@ -308,8 +308,8 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     with np.errstate(all="ignore"):
         # cells without densities are evaluated too, and replaced below
         br = beta * (f_bq / f_q)
-        av = np.stack([_poverty_variance(constants.gamma1, constants.gamma2, mode, alpha,
-                                         br[:, k], phi[:, k])
+        av = np.stack([poverty_variance_form(constants.gamma1, constants.gamma2, mode, alpha,
+                                             br[:, k], phi[:, k])
                        for k, mode in enumerate(MODES)], axis=1)
     av[flat.T] = 0.0
     for cell in errors:
@@ -399,8 +399,8 @@ def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
     failing row's path 0.0 on the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
-        raise ParameterError("grid must be a sorted 1-d array")
+    if grid.ndim != 1 or not grid.size or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
+        raise ParameterError("grid must be a sorted, non-empty 1-d array")
     if which not in get_args(CovarianceForm):
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):

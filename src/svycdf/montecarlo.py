@@ -71,6 +71,10 @@ CENTERS = ("FN", "F")   # population parameter vs model parameter
 #: fraction of failed cells (per estimator or statistic) a job tolerates
 FAILURE_BUDGET = 0.01
 
+#: relative gap allowed between the HT and HJ rates of an SI cell, whose
+#: weights fl(1/(N pi)) and fl((1/pi)/n_hat) differ by rounding (6.5e-15 seen)
+_SI_RTOL = 1e-12
+
 #: inclusion probabilities of the unequal-probability split, as multiples of n/N
 PO_LOW, PO_HIGH = 0.4, 1.6
 
@@ -111,6 +115,9 @@ class Scenario:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise ScenarioError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.beta == 1.0 and self.law.kind != "discrete":
+            # F(F^-1(alpha)) = alpha for a law with a density: a constant rate
+            raise ScenarioError(f"beta = 1 needs a discrete law, got {self.law.kind}")
         if self.design == "BE" and self.n == self.N:
             raise ScenarioError(f"BE needs n < N for a rate n/N below 1, got n=N={self.N}")
         if self.design in ("PO", "REJ"):
@@ -244,8 +251,10 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, y, design,
         for j, k in errors:
             ok[start + j, k] = False
         start = stop
-    if sc.design == "SI" and np.any(ok.all(axis=1) & (phi[:, 0] != phi[:, 1])):
-        raise ScenarioError("SI estimators must coincide exactly; internal inconsistency")
+    both = ok.all(axis=1)
+    if sc.design == "SI" and not np.allclose(phi[both, 0], phi[both, 1], rtol=_SI_RTOL, atol=0.0):
+        raise ScenarioError(f"SI estimators must coincide within {_SI_RTOL:g} relative; "
+                            "internal inconsistency")
     rel = _relative_errors(phi, centers, ok)
     av_ok = ok & np.isfinite(av_ref)
     av_rel = _relative_errors(av, av_ref, av_ok)

@@ -138,12 +138,9 @@ def enumerate_design(design: dsg.Design) -> EnumeratedDesign:
         log_mass = masks @ log_odds
         mass = np.exp(log_mass - log_mass.max())
         probs = mass / mass.sum()
-    elif design.kind == "bernoulli":
-        masks = _all_subsets_masks(N)
-        probs = _independent_probs(masks, np.full(N, design.rate))
     else:
         masks = _all_subsets_masks(N)
-        probs = _independent_probs(masks, design.pi)
+        probs = _independent_probs(masks, dsg.first_order_pi(design))
     return EnumeratedDesign(samples=masks, probs=probs, N=N)
 
 

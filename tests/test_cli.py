@@ -138,8 +138,12 @@ class TestSimulate:
         {"cells": [{"N": 2 ** 62, "n": 20}]},
         # a population a worker could not hold in memory
         {"cells": [{"N": 2 ** 24 + 1, "n": 20}]},
+        # beta = 1 on a law with a density: a constant rate, no relative bias
+        {"beta": 1.0},
+        {"beta": 1, "law": {"kind": "uniform01"}},
     ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split",
-            "N-beyond-float", "N-beyond-numpy", "N-beyond-bound"])
+            "N-beyond-float", "N-beyond-numpy", "N-beyond-bound", "beta-one-exponential",
+            "beta-one-uniform01"])
     def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
         # every cell is checked before the first one runs
         ran = []
@@ -694,6 +698,17 @@ class TestOracleCommand:
         assert result.stderr.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"bernoulli","N":%d,"p":0.5}' % 10 ** 400,
+        '{"kind":"srswor","N":%d,"n":%d}' % (10 ** 400, 10 ** 399),
+    ], ids=["bernoulli", "srswor-n"])
+    def test_expected_size_beyond_float_range_is_runtime_error(self, runner, tmp_path, spec):
+        result = runner.invoke(main, ["oracle", "--design", spec, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.strip().splitlines() == [
+            "error: OverflowError: int too large to convert to float"]
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_sizes_accepted(self, runner, tmp_path):
         result = runner.invoke(main, ["oracle", "--design", '{"kind":"srswor","N":6.0,"n":3.0}',
                                       "--out", str(tmp_path)])
@@ -824,6 +839,25 @@ def _fresh_python(*args):
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["oracle", "calibrate"])
+def test_memory_error_exits_3_as_in_simulate(runner, tmp_path, monkeypatch, command):
+    # one failure contract for every command (simulate: TestSimulateFailures)
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB")
+    monkeypatch.setattr(dsg, "calibrated_rejective", fail)
+    monkeypatch.setattr(orc, "enumerate_design", fail)
+    pi_path = tmp_path / "pi.txt"
+    pi_path.write_text("0.5\n0.5\n0.5\n0.5\n")
+    args = {"oracle": ["oracle", "--design", '{"kind":"srswor","N":6,"n":3}',
+                       "--out", str(tmp_path / "out")],
+            "calibrate": ["calibrate", "--pi", str(pi_path), "--n", "2",
+                          "--out", str(tmp_path / "p.json")]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.strip().splitlines() == ["error: MemoryError: Unable to allocate 1.00 GiB"]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "p.json").exists()
 
 
 def test_run_path_imports_no_scipy(tmp_path):

@@ -316,8 +316,9 @@ class TestFirstOrder:
         # first_order_pi shares the design's suffix table with the sampler
         p = substream(7).uniform(0.05, 0.95, size=40)
         design = dsg.rejective(p, 12)
+        assert design.pi is None and design._suffix is None
         assert np.array_equal(dsg.first_order_pi(design), ref.rejective_first_order(p, 12))
-        assert "suffix" in design._cache
+        assert design._suffix is not None and dsg.first_order_pi(design) is design.pi
 
     def test_calibrated_pi_is_the_dp(self):
         target = np.full(40, 0.3)
@@ -344,7 +345,7 @@ def _assert_relabel_matches_rebuild(design, perm, seed):
     assert np.array_equal(relabeled.working_p, rebuilt.working_p)
     with mock.patch.object(dsg, "_rejective_first_order", side_effect=AssertionError):
         pi = dsg.first_order_pi(relabeled)
-    assert "suffix" not in relabeled._cache and not pi.flags.writeable
+    assert relabeled._suffix is None and pi is relabeled.pi and not pi.flags.writeable
     reference = ref.rejective_first_order(p[perm], n)
     assert np.allclose(pi, reference, rtol=1e-13, atol=0.0)
     got, want = dsg.design_constants(relabeled), dsg.design_constants(rebuilt)
@@ -570,7 +571,7 @@ class TestRejectiveDPOracles:
             dsg.first_order_pi(design)
         with pytest.raises(DegenerateDesignError, match="sum to 0, not n=500"):
             dsg.draw(design, [substream(5)], np.zeros(10000))
-        assert "pi" not in design._cache
+        assert design.pi is None
 
     def test_calibrated_harness_design(self):
         # the calibrated low/high split of the normality diagnostic, N=300, n=30
@@ -590,11 +591,13 @@ class TestRejectiveDPOracles:
     ], ids=lambda d: d.kind)
     def test_pairwise_cap_before_any_work(self, design):
         # refused before first-order pi, any DP table or the N x N matrix
+        pi = design.pi          # set by the factory for poisson only
         with mock.patch.object(dsg, "first_order_pi", side_effect=AssertionError), \
                 mock.patch.object(dsg, "_pb_rows", side_effect=AssertionError):
             with pytest.raises(CapacityError, match="N x N float64 matrix"):
                 dsg.second_order_pi(design)
-        assert "pi" not in design._cache and "suffix" not in design._cache
+        assert design.pi is pi and (pi is None) == (design.kind != "poisson")
+        assert design._suffix is None
 
     def test_pairwise_cap_poisson_million(self):
         with pytest.raises(CapacityError, match="32 MB"):
@@ -668,7 +671,7 @@ class TestTableCap:
                 dsg.first_order_pi(design)
             with pytest.raises(CapacityError, match="float64 table"):
                 dsg.draw(design, [substream(1)], np.zeros(design.N))
-        assert design._cache == {}
+        assert design.pi is None and design._suffix is None
 
     def test_cap_boundary(self, monkeypatch):
         # a table of exactly the cap is built, one byte less is refused
@@ -1097,6 +1100,47 @@ class TestDesignConstants:
         assert c.d == pytest.approx(d, rel=1e-12)
 
 
+class TestOwnership:
+    """A design owns its arrays and its probabilities ``pi``."""
+
+    def test_factories_copy_their_arrays(self):
+        x = np.full(5, 0.5)
+        design = dsg.poisson(x)
+        assert x.flags.writeable and design.pi is not x and not design.pi.flags.writeable
+        x[:] = 0.9
+        assert np.all(design.pi == 0.5) and design.expected_size == 2.5
+        p = np.linspace(0.2, 0.6, 5)
+        design = dsg.rejective(p, 2)
+        assert p.flags.writeable and design.working_p is not p
+        assert not design.working_p.flags.writeable
+        p[:] = 0.9
+        assert np.array_equal(design.working_p, np.linspace(0.2, 0.6, 5))
+        assert np.array_equal(dsg.first_order_pi(design),
+                              ref.rejective_first_order(np.linspace(0.2, 0.6, 5), 2))
+
+    def test_expected_size_and_pi_set_by_the_factory(self):
+        # the expected size is n, N p, sum(pi) or n; pi is set where the
+        # factory knows it and filled by first_order_pi otherwise
+        si, be = dsg.srswor(10, 3), dsg.bernoulli(10, 0.3)
+        po, rej = dsg.poisson([0.1, 0.2, 0.4]), dsg.rejective([0.2, 0.5, 0.8], 2)
+        assert [d.expected_size for d in (si, be, po, rej)] == [3.0, 10 * 0.3,
+                                                                float(np.sum(po.pi)), 2.0]
+        assert si.rate == 3 / 10 and be.rate == 0.3
+        assert si.pi is None and be.pi is None and rej.pi is None
+        for design in (si, be, po, rej):
+            pi = dsg.first_order_pi(design)
+            assert design.pi is pi and not pi.flags.writeable
+        assert np.array_equal(si.pi, np.full(10, 3 / 10))
+        assert np.array_equal(be.pi, np.full(10, 0.3))
+        calibrated = dsg.calibrated_rejective(np.full(6, 0.5), 3)
+        assert calibrated.pi is not None and not calibrated.pi.flags.writeable
+
+    def test_no_probabilities_before_first_use(self):
+        # a srswor design on more units than floats costs nothing until asked
+        design = dsg.srswor(10 ** 400, 3)
+        assert design.pi is None and design.expected_size == 3.0 and design.rate == 0.0
+
+
 class TestValidation:
     def test_bad_designs(self):
         with pytest.raises(ParameterError):
@@ -1123,13 +1167,13 @@ class TestValidation:
     def test_pickle_leaves_the_cache_behind(self):
         design = dsg.calibrated_rejective(np.linspace(0.1, 0.5, 8) * (3 / 2.4), 3)
         dsg.draw(design, [substream(1)], np.zeros(8))
-        assert set(design._cache) == {"pi", "suffix"}
+        assert design.pi is not None and design._suffix is not None
         # pi (N floats) travels with a pickled design; the suffix table does not
         copy = pickle.loads(pickle.dumps(design))
-        assert set(copy._cache) == {"pi"} and set(design._cache) == {"pi", "suffix"}
+        assert copy._suffix is None and design._suffix is not None
         assert np.array_equal(copy.working_p, design.working_p)
-        assert np.array_equal(copy._cache["pi"], dsg.first_order_pi(design))
-        assert not copy._cache["pi"].flags.writeable and not copy.working_p.flags.writeable
+        assert np.array_equal(copy.pi, design.pi)
+        assert not copy.pi.flags.writeable and not copy.working_p.flags.writeable
         with mock.patch.object(dsg, "_rejective_first_order", side_effect=AssertionError):
             assert np.array_equal(dsg.first_order_pi(copy), dsg.first_order_pi(design))
         assert np.array_equal(copy._suffix_table(), design._suffix_table())

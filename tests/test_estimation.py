@@ -331,8 +331,8 @@ class TestKdeDensity:
             bandwidth = 0.79 * (q[k, 0, 2] - q[k, 0, 1]) * 3 ** (-0.2)
             sums, _ = kernel_sums(draw, 10, [q[k, 0, 0], 0.6 * q[k, 0, 0]], bandwidth)
             f_q, f_bq = sums / (denom * bandwidth)
-            assert av[0, k] == asy._poverty_variance(c.gamma1, c.gamma2, est.MODES[k], 0.5,
-                                                     0.6 * (f_bq / f_q), phi[0, k])
+            assert av[0, k] == asy.poverty_variance_form(c.gamma1, c.gamma2, est.MODES[k], 0.5,
+                                                         0.6 * (f_bq / f_q), phi[0, k])
         assert denom != 10.0
 
 

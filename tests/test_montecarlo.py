@@ -59,6 +59,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"N={2**24 + 1} exceeds the bound 16777216"):
             small_scenario(N=2**24 + 1, n=10)
 
+    @pytest.mark.parametrize("law", [EXP1, pop.SuperPopulationLaw.uniform01()],
+                             ids=["exponential", "uniform01"])
+    def test_beta_one_needs_a_discrete_law(self, law):
+        # F(F^-1(alpha)) = alpha for a law with a density, so the reference
+        # variance is rounding noise and no relative bias is defined
+        with pytest.raises(ScenarioError, match=f"beta = 1 needs a discrete law, got {law.kind}"):
+            small_scenario(law=law, beta=1.0)
+        small_scenario(law=pop.SuperPopulationLaw.discrete([1.0, 2.0], [0.5, 0.5]), beta=1.0)
+
 
 class TestRunScenario:
     def test_point_mass_rb_zero_coverage_full(self):
@@ -76,6 +85,25 @@ class TestRunScenario:
         for center in mc.CENTERS:
             assert rep.rb_phi[("HT", center)] == rep.rb_phi[("HJ", center)]
             assert rep.coverage[("HT", center)] == rep.coverage[("HJ", center)]
+
+    @pytest.mark.parametrize("N, n", [(1000, 30), (937, 18)])
+    def test_si_estimators_agree_within_rounding(self, N, n):
+        # the HT weights fl(1/(N pi)) and the HJ weights fl((1/pi)/n_hat)
+        # round differently in these cells, so the rates differ in the last bits
+        rep = mc.run_scenario(small_scenario(N=N, n=n, n_populations=4, n_samples=50, seed=1))
+        assert rep.n_failures == {"HT": 0, "HJ": 0}
+
+    def test_si_disagreement_still_refused(self, monkeypatch):
+        estimates = mc.est.poverty_rate_estimates
+
+        def perturbed(*args):
+            phi, av, errors = estimates(*args)
+            phi[:, 1] *= 1.0 + 1e-9
+            return phi, av, errors
+
+        monkeypatch.setattr(mc.est, "poverty_rate_estimates", perturbed)
+        with pytest.raises(ScenarioError, match="SI estimators must coincide within 1e-12"):
+            mc.run_scenario(small_scenario(N=1000, n=30, n_populations=2, n_samples=5, seed=1))
 
     def test_bitwise_reproducible(self):
         a = mc.run_scenario(small_scenario(design="PO", N=600, n=150))
@@ -549,6 +577,11 @@ class TestProcessCovariance:
         assert np.isfinite(res.max_abs_error)
         assert res.max_abs_error == pytest.approx(
             np.max(np.abs(res.empirical - res.limit)))
+
+    def test_empty_grid_refused(self):
+        sc = small_scenario(design="PO", N=200, n=20, n_populations=2, n_samples=20)
+        with pytest.raises(ParameterError, match="non-empty"):
+            mc.process_covariance_check(sc, [], "HJ_vs_F")
 
     def test_unequal_probability_limit_form(self):
         # model-centered bridge form with gamma1 = 1.5625 for the low/high split

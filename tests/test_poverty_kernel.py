@@ -232,7 +232,7 @@ def row_cell(draw, N, constants, alpha, beta):
                 f_q, f_bq = densities
                 if f_q <= 0.0:
                     raise ZeroDensityError("estimated density vanishes at the quantile")
-                out[mode] = (phi, asy._poverty_variance(
+                out[mode] = (phi, asy.poverty_variance_form(
                     constants.gamma1, constants.gamma2, mode, alpha, beta * (f_bq / f_q), phi))
             elif np.all(sample.y == sample.y[0]):
                 out[mode] = (phi, 0.0)

@@ -1,6 +1,7 @@
 """Every function and class of svycdf, private ones included, has a caller
-outside the tests, every svycdf name the benchmark reads exists, and every
-module imports only modules of lower layers.
+outside the tests, every svycdf name the benchmark reads exists, every
+module imports only modules of lower layers, and no module reads a private
+name that another svycdf module defines.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -158,3 +159,64 @@ def test_modules_import_only_lower_layers():
                     if (path.stem, name) not in ALLOWED_IMPORTS
                     and not layer.get(name, len(LAYERS)) < layer[path.stem])
     assert upward == [], f"imports against the layer order: {upward}"
+
+
+def _is_private(name: str) -> bool:
+    """One leading underscore: ``_x``, not ``__x__`` and not ``_`` alone."""
+    return name.startswith("_") and not name.startswith("__") and name != "_"
+
+
+def private_owners() -> dict:
+    """``name -> svycdf modules`` defining a private name: a module-level or
+    class-level def, class or assignment, or an attribute the module stores
+    (``self._suffix = ...``)."""
+    owners: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        names = set()
+        for node in (node for body in scopes for node in body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                             if isinstance(leaf, ast.Name))
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store))
+        for name in filter(_is_private, names):
+            owners.setdefault(name, set()).add(path.stem)
+    return owners
+
+
+def foreign_private_reads(source: str, module: str, owners: dict) -> list:
+    """Private names ``source`` (the code of ``module``) reads as an
+    attribute or imports by name that other svycdf modules define and
+    ``module`` does not."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return sorted(name for name in read
+                  if _is_private(name) and name in owners and module not in owners[name])
+
+
+def test_foreign_private_reads_detected():
+    owners = private_owners()
+    assert owners["_suffix"] == {"designs"} and "_poverty_ingredients" in owners
+    source = ("from .asymptotics import _poverty_ingredients\n"
+              "table = design._suffix\n")
+    assert foreign_private_reads(source, "oracle", owners) == ["_poverty_ingredients", "_suffix"]
+    assert foreign_private_reads(source, "designs", owners) == ["_poverty_ingredients"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module owns its private names: its functions, constants and the
+    # private attributes of its objects (a design's suffix table)
+    owners = private_owners()
+    found = sorted((path.relative_to(ROOT).as_posix(), name) for path in CALLERS
+                   for name in foreign_private_reads(path.read_text(encoding="utf-8"),
+                                                     path.stem, owners))
+    assert found == [], f"private names read outside the module that defines them: {found}"
