@@ -225,7 +225,15 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
 # oracle / conditions
 # ---------------------------------------------------------------------------
 
-def _design_from_spec(raw: str) -> dsg.Design:
+def _design_from_spec(raw: str, check) -> dsg.Design:
+    """The design of a JSON spec.  ``check(kind, N)`` runs before the
+    factory, N the spec's ``N`` field or the length of its probability list,
+    so no factory computes with a spec ``check`` refuses."""
+
+    def units(values):
+        check(kind, values if isinstance(values, int) else len(values))
+        return values
+
     try:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -235,13 +243,13 @@ def _design_from_spec(raw: str) -> dsg.Design:
     kind = spec.get("kind")
     try:
         if kind == "srswor":
-            return dsg.srswor(_integral(spec["N"], "N"), _integral(spec["n"], "n"))
+            return dsg.srswor(units(_integral(spec["N"], "N")), _integral(spec["n"], "n"))
         if kind == "bernoulli":
-            return dsg.bernoulli(_integral(spec["N"], "N"), _real(spec["p"], "p"))
+            return dsg.bernoulli(units(_integral(spec["N"], "N")), _real(spec["p"], "p"))
         if kind == "poisson":
-            return dsg.poisson(_reals(spec["pi"], "pi"))
+            return dsg.poisson(units(_reals(spec["pi"], "pi")))
         if kind == "rejective":
-            return dsg.rejective(_reals(spec["p"], "p"), _integral(spec["n"], "n"))
+            return dsg.rejective(units(_reals(spec["p"], "p")), _integral(spec["n"], "n"))
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -258,13 +266,13 @@ def _design_from_spec(raw: str) -> dsg.Design:
 def oracle_cmd(design_spec, out_dir, rejective_reference):
     """Enumerate a small design and write its condition report."""
     try:
-        design = _design_from_spec(design_spec)
+        design = _design_from_spec(design_spec, lambda kind, N: orc.check_condition_units(N))
         ref = None
         if rejective_reference is not None:
-            ref = _design_from_spec(rejective_reference)
-            if ref.kind != "rejective" or ref.N != design.N:
-                raise ParameterError("the reference design must be rejective, on the same N")
-        orc.check_condition_units(design.N)     # before any support is enumerated
+            def same_units(kind, N):
+                if kind != "rejective" or N != design.N:
+                    raise ParameterError("the reference design must be rejective, on the same N")
+            ref = _design_from_spec(rejective_reference, same_units)
         enumerated = orc.enumerate_design(design)
         report = orc.check_conditions(enumerated)
         rows = [[name, _fmt(e.statistic), e.bound_form, _fmt(e.implied_constant)]
@@ -295,9 +303,7 @@ main.add_command(oracle_cmd, name="conditions")
               help="Text file of target inclusion probabilities, one per line.")
 @click.option("--n", "size", required=True, type=int, help="Fixed sample size.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--tol", default=1e-10, show_default=True)
-@click.option("--max-iter", default=1000, show_default=True)
-def calibrate(pi_path, size, out_path, tol, max_iter):
+def calibrate(pi_path, size, out_path):
     """Calibrate rejective working probabilities to target inclusion
     probabilities; writes JSON with the p vector and achieved residual."""
     try:
@@ -306,7 +312,7 @@ def calibrate(pi_path, size, out_path, tol, max_iter):
             target = np.array([float(tok) for tok in text.replace(",", " ").split()])
         except ValueError as exc:   # undecodable bytes or a bad token
             raise ParameterError(f"could not parse probabilities: {exc}") from exc
-        design = dsg.calibrated_rejective(target, size, tol=tol, max_iter=max_iter)
+        design = dsg.calibrated_rejective(target, size)
         residual = float(np.max(np.abs(dsg.first_order_pi(design) - target)))
         payload = {"p": [float(x) for x in design.working_p], "n": size,
                    "max_residual": residual}

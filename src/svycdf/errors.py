@@ -14,12 +14,13 @@ class DegenerateDesignError(SvycdfError):
 
 
 class CalibrationError(SvycdfError):
-    """Working-probability calibration did not reach the tolerance."""
+    """Working-probability calibration did not reach its fixed tolerance
+    within its fixed iteration cap; ``residual`` is the last exact pass's
+    max-norm distance to the target."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class CapacityError(SvycdfError):

@@ -385,6 +385,15 @@ def empirical_cdf_values(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(y_sorted, grid, side="right") / y_sorted.size
 
 
+def checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, refused unless it is sorted, non-empty,
+    1-d and free of NaN."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
+        raise ParameterError("grid must be a sorted, non-empty 1-d array")
+    return grid
+
+
 def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
                   law: pop.SuperPopulationLaw | None = None) -> tuple:
     """Evaluate a sqrt(n)-standardized estimation process of a batch of
@@ -396,11 +405,10 @@ def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
     empirical CDF (``*_vs_FN``) or against the model CDF (``*_vs_F``).  The
     standardization uses the design-expected size, not the realized one.
     Returns ``(paths, errors)`` as :func:`poverty_rates` returns rates, a
-    failing row's path 0.0 on the whole grid.
+    failing row's path 0.0 on the whole grid.  The grid must pass
+    :func:`checked_grid`.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not grid.size or np.isnan(grid).any() or np.any(np.diff(grid) < 0):
-        raise ParameterError("grid must be a sorted, non-empty 1-d array")
+    grid = checked_grid(grid)
     if which not in get_args(CovarianceForm):
         raise ParameterError(f"unknown process kind {which!r}")
     if law is None and which.endswith("_vs_F"):

@@ -466,8 +466,11 @@ def process_covariance_check(sc: Scenario, grid, form: str,
                              workers: int = 1) -> ProcessCovarianceResult:
     """Compare the replicated empirical covariance of a process on a grid with
     its closed-form limit; returns entrywise errors, their per-population
-    cluster MC standard errors over the kept paths, and ``n_failures``."""
+    cluster MC standard errors over the kept paths, and ``n_failures``.  The
+    grid is checked, and the limit computed, before any population is drawn."""
+    grid = est.checked_grid(grid)
     design = _scenario_design(sc)
+    limit = asy.limit_covariance_matrix(dsg.design_constants(design), sc.law, form, grid)
     per_pop = _population_results(sc, design, partial(_process_sums, sc, grid, form), workers)
     sums, outers, kept = map(sum, zip(*per_pop))     # added in population order
     cells = sc.n_populations * sc.n_samples
@@ -477,8 +480,6 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     pop_means = np.array([o / k for _, o, k in per_pop if k])
     entry_se = (np.std(pop_means, axis=0, ddof=1) / np.sqrt(len(pop_means))
                 if len(pop_means) > 1 else np.full_like(empirical, np.nan))
-    constants = dsg.design_constants(design)
-    limit = asy.limit_covariance_matrix(constants, sc.law, form, grid)
     return ProcessCovarianceResult(
         empirical=empirical, limit=limit, entry_se=entry_se,
         max_abs_error=float(np.max(np.abs(empirical - limit))), n_failures=cells - kept)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from svycdf import designs as dsg
 from svycdf import montecarlo as mc
+from svycdf import oracle as orc
 from svycdf.errors import (CalibrationError, CapacityError, DegenerateDesignError,
                            ParameterError)
 from svycdf.streams import substream
@@ -818,16 +819,12 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             dsg.calibrated_rejective([float("nan"), 0.5, 0.5], 1)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_iter": 0}, {"max_iter": -3},
-        {"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
-    ])
-    def test_bad_stopping_rule_rejected_before_any_dp(self, kwargs, monkeypatch):
+    def test_target_not_one_per_unit_rejected_before_any_dp(self, monkeypatch):
         def no_dp(*args, **kw):
             raise AssertionError("dynamic program run")
         monkeypatch.setattr(dsg, "_rejective_first_order", no_dp)
-        with pytest.raises(ParameterError):
-            dsg.calibrated_rejective(np.full(6, 0.5), 3, **kwargs)
+        with pytest.raises(ParameterError, match="one target probability per unit"):
+            dsg.calibrated_rejective(np.full((2, 4), 0.25), 2)
 
     def test_renormalized_odds_match_brentq(self):
         # the bisection root against the Brent root it replaced
@@ -895,23 +892,18 @@ class TestCalibration:
         iterations, passes, recursions = self._logged_calibration(caplog, capsys, 14, 6)
         assert iterations == passes >= 2 and recursions == 0
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(dsg, "_CALIBRATION_TOL", 1e-16)
+        monkeypatch.setattr(dsg, "_CALIBRATION_MAX_ITER", 2)
         target = dsg.first_order_pi(dsg.rejective([0.05, 0.35, 0.6, 0.85], 2))
-        with pytest.raises(CalibrationError) as err:
-            dsg.calibrate_rejective_p(target, 2, tol=1e-16, max_iter=2)
+        with pytest.raises(CalibrationError, match=r"after 2 iterations \(2 exact\)") as err:
+            dsg.calibrate_rejective_p(target, 2)
         assert err.value.residual is not None and err.value.residual > 0
 
-    def test_step_halved_when_residual_grows(self):
-        # a feasible target the fixed point does not reach (not even at the
-        # default max_iter): the exact residual grows once, from pass 15 to
-        # pass 16, and the step after pass 16 is halved, sqrt(t / pi) in
-        # odds space
-        rng = np.random.default_rng(1148)
-        N = int(rng.integers(10, 300))
-        n = int(rng.integers(2, N - 1))
-        assert (N, n) == (16, 14)
-        t = np.clip(1.0 / (1.0 + np.exp(-rng.uniform(-8.0, 8.0, N))), 1e-6, 1.0 - 1e-6)
-        t = dsg._renormalize_odds(t / (1.0 - t), n)
+    @staticmethod
+    def _exact_passes(t, n):
+        """Calibrate to ``t``; return the design and the (p, pi) of every
+        exact pass."""
         passes = []
         dp = dsg._rejective_first_order
 
@@ -919,20 +911,80 @@ class TestCalibration:
             passes.append((p.copy(), dp(p, n, table)))
             return passes[-1][1]
 
-        with mock.patch.object(dsg, "_rejective_first_order", side_effect=exact), \
-                pytest.raises(CalibrationError) as err:
-            dsg.calibrated_rejective(t, n, max_iter=300)
+        with mock.patch.object(dsg, "_rejective_first_order", side_effect=exact):
+            design = dsg.calibrated_rejective(t, n)
+        return design, passes
+
+    @staticmethod
+    def _scan_target(seed):
+        """A feasible target of the calibration scan: N in 10..299, logits
+        U(-8, 8) clipped to [1e-6, 1 - 1e-6], renormalized in odds to sum n."""
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(10, 300))
+        n = int(rng.integers(2, N - 1))
+        t = np.clip(1.0 / (1.0 + np.exp(-rng.uniform(-8.0, 8.0, N))), 1e-6, 1.0 - 1e-6)
+        return dsg._renormalize_odds(t / (1.0 - t), n), n
+
+    def test_scan_targets_converge(self):
+        # the ratio step t / pi raised CalibrationError on most of these; the
+        # odds-ratio step fits every one, 1148 (N=16, n=14, max t 0.9999993)
+        # included, in a few dozen exact passes
+        slow = {}
+        for seed in [*range(40), 1148]:
+            t, n = self._scan_target(seed)
+            design, passes = self._exact_passes(t, n)
+            pi = dsg.first_order_pi(design)
+            assert np.array_equal(pi, ref.rejective_first_order(design.working_p, n))
+            assert np.max(np.abs(pi - t)) <= 1e-10
+            if len(passes) > 60:
+                slow[seed] = len(passes)
+        assert slow == {}
+
+    @staticmethod
+    def _odds_step(p, pi, t, n, step):
+        return dsg._renormalize_odds((p / (1.0 - p)) * odds_ratio(t, pi) ** step, n)
+
+    def test_step_halved_when_residual_grows(self):
+        # an extreme target: the exact residual grows once, at pass 2, and
+        # every later step is taken at half the exponent, sqrt of the odds
+        # ratio after pass 2
+        rng = np.random.default_rng(0)
+        N, n = 20, 10
+        t = np.clip(1.0 / (1.0 + np.exp(-rng.uniform(-40.0, 40.0, N))), 1e-6, 1.0 - 1e-6)
+        t = dsg._renormalize_odds(t / (1.0 - t), n)
+        design, passes = self._exact_passes(t, n)
         residuals = [float(np.max(np.abs(pi - t))) for _, pi in passes]
-        assert [k + 1 for k in range(1, len(passes)) if residuals[k] > residuals[k - 1]] == [16]
-        (p, pi), (halved, _) = passes[15], passes[16]
-        assert np.array_equal(halved, dsg._renormalize_odds((p / (1.0 - p)) * np.sqrt(t / pi), n))
-        assert err.value.iterations == len(passes) == 300
-        assert err.value.residual == residuals[-1] == pytest.approx(9.41e-05, rel=1e-3)
+        assert [k + 1 for k in range(1, len(passes)) if residuals[k] > residuals[k - 1]] == [2]
+        (p0, pi0), (p1, pi1), (p2, _) = passes[:3]
+        assert np.array_equal(p1, self._odds_step(p0, pi0, t, n, 1.0))
+        assert np.array_equal(p2, dsg._renormalize_odds(
+            (p1 / (1.0 - p1)) * np.sqrt(odds_ratio(t, pi1)), n))
+        for (p, pi), (following, _) in zip(passes[2:], passes[3:]):
+            assert np.array_equal(following, self._odds_step(p, pi, t, n, 0.5))
+        assert residuals[-1] <= 1e-10 and len(passes) == 27
+        assert np.array_equal(design.working_p, passes[-1][0])
+
+    def test_step_halved_when_error_reverses(self):
+        # two units share the one slot the near-certain third leaves:
+        # Hajek's Jacobian is half the true one there, so the full step
+        # lands the error back reversed at almost its size, the residual
+        # shrinking by a hair; the halved step lands on the target
+        t = np.array([0.5 - 2.5e-5 + 5e-8, 0.5 + 2.5e-5 + 5e-8, 1.0 - 1e-7])
+        assert t.sum() == 2.0
+        design, passes = self._exact_passes(t, 2)
+        (p0, pi0), (p1, pi1), (p2, pi2) = passes
+        err0, err1 = pi0 - t, pi1 - t
+        assert np.max(np.abs(err1)) <= np.max(np.abs(err0))
+        assert np.dot(err1, err0) < -0.99 * np.dot(err0, err0)
+        assert np.array_equal(p1, self._odds_step(p0, pi0, t, 2, 1.0))
+        assert np.array_equal(p2, self._odds_step(p1, pi1, t, 2, 0.5))
+        assert np.max(np.abs(pi2 - t)) <= 1e-10
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_nonconvergence_residual_is_exact(self, max_iter):
+    def test_nonconvergence_residual_is_exact(self, max_iter, monkeypatch):
         # the recursion runs at every iteration but the last, which is an
         # exact pass, so the residual reported is the program's
+        monkeypatch.setattr(dsg, "_CALIBRATION_MAX_ITER", max_iter)
         N, n = 200, 20
         target = mc._split_probabilities(N, n)
         values = []
@@ -947,31 +999,60 @@ class TestCalibration:
                                   wraps=dsg._recursive_first_order) as fast, \
                 pytest.raises(CalibrationError, match=rf"after {max_iter} iterations \(1 exact\)") \
                 as err:
-            dsg.calibrated_rejective(target, n, max_iter=max_iter)
+            dsg.calibrated_rejective(target, n)
         assert fast.call_count == max_iter - 1 and len(values) == 1
         assert err.value.residual == float(np.max(np.abs(values[0] - target))) > 1e-10
-        assert err.value.iterations == max_iter
 
 
-def plain_calibration(target, n, tol=1e-10, max_iter=1000):
-    """The damped fixed point with an exact pass at every iteration.
+@st.composite
+def calibration_targets(draw):
+    """A feasible calibration target on at most 12 units: logits in [-8, 8]
+    as probabilities clipped to [1e-6, 1 - 1e-6], renormalized in odds to
+    sum to an n in 1..N-1."""
+    N = draw(st.integers(min_value=2, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=N - 1))
+    logits = np.array(draw(st.lists(st.floats(min_value=-8.0, max_value=8.0),
+                                    min_size=N, max_size=N)))
+    t = np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-6, 1.0 - 1e-6)
+    return dsg._renormalize_odds(t / (1.0 - t), n), n
 
-    The calibration loop as it runs above the recursion's bound; the
-    package must reproduce its working probabilities bit for bit there.
+
+@given(calibration_targets())
+@example((np.array([0.5 - 2.5e-5 + 5e-8, 0.5 + 2.5e-5 + 5e-8, 1.0 - 1e-7]), 2))
+@settings(max_examples=200, deadline=None)
+def test_calibration_matches_enumeration(case):
+    # the pi of the enumerated calibrated design: the 1e-10 stopping rule
+    # plus the enumeration's rounding (a few 1e-15)
+    t, n = case
+    pi = orc.enumerate_design(dsg.calibrated_rejective(t, n)).first_order()
+    assert np.max(np.abs(pi - t)) <= 2e-10
+
+
+def odds_ratio(t, pi):
+    return (t / (1.0 - t)) / (pi / (1.0 - pi))
+
+
+def plain_calibration(target, n, ratio=odds_ratio, tol=1e-10, max_iter=10_000):
+    """The damped fixed point with an exact pass at every iteration, each
+    step multiplying the odds by ``ratio(t, pi)`` raised to the step exponent.
+
+    With the odds ratio, the calibration loop as it runs above the
+    recursion's bound; the package must reproduce its working probabilities
+    bit for bit there.  With t / pi, the recursion phase's step.
     """
     t = np.asarray(target, dtype=float)
     p = t.copy()
-    prev_resid = np.inf
+    prev_resid, prev_err, step = np.inf, np.zeros_like(t), 1.0
     for _ in range(max_iter):
         pi = ref.rejective_first_order(p, n)
-        resid = float(np.max(np.abs(pi - t)))
+        err = pi - t
+        resid = float(np.max(np.abs(err)))
         if resid <= tol:
             return p
-        update = t / pi
-        if resid > prev_resid:
-            update = np.sqrt(update)
-        prev_resid = resid
-        p = dsg._renormalize_odds((p / (1.0 - p)) * update, n)
+        if resid > prev_resid or np.dot(err, prev_err) < -0.5 * np.dot(prev_err, prev_err):
+            step *= 0.5
+        prev_resid, prev_err = resid, err
+        p = dsg._renormalize_odds((p / (1.0 - p)) * ratio(t, pi) ** step, n)
     raise AssertionError("no convergence")
 
 
@@ -1059,11 +1140,13 @@ class TestRecursion:
         assert np.array_equal(p, plain_calibration(target, 6))
 
     def test_below_bound_close_to_the_plain_fixed_point(self):
-        # the desk split: the recursion moves p only by rounding
+        # the desk split: the recursion moves p only by rounding from the
+        # exact ratio steps it stands for; one exact pass confirms it
         N, n = 10000, 500
         target = mc._split_probabilities(N, n)
         p = dsg.calibrate_rejective_p(target, n)
-        assert np.max(np.abs(p - plain_calibration(target, n)) / p) <= 1e-14
+        plain = plain_calibration(target, n, ratio=lambda t, pi: t / pi)
+        assert np.max(np.abs(p - plain) / p) <= 1e-14
 
 
 class TestDesignConstants:

@@ -583,6 +583,16 @@ class TestProcessCovariance:
         with pytest.raises(ParameterError, match="non-empty"):
             mc.process_covariance_check(sc, [], "HJ_vs_F")
 
+    @pytest.mark.parametrize("grid", [[], [1.0, 0.5], [0.5, float("nan")], [[0.5, 1.0]]],
+                             ids=["empty", "unsorted", "nan", "2-d"])
+    def test_bad_grid_refused_before_any_population(self, monkeypatch, grid):
+        def no_population(*args):
+            raise AssertionError("population drawn")
+        monkeypatch.setattr(mc, "_population_task", no_population)
+        sc = small_scenario(design="PO", N=200, n=20, n_populations=2, n_samples=20)
+        with pytest.raises(ParameterError, match="grid must be a sorted, non-empty 1-d array"):
+            mc.process_covariance_check(sc, grid, "HJ_vs_F")
+
     def test_unequal_probability_limit_form(self):
         # model-centered bridge form with gamma1 = 1.5625 for the low/high split
         sc = small_scenario(design="PO", N=2000, n=200, n_populations=150,

@@ -1,7 +1,8 @@
 """Every function and class of svycdf, private ones included, has a caller
 outside the tests, every svycdf name the benchmark reads exists, every
-module imports only modules of lower layers, and no module reads a private
-name that another svycdf module defines.
+module imports only modules of lower layers, no module reads a private
+name that another svycdf module defines, and every defaulted parameter of
+a public function is passed by some call.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -220,3 +221,80 @@ def test_no_module_reads_another_modules_private_names():
                    for name in foreign_private_reads(path.read_text(encoding="utf-8"),
                                                      path.stem, owners))
     assert found == [], f"private names read outside the module that defines them: {found}"
+
+
+def defaulted_parameters(module: str, source: str) -> dict:
+    """``module.name -> [(position, parameter)]`` for every parameter with a
+    default of the module's module-level public functions (position None for
+    a keyword-only one); click commands and :data:`ALLOWED` names left out."""
+    found = {}
+    for node in ast.parse(source).body:
+        qualified = f"{module}.{getattr(node, 'name', '')}"
+        if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                or _is_click_command(node) or qualified in ALLOWED):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        params = [(k, arg.arg) for k, arg in enumerate(positional) if k >= first]
+        params += [(None, arg.arg) for arg, default
+                   in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+        if params:
+            found[qualified] = params
+    return found
+
+
+def passed_arguments(sources) -> dict:
+    """``name -> (most positional arguments, keywords)`` over every call of
+    ``name`` (``name(...)`` or ``x.name(...)``) in ``sources``; a ``*args``
+    or ``**kwargs`` call passes everything."""
+    passed: dict = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            most, keywords = passed.get(name, (0, set()))
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                most = float("inf")
+            most = max(most, len(node.args))
+            keywords = keywords | {k.arg for k in node.keywords}   # None: **kwargs
+            passed[name] = most, keywords
+    return passed
+
+
+def unpassed_defaults(modules: dict, sources) -> dict:
+    """``module.name -> [parameter]``: the defaulted parameters of the public
+    functions of ``modules`` (name -> source) that no call in ``sources``
+    passes, by position or by keyword."""
+    passed = passed_arguments(sources)
+    unpassed = {}
+    for module, source in modules.items():
+        for qualified, params in defaulted_parameters(module, source).items():
+            most, keywords = passed.get(qualified.split(".")[-1], (0, set()))
+            missing = [name for k, name in params
+                       if None not in keywords and name not in keywords
+                       and not (k is not None and k < most)]
+            if missing:
+                unpassed[qualified] = missing
+    return unpassed
+
+
+def test_unpassed_defaults_detected():
+    module = ("def f(a, b=1, *, c=2, d=None):\n    pass\n"
+              "def g(a=1, b=2):\n    pass\n"
+              "def h(a=1):\n    pass\n"
+              "def _private(a=1):\n    pass\n")
+    callers = ["f(0, 1, d=3)\n", "g(*args)\n", "x.h(**kw)\n"]
+    assert unpassed_defaults({"m": module}, callers) == {"m.f": ["c"]}
+    assert unpassed_defaults({"m": module}, ["y = 1\n"]) == {
+        "m.f": ["b", "c", "d"], "m.g": ["a", "b"], "m.h": ["a"]}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller in src/ or bench/ overrides is an option
+    # nobody uses: it belongs in the function as a constant
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    unpassed = unpassed_defaults(modules, sources)
+    assert unpassed == {}, f"defaulted parameters no call in src/ or bench/ passes: {unpassed}"
