@@ -39,7 +39,7 @@ from . import designs as dsg
 from . import montecarlo as mc
 from . import oracle as orc
 from . import population as pop
-from .errors import ParameterError, ScenarioError, SvycdfError
+from .errors import ParameterError, SvycdfError
 
 _FMT = "%.6g"
 
@@ -164,14 +164,11 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
         if not cells:
             raise ParameterError("config must list at least one (N, n) cell")
         workers = mc.pool_size(workers)
-        try:
-            scenarios = {
-                (design, ci): mc.Scenario(N=cell["N"], n=cell["n"], design=design, law=law,
-                                          alpha=alpha, beta=beta, n_populations=n_pops,
-                                          n_samples=n_samp, seed=run_seed)
-                for design in designs for ci, cell in enumerate(cells)}
-        except ScenarioError as exc:
-            raise ParameterError(f"invalid scenario: {exc}") from exc
+        scenarios = {
+            (design, ci): mc.Scenario(N=cell["N"], n=cell["n"], design=design, law=law,
+                                      alpha=alpha, beta=beta, n_populations=n_pops,
+                                      n_samples=n_samp, seed=run_seed)
+            for design in designs for ci, cell in enumerate(cells)}
         # an output path that cannot be made fails before the Monte Carlo work
         out = Path(out_dir)
         made = [d for d in (out, *out.parents) if not d.exists()]

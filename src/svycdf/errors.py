@@ -32,7 +32,8 @@ class EstimationError(SvycdfError):
 
 
 class DegenerateBandwidthError(EstimationError):
-    """Weighted interquartile range is zero; no automatic bandwidth."""
+    """No automatic bandwidth: the weighted interquartile range is zero, or
+    so small that the bandwidth underflows to zero."""
 
 
 class ZeroDensityError(EstimationError):
@@ -40,7 +41,9 @@ class ZeroDensityError(EstimationError):
 
 
 class ScenarioError(SvycdfError):
-    """Monte Carlo scenario is invalid or exceeded its failure budget."""
+    """A Monte Carlo run failed: a job exceeded its failure budget, or its
+    results are inconsistent.  An invalid scenario field is a
+    :class:`ParameterError`."""
 
 
 class DiagnosticError(SvycdfError):

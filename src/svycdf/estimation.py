@@ -262,9 +262,10 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     Per row and mode: the alpha-quantile q and the quartiles follow
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
     the rate is F(beta q) (:func:`_quantiles_and_rates`), the bandwidth is
-    0.79 R n^{-1/5} with R the interquartile range (none when R is zero), and the
-    densities at q and beta q are weighted Gaussian kernel estimates at
-    that bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
+    0.79 R n^{-1/5} with R the interquartile range (none when that is zero:
+    R is zero, or so small that the product underflows), and the densities
+    at q and beta q are weighted Gaussian kernel estimates at that
+    bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
     or by the population-size estimate ("HJ").  The variance is the closed
     form of :func:`asymptotics.poverty_variance` at the estimated rate and
     density ratio.
@@ -287,11 +288,8 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
         factor[rows] = n ** (-0.2)       # the scalar power, as for one draw
     q, phi = _quantiles_and_rates(cdfs, alpha, beta, (0.25, 0.75))
     phi, t = phi.T, beta * q[..., 0]
-    iqr = q[..., 2] - q[..., 1]
-    no_bw = iqr <= 0.0
-    bandwidth = 0.79 * iqr * factor
-    if np.any(~no_bw & (bandwidth <= 0.0)):
-        raise ParameterError("bandwidth must be positive")
+    bandwidth = 0.79 * (q[..., 2] - q[..., 1]) * factor
+    no_bw = bandwidth <= 0.0
     bandwidth[no_bw] = 1.0
     denom = np.stack([np.full(factor.size, float(N)), cdfs.n_hat]) * bandwidth
     dens = _kernel_sums(np.stack([q[..., 0], t], axis=-1), cdfs.y, cdfs.inv, bandwidth,

@@ -86,7 +86,9 @@ MAX_POPULATION_UNITS = 2**24
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation cell: population/sample sizes, design, law, targets."""
+    """One simulation cell: population/sample sizes, design, law, targets.
+    A field out of its range is a :class:`ParameterError` here, before any
+    work."""
 
     N: int
     n: int
@@ -100,32 +102,32 @@ class Scenario:
 
     def __post_init__(self):
         if not 1 <= self.n <= self.N:
-            raise ScenarioError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
+            raise ParameterError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.N > MAX_POPULATION_UNITS:
-            raise ScenarioError(f"N={self.N} exceeds the bound {MAX_POPULATION_UNITS}")
+            raise ParameterError(f"N={self.N} exceeds the bound {MAX_POPULATION_UNITS}")
         if self.n_populations < 1 or self.n_samples < 1:
-            raise ScenarioError("replication counts must be at least 1")
+            raise ParameterError("replication counts must be at least 1")
         if self.n_samples > 2**32:      # a sample's stream index is one 32-bit word
-            raise ScenarioError(f"n_samples must be at most 2**32, got {self.n_samples}")
+            raise ParameterError(f"n_samples must be at most 2**32, got {self.n_samples}")
         if self.seed < 0:
-            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.design not in ("SI", "BE", "PO", "REJ"):
-            raise ScenarioError(f"unknown design label {self.design!r}")
+            raise ParameterError(f"unknown design label {self.design!r}")
         if not 0.0 < self.alpha < 1.0:                      # NaN fails too
-            raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
-            raise ScenarioError(f"beta must lie in (0, 1], got {self.beta}")
+            raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
         if self.beta == 1.0 and self.law.kind != "discrete":
             # F(F^-1(alpha)) = alpha for a law with a density: a constant rate
-            raise ScenarioError(f"beta = 1 needs a discrete law, got {self.law.kind}")
+            raise ParameterError(f"beta = 1 needs a discrete law, got {self.law.kind}")
         if self.design == "BE" and self.n == self.N:
-            raise ScenarioError(f"BE needs n < N for a rate n/N below 1, got n=N={self.N}")
+            raise ParameterError(f"BE needs n < N for a rate n/N below 1, got n=N={self.N}")
         if self.design in ("PO", "REJ"):
             # the split's high probability; a rejective design needs it below 1
             high = PO_HIGH * (self.n / self.N)
             if high > 1.0 or (self.design == "REJ" and high == 1.0):
                 bound = "<=" if self.design == "PO" else "<"
-                raise ScenarioError(
+                raise ParameterError(
                     f"{self.design} needs {PO_HIGH}*n/N {bound} 1, got {high:.3g}")
 
 
@@ -273,11 +275,10 @@ def _available_cpus() -> int:
 
 
 def pool_size(workers: int) -> int:
-    """Worker processes allowed for a requested count.
-
-    The entry point owns the worker policy and calls this once: a count
-    below 1 is a :class:`ParameterError`, and a count above the available
-    CPUs is capped at them with a warning.
+    """Worker processes allowed for a requested count: a count below 1 is
+    a :class:`ParameterError`, and a count above the available CPUs is
+    capped at them with a warning.  Every pool of this module is sized by
+    it (:func:`_process_pool`).
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
@@ -291,19 +292,17 @@ def pool_size(workers: int) -> int:
 @contextmanager
 def _process_pool(workers: int, tasks: int) -> Iterator[Callable]:
     """A lazy ``pmap(task, count)`` over ``task(0), ..., task(count - 1)``,
-    in index order, on a pool of min(``workers``, available CPUs, ``tasks``)
-    processes for the ``with`` block, or in this process when that is 1.
+    in index order, on a pool of min(:func:`pool_size` of ``workers``,
+    ``tasks``) processes for the ``with`` block, or in this process when
+    that is 1.
 
     Each call queues its tasks at once, in contiguous chunks of
     ceil(count / (2 * pool size)) so every worker gets about two hand-offs,
     and returns without waiting.  The pool is shut down when the block
     exits; on error (also ``KeyboardInterrupt``) its queued chunks are
-    cancelled first.  The pool is silently bounded; the warning for an
-    oversized request is :func:`pool_size`'s.
+    cancelled first.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
-    size = min(workers, _available_cpus(), tasks)
+    size = min(pool_size(workers), tasks)
     if size == 1:
         yield lambda task, count: map(task, range(count))
         return

@@ -23,16 +23,25 @@ population-size estimate, ``decomposition_paths``,
 the terms G_pi and Y_N of the proof's decomposition of the self-normalized
 process, and ``hadamard_direction_value``, the directional derivative of
 the poverty rate functional, checked against finite differences.
+
+Two exact design references: ``systematic_design`` enumerates systematic
+pi-ps sampling, a design outside the paper's conditions, and
+``exact_population_moments`` gives the exact design expectation of what a
+Monte Carlo run adds up for one population.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from svycdf import asymptotics as asy
 from svycdf import designs as dsg
 from svycdf import estimation as est
+from svycdf import montecarlo as mc
+from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.errors import EstimationError, ParameterError, ZeroDensityError
+from svycdf.streams import child_seed, substream
 
 TIE_EPS = 1e-12
 
@@ -204,3 +213,70 @@ def hadamard_direction_value(density_at_quantile, density_at_scaled, h_at_quanti
         raise ZeroDensityError("density at the quantile must be positive")
     return (-beta * (density_at_scaled / density_at_quantile) * h_at_quantile
             + h_at_scaled)
+
+
+def systematic_design(pi):
+    """Systematic pi-ps sampling (Madow 1949) with inclusion probabilities
+    ``pi`` (summing to an integer n) as an ``oracle.EnumeratedDesign``.
+
+    The units lie end to end on [0, n), unit k on [C_{k-1}, C_k) with C the
+    running sums of pi, and one uniform start u in [0, 1) selects the units
+    hit by u, u + 1, ..., u + n - 1.  The sample changes only where u
+    crosses the fractional part of some C_k, so the support is one sample
+    per start interval, at most N + 1, each with its interval's length.
+    """
+    pi = np.asarray(pi, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(pi)])
+    cuts = np.unique(np.concatenate([cum % 1.0, [0.0, 1.0]]))
+    starts = (cuts[:-1] + cuts[1:]) / 2.0
+    samples = np.diff(np.floor(cum - starts[:, None]), axis=1) > 0
+    return orc.EnumeratedDesign(samples=samples, probs=np.diff(cuts), N=pi.size)
+
+
+def exact_population_moments(sc, pop_index):
+    """Exact design expectation of population ``pop_index`` of the scenario
+    ``sc``, from its design's enumerated support: every support point in one
+    ``estimation.poverty_rate_estimates`` batch, weighted by its probability.
+
+    The population's responses and its PO/REJ permutation come from the
+    scenario's streams, as in a run, but its design is built here: a PO
+    design from the split reordered, a REJ design from the calibrated
+    working probabilities reordered, and its samples are enumerated, not
+    drawn.  Returns ``(mean, var, ht_cdf, f_n)``: the mean and variance per
+    cell, shape (3, 2) with the columns ``mc.ESTIMATORS``, of the relative
+    error against the population rate, the covering of that rate by the
+    95% Wald interval (both 0 on a failed cell) and the defined-cell
+    indicator; and the expected HT CDF with the population CDF F_N, both at
+    the sorted responses.
+    """
+    N, n = sc.N, sc.n
+    y = pop.generate_population(sc.law, N, child_seed(sc.seed, pop_index, 0))
+    perm = substream(sc.seed, pop_index, 1).permutation(N)
+    if sc.design == "SI":
+        design = dsg.srswor(N, n)
+    elif sc.design == "BE":
+        design = dsg.bernoulli(N, n / N)
+    elif sc.design == "PO":
+        design = dsg.poisson(mc._split_probabilities(N, n)[perm])
+    else:
+        base = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
+        design = dsg.rejective(base.working_p[perm], n)
+    support = orc.enumerate_design(design)
+    pi = support.first_order()
+    masks = support.samples
+    included = np.nonzero(masks)[1]
+    batch = _batch(included, pi[included], y[included], masks.sum(axis=1), float(n))
+    phi, av, errors = est.poverty_rate_estimates(batch, N, dsg.design_constants(design),
+                                                 sc.alpha, sc.beta)
+    ok = np.ones(phi.shape, dtype=bool)
+    for cell in errors:
+        ok[cell] = False
+    phi_n = est.census_poverty_rate(y, sc.alpha, sc.beta)
+    rel = np.where(ok, (phi - phi_n) / phi_n, 0.0)
+    lo, hi = asy.wald_interval(phi, np.maximum(av, 0.0), n)
+    terms = np.stack([rel, ok & (lo <= phi_n) & (phi_n <= hi), ok])
+    mean = np.einsum("s,tsk->tk", support.probs, terms)
+    var = np.einsum("s,tsk->tk", support.probs, terms * terms) - mean * mean
+    t = np.sort(y)
+    ht = (masks[:, :, None] & (y[:, None] <= t)) / (N * pi[:, None])
+    return mean, var, support.probs @ ht.sum(axis=1), est.empirical_cdf_values(y, t)

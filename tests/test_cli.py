@@ -126,25 +126,27 @@ class TestSimulate:
                                             "coverage.csv")))
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("overrides", [
-        {"cells": [{"N": 100, "n": 20}, {"N": 100, "n": 120}]},
-        {"n_populations": 0},
-        {"designs": ["SI", "XX"]},
-        {"cells": [{"N": 100, "n": 80}], "designs": ["PO"]},
+    @pytest.mark.parametrize("overrides, message", [
+        ({"cells": [{"N": 100, "n": 20}, {"N": 100, "n": 120}]},
+         "need 1 <= n <= N, got n=120, N=100"),
+        ({"n_populations": 0}, "replication counts must be at least 1"),
+        ({"designs": ["SI", "XX"]}, "unknown design label 'XX'"),
+        ({"cells": [{"N": 100, "n": 80}], "designs": ["PO"]}, "PO needs 1.6*n/N <= 1"),
         # 1.6 * 5/8 is exactly 1: Poisson can take it, rejective cannot
-        {"cells": [{"N": 8, "n": 5}], "designs": ["PO", "REJ"]},
+        ({"cells": [{"N": 8, "n": 5}], "designs": ["PO", "REJ"]}, "REJ needs 1.6*n/N < 1"),
         # sizes numpy could not allocate, refused before anything is made
-        {"cells": [{"N": 10 ** 400, "n": 20}]},
-        {"cells": [{"N": 2 ** 62, "n": 20}]},
+        ({"cells": [{"N": 10 ** 400, "n": 20}]}, "N=1000"),
+        ({"cells": [{"N": 2 ** 62, "n": 20}]}, f"N={2 ** 62} exceeds the bound"),
         # a population a worker could not hold in memory
-        {"cells": [{"N": 2 ** 24 + 1, "n": 20}]},
+        ({"cells": [{"N": 2 ** 24 + 1, "n": 20}]}, f"N={2 ** 24 + 1} exceeds the bound"),
         # beta = 1 on a law with a density: a constant rate, no relative bias
-        {"beta": 1.0},
-        {"beta": 1, "law": {"kind": "uniform01"}},
+        ({"beta": 1.0}, "beta = 1 needs a discrete law"),
+        ({"beta": 1, "law": {"kind": "uniform01"}}, "beta = 1 needs a discrete law"),
     ], ids=["n-above-N", "no-populations", "unknown-design", "po-split", "rej-split",
             "N-beyond-float", "N-beyond-numpy", "N-beyond-bound", "beta-one-exponential",
             "beta-one-uniform01"])
-    def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides):
+    def test_invalid_cell_is_usage_error(self, runner, tmp_path, monkeypatch, overrides,
+                                         message):
         # every cell is checked before the first one runs
         ran = []
         monkeypatch.setattr(mc, "run_scenarios", lambda scs, workers: ran.extend(scs))
@@ -155,7 +157,7 @@ class TestSimulate:
                                       "--out", str(out)])
         assert result.exit_code == 2
         lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: invalid scenario: ")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
         assert ran == []
         assert not out.exists()
 
@@ -478,6 +480,20 @@ class TestSimulateFailures:
         assert message in result.stderr
         assert not out.exists()
         assert calls == []
+
+    def test_underflowing_bandwidth_is_a_run_failure(self, runner, tmp_path):
+        # a valid config whose samples have an interquartile range of 5e-324:
+        # every bandwidth underflows, so every cell fails, past the budget
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(
+            law={"kind": "discrete", "points": [0.0, 5e-324], "masses": [0.5, 0.5]},
+            cells=[{"N": 400, "n": 40}], n_populations=2, n_samples=20, seed=1)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 3
+        assert result.stderr.strip() == "error: HT failed in 40 of 40 cells (> 1% budget)"
+        assert not out.exists()
 
     def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
         real_write = cli._write_csv
@@ -893,7 +909,7 @@ def test_module_runs_as_a_script(tmp_path):
                          str(tmp_path / "config.json"), "--out", str(out))
     assert done.returncode == 2, done.stderr
     lines = done.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: invalid scenario: N=")
+    assert len(lines) == 1 and lines[0].startswith(f"error: N={2 ** 62} exceeds the bound")
     assert not out.exists()
 
 

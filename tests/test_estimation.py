@@ -317,6 +317,16 @@ class TestKdeDensity:
             assert isinstance(errors[0, k], DegenerateBandwidthError)
             assert phi[0, k] == av[0, k] == 0.0
 
+    def test_underflowing_bandwidth_errors(self):
+        # a positive interquartile range of 5e-324 gives a bandwidth of 0:
+        # the cells fail as without a range, and nothing is raised
+        draw = ref.make_row([0.0] * 20 + [5e-324] * 20, np.full(40, 0.1))
+        phi, av, errors = est.poverty_rate_estimates(
+            draw, 400, asy.DesignConstants(0.1, 9.0, 0.0), 0.5, 0.6)
+        for k in range(2):
+            assert isinstance(errors[0, k], DegenerateBandwidthError)
+            assert phi[0, k] == av[0, k] == 0.0
+
     def test_ht_and_hj_normalizations_differ(self):
         # one kernel sum per point, divided by N ("HT") or by n_hat ("HJ");
         # each mode's variance takes the ratio of its own two densities

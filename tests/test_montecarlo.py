@@ -31,32 +31,32 @@ def small_scenario(design="SI", **kw):
 
 class TestScenarioValidation:
     def test_bad_sizes(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ParameterError):
             small_scenario(n=500)
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ParameterError):
             small_scenario(n_populations=0)
 
     def test_po_inclusion_bound(self):
         # the high-probability half would exceed one
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ParameterError):
             small_scenario(design="PO", N=100, n=70)
 
     def test_unknown_design(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ParameterError):
             small_scenario(design="XX")
 
     def test_stream_address_bounds(self):
         # a sample's stream index is one 32-bit word; seeds are non-negative
-        with pytest.raises(ScenarioError, match="seed"):
+        with pytest.raises(ParameterError, match="seed"):
             small_scenario(seed=-1)
-        with pytest.raises(ScenarioError, match="n_samples"):
+        with pytest.raises(ParameterError, match="n_samples"):
             small_scenario(n_samples=2**32 + 1)
         small_scenario(seed=0, n_samples=2**32)
 
     def test_population_size_bound(self):
         # a worker holds about four N-length 8-byte arrays, so N is bounded
         small_scenario(N=mc.MAX_POPULATION_UNITS, n=10)
-        with pytest.raises(ScenarioError, match=f"N={2**24 + 1} exceeds the bound 16777216"):
+        with pytest.raises(ParameterError, match=f"N={2**24 + 1} exceeds the bound 16777216"):
             small_scenario(N=2**24 + 1, n=10)
 
     @pytest.mark.parametrize("law", [EXP1, pop.SuperPopulationLaw.uniform01()],
@@ -64,7 +64,7 @@ class TestScenarioValidation:
     def test_beta_one_needs_a_discrete_law(self, law):
         # F(F^-1(alpha)) = alpha for a law with a density, so the reference
         # variance is rounding noise and no relative bias is defined
-        with pytest.raises(ScenarioError, match=f"beta = 1 needs a discrete law, got {law.kind}"):
+        with pytest.raises(ParameterError, match=f"beta = 1 needs a discrete law, got {law.kind}"):
             small_scenario(law=law, beta=1.0)
         small_scenario(law=pop.SuperPopulationLaw.discrete([1.0, 2.0], [0.5, 0.5]), beta=1.0)
 
@@ -215,6 +215,32 @@ class TestFailedDraws:
             with pytest.raises(ScenarioError,
                                match=re.escape("failed in 86 of 2000 cells (> 1% budget)")):
                 run()
+
+
+class TestExactExpectation:
+    """A run of one population against its design's exact expectation
+    (``step_reference.exact_population_moments``): streams, draws,
+    relabeling, the poverty kernel and the reduction at once.  Each sum the
+    report implies has a known mean and variance over its independent
+    cells, so its z-score must lie within 4."""
+
+    @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
+    def test_run_matches_exact_design_expectation(self, design):
+        sc = small_scenario(design, N=12, n=6, n_populations=1, n_samples=20000, seed=7)
+        mean, var, ht_cdf, f_n = ref.exact_population_moments(sc, 0)
+        assert np.allclose(ht_cdf, f_n, rtol=0.0, atol=1e-12)
+        rep = mc.run_scenario(sc)
+        cells = sc.n_samples
+        for k, e in enumerate(mc.ESTIMATORS):
+            kept = cells - rep.n_failures[e]
+            sums = [rep.rb_phi[e, "FN"] / 100.0 * kept, rep.coverage[e, "FN"] / 100.0 * kept,
+                    kept]
+            for i, total in enumerate(sums):
+                if var[i, k] <= 1e-15:           # the same value in every cell
+                    assert total == pytest.approx(cells * mean[i, k], abs=1e-6), (e, i)
+                else:
+                    z = (total - cells * mean[i, k]) / np.sqrt(cells * var[i, k])
+                    assert abs(z) <= 4.0, (e, i, z)
 
 
 class TestBiasWarning:
@@ -411,7 +437,7 @@ class TestPoolSize:
             assert mc.pool_size(1000) == 2
         assert "capping 1000 workers at the 2 available CPUs" in caplog.text
 
-    def test_scenario_pool_is_capped_silently(self, monkeypatch, caplog):
+    def test_scenario_pool_is_capped_with_warning(self, monkeypatch, caplog):
         # no process is started: the pool is replaced by an in-process stand-in
         monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
         _cpus(monkeypatch, 3)
@@ -421,9 +447,24 @@ class TestPoolSize:
             capped = mc.run_scenario(sc, workers=64)
         assert _SerialPool.sizes == [3]
         assert _SerialPool.chunksizes == [1]     # ceil(5 / (2 * 3))
-        assert "capping" not in caplog.text
+        assert "capping 64 workers at the 3 available CPUs" in caplog.text
         serial = mc.run_scenario(sc, workers=1)
         assert report_hex(capped) == report_hex(serial)
+
+    @pytest.mark.parametrize("run", [
+        lambda sc: mc.run_scenarios([sc], workers=2),
+        lambda sc: mc.normality_diagnostic(sc, "ht_mean", workers=2),
+        lambda sc: mc.process_covariance_check(sc, [0.5, 1.0], "HT_vs_FN", workers=2),
+    ], ids=["tables", "normality", "process-covariance"])
+    def test_library_callers_get_the_cap_warning(self, monkeypatch, caplog, run):
+        # one CPU: the run stays in this process, so no pool is started
+        monkeypatch.setattr(mc, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+        _SerialPool.reset()
+        with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+            run(small_scenario(N=100, n=20, n_populations=2, n_samples=500))
+        assert _SerialPool.sizes == []
+        assert "capping 2 workers at the 1 available CPUs" in caplog.text
 
     def test_scenario_rejects_below_one(self):
         with pytest.raises(ParameterError):

@@ -16,6 +16,8 @@ from svycdf import population as pop
 from svycdf.errors import CapacityError, DegenerateDesignError, ParameterError
 from svycdf.streams import substream
 
+import step_reference as ref
+
 
 def third_order(en: orc.EnumeratedDesign) -> np.ndarray:
     """Reference pi_ijk: the full N^3 tensor of joint inclusion probabilities."""
@@ -243,6 +245,52 @@ class TestConditions:
             samples=np.ones((1, 16), dtype=bool), probs=np.array([1.0]), N=16)
         with pytest.raises(CapacityError):
             orc.check_conditions(en)
+
+
+def pair_constant(pi2: np.ndarray, pi: np.ndarray) -> float:
+    """max |pi_ij - pi_i pi_j| over distinct pairs, times N^2/n."""
+    gap = np.abs(pi2 - np.outer(pi, pi))
+    np.fill_diagonal(gap, 0.0)
+    return float(gap.max()) * pi.size**2 / float(pi.sum())
+
+
+class TestNegativeControl:
+    """Systematic pi-ps sampling leaves many pairs out (pi_ij = 0), so its pair
+    correlations do not shrink as n/N^2 and the condition report's constant
+    grows with N; the rejective design with the same pi, srswor and Poisson
+    keep it bounded.  Sizes are lognormal(0, 0.5), n = ceil(N/10)."""
+
+    BOUND = 10.0
+
+    @staticmethod
+    def target(N):
+        n = -(-N // 10)
+        x = np.random.default_rng(0).lognormal(0.0, 0.5, N)
+        return n * x / x.sum(), n
+
+    def test_pair_constant_grows_only_outside_the_conditions(self):
+        systematic, bounded = [], []
+        for N in (14, 100, 400):
+            pi, n = self.target(N)
+            sys_design = ref.systematic_design(pi)
+            assert np.allclose(sys_design.first_order(), pi, rtol=0.0, atol=1e-12)
+            sys_constant = pair_constant(sys_design.second_order(), sys_design.first_order())
+            rej = dsg.calibrated_rejective(pi, n)
+            rej_constant, *others = [
+                pair_constant(dsg.second_order_pi(design), dsg.first_order_pi(design))
+                for design in (rej, dsg.srswor(N, n), dsg.poisson(pi))]
+            bounded += [rej_constant, *others]
+            if N == 14:
+                # the report's constant is the exact pairs' at this N
+                for enumerated, constant in ((sys_design, sys_constant),
+                                             (orc.enumerate_design(rej), rej_constant)):
+                    entry = orc.check_conditions(enumerated)["max_pair_correlation"]
+                    assert entry.implied_constant == pytest.approx(constant, rel=1e-9)
+            systematic.append(sys_constant)
+        # measured 10.8 / 153 / 666 against at most 6.4 for the bounded designs
+        assert systematic == sorted(systematic) and systematic[0] > self.BOUND
+        assert systematic[-1] > 50 * self.BOUND
+        assert max(bounded) < self.BOUND
 
 
 def loop_fixed_size_masks(N: int, n: int) -> np.ndarray:

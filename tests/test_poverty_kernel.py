@@ -80,10 +80,9 @@ def reference_plugin_variance(draw, N, constants, alpha, beta, mode):
     fhat = reference_ecdf(draw, N, mode)
     n_s = draw.y.size
     quantile = lambda level: reference_interpolated_quantile(fhat, level, n_s)
-    iqr = quantile(0.75) - quantile(0.25)
-    if iqr <= 0.0:
-        raise DegenerateBandwidthError("zero iqr")
-    bandwidth = 0.79 * iqr * n_s ** (-0.2)
+    bandwidth = 0.79 * (quantile(0.75) - quantile(0.25)) * n_s ** (-0.2)
+    if bandwidth <= 0.0:        # a zero range, or one that underflows
+        raise DegenerateBandwidthError("zero bandwidth")
     qhat = quantile(alpha)
     phihat = float(fhat.evaluate(beta * qhat))
     f_q = reference_kde(draw, N, qhat, mode, bandwidth)
@@ -208,11 +207,10 @@ def row_plugin(sample, mode, alpha, beta):
     f = sample.ecdf(mode)
     n_s = sample.y.size
     qhat, q25, q75 = row_quantiles(f, (alpha, 0.25, 0.75), n_s)
-    iqr = q75 - q25
     phi = float(f.evaluate(beta * qhat))
-    if iqr <= 0.0:
+    bandwidth = 0.79 * (q75 - q25) * n_s ** (-0.2)
+    if bandwidth <= 0.0:
         return phi, None
-    bandwidth = 0.79 * iqr * n_s ** (-0.2)
     f_q = row_density(sample, np.array([qhat]), mode, bandwidth)
     f_bq = row_density(sample, np.array([beta * qhat]), mode, bandwidth)
     return phi, (float(f_q[0]), float(f_bq[0]))
