@@ -44,8 +44,6 @@ class DesignConstants:
     ``mu2``
         scaled sum of the pairwise inclusion ratios (pi_ij - pi_i pi_j)
         / (pi_i pi_j) over distinct pairs.
-    ``d``
-        sum of pi_i (1 - pi_i), the entropy scale of the design.
 
     The derived coefficients ``gamma1 = mu1 + lam`` and
     ``gamma2 = mu2 - lam`` drive the super-population-centered forms.
@@ -54,7 +52,6 @@ class DesignConstants:
     lam: float
     mu1: float
     mu2: float
-    d: float = float("nan")
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0 + 1e-12:

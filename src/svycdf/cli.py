@@ -6,15 +6,19 @@ Subcommands
                result tables (estimator bias, variance-estimator bias,
                coverage) plus a JSON run manifest.
 ``oracle``     enumerate a small design and write its condition report.
-``conditions`` alias of ``oracle``.
 ``calibrate``  fit rejective working probabilities to target inclusion
-               probabilities read from a file.
+               probabilities read from a file; the sample size n is the
+               integer nearest their sum.
+
+Each input is set in one place.  The config file alone fixes what
+``simulate`` computes, seed and replication counts included (the paper's
+protocol is ``configs/paper.json``); ``--workers`` changes only how fast.
 
 Exit codes, the same for every command: 0 success, 2 usage or input
 validation (an input file that is not UTF-8 included), 3 runtime failure
 (including an output path that cannot be written, a broken worker pool,
 running out of memory and a size beyond the float range).
-The result tables are byte-identical for a fixed config and seed; the
+The result tables are byte-identical for a fixed config; the
 manifest additionally records wall-clock timings and is not.  A scenario's
 ``timings_seconds`` entry is its own time in this process: building its
 design, plus waiting for and reducing its populations' results.  Scenarios
@@ -130,12 +134,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
               type=click.Path(exists=True, dir_okay=False), help="JSON scenario grid.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False),
               help="Output directory for tables and manifest.")
-@click.option("--paper-scale", is_flag=True,
-              help="Raise replication to 1000 populations x 1000 samples.")
 @click.option("--workers", default=1, show_default=True,
               help="Parallel workers, at least 1; capped at the available CPUs.")
-@click.option("--seed", default=None, type=int, help="Override the config seed.")
-def simulate(config_path, out_dir, paper_scale, workers, seed):
+def simulate(config_path, out_dir, workers):
     """Run the configured scenario grid and write the result tables."""
     written: list[Path] = []
     made: list[Path] = []
@@ -152,9 +153,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
                      for i, c in enumerate(cfg.get("cells", []))]
             n_pops = _integral(cfg.get("n_populations", 200), "n_populations")
             n_samp = _integral(cfg.get("n_samples", 200), "n_samples")
-            if paper_scale:
-                n_pops = n_samp = 1000
-            run_seed = _integral(cfg["seed"], "seed") if seed is None else seed
+            run_seed = _integral(cfg["seed"], "seed")
             alpha = _real(cfg.get("alpha", 0.5), "alpha")
             beta = _real(cfg.get("beta", 0.6), "beta")
         except ParameterError:
@@ -219,7 +218,7 @@ def simulate(config_path, out_dir, paper_scale, workers, seed):
 
 
 # ---------------------------------------------------------------------------
-# oracle / conditions
+# oracle
 # ---------------------------------------------------------------------------
 
 def _design_from_spec(raw: str, check) -> dsg.Design:
@@ -287,9 +286,6 @@ def oracle_cmd(design_spec, out_dir, rejective_reference):
         _fail(exc)
 
 
-main.add_command(oracle_cmd, name="conditions")
-
-
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -298,17 +294,19 @@ main.add_command(oracle_cmd, name="conditions")
 @click.option("--pi", "pi_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Text file of target inclusion probabilities, one per line.")
-@click.option("--n", "size", required=True, type=int, help="Fixed sample size.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def calibrate(pi_path, size, out_path):
+def calibrate(pi_path, out_path):
     """Calibrate rejective working probabilities to target inclusion
-    probabilities; writes JSON with the p vector and achieved residual."""
+    probabilities, at the sample size n nearest their sum (0 when the sum
+    is not finite); writes JSON with the p vector and achieved residual."""
     try:
         try:
             text = Path(pi_path).read_text(encoding="utf-8")
             target = np.array([float(tok) for tok in text.replace(",", " ").split()])
         except ValueError as exc:   # undecodable bytes or a bad token
             raise ParameterError(f"could not parse probabilities: {exc}") from exc
+        total = float(target.sum())
+        size = round(total) if np.isfinite(total) else 0
         design = dsg.calibrated_rejective(target, size)
         residual = float(np.max(np.abs(dsg.first_order_pi(design) - target)))
         payload = {"p": [float(x) for x in design.working_p], "n": size,

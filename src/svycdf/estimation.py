@@ -288,7 +288,8 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
         factor[rows] = n ** (-0.2)       # the scalar power, as for one draw
     q, phi = _quantiles_and_rates(cdfs, alpha, beta, (0.25, 0.75))
     phi, t = phi.T, beta * q[..., 0]
-    bandwidth = 0.79 * (q[..., 2] - q[..., 1]) * factor
+    iqr = q[..., 2] - q[..., 1]
+    bandwidth = 0.79 * iqr * factor
     no_bw = bandwidth <= 0.0
     bandwidth[no_bw] = 1.0
     denom = np.stack([np.full(factor.size, float(N)), cdfs.n_hat]) * bandwidth
@@ -299,7 +300,9 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     # one distinct response; a row of NaNs has a NaN range, so no_bw is False
     flat = no_bw & (cdfs.count == 1)
     for k, r in np.argwhere(no_bw & ~flat).tolist():
-        errors[r, k] = DegenerateBandwidthError("weighted interquartile range is zero")
+        cause = ("the weighted interquartile range is zero" if iqr[k, r] <= 0.0
+                 else "it underflows from a positive interquartile range")
+        errors[r, k] = DegenerateBandwidthError(f"bandwidth is zero: {cause}")
     f_q, f_bq = dens[..., 0].T, dens[..., 1].T
     for j, k in np.argwhere(f_q <= 0.0).tolist():
         errors[j, k] = ZeroDensityError("estimated density vanishes at the quantile")

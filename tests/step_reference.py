@@ -24,13 +24,17 @@ the terms G_pi and Y_N of the proof's decomposition of the self-normalized
 process, and ``hadamard_direction_value``, the directional derivative of
 the poverty rate functional, checked against finite differences.
 
-Two exact design references: ``systematic_design`` enumerates systematic
-pi-ps sampling, a design outside the paper's conditions, and
+Three exact design references: ``systematic_design`` enumerates systematic
+pi-ps sampling, a design outside the paper's conditions,
 ``exact_population_moments`` gives the exact design expectation of what a
-Monte Carlo run adds up for one population.
+Monte Carlo run adds up for one population, and ``exact_rejective`` gives a
+rejective design's P(S = n), pi and pi_ij in rational arithmetic.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -242,12 +246,14 @@ def exact_population_moments(sc, pop_index):
     scenario's streams, as in a run, but its design is built here: a PO
     design from the split reordered, a REJ design from the calibrated
     working probabilities reordered, and its samples are enumerated, not
-    drawn.  Returns ``(mean, var, ht_cdf, f_n)``: the mean and variance per
-    cell, shape (3, 2) with the columns ``mc.ESTIMATORS``, of the relative
-    error against the population rate, the covering of that rate by the
-    95% Wald interval (both 0 on a failed cell) and the defined-cell
-    indicator; and the expected HT CDF with the population CDF F_N, both at
-    the sorted responses.
+    drawn.  Returns ``(mean, var, phi_moments, ht_cdf, f_n)``: the mean and
+    variance per cell, shape (3, 2) with the columns ``mc.ESTIMATORS``, of
+    the relative error against the population rate, the covering of that
+    rate by the 95% Wald interval (both 0 on a failed cell) and the
+    defined-cell indicator; the mean and the second and fourth central
+    moments of the estimate given that its cell is defined, shape (3, 2),
+    what ``mc_variance`` estimates from; and the expected HT CDF with the
+    population CDF F_N, both at the sorted responses.
     """
     N, n = sc.N, sc.n
     y = pop.generate_population(sc.law, N, child_seed(sc.seed, pop_index, 0))
@@ -277,6 +283,71 @@ def exact_population_moments(sc, pop_index):
     terms = np.stack([rel, ok & (lo <= phi_n) & (phi_n <= hi), ok])
     mean = np.einsum("s,tsk->tk", support.probs, terms)
     var = np.einsum("s,tsk->tk", support.probs, terms * terms) - mean * mean
+    given_ok = support.probs[:, None] * ok / (support.probs @ ok)
+    phi_mean = np.sum(given_ok * phi, axis=0)
+    dev = phi - phi_mean
+    phi_moments = np.stack([phi_mean, np.sum(given_ok * dev**2, axis=0),
+                            np.sum(given_ok * dev**4, axis=0)])
     t = np.sort(y)
     ht = (masks[:, :, None] & (y[:, None] <= t)) / (N * pi[:, None])
-    return mean, var, support.probs @ ht.sum(axis=1), est.empirical_cdf_values(y, t)
+    return (mean, var, phi_moments, support.probs @ ht.sum(axis=1),
+            est.empirical_cdf_values(y, t))
+
+
+def _elementary(w, n):
+    """The elementary symmetric polynomials e_0, ..., e_n of ``w``."""
+    e = [Fraction(1)] + [Fraction(0)] * n
+    for x in w:
+        for k in range(n, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
+
+
+def _without(e, x):
+    """e_0, e_1, ... of a multiset without one element ``x``, from those of
+    the whole multiset: e_k = e'_k + x e'_{k-1}, exact in rationals."""
+    out = [Fraction(1)]
+    for k in range(1, len(e)):
+        out.append(e[k] - x * out[k - 1])
+    return out
+
+
+@dataclass(frozen=True)
+class ExactRejective:
+    """A rejective design's quantities as exact rationals: ``size_prob``
+    the probability P(S = n) that Poisson sampling with the working
+    probabilities draws n units, ``pi`` the first-order and ``pi2`` the
+    second-order inclusion probabilities (diagonal pi_i)."""
+
+    size_prob: Fraction
+    pi: list
+    pi2: list
+
+    def pi_float(self) -> np.ndarray:
+        return np.array([float(x) for x in self.pi])
+
+    def pi2_float(self) -> np.ndarray:
+        return np.array([[float(x) for x in row] for row in self.pi2])
+
+
+def exact_rejective(p, n):
+    """The size-n rejective design with working probabilities ``p``, in
+    ``fractions.Fraction`` arithmetic from the floats as given (each is an
+    exact rational).
+
+    With odds w_i = p_i / (1 - p_i), a sample s has mass prod_{i in s} w_i
+    / e_n(w), e_k the elementary symmetric polynomials, so
+    pi_i = w_i e_{n-1}(w without i) / e_n(w) and, for i != j,
+    pi_ij = w_i w_j e_{n-2}(w without i, j) / e_n(w); P(S = n) is
+    e_n(w) prod_i (1 - p_i).  No rounding anywhere.
+    """
+    p = [Fraction(float(x)) for x in p]
+    w = [x / (1 - x) for x in p]
+    N = len(w)
+    e = _elementary(w, n)
+    loo = [_without(e, x) for x in w]
+    pi = [w[i] * loo[i][n - 1] / e[n] for i in range(N)]
+    pi2 = [[pi[i] if i == j else Fraction(0) for j in range(N)] for i in range(N)]
+    for i, j in itertools.combinations(range(N), 2) if n >= 2 else ():
+        pi2[i][j] = pi2[j][i] = w[i] * w[j] * _without(loo[i], w[j])[n - 2] / e[n]
+    return ExactRejective(size_prob=e[n] * math.prod(1 - x for x in p), pi=pi, pi2=pi2)

@@ -15,8 +15,8 @@ import step_reference as ref
 EXP1 = pop.SuperPopulationLaw.exponential(1.0)
 
 
-def constants(lam, mu1, mu2, d=float("nan")):
-    return asy.DesignConstants(lam=lam, mu1=mu1, mu2=mu2, d=d)
+def constants(lam, mu1, mu2):
+    return asy.DesignConstants(lam=lam, mu1=mu1, mu2=mu2)
 
 
 class TestDesignConstantsType:

@@ -1,4 +1,4 @@
-"""Command line surface: simulate, oracle/conditions, calibrate."""
+"""Command line surface: simulate, oracle, calibrate."""
 
 import csv
 import dataclasses
@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,10 @@ from svycdf import oracle as orc
 from svycdf import population as pop
 from svycdf.cli import main
 from test_montecarlo import _SerialPool, _cpus
+
+
+#: the paper's simulation protocol, committed with the code
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper.json"
 
 
 @pytest.fixture
@@ -295,25 +300,29 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
 
     def test_paper_scale_sets_1000_by_1000(self, runner, tmp_path, monkeypatch):
-        # the scenarios are captured, and run at 1 x 2 in their stead
+        # the committed paper protocol; its scenarios are captured, and run
+        # at N=100, n=20 and 1 x 2 in their stead
         seen = []
         run = mc.run_scenarios
 
         def shrunk(scenarios, workers):
             seen.extend(scenarios)
-            return run([dataclasses.replace(sc, n_populations=1, n_samples=2)
+            return run([dataclasses.replace(sc, N=100, n=20, n_populations=1, n_samples=2)
                         for sc in scenarios], workers)
 
         monkeypatch.setattr(mc, "run_scenarios", shrunk)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(minimal_config()))
         out = tmp_path / "out"
-        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                      "--out", str(out), "--paper-scale"])
+        result = runner.invoke(main, ["simulate", "--config", str(PAPER_CONFIG),
+                                      "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert [(sc.n_populations, sc.n_samples) for sc in seen] == [(1000, 1000)]
+        assert [(sc.design, sc.N, sc.n, sc.n_populations, sc.n_samples, sc.seed)
+                for sc in seen] == [(d, 10000, 500, 1000, 1000, 20260808)
+                                    for d in ("SI", "BE", "PO", "REJ")]
+        assert all((sc.law, sc.alpha, sc.beta) == (pop.SuperPopulationLaw.exponential(1.0),
+                                                   0.5, 0.6) for sc in seen)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["n_populations"], manifest["n_samples"]) == (1000, 1000)
+        assert (manifest["n_populations"], manifest["n_samples"], manifest["seed"]) == (
+            1000, 1000, 20260808)
 
     def test_failure_budget_is_runtime_error(self, runner, tmp_path):
         # expected size 2 out of 30: empty samples exceed the failure budget
@@ -451,17 +460,15 @@ class TestSimulateFailures:
         assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError")
         assert calls == []
 
-    @pytest.mark.parametrize("overrides, args, message", [
-        ({"designs": ["SI", "BE"], "cells": [{"N": 50, "n": 50}]}, [], "BE needs n < N"),
-        ({"alpha": 1.0}, [], "alpha must lie in (0, 1)"),
-        ({"beta": 0}, [], "beta must lie in (0, 1]"),
-        ({"seed": -4}, [], "seed must be non-negative"),
-        ({}, ["--seed", "-1"], "seed must be non-negative"),
-        ({"n_samples": 2**32 + 1}, [], "n_samples must be at most 2**32"),
-    ], ids=["BE-census", "alpha-one", "beta-zero", "negative-seed", "negative-seed-option",
-            "samples-over-one-word"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"designs": ["SI", "BE"], "cells": [{"N": 50, "n": 50}]}, "BE needs n < N"),
+        ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
+        ({"beta": 0}, "beta must lie in (0, 1]"),
+        ({"seed": -4}, "seed must be non-negative"),
+        ({"n_samples": 2**32 + 1}, "n_samples must be at most 2**32"),
+    ], ids=["BE-census", "alpha-one", "beta-zero", "negative-seed", "samples-over-one-word"])
     def test_invalid_scenario_fails_before_any_population(self, runner, tmp_path, monkeypatch,
-                                                          overrides, args, message):
+                                                          overrides, message):
         # every scenario of the grid is checked before the first one runs
         calls = []
         generate = pop.generate_population
@@ -475,7 +482,7 @@ class TestSimulateFailures:
         cfg_path.write_text(json.dumps(minimal_config(**overrides)))
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                      "--out", str(out), *args])
+                                      "--out", str(out)])
         assert result.exit_code == 2
         assert message in result.stderr
         assert not out.exists()
@@ -510,6 +517,44 @@ class TestSimulateFailures:
         assert result.exit_code == 3
         assert calls[0].name == "rb_estimators.csv"
         assert not any(out.glob("*.csv"))
+
+
+class TestInputs:
+    """Each command-line input is set in one place: the config fixes a
+    simulation, the targets fix calibration's n, and ``oracle`` has one name."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", ["--config", "--out", "--workers"]),
+        ("oracle", ["--design", "--out", "--rejective-reference"]),
+        ("calibrate", ["--pi", "--out"]),
+    ])
+    def test_help_lists_only_these_options(self, runner, command, options):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        listed = re.findall(r"^\s+(--[a-z-]+)", result.output, flags=re.M)
+        assert listed == [*options, "--help"]
+
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", ["--paper-scale"]), ("simulate", ["--seed", "7"]),
+        ("calibrate", ["--n", "3"])], ids=["paper-scale", "seed", "n"])
+    def test_removed_options_are_unknown(self, runner, tmp_path, command, option):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        pi_path = tmp_path / "pi.txt"
+        pi_path.write_text("0.5\n" * 6)
+        out = tmp_path / "out"
+        inputs = {"simulate": ["--config", str(cfg_path)], "calibrate": ["--pi", str(pi_path)]}
+        result = runner.invoke(main, [command, *inputs[command], "--out", str(out), *option])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and option[0] in result.stderr
+        assert not out.exists()
+
+    def test_conditions_is_an_unknown_command(self, runner, tmp_path):
+        result = runner.invoke(main, ["conditions", "--design", '{"kind":"srswor","N":6,"n":3}',
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "No such command" in result.stderr and "conditions" in result.stderr
+        assert sorted(main.commands) == ["calibrate", "oracle", "simulate"]
 
 
 #: names of the three result tables
@@ -600,9 +645,9 @@ class TestOracleCommand:
         assert float(table["max_pair_correlation"][3]) == pytest.approx(0.6, abs=1e-9)
         assert float(table["entropy_scale"][1]) == pytest.approx(1.5, abs=1e-9)
 
-    def test_conditions_alias_with_divergence(self, runner, tmp_path):
+    def test_divergence_from_a_rejective_reference(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "conditions", "--design", '{"kind":"srswor","N":6,"n":3}',
+            "oracle", "--design", '{"kind":"srswor","N":6,"n":3}',
             "--rejective-reference",
             '{"kind":"rejective","p":[0.5,0.5,0.5,0.5,0.5,0.5],"n":3}',
             "--out", str(tmp_path)])
@@ -755,9 +800,12 @@ class TestCalibrateCommand:
         pi_path.write_text("\n".join(f"{x:.17g}" for x in target))
         out_path = tmp_path / "p.json"
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
-                                      "--n", "2", "--out", str(out_path)])
+                                      "--out", str(out_path)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out_path.read_text())
+        # n is the integer nearest the targets' sum, here 2
+        assert payload["n"] == 2
+        assert payload["p"] == dsg.calibrated_rejective(target, 2).working_p.tolist()
         assert payload["max_residual"] <= 1e-8
         achieved = dsg.first_order_pi(dsg.rejective(np.array(payload["p"]), 2))
         assert np.max(np.abs(achieved - target)) <= 1e-8
@@ -767,7 +815,7 @@ class TestCalibrateCommand:
         pi_path.write_text("0.5\n" * 6)
         out_path = tmp_path / "p.json"
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
-                                      "--n", "3", "--out", str(out_path)])
+                                      "--out", str(out_path)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out_path.read_text())
         assert np.allclose(payload["p"], 0.5, atol=1e-8)
@@ -779,7 +827,7 @@ class TestCalibrateCommand:
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("0.5\n" * 6)
         out_path = tmp_path / "p.json"
-        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
                                       "--out", str(out_path), *option])
         assert result.exit_code == 2
         assert "No such option" in result.stderr and option[0] in result.stderr
@@ -790,7 +838,7 @@ class TestCalibrateCommand:
         pi_path.write_bytes(b"0.5\n0.5\xff\n")
         out_path = tmp_path / "p.json"
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
-                                      "--n", "1", "--out", str(out_path)])
+                                      "--out", str(out_path)])
         assert result.exit_code == 2
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: could not parse")
@@ -799,7 +847,7 @@ class TestCalibrateCommand:
     def test_missing_output_directory_is_runtime_error(self, runner, tmp_path):
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("0.5\n" * 6)
-        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
                                       "--out", str(tmp_path / "missing" / "p.json")])
         assert result.exit_code == 3
         lines = result.stderr.strip().splitlines()
@@ -812,7 +860,7 @@ class TestCalibrateCommand:
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("0.5\n" * 6)
         out_path = tmp_path / "p.json"
-        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path), "--n", "3",
+        result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
                                       "--out", str(out_path)])
         assert result.exit_code == 3
         lines = result.stderr.strip().splitlines()
@@ -825,16 +873,20 @@ class TestCalibrateCommand:
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("nan\n0.5\n0.5\n")
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
-                                      "--n", "1", "--out", str(tmp_path / "p.json")])
+                                      "--out", str(tmp_path / "p.json")])
         assert result.exit_code == 2
         assert result.stderr.strip().startswith("error: target inclusion probabilities")
 
     def test_sum_mismatch_is_usage_error(self, runner, tmp_path):
+        # a sum of 1.5 is no sample size: n = 2 is the nearest, and refused
         pi_path = tmp_path / "pi.txt"
         pi_path.write_text("0.5\n0.5\n0.5\n")
         result = runner.invoke(main, ["calibrate", "--pi", str(pi_path),
-                                      "--n", "2", "--out", str(tmp_path / "p.json")])
+                                      "--out", str(tmp_path / "p.json")])
         assert result.exit_code == 2
+        assert result.stderr.strip() == ("error: target inclusion probabilities "
+                                         "must sum to n=2, got 1.5")
+        assert not (tmp_path / "p.json").exists()
 
 
 #: run in a fresh interpreter: the command line, a rejective simulation, the
@@ -852,8 +904,7 @@ cfg = {"designs": ["REJ"], "cells": [{"N": 40, "n": 8}], "n_populations": 2,
 (out / "pi.txt").write_text("\\n".join(
     repr(float(x)) for x in dsg.first_order_pi(dsg.rejective([0.2, 0.4, 0.6, 0.8], 2))))
 for args in (["simulate", "--config", str(out / "config.json"), "--out", str(out / "sim")],
-             ["calibrate", "--pi", str(out / "pi.txt"), "--n", "2",
-              "--out", str(out / "p.json")]):
+             ["calibrate", "--pi", str(out / "pi.txt"), "--out", str(out / "p.json")]):
     svycdf.cli.main(args, standalone_mode=False)
 sc = mc.Scenario(N=40, n=8, design="REJ", law=pop.SuperPopulationLaw.exponential(1.0),
                  alpha=0.5, beta=0.6, n_populations=40, n_samples=25, seed=3)
@@ -882,8 +933,7 @@ def test_memory_error_exits_3_as_in_simulate(runner, tmp_path, monkeypatch, comm
     pi_path.write_text("0.5\n0.5\n0.5\n0.5\n")
     args = {"oracle": ["oracle", "--design", '{"kind":"srswor","N":6,"n":3}',
                        "--out", str(tmp_path / "out")],
-            "calibrate": ["calibrate", "--pi", str(pi_path), "--n", "2",
-                          "--out", str(tmp_path / "p.json")]}[command]
+            "calibrate": ["calibrate", "--pi", str(pi_path), "--out", str(tmp_path / "p.json")]}[command]
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert result.stderr.strip().splitlines() == ["error: MemoryError: Unable to allocate 1.00 GiB"]

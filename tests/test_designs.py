@@ -350,7 +350,7 @@ def _assert_relabel_matches_rebuild(design, perm, seed):
     reference = ref.rejective_first_order(p[perm], n)
     assert np.allclose(pi, reference, rtol=1e-13, atol=0.0)
     got, want = dsg.design_constants(relabeled), dsg.design_constants(rebuilt)
-    for name in ("lam", "mu1", "mu2", "d"):
+    for name in ("lam", "mu1", "mu2"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
     assert np.array_equal(relabeled._suffix_table(), rebuilt._suffix_table())
     y = np.arange(design.N, dtype=float)
@@ -1180,7 +1180,6 @@ class TestDesignConstants:
         d = float(np.sum(pi * q))
         expected = -(5.0 / (100.0 * d)) * (q.sum() ** 2 - np.sum(q * q))
         assert c.mu2 == pytest.approx(expected, rel=1e-12)
-        assert c.d == pytest.approx(d, rel=1e-12)
 
 
 class TestOwnership:

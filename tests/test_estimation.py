@@ -315,6 +315,7 @@ class TestKdeDensity:
             draw, 12, asy.DesignConstants(0.5, 1.0, 0.0), 0.5, 0.6)
         for k in range(2):
             assert isinstance(errors[0, k], DegenerateBandwidthError)
+            assert str(errors[0, k]) == "bandwidth is zero: the weighted interquartile range is zero"
             assert phi[0, k] == av[0, k] == 0.0
 
     def test_underflowing_bandwidth_errors(self):
@@ -325,6 +326,7 @@ class TestKdeDensity:
             draw, 400, asy.DesignConstants(0.1, 9.0, 0.0), 0.5, 0.6)
         for k in range(2):
             assert isinstance(errors[0, k], DegenerateBandwidthError)
+            assert str(errors[0, k]) == "bandwidth is zero: it underflows from a positive interquartile range"
             assert phi[0, k] == av[0, k] == 0.0
 
     def test_ht_and_hj_normalizations_differ(self):

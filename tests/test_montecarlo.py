@@ -222,12 +222,16 @@ class TestExactExpectation:
     (``step_reference.exact_population_moments``): streams, draws,
     relabeling, the poverty kernel and the reduction at once.  Each sum the
     report implies has a known mean and variance over its independent
-    cells, so its z-score must lie within 4."""
+    cells, so its z-score must lie within 4.  So must ``mc_variance``: over
+    K defined cells, the variance of the estimate about its own mean, as
+    ``mc_variance`` / n, has mean (K - 1) m2 / K and variance about
+    (m4 - m2^2) / K, from the second and fourth central moments m2 and m4
+    of the estimate given a defined cell."""
 
     @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
     def test_run_matches_exact_design_expectation(self, design):
         sc = small_scenario(design, N=12, n=6, n_populations=1, n_samples=20000, seed=7)
-        mean, var, ht_cdf, f_n = ref.exact_population_moments(sc, 0)
+        mean, var, phi_moments, ht_cdf, f_n = ref.exact_population_moments(sc, 0)
         assert np.allclose(ht_cdf, f_n, rtol=0.0, atol=1e-12)
         rep = mc.run_scenario(sc)
         cells = sc.n_samples
@@ -241,6 +245,26 @@ class TestExactExpectation:
                 else:
                     z = (total - cells * mean[i, k]) / np.sqrt(cells * var[i, k])
                     assert abs(z) <= 4.0, (e, i, z)
+            _, m2, m4 = phi_moments[:, k]
+            z = (rep.mc_variance[e] / sc.n - m2) / np.sqrt((m4 - m2 * m2) / kept)
+            assert abs(z) <= 4.0, (e, "mc_variance", z)
+
+
+class TestScaleInvariance:
+    """Scaling every response by a power of two scales the quantiles, the
+    bandwidth and each kernel argument's numerator and denominator exactly,
+    and leaves every rate, density ratio and inclusion probability as it
+    was; an exponential population at rate 2^k is the rate-1 population
+    times 2^-k.  So a report is bitwise the same at every such rate."""
+
+    @pytest.mark.parametrize("design", ["SI", "BE", "PO", "REJ"])
+    def test_report_is_invariant_to_scaling_y_by_a_power_of_two(self, design):
+        reports = [report_hex(mc.run_scenario(small_scenario(
+            design, N=400, n=40, n_populations=3, n_samples=60,
+            law=pop.SuperPopulationLaw.exponential(rate))))
+            for rate in (1.0, 0.125, 8.0, 2.0 ** -20)]
+        for got in reports[1:]:
+            assert got == reports[0]
 
 
 class TestBiasWarning:

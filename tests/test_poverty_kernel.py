@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svycdf import asymptotics as asy
@@ -69,9 +69,9 @@ def reference_kde(draw, N, t, mode, bandwidth):
     if bandwidth <= 0.0:
         raise ParameterError("bandwidth must be positive")
     denom = float(N) if mode == "HT" else ref.n_hat(draw)
-    z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-         - draw.y[None, :]) / bandwidth
-    with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
+    with np.errstate(over="ignore"):    # z or z * z = inf gives the kernel value 0
+        z = (np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+             - draw.y[None, :]) / bandwidth
         kernel = np.exp(-0.5 * z * z) / SQRT_2PI
     return float((kernel @ (1.0 / draw.pi) / (denom * bandwidth))[0])
 
@@ -196,8 +196,8 @@ def row_density(sample, t, mode, bandwidth):
     if bandwidth <= 0.0:
         raise ParameterError("bandwidth must be positive")
     denom = float(sample.N) if mode == "HT" else sample.n_hat
-    z = (t[:, None] - sample.y[None, :]) / bandwidth
-    with np.errstate(over="ignore"):    # z * z = inf gives the kernel value 0
+    with np.errstate(over="ignore"):    # z or z * z = inf gives the kernel value 0
+        z = (t[:, None] - sample.y[None, :]) / bandwidth
         kernel = np.exp(-0.5 * z * z) / SQRT_2PI
     return kernel @ sample.inv / (denom * bandwidth)
 
@@ -368,6 +368,11 @@ class TestKernelOracle:
     # infinite responses give inf - inf, and both kernels carry its NaN
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @given(batch_cases())
+    # a subnormal response gives a bandwidth of 5.4e-314, and a unit response
+    # over it overflows z to inf
+    @example(([make_row([0.0, 0.0, 2.225e-313, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0],
+                        [1.0, 1.0, 0.03125, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.125])],
+              20, asy.DesignConstants(0.0, 0.0, 0.0), 0.125, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_per_draw_kernel(self, case):
         draws, N, constants, alpha, beta = case

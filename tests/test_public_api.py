@@ -1,8 +1,10 @@
 """Every function and class of svycdf, private ones included, has a caller
 outside the tests, every svycdf name the benchmark reads exists, every
 module imports only modules of lower layers, no module reads a private
-name that another svycdf module defines, and every defaulted parameter of
-a public function is passed by some call.
+name that another svycdf module defines, every defaulted parameter of a
+public function is passed by some call, and every command-line input is
+set in one place: a command has one name, and the benchmark passes every
+optional option.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -15,6 +17,10 @@ classes once decorated, so the scan skips them.
 import ast
 import importlib
 from pathlib import Path
+
+import click
+
+from svycdf import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "svycdf"
@@ -298,3 +304,73 @@ def test_every_defaulted_parameter_is_passed():
     sources = [path.read_text(encoding="utf-8") for path in CALLERS]
     unpassed = unpassed_defaults(modules, sources)
     assert unpassed == {}, f"defaulted parameters no call in src/ or bench/ passes: {unpassed}"
+
+
+def command_aliases(group: click.Group) -> dict:
+    """``command -> [names]`` of every command of ``group`` registered under
+    more than one name."""
+    names: dict = {}
+    for name, command in group.commands.items():
+        names.setdefault(command.name, []).append(name)
+    return {command: sorted(found) for command, found in names.items() if len(found) > 1}
+
+
+def cli_arguments(source: str) -> list:
+    """The string elements of every list literal ``source`` hands to
+    ``_run_cli``, one list per call."""
+    return [[elt.value for elt in node.args[0].elts
+             if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run_cli"
+            and node.args and isinstance(node.args[0], ast.List)]
+
+
+def unpassed_options(group: click.Group, source: str) -> dict:
+    """``command -> [option]``: the optional options of each command of
+    ``group`` that no ``_run_cli`` argument list for that command in
+    ``source`` passes."""
+    passed: dict = {}
+    for args in cli_arguments(source):
+        if args:
+            passed.setdefault(args[0], set()).update(args[1:])
+    unpassed = {}
+    for name, command in group.commands.items():
+        missing = [param.opts[0] for param in command.params
+                   if isinstance(param, click.Option) and not param.required
+                   and not set(param.opts) & passed.get(name, set())]
+        if missing:
+            unpassed[name] = missing
+    return unpassed
+
+
+def test_cli_input_audits_detect():
+    @click.group()
+    def group():
+        pass
+
+    @group.command()
+    @click.option("--a", required=True)
+    @click.option("--b", default=1)
+    @click.option("--c", is_flag=True)
+    def run(a, b, c):
+        pass
+
+    group.add_command(run, name="go")
+    assert command_aliases(group) == {"run": ["go", "run"]}
+    source = ('_run_cli(["run", "--a", x, "--b", "2"])\n'
+              'other(["run", "--c"])\n')
+    assert unpassed_options(group, source) == {"run": ["--c"], "go": ["--b", "--c"]}
+
+
+def test_every_command_has_one_name():
+    # a second name for a command is a second way to spell the same input
+    assert command_aliases(cli.main) == {}
+
+
+def test_every_optional_cli_option_is_passed_by_the_benchmark():
+    # an option the benchmark never passes changes no measured run: what a
+    # run computes is set in its config file, and an option that only
+    # overrides it is a second place to set the same input
+    source = (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
+    unpassed = unpassed_options(cli.main, source)
+    assert unpassed == {}, f"optional options no benchmark command line passes: {unpassed}"
