@@ -162,7 +162,7 @@ def simulate(config_path, out_dir, workers):
             raise ParameterError(f"bad config field: {exc!r}") from exc
         if not cells:
             raise ParameterError("config must list at least one (N, n) cell")
-        workers = mc.pool_size(workers)
+        workers = mc.pool_size(workers, n_pops)
         scenarios = {
             (design, ci): mc.Scenario(N=cell["N"], n=cell["n"], design=design, law=law,
                                       alpha=alpha, beta=beta, n_populations=n_pops,

@@ -53,7 +53,6 @@ import numpy as np
 from . import asymptotics as asy
 from . import designs as dsg
 from . import estimation as est
-from . import oracle as orc
 from . import population as pop
 from .errors import (
     DiagnosticError,
@@ -274,27 +273,26 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(workers: int) -> int:
-    """Worker processes allowed for a requested count: a count below 1 is
-    a :class:`ParameterError`, and a count above the available CPUs is
-    capped at them with a warning.  Every pool of this module is sized by
-    it (:func:`_process_pool`).
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes that run ``tasks`` tasks for a requested count: a
+    count below 1 is a :class:`ParameterError`, a count above the
+    available CPUs is capped at them with a warning, and no more processes
+    run than there are tasks.  Every pool of this module is sized by it
+    (:func:`_process_pool`).
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     available = _available_cpus()
     if workers > available:
         logger.warning("capping %d workers at the %d available CPUs", workers, available)
-        return available
-    return workers
+    return min(workers, available, tasks)
 
 
 @contextmanager
 def _process_pool(workers: int, tasks: int) -> Iterator[Callable]:
     """A lazy ``pmap(task, count)`` over ``task(0), ..., task(count - 1)``,
-    in index order, on a pool of min(:func:`pool_size` of ``workers``,
-    ``tasks``) processes for the ``with`` block, or in this process when
-    that is 1.
+    in index order, on a pool of :func:`pool_size` processes for the
+    ``with`` block, or in this process when that is 1.
 
     Each call queues its tasks at once, in contiguous chunks of
     ceil(count / (2 * pool size)) so every worker gets about two hand-offs,
@@ -302,7 +300,7 @@ def _process_pool(workers: int, tasks: int) -> Iterator[Callable]:
     exits; on error (also ``KeyboardInterrupt``) its queued chunks are
     cancelled first.
     """
-    size = min(pool_size(workers), tasks)
+    size = pool_size(workers, tasks)
     if size == 1:
         yield lambda task, count: map(task, range(count))
         return
@@ -501,7 +499,7 @@ def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
         vals = np.array([float(np.sum(row)) / sc.N for batch in batches
                          for row in np.split(batch.y / batch.pi, np.cumsum(batch.sizes)[:-1])])
         center = float(np.mean(y))
-        scale = np.sqrt(max(orc.exact_sn2(design, y), 0.0))
+        scale = np.sqrt(max(dsg.exact_sn2(design, y), 0.0))
         if scale <= 0.0:
             raise DiagnosticError("design variance of the weighted mean is zero")
     else:
@@ -539,7 +537,7 @@ def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "h
     and the two-sided sup distance).
 
     "ht_mean" is centered at each population's mean and scaled by its exact
-    design standard deviation (:func:`oracle.exact_sn2`; on REJ the O(N n)
+    design standard deviation (:func:`designs.exact_sn2`; on REJ the O(N n)
     moment program, with no N x N matrix, so any N the sampler takes).  A
     poverty rate, the tables' interpolated-rule estimate
     (:func:`estimation.poverty_rates`), is centered at the model rate

@@ -3,21 +3,14 @@
 Enumerating the full support of a design gives exact inclusion
 probabilities to any order, the condition report on its centered
 correlation moments, and the Kullback-Leibler divergence between two
-designs.  These serve as independent oracles for the dynamic-program
-routes in :mod:`svycdf.designs` and as numeric reports for the
-correlation and entropy statistics that control the asymptotics.  A
-support is refused before it is built when its boolean rows would pass
-:data:`MAX_SUPPORT_BYTES`; the size-n subsets are read from
-``itertools.combinations`` in blocks of compact index rows, and all
-subsets are the bits of their row numbers.  The divergence reads the
-reference mass by one sorted lookup of packed rows.
-
-The exact design variance of the inverse-probability mean and the finite-N
-covariance matrices on grids share one quadratic form in the pairwise
-ratios (``_ratio_form``).  No design forms an N x N matrix for it: product
-designs and srswor have closed forms, and a rejective design runs one
-Poisson-binomial moment program over its units (``_rejective_moment``),
-O(N n K^2) flops for K columns, exact up to rounding.
+designs: independent references for the programs of
+:mod:`svycdf.designs`, and numeric reports of the correlation and entropy
+statistics that control the asymptotics.  A support is refused before it
+is built when its boolean rows would pass :data:`MAX_SUPPORT_BYTES`; the
+size-n subsets are read from ``itertools.combinations`` in blocks of
+compact index rows, and all subsets are the bits of their row numbers.
+The divergence reads the reference mass by one sorted lookup of packed
+rows.
 
 The condition report reads every third- and fourth-order statistic from
 products of unit pairs: over the N(N-1)/2 unordered pairs P = (i, j) it
@@ -33,13 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from . import designs as dsg
-from . import population as pop
-from .errors import CapacityError, DegenerateDesignError, ParameterError
+from .errors import CapacityError, ParameterError
 
 MAX_FIXED_SIZE_SUPPORT = 2_000_000
 MAX_RANDOM_SIZE_UNITS = 20
@@ -296,127 +287,6 @@ def _pair_moments(probs: np.ndarray, a: np.ndarray, iu: np.ndarray,
         t3 += weighted.T @ block
         q4 += weighted.T @ products
     return t3, q4
-
-
-def _ratio_form(design: dsg.Design, a: np.ndarray) -> np.ndarray:
-    """a^T Delta a for ``a`` of shape (N, K), Delta_ij = (pi_ij - pi_i pi_j)/(pi_i pi_j).
-
-    Rejective designs take the design covariance of the inverse-probability
-    sums from one moment program (:func:`_rejective_moment`), in
-    O(N n K^2) flops and O(n K^2) memory, without pairwise probabilities;
-    the result is exact up to rounding (it is not bitwise the pi_ij form).
-    Product designs have only the diagonal (1 - pi_i)/pi_i, and srswor adds
-    its constant off-diagonal ratio (n - N)/(n (N - 1)), so neither forms
-    an N x N matrix.
-    """
-    pi = dsg.first_order_pi(design)
-    if design.kind == "rejective":
-        # T = sum_s b_i is the centered inverse-probability sum at the fixed
-        # size n, so E[T T^T] is its covariance, a^T Delta a
-        n = design.size
-        return _rejective_moment(design.working_p, n, a / pi[:, None] - a.sum(axis=0) / n)
-    form = a.T @ (a * ((1.0 - pi) / pi)[:, None])
-    if design.kind in ("bernoulli", "poisson"):
-        return form
-    N, n = design.N, design.size
-    c = (n - N) / (n * (N - 1)) if N > 1 else 0.0
-    col_sums = a.sum(axis=0)
-    return form + c * (np.outer(col_sums, col_sums) - a.T @ a)
-
-
-def _rejective_moment(p: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
-    """E[T T^T] of T = sum_{i in s} b_i (``b`` of shape (N, K)) under the
-    size-n conditional Poisson design with working probabilities ``p``.
-
-    One Poisson-binomial program over the units carries, for each count
-    k = 0..n, the (K+1) x (K+1) moment M(k) = E[c c^T 1{S = k}] of
-    c = (1, T): its corner is P(S = k), its first row and column
-    E[T 1{S = k}] (K tracks) and the rest E[T T^T 1{S = k}] (K x K
-    tracks).  Unit i (p, q = 1 - p) moves count k-1 to k and adds
-    d = (0, b_i) to c, so with U(k) = M(k) e_0 + (d/2) P(S = k),
-
-        M'(k) = q M(k) + p (M(k-1) + U(k-1) d^T + d U(k-1)^T),
-
-    which keeps M exactly symmetric.  The result is the K x K block of
-    M(n) / P(S = n).  A unit is eight elementwise ufunc calls on
-    preallocated rows, with p and q as stride-0 operands, as in
-    :func:`designs._pb_rows`; no BLAS runs, so the bits do not depend on
-    the BLAS core.  Cost O(N n K^2) flops, memory O(n K^2), refused with
-    :class:`CapacityError` above :data:`designs.MAX_DP_TABLE_BYTES`.  A
-    P(S = n) that is zero or not finite is a :class:`DegenerateDesignError`.
-    """
-    N, K = b.shape
-    shape = (n + 1, K + 1, K + 1)
-    nbytes = 4 * 8 * (n + 1) * (K + 1) ** 2     # the moments and three scratch arrays
-    if nbytes > dsg.MAX_DP_TABLE_BYTES:
-        raise CapacityError(
-            f"the rejective moment program needs {nbytes / 1e6:.0f} MB at n={n}, "
-            f"K={K}; limited to {dsg.MAX_DP_TABLE_BYTES / 1e6:.0f} MB")
-    moments = np.zeros(shape)
-    moments[0, 0, 0] = 1.0
-    head, tail = moments[:-1], moments[1:]
-    pmf, first = head[:, :1, 0], head[:, :, 0]      # P(S = k) and M(k) e_0, k < n
-    half, u = np.empty((n, K + 1)), np.empty((n, K + 1))
-    outer, step = np.empty((n, K + 1, K + 1)), np.empty((n, K + 1, K + 1))
-    outer_t, u_col = outer.transpose(0, 2, 1), u[:, :, None]
-    d = np.zeros((N, K + 1))
-    d[:, 1:] = b
-    halves = d * 0.5
-    ps = np.broadcast_to(p[:, None, None, None], (N,) + step.shape)
-    qs = np.broadcast_to((1.0 - p)[:, None, None, None], (N,) + shape)
-    for d_i, h_i, p_i, q_i in zip(d, halves, ps, qs):
-        np.multiply(pmf, h_i, half)
-        np.add(first, half, u)
-        np.multiply(u_col, d_i, outer)
-        np.add(outer, outer_t, step)
-        np.add(step, head, step)
-        np.multiply(step, p_i, step)
-        np.multiply(moments, q_i, moments)
-        np.add(tail, step, tail)
-    total = moments[n, 0, 0]
-    if not (np.isfinite(total) and total > 0.0):
-        raise DegenerateDesignError(f"P(sample size = {n}) is {total}, not positive and finite")
-    return moments[n, 1:, 1:] / total
-
-
-def exact_sn2(design: dsg.Design, v) -> float:
-    """Exact design variance of the inverse-probability mean of v.
-
-    (1/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) v_i v_j, the form of
-    :func:`_ratio_form` with one column: O(N) for srswor and product
-    designs, and O(N n) for a rejective design, exact up to rounding (it
-    needs no pairwise probabilities, so no cap on N beyond the first-order
-    program's): within 2.8e-15 relative of rational arithmetic on 30 random
-    rejective designs (N 6-15).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (design.N,):
-        raise ParameterError("v must have one entry per unit")
-    return float(_ratio_form(design, v[:, None])[0, 0]) / design.N**2
-
-
-def sigma_matrix(design: dsg.Design, y: np.ndarray, grid,
-                 form: Literal["HT2", "HJ2"] = "HT2",
-                 law: pop.SuperPopulationLaw | None = None) -> np.ndarray:
-    """Finite-N covariance matrix of the standardized weighted CDF on a grid.
-
-    (n/N^2) sum_ij ((pi_ij - pi_i pi_j)/(pi_i pi_j)) a_i a_j^T with
-    a_i the vector of indicators 1{y_i <= t_k} of the population's responses
-    ``y`` ("HT2") or the indicators centered by the model CDF ("HJ2",
-    requires ``law``).  The K grid points cost O(N K^2) for srswor and
-    product designs and O(N n K^2) for a rejective design, exact up to
-    rounding (see :func:`_ratio_form`).
-    """
-    grid = np.asarray(grid, dtype=float)
-    a = (y[:, None] <= grid[None, :]).astype(float)
-    if form == "HJ2":
-        if law is None:
-            raise ParameterError("centered form requires the super-population law")
-        a = a - pop.true_cdf(law, grid)[None, :]
-    elif form != "HT2":
-        raise ParameterError(f"form must be 'HT2' or 'HJ2', got {form!r}")
-    mat = _ratio_form(design, a) * (design.expected_size / design.N**2)
-    return (mat + mat.T) / 2.0
 
 
 def divergence_from_rejective(enumerated: EnumeratedDesign,

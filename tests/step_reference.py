@@ -24,11 +24,13 @@ the terms G_pi and Y_N of the proof's decomposition of the self-normalized
 process, and ``hadamard_direction_value``, the directional derivative of
 the poverty rate functional, checked against finite differences.
 
-Three exact design references: ``systematic_design`` enumerates systematic
+Exact design references: ``systematic_design`` enumerates systematic
 pi-ps sampling, a design outside the paper's conditions,
 ``exact_population_moments`` gives the exact design expectation of what a
 Monte Carlo run adds up for one population, and ``exact_rejective`` gives a
-rejective design's P(S = n), pi and pi_ij in rational arithmetic.
+rejective design's P(S = n), pi and pi_ij in rational arithmetic;
+``exact_inclusion`` gives the other designs' pi and pi_ij, and
+``exact_ratio_form`` a^T Delta a from either, in rational arithmetic too.
 """
 
 import itertools
@@ -351,3 +353,32 @@ def exact_rejective(p, n):
     for i, j in itertools.combinations(range(N), 2) if n >= 2 else ():
         pi2[i][j] = pi2[j][i] = w[i] * w[j] * _without(loo[i], w[j])[n - 2] / e[n]
     return ExactRejective(size_prob=e[n] * math.prod(1 - x for x in p), pi=pi, pi2=pi2)
+
+
+def exact_inclusion(design):
+    """An srswor, Bernoulli or Poisson design's pi and pi_ij (diagonal
+    pi_i) as exact rationals: n/N and n(n-1)/(N(N-1)) for srswor, and pi_i
+    (the floats as given) and pi_i pi_j for the product designs; a
+    rejective design's are :func:`exact_rejective`'s."""
+    N = design.N
+    if design.kind == "srswor":
+        n = design.size
+        pi = [Fraction(n, N)] * N
+        pairs = [[Fraction(n * (n - 1), N * (N - 1))] * N for _ in range(N)]
+    else:
+        pi = [Fraction(float(x)) for x in dsg.first_order_pi(design)]
+        pairs = [[x * y for y in pi] for x in pi]
+    return pi, [[pi[i] if i == j else pairs[i][j] for j in range(N)] for i in range(N)]
+
+
+def exact_ratio_form(pi, pi2, a):
+    """a^T Delta a in rational arithmetic, Delta_ij = (pi_ij - pi_i pi_j) /
+    (pi_i pi_j) for the rationals of :func:`exact_inclusion`, with ``a`` of
+    shape (N, K) (each float an exact rational): a K x K nested list of
+    Fractions."""
+    a = [[Fraction(float(x)) for x in row] for row in np.asarray(a, dtype=float)]
+    N, K = len(a), len(a[0])
+    delta_a = [[sum((pi2[i][j] / (pi[i] * pi[j]) - 1) * a[j][k] for j in range(N))
+                for k in range(K)] for i in range(N)]
+    return [[sum(a[i][k] * delta_a[i][l] for i in range(N)) for l in range(K)]
+            for k in range(K)]

@@ -111,7 +111,7 @@ def test_oracle_equivalence():
         means = (en.samples / pi) @ v / 6.0
         mu = float(en.probs @ means)
         enum_var = float(en.probs @ (means - mu) ** 2)
-        gap = abs(orc.exact_sn2(design, v) - enum_var)
+        gap = abs(dsg.exact_sn2(design, v) - enum_var)
         worst_sn2 = max(worst_sn2, gap)
         assert gap <= 1e-12
     elapsed = time.perf_counter() - start

@@ -109,7 +109,20 @@ class TestSimulate:
         assert len(rb_rows[0]) == 3 + 6          # key columns + six cells
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["timings_seconds"]) == 18   # scenario cells
-        assert manifest["workers"] == mc.pool_size(2)
+        assert manifest["workers"] == mc.pool_size(2, 2)
+
+    def test_manifest_records_the_pool_used(self, runner, tmp_path, monkeypatch):
+        # four CPUs and two workers asked for, but one population: the run
+        # stays in this process, and the manifest says one worker
+        monkeypatch.setattr(mc, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(n_populations=1)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out), "--workers", "2"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
 
     def test_missing_config_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--config",
@@ -502,6 +515,22 @@ class TestSimulateFailures:
         assert result.stderr.strip() == "error: HT failed in 40 of 40 cells (> 1% budget)"
         assert not out.exists()
 
+    def test_zero_target_relative_bias_is_a_run_failure(self, runner, tmp_path):
+        # a valid config whose poverty rate is 0 for the model and every
+        # population, while the estimates are not: relative bias is undefined
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(minimal_config(
+            law={"kind": "discrete", "points": [1.0, 2.0, 3.0], "masses": [0.5, 0.3, 0.2]},
+            beta=0.9, designs=["SI", "PO"], cells=[{"N": 200, "n": 20}],
+            n_populations=2, n_samples=50, seed=1)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 3
+        assert (result.stderr.strip()
+                == "error: relative bias undefined: zero target with nonzero estimates")
+        assert not out.exists()
+
     def test_partial_tables_removed_on_memory_error(self, runner, tmp_path, monkeypatch):
         real_write = cli._write_csv
         calls = []
@@ -865,8 +894,8 @@ class TestCalibrateCommand:
         assert result.exit_code == 3
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: the rejective dynamic program needs an "
-                                   "(N+1) x (n+1) float64 table (0 MB at N=6, n=3)")
+        assert lines[0] == ("error: the rejective dynamic program needs 0 MB at N=6, n=3; "
+                            "limited to 0 MB")
         assert not out_path.exists()
 
     def test_nan_target_is_usage_error(self, runner, tmp_path):

@@ -80,6 +80,17 @@ class TestRunScenario:
             assert rep.coverage[key] == 100.0
         assert rep.n_failures == {"HT": 0, "HJ": 0}
 
+    @pytest.mark.parametrize("design", ["SI", "PO"])
+    def test_zero_target_with_nonzero_estimates_refused(self, design):
+        # on the points 1, 2, 3 the rate F(0.9 F^-1(0.5)) = F(0.9) is 0, for
+        # the model and every population, but the interpolated estimates are not
+        law = pop.SuperPopulationLaw.discrete([1.0, 2.0, 3.0], [0.5, 0.3, 0.2])
+        sc = small_scenario(design=design, N=200, n=20, law=law, alpha=0.5, beta=0.9,
+                            n_populations=2, n_samples=50, seed=1)
+        with pytest.raises(ScenarioError,
+                           match="relative bias undefined: zero target with nonzero estimates"):
+            mc.run_scenario(sc)
+
     def test_si_estimators_coincide(self):
         rep = mc.run_scenario(small_scenario())
         for center in mc.CENTERS:
@@ -448,17 +459,17 @@ class TestPoolSize:
         _cpus(monkeypatch, 4)
         for workers in (0, -1):
             with pytest.raises(ParameterError):
-                mc.pool_size(workers)
+                mc.pool_size(workers, 4)
 
     def test_within_available_unchanged(self, monkeypatch):
         _cpus(monkeypatch, 4)
-        assert mc.pool_size(1) == 1
-        assert mc.pool_size(4) == 4
+        assert mc.pool_size(1, 4) == 1
+        assert mc.pool_size(4, 4) == 4
 
     def test_capped_at_available_with_warning(self, monkeypatch, caplog):
         _cpus(monkeypatch, 2)
         with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
-            assert mc.pool_size(1000) == 2
+            assert mc.pool_size(1000, 4) == 2
         assert "capping 1000 workers at the 2 available CPUs" in caplog.text
 
     def test_scenario_pool_is_capped_with_warning(self, monkeypatch, caplog):
@@ -489,6 +500,14 @@ class TestPoolSize:
             run(small_scenario(N=100, n=20, n_populations=2, n_samples=500))
         assert _SerialPool.sizes == []
         assert "capping 2 workers at the 1 available CPUs" in caplog.text
+
+    def test_no_more_processes_than_tasks(self, monkeypatch, caplog):
+        _cpus(monkeypatch, 4)
+        with caplog.at_level("WARNING", logger="svycdf.montecarlo"):
+            assert mc.pool_size(2, 1) == 1
+            assert mc.pool_size(3, 2) == 2
+            assert mc.pool_size(8, 2) == 2
+        assert caplog.messages == ["capping 8 workers at the 4 available CPUs"]
 
     def test_scenario_rejects_below_one(self):
         with pytest.raises(ParameterError):
@@ -797,7 +816,7 @@ class TestNormalityDiagnostic:
         batches = [dsg.draw(design, [substream(63, b, j) for j in range(9)], y)
                    for b in range(3)]
         batches.append(ref.make_batch([([], []), ([2.5], [0.25]), ([1e300, 3.0], [1e-3, 1.0])]))
-        monkeypatch.setattr(mc.orc, "exact_sn2", lambda design, y: 1.0)
+        monkeypatch.setattr(mc.dsg, "exact_sn2", lambda design, y: 1.0)
         sc = small_scenario(N=N, n=60)
         got = mc._statistic_values(sc, "ht_mean", None, None, np.zeros(3), design, batches)
         expected = [float(np.sum(np.array(row.y) / np.array(row.pi))) / N

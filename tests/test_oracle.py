@@ -1,4 +1,5 @@
-"""Enumeration oracle: supports, moments, condition reports, divergence."""
+"""Enumeration oracle: supports, moments, condition reports, divergence; and
+the exact programs of designs checked against it and rational arithmetic."""
 
 import functools
 import itertools
@@ -373,14 +374,14 @@ class TestPairMomentsAgainstTensors:
 class TestExactSn2:
     def test_census_is_zero(self):
         design = dsg.poisson(np.ones(4))
-        assert orc.exact_sn2(design, [1.0, 2.0, 3.0, 4.0]) == 0.0
+        assert dsg.exact_sn2(design, [1.0, 2.0, 3.0, 4.0]) == 0.0
 
     def test_bernoulli_closed_form(self):
         # independence: S^2 = (1/N^2) sum v_i^2 (1-p)/p
         design = dsg.bernoulli(3, 0.4)
         v = np.array([1.0, -2.0, 3.5])
         expected = np.sum(v * v) * 0.6 / 0.4 / 9.0
-        assert orc.exact_sn2(design, v) == pytest.approx(expected, rel=1e-14)
+        assert dsg.exact_sn2(design, v) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("design", [
         dsg.srswor(6, 3),
@@ -399,7 +400,7 @@ class TestExactSn2:
             means = (en.samples / pi) @ v / 6.0
             mu = float(en.probs @ means)
             var = float(en.probs @ (means - mu) ** 2)
-            assert orc.exact_sn2(design, v) == pytest.approx(var, abs=1e-12)
+            assert dsg.exact_sn2(design, v) == pytest.approx(var, abs=1e-12)
 
 
 NEAR_CLIP = (dsg._P_CLIP, 3 * dsg._P_CLIP, 1.0 - dsg._P_CLIP, 1.0 - 3 * dsg._P_CLIP)
@@ -461,19 +462,35 @@ def rational_cases():
 
 
 def max_relative(got, exact) -> float:
-    """max |got - exact| / exact over the positive entries of ``exact``;
-    every other entry of ``got`` must equal its own exactly."""
+    """max |got - exact| / |exact| over the nonzero entries of ``exact``;
+    every zero entry of ``got`` must be zero too."""
     got, exact = np.asarray(got), np.asarray(exact)
-    positive = exact > 0.0
-    assert np.array_equal(got[~positive], exact[~positive])
-    return float(np.max(np.abs(got - exact)[positive] / exact[positive]))
+    nonzero = exact != 0.0
+    assert np.array_equal(got[~nonzero], exact[~nonzero])
+    return float(np.max(np.abs(got - exact)[nonzero] / np.abs(exact[nonzero])))
+
+
+@functools.cache
+def kind_cases(kind: str) -> list:
+    """30 designs of ``kind`` on N 6-15, each with its exact pi and pi_ij:
+    srswor (n 1 to N-1), Bernoulli (p ~ U(0.05, 0.95)) and Poisson
+    (pi ~ U(0.05, 1)) drawn from seed 3 (``step_reference.exact_inclusion``),
+    and the rejective designs of :func:`rational_cases`."""
+    if kind == "rejective":
+        return [(d, (ex.pi, ex.pi2)) for d, ex in rational_cases()]
+    rng = np.random.default_rng(3)
+    make = {"srswor": lambda N: dsg.srswor(N, int(rng.integers(1, N))),
+            "bernoulli": lambda N: dsg.bernoulli(N, float(rng.uniform(0.05, 0.95))),
+            "poisson": lambda N: dsg.poisson(rng.uniform(0.05, 1.0, N))}[kind]
+    designs = [make(int(rng.integers(6, 16))) for _ in range(30)]
+    return [(d, ref.exact_inclusion(d)) for d in designs]
 
 
 class TestRationalOracle:
-    """Every rejective quantity documented as exact against rational
-    arithmetic, which has no rounding: the bound on each is its measured
-    worst relative error over :func:`rational_cases`, about doubled, and it
-    is what the docstrings quote."""
+    """Every quantity documented as exact against rational arithmetic,
+    which has no rounding: the bound on each is its measured worst relative
+    error over :func:`rational_cases` (or :func:`kind_cases`), about
+    doubled, and it is what the docstrings quote."""
 
     def test_first_order_pi(self):
         # measured 6.2e-16, and 6.7e-16 for P(S = n) read from the suffix table
@@ -534,8 +551,36 @@ class TestRationalOracle:
             a = [Fraction(float(x)) / pi for x, pi in zip(v, ex.pi)]
             exact = (sum(ex.pi2[i][j] * a[i] * a[j] for i in range(d.N) for j in range(d.N))
                      - sum(map(Fraction, v.tolist())) ** 2) / d.N**2
-            worst = max(worst, abs(orc.exact_sn2(d, v) / float(exact) - 1.0))
+            worst = max(worst, abs(dsg.exact_sn2(d, v) / float(exact) - 1.0))
         assert worst <= 5.6e-15
+
+    @pytest.mark.parametrize("kind, sn2_bound, sigma_bound", [
+        ("srswor", 1.4e-15, 5.9e-15),
+        ("bernoulli", 4.5e-16, 8.7e-16),
+        ("poisson", 4.5e-16, 1.2e-15),
+        ("rejective", 6.7e-15, 8.1e-14),
+    ])
+    def test_design_variance_every_design(self, kind, sn2_bound, sigma_bound):
+        # exact_sn2 (K = 1, v normal) and sigma_matrix (K = 3 grid points at
+        # the quartiles of exponential responses) against a^T Delta a in
+        # rationals, scaled by 1/N^2 and n/N^2 with n = sum(pi) exactly;
+        # measured 6.7e-16 and 2.9e-15 (srswor), 2.2e-16 and 4.3e-16
+        # (Bernoulli), 2.2e-16 and 5.8e-16 (Poisson), 3.3e-15 and 4.0e-14
+        # (rejective)
+        rng = np.random.default_rng(4)
+        worst = [0.0, 0.0]
+        for d, (pi, pi2) in kind_cases(kind):
+            v = rng.normal(size=d.N)
+            exact = ref.exact_ratio_form(pi, pi2, v[:, None])[0][0] / d.N**2
+            y = rng.exponential(size=d.N)
+            grid = np.quantile(y, [0.25, 0.5, 0.75])
+            n = sum(pi)
+            form = ref.exact_ratio_form(pi, pi2, (y[:, None] <= grid).astype(float))
+            worst = np.maximum(worst, [
+                abs(dsg.exact_sn2(d, v) / float(exact) - 1.0),
+                max_relative(dsg.sigma_matrix(d, y, grid),
+                             [[float(x * n / d.N**2) for x in row] for row in form])])
+        assert worst[0] <= sn2_bound and worst[1] <= sigma_bound
 
 
 class TestRejectiveMoment:
@@ -553,7 +598,7 @@ class TestRejectiveMoment:
         design, a = case
         if not _valid(design):
             return
-        got = orc._ratio_form(design, a)
+        got = dsg._ratio_form(design, a)
         expected, scale = pairwise_ratio_form(design, a)
         assert np.array_equal(got, got.T)
         assert np.all(np.abs(got - expected) <= 1e-12 * scale)
@@ -566,7 +611,7 @@ class TestRejectiveMoment:
         if not _valid(design):
             return
         _, scale = pairwise_ratio_form(design, a)
-        got = orc._ratio_form(design, a)
+        got = dsg._ratio_form(design, a)
         assert np.all(np.abs(got - enumerated_covariance(design, a)) <= 1e-12 * scale)
 
     def test_desk_split_without_pairwise_pi(self, monkeypatch):
@@ -576,7 +621,7 @@ class TestRejectiveMoment:
         N, n = 10000, 500
         design = dsg.calibrated_rejective(mc._split_probabilities(N, n), n)
         v = substream(23).exponential(size=N)
-        var = orc.exact_sn2(design, v)
+        var = dsg.exact_sn2(design, v)
         pi = dsg.first_order_pi(design)
         weight = pi * (1.0 - pi)
         center = np.sum(weight * v / pi) / weight.sum()
@@ -587,13 +632,13 @@ class TestRejectiveMoment:
     def test_zero_size_probability_is_degenerate(self):
         # P(S = 29) = 1e-348 underflows to 0
         with pytest.raises(DegenerateDesignError, match="P\\(sample size = 29\\)"):
-            orc._rejective_moment(np.full(30, dsg._P_CLIP), 29, np.ones((30, 1)))
+            dsg._rejective_moment(np.full(30, dsg._P_CLIP), 29, np.ones((30, 1)))
 
     def test_tracks_over_cap_refused(self, monkeypatch):
         monkeypatch.setattr(dsg, "MAX_DP_TABLE_BYTES", 4 * 8 * 4 * 36 - 1)
         with pytest.raises(CapacityError, match="moment program"):
-            orc._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 5)))
-        assert orc._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 4))).shape == (4, 4)
+            dsg._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 5)))
+        assert dsg._rejective_moment(np.full(8, 0.5), 3, np.ones((8, 4))).shape == (4, 4)
 
 
 class TestSigmaMatrix:
@@ -603,7 +648,7 @@ class TestSigmaMatrix:
         pi = np.linspace(0.2, 0.9, 8)
         design = dsg.poisson(pi)
         grid = np.array([0.3, 0.7])
-        mat = orc.sigma_matrix(design, popu, grid, form="HT2")
+        mat = dsg.sigma_matrix(design, popu, grid, form="HT2")
         a = (popu[:, None] <= grid[None, :]).astype(float)
         n = design.expected_size
         expected = (n / 64.0) * a.T @ (a * ((1.0 - pi) / pi)[:, None])
@@ -613,7 +658,7 @@ class TestSigmaMatrix:
         law = pop.SuperPopulationLaw.uniform01()
         popu = pop.generate_population(law, 10, seed=4)
         design = dsg.srswor(10, 4)
-        mat = orc.sigma_matrix(design, popu, np.array([5.0]), form="HT2")
+        mat = dsg.sigma_matrix(design, popu, np.array([5.0]), form="HT2")
         pi = dsg.first_order_pi(design)
         n = design.expected_size
         # all indicators are one: diagonal + constant off-diagonal ratio
@@ -628,7 +673,7 @@ class TestSigmaMatrix:
         popu = pop.generate_population(law, 10, seed=4)
         pi = np.linspace(0.2, 0.9, 10)
         design = dsg.poisson(pi)
-        mat = orc.sigma_matrix(design, popu, np.array([5.0]), form="HT2")
+        mat = dsg.sigma_matrix(design, popu, np.array([5.0]), form="HT2")
         n = design.expected_size
         assert mat[0, 0] == pytest.approx((n / 100.0) * np.sum(1.0 / pi - 1.0),
                                           rel=1e-12)
@@ -637,7 +682,7 @@ class TestSigmaMatrix:
         law = pop.SuperPopulationLaw.uniform01()
         popu = pop.generate_population(law, 10, seed=5)
         design = dsg.srswor(10, 4)
-        mat = orc.sigma_matrix(design, popu, np.array([2.0]), form="HJ2", law=law)
+        mat = dsg.sigma_matrix(design, popu, np.array([2.0]), form="HJ2", law=law)
         assert mat[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_enumeration_covariance(self):
@@ -646,7 +691,7 @@ class TestSigmaMatrix:
         popu = pop.generate_population(law, 6, seed=6)
         design = dsg.rejective(np.linspace(0.25, 0.75, 6), 3)
         grid = np.quantile(popu, [0.3, 0.8])
-        mat = orc.sigma_matrix(design, popu, grid, form="HT2")
+        mat = dsg.sigma_matrix(design, popu, grid, form="HT2")
         en = orc.enumerate_design(design)
         pi = en.first_order()
         a = (popu[:, None] <= grid[None, :]).astype(float)

@@ -4,7 +4,7 @@ module imports only modules of lower layers, no module reads a private
 name that another svycdf module defines, every defaulted parameter of a
 public function is passed by some call, and every command-line input is
 set in one place: a command has one name, and the benchmark passes every
-optional option.
+optional option.  The version string too is set in one place.
 
 The names referenced by the code of ``src/svycdf/*.py`` and ``bench/*.py``
 are read from their syntax trees, so strings and docstrings do not count.
@@ -16,10 +16,13 @@ classes once decorated, so the scan skips them.
 
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import click
+from setuptools.config.pyprojecttoml import read_configuration
 
+import svycdf
 from svycdf import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,8 +32,8 @@ CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 #: public names kept without a caller, each with its reason
 ALLOWED = {
     "montecarlo.run_scenario": "the documented one-scenario API",
-    "oracle.sigma_matrix": "the finite-N covariance on a grid, kept for a "
-                           "finite-N process covariance report",
+    "designs.sigma_matrix": "the finite-N covariance on a grid, kept for a "
+                            "finite-N process covariance report",
 }
 
 
@@ -136,7 +139,7 @@ def test_benchmark_reads_exist():
 #: the modules of svycdf from the bottom layer up; a module may import the
 #: modules of lower layers only
 LAYERS = (("errors",), ("streams",), ("population",), ("asymptotics",),
-          ("designs", "estimation"), ("oracle",), ("montecarlo",), ("cli",))
+          ("designs", "estimation"), ("montecarlo", "oracle"), ("cli",))
 
 #: (module, name) imports from within the package that are not modules
 ALLOWED_IMPORTS = {("cli", "__version__")}
@@ -374,3 +377,13 @@ def test_every_optional_cli_option_is_passed_by_the_benchmark():
     source = (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
     unpassed = unpassed_options(cli.main, source)
     assert unpassed == {}, f"optional options no benchmark command line passes: {unpassed}"
+
+
+def test_one_version_string():
+    # the package metadata reads its version from svycdf.__version__, the
+    # string a run's manifest records, so the two cannot disagree
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # setuptools calls [tool.setuptools] beta
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == svycdf.__version__

@@ -61,11 +61,11 @@ def _enumerated(N=4, n=2):
     (lambda: orc.check_conditions(orc.EnumeratedDesign(np.zeros((1, 3), dtype=bool),
                                                        np.ones(1), 3)),
      ParameterError, "expected size must be positive"),
-    (lambda: orc.exact_sn2(dsg.srswor(4, 2), np.ones(3)),
+    (lambda: dsg.exact_sn2(dsg.srswor(4, 2), np.ones(3)),
      ParameterError, "v must have one entry per unit"),
-    (lambda: orc.sigma_matrix(dsg.srswor(4, 2), np.arange(4.0), [1.0], "HJ2"),
+    (lambda: dsg.sigma_matrix(dsg.srswor(4, 2), np.arange(4.0), [1.0], "HJ2"),
      ParameterError, "centered form requires the super-population law"),
-    (lambda: orc.sigma_matrix(dsg.srswor(4, 2), np.arange(4.0), [1.0], "XX"),
+    (lambda: dsg.sigma_matrix(dsg.srswor(4, 2), np.arange(4.0), [1.0], "XX"),
      ParameterError, "form must be 'HT2' or 'HJ2', got 'XX'"),
     (lambda: orc.divergence_from_rejective(_enumerated(4), _enumerated(5)),
      ParameterError, "designs must share the population size"),
