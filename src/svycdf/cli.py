@@ -2,9 +2,11 @@
 
 Subcommands
 -----------
-``simulate``   run a scenario grid from a JSON config and write the three
+``simulate``   run a scenario grid from a JSON config and write the four
                result tables (estimator bias, variance-estimator bias,
-               coverage) plus a JSON run manifest.
+               coverage, and the normality of the standardized estimates:
+               skewness, excess kurtosis, Kolmogorov-Smirnov distance) plus
+               a JSON run manifest.
 ``oracle``     enumerate a small design and write its condition report.
 ``calibrate``  fit rejective working probabilities to target inclusion
                probabilities read from a file; the sample size n is the
@@ -19,7 +21,10 @@ validation (an input file that is not UTF-8 included), 3 runtime failure
 (including an output path that cannot be written, a broken worker pool,
 running out of memory and a size beyond the float range).
 The result tables are byte-identical for a fixed config; the
-manifest additionally records wall-clock timings and is not.  A scenario's
+manifest additionally records wall-clock timings and is not.  The
+normality table judges the cells the other tables judge, each estimator's
+n_populations * n_samples less its manifest ``failures``; its figures are
+``nan`` for a discrete law, which has no asymptotic variance.  A scenario's
 ``timings_seconds`` entry is its own time in this process: building its
 design, plus waiting for and reducing its populations' results.  Scenarios
 overlap in the worker pool, so an entry never counts another scenario's
@@ -175,10 +180,12 @@ def simulate(config_path, out_dir, workers):
         reports = dict(zip(scenarios, mc.run_scenarios(list(scenarios.values()), workers)))
 
         by_center = [(e, c) for e in mc.ESTIMATORS for c in mc.CENTERS]
+        by_shape = [(e, s) for e in mc.ESTIMATORS for s in mc.SHAPES]
         # (file name, report field, key columns, row keys); a row per design and key
         tables = [("rb_estimators.csv", "rb_phi", ["estimator", "center"], by_center),
                   ("rb_variance.csv", "rb_av", ["estimator"], mc.ESTIMATORS),
-                  ("coverage.csv", "coverage", ["estimator", "center"], by_center)]
+                  ("coverage.csv", "coverage", ["estimator", "center"], by_center),
+                  ("normality.csv", "normality", ["estimator", "statistic"], by_shape)]
         written.extend(out / name for name, *_ in tables)
         for name, field, key_cols, keys in tables:
             rows = [[design, *(key if isinstance(key, tuple) else [key])]

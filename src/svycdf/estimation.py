@@ -16,11 +16,12 @@ one row), which the kernels read and never write.  :func:`_weighted_cdfs`
 checks a batch, pads its responses to one block, sorts the block once and
 builds the CDFs of the modes its caller reads, in a fixed number of array
 operations plus one per distinct row length; a row with equal responses
-(NaNs too) merges them into one jump with ``np.unique``.  The kernels,
+(NaNs too) merges them into one jump with ``np.unique``.  The two kernels,
 :func:`poverty_rate_estimates` (both modes, with kernel densities and the
-plug-in variance), :func:`poverty_rates` (one mode, the same rate bits)
-and :func:`process_paths` (one mode), read all rows at once, but sum each
-row over its own entries, so a draw gets the same bits in any batch.
+plug-in variance: the one poverty-rate kernel, whose estimates the Monte
+Carlo tables and their normality report share) and :func:`process_paths`
+(one mode), read all rows at once, but sum each row over its own entries,
+so a draw gets the same bits in any batch.
 
 No kernel raises on a failing row: a row that is empty or has a pi outside
 (0, 1] holds 0.0, and the errors dict the kernel returns maps it to its
@@ -32,7 +33,7 @@ or a density).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import get_args
 
 import numpy as np
 
@@ -243,16 +244,6 @@ def _check_levels(alpha: float, beta: float) -> None:
         raise ParameterError(f"scale beta must lie in (0, 1], got {beta}")
 
 
-def _quantiles_and_rates(cdfs: _Cdfs, alpha: float, beta: float, levels=()) -> tuple:
-    """Interpolated quantiles (:func:`_interpolated_quantiles`, the sample
-    size as ``n_points``) of every row of each mode built, at alpha and then
-    ``levels``, shape (modes, R, 1 + len(levels)), and the poverty rates
-    F(beta q) at the alpha-quantile q, shape (modes, R)."""
-    q = _interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
-                                cdfs.sizes.astype(float), (alpha, *levels))
-    return q, _step_values(cdfs.loc, cdfs.cum, cdfs.count, beta * q[..., :1])[..., 0]
-
-
 def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
                            alpha: float, beta: float) -> tuple:
     """Kernel of the simulation protocol: poverty-rate estimates and their
@@ -261,7 +252,7 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
 
     Per row and mode: the alpha-quantile q and the quartiles follow
     :func:`_interpolated_quantiles` with the sample size as ``n_points``,
-    the rate is F(beta q) (:func:`_quantiles_and_rates`), the bandwidth is
+    the rate is F(beta q), the bandwidth is
     0.79 R n^{-1/5} with R the interquartile range (none when that is zero:
     R is zero, or so small that the product underflows), and the densities
     at q and beta q are weighted Gaussian kernel estimates at that
@@ -286,8 +277,10 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     factor = np.empty(cdfs.sizes.size)
     for n, rows in cdfs.groups:
         factor[rows] = n ** (-0.2)       # the scalar power, as for one draw
-    q, phi = _quantiles_and_rates(cdfs, alpha, beta, (0.25, 0.75))
-    phi, t = phi.T, beta * q[..., 0]
+    q = _interpolated_quantiles(cdfs.loc, cdfs.cum, cdfs.total, cdfs.count,
+                                cdfs.sizes.astype(float), (alpha, 0.25, 0.75))
+    t = beta * q[..., 0]
+    phi = _step_values(cdfs.loc, cdfs.cum, cdfs.count, t[..., None])[..., 0].T
     iqr = q[..., 2] - q[..., 1]
     bandwidth = 0.79 * iqr * factor
     no_bw = bandwidth <= 0.0
@@ -316,27 +309,6 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     for cell in errors:
         phi[cell] = av[cell] = 0.0
     return phi, av, errors
-
-
-def poverty_rates(batch, N: int, alpha: float, beta: float,
-                  mode: Literal["HT", "HJ"]) -> tuple:
-    """Poverty rate F(beta q) of each batch row's ``mode`` CDF F, q its
-    interpolated alpha-quantile: bitwise the ``mode`` column of
-    :func:`poverty_rate_estimates` on every cell that does not fail there,
-    from one mode's CDFs and no densities.
-
-    Returns ``(rates, errors)``: one rate per row (0.0 in a failing row),
-    and each failing row's :class:`EstimationError` by row.  A level beyond
-    a total mass (possible in mode "HT") saturates at the row's largest
-    response.
-    """
-    _check_levels(alpha, beta)
-    if mode not in MODES:
-        raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    cdfs, errors = _weighted_cdfs(batch, N, (mode,))
-    rates = _quantiles_and_rates(cdfs, alpha, beta)[1][0]
-    rates[list(errors)] = 0.0
-    return rates, errors
 
 
 def census_poverty_rate(y, alpha: float, beta: float) -> float:
@@ -405,9 +377,9 @@ def process_paths(batch, y: np.ndarray, grid, which: CovarianceForm,
     ("HT_*") or self-normalized ("HJ_*") CDF against the population
     empirical CDF (``*_vs_FN``) or against the model CDF (``*_vs_F``).  The
     standardization uses the design-expected size, not the realized one.
-    Returns ``(paths, errors)`` as :func:`poverty_rates` returns rates, a
-    failing row's path 0.0 on the whole grid.  The grid must pass
-    :func:`checked_grid`.
+    Returns ``(paths, errors)``: one path per row (0.0 on the whole grid in
+    a failing row), and each failing row's :class:`EstimationError` by row.
+    The grid must pass :func:`checked_grid`.
     """
     grid = checked_grid(grid)
     if which not in get_args(CovarianceForm):

@@ -8,15 +8,20 @@ population, REJ: size-n conditional Poisson calibrated to the PO
 probabilities).  It reports percent relative bias of the poverty-rate
 estimators against the population and model parameters, relative bias of
 their plug-in variance estimators against the closed-form asymptotic
-variance, and coverage of 95% Wald intervals.
+variance, coverage of 95% Wald intervals, and the skewness, excess
+kurtosis and Kolmogorov-Smirnov distance to the standard normal of the
+estimates standardized by the model rate and the asymptotic variance: the
+paper's asymptotic normality of the poverty rate, from the same cells.
 
 A population's draws come in batches of :func:`designs.batch_rows`
 samples, and the poverty kernel evaluates each batch in one call.  Each
 population reduces its cells to one (9, 2) array of sums, one column
 per estimator (HT, HJ): relative errors and covering intervals against
 each center, defined cells, variance-estimator relative errors and their
-count, and the sums of the estimates and of their squares.  The report is
-computed from the stack of these arrays.
+count, and the sums of the estimates and of their squares; and it hands
+back its standardized estimates, 8 bytes per defined cell and estimator.
+The report is computed from the stack of these arrays and the
+concatenation of the estimates.
 
 Every (population, sample) cell derives its random stream from the
 scenario seed and its own index, and every sum adds in index order (cells
@@ -29,10 +34,10 @@ populations in contiguous chunks as soon as its design is ready and
 reducing the results afterwards, each scenario in population order; each
 diagnostic opens its own in :func:`_population_results`.  A population
 draws its responses ``y`` and its design, and hands them with its batches
-of draws to the job's reducer, ``reduce(y, design, batches)``: the array
-of sums above, the process path sums, or the standardized statistic of a
-normality diagnostic.  The tables and both diagnostics count and exclude
-the draws the kernels report as failed, and refuse a job past
+of draws to the job's reducer, ``reduce(y, design, batches)``: the sums
+and estimates above, the process path sums, or the standardized HT means
+of the normality diagnostic.  The tables and the process diagnostic count
+and exclude the draws the kernels report as failed, and refuse a job past
 :data:`FAILURE_BUDGET` of its cells in :func:`_check_budget`.
 """
 
@@ -66,8 +71,9 @@ logger = logging.getLogger(__name__)
 DesignLabel = Literal["SI", "BE", "PO", "REJ"]
 ESTIMATORS = asy.MODES
 CENTERS = ("FN", "F")   # population parameter vs model parameter
+SHAPES = ("skewness", "excess_kurtosis", "ks_distance")   # of _shape_statistics
 
-#: fraction of failed cells (per estimator or statistic) a job tolerates
+#: fraction of failed cells (per estimator, or of a process diagnostic) a job tolerates
 FAILURE_BUDGET = 0.01
 
 #: relative gap allowed between the HT and HJ rates of an SI cell, whose
@@ -76,6 +82,11 @@ _SI_RTOL = 1e-12
 
 #: inclusion probabilities of the unequal-probability split, as multiples of n/N
 PO_LOW, PO_HIGH = 0.4, 1.6
+
+#: most cells (population, sample) a scenario holds: the report keeps 16 bytes
+#: (two standardized estimates) per cell, 1 GiB at the bound, and every stream
+#: index stays within one 32-bit word
+MAX_CELLS = 2**26
 
 #: largest population size N.  A worker holds the population, its PO/REJ
 #: design and a permutation: about four N-length 8-byte arrays, 512 MiB at
@@ -87,7 +98,9 @@ MAX_POPULATION_UNITS = 2**24
 class Scenario:
     """One simulation cell: population/sample sizes, design, law, targets.
     A field out of its range is a :class:`ParameterError` here, before any
-    work."""
+    work: among them more than :data:`MAX_CELLS` = 2**26 cells
+    ``n_populations * n_samples``, whose standardized estimates would take
+    over 1 GiB, and N above :data:`MAX_POPULATION_UNITS`."""
 
     N: int
     n: int
@@ -106,8 +119,9 @@ class Scenario:
             raise ParameterError(f"N={self.N} exceeds the bound {MAX_POPULATION_UNITS}")
         if self.n_populations < 1 or self.n_samples < 1:
             raise ParameterError("replication counts must be at least 1")
-        if self.n_samples > 2**32:      # a sample's stream index is one 32-bit word
-            raise ParameterError(f"n_samples must be at most 2**32, got {self.n_samples}")
+        if self.n_populations * self.n_samples > MAX_CELLS:
+            raise ParameterError(f"n_populations * n_samples must be at most 2**26, got "
+                                 f"{self.n_populations} * {self.n_samples}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.design not in ("SI", "BE", "PO", "REJ"):
@@ -141,6 +155,7 @@ class MonteCarloReport:
     rb_av_se: dict
     coverage: dict          # (estimator, center) -> percent coverage of 95% intervals
     mc_variance: dict       # estimator -> n * Var(phi_hat) pooled over all cells
+    normality: dict         # (estimator, statistic in SHAPES) -> shape of the standardized phi_hat
     n_cells: int
     n_failures: dict        # estimator -> failed cells
     timing_seconds: float
@@ -235,9 +250,12 @@ def _population_task(sc: Scenario, design: dsg.Design, reduce: Callable, i: int)
 
 
 def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, y, design,
-                     batches) -> np.ndarray:
+                     batches) -> tuple:
     """One population's (9, 2) array of sums over its cells, added in
-    sample order; ``av_ref`` is the asymptotic variance of each estimator."""
+    sample order, and per estimator its standardized estimates
+    z = (phi - phi_f) / sqrt(av_ref / n) in sample order, failed cells
+    dropped; ``av_ref`` is the asymptotic variance of each estimator (NaN,
+    and so NaN z, for a discrete law)."""
     phi_fn = est.census_poverty_rate(y, sc.alpha, sc.beta)
     centers = np.array([phi_fn, phi_f])[:, None, None]
     constants = dsg.design_constants(design)
@@ -263,7 +281,8 @@ def _population_sums(sc: Scenario, phi_f: float, av_ref: np.ndarray, y, design,
     cover = ok & (lo <= centers) & (centers <= hi)
     # failed cells hold phi = 0, so they add 0.0 to the sums of the estimates
     terms = [rel[0], rel[1], cover[0], cover[1], ok, av_rel, av_ok, phi, phi * phi]
-    return _ordered_sum(np.stack(terms, axis=1))
+    z = [(phi[ok[:, k], k] - phi_f) / np.sqrt(av_ref[k] / sc.n) for k in range(len(ESTIMATORS))]
+    return _ordered_sum(np.stack(terms, axis=1)), z
 
 
 def _available_cpus() -> int:
@@ -402,18 +421,21 @@ def _queue_scenario(sc: Scenario, pmap: Callable) -> tuple:
 
 def _scenario_report(sc: Scenario, sums: Iterator, setup_seconds: float) -> MonteCarloReport:
     """The report of :func:`run_scenario` from the scenario's queued
-    per-population ``sums``."""
+    per-population results of :func:`_population_sums`."""
     start = time.perf_counter()
-    per_pop = np.stack(list(sums))
+    per_pop, z = zip(*sums)
+    per_pop = np.stack(per_pop)
     total = _ordered_sum(per_pop)
 
     n_cells = sc.n_populations * sc.n_samples
     rb_phi, rb_phi_se, coverage = {}, {}, {}
-    rb_av, rb_av_se, mc_variance, n_failures = {}, {}, {}, {}
+    rb_av, rb_av_se, mc_variance, n_failures, normality = {}, {}, {}, {}, {}
     for k, e in enumerate(ESTIMATORS):
         ok = total[_OK, k]       # positive within the budget
         n_failures[e] = n_cells - int(ok)
         _check_budget(e, n_failures[e], n_cells)
+        shape = _shape_statistics(np.concatenate([pop_z[k] for pop_z in z]))
+        normality.update(((e, s), shape[s]) for s in SHAPES)
         for i, c in enumerate(CENTERS):
             rb_phi[e, c] = _percent(total[_REL + i, k], ok)
             coverage[e, c] = _percent(total[_COVER + i, k], ok)
@@ -432,7 +454,7 @@ def _scenario_report(sc: Scenario, sums: Iterator, setup_seconds: float) -> Mont
     return MonteCarloReport(
         scenario=sc, rb_phi=rb_phi, rb_phi_se=rb_phi_se, rb_av=rb_av,
         rb_av_se=rb_av_se, coverage=coverage, mc_variance=mc_variance,
-        n_cells=n_cells, n_failures=n_failures,
+        normality=normality, n_cells=n_cells, n_failures=n_failures,
         timing_seconds=setup_seconds + time.perf_counter() - start)
 
 
@@ -486,78 +508,58 @@ def process_covariance_check(sc: Scenario, grid, form: str,
 # Normality diagnostics
 # ---------------------------------------------------------------------------
 
-def _statistic_values(sc: Scenario, statistic: str, center, scale, y, design,
-                      batches) -> np.ndarray:
-    """One population's replicated statistic, standardized, failed draws dropped.
-
-    The HT mean (0 for an empty sample, so no draw fails) takes this
-    population's exact center and design scale; a poverty rate, the tables'
-    estimate, takes the given model ``center`` and asymptotic ``scale``.
-    """
-    if statistic == "ht_mean":
-        # each row summed over its own entries, as the sample drawn alone
-        vals = np.array([float(np.sum(row)) / sc.N for batch in batches
-                         for row in np.split(batch.y / batch.pi, np.cumsum(batch.sizes)[:-1])])
-        center = float(np.mean(y))
-        scale = np.sqrt(max(dsg.exact_sn2(design, y), 0.0))
-        if scale <= 0.0:
-            raise DiagnosticError("design variance of the weighted mean is zero")
-    else:
-        vals = _kept_rows(est.poverty_rates(batch, sc.N, sc.alpha, sc.beta,
-                                            statistic[-2:].upper())
-                          for batch in batches)
-    return (vals - center) / scale
+def _statistic_values(sc: Scenario, y, design, batches) -> np.ndarray:
+    """One population's replicated HT mean (0 for an empty sample, so no
+    draw fails), centered at the population mean and scaled by its exact
+    design standard deviation."""
+    # each row summed over its own entries, as the sample drawn alone
+    vals = np.array([float(np.sum(row)) / sc.N for batch in batches
+                     for row in np.split(batch.y / batch.pi, np.cumsum(batch.sizes)[:-1])])
+    scale = np.sqrt(max(dsg.exact_sn2(design, y), 0.0))
+    if scale <= 0.0:
+        raise DiagnosticError("design variance of the weighted mean is zero")
+    return (vals - float(np.mean(y))) / scale
 
 
 def _shape_statistics(z: np.ndarray) -> dict:
     """Skewness m3/m2^1.5, excess kurtosis m4/m2^2 - 3 and the two-sided
-    Kolmogorov-Smirnov distance of ``z`` to the standard normal.
+    Kolmogorov-Smirnov distance of ``z`` to the standard normal, each NaN
+    where ``z`` has zero variance or NaN values, and the count of ``z``.
 
     The moments are the biased central moments m_k = mean((z - mean(z))^k).
     The distance is max_i max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n) over
     the sorted z, with Phi(x) = erfc(-x/sqrt(2))/2.
     """
+    n = z.size
     d = z - z.mean()
     d2 = d**2
     m2, m3, m4 = float(np.mean(d2)), float(np.mean(d2 * d)), float(np.mean(d2**2))
-    if m2 == 0.0:
-        raise DiagnosticError("replicated statistic has zero variance")
-    n = z.size
-    phi = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in np.sort(z)])
+    if not m2 > 0.0:
+        return {**dict.fromkeys(SHAPES, math.nan), "replications": int(n)}
+    phi = 0.5 * np.fromiter(map(math.erfc, -np.sort(z) / math.sqrt(2.0)), float, n)
     ks = max(np.max(np.arange(1.0, n + 1) / n - phi), np.max(phi - np.arange(0.0, n) / n))
     return {"skewness": m3 / m2**1.5, "excess_kurtosis": m4 / m2**2 - 3.0,
             "ks_distance": float(ks), "replications": int(n)}
 
 
-def normality_diagnostic(sc: Scenario, statistic: Literal["phi_ht", "phi_hj", "ht_mean"],
+def normality_diagnostic(sc: Scenario, statistic: Literal["ht_mean"],
                          workers: int = 1) -> dict:
-    """Standardize a replicated statistic by its asymptotic scale and report
-    skewness, excess kurtosis and the Kolmogorov-Smirnov distance to the
-    standard normal (see :func:`_shape_statistics`: biased central moments
-    and the two-sided sup distance).
+    """Skewness, excess kurtosis and the Kolmogorov-Smirnov distance to the
+    standard normal (:func:`_shape_statistics`: biased central moments and
+    the two-sided sup distance) of the replicated HT mean, the one
+    ``statistic``, centered at each population's mean and scaled by its
+    exact design standard deviation (:func:`designs.exact_sn2`; on REJ the
+    O(N n) moment program, with no N x N matrix, so any N the sampler
+    takes).  ``replications`` counts the draws, which never fail: an empty
+    sample has the mean 0.
 
-    "ht_mean" is centered at each population's mean and scaled by its exact
-    design standard deviation (:func:`designs.exact_sn2`; on REJ the O(N n)
-    moment program, with no N x N matrix, so any N the sampler takes).  A
-    poverty rate, the tables' interpolated-rule estimate
-    (:func:`estimation.poverty_rates`), is centered at the model rate
-    F(beta F^-1(alpha)) and scaled by its asymptotic variance; a discrete
-    law, which has none, is a :class:`DiagnosticError`.  ``replications``
-    counts the kept draws, ``failures`` the failed ones."""
-    if statistic not in ("phi_ht", "phi_hj", "ht_mean"):
+    The poverty rates' normality is a field of the tables' own report
+    (:attr:`MonteCarloReport.normality`), from the cells they judge."""
+    if statistic != "ht_mean":
         raise ParameterError(f"unknown statistic {statistic!r}")
     cells = sc.n_populations * sc.n_samples
     if cells < 1000:
         raise ParameterError("normality diagnostics need at least 1000 replications")
-    design = _scenario_design(sc)
-    center = scale = None
-    if statistic != "ht_mean":
-        center, av_ref = _model_targets(sc, design)
-        sigma2 = av_ref[ESTIMATORS.index(statistic[-2:].upper())]
-        if not sigma2 > 0.0:                        # NaN for a discrete law
-            raise DiagnosticError(f"asymptotic variance is {sigma2}, not positive")
-        scale = np.sqrt(sigma2 / sc.n)
-    z = np.concatenate(_population_results(
-        sc, design, partial(_statistic_values, sc, statistic, center, scale), workers))
-    _check_budget(statistic, cells - z.size, cells)
-    return {**_shape_statistics(z), "failures": cells - z.size}
+    z = np.concatenate(_population_results(sc, _scenario_design(sc),
+                                           partial(_statistic_values, sc), workers))
+    return _shape_statistics(z)

@@ -36,6 +36,10 @@ def runner():
     return CliRunner()
 
 
+#: names of the four result tables
+TABLES = ("rb_estimators.csv", "rb_variance.csv", "coverage.csv", "normality.csv")
+
+
 def minimal_config(**overrides):
     cfg = {
         "law": {"kind": "exponential", "rate": 1.0},
@@ -65,11 +69,15 @@ class TestSimulate:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         for name in ("rb_estimators.csv", "rb_variance.csv", "coverage.csv",
-                     "manifest.json"):
+                     "normality.csv", "manifest.json"):
             assert (out / name).is_file()
         rows = read_rows(out / "rb_estimators.csv")
         assert rows[0] == ["design", "estimator", "center", "N=100 n=20"]
         assert len(rows) == 1 + 1 * 2 * 2   # one design, two estimators, two centers
+        rows = read_rows(out / "normality.csv")
+        assert [row[:3] for row in rows] == [["design", "estimator", "statistic"]] + [
+            ["SI", e, s] for e in ("HT", "HJ")
+            for s in ("skewness", "excess_kurtosis", "ks_distance")]
         assert json.loads((out / "manifest.json").read_text())["workers"] == 1
 
     def test_grid_row_counts(self, runner, tmp_path):
@@ -139,9 +147,7 @@ class TestSimulate:
             result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
                                           "--out", str(out)])
             assert result.exit_code == 0, result.output
-            blobs.append(tuple((out / name).read_bytes()
-                               for name in ("rb_estimators.csv", "rb_variance.csv",
-                                            "coverage.csv")))
+            blobs.append(tuple((out / name).read_bytes() for name in TABLES))
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("overrides, message", [
@@ -351,19 +357,23 @@ class TestSimulate:
         assert not (out / "rb_estimators.csv").exists()
 
 
-#: sha256 of the three tables of the golden configs below, recorded with the
-#: earlier estimation path that rebuilt each CDF per use; a faster kernel must
-#: leave the tables byte-identical
+#: sha256 of the tables of the golden configs below, the first three recorded
+#: with the earlier estimation path that rebuilt each CDF per use (a faster
+#: kernel must leave the tables byte-identical), and the normality table with
+#: its introduction
 GOLDEN_DIGESTS = {
     "exponential": {
         "rb_estimators.csv": "c6c53c5f7d96ff9d02f6e6b84d5d8e0fd6a7c36c0be446ec967870aecf87df61",
         "rb_variance.csv": "e420a61dea1cd5b83e5f12f966b4f3b7513e7621485dad39319cb3e928769469",
         "coverage.csv": "07709002e3e979ce36b889a46fdcfa51fc0ddb50e7fb699b951445867331b0cf",
+        "normality.csv": "ee67bb19f17475de57be8efacd20aaa002dcea8477cc1a7830f64419a6ff0e33",
     },
     "discrete": {
         "rb_estimators.csv": "ecdbd9285c2e7df87ad29d4f7ffcae6ecad3e86246e2906117f8060c1585b939",
         "rb_variance.csv": "26959de07d5a18af6becc5a006ff65c51aff22ae53529308dba2ef39991667b7",
         "coverage.csv": "6b03a3e094af0e6c2b96c593306a2be604ba8f3f1b8270c8797ec738ccd62d79",
+        # every row nan: a discrete law has no asymptotic variance
+        "normality.csv": "ec4cd3cd624f4c59c82bc5cf400c37d68f6faba904cb7dc22e8b86fed57fa52c",
     },
 }
 
@@ -478,7 +488,8 @@ class TestSimulateFailures:
         ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
         ({"beta": 0}, "beta must lie in (0, 1]"),
         ({"seed": -4}, "seed must be non-negative"),
-        ({"n_samples": 2**32 + 1}, "n_samples must be at most 2**32"),
+        ({"n_samples": 2**32 + 1},
+         "n_populations * n_samples must be at most 2**26, got 10 * 4294967297"),
     ], ids=["BE-census", "alpha-one", "beta-zero", "negative-seed", "samples-over-one-word"])
     def test_invalid_scenario_fails_before_any_population(self, runner, tmp_path, monkeypatch,
                                                           overrides, message):
@@ -584,10 +595,6 @@ class TestInputs:
         assert result.exit_code == 2
         assert "No such command" in result.stderr and "conditions" in result.stderr
         assert sorted(main.commands) == ["calibrate", "oracle", "simulate"]
-
-
-#: names of the three result tables
-TABLES = ("rb_estimators.csv", "rb_variance.csv", "coverage.csv")
 
 
 class TestSharedPool:

@@ -48,12 +48,17 @@ def cdf_at(draw, N, mode, t):
     return out
 
 
+#: design constants for the kernel calls below, whose rates do not use them
+CONSTANTS = asy.DesignConstants(0.5, 1.0, 0.0)
+
+
 def rate(draw, N, alpha, beta, mode="HJ"):
-    """One draw's poverty rate, equal to its CDF at beta times its
-    interpolated quantile."""
-    rates, errors = est.poverty_rates(draw, N, alpha, beta, mode)
-    assert not errors
-    got = float(rates[0])
+    """One draw's ``mode`` poverty rate from the kernel, equal to its CDF at
+    beta times its interpolated quantile."""
+    phi, _, errors = est.poverty_rate_estimates(draw, N, CONSTANTS, alpha, beta)
+    k = est.MODES.index(mode)
+    assert (0, k) not in errors
+    got = float(phi[0, k])
     f = ecdf(draw, N, mode)
     assert got == f(beta * interpolated(f, alpha, draw.y.size))
     return got
@@ -143,10 +148,11 @@ class TestHajekEcdf:
 
     def test_empty_sample_errors(self):
         # reported, not raised: the row holds 0.0 and its error is listed
-        rates, errors = est.poverty_rates(ref.make_row([], []), 4, 0.5, 0.6, "HJ")
-        assert rates.tolist() == [0.0]
-        assert [(j, type(e), str(e)) for j, e in errors.items()] == \
-            [(0, EstimationError, "empty sample")]
+        phi, av, errors = est.poverty_rate_estimates(ref.make_row([], []), 4, CONSTANTS,
+                                                     0.5, 0.6)
+        assert phi.tolist() == av.tolist() == [[0.0, 0.0]]
+        assert [(cell, type(e), str(e)) for cell, e in errors.items()] == \
+            [((0, k), EstimationError, "empty sample") for k in range(2)]
 
 
 class TestWeightedQuantile:
@@ -208,7 +214,7 @@ class TestWeightedQuantile:
         draw = ref.make_row([1.0], [1.0])
         for alpha in (0.0, 1.5, np.nan):
             with pytest.raises(ParameterError, match="quantile level"):
-                est.poverty_rates(draw, 1, alpha, 0.6, "HJ")
+                est.poverty_rate_estimates(draw, 1, CONSTANTS, alpha, 0.6)
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
@@ -456,7 +462,7 @@ def test_empty_poverty_batch_rejected():
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, 2.0, np.nan])
-@pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates", "poverty_rates",
+@pytest.mark.parametrize("entry", ["poverty_batch", "step_poverty_rates",
                                    "poverty_rate_estimates"])
 def test_bad_beta_rejected(entry, beta):
     draw = ref.make_row([1.0, 2.0, 3.0, 4.0], np.full(4, 0.5))
@@ -465,7 +471,6 @@ def test_bad_beta_rejected(entry, beta):
                                                                 0.5, beta),
             # the step-rule (generalized-inverse) rate of a population
             "step_poverty_rates": lambda: est.census_poverty_rate(draw.y, 0.5, beta),
-            "poverty_rates": lambda: est.poverty_rates(draw, 8, 0.5, beta, "HJ"),
             "poverty_rate_estimates": lambda: est.poverty_rate_estimates(
                 draw, 8, c, 0.5, beta)}[entry]
     with pytest.raises(ParameterError, match="scale beta"):
@@ -508,7 +513,7 @@ def test_census_rate_rejects_bad_input():
         est.census_poverty_rate(np.ones(3), 0.5, 0.0)
 
 
-@pytest.mark.parametrize("kernel", ["poverty_rate_estimates", "poverty_rates", "process_paths"])
+@pytest.mark.parametrize("kernel", ["poverty_rate_estimates", "process_paths"])
 def test_failing_rows_are_reported_not_raised(kernel):
     # one failure contract for every per-draw kernel: an empty row and a row
     # with pi = 1.5 are listed with their errors and hold 0.0; every other
@@ -521,8 +526,6 @@ def test_failing_rows_are_reported_not_raised(kernel):
 
     def run(batch):
         """The kernel's output (rows first) and its errors, keyed by row."""
-        if kernel == "poverty_rates":
-            return est.poverty_rates(batch, 40, 0.5, 0.6, "HJ")
         if kernel == "process_paths":
             return est.process_paths(batch, popu, [0.2, 0.7, 1.5], "HT_vs_FN")
         phi, av, errors = est.poverty_rate_estimates(

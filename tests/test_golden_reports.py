@@ -74,5 +74,6 @@ def test_report_fields_are_plain_numbers():
     rep = mc.run_scenario(SCENARIOS["BE-failures"])
     assert type(rep.n_cells) is int
     assert all(type(v) is int for v in rep.n_failures.values())
-    for field in ("rb_phi", "rb_phi_se", "coverage", "rb_av", "rb_av_se", "mc_variance"):
+    for field in ("rb_phi", "rb_phi_se", "coverage", "rb_av", "rb_av_se", "mc_variance",
+                  "normality"):
         assert all(type(v) is float for v in getattr(rep, field).values())

@@ -46,12 +46,15 @@ class TestScenarioValidation:
             small_scenario(design="XX")
 
     def test_stream_address_bounds(self):
-        # a sample's stream index is one 32-bit word; seeds are non-negative
+        # the report holds 16 bytes per cell, so the cells are bounded (which
+        # keeps every stream index within one 32-bit word); seeds are non-negative
         with pytest.raises(ParameterError, match="seed"):
             small_scenario(seed=-1)
-        with pytest.raises(ParameterError, match="n_samples"):
-            small_scenario(n_samples=2**32 + 1)
-        small_scenario(seed=0, n_samples=2**32)
+        with pytest.raises(ParameterError, match=re.escape(
+                "n_populations * n_samples must be at most 2**26, got 2 * 33554433")):
+            small_scenario(n_populations=2, n_samples=2**25 + 1)
+        small_scenario(seed=0, n_populations=2, n_samples=2**25)
+        small_scenario(n_populations=2**26, n_samples=1)
 
     def test_population_size_bound(self):
         # a worker holds about four N-length 8-byte arrays, so N is bounded
@@ -180,20 +183,25 @@ class TestRunScenario:
 
 
 class TestFailedDraws:
-    """The tables and both diagnostics count and exclude failed draws alike,
-    and refuse a job past the 1% budget with one error."""
+    """The tables, their normality report and the process diagnostic count
+    and exclude failed draws alike, and refuse a job past the 1% budget with
+    one error."""
 
     @staticmethod
     def bernoulli(n):
         return small_scenario(design="BE", N=100, n=n, n_populations=20, n_samples=100, seed=3)
 
-    def test_failed_draws_counted_and_excluded(self):
-        # expected size 6 of 100: 6 of the 2000 samples are empty
+    def test_failed_draws_counted_and_excluded(self, monkeypatch):
+        # expected size 6 of 100: 6 of the 2000 samples are empty, and the
+        # normality report judges the 1994 others
         sc = self.bernoulli(6)
-        assert mc.run_scenario(sc).n_failures == {"HT": 6, "HJ": 6}
-        for statistic in ("phi_hj", "phi_ht"):
-            out = mc.normality_diagnostic(sc, statistic)
-            assert (out["replications"], out["failures"]) == (1994, 6)
+        seen = []
+        shape = mc._shape_statistics
+        monkeypatch.setattr(mc, "_shape_statistics", lambda z: seen.append(z.size) or shape(z))
+        rep = mc.run_scenario(sc)
+        assert rep.n_failures == {"HT": 6, "HJ": 6}
+        assert seen == [1994, 1994]
+        assert all(np.isfinite(v) for v in rep.normality.values())
         res = mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_F")
         assert res.n_failures == 6
         assert np.all(np.isfinite(res.empirical)) and np.all(np.isfinite(res.entry_se))
@@ -220,8 +228,6 @@ class TestFailedDraws:
         # expected size 3 of 100: 86 of the 2000 samples are empty
         sc = self.bernoulli(3)
         for run in (lambda: mc.run_scenario(sc),
-                    lambda: mc.normality_diagnostic(sc, "phi_hj"),
-                    lambda: mc.normality_diagnostic(sc, "phi_ht"),
                     lambda: mc.process_covariance_check(sc, [0.5, 1.0], "HJ_vs_F")):
             with pytest.raises(ScenarioError,
                                match=re.escape("failed in 86 of 2000 cells (> 1% budget)")):
@@ -364,11 +370,13 @@ class TestPopulationLoop:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(dsg, name, counted)
-        sums = [task(i) for i in range(sc.n_populations)]
+        results = [task(i) for i in range(sc.n_populations)]
         assert calls == {"_rejective_first_order": 0, "_pb_forward": sc.n_populations}
         monkeypatch.undo()
-        assert all(np.array_equal(a, mc._population_task(sc, design, reduce, i))
-                   for i, a in enumerate(sums))
+        for i, (sums, z) in enumerate(results):
+            again, z_again = mc._population_task(sc, design, reduce, i)
+            assert np.array_equal(sums, again)
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(z, z_again))
 
     def test_calibrated_scenario_constants_are_the_dp(self):
         # the calibrated design's cached pi gives the same constants as a fresh DP
@@ -633,22 +641,29 @@ class TestSharedPool:
             mc.process_covariance_check(sc, [0.5, 1.0], "HT_vs_FN", workers=0)
         with pytest.raises(ParameterError, match="workers"):
             mc.normality_diagnostic(small_scenario(n_populations=40, n_samples=25),
-                                    "phi_hj", workers=0)
+                                    "ht_mean", workers=0)
         # the normality diagnostic shares the helper: one pool of
         # min(workers, CPUs, P) = P processes, exited once
         _cpus(monkeypatch, 4)
         _SerialPool.reset()
         mc.normality_diagnostic(small_scenario(N=300, n=60, n_populations=3, n_samples=334),
-                                "phi_hj", workers=8)
+                                "ht_mean", workers=8)
         assert _SerialPool.sizes == [3] and _SerialPool.exits == [None]
         assert len(_SerialPool.ran) == 3
-        # a discrete law has no asymptotic scale: refused before any pool or population
+        # the poverty rates' normality is the tables' own: no statistic but
+        # the HT mean opens a pool or draws a population
         _SerialPool.reset()
-        law = pop.SuperPopulationLaw.discrete([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(DiagnosticError, match="not positive"):
-            mc.normality_diagnostic(small_scenario(law=law, n_populations=3, n_samples=334),
-                                    "phi_hj", workers=8)
+        for statistic in ("phi_ht", "phi_hj"):
+            with pytest.raises(ParameterError, match=f"unknown statistic '{statistic}'"):
+                mc.normality_diagnostic(small_scenario(n_populations=3, n_samples=334),
+                                        statistic, workers=8)
         assert _SerialPool.sizes == [] and _SerialPool.ran == []
+        # the report of a discrete law, which has no asymptotic scale, is NaN
+        law = pop.SuperPopulationLaw.discrete([float(k) for k in range(1, 13)], [1 / 12] * 12)
+        rep = mc.run_scenario(small_scenario(law=law, n_populations=3, n_samples=334),
+                              workers=8)
+        assert _SerialPool.sizes == [3] and _SerialPool.exits == [None]
+        assert len(rep.normality) == 6 and all(np.isnan(v) for v in rep.normality.values())
 
 
 class TestProcessCovariance:
@@ -714,6 +729,9 @@ class TestProcessCovariance:
 
 
 class TestNormalityDiagnostic:
+    """The HT-mean diagnostic, and the tables' normality report of the
+    poverty rates (:attr:`MonteCarloReport.normality`)."""
+
     @pytest.mark.parametrize("n", [1000, 10_000])
     @pytest.mark.parametrize("kind", ["skewed", "lattice"])
     def test_shape_statistics_match_scipy(self, kind, n):
@@ -731,8 +749,8 @@ class TestNormalityDiagnostic:
             float(sps.kstest(z, "norm").statistic), rel=1e-12)
 
     def test_requires_replications(self):
-        with pytest.raises(ParameterError):
-            mc.normality_diagnostic(small_scenario(), "phi_hj")
+        with pytest.raises(ParameterError, match="at least 1000 replications"):
+            mc.normality_diagnostic(small_scenario(), "ht_mean")
 
     def test_rejective_ht_mean_past_pairwise_cap(self, monkeypatch):
         # the exact scale of the HT mean on REJ comes from the O(N n) moment
@@ -762,41 +780,6 @@ class TestNormalityDiagnostic:
         assert 0.0 < phi_f < 1.0
         assert np.all(np.isfinite(av_ref)) and np.all(av_ref > 0.0)
 
-    def test_point_mass_errors(self, monkeypatch):
-        # the missing asymptotic scale is found before any population runs
-        calls = []
-        generate = pop.generate_population
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return generate(*args, **kwargs)
-
-        monkeypatch.setattr(pop, "generate_population", counted)
-        law = pop.SuperPopulationLaw.discrete([5.0], [1.0])
-        sc = small_scenario(N=60, n=12, law=law, alpha=0.5, beta=0.9,
-                            n_populations=40, n_samples=30, seed=9)
-        with pytest.raises(DiagnosticError):
-            mc.normality_diagnostic(sc, "phi_hj")
-        assert len(calls) == 0
-
-    def test_phi_ht_through_ht_mass_deficit(self):
-        # PO at N=200, n=20: some samples' HT mass falls below alpha = 0.5,
-        # where a generalized-inverse quantile is undefined; the tables'
-        # estimate saturates there, and so the diagnostic returns
-        sc = small_scenario(design="PO", N=200, n=20, n_populations=20, n_samples=100, seed=3)
-        out = mc.normality_diagnostic(sc, "phi_ht")
-        assert out["replications"] == 2000
-        assert all(np.isfinite(out[k]) for k in ("skewness", "excess_kurtosis", "ks_distance"))
-
-    def test_si_statistics_near_normal(self):
-        sc = small_scenario(N=800, n=160, n_populations=40, n_samples=30, seed=13)
-        out = mc.normality_diagnostic(sc, "phi_hj")
-        assert out["replications"] == 1200
-        assert abs(out["skewness"]) < 1.0
-        # the estimate is lattice-valued (multiples of 1/n), so the distance
-        # to the continuous normal has a floor of about phi(0)/sqrt(n sigma^2)
-        assert out["ks_distance"] < 0.15
-
     def test_ht_mean_standardization(self):
         sc = small_scenario(design="BE", N=600, n=150, n_populations=40,
                             n_samples=30, seed=14)
@@ -818,7 +801,7 @@ class TestNormalityDiagnostic:
         batches.append(ref.make_batch([([], []), ([2.5], [0.25]), ([1e300, 3.0], [1e-3, 1.0])]))
         monkeypatch.setattr(mc.dsg, "exact_sn2", lambda design, y: 1.0)
         sc = small_scenario(N=N, n=60)
-        got = mc._statistic_values(sc, "ht_mean", None, None, np.zeros(3), design, batches)
+        got = mc._statistic_values(sc, np.zeros(3), design, batches)
         expected = [float(np.sum(np.array(row.y) / np.array(row.pi))) / N
                     for batch in batches for row in ref.rows(batch)]
         assert len({row.y.size for batch in batches for row in ref.rows(batch)}) > 10
@@ -833,11 +816,90 @@ class TestNormalityDiagnostic:
         assert abs(out["skewness"]) <= 0.2
         assert out["ks_distance"] <= 0.03
 
+
+    # the poverty rates' normality is the tables' own report of
+    # z = (phi_hat - phi(F)) / sqrt(av_ref / n), from the cells they judge
+
+    #: float.hex of (skewness, excess kurtosis, KS distance) and the kept
+    #: cells of each estimator, as the earlier second pass over every
+    #: population and sample (``normality_diagnostic(sc, "phi_ht" | "phi_hj")``)
+    #: gave them; (design, N, n, n_populations, n_samples, seed) with the
+    #: law, alpha and beta of ``small_scenario``
+    SECOND_PASS = {
+        ("BE", 100, 6, 20, 100, 3): {     # 6 empty samples
+            "HT": (1994, "-0x1.098c6f968d19dp-2", "-0x1.49ece768a8038p-2",
+                   "0x1.8083f505e125dp-2"),
+            "HJ": (1994, "-0x1.064cb998b7dbfp-1", "-0x1.4ff0c1907e9c8p-2",
+                   "0x1.91dcda646e34ep-3")},
+        ("SI", 800, 160, 40, 30, 13): {
+            "HT": (1200, "0x1.6dbb031b4843ap-7", "0x1.382575b4c0580p-6", "0x1.063ea1efa53c0p-4"),
+            "HJ": (1200, "0x1.6dbb031b483dep-7", "0x1.382575b4c0500p-6", "0x1.063ea1efa53bcp-4")},
+        ("REJ", 300, 30, 4, 300, 5): {
+            "HT": (1200, "-0x1.97c813ce7cec9p-2", "-0x1.ff9430b0ff640p-3",
+                   "0x1.217c0b7a63500p-4"),
+            "HJ": (1200, "-0x1.6b7def83b6aa3p-2", "-0x1.a26c54828c660p-3",
+                   "0x1.121e4c4b68d5cp-4")},
+        ("PO", 2000, 200, 10, 100, 516): {
+            "HT": (1000, "-0x1.1081550f8984fp-4", "-0x1.13b2b899757a8p-2",
+                   "0x1.d20823d590120p-5"),
+            "HJ": (1000, "-0x1.ca3875ad5a928p-5", "-0x1.4071d8faa91c8p-2",
+                   "0x1.2d7e951492800p-5")},
+        # some samples' HT mass falls below alpha = 0.5, where the estimate
+        # saturates; the second pass kept two HT cells the tables fail
+        # without a bandwidth, so only HJ is bitwise the same there
+        ("PO", 200, 20, 20, 100, 3): {
+            "HJ": (2000, "-0x1.65bc8c92a49e0p-2", "-0x1.55f2e640f3e90p-2",
+                   "0x1.5b329752cc3dcp-5")},
+    }
+
+    @pytest.mark.parametrize("case", sorted(SECOND_PASS), ids=lambda c: "-".join(map(str, c)))
+    def test_report_matches_the_second_pass(self, case):
+        design, N, n, n_populations, n_samples, seed = case
+        rep = mc.run_scenario(small_scenario(design=design, N=N, n=n, n_populations=n_populations,
+                                             n_samples=n_samples, seed=seed))
+        for e, (kept, *shape) in self.SECOND_PASS[case].items():
+            assert rep.n_cells - rep.n_failures[e] == kept
+            assert [rep.normality[e, s].hex() for s in mc.SHAPES] == shape
+
+    def test_phi_ht_through_ht_mass_deficit(self):
+        # PO at N=200, n=20: some samples' HT mass falls below alpha = 0.5,
+        # where the estimate saturates; two HT cells fail without a
+        # bandwidth, and the report judges the 1998 cells that the bias and
+        # coverage judge
+        sc = small_scenario(design="PO", N=200, n=20, n_populations=20, n_samples=100, seed=3)
+        rep = mc.run_scenario(sc)
+        assert rep.n_cells - rep.n_failures["HT"] == 1998
+        assert all(np.isfinite(rep.normality["HT", s]) for s in mc.SHAPES)
+
+    def test_si_statistics_near_normal(self):
+        sc = small_scenario(N=800, n=160, n_populations=40, n_samples=30, seed=13)
+        rep = mc.run_scenario(sc)
+        assert rep.n_failures["HJ"] == 0
+        assert abs(rep.normality["HJ", "skewness"]) < 1.0
+        # the estimate is lattice-valued (multiples of 1/n), so the distance
+        # to the continuous normal has a floor of about phi(0)/sqrt(n sigma^2)
+        assert rep.normality["HJ", "ks_distance"] < 0.15
+
+    def test_point_mass_errors(self):
+        # a point mass: the HT mean has no design variance, which the
+        # diagnostic refuses; the rate has no density, hence no asymptotic
+        # scale, and the tables' report is NaN, as it is for one cell, whose
+        # variance is zero, and the run does not fail
+        law = pop.SuperPopulationLaw.discrete([5.0], [1.0])
+        point_mass = small_scenario(N=40, n=8, law=law, beta=0.9, n_populations=40,
+                                    n_samples=25)
+        with pytest.raises(DiagnosticError, match="design variance of the weighted mean is zero"):
+            mc.normality_diagnostic(point_mass, "ht_mean")
+        for sc in (point_mass, small_scenario(n_populations=1, n_samples=1)):
+            rep = mc.run_scenario(sc)
+            assert list(rep.normality) == [(e, s) for e in mc.ESTIMATORS for s in mc.SHAPES]
+            assert all(np.isnan(v) for v in rep.normality.values())
+
     def test_phi_hj_bands_at_scale(self):
         # the estimate is lattice-valued under SI (multiples of 1/n), so the
         # Kolmogorov-Smirnov band carries the lattice floor phi(0)/sqrt(n s^2)
         sc = small_scenario(N=2000, n=200, n_populations=100,
                             n_samples=100, seed=516)
-        out = mc.normality_diagnostic(sc, "phi_hj", workers=2)
-        assert abs(out["skewness"]) <= 0.2
-        assert out["ks_distance"] <= 0.12
+        rep = mc.run_scenario(sc, workers=2)
+        assert abs(rep.normality["HJ", "skewness"]) <= 0.2
+        assert rep.normality["HJ", "ks_distance"] <= 0.12

@@ -582,6 +582,34 @@ class TestRationalOracle:
                              [[float(x * n / d.N**2) for x in row] for row in form])])
         assert worst[0] <= sn2_bound and worst[1] <= sigma_bound
 
+    @pytest.mark.parametrize("kind, mu1_bound, mu2_bound", [
+        ("srswor", 1.8e-15, 1.4e-15),
+        ("bernoulli", 1.4e-15, 0.0),
+        ("poisson", 6.7e-16, 0.0),
+        ("rejective", 1.6e-15, None),
+    ])
+    def test_design_constants(self, kind, mu1_bound, mu2_bound):
+        # lam = n/N, mu1 = (n/N^2) sum_i Delta_ii and mu2 = (n/N^2) (1^T Delta 1
+        # - sum_i Delta_ii) in rationals, n = sum(pi) exactly: lam within
+        # 2.3e-16 for every design; mu1 measured 8.9e-16 (srswor), 6.7e-16
+        # (Bernoulli), 3.4e-16 (Poisson), 7.8e-16 (rejective); mu2 6.7e-16
+        # (srswor) and exactly 0 for Bernoulli and Poisson.  A rejective mu2 is
+        # Hajek's leading term, not exact: its gap to the rational value was
+        # measured up to 0.36 relative (median 0.087), and is not asserted
+        worst = np.zeros(3)
+        for d, (pi, pi2) in kind_cases(kind):
+            n = sum(pi)
+            diagonal = sum((1 - x) / x for x in pi)
+            total = ref.exact_ratio_form(pi, pi2, np.ones((d.N, 1)))[0][0]
+            exact = [n / d.N, n / d.N**2 * diagonal, n / d.N**2 * (total - diagonal)]
+            got = dsg.design_constants(d)
+            # the relative error, or the absolute one against an exact zero
+            worst = np.maximum(worst, [abs(value - float(x)) / (abs(float(x)) or 1.0)
+                                       for value, x in zip((got.lam, got.mu1, got.mu2), exact)])
+        assert worst[0] <= 4.5e-16 and worst[1] <= mu1_bound
+        if mu2_bound is not None:
+            assert worst[2] <= mu2_bound
+
 
 class TestRejectiveMoment:
     """The O(N n K^2) moment program against the pairwise and enumeration

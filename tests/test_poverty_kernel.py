@@ -15,7 +15,6 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -497,77 +496,6 @@ class TestKernelOracle:
         assert expected[0] > 0.0 and expected[1] == 0.0
 
 
-def statistic_values(draws, N, alpha, beta, statistic):
-    """The normality diagnostic's poverty rates of one batch of draws
-    (standardized by center 0 and scale 1, which leaves them unchanged).
-
-    The rule accepts alpha = 1, which a :class:`montecarlo.Scenario` rejects
-    (no model quantile exists there), so the levels come in a plain namespace.
-    """
-    sc = SimpleNamespace(N=N, alpha=alpha, beta=beta)
-    return mc._statistic_values(sc, statistic, 0.0, 1.0, None, None, [ref.stack(draws)])
-
-
-@st.composite
-def short_ht_rows(draw):
-    """A short row that is likely to tie: 1-5 units with pi in [0.5, 1], so
-    that its HT mass sum 1/(N pi) is at most 10/N, below most levels."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    y = draw(st.lists(DISCRETE, min_size=n, max_size=n))
-    return make_row(y, draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
-
-
-class TestDiagnosticRates:
-    """The one-mode rates, of :func:`estimation.poverty_rates` and of the
-    normality diagnostic, against the phi column of the kernel."""
-
-    def check(self, draws, N, alpha, beta):
-        batch = ref.stack(draws)
-        phi, _, errors = est.poverty_rate_estimates(batch, N, asy.DesignConstants(0.5, 1.0, 0.0),
-                                                    alpha, beta)
-        expected = [(j, type(error), str(error)) for j, error in
-                    enumerate(map(ref.row_error, draws)) if error is not None]
-        ok = [j for j in range(len(draws)) if j not in {e[0] for e in expected}]
-        for k, mode in enumerate(MODES):
-            rates, failed = est.poverty_rates(batch, N, alpha, beta, mode)
-            # the rows that fail their checks are reported, in row order, with
-            # the per-draw check's classes and messages, and hold 0.0
-            assert [(j, type(e), str(e)) for j, e in failed.items()] == expected
-            assert all(rates[j] == 0.0 for j in failed)
-            for j in ok:
-                if (j, k) not in errors:
-                    assert same(rates[j], phi[j, k]), (j, mode)
-            # the diagnostic keeps the rows that pass, and so does a batch of
-            # those rows alone: the same bits
-            kept = statistic_values(draws, N, alpha, beta, "phi_" + mode.lower())
-            assert np.array_equal(kept, rates[ok], equal_nan=True)
-            if ok:
-                alone, none = est.poverty_rates(ref.stack([draws[j] for j in ok]), N, alpha,
-                                                beta, mode)
-                assert not none
-                assert np.array_equal(alone, rates[ok], equal_nan=True)
-
-    # infinite responses give inf - inf and 0 * inf, and both rates carry the NaN
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @given(st.lists(st.one_of(batch_rows(), failing_rows(), short_ht_rows()),
-                    min_size=1, max_size=8),
-           st.integers(min_value=20, max_value=10_000),
-           st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=0.05, max_value=1.0))
-    @settings(max_examples=300, deadline=None)
-    def test_batch_matches_kernel_phi(self, draws, N, alpha, beta):
-        self.check(draws, N, alpha, beta)
-
-    def test_ties_and_mass_deficit(self):
-        tied = make_row([2.0, 1.0, 2.0, 3.0, 1.0], [0.5, 0.5, 0.25, 1.0, 0.5])
-        short = make_row([1.0, 4.0], [1.0, 1.0])   # HT mass 0.2 < alpha
-        nan = make_row([1.0, math.nan, 3.0, 1.0], [0.5, 0.5, 1.0, 0.25])
-        # the HT quantile saturates at the largest response, 4, and 0.6 * 4
-        # lies past the first of the two jumps of 0.1
-        assert est.poverty_rates(short, 10, 0.5, 0.6, "HT")[0].tolist() == [0.1]
-        for draws in ([tied], [short], [nan], [tied, short], [short, tied, nan, tied]):
-            self.check(draws, 10, 0.5, 0.6)
-
-
 FIELDS = ("included", "pi", "y", "sizes")
 
 
@@ -585,8 +513,6 @@ def test_kernels_leave_the_batch_unchanged(draws, N):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in some rows
         est.poverty_rate_estimates(batch, N, constants, 0.5, 0.6)
-        est.poverty_rates(batch, N, 0.5, 0.6, "HT")
-        est.poverty_rates(batch, N, 0.5, 0.6, "HJ")
         est.process_paths(batch, population, [0.0, 1.0], "HJ_vs_FN")
     for name in FIELDS:
         assert getattr(batch, name).flags.writeable
@@ -613,8 +539,6 @@ class TestWeightedSample:
         # a negative N would make the HT weights negative, tied values or not
         draw = make_row(y, [0.5, 0.25, 0.5])
         with pytest.raises(ParameterError, match="population size"):
-            est.poverty_rates(draw, -10, 0.5, 0.6, "HT")
-        with pytest.raises(ParameterError, match="population size"):
             est.poverty_rate_estimates(draw, -10, asy.DesignConstants(0.5, 1.0, 0.0),
                                        0.5, 0.6)
 
@@ -636,7 +560,3 @@ class TestWeightedSample:
         draw = make_row([4.0, 4.0, 4.0], [0.2, 0.5, 0.8])
         got = kernel_cell(draw, 12, asy.DesignConstants(0.25, 1.0, 0.0), 0.5, 0.6)
         assert got["HT"][1] == got["HJ"][1] == 0.0
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ParameterError, match="mode"):
-            est.poverty_rates(make_row([1.0, 2.0], [0.5, 0.5]), 4, 0.5, 0.6, "XX")

@@ -67,6 +67,13 @@ def _enumerated(N=4, n=2):
      ParameterError, "centered form requires the super-population law"),
     (lambda: dsg.sigma_matrix(dsg.srswor(4, 2), np.arange(4.0), [1.0], "XX"),
      ParameterError, "form must be 'HT2' or 'HJ2', got 'XX'"),
+    # a short y once gave a 2 x 2 matrix on REJ, and numpy's matmul error elsewhere
+    (lambda: dsg.sigma_matrix(dsg.calibrated_rejective(np.full(10, 0.4), 4), np.ones(1), [1.0]),
+     ParameterError, "y must have one response per unit"),
+    (lambda: dsg.sigma_matrix(dsg.srswor(4, 2), np.ones(3), [1.0, 2.0]),
+     ParameterError, "y must have one response per unit"),
+    (lambda: dsg.sigma_matrix(dsg.poisson([0.5, 0.5]), np.ones((2, 1)), [1.0]),
+     ParameterError, "y must have one response per unit"),
     (lambda: orc.divergence_from_rejective(_enumerated(4), _enumerated(5)),
      ParameterError, "designs must share the population size"),
     (lambda: pop.SuperPopulationLaw.discrete([0.0, 1.0], [1.0]),
@@ -78,7 +85,8 @@ def _enumerated(N=4, n=2):
 ], ids=["constants-lam", "covariance-form", "wald-variance", "design-units",
         "poisson-shape", "rejective-shape", "calibration-size", "process-kind",
         "ht-mean-zero-variance", "normality-statistic", "support-mass",
-        "conditions-empty", "sn2-length", "sigma-law", "sigma-form", "divergence-units",
+        "conditions-empty", "sn2-length", "sigma-law", "sigma-form", "sigma-y-rejective",
+        "sigma-y-srswor", "sigma-y-poisson", "divergence-units",
         "discrete-law", "poverty-beta", "batch-stream-state"])
 def test_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
