@@ -3,19 +3,22 @@
 The standardized weighted empirical processes converge to mean-zero
 Gaussian processes whose covariance functions are determined by two
 design constants ``mu1`` and ``mu2`` together with the sampling fraction
-limit ``lam``.  This module evaluates those covariance forms on grids
-and the closed-form asymptotic variances of the poverty-rate estimators.
-It names the two estimators (:data:`MODES`) and the four covariance forms
-(:data:`CovarianceForm`) for the modules above it, and holds the variance
-formula that :func:`estimation.poverty_rate_estimates` applies to a batch
-of realized samples; it imports no svycdf module but ``population`` and
-``errors``.
+limit ``lam``.  :func:`covariance` holds the algebra of the four forms
+(:data:`CovarianceForm`) at given CDF values; the limit covariance takes
+it at the model CDF.  The poverty rate phi(F) = F(beta F^{-1}(alpha)) has
+the Hadamard derivative h -> h(beta q) - br h(q), br = beta f(beta q) / f(q),
+so every variance of its estimators is w'Cw with w = (1, -br) on the
+points (beta q, q) (:func:`derivative_variance`): the model variance
+at the model values, and the plug-in variance of
+:func:`estimation.poverty_rate_estimates` at the estimated ones.  The
+module names the two estimators (:data:`MODES`) for the modules above
+it; it imports no svycdf module but ``population`` and ``errors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -68,71 +71,70 @@ class DesignConstants:
         return self.mu2 - self.lam
 
 
-def limit_covariance(constants: DesignConstants, law: population.SuperPopulationLaw,
-                     form: CovarianceForm, s: float, t: float) -> float:
-    """Covariance of the limiting Gaussian process at (s, t), elementwise
-    for arrays that broadcast.
+def covariance(constants: DesignConstants, form: CovarianceForm, f_min, f_s, f_t):
+    """The covariance algebra of every form at the CDF values F(s^t), F(s)
+    and F(t), elementwise for arrays that broadcast.
 
-    Forms: ``HT_vs_FN`` mu1 F(s^t) + mu2 F(s)F(t); ``HT_vs_F`` with
-    (gamma1, gamma2) instead; ``HJ_vs_FN`` mu1 (F(s^t) - F(s)F(t));
-    ``HJ_vs_F`` gamma1 (F(s^t) - F(s)F(t)).
+    ``HT_*`` is c1 F(s^t) + c2 F(s)F(t) and ``HJ_*`` is c1 (F(s^t) - F(s)F(t)),
+    with (c1, c2) = (mu1, mu2) for ``*_vs_FN`` and (gamma1, gamma2) for
+    ``*_vs_F``; the product F(s)F(t) is formed first, so C(s, t) and
+    C(t, s) agree bit for bit.  ``form`` is checked before any arithmetic.
     """
-    fs = population.true_cdf(law, s)
-    ft = population.true_cdf(law, t)
-    fmin = population.true_cdf(law, np.minimum(s, t))
-    if form == "HT_vs_FN":
-        return constants.mu1 * fmin + constants.mu2 * fs * ft
-    if form == "HT_vs_F":
-        return constants.gamma1 * fmin + constants.gamma2 * fs * ft
-    if form == "HJ_vs_FN":
-        return constants.mu1 * (fmin - fs * ft)
-    if form == "HJ_vs_F":
-        return constants.gamma1 * (fmin - fs * ft)
-    raise ParameterError(f"unknown covariance form {form!r}")
+    if form not in get_args(CovarianceForm):
+        raise ParameterError(f"unknown covariance form {form!r}")
+    mode, centering = form.split("_vs_")
+    c1, c2 = ((constants.mu1, constants.mu2) if centering == "FN"
+              else (constants.gamma1, constants.gamma2))
+    if mode == "HT":
+        return c1 * f_min + c2 * (f_s * f_t)
+    return c1 * (f_min - f_s * f_t)
 
 
-def limit_covariance_matrix(constants: DesignConstants, law: population.SuperPopulationLaw,
-                            form: CovarianceForm, grid) -> np.ndarray:
-    """Limit covariance evaluated on a grid; symmetric k x k matrix."""
-    grid = np.asarray(grid, dtype=float)
-    # the upper triangle, (s, t) = (grid[a], grid[b]) with a <= b, mirrored
-    upper = np.triu(limit_covariance(constants, law, form, grid[:, None], grid[None, :]))
-    return upper + np.triu(upper, 1).T
+def limit_covariance(constants: DesignConstants, law: population.SuperPopulationLaw,
+                     form: CovarianceForm, s, t):
+    """Covariance of the limiting Gaussian process at (s, t): the
+    :func:`covariance` of ``form`` at the model CDF, elementwise for arrays
+    that broadcast (``grid[:, None]`` and ``grid[None, :]`` give the
+    symmetric matrix on a grid)."""
+    return covariance(constants, form, population.true_cdf(law, np.minimum(s, t)),
+                      population.true_cdf(law, s), population.true_cdf(law, t))
+
+
+def derivative_variance(constants: DesignConstants, mode: Literal["HT", "HJ"], alpha,
+                        br, phi):
+    """w'Cw: the ``{mode}_vs_F`` covariance contracted along the derivative
+    direction w = (1, -br) on the points (beta q, q), whose CDF values are
+    (``phi``, ``alpha``); ``br`` is beta f(beta q) / f(q).  Elementwise for
+    arrays that broadcast.  F(beta q ^ q) is taken as ``phi``, as it is for
+    q >= 0 and beta <= 1."""
+    if mode not in MODES:
+        raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
+    form = f"{mode}_vs_F"
+    return (covariance(constants, form, phi, phi, phi)
+            - 2.0 * br * covariance(constants, form, phi, phi, alpha)
+            + br * br * covariance(constants, form, alpha, alpha, alpha))
 
 
 def _poverty_ingredients(law, alpha, beta):
+    """The model rate phi = F(beta q) and br = beta f(beta q) / f(q); beta
+    is checked by :func:`population.true_poverty_rate`."""
+    phi = population.true_poverty_rate(law, alpha, beta)
     q = population.true_quantile(law, alpha)
     fq = population.true_density(law, q)
     if fq <= 0.0:
         raise ZeroDensityError(f"density vanishes at the {alpha}-quantile")
-    ratio = population.true_density(law, beta * q) / fq
-    phi = population.true_cdf(law, beta * q)
-    return ratio, phi
-
-
-def poverty_variance_form(g1: float, g2: float, mode: Literal["HT", "HJ"], alpha: float,
-                          br: float, phi: float) -> float:
-    """The closed-form variance at rate ``phi``, with ``br`` beta times the
-    density ratio f(beta q) / f(q); linear in gamma1 for mode "HJ"."""
-    if mode == "HT":
-        return (br * br * (g1 * alpha + g2 * alpha * alpha)
-                + g1 * phi + g2 * phi * phi
-                - 2.0 * br * phi * (g1 + g2 * alpha))
-    return (br * br * g1 * alpha * (1.0 - alpha)
-            + g1 * phi * (1.0 - phi)
-            - 2.0 * br * phi * g1 * (1.0 - alpha))
+    return phi, beta * (population.true_density(law, beta * q) / fq)
 
 
 def poverty_variance(constants: DesignConstants, law: population.SuperPopulationLaw,
                      alpha: float, beta: float, mode: Literal["HT", "HJ"]) -> float:
     """Asymptotic variance of sqrt(n) times the poverty-rate error of the
     inverse-probability-weighted ("HT") or self-normalized ("HJ")
-    estimator, for deterministic inclusion probabilities; linear in gamma1
-    for "HJ"."""
-    if mode not in MODES:
-        raise ParameterError(f"mode must be 'HT' or 'HJ', got {mode!r}")
-    r, phi = _poverty_ingredients(law, alpha, beta)
-    return poverty_variance_form(constants.gamma1, constants.gamma2, mode, alpha, beta * r, phi)
+    estimator, for deterministic inclusion probabilities: the
+    :func:`derivative_variance` at the model rate and density ratio; linear
+    in gamma1 for "HJ"."""
+    phi, br = _poverty_ingredients(law, alpha, beta)
+    return derivative_variance(constants, mode, alpha, br, phi)
 
 
 def wald_interval(estimate, variance_of_root_n, n: float) -> tuple:

@@ -38,7 +38,7 @@ from typing import get_args
 import numpy as np
 
 from . import population as pop
-from .asymptotics import MODES, CovarianceForm, DesignConstants, poverty_variance_form
+from .asymptotics import MODES, CovarianceForm, DesignConstants, derivative_variance
 from .errors import (
     DegenerateBandwidthError,
     EstimationError,
@@ -257,9 +257,10 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     R is zero, or so small that the product underflows), and the densities
     at q and beta q are weighted Gaussian kernel estimates at that
     bandwidth: weight 1/pi_i per sampled unit, normalized by N ("HT")
-    or by the population-size estimate ("HJ").  The variance is the closed
-    form of :func:`asymptotics.poverty_variance` at the estimated rate and
-    density ratio.
+    or by the population-size estimate ("HJ").  The variance is
+    :func:`asymptotics.derivative_variance`, the contraction that gives the
+    model variance, at the estimated rate (phi_hat, alpha) and the
+    estimated br = beta f(beta q) / f(q).
 
     Returns ``(phi, av, errors)``: (S, 2) arrays with one row per batch row
     and the columns :data:`MODES`, and a dict mapping each cell ``(j, k)``
@@ -302,8 +303,7 @@ def poverty_rate_estimates(batch, N: int, constants: DesignConstants,
     with np.errstate(all="ignore"):
         # cells without densities are evaluated too, and replaced below
         br = beta * (f_bq / f_q)
-        av = np.stack([poverty_variance_form(constants.gamma1, constants.gamma2, mode, alpha,
-                                             br[:, k], phi[:, k])
+        av = np.stack([derivative_variance(constants, mode, alpha, br[:, k], phi[:, k])
                        for k, mode in enumerate(MODES)], axis=1)
     av[flat.T] = 0.0
     for cell in errors:

@@ -489,7 +489,8 @@ def process_covariance_check(sc: Scenario, grid, form: str,
     grid is checked, and the limit computed, before any population is drawn."""
     grid = est.checked_grid(grid)
     design = _scenario_design(sc)
-    limit = asy.limit_covariance_matrix(dsg.design_constants(design), sc.law, form, grid)
+    limit = asy.limit_covariance(dsg.design_constants(design), sc.law, form,
+                                 grid[:, None], grid[None, :])
     per_pop = _population_results(sc, design, partial(_process_sums, sc, grid, form), workers)
     sums, outers, kept = map(sum, zip(*per_pop))     # added in population order
     cells = sc.n_populations * sc.n_samples

@@ -1,5 +1,7 @@
 """Limit covariances, poverty-rate variances and plug-in estimators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,14 +50,13 @@ class TestLimitCovariance:
             assert asy.limit_covariance(c, EXP1, form, -1.0, 2.0) == pytest.approx(0.0)
 
     def test_matrix_is_the_pointwise_covariance(self):
-        # (mu2 F(s)) F(t) and (mu2 F(t)) F(s) differ in the last bit for most grids
+        # F(s)F(t) is formed before it is scaled, so C(s, t) == C(t, s) bitwise
         c = constants(0.2, 0.7, -0.3)
         grid = np.sort(substream(42).uniform(0.05, 3.0, 6))
         for form in ("HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"):
-            mat = asy.limit_covariance_matrix(c, EXP1, form, grid)
-            assert np.array_equal(mat, mat.T)
+            mat = asy.limit_covariance(c, EXP1, form, grid[:, None], grid[None, :])
             for a in range(grid.size):
-                for b in range(a, grid.size):
+                for b in range(grid.size):
                     assert mat[a, b] == asy.limit_covariance(c, EXP1, form, grid[a], grid[b])
 
     def test_matrix_symmetric_psd(self):
@@ -63,13 +64,57 @@ class TestLimitCovariance:
         grid = np.sort(rng.uniform(0.05, 3.0, 8))
         for lam, mu1 in [(0.0, 1.0), (0.3, 0.5), (0.1, 2.0)]:
             c = constants(lam, mu1, -lam * mu1)
-            for form in ("HJ_vs_FN", "HJ_vs_F"):
-                mat = asy.limit_covariance_matrix(c, EXP1, form, grid)
-                assert np.allclose(mat, mat.T)
+            for form in ("HT_vs_FN", "HT_vs_F", "HJ_vs_FN", "HJ_vs_F"):
+                mat = asy.limit_covariance(c, EXP1, form, grid[:, None], grid[None, :])
+                assert np.array_equal(mat, mat.T)
                 assert np.linalg.eigvalsh(mat).min() >= -1e-10
 
 
+def expansion_terms(g1, g2, mode, alpha, br, phi):
+    """The three terms of the hand expansion of the poverty-rate variance
+    that the contraction replaced; their sum, in this order, is the old
+    value."""
+    if mode == "HT":
+        return (br * br * (g1 * alpha + g2 * alpha * alpha), g1 * phi + g2 * phi * phi,
+                -2.0 * br * phi * (g1 + g2 * alpha))
+    return (br * br * g1 * alpha * (1.0 - alpha), g1 * phi * (1.0 - phi),
+            -2.0 * br * phi * g1 * (1.0 - alpha))
+
+
 class TestPovertyVariances:
+    @pytest.mark.parametrize("mode", ["HT", "HJ"])
+    def test_contraction_matches_hand_expansion(self, mode):
+        """w'Cw against the hand expansion, on a grid of (lam, mu1, mu2) with
+        mu2 = lam - 1, 0, a rejective-like -0.97 and 0.5, and on arrays of
+        (alpha, phi <= alpha, br) as the kernel passes them.
+
+        The two differ by rounding only.  The bound is relative to the
+        largest monomial of the expanded form (c1 br^2 alpha, c2 br^2
+        alpha^2, c1 phi, c2 phi^2, 2 c1 br phi, 2 c2 br phi alpha, with
+        c2 = -c1 for "HJ"), since the result itself cancels: measured gaps
+        9.2e-16 ("HT") and 7.5e-16 ("HJ"), bound 2e-15.
+        """
+        rng = substream(61)
+        for lam, mu1 in itertools.product((0.0, 0.05, 0.3, 0.9, 1.0), (0.0, 0.4, 1.0, 3.0)):
+            for mu2 in (lam - 1.0, 0.0, -0.97, 0.5):
+                c = constants(lam, mu1, mu2)
+                g1, g2 = c.gamma1, (c.gamma2 if mode == "HT" else -c.gamma1)
+                for alpha in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+                    phi = alpha * np.r_[0.0, rng.uniform(0.0, 1.0, 200), 1.0]
+                    br = rng.uniform(0.0, 3.0, phi.size)
+                    got = asy.derivative_variance(c, mode, alpha, br, phi)
+                    expected = sum(expansion_terms(c.gamma1, c.gamma2, mode, alpha, br, phi))
+                    monomials = [br * br * g1 * alpha, br * br * g2 * alpha * alpha, g1 * phi,
+                                 g2 * phi * phi, 2.0 * br * g1 * phi, 2.0 * br * g2 * phi * alpha]
+                    scale = np.max(np.abs(np.broadcast_arrays(*monomials)), axis=0)
+                    assert np.all(np.abs(got - expected) <= 2e-15 * scale)
+
+    @pytest.mark.parametrize("beta", [1.5, 0.0, -1.0, float("nan")])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        # beta = 1.5 gave a negative variance, 0 and -1 gave 0.0, NaN gave NaN
+        with pytest.raises(ParameterError, match="scale beta must lie in"):
+            asy.poverty_variance(constants(0.05, 0.95, -0.05), EXP1, 0.5, beta, "HT")
+
     def test_ht_closed_form_value(self):
         # frozen from the exponential closed forms with gamma1=1, gamma2=0
         c = constants(0.0, 1.0, 0.0)
@@ -131,7 +176,7 @@ class TestPovertyVariances:
         q = pop.true_quantile(EXP1, alpha)
         r = pop.true_density(EXP1, beta * q) / pop.true_density(EXP1, q)
         grid = np.array([beta * q, q])
-        cov = asy.limit_covariance_matrix(c, EXP1, "HJ_vs_F", grid)
+        cov = asy.limit_covariance(c, EXP1, "HJ_vs_F", grid[:, None], grid[None, :])
         coeff = np.array([1.0, -beta * r])
         assert coeff @ cov @ coeff == pytest.approx(
             asy.poverty_variance(c, EXP1, alpha, beta, "HJ"), rel=1e-12)

@@ -1,10 +1,14 @@
 """Golden Monte Carlo reports: every field of ``MonteCarloReport``, bit for bit.
 
 ``golden_reports.json`` holds ``float.hex`` of every report field of the
-scenarios below, recorded with the earlier reduction that summed each
-population's cells into per-estimator dicts.  The reports must not change
-by a single bit, including the fields no table shows (``rb_phi_se``,
-``rb_av_se``, ``mc_variance``).
+scenarios below.  The reports must not change by a single bit, including
+the fields no table shows (``rb_phi_se``, ``rb_av_se``, ``mc_variance``).
+A declared change of the reports is recorded again with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+which rewrites ``golden_reports.json`` from the current code and prints
+each field that moved, with its old and new hex and its relative change.
 """
 
 import json
@@ -69,7 +73,6 @@ def test_report_matches_golden(name):
     assert report_hex(rep) == GOLDEN[name]
 
 
-
 def test_report_fields_are_plain_numbers():
     rep = mc.run_scenario(SCENARIOS["BE-failures"])
     assert type(rep.n_cells) is int
@@ -77,3 +80,32 @@ def test_report_fields_are_plain_numbers():
     for field in ("rb_phi", "rb_phi_se", "coverage", "rb_av", "rb_av_se", "mc_variance",
                   "normality"):
         assert all(type(v) is float for v in getattr(rep, field).values())
+
+
+def _leaves(fields: dict):
+    """``(field, value)`` pairs of one report's hex fields, flattened."""
+    for field, value in fields.items():
+        if isinstance(value, dict):
+            yield from ((f"{field}[{key}]", v) for key, v in value.items())
+        else:
+            yield field, value
+
+
+def record() -> None:
+    """Rewrite ``golden_reports.json`` from the current code; print every
+    field that moved as ``scenario field old new relative-change``."""
+    path = Path(__file__).parent / "golden_reports.json"
+    reports = {name: report_hex(mc.run_scenario(sc)) for name, sc in sorted(SCENARIOS.items())}
+    for name, fields in reports.items():
+        old = dict(_leaves(GOLDEN.get(name, {})))
+        for field, new in _leaves(fields):
+            if old.get(field) != new:
+                was = float.fromhex(old[field]) if field in old else float("nan")
+                now = float.fromhex(new)
+                rel = (now - was) / abs(was) if was else now - was
+                print(f"{name} {field} {old.get(field)} {new} {rel:.2e}")
+    path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

@@ -90,13 +90,16 @@ def reference_plugin_variance(draw, N, constants, alpha, beta, mode):
         raise ZeroDensityError("zero density")
     br = beta * (f_bq / f_q)
     g1, g2 = constants.gamma1, constants.gamma2
-    if mode == "HT":
-        return (br * br * (g1 * alpha + g2 * alpha * alpha)
-                + g1 * phihat + g2 * phihat * phihat
-                - 2.0 * br * phihat * (g1 + g2 * alpha))
-    return (br * br * g1 * alpha * (1.0 - alpha)
-            + g1 * phihat * (1.0 - phihat)
-            - 2.0 * br * phihat * g1 * (1.0 - alpha))
+
+    def cov(f_min, f_s, f_t):
+        # the mode's model-centered limit covariance at the CDF values
+        if mode == "HT":
+            return g1 * f_min + g2 * (f_s * f_t)
+        return g1 * (f_min - f_s * f_t)
+
+    # w'Cw with w = (1, -br) on (beta q, q), whose CDF values are (phihat, alpha)
+    return (cov(phihat, phihat, phihat) - 2.0 * br * cov(phihat, phihat, alpha)
+            + br * br * cov(alpha, alpha, alpha))
 
 
 def reference_phi_and_av(draw, N, constants, alpha, beta, mode):
@@ -229,8 +232,8 @@ def row_cell(draw, N, constants, alpha, beta):
                 f_q, f_bq = densities
                 if f_q <= 0.0:
                     raise ZeroDensityError("estimated density vanishes at the quantile")
-                out[mode] = (phi, asy.poverty_variance_form(
-                    constants.gamma1, constants.gamma2, mode, alpha, beta * (f_bq / f_q), phi))
+                out[mode] = (phi, asy.derivative_variance(constants, mode, alpha,
+                                                          beta * (f_bq / f_q), phi))
             elif np.all(sample.y == sample.y[0]):
                 out[mode] = (phi, 0.0)
             else:

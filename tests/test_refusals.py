@@ -40,6 +40,9 @@ def _enumerated(N=4, n=2):
      ParameterError, "lam must lie in [0, 1], got 1.5"),
     (lambda: asy.limit_covariance(asy.DesignConstants(0.5, 1.0, -0.5), EXP1, "XX", 1.0, 2.0),
      ParameterError, "unknown covariance form 'XX'"),
+    # checked before any arithmetic: string CDF values would raise TypeError
+    (lambda: asy.covariance(asy.DesignConstants(0.5, 1.0, -0.5), "HT_vs_G", "a", "b", "c"),
+     ParameterError, "unknown covariance form 'HT_vs_G'"),
     (lambda: asy.wald_interval(0.3, -1.0, 10),
      ParameterError, "need nonnegative variance and positive n"),
     (lambda: dsg.srswor(0, 1), ParameterError, "population size must be at least 1"),
@@ -82,8 +85,8 @@ def _enumerated(N=4, n=2):
      ParameterError, "scale beta must lie in (0, 1], got 1.5"),
     (lambda: streams._seeded_type()(np.zeros(4, np.uint64)).generate_state(8),
      NotImplementedError, "a batch stream holds only its PCG64 seed"),
-], ids=["constants-lam", "covariance-form", "wald-variance", "design-units",
-        "poisson-shape", "rejective-shape", "calibration-size", "process-kind",
+], ids=["constants-lam", "covariance-form", "covariance-form-first", "wald-variance",
+        "design-units", "poisson-shape", "rejective-shape", "calibration-size", "process-kind",
         "ht-mean-zero-variance", "normality-statistic", "support-mass",
         "conditions-empty", "sn2-length", "sigma-law", "sigma-form", "sigma-y-rejective",
         "sigma-y-srswor", "sigma-y-poisson", "divergence-units",
